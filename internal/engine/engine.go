@@ -743,7 +743,10 @@ func (s *Session) execUpdate(st *sqlparser.Update) (*Result, error) {
 		setters = append(setters, setter{idx: i, expr: ce})
 	}
 	var evalErr error
-	n, err := tab.Update(pred, func(r types.Row) types.Row {
+	// Without an indexed `col = literal` conjunct col is "", which names
+	// no index: the keyed call then examines every row.
+	col, key, _ := plan.PointKey(st.Table, schema, st.Where, tab.HasIndex)
+	n, err := tab.UpdateKey(col, key, pred, func(r types.Row) types.Row {
 		for _, set := range setters {
 			v, err := set.expr.Eval(r)
 			if err != nil {
@@ -770,11 +773,13 @@ func (s *Session) execDelete(st *sqlparser.Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	pred, err := s.compilePredicate(st.Table, tab.Schema(), st.Where)
+	schema := tab.Schema()
+	pred, err := s.compilePredicate(st.Table, schema, st.Where)
 	if err != nil {
 		return nil, err
 	}
-	n := tab.Delete(pred)
+	col, key, _ := plan.PointKey(st.Table, schema, st.Where, tab.HasIndex) // "" when there is none: every row
+	n := tab.DeleteKey(col, key, pred)
 	return &Result{RowsAffected: n, Message: fmt.Sprintf("%d rows deleted", n)}, nil
 }
 

@@ -374,9 +374,28 @@ func TestShowAndExplain(t *testing.T) {
 	if _, err := s.Exec("EXPLAIN DELETE FROM parts"); err == nil {
 		t.Error("EXPLAIN DELETE accepted")
 	}
-	res = s.MustExec("EXPLAIN SELECT * FROM suppliers WHERE No = 1")
-	if !strings.Contains(res.Table.String(), "TableScan suppliers") {
-		t.Errorf("plan:\n%s", res.Table)
+	// suppliers.No is the primary key (hash index); parts has no index.
+	for _, c := range []struct {
+		sql      string
+		want     string
+		filtered bool // the equality stays a Filter above the scan
+	}{
+		{"SELECT * FROM suppliers WHERE No = 1", "IndexScan suppliers (No = 1)", false},
+		{"SELECT * FROM suppliers WHERE 1 = No", "IndexScan suppliers (No = 1)", false},
+		{"SELECT * FROM suppliers s WHERE s.No = 1 AND Rating > 2", "IndexScan suppliers (No = 1)", true},
+		{"SELECT * FROM parts p, suppliers s WHERE s.No = 2 AND p.SuppNo = s.No", "IndexScan suppliers (No = 2)", false},
+		{"SELECT * FROM parts WHERE PartNo = 10", "TableScan parts", true},      // no index
+		{"SELECT * FROM suppliers WHERE No = '1'", "TableScan suppliers", true}, // kind mismatch: must keep raising
+		{"SELECT * FROM suppliers WHERE No = 1.0", "TableScan suppliers", true}, // INT column, DOUBLE literal
+		{"SELECT * FROM suppliers WHERE No = NULL", "TableScan suppliers", true},
+		{"SELECT * FROM suppliers WHERE No = 0 + 1", "TableScan suppliers", true},
+		{"SELECT * FROM suppliers WHERE Name = 'ACME'", "TableScan suppliers", true},
+		{"SELECT * FROM parts p LEFT JOIN suppliers s ON p.SuppNo = s.No WHERE s.No = 1", "TableScan suppliers", true},
+	} {
+		plan := s.MustExec("EXPLAIN " + c.sql).Table.String()
+		if !strings.Contains(plan, c.want) || strings.Contains(plan, "Filter") != c.filtered {
+			t.Errorf("%s: want %q, filter=%v; plan:\n%s", c.sql, c.want, c.filtered, plan)
+		}
 	}
 }
 

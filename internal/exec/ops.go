@@ -278,12 +278,16 @@ func (v *Values) Clone() Operator { return &Values{Sch: v.Sch, Rows: v.Rows} }
 
 // ------------------------------------------------------------ TableScan
 
-// TableScan reads a snapshot of a base table.
+// TableScan reads a snapshot of a base table: all of it, or, when KeyCol
+// is set, the rows whose KeyCol equals Key, read through the table's hash
+// index (the planner sets a key only where that equals scan + Filter).
 type TableScan struct {
-	Table *storage.Table
-	Sch   types.Schema
-	rows  []types.Row
-	pos   int
+	Table  *storage.Table
+	Sch    types.Schema
+	KeyCol string
+	Key    types.Value
+	rows   []types.Row
+	pos    int
 }
 
 // Schema implements Operator.
@@ -291,9 +295,14 @@ func (t *TableScan) Schema() types.Schema { return t.Sch }
 
 // Open implements Operator.
 func (t *TableScan) Open(*Ctx, types.Row) error {
-	t.rows = t.Table.Scan()
 	t.pos = 0
-	return nil
+	if t.KeyCol == "" {
+		t.rows = t.Table.Scan()
+		return nil
+	}
+	var err error
+	t.rows, err = t.Table.Lookup(t.KeyCol, t.Key)
+	return err
 }
 
 // Next implements Operator.
@@ -310,13 +319,20 @@ func (t *TableScan) Next() (types.Row, error) {
 func (t *TableScan) Close() error { t.rows = nil; return nil }
 
 // Describe implements Operator.
-func (t *TableScan) Describe() string { return "TableScan " + t.Table.Name() }
+func (t *TableScan) Describe() string {
+	if t.KeyCol == "" {
+		return "TableScan " + t.Table.Name()
+	}
+	return fmt.Sprintf("IndexScan %s (%s = %s)", t.Table.Name(), t.KeyCol, t.Key)
+}
 
 // Children implements Operator.
 func (t *TableScan) Children() []Operator { return nil }
 
 // Clone implements Operator.
-func (t *TableScan) Clone() Operator { return &TableScan{Table: t.Table, Sch: t.Sch} }
+func (t *TableScan) Clone() Operator {
+	return &TableScan{Table: t.Table, Sch: t.Sch, KeyCol: t.KeyCol, Key: t.Key}
+}
 
 // ---------------------------------------------------------- VirtualScan
 

@@ -67,6 +67,21 @@ func TestTableScanOperator(t *testing.T) {
 	if !strings.Contains(scan.Describe(), "t") {
 		t.Error("Describe")
 	}
+
+	// With a key the scan reads the index bucket, and so does its clone
+	// (what a ParallelApply worker runs).
+	if err := tb.CreateIndex("n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Insert(types.Row{types.NewInt(3)}); err != nil {
+		t.Fatal(err)
+	}
+	keyed := &TableScan{Table: tb, Sch: tb.Schema(), KeyCol: "n", Key: types.NewInt(3)}
+	for _, op := range []Operator{keyed, keyed.Clone()} {
+		if tab := runAll(t, op); tab.Len() != 2 || tab.Rows[0][0].Int() != 3 || op.Describe() != "IndexScan t (n = 3)" {
+			t.Errorf("%s:\n%s", op.Describe(), tab)
+		}
+	}
 }
 
 func TestFilterProjectLimit(t *testing.T) {

@@ -224,6 +224,8 @@ func (c *compiler) addFromItem(chain exec.Operator, item sqlparser.FromItem, pen
 		}
 		switch it.Type {
 		case sqlparser.LeftJoin:
+			// No key scan here: a WHERE conjunct on the NULL-padded side
+			// must see the padded rows, so it stays above the join.
 			var on exec.Expr
 			if it.On != nil {
 				on, err = c.compileExpr(it.On)
@@ -248,6 +250,7 @@ func (c *compiler) addFromItem(chain exec.Operator, item sqlparser.FromItem, pen
 			}
 			return c.attachReady(joined, pending)
 		default:
+			c.keyScan(rightOp, leftWidth, pending)
 			on := it.On // nil for CROSS JOIN
 			op, err := c.joinWith(left, rightOp, leftWidth, lateral, on, pending)
 			if err != nil {
@@ -261,6 +264,7 @@ func (c *compiler) addFromItem(chain exec.Operator, item sqlparser.FromItem, pen
 		if err != nil {
 			return nil, err
 		}
+		c.keyScan(rightOp, leftWidth, pending)
 		if chain == nil {
 			op, err := c.attachReady(rightOp, pending)
 			if err != nil {
@@ -383,6 +387,75 @@ func (c *compiler) attachReady(op exec.Operator, pending []*pendingConjunct) (ex
 		p.attached = true
 	}
 	return op, nil
+}
+
+// keyScan is the engine's one access-path choice. When leaf scans a base
+// table whose columns start at scope position start, and a pending WHERE
+// conjunct pins one of its indexed columns to a literal (pointKey), the
+// scan reads that index bucket instead of the table and the conjunct is
+// consumed. Every other shape keeps the scan and its Filter.
+func (c *compiler) keyScan(leaf exec.Operator, start int, pending []*pendingConjunct) {
+	scan, ok := leaf.(*exec.TableScan)
+	if !ok {
+		return
+	}
+	for _, p := range pending {
+		if p.attached {
+			continue
+		}
+		if idx, key, ok := c.pointKey(p.ast, start, scan.Table.HasIndex); ok {
+			scan.KeyCol, scan.Key = c.cols[idx].name, key
+			p.attached = true
+			return
+		}
+	}
+}
+
+// pointKey matches `col = literal` (either operand order) where col is a
+// scope column at or after start that indexed reports a hash index on and
+// the literal has the physical kind the column stores. Only then does an
+// index lookup (Value.Hash, Value.Equal) agree with the Filter it replaces
+// (types.Compare): across kinds Compare raises on string-vs-number, which
+// the statement must keep reporting, and compares INT with DOUBLE as
+// float64, so above 2^53 it calls values equal that Hash files in different
+// buckets. NULL has no kind to match, so `col = NULL` stays UNKNOWN for
+// every row.
+func (c *compiler) pointKey(e sqlparser.Expr, start int, indexed func(column string) bool) (int, types.Value, bool) {
+	b, ok := e.(*sqlparser.BinaryExpr)
+	if !ok || b.Op != "=" {
+		return 0, types.Null, false
+	}
+	ref, isRef := b.L.(*sqlparser.ColumnRef)
+	lit, isLit := b.R.(*sqlparser.Literal)
+	if !isRef || !isLit {
+		ref, isRef = b.R.(*sqlparser.ColumnRef)
+		lit, isLit = b.L.(*sqlparser.Literal)
+	}
+	if !isRef || !isLit || lit.Val.IsNull() {
+		return 0, types.Null, false
+	}
+	idx := scopeIndexOf(ref, c.cols)
+	if idx < start || lit.Val.Kind() != storedKind(c.cols[idx].typ) || !indexed(c.cols[idx].name) {
+		return 0, types.Null, false
+	}
+	return idx, lit.Val, true
+}
+
+// storedKind is the physical kind of the non-NULL values a column of type
+// t holds (storage casts every row to its schema); KindNull when unknown.
+func storedKind(t types.Type) types.Kind {
+	switch {
+	case t.Base.IsInteger():
+		return types.KindInt
+	case t.Base == types.DoubleType:
+		return types.KindFloat
+	case t.Base == types.VarCharType:
+		return types.KindString
+	case t.Base == types.BooleanType:
+		return types.KindBool
+	default:
+		return types.KindNull
+	}
 }
 
 // pushToRemote ANDs the conjunct into the remote query of the single

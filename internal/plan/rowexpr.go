@@ -20,3 +20,18 @@ func CompileRowExpr(cat *catalog.Catalog, corr string, schema types.Schema, e sq
 	}
 	return c.compileExpr(e)
 }
+
+// PointKey finds, among the AND-connected conjuncts of a single-relation
+// WHERE clause, one the relation's hash index can answer (pointKey — the
+// rule SELECT plans by), so UPDATE and DELETE examine that index bucket
+// instead of every row. indexed reports whether a column has an index.
+func PointKey(corr string, schema types.Schema, where sqlparser.Expr, indexed func(column string) bool) (string, types.Value, bool) {
+	c := &compiler{}
+	c.appendScope(strings.ToLower(corr), schema)
+	for _, cj := range splitConjuncts(where) {
+		if idx, key, ok := c.pointKey(cj, 0, indexed); ok {
+			return c.cols[idx].name, key, true
+		}
+	}
+	return "", types.Null, false
+}

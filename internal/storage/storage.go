@@ -4,7 +4,9 @@
 //
 // Tables are heap-organised slices of rows guarded by an RW mutex, with
 // optional single-column hash indexes that are maintained transparently on
-// every mutation. Scans operate on copy-on-read snapshots, so a running
+// every mutation. Rows stay in insertion order: a delete closes its gaps
+// without reordering the survivors, and an index lookup returns its matches
+// in that same order. Scans operate on copy-on-read snapshots, so a running
 // query never observes a torn mutation.
 package storage
 
@@ -122,17 +124,48 @@ func (t *Table) Select(pred func(types.Row) bool) []types.Row {
 func (t *Table) Update(pred func(types.Row) bool, transform func(types.Row) types.Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.update(nil, false, pred, transform)
+}
+
+// UpdateKey is Update for a predicate that implies column = key: when the
+// column is indexed only the rows of that index bucket are examined. pred
+// is still the whole predicate and decides every candidate.
+func (t *Table) UpdateKey(column string, key types.Value, pred func(types.Row) bool, transform func(types.Row) types.Row) (int, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	bucket, keyed := t.bucket(column, key)
+	// update re-files rows whose key changes, which edits the bucket.
+	return t.update(append([]int(nil), bucket...), keyed, pred, transform)
+}
+
+// update is the body of Update and UpdateKey: it visits, in heap order,
+// every row (keyed false) or the rows at the ascending positions cands.
+func (t *Table) update(cands []int, keyed bool, pred func(types.Row) bool, transform func(types.Row) types.Row) (int, error) {
+	visits := len(t.rows)
+	if keyed {
+		visits = len(cands)
+	}
 	n := 0
-	for i, r := range t.rows {
-		if !pred(r) {
+	for k := 0; k < visits; k++ {
+		i := k
+		if keyed {
+			i = cands[k]
+		}
+		old := t.rows[i]
+		if !pred(old) {
 			continue
 		}
-		nr, err := types.CoerceRow(transform(r.Clone()), t.schema)
+		nr, err := types.CoerceRow(transform(old.Clone()), t.schema)
 		if err != nil {
 			return n, fmt.Errorf("storage: update %s: %w", t.name, err)
 		}
 		for _, idx := range t.indexes {
-			idx.remove(t.rows[i], i)
+			// Equal values hash equally and the row keeps its position,
+			// so an unchanged key leaves the index as it is.
+			if old[idx.column].Equal(nr[idx.column]) {
+				continue
+			}
+			idx.remove(old, i)
 			idx.add(nr, i)
 		}
 		t.rows[i] = nr
@@ -142,28 +175,71 @@ func (t *Table) Update(pred func(types.Row) bool, transform func(types.Row) type
 }
 
 // Delete removes every row satisfying pred and returns how many were
-// removed.
+// removed. The surviving rows keep their relative (insertion) order.
 func (t *Table) Delete(pred func(types.Row) bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	kept := t.rows[:0]
-	n := 0
-	for _, r := range t.rows {
-		if pred(r) {
-			n++
-			continue
-		}
-		kept = append(kept, r)
+	return t.delete(nil, false, pred)
+}
+
+// DeleteKey is Delete for a predicate that implies column = key; see
+// UpdateKey.
+func (t *Table) DeleteKey(column string, key types.Value, pred func(types.Row) bool) int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	bucket, keyed := t.bucket(column, key)
+	return t.delete(bucket, keyed, pred)
+}
+
+// delete is the body of Delete and DeleteKey; cands and keyed are as in
+// update. It closes the gaps in place — heap and index positions shift
+// down past each victim — so it allocates for the victims only.
+func (t *Table) delete(cands []int, keyed bool, pred func(types.Row) bool) int {
+	visits := len(t.rows)
+	if keyed {
+		visits = len(cands)
 	}
-	if n == 0 {
+	var victims []int // ascending
+	for k := 0; k < visits; k++ {
+		i := k
+		if keyed {
+			i = cands[k]
+		}
+		if pred(t.rows[i]) {
+			victims = append(victims, i)
+		}
+	}
+	if len(victims) == 0 {
 		return 0
 	}
-	t.rows = kept
-	// Positions shifted; rebuild all indexes.
-	for _, idx := range t.indexes {
-		idx.rebuild(t.rows)
+	w, v := victims[0], 0
+	for r := victims[0]; r < len(t.rows); r++ {
+		if v < len(victims) && victims[v] == r {
+			v++
+			continue
+		}
+		t.rows[w] = t.rows[r]
+		w++
 	}
-	return n
+	// The vacated tail would otherwise keep the moved rows reachable.
+	clear(t.rows[w:])
+	t.rows = t.rows[:w]
+	for _, idx := range t.indexes {
+		idx.deleteRows(victims)
+	}
+	return len(victims)
+}
+
+// bucket returns the index bucket that holds every row whose column equals
+// key (and, on a hash collision, others), or false when the column has no
+// index. The slice is the index's own: read it under the lock, do not keep
+// it across a mutation.
+func (t *Table) bucket(column string, key types.Value) ([]int, bool) {
+	idx, ok := t.indexes[strings.ToLower(column)]
+	if !ok {
+		return nil, false
+	}
+	return idx.buckets[key.Hash()], true
 }
 
 // Truncate removes all rows.
@@ -203,8 +279,8 @@ func (t *Table) HasIndex(column string) bool {
 	return ok
 }
 
-// Lookup returns a snapshot of the rows whose indexed column equals v,
-// using the hash index when present and a scan otherwise.
+// Lookup returns a snapshot, in heap order, of the rows whose column equals
+// v, using the hash index when present and a scan otherwise.
 func (t *Table) Lookup(column string, v types.Value) ([]types.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -212,16 +288,15 @@ func (t *Table) Lookup(column string, v types.Value) ([]types.Row, error) {
 	if ci < 0 {
 		return nil, fmt.Errorf("storage: no column %s in table %s", column, t.name)
 	}
-	if idx, ok := t.indexes[strings.ToLower(column)]; ok {
-		var out []types.Row
-		for _, pos := range idx.buckets[v.Hash()] {
+	var out []types.Row
+	if bucket, ok := t.bucket(column, v); ok {
+		for _, pos := range bucket {
 			if t.rows[pos][ci].Equal(v) {
 				out = append(out, t.rows[pos])
 			}
 		}
 		return out, nil
 	}
-	var out []types.Row
 	for _, r := range t.rows {
 		if r[ci].Equal(v) {
 			out = append(out, r)
@@ -230,8 +305,9 @@ func (t *Table) Lookup(column string, v types.Value) ([]types.Row, error) {
 	return out, nil
 }
 
-// hashIndex maps value hashes to row positions; collisions are resolved by
-// re-checking equality at lookup time.
+// hashIndex maps value hashes to the heap positions of the rows holding
+// them, ascending, so a bucket reads out in heap order; collisions are
+// resolved by re-checking equality at lookup time. A bucket is never empty.
 type hashIndex struct {
 	column  int
 	buckets map[uint64][]int
@@ -239,16 +315,49 @@ type hashIndex struct {
 
 func (ix *hashIndex) add(r types.Row, pos int) {
 	h := r[ix.column].Hash()
-	ix.buckets[h] = append(ix.buckets[h], pos)
+	bucket := append(ix.buckets[h], pos)
+	// An insert appends the highest position; only an update that changes
+	// the key files a row below existing ones.
+	for i := len(bucket) - 1; i > 0 && bucket[i-1] > pos; i-- {
+		bucket[i-1], bucket[i] = bucket[i], bucket[i-1]
+	}
+	ix.buckets[h] = bucket
 }
 
 func (ix *hashIndex) remove(r types.Row, pos int) {
 	h := r[ix.column].Hash()
 	bucket := ix.buckets[h]
-	for i, p := range bucket {
-		if p == pos {
-			ix.buckets[h] = append(bucket[:i], bucket[i+1:]...)
-			return
+	i := sort.SearchInts(bucket, pos)
+	switch {
+	case i == len(bucket) || bucket[i] != pos:
+	case len(bucket) == 1:
+		delete(ix.buckets, h)
+	default:
+		ix.buckets[h] = append(bucket[:i], bucket[i+1:]...)
+	}
+}
+
+// deleteRows drops the ascending positions victims from every bucket and
+// moves each surviving position down by the number of victims below it,
+// which is where Table.delete has just moved the row.
+func (ix *hashIndex) deleteRows(victims []int) {
+	for h, bucket := range ix.buckets {
+		if bucket[len(bucket)-1] < victims[0] {
+			continue
+		}
+		kept := bucket[:0]
+		for _, p := range bucket {
+			below := sort.SearchInts(victims, p)
+			if below < len(victims) && victims[below] == p {
+				continue
+			}
+			kept = append(kept, p-below)
+		}
+		switch {
+		case len(kept) == 0:
+			delete(ix.buckets, h)
+		case len(kept) < len(bucket):
+			ix.buckets[h] = kept
 		}
 	}
 }

@@ -251,38 +251,107 @@ func TestConcurrentInsertScan(t *testing.T) {
 
 // Property: after a random sequence of inserts and deletes, an index
 // lookup agrees with a full scan for every key.
+// checkIndexes verifies the structural invariants of every index: each row
+// is filed exactly once, under its own hash, at its own position; buckets
+// are ascending and never empty.
+func checkIndexes(t *Table) error {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	for col, idx := range t.indexes {
+		filed := 0
+		for h, bucket := range idx.buckets {
+			if len(bucket) == 0 {
+				return fmt.Errorf("index %s: empty bucket %x", col, h)
+			}
+			for i, pos := range bucket {
+				if i > 0 && bucket[i-1] >= pos {
+					return fmt.Errorf("index %s: bucket %v not ascending", col, bucket)
+				}
+				if pos < 0 || pos >= len(t.rows) || t.rows[pos][idx.column].Hash() != h {
+					return fmt.Errorf("index %s: position %d misfiled under %x", col, pos, h)
+				}
+			}
+			filed += len(bucket)
+		}
+		if filed != len(t.rows) {
+			return fmt.Errorf("index %s files %d positions for %d rows", col, filed, len(t.rows))
+		}
+	}
+	return nil
+}
+
+// TestIndexScanAgreementProperty drives an indexed table and an unindexed
+// twin through the same random inserts, key-changing updates and deletes —
+// scanned and keyed — and requires the same counts, the same heap
+// (insertion order minus deleted rows), and Lookup equal to a scan, row for
+// row and in order.
 func TestIndexScanAgreementProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		tab, err := NewTable("p", types.Schema{
+		schema := types.Schema{
 			{Name: "K", Type: types.Integer},
 			{Name: "V", Type: types.VarChar},
-		})
+		}
+		tab, err := NewTable("p", schema)
 		if err != nil {
 			return false
 		}
+		twin, _ := NewTable("twin", schema)
 		if err := tab.CreateIndex("K"); err != nil {
 			return false
 		}
-		for i := 0; i < 200; i++ {
-			switch r.Intn(3) {
-			case 0, 1:
-				k := int64(r.Intn(20))
-				if err := tab.Insert(types.Row{types.NewInt(k), types.NewString(fmt.Sprint(i))}); err != nil {
+		for i := 0; i < 300; i++ {
+			k := int64(r.Intn(20))
+			key := types.NewInt(k)
+			is := func(row types.Row) bool { return row[0].Int() == k }
+			bump := func(row types.Row) types.Row { row[0] = types.NewInt((k + 7) % 20); return row }
+			var n, m int
+			switch r.Intn(7) {
+			case 0, 1, 2:
+				row := types.Row{key, types.NewString(fmt.Sprint(i))}
+				if tab.Insert(row) != nil || twin.Insert(row) != nil {
 					return false
 				}
-			case 2:
-				k := int64(r.Intn(20))
-				tab.Delete(func(row types.Row) bool { return row[0].Int() == k })
+			case 3:
+				n, m = tab.Delete(is), twin.Delete(is)
+			case 4:
+				n, m = tab.DeleteKey("K", key, is), twin.DeleteKey("K", key, is)
+			case 5:
+				n, _ = tab.Update(is, bump)
+				m, _ = twin.Update(is, bump)
+			case 6:
+				n, _ = tab.UpdateKey("K", key, is, bump)
+				m, _ = twin.UpdateKey("K", key, is, bump)
 			}
+			if n != m {
+				t.Logf("op %d: %d rows on the indexed table, %d on the twin", i, n, m)
+				return false
+			}
+			if err := checkIndexes(tab); err != nil {
+				t.Logf("op %d: %v", i, err)
+				return false
+			}
+		}
+		sameRows := func(a, b []types.Row) bool {
+			if len(a) != len(b) {
+				return false
+			}
+			for i := range a {
+				if !a[i].Equal(b[i]) {
+					return false
+				}
+			}
+			return true
+		}
+		if !sameRows(tab.Scan(), twin.Scan()) {
+			return false
 		}
 		for k := int64(0); k < 20; k++ {
 			viaIndex, err := tab.Lookup("K", types.NewInt(k))
 			if err != nil {
 				return false
 			}
-			viaScan := tab.Select(func(row types.Row) bool { return row[0].Int() == k })
-			if len(viaIndex) != len(viaScan) {
+			if !sameRows(viaIndex, twin.Select(func(row types.Row) bool { return row[0].Int() == k })) {
 				return false
 			}
 		}
@@ -291,5 +360,57 @@ func TestIndexScanAgreementProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
+	}
+}
+
+// Without the per-delete rebuild nothing sweeps the bucket map, so a bucket
+// that empties must leave it: a table whose keys only ever grow (a queue, a
+// log with retention) would otherwise keep one entry per key it ever held.
+func TestEmptyBucketsLeaveTheIndex(t *testing.T) {
+	tab := newCompTable(t)
+	if err := tab.CreateIndex("CompNo"); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(100); k < 1100; k++ {
+		if err := tab.Insert(types.Row{types.NewInt(k), types.NewString("x"), types.NewInt(0)}); err != nil {
+			t.Fatal(err)
+		}
+		key := types.NewInt(k)
+		if k%2 == 0 {
+			// A key-changing update vacates its bucket too.
+			if _, err := tab.UpdateKey("CompNo", key,
+				func(r types.Row) bool { return r[0].Int() == k },
+				func(r types.Row) types.Row { r[0] = types.NewInt(-k); return r }); err != nil {
+				t.Fatal(err)
+			}
+			key = types.NewInt(-k)
+		}
+		if n := tab.DeleteKey("CompNo", key, func(r types.Row) bool { return r[0].Equal(key) }); n != 1 {
+			t.Fatalf("delete %v removed %d rows", key, n)
+		}
+	}
+	if got := len(tab.indexes["compno"].buckets); got != tab.Len() {
+		t.Errorf("%d buckets for %d rows with distinct keys", got, tab.Len())
+	}
+	if err := checkIndexes(tab); err != nil {
+		t.Error(err)
+	}
+}
+
+// Delete compacts the heap in place; the slots it vacates past the new
+// length must not keep the moved rows reachable.
+func TestDeleteClearsVacatedTail(t *testing.T) {
+	tab := newCompTable(t)
+	if n := tab.Delete(func(r types.Row) bool { return r[0].Int() != 2 }); n != 2 {
+		t.Fatalf("deleted %d rows, want 2", n)
+	}
+	tail := tab.rows[len(tab.rows):cap(tab.rows)]
+	if len(tail) < 2 {
+		t.Fatalf("expected the heap to keep its capacity, tail is %d", len(tail))
+	}
+	for i, r := range tail {
+		if r != nil {
+			t.Errorf("vacated slot %d still holds %v", len(tab.rows)+i, r)
+		}
 	}
 }

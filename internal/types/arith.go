@@ -30,12 +30,12 @@ func Neg(a Value) (Value, error) {
 	case KindNull:
 		return Null, nil
 	case KindInt:
-		if a.i == math.MinInt64 {
-			return Null, fmt.Errorf("types: integer overflow negating %d", a.i)
+		if a.Int() == math.MinInt64 {
+			return Null, fmt.Errorf("types: integer overflow negating %d", a.Int())
 		}
-		return NewInt(-a.i), nil
+		return NewInt(-a.Int()), nil
 	case KindFloat:
-		return NewFloat(-a.f), nil
+		return NewFloat(-a.Float()), nil
 	default:
 		return Null, fmt.Errorf("types: cannot negate %s value", a.kind)
 	}
@@ -65,7 +65,7 @@ func arith(a, b Value, op string) (Value, error) {
 		return Null, fmt.Errorf("types: operator %s requires numeric operands, got %s and %s", op, a.kind, b.kind)
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		return intArith(a.i, b.i, op)
+		return intArith(a.Int(), b.Int(), op)
 	}
 	af, _ := a.AsFloat()
 	bf, _ := b.AsFloat()

@@ -162,28 +162,35 @@ func (k Kind) String() string {
 }
 
 // Value is an immutable SQL value. The zero Value is SQL NULL.
+//
+// The struct is 32 bytes: no two scalar payloads are ever live at once, so
+// the int64, the float64 bits and the bool share one word. Rows are slices
+// of Values, which makes this the unit every table, join and result pays.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64 // KindInt: the int64; KindFloat: its IEEE-754 bits; KindBool: 0 or 1
 	s    string
-	b    bool
 }
 
 // Null is the SQL NULL value.
 var Null = Value{}
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // NewFloat returns a double-precision value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // NewString returns a character-string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
 
 // NewBool returns a boolean value.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind returns the physical representation of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -192,28 +199,29 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Int returns the integer payload; valid only when Kind()==KindInt.
-func (v Value) Int() int64 { return v.i }
+func (v Value) Int() int64 { return int64(v.n) }
 
 // Float returns the float payload; valid only when Kind()==KindFloat.
-func (v Value) Float() float64 { return v.f }
+func (v Value) Float() float64 { return math.Float64frombits(v.n) }
 
 // Str returns the string payload; valid only when Kind()==KindString.
 func (v Value) Str() string { return v.s }
 
 // Bool returns the boolean payload; valid only when Kind()==KindBool.
-func (v Value) Bool() bool { return v.b }
+func (v Value) Bool() bool { return v.n != 0 }
 
 // AsInt coerces v to int64 where SQL permits (integers, floats with
 // truncation, numeric strings, booleans as 0/1).
 func (v Value) AsInt() (int64, error) {
 	switch v.kind {
 	case KindInt:
-		return v.i, nil
+		return v.Int(), nil
 	case KindFloat:
-		if math.IsNaN(v.f) || v.f > math.MaxInt64 || v.f < math.MinInt64 {
-			return 0, fmt.Errorf("types: %v out of integer range", v.f)
+		f := v.Float()
+		if math.IsNaN(f) || f > math.MaxInt64 || f < math.MinInt64 {
+			return 0, fmt.Errorf("types: %v out of integer range", f)
 		}
-		return int64(v.f), nil
+		return int64(f), nil
 	case KindString:
 		n, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 		if err != nil {
@@ -221,7 +229,7 @@ func (v Value) AsInt() (int64, error) {
 		}
 		return n, nil
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return 1, nil
 		}
 		return 0, nil
@@ -234,9 +242,9 @@ func (v Value) AsInt() (int64, error) {
 func (v Value) AsFloat() (float64, error) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, nil
+		return v.Float(), nil
 	case KindInt:
-		return float64(v.i), nil
+		return float64(v.Int()), nil
 	case KindString:
 		f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 		if err != nil {
@@ -244,7 +252,7 @@ func (v Value) AsFloat() (float64, error) {
 		}
 		return f, nil
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return 1, nil
 		}
 		return 0, nil
@@ -266,11 +274,11 @@ func (v Value) AsString() (string, error) {
 func (v Value) AsBool() (bool, error) {
 	switch v.kind {
 	case KindBool:
-		return v.b, nil
+		return v.Bool(), nil
 	case KindInt:
-		return v.i != 0, nil
+		return v.Int() != 0, nil
 	case KindFloat:
-		return v.f != 0, nil
+		return v.Float() != 0, nil
 	case KindString:
 		switch strings.ToUpper(strings.TrimSpace(v.s)) {
 		case "TRUE", "T", "1", "YES", "Y":
@@ -290,14 +298,14 @@ func (v Value) Format() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	default:
@@ -328,11 +336,12 @@ func (v Value) Equal(o Value) bool {
 	case KindNull:
 		return true
 	case KindBool:
-		return v.b == o.b
+		return v.Bool() == o.Bool()
 	case KindInt:
-		return v.i == o.i
+		return v.Int() == o.Int()
 	case KindFloat:
-		return v.f == o.f || (math.IsNaN(v.f) && math.IsNaN(o.f))
+		vf, of := v.Float(), o.Float()
+		return vf == of || (math.IsNaN(vf) && math.IsNaN(of))
 	case KindString:
 		return v.s == o.s
 	}
@@ -351,18 +360,18 @@ func (v Value) Hash() uint64 {
 	case KindNull:
 		h.Write([]byte{0})
 	case KindBool:
-		if v.b {
+		if v.Bool() {
 			h.Write([]byte{1, 1})
 		} else {
 			h.Write([]byte{1, 0})
 		}
 	case KindInt:
-		writeHashNumeric(h, float64(v.i), v.i, true)
+		writeHashNumeric(h, float64(v.Int()), v.Int(), true)
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-			writeHashNumeric(h, v.f, int64(v.f), true)
+		if f := v.Float(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			writeHashNumeric(h, f, int64(f), true)
 		} else {
-			writeHashNumeric(h, v.f, 0, false)
+			writeHashNumeric(h, f, 0, false)
 		}
 	case KindString:
 		h.Write([]byte{3})
@@ -404,9 +413,9 @@ func Compare(a, b Value) (int, error) {
 	if isNumericKind(a.kind) && isNumericKind(b.kind) {
 		if a.kind == KindInt && b.kind == KindInt {
 			switch {
-			case a.i < b.i:
+			case a.Int() < b.Int():
 				return -1, nil
-			case a.i > b.i:
+			case a.Int() > b.Int():
 				return 1, nil
 			default:
 				return 0, nil
@@ -431,9 +440,9 @@ func Compare(a, b Value) (int, error) {
 		return strings.Compare(a.s, b.s), nil
 	case KindBool:
 		switch {
-		case a.b == b.b:
+		case a.Bool() == b.Bool():
 			return 0, nil
-		case !a.b:
+		case !a.Bool():
 			return -1, nil
 		default:
 			return 1, nil

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestParseType(t *testing.T) {
@@ -312,7 +313,7 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 		if c1 == 0 && !(a.Equal(b)) {
 			// NaN is the only permitted exception; Compare treats NaN
 			// via float ordering which never returns 0 against non-NaN.
-			return math.IsNaN(a.f) || math.IsNaN(b.f)
+			return math.IsNaN(a.Float()) || math.IsNaN(b.Float())
 		}
 		return true
 	}
@@ -393,5 +394,13 @@ func TestAsFloatEdgeCases(t *testing.T) {
 	}
 	if _, err := Null.AsFloat(); err == nil {
 		t.Error("AsFloat(NULL) should fail")
+	}
+}
+
+// A Row is a slice of Values, so the struct's size is what every table,
+// join and wire conversion pays per cell.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("Value is %d bytes, want 32 (kind + one payload word + string)", got)
 	}
 }
