@@ -190,12 +190,26 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 		return err
 	}
 	defer g.Child.Close()
+	// A group's output row exists from the moment the group does: the keys
+	// sit in its first cells, the aggregate results fill the rest at the end.
 	type group struct {
-		keys   []types.Value
+		row    types.Row
 		states []*aggState
 	}
+	newGroup := func(row types.Row) *group {
+		grp := &group{row: row, states: make([]*aggState, len(g.Aggs))}
+		for i, spec := range g.Aggs {
+			grp.states[i] = newAggState(spec)
+		}
+		return grp
+	}
+	var slab rowSlab
+	width := len(g.Groups) + len(g.Aggs)
 	groups := make(map[uint64][]*group)
 	var order []*group
+	// Every input row evaluates its keys into the one scratch vector; only a
+	// row that opens a new group has them copied.
+	keys := make([]types.Value, len(g.Groups))
 	for {
 		r, err := g.Child.Next()
 		if err == io.EOF {
@@ -204,7 +218,6 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 		if err != nil {
 			return err
 		}
-		keys := make([]types.Value, len(g.Groups))
 		var h uint64 = 14695981039346656037
 		for i, ge := range g.Groups {
 			v, err := ge.Eval(r)
@@ -218,7 +231,7 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 		for _, cand := range groups[h] {
 			same := true
 			for i := range keys {
-				if !cand.keys[i].Equal(keys[i]) {
+				if !cand.row[i].Equal(keys[i]) {
 					same = false
 					break
 				}
@@ -229,10 +242,9 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 			}
 		}
 		if grp == nil {
-			grp = &group{keys: keys, states: make([]*aggState, len(g.Aggs))}
-			for i, spec := range g.Aggs {
-				grp.states[i] = newAggState(spec)
-			}
+			row := slab.alloc(width)
+			copy(row, keys)
+			grp = newGroup(row)
 			groups[h] = append(groups[h], grp)
 			order = append(order, grp)
 		}
@@ -244,24 +256,18 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 	}
 	if len(order) == 0 && len(g.Groups) == 0 {
 		// Scalar aggregate over empty input: one row of defaults.
-		grp := &group{states: make([]*aggState, len(g.Aggs))}
-		for i, spec := range g.Aggs {
-			grp.states[i] = newAggState(spec)
-		}
-		order = append(order, grp)
+		order = append(order, newGroup(slab.alloc(width)))
 	}
 	g.rows = make([]types.Row, 0, len(order))
 	for _, grp := range order {
-		row := make(types.Row, 0, len(grp.keys)+len(grp.states))
-		row = append(row, grp.keys...)
-		for _, st := range grp.states {
+		for i, st := range grp.states {
 			v, err := st.result()
 			if err != nil {
 				return err
 			}
-			row = append(row, v)
+			grp.row[len(g.Groups)+i] = v
 		}
-		g.rows = append(g.rows, row)
+		g.rows = append(g.rows, grp.row)
 	}
 	g.pos = 0
 	return nil

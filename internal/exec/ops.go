@@ -564,6 +564,7 @@ type Apply struct {
 	leftRow   types.Row
 	rightOpen bool
 	batch     *batchRun
+	slab      rowSlab
 }
 
 // Schema implements Operator.
@@ -576,6 +577,7 @@ func (a *Apply) Open(ctx *Ctx, bind types.Row) error {
 	a.leftRow = nil
 	a.rightOpen = false
 	a.batch = newBatchRun(a.Batch, a.Right)
+	a.slab = rowSlab{}
 	if a.Independent {
 		ctx.Task.Step(simlat.StepJoinComposition, ctx.CompositionCost)
 	}
@@ -615,10 +617,7 @@ func (a *Apply) Next() (types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make(types.Row, 0, len(a.leftRow)+len(rr))
-		out = append(out, a.leftRow...)
-		out = append(out, rr...)
-		return out, nil
+		return a.slab.concat(a.leftRow, rr), nil
 	}
 }
 
@@ -665,6 +664,7 @@ type LeftApply struct {
 	rightOpen bool
 	matched   bool
 	batch     *batchRun
+	slab      rowSlab
 }
 
 // Schema implements Operator.
@@ -677,6 +677,7 @@ func (a *LeftApply) Open(ctx *Ctx, bind types.Row) error {
 	a.leftRow = nil
 	a.rightOpen = false
 	a.batch = newBatchRun(a.Batch, a.Right)
+	a.slab = rowSlab{}
 	return a.Left.Open(ctx, bind)
 }
 
@@ -705,12 +706,7 @@ func (a *LeftApply) Next() (types.Row, error) {
 					// Absorb the shed branch: emit the NULL-padded outer
 					// row, as if the right side matched nothing.
 					a.leftRow = nil
-					out := make(types.Row, 0, len(lr)+len(a.Right.Schema()))
-					out = append(out, lr...)
-					for range a.Right.Schema() {
-						out = append(out, types.Null)
-					}
-					return out, nil
+					return a.padded(lr), nil
 				}
 				return nil, err
 			}
@@ -723,21 +719,14 @@ func (a *LeftApply) Next() (types.Row, error) {
 			lr := a.leftRow
 			a.leftRow = nil
 			if !a.matched {
-				out := make(types.Row, 0, len(lr)+len(a.Right.Schema()))
-				out = append(out, lr...)
-				for range a.Right.Schema() {
-					out = append(out, types.Null)
-				}
-				return out, nil
+				return a.padded(lr), nil
 			}
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		out := make(types.Row, 0, len(a.leftRow)+len(rr))
-		out = append(out, a.leftRow...)
-		out = append(out, rr...)
+		out := a.slab.concat(a.leftRow, rr)
 		if a.On != nil {
 			v, err := a.On.Eval(out)
 			if err != nil {
@@ -748,12 +737,23 @@ func (a *LeftApply) Next() (types.Row, error) {
 				return nil, err
 			}
 			if !ok {
+				a.slab.unalloc(out)
 				continue
 			}
 		}
 		a.matched = true
 		return out, nil
 	}
+}
+
+// padded returns lr followed by one NULL per right-side column: the row of
+// an outer row that matched nothing.
+func (a *LeftApply) padded(lr types.Row) types.Row {
+	out := a.slab.alloc(len(lr) + len(a.Right.Schema()))
+	for i := copy(out, lr); i < len(out); i++ {
+		out[i] = types.Null
+	}
+	return out
 }
 
 // Close implements Operator.
@@ -801,6 +801,7 @@ type HashJoin struct {
 	leftRow types.Row
 	bucket  []types.Row
 	bpos    int
+	slab    rowSlab
 }
 
 // Schema implements Operator.
@@ -812,6 +813,7 @@ func (h *HashJoin) Open(ctx *Ctx, bind types.Row) error {
 	h.leftRow = nil
 	h.bucket = nil
 	h.table = make(map[uint64][]types.Row)
+	h.slab = rowSlab{}
 	// A hash join always composes independent result sets.
 	ctx.Task.Step(simlat.StepJoinComposition, ctx.CompositionCost)
 	if err := h.Right.Open(ctx, bind); err != nil {
@@ -880,10 +882,8 @@ func (h *HashJoin) Next() (types.Row, error) {
 		}
 		rr := h.bucket[h.bpos]
 		h.bpos++
-		// Hash collisions and residuals are resolved on the combined row.
-		out := make(types.Row, 0, len(h.leftRow)+len(rr))
-		out = append(out, h.leftRow...)
-		out = append(out, rr...)
+		// Buckets are by hash: compare the keys themselves, and only then
+		// build the combined row, so a collision costs none.
 		match := true
 		for i := range h.LeftKeys {
 			lv, err := h.LeftKeys[i].Eval(h.leftRow)
@@ -910,6 +910,7 @@ func (h *HashJoin) Next() (types.Row, error) {
 		if !match {
 			continue
 		}
+		out := h.slab.concat(h.leftRow, rr)
 		if h.Residual != nil {
 			v, err := h.Residual.Eval(out)
 			if err != nil {
@@ -920,6 +921,7 @@ func (h *HashJoin) Next() (types.Row, error) {
 				return nil, err
 			}
 			if !ok {
+				h.slab.unalloc(out)
 				continue
 			}
 		}
@@ -1012,13 +1014,17 @@ type Project struct {
 	Child Operator
 	Exprs []Expr
 	Sch   types.Schema
+	slab  rowSlab
 }
 
 // Schema implements Operator.
 func (p *Project) Schema() types.Schema { return p.Sch }
 
 // Open implements Operator.
-func (p *Project) Open(ctx *Ctx, bind types.Row) error { return p.Child.Open(ctx, bind) }
+func (p *Project) Open(ctx *Ctx, bind types.Row) error {
+	p.slab = rowSlab{}
+	return p.Child.Open(ctx, bind)
+}
 
 // Next implements Operator.
 func (p *Project) Next() (types.Row, error) {
@@ -1026,7 +1032,7 @@ func (p *Project) Next() (types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(types.Row, len(p.Exprs))
+	out := p.slab.alloc(len(p.Exprs))
 	for i, e := range p.Exprs {
 		v, err := e.Eval(r)
 		if err != nil {
@@ -1090,6 +1096,7 @@ func (s *Sort) Open(ctx *Ctx, bind types.Row) error {
 		keys []types.Value
 	}
 	var data []keyed
+	var slab rowSlab // the key vectors live until the sort is done
 	for {
 		r, err := s.Child.Next()
 		if err == io.EOF {
@@ -1098,7 +1105,7 @@ func (s *Sort) Open(ctx *Ctx, bind types.Row) error {
 		if err != nil {
 			return err
 		}
-		ks := make([]types.Value, len(s.Keys))
+		ks := slab.alloc(len(s.Keys))
 		for i, k := range s.Keys {
 			v, err := k.Expr.Eval(r)
 			if err != nil {

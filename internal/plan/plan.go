@@ -300,7 +300,7 @@ func (c *compiler) joinWith(left, right exec.Operator, leftWidth int, lateral bo
 		}
 		for _, p := range candidates {
 			l, r, ok := c.equiKey(p.ast, leftWidth)
-			if !ok {
+			if !ok || !c.hashComparable(l, r) {
 				continue
 			}
 			le, err := c.compileExpr(l)
@@ -364,6 +364,18 @@ func (c *compiler) joinWith(left, right exec.Operator, leftWidth int, lateral bo
 		op = &exec.Filter{Child: op, Pred: pred}
 	}
 	return op, nil
+}
+
+// hashComparable reports whether a hash join may take l = r as a key: the
+// two sides hold the same physical kind, or the type of one of them is not
+// known statically. The reason is pointKey's: a hash join finds matches by
+// Value.Hash, the Apply + Filter it replaces by types.Compare, and across
+// kinds the two disagree — Compare raises on string-vs-number where unequal
+// hashes silently match nothing, and compares INT with DOUBLE as float64,
+// calling values above 2^53 equal that Hash files apart.
+func (c *compiler) hashComparable(l, r sqlparser.Expr) bool {
+	lk, rk := storedKind(c.inferType(l)), storedKind(c.inferType(r))
+	return lk == rk || lk == types.KindNull || rk == types.KindNull
 }
 
 // attachReady wraps op with filters for every pending conjunct whose

@@ -11,7 +11,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -350,53 +349,59 @@ func (v Value) Equal(o Value) bool {
 
 func isNumericKind(k Kind) bool { return k == KindInt || k == KindFloat }
 
+// FNV-1a, 64 bit: the function hash/fnv implements.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Hash returns a hash of v suitable for hash joins and grouping. Values that
 // compare equal hash equally (integers hash via their float64 image only
 // when they are not exactly representable both ways; we normalise integers
 // and integral floats to the same image).
+//
+// It is FNV-1a over a kind tag followed by the payload bytes, computed
+// inline: joins, grouping and index lookups call it once per row, so it
+// must not allocate.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
 	switch v.kind {
-	case KindNull:
-		h.Write([]byte{0})
 	case KindBool:
-		if v.Bool() {
-			h.Write([]byte{1, 1})
-		} else {
-			h.Write([]byte{1, 0})
-		}
+		return fnvByte(fnvTag(1), v.n) // n is 0 or 1
 	case KindInt:
-		writeHashNumeric(h, float64(v.Int()), v.Int(), true)
+		return hashNumeric(1, v.n)
 	case KindFloat:
-		if f := v.Float(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			writeHashNumeric(h, f, int64(f), true)
-		} else {
-			writeHashNumeric(h, f, 0, false)
+		// The upper bound is strict: float64(MaxInt64) rounds up to 2^63,
+		// which int64() cannot hold (the conversion's result would differ
+		// by platform).
+		if f := v.Float(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+			return hashNumeric(1, uint64(int64(f)))
 		}
+		return hashNumeric(0, v.n)
 	case KindString:
-		h.Write([]byte{3})
-		h.Write([]byte(v.s))
+		h := fnvTag(3)
+		for i := 0; i < len(v.s); i++ {
+			h = fnvByte(h, uint64(v.s[i]))
+		}
+		return h
+	default: // KindNull
+		return fnvTag(0)
 	}
-	return h.Sum64()
 }
 
-func writeHashNumeric(h interface{ Write([]byte) (int, error) }, f float64, i int64, integral bool) {
-	var buf [10]byte
-	buf[0] = 2
-	if integral {
-		buf[1] = 1
-		u := uint64(i)
-		for k := 0; k < 8; k++ {
-			buf[2+k] = byte(u >> (8 * k))
-		}
-	} else {
-		buf[1] = 0
-		u := math.Float64bits(f)
-		for k := 0; k < 8; k++ {
-			buf[2+k] = byte(u >> (8 * k))
-		}
+// fnvTag starts a hash with the byte that names the value's kind.
+func fnvTag(tag uint64) uint64 { return fnvByte(fnvOffset64, tag) }
+
+func fnvByte(h, b uint64) uint64 { return (h ^ b) * fnvPrime64 }
+
+// hashNumeric hashes the numeric tag 2, the integral flag (1: word is an
+// int64; 0: word is the IEEE-754 bits of a non-integral double) and the
+// word's eight bytes, least significant first.
+func hashNumeric(integral, word uint64) uint64 {
+	h := fnvByte(fnvTag(2), integral)
+	for k := 0; k < 64; k += 8 {
+		h = fnvByte(h, word>>k&0xff)
 	}
-	h.Write(buf[:])
+	return h
 }
 
 // ErrNullCompare is returned by Compare when either operand is NULL; SQL

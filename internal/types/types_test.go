@@ -1,6 +1,7 @@
 package types
 
 import (
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
@@ -207,6 +208,116 @@ func TestHashEqualConsistency(t *testing.T) {
 	if NewString("a").Hash() == NewString("b").Hash() {
 		t.Error("suspicious collision a/b")
 	}
+}
+
+// referenceHash is Value.Hash as it was written over hash/fnv: the byte
+// sequence the inline version must reproduce, so that join, group and
+// index buckets stay where they were.
+func referenceHash(v Value) uint64 {
+	h := fnv.New64a()
+	numeric := func(integral byte, word uint64) {
+		buf := [10]byte{2, integral}
+		for k := 0; k < 8; k++ {
+			buf[2+k] = byte(word >> (8 * k))
+		}
+		h.Write(buf[:])
+	}
+	switch v.Kind() {
+	case KindNull:
+		h.Write([]byte{0})
+	case KindBool:
+		if v.Bool() {
+			h.Write([]byte{1, 1})
+		} else {
+			h.Write([]byte{1, 0})
+		}
+	case KindInt:
+		numeric(1, uint64(v.Int()))
+	case KindFloat:
+		if f := v.Float(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			numeric(1, uint64(int64(f)))
+		} else {
+			numeric(0, math.Float64bits(f))
+		}
+	case KindString:
+		h.Write([]byte{3})
+		h.Write([]byte(v.Str()))
+	}
+	return h.Sum64()
+}
+
+// hashSamples covers every kind and the numeric edges of Hash.
+var hashSamples = []Value{
+	Null, NewBool(true), NewBool(false),
+	NewInt(0), NewInt(1), NewInt(-1), NewInt(42), NewInt(1 << 53), NewInt(-(1 << 53)), NewInt(1<<53 + 1),
+	NewInt(math.MaxInt64), NewInt(math.MinInt64),
+	NewFloat(0), NewFloat(math.Copysign(0, -1)), NewFloat(1), NewFloat(-1), NewFloat(0.5), NewFloat(-2.75),
+	NewFloat(1 << 53), NewFloat(-(1 << 53)), NewFloat(1<<53 + 2), NewFloat(-(1 << 63)), NewFloat(1 << 62),
+	NewFloat(1e300), NewFloat(-1e300), NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(math.NaN()),
+	NewFloat(math.SmallestNonzeroFloat64), NewFloat(math.MaxFloat64),
+	NewString(""), NewString("a"), NewString("washer"), NewString("Größe"), NewString("日本語"), NewString("\x00\xff"),
+	NewString(strings.Repeat("x", 300)),
+}
+
+func TestHashEqualsFNVReference(t *testing.T) {
+	for _, v := range hashSamples {
+		if got, want := v.Hash(), referenceHash(v); got != want {
+			t.Errorf("Hash(%s %v) = %#x, hash/fnv reference %#x", v.Kind(), v, got, want)
+		}
+	}
+	r := rand.New(rand.NewSource(13))
+	for i := 0; i < 5000; i++ {
+		v := randValue(r, true)
+		if got, want := v.Hash(), referenceHash(v); got != want {
+			t.Fatalf("Hash(%s %v) = %#x, hash/fnv reference %#x", v.Kind(), v, got, want)
+		}
+	}
+}
+
+// 2^63 is integral but outside int64: it must hash by its float bits, not
+// through an int64 conversion whose result depends on the platform.
+func TestHashAtTwoToThe63(t *testing.T) {
+	v := NewFloat(1 << 63)
+	if v.Hash() == NewInt(math.MinInt64).Hash() || v.Hash() == NewInt(math.MaxInt64).Hash() {
+		t.Error("2^63 hashes like an int64 it does not equal")
+	}
+	if got, want := v.Hash(), hashNumeric(0, math.Float64bits(1<<63)); got != want {
+		t.Errorf("Hash(2^63) = %#x, want the non-integral image %#x", got, want)
+	}
+	if NewFloat(-(1 << 63)).Hash() != NewInt(math.MinInt64).Hash() {
+		t.Error("-2^63 fits int64 and must hash like it")
+	}
+}
+
+func TestHashEqualImpliesSameHash(t *testing.T) {
+	// Across INT and DOUBLE the guarantee holds up to 2^53, where every
+	// integer still has its own double.
+	small := func(v Value) bool {
+		switch v.Kind() {
+		case KindInt:
+			return v.Int() >= -(1<<53) && v.Int() <= 1<<53
+		case KindFloat:
+			return math.Abs(v.Float()) <= 1<<53
+		}
+		return false
+	}
+	for _, a := range hashSamples {
+		for _, b := range hashSamples {
+			if (a.Kind() == b.Kind() || small(a) && small(b)) && a.Equal(b) && a.Hash() != b.Hash() {
+				t.Errorf("%s %v equals %s %v but hashes differ", a.Kind(), a, b.Kind(), b)
+			}
+		}
+	}
+}
+
+func TestHashDoesNotAllocate(t *testing.T) {
+	var sink uint64
+	for _, v := range hashSamples {
+		if n := testing.AllocsPerRun(100, func() { sink += v.Hash() }); n != 0 {
+			t.Errorf("Hash(%s %v) allocates %v times", v.Kind(), v, n)
+		}
+	}
+	_ = sink
 }
 
 func TestCast(t *testing.T) {
