@@ -12,6 +12,7 @@ import (
 	"fedwf/internal/fedfunc"
 	"fedwf/internal/obs/collector"
 	"fedwf/internal/obs/journal"
+	"fedwf/internal/obs/stats"
 )
 
 func newAuditServer(t *testing.T) *Server {
@@ -135,6 +136,38 @@ func TestAuditJournalMatchesStackCounters(t *testing.T) {
 			t.Fatalf("%s: wf_instance events = %d, statement instance counts = %d",
 				arch.Label(), instEvents, instances)
 		}
+	}
+}
+
+// TestJournalEventsCarryTheWarehouseFingerprint: a statement's events are
+// stamped with the id RecordStatement returns — the warehouse entry's own,
+// so the ring pins one string per fingerprint, not one per event — and
+// with no span id, because nothing retained could resolve one.
+func TestJournalEventsCarryTheWarehouseFingerprint(t *testing.T) {
+	srv := newAuditServer(t)
+	const stmt = "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"
+	for i := 0; i < 3; i++ {
+		if _, _, err := srv.ExecObserved(stmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, _ := stats.Fingerprint(stmt)
+	var stmts, calls int
+	for _, e := range srv.Journal().Snapshot() {
+		if e.Kind != journal.KindStatement && e.Kind != journal.KindCall {
+			continue
+		}
+		if e.Fingerprint != want || e.SpanID != "" {
+			t.Fatalf("%s event: fingerprint %q (want %q), span id %q (want none)", e.Kind, e.Fingerprint, want, e.SpanID)
+		}
+		if e.Kind == journal.KindStatement {
+			stmts++
+		} else {
+			calls++
+		}
+	}
+	if stmts != 3 || calls == 0 {
+		t.Fatalf("saw %d statement and %d call events, want 3 and some", stmts, calls)
 	}
 }
 

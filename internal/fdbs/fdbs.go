@@ -323,29 +323,29 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	// One wide journal event per statement, one per federated call inside
 	// it, anchored at the federation-wide virtual instant the statement
 	// began; the clock then advances by the statement's simulated time.
-	fp, _ := stats.Fingerprint(text)
+	// The events carry the fingerprint the warehouse returns — its entry's
+	// own string, so the journal ring pins no copy per event — and no span
+	// id: nothing retained (spans, fragments, traces) could resolve one.
 	cnt := stmtCounters.Snapshot()
 	base := s.jnl.Now()
 	stmtEvent := journal.Event{
-		Kind:        journal.KindStatement,
-		TraceID:     traceID,
-		SpanID:      root.ID(),
-		Fingerprint: fp,
-		Arch:        archLabel,
-		Row:         -1,
-		RPCs:        cnt.RPCs,
-		Instances:   cnt.Instances,
-		StartVT:     base,
-		DurVT:       paper,
+		Kind:      journal.KindStatement,
+		TraceID:   traceID,
+		Arch:      archLabel,
+		Row:       -1,
+		RPCs:      cnt.RPCs,
+		Instances: cnt.Instances,
+		StartVT:   base,
+		DurVT:     paper,
 	}
 	if err != nil {
 		stmtEvent.Class = stats.ClassifyError(err)
 		stmtEvent.Err = err.Error()
 	}
-	callTmpl := journal.Event{TraceID: traceID, Fingerprint: fp, Arch: archLabel, StartVT: base}
-	emitJournal := func(rows int) {
-		stmtEvent.Rows = rows
+	emitJournal := func(fp string, rows int) {
+		stmtEvent.Fingerprint, stmtEvent.Rows = fp, rows
 		s.jnl.Append(stmtEvent)
+		callTmpl := journal.Event{TraceID: traceID, Fingerprint: fp, Arch: archLabel, StartVT: base}
 		for _, ce := range journal.CallEvents(snap, callTmpl) {
 			s.jnl.Append(ce)
 		}
@@ -384,8 +384,7 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 		}
 	}
 	if err != nil {
-		s.warehouse.RecordStatement(record)
-		emitJournal(0)
+		emitJournal(s.warehouse.RecordStatement(record), 0)
 		return nil, meta, err
 	}
 	if res.Partial {
@@ -408,8 +407,7 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	rows := out.Len()
 	meta["rows"] = strconv.Itoa(rows)
 	record.Rows = rows
-	s.warehouse.RecordStatement(record)
-	emitJournal(rows)
+	emitJournal(s.warehouse.RecordStatement(record), rows)
 	s.metrics.RowsReturned.With(archLabel).Add(float64(rows))
 	if s.slowLog().Observe(text, paper, wall, rows, root) {
 		s.metrics.SlowQueries.Inc()

@@ -63,7 +63,8 @@ func Kinds() []Kind {
 // Event is one wide journal event. Fields that do not apply to a kind stay
 // zero; Row is -1 unless the event is scoped to one row of a batched
 // workflow chunk. StartVT and DurVT are on the journal's federation-wide
-// virtual clock (absolute start, simulated duration).
+// virtual clock (absolute start, simulated duration). The FDBS leaves
+// SpanID unset: retained spans carry no ids to resolve one against.
 type Event struct {
 	Seq         uint64 `json:"seq"` // monotonic, assigned by Append
 	Kind        Kind   `json:"kind"`

@@ -200,8 +200,10 @@ func FuncObservations(root *obs.SpanData) []FuncObservation {
 	return out
 }
 
-// RecordStatement folds one finished statement into the warehouse.
-func (w *Warehouse) RecordStatement(rec StatementRecord) {
+// RecordStatement folds one finished statement into the warehouse and
+// returns its fingerprint: the warehouse entry's own id string, so callers
+// stamping it on further records pin no second copy per statement.
+func (w *Warehouse) RecordStatement(rec StatementRecord) string {
 	id, normalized := Fingerprint(rec.SQL)
 	snap := rec.Counters.Snapshot()
 
@@ -264,6 +266,7 @@ func (w *Warehouse) RecordStatement(rec StatementRecord) {
 	if w.mRecorded != nil {
 		w.mRecorded.Inc()
 	}
+	return e.id
 }
 
 // evictColdLocked drops least-recently-seen fingerprints until the bound

@@ -6,10 +6,11 @@
 //
 // The first payload byte is the message type (hello, hello-ack, request,
 // response); the rest is a hand-rolled varint encoding of the same wire
-// shapes the gob transport ships. Requests carry a connection-unique id
-// and the server answers them out of order, so one connection multiplexes
-// many in-flight statements (pipelining). Responses additionally carry an
-// error class so the resil taxonomy survives the process boundary: a shed
+// shapes the gob transport ships, written from and read into the engine's
+// own types.Value rows. Requests carry a connection-unique id and the
+// server answers them out of order, so one connection multiplexes many
+// in-flight statements (pipelining). Responses additionally carry an error
+// class so the resil taxonomy survives the process boundary: a shed
 // admission still matches errors.Is(err, resil.ErrAppSysUnavailable) on
 // the client side.
 //
@@ -25,8 +26,11 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
+	"strings"
 
 	"fedwf/internal/resil"
+	"fedwf/internal/types"
 )
 
 const (
@@ -124,16 +128,26 @@ func (e *transportError) Is(target error) bool { return target == ErrTransport }
 
 // ------------------------------------------------------------- frame I/O
 
-// writeFrame writes one length-prefixed frame. Callers serialize writes
-// per connection.
-func writeFrame(w io.Writer, payload []byte) error {
-	if len(payload) > maxFrameBytes {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit %d", len(payload), maxFrameBytes)
+// frameHeaderLen is the length prefix every encoder reserves at the front
+// of its buffer, so a frame goes out in one Write without a copy.
+const frameHeaderLen = 4
+
+// errTooLarge refuses a message the sizing pass found over the frame
+// limit. It is a plain error, not a transport failure: nothing was written
+// and the connection stays healthy.
+func errTooLarge(what string, n int) error {
+	return fmt.Errorf("rpc: %s of %d bytes exceeds the %d MiB frame limit", what, n, maxFrameBytes>>20)
+}
+
+// writeFrame patches the payload length into the frame's reserved header
+// and writes the frame. Callers serialize writes per connection.
+func writeFrame(w io.Writer, frame []byte) error {
+	n := len(frame) - frameHeaderLen
+	if n > maxFrameBytes {
+		return errTooLarge("frame", n)
 	}
-	buf := make([]byte, 4+len(payload))
-	binary.BigEndian.PutUint32(buf, uint32(len(payload)))
-	copy(buf[4:], payload)
-	_, err := w.Write(buf)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	_, err := w.Write(frame)
 	return err
 }
 
@@ -168,15 +182,68 @@ func readFrame(r io.Reader) ([]byte, error) {
 
 // ------------------------------------------------------------ the codec
 
-// wbuf builds a frame payload. The encoding is varints for integers,
-// length-prefixed bytes for strings, one tag byte per value kind — the
-// binary image of the same wire structs the gob transport registers.
-type wbuf struct{ b []byte }
+// Cell tags: the Kind byte of the gob wireValue, so both transports agree.
+const (
+	tagNull byte = iota
+	tagBool
+	tagInt
+	tagFloat
+	tagString
+)
 
-func (w *wbuf) u64(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *wbuf) i64(v int64)  { w.b = binary.AppendVarint(w.b, v) }
-func (w *wbuf) byte1(v byte) { w.b = append(w.b, v) }
-func (w *wbuf) str(s string) { w.u64(uint64(len(s))); w.b = append(w.b, s...) }
+// wbuf builds a frame. The encoding is varints for integers,
+// length-prefixed bytes for strings, one tag byte per value kind — the
+// binary image of the wire structs the gob transport registers, written
+// straight from types.Value cells. Every message is written twice by the
+// same code: first with b nil, which only adds the payload size up in n,
+// then into a buffer of exactly that size behind the reserved header — so
+// the size is known before a byte is encoded and the buffer never grows.
+type wbuf struct {
+	b []byte // nil during the sizing pass
+	n int    // payload bytes the sizing pass counted
+}
+
+// newFrame returns a buffer holding the reserved header with room for
+// size payload bytes behind it.
+func newFrame(size int) wbuf {
+	return wbuf{b: make([]byte, frameHeaderLen, frameHeaderLen+size)}
+}
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func (w *wbuf) u64(v uint64) {
+	if w.b == nil {
+		w.n += uvarintLen(v)
+		return
+	}
+	w.b = binary.AppendUvarint(w.b, v)
+}
+
+func (w *wbuf) i64(v int64) {
+	if w.b == nil {
+		w.n += uvarintLen(uint64(v<<1) ^ uint64(v>>63)) // zig-zag, as AppendVarint
+		return
+	}
+	w.b = binary.AppendVarint(w.b, v)
+}
+
+func (w *wbuf) byte1(v byte) {
+	if w.b == nil {
+		w.n++
+		return
+	}
+	w.b = append(w.b, v)
+}
+
+func (w *wbuf) str(s string) {
+	w.u64(uint64(len(s)))
+	if w.b == nil {
+		w.n += len(s)
+		return
+	}
+	w.b = append(w.b, s...)
+}
+
 func (w *wbuf) boolv(v bool) {
 	if v {
 		w.byte1(1)
@@ -184,39 +251,56 @@ func (w *wbuf) boolv(v bool) {
 		w.byte1(0)
 	}
 }
-func (w *wbuf) f64(v float64) { w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v)) }
 
-func (w *wbuf) value(v wireValue) {
-	w.byte1(v.Kind)
-	switch v.Kind {
-	case 1:
-		w.boolv(v.B)
-	case 2:
-		w.i64(v.I)
-	case 3:
-		w.f64(v.F)
-	case 4:
-		w.str(v.S)
+func (w *wbuf) f64(v float64) {
+	if w.b == nil {
+		w.n += 8
+		return
+	}
+	w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v))
+}
+
+func (w *wbuf) cell(v types.Value) {
+	switch v.Kind() {
+	case types.KindBool:
+		w.byte1(tagBool)
+		w.boolv(v.Bool())
+	case types.KindInt:
+		w.byte1(tagInt)
+		w.i64(v.Int())
+	case types.KindFloat:
+		w.byte1(tagFloat)
+		w.f64(v.Float())
+	case types.KindString:
+		w.byte1(tagString)
+		w.str(v.Str())
+	default:
+		w.byte1(tagNull)
 	}
 }
 
-func (w *wbuf) valueRow(row []wireValue) {
+func (w *wbuf) cells(row []types.Value) {
 	w.u64(uint64(len(row)))
 	for _, v := range row {
-		w.value(v)
+		w.cell(v)
 	}
 }
 
-func (w *wbuf) table(cols []wireColumn, rows [][]wireValue) {
-	w.u64(uint64(len(cols)))
-	for _, c := range cols {
-		w.str(c.Name)
-		w.byte1(c.BaseType)
-		w.i64(int64(c.Length))
+// table writes the column header once, then every row; nil is the empty
+// table of error and batch replies.
+func (w *wbuf) table(t *types.Table) {
+	if t == nil {
+		t = &types.Table{}
 	}
-	w.u64(uint64(len(rows)))
-	for _, r := range rows {
-		w.valueRow(r)
+	w.u64(uint64(len(t.Schema)))
+	for _, c := range t.Schema {
+		w.str(c.Name)
+		w.byte1(byte(c.Type.Base))
+		w.i64(int64(c.Type.Length))
+	}
+	w.u64(uint64(len(t.Rows)))
+	for _, r := range t.Rows {
+		w.cells(r)
 	}
 }
 
@@ -228,12 +312,73 @@ func (w *wbuf) meta(m map[string]string) {
 	}
 }
 
+// arenaChunkBytes caps one arena chunk at exec.rowSlab's figure: what the
+// allocator's 8 KB class holds behind the header of a pointerful object.
+const (
+	arenaChunkBytes = 8192 - 8
+	arenaChunkCells = arenaChunkBytes / 32 // sizeof(types.Value), pinned by TestArenaCellSize
+)
+
+// arena carves the rows and strings of decoded tables out of shared
+// chunks, so decoding allocates per chunk, not per row or per string.
+// Three rules keep that invisible to whoever receives the table:
+//
+//   - every row has cap == len, so an append to one reallocates instead of
+//     writing into its neighbour; strings are immutable anyway;
+//   - chunks start at exactly the first row's or first string's size and
+//     double up to arenaChunkBytes, so a one-row reply allocates what it
+//     did without the arena and a retained cell pins at most 8 KB;
+//   - a chunk is only ever sized by a row or string whose bytes the payload
+//     holds, or by doubling one such, so a lying count cannot allocate
+//     ahead of the bytes behind it (see rbuf.count).
+type arena struct {
+	cells []types.Value   // the current cell chunk's cells not handed out yet
+	rows  int             // rows the current cell chunk was sized for
+	text  strings.Builder // the current text chunk; String() aliases it
+}
+
+// row returns n zero cells with cap n.
+func (a *arena) row(n int) types.Row {
+	if n == 0 {
+		return types.Row{}
+	}
+	if len(a.cells) < n {
+		a.rows = max(1, min(2*a.rows, arenaChunkCells/n))
+		a.cells = make([]types.Value, a.rows*n)
+	}
+	row := a.cells[:n:n]
+	a.cells = a.cells[n:]
+	return row
+}
+
+// str copies p into the text chunk and returns the copy. Strings of a
+// quarter chunk or more get their own allocation: they would waste the
+// tail of a chunk, and nothing small should pin them.
+func (a *arena) str(p []byte) string {
+	switch {
+	case len(p) == 0:
+		return ""
+	case len(p) >= arenaChunkBytes/4:
+		return string(p)
+	case a.text.Cap()-a.text.Len() < len(p):
+		size := max(len(p), min(2*a.text.Cap(), arenaChunkBytes))
+		a.text = strings.Builder{}
+		a.text.Grow(size)
+	}
+	start := a.text.Len()
+	a.text.Write(p)
+	return a.text.String()[start:]
+}
+
 // rbuf consumes a frame payload; the first decode error sticks and turns
-// every further read into a no-op returning zero values.
+// every further read into a no-op returning zero values. Table data lands
+// in the arena; every other string is its own allocation, because callers
+// keep errors and metadata apart from (and longer than) the rows.
 type rbuf struct {
 	b   []byte
 	off int
 	err error
+	arena
 }
 
 func (r *rbuf) fail(what string) {
@@ -278,19 +423,15 @@ func (r *rbuf) byte1(what string) byte {
 	return v
 }
 
-func (r *rbuf) str(what string) string {
-	n := r.u64(what)
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.b)-r.off) {
-		r.fail(what)
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+// raw reads length-prefixed bytes; the result aliases the payload.
+func (r *rbuf) raw(what string) []byte {
+	n := r.count(what)
+	p := r.b[r.off : r.off+n]
+	r.off += n
+	return p
 }
+
+func (r *rbuf) str(what string) string { return string(r.raw(what)) }
 
 func (r *rbuf) boolv(what string) bool { return r.byte1(what) != 0 }
 
@@ -318,50 +459,50 @@ func (r *rbuf) count(what string) int {
 	return int(n)
 }
 
-func (r *rbuf) value(what string) wireValue {
-	var v wireValue
-	v.Kind = r.byte1(what)
-	switch v.Kind {
-	case 0: // NULL
-	case 1:
-		v.B = r.boolv(what)
-	case 2:
-		v.I = r.i64(what)
-	case 3:
-		v.F = r.f64(what)
-	case 4:
-		v.S = r.str(what)
+func (r *rbuf) cell(what string) types.Value {
+	switch r.byte1(what) {
+	case tagNull:
+	case tagBool:
+		return types.NewBool(r.boolv(what))
+	case tagInt:
+		return types.NewInt(r.i64(what))
+	case tagFloat:
+		return types.NewFloat(r.f64(what))
+	case tagString:
+		return types.NewString(r.arena.str(r.raw(what)))
 	default:
 		r.fail(what)
 	}
-	return v
+	return types.Null
 }
 
-func (r *rbuf) valueRow(what string) []wireValue {
-	n := r.count(what)
-	row := make([]wireValue, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		row = append(row, r.value(what))
+func (r *rbuf) cells(what string) types.Row {
+	row := r.arena.row(r.count(what))
+	for i := 0; i < len(row) && r.err == nil; i++ {
+		row[i] = r.cell(what)
 	}
 	return row
 }
 
-func (r *rbuf) table(what string) ([]wireColumn, [][]wireValue) {
-	nc := r.count(what)
-	cols := make([]wireColumn, 0, nc)
-	for i := 0; i < nc && r.err == nil; i++ {
-		var c wireColumn
-		c.Name = r.str(what)
-		c.BaseType = r.byte1(what)
-		c.Length = int(r.i64(what))
-		cols = append(cols, c)
+func (r *rbuf) table(what string) *types.Table {
+	t := &types.Table{}
+	if nc := r.count(what); nc > 0 {
+		t.Schema = make(types.Schema, 0, nc)
+		for i := 0; i < nc && r.err == nil; i++ {
+			var c types.Column
+			c.Name = r.arena.str(r.raw(what))
+			c.Type.Base = types.BaseType(r.byte1(what))
+			c.Type.Length = int(r.i64(what))
+			t.Schema = append(t.Schema, c)
+		}
 	}
-	nr := r.count(what)
-	rows := make([][]wireValue, 0, nr)
-	for i := 0; i < nr && r.err == nil; i++ {
-		rows = append(rows, r.valueRow(what))
+	if nr := r.count(what); nr > 0 {
+		t.Rows = make([]types.Row, 0, nr)
+		for i := 0; i < nr && r.err == nil; i++ {
+			t.Rows = append(t.Rows, r.cells(what))
+		}
 	}
-	return cols, rows
+	return t
 }
 
 func (r *rbuf) meta(what string) map[string]string {
@@ -379,12 +520,16 @@ func (r *rbuf) meta(what string) map[string]string {
 
 // --------------------------------------------------------- the messages
 
-// encodeHello builds the client hello: protocol version and tenant.
+// encodeHello builds what opens a framed connection, ready to write: the
+// magic preamble and the sealed hello frame (protocol version and tenant)
+// in one buffer, so the negotiation is one segment.
 func encodeHello(tenant string) []byte {
-	var w wbuf
+	w := wbuf{b: make([]byte, len(muxMagic)+frameHeaderLen, len(muxMagic)+frameHeaderLen+16+len(tenant))}
+	copy(w.b, muxMagic)
 	w.byte1(frameHello)
 	w.u64(muxProtoVersion)
 	w.str(tenant)
+	binary.BigEndian.PutUint32(w.b[len(muxMagic):], uint32(len(w.b)-len(muxMagic)-frameHeaderLen))
 	return w.b
 }
 
@@ -399,10 +544,10 @@ func decodeHello(p []byte) (version uint64, tenant string, err error) {
 	return version, tenant, r.err
 }
 
-// encodeHelloAck builds the server's handshake reply. A non-empty errMsg
-// rejects the session; class types the rejection.
+// encodeHelloAck builds the server's handshake reply frame. A non-empty
+// errMsg rejects the session; class types the rejection.
 func encodeHelloAck(sessionID uint64, class uint8, errMsg string) []byte {
-	var w wbuf
+	w := newFrame(32 + len(errMsg))
 	w.byte1(frameHelloAck)
 	w.u64(muxProtoVersion)
 	w.u64(sessionID)
@@ -424,92 +569,126 @@ func decodeHelloAck(p []byte) (sessionID uint64, class uint8, errMsg string, err
 	return sessionID, class, errMsg, r.err
 }
 
-// encodeFrameRequest serializes one request under a connection-unique id.
-// Batch rows ride the same message type; a non-empty batch makes Args
-// irrelevant, exactly as on the gob wireRequest.
-func encodeFrameRequest(id uint64, wr *wireRequest) []byte {
-	var w wbuf
+func (w *wbuf) request(id uint64, c *call) {
 	w.byte1(frameRequest)
 	w.u64(id)
-	w.str(wr.System)
-	w.str(wr.Function)
-	w.valueRow(wr.Args)
-	w.str(wr.TraceID)
-	w.str(wr.SpanID)
-	w.boolv(wr.Sampled)
-	w.i64(wr.DeadlineMS)
-	w.u64(uint64(len(wr.BatchRows)))
-	for _, row := range wr.BatchRows {
-		w.valueRow(row)
+	w.str(c.system)
+	w.str(c.function)
+	w.cells(c.args)
+	w.str(c.trace.TraceID)
+	w.str(c.trace.SpanID)
+	w.boolv(c.trace.Sampled)
+	w.i64(c.deadlineMS)
+	w.u64(uint64(len(c.batch)))
+	for _, row := range c.batch {
+		w.cells(row)
 	}
-	return w.b
+}
+
+// encodeFrameRequest builds the frame of one call under a connection-unique
+// id. Batch rows ride the same message type; a non-empty batch makes args
+// irrelevant, exactly as on the gob wireRequest. A call over the frame
+// limit is refused before anything is encoded.
+func encodeFrameRequest(id uint64, c *call) ([]byte, error) {
+	var w wbuf
+	w.request(id, c)
+	if w.n > maxFrameBytes {
+		return nil, errTooLarge("request", w.n)
+	}
+	w = newFrame(w.n)
+	w.request(id, c)
+	return w.b, nil
 }
 
 // decodeFrameRequest parses a request payload.
-func decodeFrameRequest(p []byte) (uint64, *wireRequest, error) {
+func decodeFrameRequest(p []byte) (uint64, *call, error) {
 	r := rbuf{b: p}
 	if t := r.byte1("request type"); t != frameRequest && r.err == nil {
 		return 0, nil, fmt.Errorf("rpc: expected request frame, got type %d", t)
 	}
 	id := r.u64("request id")
-	wr := &wireRequest{}
-	wr.System = r.str("request system")
-	wr.Function = r.str("request function")
-	wr.Args = r.valueRow("request args")
-	wr.TraceID = r.str("request trace id")
-	wr.SpanID = r.str("request span id")
-	wr.Sampled = r.boolv("request sampled")
-	wr.DeadlineMS = r.i64("request deadline")
-	nb := r.count("request batch")
-	if nb > 0 {
-		wr.BatchRows = make([][]wireValue, 0, nb)
+	c := &call{}
+	c.system = r.str("request system")
+	c.function = r.str("request function")
+	c.args = r.cells("request args")
+	c.trace.TraceID = r.str("request trace id")
+	c.trace.SpanID = r.str("request span id")
+	c.trace.Sampled = r.boolv("request sampled")
+	c.deadlineMS = r.i64("request deadline")
+	if nb := r.count("request batch"); nb > 0 {
+		c.batch = make([][]types.Value, 0, nb)
 		for i := 0; i < nb && r.err == nil; i++ {
-			wr.BatchRows = append(wr.BatchRows, r.valueRow("request batch row"))
+			c.batch = append(c.batch, r.cells("request batch row"))
 		}
 	}
-	return id, wr, r.err
+	return id, c, r.err
 }
 
-// encodeFrameResponse serializes one response for request id. class types
-// a non-empty Err; per-row batch errors stay strings (they are semantic,
-// not transport, failures).
-func encodeFrameResponse(id uint64, class uint8, wr *wireResponse) []byte {
-	var w wbuf
+func (w *wbuf) response(id uint64, rep *reply) {
 	w.byte1(frameResponse)
 	w.u64(id)
-	w.byte1(class)
-	w.str(wr.Err)
-	w.table(wr.Columns, wr.Rows)
-	w.meta(wr.Meta)
-	w.u64(uint64(len(wr.Batch)))
-	for _, e := range wr.Batch {
-		w.str(e.Err)
-		w.table(e.Columns, e.Rows)
+	w.byte1(classOf(rep.err))
+	if rep.err != nil {
+		w.str(rep.err.Error())
+	} else {
+		w.str("")
 	}
+	w.table(rep.table)
+	w.meta(rep.meta)
+	w.u64(uint64(len(rep.batch)))
+	for i, t := range rep.batch {
+		if i < len(rep.batchErrs) {
+			w.str(rep.batchErrs[i])
+		} else {
+			w.str("")
+		}
+		w.table(t)
+	}
+}
+
+// encodeFrameResponse builds the frame answering request id. The error
+// class types rep.err for the client; per-entry batch errors stay strings
+// (they are semantic, not transport, failures). A result over the frame
+// limit is answered with an ordinary error reply instead: the caller gets
+// its answer and the connection is untouched.
+func encodeFrameResponse(id uint64, rep *reply) []byte {
+	var w wbuf
+	w.response(id, rep)
+	if w.n > maxFrameBytes {
+		rep = &reply{err: errTooLarge("result", w.n)}
+		w.n = 0
+		w.response(id, rep)
+	}
+	w = newFrame(w.n)
+	w.response(id, rep)
 	return w.b
 }
 
 // decodeFrameResponse parses a response payload.
-func decodeFrameResponse(p []byte) (uint64, uint8, *wireResponse, error) {
+func decodeFrameResponse(p []byte) (uint64, *reply, error) {
 	r := rbuf{b: p}
 	if t := r.byte1("response type"); t != frameResponse && r.err == nil {
-		return 0, 0, nil, fmt.Errorf("rpc: expected response frame, got type %d", t)
+		return 0, nil, fmt.Errorf("rpc: expected response frame, got type %d", t)
 	}
 	id := r.u64("response id")
+	rep := &reply{}
 	class := r.byte1("response class")
-	wr := &wireResponse{}
-	wr.Err = r.str("response error")
-	wr.Columns, wr.Rows = r.table("response table")
-	wr.Meta = r.meta("response meta")
-	nb := r.count("response batch")
-	if nb > 0 {
-		wr.Batch = make([]wireBatchEntry, 0, nb)
+	if msg := r.str("response error"); msg != "" {
+		rep.err = errFromWire(class, msg)
+	}
+	rep.table = r.table("response table")
+	rep.meta = r.meta("response meta")
+	if nb := r.count("response batch"); nb > 0 {
+		rep.batch = make([]*types.Table, 0, nb)
 		for i := 0; i < nb && r.err == nil; i++ {
-			var e wireBatchEntry
-			e.Err = r.str("response batch error")
-			e.Columns, e.Rows = r.table("response batch table")
-			wr.Batch = append(wr.Batch, e)
+			if msg := r.str("response batch error"); msg != "" {
+				if rep.batchErrs == nil {
+					rep.batchErrs = make([]string, nb)
+				}
+				rep.batchErrs[i] = msg
+			}
+			rep.batch = append(rep.batch, r.table("response batch table"))
 		}
 	}
-	return id, class, wr, r.err
+	return id, rep, r.err
 }

@@ -3,90 +3,185 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
+	"fedwf/internal/obs"
 	"fedwf/internal/resil"
+	"fedwf/internal/types"
 )
 
-// sampleRequest exercises every field of the wire shape: args of all five
+// payload strips a frame's reserved length header: what readFrame hands a
+// decoder on the far side.
+func payload(frame []byte) []byte { return frame[frameHeaderLen:] }
+
+// helloPayload is the hello frame's payload without the magic before it.
+func helloPayload(tenant string) []byte { return payload(encodeHello(tenant)[len(muxMagic):]) }
+
+// sampleCall exercises every field of the request shape: args of all five
 // value kinds, trace context, deadline, and batch rows.
-func sampleRequest() *wireRequest {
-	return &wireRequest{
-		System:   "stock-keeping",
-		Function: "GetSuppQual",
-		Args: []wireValue{
-			{Kind: 0},                            // NULL
-			{Kind: 1, B: true},                   // bool
-			{Kind: 2, I: -42},                    // int (negative: varint zig-zag)
-			{Kind: 3, F: 3.25},                   // float
-			{Kind: 4, S: "supplier-\x00-binary"}, // string with embedded NUL
+func sampleCall() *call {
+	return &call{
+		system:   "stock-keeping",
+		function: "GetSuppQual",
+		args: []types.Value{
+			types.Null,
+			types.NewBool(true),
+			types.NewInt(-42), // negative: varint zig-zag
+			types.NewFloat(3.25),
+			types.NewString("supplier-\x00-binary"), // embedded NUL
 		},
-		TraceID:    "trace-1",
-		SpanID:     "span-9",
-		Sampled:    true,
-		DeadlineMS: 1500,
-		BatchRows: [][]wireValue{
-			{{Kind: 2, I: 1}, {Kind: 4, S: "a"}},
-			{{Kind: 2, I: 2}, {Kind: 0}},
+		trace:      obs.TraceContext{TraceID: "trace-1", SpanID: "span-9", Sampled: true},
+		deadlineMS: 1500,
+		batch: [][]types.Value{
+			{types.NewInt(1), types.NewString("a")},
+			{types.NewInt(2), types.Null},
 		},
 	}
 }
 
-func sampleResponse() *wireResponse {
-	return &wireResponse{
-		Err: "",
-		Columns: []wireColumn{
-			{Name: "QUALITY", BaseType: 2, Length: 0},
-			{Name: "NAME", BaseType: 4, Length: 30},
+func sampleReply() *reply {
+	return &reply{
+		table: &types.Table{
+			Schema: types.Schema{{Name: "QUALITY", Type: types.Integer}, {Name: "NAME", Type: types.VarCharN(30)}},
+			Rows: []types.Row{
+				{types.NewInt(7), types.NewString("ACME")},
+				{types.Null, types.NewBool(false)},
+			},
 		},
-		Rows: [][]wireValue{
-			{{Kind: 2, I: 7}, {Kind: 4, S: "ACME"}},
-			{{Kind: 0}, {Kind: 1, B: false}},
+		meta: map[string]string{"server_ms": "239.4", "cache": "hit"},
+		batch: []*types.Table{
+			{Schema: types.Schema{{Name: "N", Type: types.Integer}}, Rows: []types.Row{{types.NewInt(1)}}},
+			{},
 		},
-		Meta: map[string]string{"server_ms": "239.4", "cache": "hit"},
-		Batch: []wireBatchEntry{
-			{Err: "", Columns: []wireColumn{{Name: "N", BaseType: 2}}, Rows: [][]wireValue{{{Kind: 2, I: 1}}}},
-			{Err: "row 2 failed", Columns: []wireColumn{}, Rows: [][]wireValue{}},
-		},
+		batchErrs: []string{"", "row 2 failed"},
 	}
+}
+
+// sameRows compares cell for cell, bit for bit (NaN equals itself), and
+// treats nil and empty alike: the codec writes both the same way.
+func sameRows[R ~[]types.Value](a, b []R) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if !reflect.DeepEqual(a[i][j], b[i][j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameTable(a, b *types.Table) bool {
+	if a == nil || b == nil {
+		return (a == nil || len(a.Schema)+len(a.Rows) == 0) && (b == nil || len(b.Schema)+len(b.Rows) == 0)
+	}
+	if len(a.Schema) != len(b.Schema) {
+		return false
+	}
+	for i := range a.Schema {
+		if a.Schema[i] != b.Schema[i] {
+			return false
+		}
+	}
+	return sameRows(a.Rows, b.Rows)
+}
+
+func sameCall(a, b *call) bool {
+	return a.system == b.system && a.function == b.function && a.trace == b.trace &&
+		a.deadlineMS == b.deadlineMS && sameRows([][]types.Value{a.args}, [][]types.Value{b.args}) &&
+		sameRows(a.batch, b.batch)
+}
+
+// sameReply compares replies as a client sees them: error text and
+// taxonomy sentinel, tables, metadata, per-entry errors.
+func sameReply(a, b *reply) bool {
+	if (a.err == nil) != (b.err == nil) {
+		return false
+	}
+	if a.err != nil && (a.err.Error() != b.err.Error() || classOf(a.err) != classOf(b.err)) {
+		return false
+	}
+	if !sameTable(a.table, b.table) || len(a.meta) != len(b.meta) || len(a.batch) != len(b.batch) {
+		return false
+	}
+	for k, v := range a.meta {
+		if bv, ok := b.meta[k]; !ok || bv != v {
+			return false
+		}
+	}
+	for i := range a.batch {
+		if !sameTable(a.batch[i], b.batch[i]) || entryErr(a, i) != entryErr(b, i) {
+			return false
+		}
+	}
+	return true
+}
+
+func entryErr(r *reply, i int) string {
+	if i < len(r.batchErrs) {
+		return r.batchErrs[i]
+	}
+	return ""
 }
 
 func TestFrameRequestRoundTrip(t *testing.T) {
-	want := sampleRequest()
-	payload := encodeFrameRequest(77, want)
-	id, got, err := decodeFrameRequest(payload)
+	want := sampleCall()
+	frame, err := encodeFrameRequest(77, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, got, err := decodeFrameRequest(payload(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 77 {
 		t.Errorf("id = %d, want 77", id)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !sameCall(got, want) {
 		t.Errorf("request round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
 }
 
 func TestFrameResponseRoundTrip(t *testing.T) {
-	want := sampleResponse()
-	payload := encodeFrameResponse(99, classTimeout, want)
-	id, class, got, err := decodeFrameResponse(payload)
+	want := sampleReply()
+	id, got, err := decodeFrameResponse(payload(encodeFrameResponse(99, want)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != 99 || class != classTimeout {
-		t.Errorf("id, class = %d, %d, want 99, %d", id, class, classTimeout)
+	if id != 99 {
+		t.Errorf("id = %d, want 99", id)
 	}
-	if !reflect.DeepEqual(got, want) {
+	if !sameReply(got, want) {
 		t.Errorf("response round trip mismatch:\n got %+v\nwant %+v", got, want)
+	}
+	// An error reply keeps its class across the wire.
+	timeout := &reply{err: fmt.Errorf("deadline: %w", resil.ErrTimeout), meta: map[string]string{"k": "v"}}
+	_, got, err = decodeFrameResponse(payload(encodeFrameResponse(3, timeout)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(got.err, resil.ErrTimeout) || !sameReply(got, timeout) {
+		t.Errorf("error reply round trip: got %+v", got)
 	}
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	version, tenant, err := decodeHello(encodeHello("acme"))
+	if got := encodeHello("acme"); string(got[:len(muxMagic)]) != muxMagic {
+		t.Fatalf("connection opener does not start with the magic: %q", got)
+	}
+	version, tenant, err := decodeHello(helloPayload("acme"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,13 +189,13 @@ func TestHelloRoundTrip(t *testing.T) {
 		t.Errorf("hello = (%d, %q), want (%d, %q)", version, tenant, muxProtoVersion, "acme")
 	}
 	// Empty tenant survives too: the server substitutes DefaultTenant.
-	if _, tenant, err = decodeHello(encodeHello("")); err != nil || tenant != "" {
+	if _, tenant, err = decodeHello(helloPayload("")); err != nil || tenant != "" {
 		t.Errorf("empty tenant = (%q, %v)", tenant, err)
 	}
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
-	sid, class, errMsg, err := decodeHelloAck(encodeHelloAck(12, classGeneric, ""))
+	sid, class, errMsg, err := decodeHelloAck(payload(encodeHelloAck(12, classGeneric, "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +203,7 @@ func TestHelloAckRoundTrip(t *testing.T) {
 		t.Errorf("ack = (%d, %d, %q)", sid, class, errMsg)
 	}
 	// A typed rejection (session quota) carries its class and message.
-	sid, class, errMsg, err = decodeHelloAck(encodeHelloAck(0, classUnavailable, "session quota exhausted"))
+	sid, class, errMsg, err = decodeHelloAck(payload(encodeHelloAck(0, classUnavailable, "session quota exhausted")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,16 +213,17 @@ func TestHelloAckRoundTrip(t *testing.T) {
 }
 
 func TestWrongFrameTypeRejected(t *testing.T) {
-	if _, _, err := decodeHello(encodeHelloAck(1, classGeneric, "")); err == nil {
+	request, _ := encodeFrameRequest(1, sampleCall())
+	if _, _, err := decodeHello(payload(encodeHelloAck(1, classGeneric, ""))); err == nil {
 		t.Error("decodeHello accepted a hello-ack payload")
 	}
-	if _, _, _, err := decodeHelloAck(encodeHello("t")); err == nil {
+	if _, _, _, err := decodeHelloAck(helloPayload("t")); err == nil {
 		t.Error("decodeHelloAck accepted a hello payload")
 	}
-	if _, _, err := decodeFrameRequest(encodeFrameResponse(1, classGeneric, &wireResponse{})); err == nil {
+	if _, _, err := decodeFrameRequest(payload(encodeFrameResponse(1, &reply{}))); err == nil {
 		t.Error("decodeFrameRequest accepted a response payload")
 	}
-	if _, _, _, err := decodeFrameResponse(encodeFrameRequest(1, sampleRequest())); err == nil {
+	if _, _, err := decodeFrameResponse(payload(request)); err == nil {
 		t.Error("decodeFrameResponse accepted a request payload")
 	}
 }
@@ -192,15 +288,16 @@ func TestTransportErrorMatching(t *testing.T) {
 // TestTruncatedFramesFailCleanly feeds every prefix of valid payloads to
 // the decoders: each must return an error, never panic or fabricate data.
 func TestTruncatedFramesFailCleanly(t *testing.T) {
-	reqPayload := encodeFrameRequest(5, sampleRequest())
+	reqFrame, _ := encodeFrameRequest(5, sampleCall())
+	reqPayload := payload(reqFrame)
 	for n := 0; n < len(reqPayload); n++ {
 		if _, _, err := decodeFrameRequest(reqPayload[:n]); err == nil {
 			t.Fatalf("decodeFrameRequest accepted a %d/%d-byte prefix", n, len(reqPayload))
 		}
 	}
-	resPayload := encodeFrameResponse(5, classGeneric, sampleResponse())
+	resPayload := payload(encodeFrameResponse(5, sampleReply()))
 	for n := 0; n < len(resPayload); n++ {
-		if _, _, _, err := decodeFrameResponse(resPayload[:n]); err == nil {
+		if _, _, err := decodeFrameResponse(resPayload[:n]); err == nil {
 			t.Fatalf("decodeFrameResponse accepted a %d/%d-byte prefix", n, len(resPayload))
 		}
 	}
@@ -209,13 +306,13 @@ func TestTruncatedFramesFailCleanly(t *testing.T) {
 // TestCorruptCountBoundsAllocation: a frame declaring a huge collection
 // length must fail instead of driving a multi-gigabyte allocation.
 func TestCorruptCountBoundsAllocation(t *testing.T) {
-	var w wbuf
+	w := newFrame(0)
 	w.byte1(frameRequest)
 	w.u64(1)       // id
 	w.str("sys")   // system
 	w.str("fn")    // function
 	w.u64(1 << 40) // args length: absurd
-	if _, _, err := decodeFrameRequest(w.b); err == nil {
+	if _, _, err := decodeFrameRequest(payload(w.b)); err == nil {
 		t.Error("absurd collection count decoded without error")
 	}
 }
@@ -224,7 +321,7 @@ func TestReadWriteFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{}, []byte("x"), bytes.Repeat([]byte("ab"), 1000)}
 	for _, p := range payloads {
-		if err := writeFrame(&buf, p); err != nil {
+		if err := writeFrame(&buf, append(make([]byte, frameHeaderLen), p...)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -240,8 +337,9 @@ func TestReadWriteFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameSizeLimit(t *testing.T) {
-	if err := writeFrame(&bytes.Buffer{}, make([]byte, maxFrameBytes+1)); err == nil {
-		t.Error("writeFrame accepted an oversized payload")
+	var wrote bytes.Buffer
+	if err := writeFrame(&wrote, make([]byte, frameHeaderLen+maxFrameBytes+1)); err == nil || wrote.Len() != 0 {
+		t.Errorf("writeFrame accepted an oversized payload (err %v, %d bytes written)", err, wrote.Len())
 	}
 	// An incoming header declaring an oversized frame is rejected before
 	// the payload is allocated or read.
@@ -249,5 +347,240 @@ func TestFrameSizeLimit(t *testing.T) {
 	hdr.Write([]byte{0xff, 0xff, 0xff, 0xff})
 	if _, err := readFrame(&hdr); err == nil {
 		t.Error("readFrame accepted an oversized length header")
+	}
+}
+
+// ------------------------------------------------- byte-identity oracle
+
+// refbuf is the codec this one replaced, kept the way types.referenceHash
+// keeps the hash it replaced: it boxes every cell into the gob wire structs
+// (reply.toWire, call.toWire) and serializes those with append-doubling.
+// The new encoders must produce its bytes exactly — that identity is what
+// lets a peer built before the change and one built after it interoperate
+// without a protocol version bump.
+type refbuf struct{ b []byte }
+
+func (w *refbuf) u64(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
+func (w *refbuf) i64(v int64)  { w.b = binary.AppendVarint(w.b, v) }
+func (w *refbuf) byte1(v byte) { w.b = append(w.b, v) }
+func (w *refbuf) str(s string) { w.u64(uint64(len(s))); w.b = append(w.b, s...) }
+func (w *refbuf) boolv(v bool) {
+	if v {
+		w.byte1(1)
+	} else {
+		w.byte1(0)
+	}
+}
+func (w *refbuf) f64(v float64) { w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v)) }
+
+func (w *refbuf) value(v wireValue) {
+	w.byte1(v.Kind)
+	switch v.Kind {
+	case 1:
+		w.boolv(v.B)
+	case 2:
+		w.i64(v.I)
+	case 3:
+		w.f64(v.F)
+	case 4:
+		w.str(v.S)
+	}
+}
+
+func (w *refbuf) valueRow(row []wireValue) {
+	w.u64(uint64(len(row)))
+	for _, v := range row {
+		w.value(v)
+	}
+}
+
+func (w *refbuf) table(cols []wireColumn, rows [][]wireValue) {
+	w.u64(uint64(len(cols)))
+	for _, c := range cols {
+		w.str(c.Name)
+		w.byte1(c.BaseType)
+		w.i64(int64(c.Length))
+	}
+	w.u64(uint64(len(rows)))
+	for _, r := range rows {
+		w.valueRow(r)
+	}
+}
+
+func referenceEncodeRequest(id uint64, wr *wireRequest) []byte {
+	var w refbuf
+	w.byte1(frameRequest)
+	w.u64(id)
+	w.str(wr.System)
+	w.str(wr.Function)
+	w.valueRow(wr.Args)
+	w.str(wr.TraceID)
+	w.str(wr.SpanID)
+	w.boolv(wr.Sampled)
+	w.i64(wr.DeadlineMS)
+	w.u64(uint64(len(wr.BatchRows)))
+	for _, row := range wr.BatchRows {
+		w.valueRow(row)
+	}
+	return w.b
+}
+
+func referenceEncodeResponse(id uint64, class uint8, wr *wireResponse) []byte {
+	var w refbuf
+	w.byte1(frameResponse)
+	w.u64(id)
+	w.byte1(class)
+	w.str(wr.Err)
+	w.table(wr.Columns, wr.Rows)
+	w.u64(uint64(len(wr.Meta)))
+	for k, v := range wr.Meta {
+		w.str(k)
+		w.str(v)
+	}
+	w.u64(uint64(len(wr.Batch)))
+	for _, e := range wr.Batch {
+		w.str(e.Err)
+		w.table(e.Columns, e.Rows)
+	}
+	return w.b
+}
+
+// edgeCells are the values a codec gets wrong first.
+var edgeCells = []types.Value{
+	types.Null, types.NewBool(true), types.NewBool(false),
+	types.NewInt(0), types.NewInt(-1), types.NewInt(63), types.NewInt(64), types.NewInt(-65),
+	types.NewInt(math.MinInt64), types.NewInt(math.MaxInt64),
+	types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(math.NaN()),
+	types.NewFloat(math.Inf(1)), types.NewFloat(math.Inf(-1)), types.NewFloat(3.25),
+	types.NewString(""), types.NewString("a"), types.NewString("Zürich-東京-🙂"),
+	types.NewString("nul-\x00-inside"), types.NewString(strings.Repeat("x", 127)),
+	types.NewString(strings.Repeat("y", 128)), types.NewString(strings.Repeat("z", 3000)),
+}
+
+func randomRow(rng *rand.Rand, n int) types.Row {
+	row := make(types.Row, n)
+	for i := range row {
+		row[i] = edgeCells[rng.Intn(len(edgeCells))]
+	}
+	return row
+}
+
+// randomTable covers zero-column and zero-row tables as well as ragged
+// ones (the codec carries a cell count per row, not per table).
+func randomTable(rng *rand.Rand) *types.Table {
+	t := &types.Table{}
+	nc := rng.Intn(5)
+	for i := 0; i < nc; i++ {
+		t.Schema = append(t.Schema, types.Column{
+			Name: []string{"", "K", "Näme", "A_LONG_COLUMN_NAME"}[rng.Intn(4)],
+			Type: types.Type{Base: types.BaseType(rng.Intn(7)), Length: []int{0, 30, -1, 1 << 20}[rng.Intn(4)]},
+		})
+	}
+	for nr := rng.Intn(7); nr > 0; nr-- {
+		width := nc
+		if rng.Intn(8) == 0 {
+			width = rng.Intn(6)
+		}
+		t.Rows = append(t.Rows, randomRow(rng, width))
+	}
+	return t
+}
+
+// randomMeta has at most one entry: with two, map order would make the
+// reference and the encoder disagree by chance.
+func randomMeta(rng *rand.Rand) map[string]string {
+	if rng.Intn(2) == 0 {
+		return nil
+	}
+	return map[string]string{"paper_ms": []string{"", "239.400", strings.Repeat("m", 200)}[rng.Intn(3)]}
+}
+
+func randomReply(rng *rand.Rand) *reply {
+	rep := &reply{meta: randomMeta(rng)}
+	switch rng.Intn(4) {
+	case 0: // error replies, one per class
+		rep.err = []error{
+			errors.New("semantic failure"),
+			fmt.Errorf("shed: %w", resil.ErrAppSysUnavailable),
+			fmt.Errorf("deadline: %w", resil.ErrTimeout),
+			fmt.Errorf("breaker: %w", resil.ErrCircuitOpen),
+		}[rng.Intn(4)]
+	case 1: // batch replies, some entries failed
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			rep.batch = append(rep.batch, randomTable(rng))
+			rep.batchErrs = append(rep.batchErrs, []string{"", "", "row failed: no such supplier"}[rng.Intn(3)])
+		}
+	default:
+		rep.table = randomTable(rng)
+	}
+	return rep
+}
+
+func randomCall(rng *rand.Rand) *call {
+	c := &call{
+		system:     []string{"", "stock-keeping", "fdbs"}[rng.Intn(3)],
+		function:   []string{"exec", "GetSuppQual"}[rng.Intn(2)],
+		args:       randomRow(rng, rng.Intn(6)),
+		deadlineMS: []int64{0, 1500, math.MaxInt64}[rng.Intn(3)],
+	}
+	if rng.Intn(2) == 0 {
+		c.trace = obs.TraceContext{TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7", Sampled: rng.Intn(2) == 0}
+	}
+	if rng.Intn(3) == 0 {
+		for n := 1 + rng.Intn(8); n > 0; n-- {
+			c.batch = append(c.batch, randomRow(rng, rng.Intn(4)))
+		}
+	}
+	return c
+}
+
+// TestFramesByteIdenticalToReference: every message type, seeded random
+// contents, every request id width — the encoders write exactly the bytes
+// the boxing codec wrote, behind a header that says so, into a buffer
+// sized exactly once.
+func TestFramesByteIdenticalToReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	ids := []uint64{0, 1, 127, 128, 1 << 32, math.MaxUint64}
+	check := func(what string, frame, want []byte) {
+		t.Helper()
+		if !bytes.Equal(payload(frame), want) {
+			t.Fatalf("%s differs from the reference encoding:\n got %x\nwant %x", what, payload(frame), want)
+		}
+		if len(frame) != cap(frame) {
+			t.Fatalf("%s: sizing pass reserved %d bytes, encoding used %d", what, cap(frame), len(frame))
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		id := ids[rng.Intn(len(ids))]
+		rep := randomReply(rng)
+		check("response", encodeFrameResponse(id, rep), referenceEncodeResponse(id, classOf(rep.err), rep.toWire()))
+		c := randomCall(rng)
+		frame, err := encodeFrameRequest(id, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("request", frame, referenceEncodeRequest(id, c.toWire()))
+	}
+	// The handshake frames, against the parent's bytes spelled out.
+	for _, tenant := range []string{"", "acme", strings.Repeat("t", 200)} {
+		want := binary.AppendUvarint([]byte{frameHello, muxProtoVersion}, uint64(len(tenant)))
+		want = append(want, tenant...)
+		opener := encodeHello(tenant)
+		if !bytes.Equal(opener[len(muxMagic)+frameHeaderLen:], want) ||
+			binary.BigEndian.Uint32(opener[len(muxMagic):]) != uint32(len(want)) {
+			t.Errorf("hello for %q = %x", tenant, opener)
+		}
+	}
+	ack := encodeHelloAck(300, classUnavailable, "quota")
+	if want := append([]byte{frameHelloAck, muxProtoVersion, 0xac, 0x02, classUnavailable, 5}, "quota"...); !bytes.Equal(payload(ack), want) {
+		t.Errorf("hello-ack = %x, want %x", payload(ack), want)
+	}
+	// writeFrame seals the header over exactly the payload.
+	var out bytes.Buffer
+	if err := writeFrame(&out, ack); err != nil {
+		t.Fatal(err)
+	}
+	if got := binary.BigEndian.Uint32(out.Bytes()); int(got) != out.Len()-frameHeaderLen {
+		t.Errorf("header says %d payload bytes, frame carries %d", got, out.Len()-frameHeaderLen)
 	}
 }

@@ -3,9 +3,11 @@ package rpc
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
-	"reflect"
 	"testing"
+
+	"fedwf/internal/resil"
 )
 
 // The fuzz targets hold the framed protocol to two invariants on
@@ -22,13 +24,13 @@ func FuzzVarint(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
 	f.Add(binary.AppendUvarint(nil, 1<<63))
 	f.Add(binary.AppendVarint(nil, -42))
-	var seed wbuf
+	seed := newFrame(0)
 	seed.u64(300)
 	seed.i64(-150)
 	seed.str("supplier-\x00-binary")
 	seed.f64(3.25)
 	seed.boolv(true)
-	f.Add(seed.b)
+	f.Add(payload(seed.b))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := rbuf{b: data}
@@ -45,12 +47,22 @@ func FuzzVarint(f *testing.F) {
 			return
 		}
 		// Successful decode: re-encode and decode back to the same values.
+		// The sizing pass must count exactly the bytes the encoding pass
+		// then appends.
 		var w wbuf
-		w.u64(u)
-		w.i64(i)
-		w.str(s)
-		w.f64(fl)
-		w.boolv(b)
+		for range 2 {
+			w.u64(u)
+			w.i64(i)
+			w.str(s)
+			w.f64(fl)
+			w.boolv(b)
+			if w.b == nil {
+				w.b = make([]byte, 0, w.n)
+			}
+		}
+		if len(w.b) != w.n {
+			t.Fatalf("sizing pass counted %d bytes, encoding wrote %d", w.n, len(w.b))
+		}
 		r2 := rbuf{b: w.b}
 		if g := r2.u64("re u64"); g != u {
 			t.Fatalf("u64 round trip: %d != %d", g, u)
@@ -74,43 +86,158 @@ func FuzzVarint(f *testing.F) {
 	})
 }
 
+// decodeAllocFactor bounds what decoding may allocate per payload byte.
+// The worst honest input is a row of NULL cells: one byte each on the
+// wire, a 32-byte types.Value each in memory, in a chunk the arena may
+// just have doubled — 64 bytes per byte — under a row-header slice sized
+// by a count that one-byte rows back at 24 bytes each. 96 covers both at
+// once (and the metadata map's pre-sized buckets, the other allocation a
+// bare count drives); the boxing codec needed 56 for its []wireValue rows
+// before fromWireTable copied all of them again. decodeAllocSlack covers
+// the fixed structs of a message and one full arena chunk.
+const (
+	decodeAllocFactor = 96
+	decodeAllocSlack  = 2048 + arenaChunkBytes
+)
+
+// checkDecodeAlloc fails when decoding data allocates more than the
+// stated multiple of its length: no count in the payload — rows, cells,
+// columns, batch entries, metadata entries, string lengths — may size an
+// allocation the bytes behind it do not back.
+func checkDecodeAlloc(t *testing.T, data []byte) {
+	t.Helper()
+	limit := float64(decodeAllocFactor*len(data) + decodeAllocSlack)
+	for name, decode := range map[string]func(){
+		"request":  func() { decodeFrameRequest(data) },
+		"response": func() { decodeFrameResponse(data) },
+	} {
+		if got := bytesPerRun(1, decode); got > limit {
+			t.Fatalf("decoding %d bytes as a %s allocated %.0f, limit %.0f", len(data), name, got, limit)
+		}
+	}
+}
+
+// frameSeeds is the FuzzFrameDecode corpus: one valid payload of every
+// message type from the current encoders, plus two stubs.
+func frameSeeds() [][]byte {
+	request, _ := encodeFrameRequest(77, sampleCall())
+	return [][]byte{
+		payload(request),
+		payload(encodeFrameResponse(9, sampleReply())),
+		helloPayload("tenant-a"),
+		payload(encodeHelloAck(12, 0, "")),
+		payload(encodeHelloAck(0, 2, "admission rejected")),
+		{frameRequest},
+		{frameResponse, 0x80},
+		payload(encodeFrameResponse(4, &reply{err: fmt.Errorf("shed: %w", resil.ErrAppSysUnavailable)})),
+	}
+}
+
+// TestDecodeAllocationBound holds the seed corpus, every truncation of it,
+// and inputs built to lie — a row count, a cell count and a string length
+// each claiming all the bytes that follow — to the allocation bound.
+func TestDecodeAllocationBound(t *testing.T) {
+	inputs := frameSeeds()
+	for _, seed := range frameSeeds() {
+		for n := 1; n < len(seed); n += 7 {
+			inputs = append(inputs, seed[:n])
+		}
+	}
+	filler := bytes.Repeat([]byte{tagNull}, 1<<16)
+	lie := func(msgType byte, build func(w *wbuf)) {
+		w := newFrame(0)
+		w.byte1(msgType)
+		build(&w)
+		inputs = append(inputs, append(payload(w.b), filler...))
+	}
+	lie(frameRequest, func(w *wbuf) { // args: a cell count claiming the rest
+		w.u64(1)
+		w.str("s")
+		w.str("f")
+		w.u64(uint64(len(filler)))
+	})
+	lie(frameResponse, func(w *wbuf) { // a row count claiming the rest, then one-byte rows
+		w.u64(1)
+		w.byte1(classGeneric)
+		w.str("")
+		w.u64(0)
+		w.u64(uint64(len(filler)))
+	})
+	lie(frameResponse, func(w *wbuf) { // one row whose cell count claims the rest
+		w.u64(1)
+		w.byte1(classGeneric)
+		w.str("")
+		w.u64(0)
+		w.u64(1)
+		w.u64(uint64(len(filler) - 8))
+	})
+	lie(frameResponse, func(w *wbuf) { // a column count claiming the rest
+		w.u64(1)
+		w.byte1(classGeneric)
+		w.str("")
+		w.u64(uint64(len(filler)))
+	})
+	lie(frameResponse, func(w *wbuf) { // a metadata count claiming the rest
+		w.u64(1)
+		w.byte1(classGeneric)
+		w.str("")
+		w.u64(0)
+		w.u64(0)
+		w.u64(uint64(len(filler)))
+	})
+	lie(frameResponse, func(w *wbuf) { // honest: rows of NULLs, every chunk doubling
+		w.u64(1)
+		w.byte1(classGeneric)
+		w.str("")
+		w.u64(0)
+		w.u64(9)
+		for i := 0; i < 9; i++ {
+			w.u64(250)
+			w.b = append(w.b, filler[:250]...)
+		}
+	})
+	for _, in := range inputs {
+		checkDecodeAlloc(t, in)
+	}
+}
+
 // FuzzFrameDecode throws raw payloads at every frame decoder and checks
-// that successful decodes re-encode to an equivalent message. The framing
-// layer itself is exercised through readFrame with the fuzz input as the
-// wire, so lying length headers hit the chunked allocation path.
+// that successful decodes re-encode to an equivalent message, within the
+// allocation bound. The framing layer itself is exercised through
+// readFrame with the fuzz input as the wire, so lying length headers hit
+// the chunked allocation path.
 func FuzzFrameDecode(f *testing.F) {
-	f.Add(encodeFrameRequest(77, sampleRequest()))
-	f.Add(encodeFrameResponse(9, 3, sampleResponse()))
-	f.Add(encodeHello("tenant-a"))
-	f.Add(encodeHelloAck(12, 0, ""))
-	f.Add(encodeHelloAck(0, 2, "admission rejected"))
-	f.Add([]byte{frameRequest})
-	f.Add([]byte{frameResponse, 0x80})
+	for _, seed := range frameSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if id, wr, err := decodeFrameRequest(data); err == nil {
-			re := encodeFrameRequest(id, wr)
-			id2, wr2, err2 := decodeFrameRequest(re)
-			if err2 != nil || id2 != id || !equivRequest(wr, wr2) {
-				t.Fatalf("request re-encode mismatch: %v\n got %+v\nwant %+v", err2, wr2, wr)
+		checkDecodeAlloc(t, data)
+		if id, c, err := decodeFrameRequest(data); err == nil {
+			re, err := encodeFrameRequest(id, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id2, c2, err2 := decodeFrameRequest(payload(re))
+			if err2 != nil || id2 != id || !sameCall(c, c2) {
+				t.Fatalf("request re-encode mismatch: %v\n got %+v\nwant %+v", err2, c2, c)
 			}
 		}
-		if id, class, wr, err := decodeFrameResponse(data); err == nil {
-			re := encodeFrameResponse(id, class, wr)
-			id2, class2, wr2, err2 := decodeFrameResponse(re)
-			if err2 != nil || id2 != id || class2 != class || !equivResponse(wr, wr2) {
-				t.Fatalf("response re-encode mismatch: %v\n got %+v\nwant %+v", err2, wr2, wr)
+		if id, rep, err := decodeFrameResponse(data); err == nil {
+			re := encodeFrameResponse(id, rep)
+			id2, rep2, err2 := decodeFrameResponse(payload(re))
+			if err2 != nil || id2 != id || !sameReply(rep, rep2) {
+				t.Fatalf("response re-encode mismatch: %v\n got %+v\nwant %+v", err2, rep2, rep)
 			}
 		}
-		if version, tenant, err := decodeHello(data); err == nil {
-			_ = version
-			v2, tenant2, err2 := decodeHello(encodeHello(tenant))
+		if _, tenant, err := decodeHello(data); err == nil {
+			v2, tenant2, err2 := decodeHello(helloPayload(tenant))
 			if err2 != nil || v2 != muxProtoVersion || tenant2 != tenant {
 				t.Fatalf("hello re-encode mismatch: %v", err2)
 			}
 		}
 		if sid, class, msg, err := decodeHelloAck(data); err == nil {
-			sid2, class2, msg2, err2 := decodeHelloAck(encodeHelloAck(sid, class, msg))
+			sid2, class2, msg2, err2 := decodeHelloAck(payload(encodeHelloAck(sid, class, msg)))
 			if err2 != nil || sid2 != sid || class2 != class || msg2 != msg {
 				t.Fatalf("hello-ack re-encode mismatch: %v", err2)
 			}
@@ -120,7 +247,7 @@ func FuzzFrameDecode(f *testing.F) {
 		// original payload or a clean error, and a header longer than the
 		// body must never allocate the announced size.
 		var framed bytes.Buffer
-		if err := writeFrame(&framed, data); err == nil {
+		if err := writeFrame(&framed, append(make([]byte, frameHeaderLen), data...)); err == nil {
 			got, err := readFrame(&framed)
 			if err != nil || !bytes.Equal(got, data) {
 				t.Fatalf("readFrame(writeFrame(p)) != p: %v", err)
@@ -136,61 +263,4 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("truncated frame: want unexpected EOF, got %v", err)
 		}
 	})
-}
-
-// equivRequest compares decoded requests up to encoding-empty forms: the
-// codec writes nil and empty slices identically, so a decode of a
-// re-encode may normalize one to the other.
-func equivRequest(a, b *wireRequest) bool {
-	return reflect.DeepEqual(normReq(a), normReq(b))
-}
-
-func equivResponse(a, b *wireResponse) bool {
-	return reflect.DeepEqual(normRes(a), normRes(b))
-}
-
-func normReq(r *wireRequest) *wireRequest {
-	c := *r
-	c.Args = normRows([][]wireValue{c.Args})[0]
-	c.BatchRows = normRows(c.BatchRows)
-	if len(c.BatchRows) == 0 {
-		c.BatchRows = nil
-	}
-	return &c
-}
-
-func normRes(r *wireResponse) *wireResponse {
-	c := *r
-	if len(c.Columns) == 0 {
-		c.Columns = nil
-	}
-	c.Rows = normRows(c.Rows)
-	if len(c.Rows) == 0 {
-		c.Rows = nil
-	}
-	if len(c.Meta) == 0 {
-		c.Meta = nil
-	}
-	if len(c.Batch) == 0 {
-		c.Batch = nil
-	}
-	for i := range c.Batch {
-		if len(c.Batch[i].Columns) == 0 {
-			c.Batch[i].Columns = nil
-		}
-		c.Batch[i].Rows = normRows(c.Batch[i].Rows)
-		if len(c.Batch[i].Rows) == 0 {
-			c.Batch[i].Rows = nil
-		}
-	}
-	return &c
-}
-
-func normRows(rows [][]wireValue) [][]wireValue {
-	for i := range rows {
-		if len(rows[i]) == 0 {
-			rows[i] = nil
-		}
-	}
-	return rows
 }

@@ -13,14 +13,10 @@ package rpc
 import (
 	"bufio"
 	"context"
-	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
 
-	"fedwf/internal/obs"
-	"fedwf/internal/resil"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
 )
@@ -97,15 +93,8 @@ func tryMux(conn net.Conn, cfg dialConfig) (c *muxClient, negotiated bool, err e
 			return nil, false, &transportError{"handshake", err}
 		}
 	}
-	// Send magic + hello in one write so the negotiation is one segment.
-	hello := encodeHello(cfg.tenant)
-	buf := make([]byte, 0, len(muxMagic)+4+len(hello))
-	buf = append(buf, muxMagic...)
-	var hdr [4]byte
-	putFrameLen(hdr[:], len(hello))
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, hello...)
-	if _, err := conn.Write(buf); err != nil {
+	// Magic + hello go out in one write so the negotiation is one segment.
+	if _, err := conn.Write(encodeHello(cfg.tenant)); err != nil {
 		return nil, false, &transportError{"handshake send", err}
 	}
 	br := bufio.NewReader(conn)
@@ -127,23 +116,9 @@ func tryMux(conn net.Conn, cfg dialConfig) (c *muxClient, negotiated bool, err e
 			return nil, true, &transportError{"handshake", err}
 		}
 	}
-	mc := &muxClient{conn: conn, br: br, pending: make(map[uint64]chan muxReply), done: make(chan struct{})}
+	mc := &muxClient{conn: conn, br: br, pending: make(map[uint64]chan *reply), done: make(chan struct{})}
 	go mc.readLoop()
 	return mc, true, nil
-}
-
-// putFrameLen writes the 4-byte big-endian frame length header.
-func putFrameLen(dst []byte, n int) {
-	dst[0] = byte(n >> 24)
-	dst[1] = byte(n >> 16)
-	dst[2] = byte(n >> 8)
-	dst[3] = byte(n)
-}
-
-// muxReply is one dispatched response.
-type muxReply struct {
-	class uint8
-	res   *wireResponse
 }
 
 type muxClient struct {
@@ -152,7 +127,7 @@ type muxClient struct {
 	wmu  sync.Mutex // serializes frame writes
 
 	mu      sync.Mutex
-	pending map[uint64]chan muxReply
+	pending map[uint64]chan *reply
 	nextID  uint64
 	closed  bool
 	readErr error
@@ -167,7 +142,7 @@ func (c *muxClient) readLoop() {
 			c.fail(&transportError{"receive", err})
 			return
 		}
-		id, class, wres, err := decodeFrameResponse(payload)
+		id, rep, err := decodeFrameResponse(payload)
 		if err != nil {
 			c.fail(&transportError{"receive", err})
 			return
@@ -177,7 +152,7 @@ func (c *muxClient) readLoop() {
 		delete(c.pending, id)
 		c.mu.Unlock()
 		if ch != nil {
-			ch <- muxReply{class, wres}
+			ch <- rep
 		}
 	}
 }
@@ -195,11 +170,14 @@ func (c *muxClient) fail(err error) {
 	c.conn.Close()
 }
 
-// roundTrip sends one request frame and waits for its response. Unlike
-// the gob transport, cancellation only abandons this call — the
-// connection and its other in-flight calls stay healthy; the reader drops
-// the late response by its id.
-func (c *muxClient) roundTrip(ctx context.Context, wreq *wireRequest) (*wireResponse, uint8, error) {
+// roundTrip implements transport: it sends one request frame and waits
+// for its response. Unlike the gob transport, cancellation only abandons
+// this call — the connection and its other in-flight calls stay healthy;
+// the reader drops the late response by its id. A call too large to frame
+// fails as a plain error for the same reason. Server-reported failures
+// come back typed (errors.Is against the resil taxonomy works across the
+// wire), which the gob transport cannot offer.
+func (c *muxClient) roundTrip(ctx context.Context, cl *call) (*reply, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.readErr
@@ -207,122 +185,69 @@ func (c *muxClient) roundTrip(ctx context.Context, wreq *wireRequest) (*wireResp
 		if err == nil {
 			err = &transportError{"send", net.ErrClosed}
 		}
-		return nil, 0, err
+		return nil, err
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan muxReply, 1)
+	ch := make(chan *reply, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
-	frame := encodeFrameRequest(id, wreq)
-	c.wmu.Lock()
-	err := writeFrame(c.conn, frame)
-	c.wmu.Unlock()
+	frame, err := encodeFrameRequest(id, cl)
+	if err == nil {
+		c.wmu.Lock()
+		err = writeFrame(c.conn, frame)
+		c.wmu.Unlock()
+		if err != nil {
+			err = &transportError{"send", err}
+		}
+	}
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return nil, 0, &transportError{"send", err}
+		return nil, err
 	}
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
 	}
 	select {
-	case r := <-ch:
-		return r.res, r.class, nil
+	case rep := <-ch:
+		return rep, nil
 	case <-done:
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return nil, 0, &transportError{"call cancelled", ctx.Err()}
+		return nil, &transportError{"call cancelled", ctx.Err()}
 	case <-c.done:
 		// The reader died; drain a response that may have been dispatched
 		// before the failure.
 		select {
-		case r := <-ch:
-			return r.res, r.class, nil
+		case rep := <-ch:
+			return rep, nil
 		default:
 		}
 		c.mu.Lock()
 		err := c.readErr
 		c.mu.Unlock()
-		return nil, 0, err
+		return nil, err
 	}
 }
 
 // Call implements Client.
 func (c *muxClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-	res, _, err := c.CallMeta(ctx, task, req)
+	res, _, err := callMeta(ctx, task, c, req)
 	return res, err
 }
 
-// CallMeta implements MetaCaller over the framed protocol. Trace and
-// deadline propagation follow the gob transport; server-reported failures
-// come back typed (errors.Is against the resil taxonomy works across the
-// wire), which the gob transport cannot offer.
+// CallMeta implements MetaCaller over the framed protocol.
 func (c *muxClient) CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error) {
-	if err := resil.Check(ctx, task); err != nil {
-		return nil, nil, err
-	}
-	sp := obs.StartSpan(task, "rpc.call", obs.Attr{Key: "system", Value: req.System}, obs.Attr{Key: "function", Value: req.Function})
-	defer sp.End(task)
-	wreq := &wireRequest{System: req.System, Function: req.Function, Args: make([]wireValue, len(req.Args))}
-	for i, v := range req.Args {
-		wreq.Args[i] = toWireValue(v)
-	}
-	fillTraceDeadline(ctx, task, wreq, req.Trace)
-	wres, class, err := c.roundTrip(ctx, wreq)
-	if err != nil {
-		return nil, nil, err
-	}
-	graftReplyFragment(sp, wres.Meta)
-	if wres.Err != "" {
-		sp.SetAttr("error", wres.Err)
-		return nil, wres.Meta, errFromWire(class, wres.Err)
-	}
-	return fromWireTable(wres.Columns, wres.Rows), wres.Meta, nil
+	return callMeta(ctx, task, c, req)
 }
 
 // CallBatch implements BatchCaller over the framed protocol.
 func (c *muxClient) CallBatch(ctx context.Context, task *simlat.Task, req BatchRequest) ([]*types.Table, error) {
-	if err := resil.Check(ctx, task); err != nil {
-		return nil, err
-	}
-	sp := obs.StartSpan(task, "rpc.call.batch",
-		obs.Attr{Key: "system", Value: req.System},
-		obs.Attr{Key: "function", Value: req.Function},
-		obs.Attr{Key: "batch_size", Value: fmt.Sprintf("%d", len(req.Rows))})
-	defer sp.End(task)
-	wreq := &wireRequest{System: req.System, Function: req.Function, BatchRows: make([][]wireValue, len(req.Rows))}
-	for i, row := range req.Rows {
-		wr := make([]wireValue, len(row))
-		for j, v := range row {
-			wr[j] = toWireValue(v)
-		}
-		wreq.BatchRows[i] = wr
-	}
-	fillTraceDeadline(ctx, task, wreq, req.Trace)
-	wres, class, err := c.roundTrip(ctx, wreq)
-	if err != nil {
-		return nil, err
-	}
-	graftReplyFragment(sp, wres.Meta)
-	if wres.Err != "" {
-		sp.SetAttr("error", wres.Err)
-		return nil, errFromWire(class, wres.Err)
-	}
-	if len(wres.Batch) != len(req.Rows) {
-		return nil, fmt.Errorf("rpc: batch reply has %d entries for %d rows", len(wres.Batch), len(req.Rows))
-	}
-	out := make([]*types.Table, len(wres.Batch))
-	for i, e := range wres.Batch {
-		if e.Err != "" {
-			return nil, errors.New(e.Err)
-		}
-		out[i] = fromWireTable(e.Columns, e.Rows)
-	}
-	return out, nil
+	return callBatch(ctx, task, c, req)
 }
 
 // Close implements Client.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -369,5 +370,76 @@ func TestServerShedsOverloadTyped(t *testing.T) {
 	// The shed was a response, not a hangup: the connection still serves.
 	if _, err := c.Call(context.Background(), simlat.Free(), Request{System: "s", Function: "after"}); err != nil {
 		t.Fatalf("call after shed: %v", err)
+	}
+}
+
+// TestOversizedMessagesFailOnlyTheirCall: a result (or a request) that does
+// not fit one frame is an ordinary error for the call that produced it.
+// Before the encoder sized a frame ahead of writing it, writeFrame's
+// refusal was mistaken for a dead connection: the caller's id was never
+// answered, and every sibling and later statement on the session failed
+// with "context canceled".
+func TestOversizedMessagesFailOnlyTheirCall(t *testing.T) {
+	huge := strings.Repeat("x", maxFrameBytes+1)
+	var gates sync.Map
+	gates.Store("sibling", make(chan struct{}))
+	entered := make(chan string, 4)
+	gated := gatedHandler(&gates, entered)
+	srv := NewServer(func(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
+		tab, err := gated(ctx, task, req)
+		if err == nil && req.Function == "huge" {
+			tab.Rows[0][0] = types.NewString(huge)
+		}
+		return tab, err
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := DialMux(addr.String(), WithoutFallback())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	sibling := make(chan error, 1)
+	go func() {
+		_, err := c.Call(context.Background(), simlat.Free(), Request{System: "s", Function: "sibling"})
+		sibling <- err
+	}()
+	<-entered // the sibling is in its handler, on the same connection
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = c.Call(ctx, simlat.Free(), Request{System: "s", Function: "huge"})
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 64 MiB frame limit") || !strings.Contains(err.Error(), "rpc: result of") {
+		t.Fatalf("oversized result: got %v, want the frame-limit error", err)
+	}
+	if errors.Is(err, ErrTransport) {
+		t.Errorf("oversized result surfaced as a transport failure: %v", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("oversized result took %v to fail", d)
+	}
+
+	ch, _ := gates.Load("sibling")
+	close(ch.(chan struct{}))
+	if err := <-sibling; err != nil {
+		t.Errorf("sibling on the same connection failed: %v", err)
+	}
+	if _, err := c.Call(context.Background(), simlat.Free(), Request{System: "s", Function: "after"}); err != nil {
+		t.Errorf("next call on the same client failed: %v", err)
+	}
+
+	// Client side: a request too large to frame is refused before anything
+	// is written, as a plain error — a Pool must not retire the connection.
+	_, err = c.Call(context.Background(), simlat.Free(), Request{System: "s", Function: "f", Args: []types.Value{types.NewString(huge)}})
+	if err == nil || !strings.Contains(err.Error(), "rpc: request of") || errors.Is(err, ErrTransport) {
+		t.Errorf("oversized request: got %v, want a plain frame-limit error", err)
+	}
+	if _, err := c.Call(context.Background(), simlat.Free(), Request{System: "s", Function: "after"}); err != nil {
+		t.Errorf("call after the refused request failed: %v", err)
 	}
 }

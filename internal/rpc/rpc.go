@@ -326,6 +326,29 @@ func (f *faultClient) Close() error { return f.c.Close() }
 
 // ------------------------------------------------------------- wire form
 
+// call is one request as the handler side sees it, whichever transport
+// carried it: the framed codec reads and writes it directly, the gob loop
+// converts it to and from wireRequest.
+type call struct {
+	system, function string
+	args             []types.Value
+	batch            [][]types.Value // non-empty: one result table per row; args is irrelevant
+	trace            obs.TraceContext
+	deadlineMS       int64 // statement time remaining at send, paper ms; 0: none
+}
+
+// reply is the transport-neutral answer to a call.
+type reply struct {
+	err       error        // handler or admission failure; typed again on the client
+	table     *types.Table // nil on error
+	meta      map[string]string
+	batch     []*types.Table // set-oriented replies: one table per request row
+	batchErrs []string       // per-entry failures a peer reported, parallel to batch; nil if none
+}
+
+// The structs below are the gob transport's image of call and reply. Only
+// the gob loop, the gob client and their compat tests touch them.
+
 // wireValue is the gob-encodable image of a types.Value.
 type wireValue struct {
 	Kind uint8
@@ -433,6 +456,15 @@ func RegisterWireTypes() {
 	})
 }
 
+// convRow maps f over a row: the gob transport's per-cell boxing.
+func convRow[A, B any](row []A, f func(A) B) []B {
+	out := make([]B, len(row))
+	for i, v := range row {
+		out[i] = f(v)
+	}
+	return out
+}
+
 func toWireTable(t *types.Table) ([]wireColumn, [][]wireValue) {
 	cols := make([]wireColumn, len(t.Schema))
 	for i, c := range t.Schema {
@@ -440,11 +472,7 @@ func toWireTable(t *types.Table) ([]wireColumn, [][]wireValue) {
 	}
 	rows := make([][]wireValue, len(t.Rows))
 	for i, r := range t.Rows {
-		wr := make([]wireValue, len(r))
-		for j, v := range r {
-			wr[j] = toWireValue(v)
-		}
-		rows[i] = wr
+		rows[i] = convRow(r, toWireValue)
 	}
 	return cols, rows
 }
@@ -456,13 +484,61 @@ func fromWireTable(cols []wireColumn, rows [][]wireValue) *types.Table {
 	}
 	out := types.NewTable(schema)
 	for _, wr := range rows {
-		r := make(types.Row, len(wr))
-		for j, w := range wr {
-			r[j] = fromWireValue(w)
-		}
-		out.Rows = append(out.Rows, r)
+		out.Rows = append(out.Rows, convRow(wr, fromWireValue))
 	}
 	return out
+}
+
+func (c *call) toWire() *wireRequest {
+	w := &wireRequest{System: c.system, Function: c.function, Args: convRow(c.args, toWireValue),
+		TraceID: c.trace.TraceID, SpanID: c.trace.SpanID, Sampled: c.trace.Sampled, DeadlineMS: c.deadlineMS}
+	for _, row := range c.batch {
+		w.BatchRows = append(w.BatchRows, convRow(row, toWireValue))
+	}
+	return w
+}
+
+func callFromWire(w *wireRequest) *call {
+	c := &call{system: w.System, function: w.Function, args: convRow(w.Args, fromWireValue),
+		trace:      obs.TraceContext{TraceID: w.TraceID, SpanID: w.SpanID, Sampled: w.Sampled},
+		deadlineMS: w.DeadlineMS}
+	for _, row := range w.BatchRows {
+		c.batch = append(c.batch, convRow(row, fromWireValue))
+	}
+	return c
+}
+
+func (r *reply) toWire() *wireResponse {
+	w := &wireResponse{Meta: r.meta}
+	if r.err != nil {
+		w.Err = r.err.Error()
+	}
+	if r.table != nil {
+		w.Columns, w.Rows = toWireTable(r.table)
+	}
+	for i, t := range r.batch {
+		var e wireBatchEntry
+		e.Columns, e.Rows = toWireTable(t)
+		if i < len(r.batchErrs) {
+			e.Err = r.batchErrs[i]
+		}
+		w.Batch = append(w.Batch, e)
+	}
+	return w
+}
+
+func replyFromWire(w *wireResponse) *reply {
+	r := &reply{meta: w.Meta}
+	if w.Err != "" {
+		r.err = errors.New(w.Err)
+		return r
+	}
+	r.table = fromWireTable(w.Columns, w.Rows)
+	for _, e := range w.Batch {
+		r.batch = append(r.batch, fromWireTable(e.Columns, e.Rows))
+		r.batchErrs = append(r.batchErrs, e.Err)
+	}
+	return r
 }
 
 // ------------------------------------------------------------ TCP server
@@ -627,8 +703,7 @@ func (s *Server) serveGob(conn net.Conn, br *bufio.Reader) {
 		s.beginRequest()
 		//fedlint:ignore ctxfirst the connection handler is a request root; there is no caller context to thread
 		ctx := context.Background()
-		wres, _ := s.handleWire(ctx, DefaultTenant, &wreq)
-		encErr := enc.Encode(wres)
+		encErr := enc.Encode(s.handleWire(ctx, DefaultTenant, callFromWire(&wreq)).toWire())
 		s.endRequest()
 		if encErr != nil {
 			return
@@ -680,104 +755,72 @@ func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader) {
 		if err != nil {
 			return
 		}
-		id, wreq, err := decodeFrameRequest(payload)
+		id, c, err := decodeFrameRequest(payload)
 		if err != nil {
 			return
 		}
 		s.beginRequest()
 		reqWG.Add(1)
-		go func(id uint64, wreq *wireRequest) {
+		go func(id uint64, c *call) {
 			defer reqWG.Done()
 			defer s.endRequest()
-			wres, herr := s.handleWire(connCtx, tenant, wreq)
-			frame := encodeFrameResponse(id, classOf(herr), wres)
+			frame := encodeFrameResponse(id, s.handleWire(connCtx, tenant, c))
 			wmu.Lock()
 			werr := writeFrame(conn, frame)
 			wmu.Unlock()
 			if werr != nil {
 				cancel() // the connection is dead; unblock siblings
 			}
-		}(id, wreq)
+		}(id, c)
 	}
 }
 
-// handleWire executes one decoded wire request — admission, deadline
-// re-arming, tracing, row or batch dispatch — and returns the wire
-// response plus the handler error (for the framed path's error class).
-// Both transport loops share it, so admission and tracing behave
-// identically regardless of protocol.
-func (s *Server) handleWire(ctx context.Context, tenant string, wreq *wireRequest) (*wireResponse, error) {
-	wres := &wireResponse{}
-	req := Request{System: wreq.System, Function: wreq.Function,
-		Trace: obs.TraceContext{TraceID: wreq.TraceID, SpanID: wreq.SpanID, Sampled: wreq.Sampled}}
-	if wreq.DeadlineMS > 0 {
+// handleWire executes one call — admission, deadline re-arming, tracing,
+// row or batch dispatch — and returns its reply; a failure rides in
+// reply.err (the framed path derives the error class from it). Both
+// transport loops share it, so admission and tracing behave identically
+// regardless of protocol.
+func (s *Server) handleWire(ctx context.Context, tenant string, c *call) *reply {
+	rep := &reply{}
+	if c.deadlineMS > 0 {
 		// Re-arm the remaining statement time as a relative timeout;
 		// the handler anchors it to whatever task it runs under. The
 		// admission wait below burns the same budget.
-		ctx = resil.WithTimeout(ctx, time.Duration(wreq.DeadlineMS)*simlat.PaperMS)
+		ctx = resil.WithTimeout(ctx, time.Duration(c.deadlineMS)*simlat.PaperMS)
 	}
 	release, aerr := s.adm.Admit(ctx, tenant)
 	if aerr != nil {
-		wres.Err = aerr.Error()
-		return wres, aerr
+		rep.err = aerr
+		return rep
 	}
 	defer release()
-	args := make([]types.Value, len(wreq.Args))
-	for i, w := range wreq.Args {
-		args[i] = fromWireValue(w)
-	}
-	req.Args = args
 	task := simlat.Free()
 	var tr *obs.Tracer
-	if req.Trace.Sampled {
+	if c.trace.Sampled {
 		// A sampled request gets a real-time meter (scale 0: Elapsed
 		// reads the wall clock, simulated charges never sleep) so the
 		// server-side spans carry true serving durations, and a local
 		// root under the remote parent's trace.
 		task = simlat.NewWallTask(0)
 		tr = obs.Trace(task, "rpc.serve",
-			obs.Attr{Key: "system", Value: req.System},
-			obs.Attr{Key: "function", Value: req.Function})
-		tr.Root().SetTraceID(req.Trace.TraceID)
+			obs.Attr{Key: "system", Value: c.system},
+			obs.Attr{Key: "function", Value: c.function})
+		tr.Root().SetTraceID(c.trace.TraceID)
 	}
-	var meta map[string]string
-	var err error
-	if len(wreq.BatchRows) > 0 {
-		rows := make([][]types.Value, len(wreq.BatchRows))
-		for i, wr := range wreq.BatchRows {
-			row := make([]types.Value, len(wr))
-			for j, w := range wr {
-				row[j] = fromWireValue(w)
-			}
-			rows[i] = row
-		}
-		var tables []*types.Table
-		tables, err = s.serveBatch(ctx, task, BatchRequest{
-			System: req.System, Function: req.Function, Rows: rows, Trace: req.Trace})
-		if err != nil {
-			wres.Err = err.Error()
-		} else {
-			wres.Batch = make([]wireBatchEntry, len(tables))
-			for i, t := range tables {
-				var e wireBatchEntry
-				e.Columns, e.Rows = toWireTable(t)
-				wres.Batch[i] = e
-			}
-		}
+	if len(c.batch) > 0 {
+		rep.batch, rep.err = s.serveBatch(ctx, task, BatchRequest{
+			System: c.system, Function: c.function, Rows: c.batch, Trace: c.trace})
 	} else {
-		var res *types.Table
-		res, meta, err = s.h(ctx, task, req)
-		if err != nil {
-			wres.Err = err.Error()
-		} else {
-			wres.Columns, wres.Rows = toWireTable(res)
+		rep.table, rep.meta, rep.err = s.h(ctx, task, Request{
+			System: c.system, Function: c.function, Args: c.args, Trace: c.trace})
+		if rep.err != nil {
+			rep.table = nil // a failed call ships its error and metadata only
 		}
 	}
 	if tr != nil {
-		meta = s.finishServeTrace(tr, req.Trace, meta, err)
+		rep.meta = s.finishServeTrace(tr, c.trace, rep.meta, rep.err)
 	}
-	wres.Meta = meta
-	return wres, err
+	return rep
 }
 
 // serveBatch dispatches a set-oriented request to the batch handler, or —
@@ -912,16 +955,18 @@ func (s *Server) Shutdown(grace time.Duration) error {
 
 // ------------------------------------------------------------ TCP client
 
-// fillTraceDeadline stamps the trace context and the remaining statement
-// deadline onto an outgoing wire request; both remote transports share it.
-func fillTraceDeadline(ctx context.Context, task *simlat.Task, wreq *wireRequest, tc obs.TraceContext) {
+// newCall starts an outgoing call: the trace context (the task's live span
+// unless the request carries a sampled one) and the remaining statement
+// deadline; both remote transports share it.
+func newCall(ctx context.Context, task *simlat.Task, system, function string, tc obs.TraceContext) *call {
 	if !tc.Sampled {
 		tc = obs.ContextFrom(task)
 	}
-	wreq.TraceID, wreq.SpanID, wreq.Sampled = tc.TraceID, tc.SpanID, tc.Sampled
+	c := &call{system: system, function: function, trace: tc}
 	if rem, ok := resil.Remaining(ctx, task); ok && rem > 0 {
-		wreq.DeadlineMS = int64(rem / simlat.PaperMS)
+		c.deadlineMS = int64(rem / simlat.PaperMS)
 	}
+	return c
 }
 
 // graftReplyFragment grafts a server-side span fragment shipped in the
@@ -938,6 +983,74 @@ func graftReplyFragment(sp *obs.Span, meta map[string]string) {
 		}
 	}
 	delete(meta, obs.MetaTraceFragment)
+}
+
+// transport is what the two remote clients differ in: carrying one call
+// to the server and its reply back. The error is the transport's own
+// failure; what the server reported is in the reply.
+type transport interface {
+	roundTrip(ctx context.Context, c *call) (*reply, error)
+}
+
+// callMeta is CallMeta over either remote transport. When the task carries
+// a live trace, the span's context travels with the call and the server's
+// span fragment — returned in the response metadata — is grafted under the
+// local rpc.call span, stitching the cross-process waterfall. The
+// statement's remaining deadline ships with the call.
+func callMeta(ctx context.Context, task *simlat.Task, t transport, req Request) (*types.Table, map[string]string, error) {
+	if err := resil.Check(ctx, task); err != nil {
+		return nil, nil, err
+	}
+	sp := obs.StartSpan(task, "rpc.call", obs.Attr{Key: "system", Value: req.System}, obs.Attr{Key: "function", Value: req.Function})
+	defer sp.End(task)
+	c := newCall(ctx, task, req.System, req.Function, req.Trace)
+	c.args = req.Args
+	rep, err := t.roundTrip(ctx, c)
+	if err != nil {
+		return nil, nil, err
+	}
+	graftReplyFragment(sp, rep.meta)
+	if rep.err != nil {
+		sp.SetAttr("error", rep.err.Error())
+		return nil, rep.meta, rep.err
+	}
+	return rep.table, rep.meta, nil
+}
+
+// callBatch is CallBatch over either remote transport: N parameter rows
+// travel in one wire request and the reply carries one table (or error)
+// per row. Deadline and trace propagation follow callMeta. A server that
+// predates batch support replies in the single-row shape; that surfaces
+// here as an explicit error rather than silently dropping rows.
+func callBatch(ctx context.Context, task *simlat.Task, t transport, req BatchRequest) ([]*types.Table, error) {
+	if err := resil.Check(ctx, task); err != nil {
+		return nil, err
+	}
+	sp := obs.StartSpan(task, "rpc.call.batch",
+		obs.Attr{Key: "system", Value: req.System},
+		obs.Attr{Key: "function", Value: req.Function},
+		obs.Attr{Key: "batch_size", Value: fmt.Sprintf("%d", len(req.Rows))})
+	defer sp.End(task)
+	c := newCall(ctx, task, req.System, req.Function, req.Trace)
+	c.batch = req.Rows
+	rep, err := t.roundTrip(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	graftReplyFragment(sp, rep.meta)
+	if rep.err != nil {
+		sp.SetAttr("error", rep.err.Error())
+		return nil, rep.err
+	}
+	if len(rep.batch) != len(req.Rows) {
+		return nil, fmt.Errorf("rpc: batch reply has %d entries for %d rows (server predates batch support?)", len(rep.batch), len(req.Rows))
+	}
+	for _, msg := range rep.batchErrs {
+		if msg != "" {
+			return nil, errors.New(msg)
+		}
+	}
+	return rep.batch, nil
 }
 
 type tcpClient struct {
@@ -961,32 +1074,29 @@ func Dial(addr string) (Client, error) {
 // Call implements Client. The task is not transmitted; TCP callees charge
 // their own clocks (wall-mode semantics).
 func (c *tcpClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-	res, _, err := c.CallMeta(ctx, task, req)
+	res, _, err := callMeta(ctx, task, c, req)
 	return res, err
 }
 
-// CallMeta implements MetaCaller over the wire. When the task carries a
-// live trace, the span's context is serialized with the request and the
-// server's span fragment — returned in the response metadata — is grafted
-// under the local rpc.call span, stitching the cross-process waterfall.
-// The statement's remaining deadline ships with the request; cancelling
-// ctx while the call is in flight aborts the blocked read (the connection
-// is not reusable afterwards — cancellation is terminal for a statement).
+// CallMeta implements MetaCaller over the wire.
 func (c *tcpClient) CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error) {
-	if err := resil.Check(ctx, task); err != nil {
-		return nil, nil, err
-	}
-	sp := obs.StartSpan(task, "rpc.call", obs.Attr{Key: "system", Value: req.System}, obs.Attr{Key: "function", Value: req.Function})
-	defer sp.End(task)
+	return callMeta(ctx, task, c, req)
+}
+
+// CallBatch implements BatchCaller over the wire.
+func (c *tcpClient) CallBatch(ctx context.Context, task *simlat.Task, req BatchRequest) ([]*types.Table, error) {
+	return callBatch(ctx, task, c, req)
+}
+
+// roundTrip implements transport: one gob message each way, converted to
+// and from the wire structs here. Cancelling ctx while the call is in
+// flight aborts the blocked read (the connection is not reusable
+// afterwards — cancellation is terminal for a statement).
+func (c *tcpClient) roundTrip(ctx context.Context, cl *call) (*reply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	wreq := wireRequest{System: req.System, Function: req.Function, Args: make([]wireValue, len(req.Args))}
-	for i, v := range req.Args {
-		wreq.Args[i] = toWireValue(v)
-	}
-	fillTraceDeadline(ctx, task, &wreq, req.Trace)
-	if err := c.enc.Encode(&wreq); err != nil {
-		return nil, nil, &transportError{"send", err}
+	if err := c.enc.Encode(cl.toWire()); err != nil {
+		return nil, &transportError{"send", err}
 	}
 	var watchDone chan struct{}
 	if ctx != nil && ctx.Done() != nil {
@@ -1008,84 +1118,11 @@ func (c *tcpClient) CallMeta(ctx context.Context, task *simlat.Task, req Request
 	}
 	if err != nil {
 		if ctx != nil && ctx.Err() != nil {
-			return nil, nil, &transportError{"call cancelled", ctx.Err()}
-		}
-		return nil, nil, &transportError{"receive", err}
-	}
-	graftReplyFragment(sp, wres.Meta)
-	if wres.Err != "" {
-		sp.SetAttr("error", wres.Err)
-		return nil, wres.Meta, errors.New(wres.Err)
-	}
-	return fromWireTable(wres.Columns, wres.Rows), wres.Meta, nil
-}
-
-// CallBatch implements BatchCaller over the wire: N parameter rows travel
-// in one gob frame and the reply carries one table (or error) per row.
-// Deadline and trace propagation follow CallMeta. A server that predates
-// batch support replies in the single-row shape; that surfaces here as an
-// explicit error rather than silently dropping rows.
-func (c *tcpClient) CallBatch(ctx context.Context, task *simlat.Task, req BatchRequest) ([]*types.Table, error) {
-	if err := resil.Check(ctx, task); err != nil {
-		return nil, err
-	}
-	sp := obs.StartSpan(task, "rpc.call.batch",
-		obs.Attr{Key: "system", Value: req.System},
-		obs.Attr{Key: "function", Value: req.Function},
-		obs.Attr{Key: "batch_size", Value: fmt.Sprintf("%d", len(req.Rows))})
-	defer sp.End(task)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	wreq := wireRequest{System: req.System, Function: req.Function, BatchRows: make([][]wireValue, len(req.Rows))}
-	for i, row := range req.Rows {
-		wr := make([]wireValue, len(row))
-		for j, v := range row {
-			wr[j] = toWireValue(v)
-		}
-		wreq.BatchRows[i] = wr
-	}
-	fillTraceDeadline(ctx, task, &wreq, req.Trace)
-	if err := c.enc.Encode(&wreq); err != nil {
-		return nil, &transportError{"send", err}
-	}
-	var watchDone chan struct{}
-	if ctx != nil && ctx.Done() != nil {
-		watchDone = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				c.conn.SetReadDeadline(time.Unix(1, 0))
-			case <-watchDone:
-			}
-		}()
-	}
-	var wres wireResponse
-	err := c.dec.Decode(&wres)
-	if watchDone != nil {
-		close(watchDone)
-	}
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
 			return nil, &transportError{"call cancelled", ctx.Err()}
 		}
 		return nil, &transportError{"receive", err}
 	}
-	graftReplyFragment(sp, wres.Meta)
-	if wres.Err != "" {
-		sp.SetAttr("error", wres.Err)
-		return nil, errors.New(wres.Err)
-	}
-	if len(wres.Batch) != len(req.Rows) {
-		return nil, fmt.Errorf("rpc: batch reply has %d entries for %d rows (server predates batch support?)", len(wres.Batch), len(req.Rows))
-	}
-	out := make([]*types.Table, len(wres.Batch))
-	for i, e := range wres.Batch {
-		if e.Err != "" {
-			return nil, errors.New(e.Err)
-		}
-		out[i] = fromWireTable(e.Columns, e.Rows)
-	}
-	return out, nil
+	return replyFromWire(&wres), nil
 }
 
 // Close implements Client.
