@@ -53,11 +53,11 @@ func benchStacks(b *testing.B) (*fedfunc.Stack, *fedfunc.Stack) {
 // paperMSOf measures one hot call on the virtual clock, in paper-ms.
 func paperMSOf(b *testing.B, s *fedfunc.Stack, spec *fedfunc.Spec) float64 {
 	b.Helper()
-	if _, err := s.CallSpec(simlat.Free(), spec, 0); err != nil {
+	if _, err := s.CallSpecContext(context.Background(), simlat.Free(), spec, 0); err != nil {
 		b.Fatal(err)
 	}
 	task := simlat.NewVirtualTask()
-	if _, err := s.CallSpec(task, spec, 0); err != nil {
+	if _, err := s.CallSpecContext(context.Background(), task, spec, 0); err != nil {
 		b.Fatal(err)
 	}
 	return float64(task.Elapsed()) / float64(simlat.PaperMS)
@@ -69,7 +69,7 @@ func benchStackCall(b *testing.B, s *fedfunc.Stack, spec *fedfunc.Spec) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		task := simlat.NewWallTask(benchScale)
-		if _, err := s.CallSpec(task, spec, 0); err != nil {
+		if _, err := s.CallSpecContext(context.Background(), task, spec, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -145,7 +145,7 @@ func BenchmarkBootStates(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				wf.Flush(bc.level)
 				task := simlat.NewWallTask(benchScale)
-				if _, err := wf.CallSpec(task, spec, 0); err != nil {
+				if _, err := wf.CallSpecContext(context.Background(), task, spec, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -199,13 +199,13 @@ func BenchmarkLoopScaling(b *testing.B) {
 			if err := stack.RegisterProcess(process); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := stack.Call(simlat.Free(), process.Name, nil); err != nil {
+			if _, err := stack.CallContext(context.Background(), simlat.Free(), process.Name, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				task := simlat.NewWallTask(benchScale)
-				if _, err := stack.Call(task, process.Name, nil); err != nil {
+				if _, err := stack.CallContext(context.Background(), task, process.Name, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -271,8 +271,8 @@ func BenchmarkParser(b *testing.B) {
 func BenchmarkExecutorJoin(b *testing.B) {
 	eng := engine.New()
 	s := eng.NewSession()
-	s.MustExec("CREATE TABLE l (K INT, V INT)")
-	s.MustExec("CREATE TABLE r (K INT, W INT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE l (K INT, V INT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE r (K INT, W INT)")
 	lt, err := eng.Catalog().Table("l")
 	if err != nil {
 		b.Fatal(err)
@@ -295,7 +295,7 @@ func BenchmarkExecutorJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Query(query); err != nil {
+		if _, err := s.QueryContext(context.Background(), query); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -309,8 +309,8 @@ func BenchmarkJoinStrategyAblation(b *testing.B) {
 		eng := engine.New()
 		eng.SetPlanOptions(opts)
 		s := eng.NewSession()
-		s.MustExec("CREATE TABLE l (K INT, V INT)")
-		s.MustExec("CREATE TABLE r (K INT, W INT)")
+		s.MustExecContext(context.Background(), "CREATE TABLE l (K INT, V INT)")
+		s.MustExecContext(context.Background(), "CREATE TABLE r (K INT, W INT)")
 		lt, _ := eng.Catalog().Table("l")
 		rt, _ := eng.Catalog().Table("r")
 		for i := 0; i < 1000; i++ {
@@ -339,7 +339,7 @@ func BenchmarkJoinStrategyAblation(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Query(query); err != nil {
+				if _, err := s.QueryContext(context.Background(), query); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -359,7 +359,7 @@ func BenchmarkNavigatorAblation(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return sys.Call(task, function, args)
+		return sys.CallContext(context.Background(), task, function, args)
 	})
 	spec, err := fedfunc.SpecByName("GetSuppQualRelia")
 	if err != nil {
@@ -376,14 +376,14 @@ func BenchmarkNavigatorAblation(b *testing.B) {
 			eng.SetSerial(bc.serial)
 			// Deterministic paper-time metric.
 			vt := simlat.NewVirtualTask()
-			if _, err := eng.Run(vt, spec.Process(), input); err != nil {
+			if _, err := eng.RunContext(context.Background(), vt, spec.Process(), input); err != nil {
 				b.Fatal(err)
 			}
 			paperMS := float64(vt.Elapsed()) / float64(simlat.PaperMS)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				task := simlat.NewWallTask(benchScale)
-				if _, err := eng.Run(task, spec.Process(), input); err != nil {
+				if _, err := eng.RunContext(context.Background(), task, spec.Process(), input); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -431,7 +431,7 @@ func BenchmarkWorkflowNavigator(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return sys.Call(task, function, args)
+		return sys.CallContext(context.Background(), task, function, args)
 	})
 	eng := wfms.New(invoker, wfms.Costs{})
 	spec, err := fedfunc.SpecByName("BuySuppComp")
@@ -446,7 +446,7 @@ func BenchmarkWorkflowNavigator(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(simlat.Free(), process, input); err != nil {
+		if _, err := eng.RunContext(context.Background(), simlat.Free(), process, input); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -468,9 +468,9 @@ func BenchmarkParallelLateral(b *testing.B) {
 	eng := stack.Engine()
 	eng.SetFunctionCache(true)
 	session := eng.NewSession()
-	session.MustExec("CREATE TABLE bench_driver (SupplierNo INT)")
+	session.MustExecContext(context.Background(), "CREATE TABLE bench_driver (SupplierNo INT)")
 	for i := 0; i < 16; i++ {
-		session.MustExec(fmt.Sprintf("INSERT INTO bench_driver VALUES (%d)", 1+i%8))
+		session.MustExecContext(context.Background(), fmt.Sprintf("INSERT INTO bench_driver VALUES (%d)", 1+i%8))
 	}
 	query := "SELECT COUNT(*) FROM bench_driver d, TABLE (GetSuppQualRelia(d.SupplierNo)) AS F"
 	for _, dop := range []int{1, 2, 4, 8} {
@@ -483,12 +483,12 @@ func BenchmarkParallelLateral(b *testing.B) {
 			}
 			defer eng.SetParallelism(0)
 			session.SetTask(simlat.Free())
-			if _, err := session.Query(query); err != nil { // warm
+			if _, err := session.QueryContext(context.Background(), query); err != nil { // warm
 				b.Fatal(err)
 			}
 			vt := simlat.NewVirtualTask()
 			session.SetTask(vt)
-			if _, err := session.Query(query); err != nil {
+			if _, err := session.QueryContext(context.Background(), query); err != nil {
 				b.Fatal(err)
 			}
 			paperMS := float64(vt.Elapsed()) / float64(simlat.PaperMS)
@@ -496,7 +496,7 @@ func BenchmarkParallelLateral(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				task := simlat.NewWallTask(benchScale)
 				session.SetTask(task)
-				if _, err := session.Query(query); err != nil {
+				if _, err := session.QueryContext(context.Background(), query); err != nil {
 					b.Fatal(err)
 				}
 			}

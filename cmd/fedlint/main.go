@@ -9,15 +9,13 @@
 //	go run ./cmd/fedlint ./...
 //	go run ./cmd/fedlint -json ./...
 //	go run ./cmd/fedlint -list
-//	go run ./cmd/fedlint -update-wireschema
 //
 // The only supported pattern is ./... (the whole module); fedlint's rules
 // are cross-package (layering, harness restrictions), so partial loads
 // would weaken them. Findings print as file:line:col: message [rule] —
 // or, with -json, as a JSON array of {file,line,col,rule,message} for
 // editor and CI integration — and can be suppressed in place with
-// //fedlint:ignore <rule> <reason>. -update-wireschema regenerates the
-// wireschema.json goldens that the wirecompat rule checks drift against.
+// //fedlint:ignore <rule> <reason>.
 package main
 
 import (
@@ -33,9 +31,8 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list the analyzer rules and exit")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array of {file,line,col,rule,message}")
-	updateWire := flag.Bool("update-wireschema", false, "regenerate the wireschema.json goldens and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: fedlint [-list] [-json] [-update-wireschema] ./...\n\nrules:\n")
+		fmt.Fprintf(os.Stderr, "usage: fedlint [-list] [-json] ./...\n\nrules:\n")
 		for _, a := range lintrules.Analyzers() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -70,21 +67,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fedlint:", err)
 		os.Exit(2)
-	}
-
-	if *updateWire {
-		written, err := lintrules.UpdateWireSchemas(pkgs)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "fedlint:", err)
-			os.Exit(2)
-		}
-		for _, path := range written {
-			if rel, err := filepath.Rel(root, path); err == nil {
-				path = rel
-			}
-			fmt.Println("wrote", path)
-		}
-		return
 	}
 
 	diags := lintrules.RunAnalyzers(pkgs, lintrules.Analyzers())

@@ -13,11 +13,10 @@
 // flags override the file, so a deployment config can be overridden ad
 // hoc. An unknown key in the JSON file is an error, not a silent default.
 //
-// The listener speaks both wire protocols: new clients negotiate the
-// framed multiplexed protocol (pipelined statements, per-session tenant
-// accounting, typed errors), old clients fall through to the serialized
-// gob transport. The -max-sessions-per-tenant, -max-concurrent-per-tenant
-// and -admission-queue-depth flags bound what one tenant may hold open
+// The listener speaks the framed multiplexed protocol (pipelined
+// statements, per-session tenant accounting, typed errors); a connection
+// that opens with anything else is closed. The -max-sessions-per-tenant,
+// -max-concurrent-per-tenant and -admission-queue-depth flags bound what one tenant may hold open
 // and in flight; requests beyond the bounded queue are shed immediately
 // with a typed "unavailable" error instead of queueing without bound.
 // Session and admission traffic surfaces as fedwf_sessions_* and

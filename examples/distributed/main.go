@@ -40,8 +40,7 @@ func main() {
 	// "Local" side: the integration server reaches them through a bounded
 	// pool of framed multiplexed connections — parallel lateral workers
 	// pipeline their calls over a few shared sockets instead of dialing
-	// per call. DialMux negotiates the framed protocol and falls back to
-	// the serialized gob transport against servers that predate it.
+	// per call.
 	client := rpc.NewPool(4, func() (rpc.Client, error) {
 		return rpc.DialMux(addr.String())
 	})

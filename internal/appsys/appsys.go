@@ -86,14 +86,6 @@ func (s *System) Functions() []string {
 	return out
 }
 
-// Call invokes a local function without deadline awareness.
-//
-// Deprecated: use CallContext; this shim delegates with a background
-// context.
-func (s *System) Call(task *simlat.Task, name string, args []types.Value) (*types.Table, error) {
-	return s.CallContext(context.Background(), task, name, args)
-}
-
 // CallContext invokes a local function: the statement deadline is checked
 // first, arguments are cast to the declared parameter types, the service
 // time is charged to the task, and the result is coerced to the declared
@@ -201,14 +193,6 @@ func (r *Registry) Systems() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Call routes an invocation to the named system.
-//
-// Deprecated: use CallContext; this shim delegates with a background
-// context.
-func (r *Registry) Call(task *simlat.Task, system, function string, args []types.Value) (*types.Table, error) {
-	return r.CallContext(context.Background(), task, system, function, args)
 }
 
 // CallContext routes an invocation to the named system. An unknown system

@@ -11,7 +11,7 @@ import (
 
 func call(t *testing.T, reg *Registry, system, fn string, args ...types.Value) *types.Table {
 	t.Helper()
-	tab, err := reg.Call(simlat.Free(), system, fn, args)
+	tab, err := reg.CallContext(context.Background(), simlat.Free(), system, fn, args)
 	if err != nil {
 		t.Fatalf("%s.%s: %v", system, fn, err)
 	}
@@ -156,20 +156,20 @@ func TestGetCompSupp4Discount(t *testing.T) {
 
 func TestCallValidation(t *testing.T) {
 	reg := MustBuildScenario()
-	if _, err := reg.Call(nil, "nosuch", "GetQuality", nil); err == nil {
+	if _, err := reg.CallContext(context.Background(), nil, "nosuch", "GetQuality", nil); err == nil {
 		t.Error("unknown system accepted")
 	}
-	if _, err := reg.Call(nil, StockKeeping, "NoFn", nil); err == nil {
+	if _, err := reg.CallContext(context.Background(), nil, StockKeeping, "NoFn", nil); err == nil {
 		t.Error("unknown function accepted")
 	}
-	if _, err := reg.Call(nil, StockKeeping, "GetQuality", nil); err == nil {
+	if _, err := reg.CallContext(context.Background(), nil, StockKeeping, "GetQuality", nil); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	if _, err := reg.Call(nil, StockKeeping, "GetQuality", []types.Value{types.NewString("x")}); err == nil {
+	if _, err := reg.CallContext(context.Background(), nil, StockKeeping, "GetQuality", []types.Value{types.NewString("x")}); err == nil {
 		t.Error("uncastable argument accepted")
 	}
 	// Arguments castable to the declared type are accepted.
-	tab, err := reg.Call(nil, StockKeeping, "GetQuality", []types.Value{types.NewString("3")})
+	tab, err := reg.CallContext(context.Background(), nil, StockKeeping, "GetQuality", []types.Value{types.NewString("3")})
 	if err != nil || tab.Len() != 1 {
 		t.Errorf("castable argument rejected: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestResolve(t *testing.T) {
 func TestServiceTimeCharged(t *testing.T) {
 	reg := MustBuildScenario()
 	task := simlat.NewVirtualTask()
-	if _, err := reg.Call(task, Purchasing, "GetGrade", []types.Value{types.NewInt(1), types.NewInt(2)}); err != nil {
+	if _, err := reg.CallContext(context.Background(), task, Purchasing, "GetGrade", []types.Value{types.NewInt(1), types.NewInt(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if task.Elapsed() != DefaultServiceTime {

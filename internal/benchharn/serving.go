@@ -6,8 +6,8 @@
 // numbers machine-dependent, so E16 is a deterministic discrete-event
 // simulation on the virtual clock: sessions stagger in over a ramp, each
 // generates a fixed number of statements, a client-side pipeline window
-// models the framed protocol (window 1 is the serialized legacy gob
-// transport — a statement cannot be sent before its predecessor's
+// models the framed protocol (window 1 is a session that does not
+// pipeline — a statement cannot be sent before its predecessor's
 // response), and the server side runs the SAME admission decision the live
 // server uses (rpc.AdmissionPolicy.Classify), so measured shed behaviour
 // is the deployed shed behaviour. Per-statement service time is measured
@@ -35,8 +35,8 @@ type ServingConfig struct {
 	// Requests is the number of statements each session issues.
 	Requests int
 	// Window is the client pipeline window: how many statements a session
-	// may have in flight. 1 models the serialized gob transport, >1 the
-	// framed multiplexed protocol.
+	// may have in flight. 1 models a serialized session (the retired gob
+	// transport's only mode), >1 a pipelined one.
 	Window int
 	// Service is the per-statement service time on the virtual clock.
 	Service time.Duration

@@ -26,55 +26,48 @@ import (
 	"fedwf/internal/types"
 )
 
-// QueryRunner executes a nested SELECT with bound parameters. It is
-// implemented by the engine session and handed to table functions so SQL
-// UDTF bodies can run without the catalog depending on the executor.
+// QueryRunner executes a nested SELECT with bound parameters under the
+// statement context. It is implemented by the engine and handed to table
+// functions so SQL UDTF bodies can run without the catalog depending on the
+// executor.
 type QueryRunner interface {
-	RunSelect(sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error)
+	RunSelectContext(ctx context.Context, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error)
 }
 
-// TableFunc is a registered table function (UDTF). Invoke receives the
-// engine runner (for nested SQL), the request's cost meter, and the
-// argument values; it returns a materialised table matching Schema.
+// TableFunc is a registered table function (UDTF). InvokeContext receives
+// the statement context (deadline, cancellation), the engine runner (for
+// nested SQL), the request's cost meter, and the argument values; it
+// returns a materialised table matching Schema.
 type TableFunc interface {
 	Name() string
 	Params() []types.Column
 	Schema() types.Schema
-	Invoke(rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error)
-}
-
-// CtxTableFunc is the context-aware extension of TableFunc (the
-// database/sql pattern: optional interfaces evolve APIs without breaking
-// existing implementations). The executor prefers InvokeContext whenever a
-// function implements it, so deadlines and cancellation reach the
-// integration layers; plain TableFunc implementations keep working with a
-// background context.
-type CtxTableFunc interface {
-	TableFunc
 	InvokeContext(ctx context.Context, rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error)
 }
 
-// InvokeFunc dispatches to f.InvokeContext when implemented, else to the
-// legacy Invoke. All call sites that hold a context use it.
+// InvokeFunc calls f.InvokeContext; it is the per-row twin of
+// InvokeFuncBatch. It is kept out of line on a measurement: inlined into
+// exec.FuncScan it cost the fed_wfms benchmark workload 10–15 % of its
+// throughput at equal allocations and per-layer times (EXPERIMENTS,
+// "Wall-clock ledger … (PR 23)").
+//
+//go:noinline
 func InvokeFunc(ctx context.Context, f TableFunc, rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
-	if cf, ok := f.(CtxTableFunc); ok {
-		return cf.InvokeContext(ctx, rt, task, args)
-	}
-	return f.Invoke(rt, task, args)
+	return f.InvokeContext(ctx, rt, task, args)
 }
 
-// BatchTableFunc is the set-oriented extension of TableFunc (again the
-// optional-interface pattern): one invocation carries N argument rows and
-// returns one table per row, letting the implementation amortize its
-// per-call setup — RPC round trips, workflow instances, JVM boots — across
-// the whole batch.
+// BatchTableFunc is the set-oriented extension of TableFunc (the
+// database/sql optional-interface pattern): one invocation carries N
+// argument rows and returns one table per row, letting the implementation
+// amortize its per-call setup — RPC round trips, workflow instances, JVM
+// boots — across the whole batch.
 type BatchTableFunc interface {
 	TableFunc
 	InvokeBatch(ctx context.Context, rt QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error)
 }
 
 // InvokeFuncBatch dispatches the batch to f.InvokeBatch when implemented,
-// else degrades to a per-row InvokeFunc loop so every function stays
+// else degrades to a per-row InvokeContext loop so every function stays
 // callable from a batched plan.
 func InvokeFuncBatch(ctx context.Context, f TableFunc, rt QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
 	if bf, ok := f.(BatchTableFunc); ok {
@@ -89,7 +82,7 @@ func InvokeFuncBatch(ctx context.Context, f TableFunc, rt QueryRunner, task *sim
 	}
 	out := make([]*types.Table, len(rows))
 	for i, args := range rows {
-		res, err := InvokeFunc(ctx, f, rt, task, args)
+		res, err := f.InvokeContext(ctx, rt, task, args)
 		if err != nil {
 			return nil, err
 		}
@@ -98,58 +91,14 @@ func InvokeFuncBatch(ctx context.Context, f TableFunc, rt QueryRunner, task *sim
 	return out, nil
 }
 
-// ContextRunner is the context-aware extension of QueryRunner, implemented
-// by the engine session.
-type ContextRunner interface {
-	QueryRunner
-	RunSelectContext(ctx context.Context, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error)
-}
-
-// RunSelectOn dispatches to rt.RunSelectContext when implemented.
-func RunSelectOn(ctx context.Context, rt QueryRunner, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error) {
-	if cr, ok := rt.(ContextRunner); ok {
-		return cr.RunSelectContext(ctx, sel, params, task)
-	}
-	return rt.RunSelect(sel, params, task)
-}
-
 // ForeignServer is a data source attached via a wrapper. The planner
-// pushes single-server subqueries down through Query.
+// pushes single-server subqueries down through QueryContext.
 type ForeignServer interface {
 	Name() string
-	// TableSchema describes a remote table, for nickname creation.
-	TableSchema(remote string) (types.Schema, error)
-	// Query executes a pushed-down SELECT remotely.
-	Query(sel *sqlparser.Select, task *simlat.Task) (*types.Table, error)
-}
-
-// ContextForeignServer is the context-aware extension of ForeignServer.
-type ContextForeignServer interface {
-	ForeignServer
-	QueryContext(ctx context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error)
-}
-
-// SchemaContextForeignServer is implemented by foreign servers whose
-// schema discovery honours the caller's context (deadline, cancellation).
-type SchemaContextForeignServer interface {
+	// TableSchemaContext describes a remote table, for nickname creation.
 	TableSchemaContext(ctx context.Context, remote string) (types.Schema, error)
-}
-
-// ServerTableSchema fetches a remote table's schema, dispatching to
-// TableSchemaContext when the server implements it.
-func ServerTableSchema(ctx context.Context, srv ForeignServer, remote string) (types.Schema, error) {
-	if cs, ok := srv.(SchemaContextForeignServer); ok {
-		return cs.TableSchemaContext(ctx, remote)
-	}
-	return srv.TableSchema(remote)
-}
-
-// QueryServer dispatches to srv.QueryContext when implemented.
-func QueryServer(ctx context.Context, srv ForeignServer, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
-	if cs, ok := srv.(ContextForeignServer); ok {
-		return cs.QueryContext(ctx, sel, task)
-	}
-	return srv.Query(sel, task)
+	// QueryContext executes a pushed-down SELECT remotely.
+	QueryContext(ctx context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error)
 }
 
 // Nickname maps a local name onto a remote table of a foreign server.
@@ -392,14 +341,6 @@ func (c *Catalog) Servers() []string {
 	return out
 }
 
-// CreateNickname exposes server.remote under a local name.
-//
-// Deprecated: use CreateNicknameContext; this shim fetches the remote
-// schema with a background context.
-func (c *Catalog) CreateNickname(name, server, remote string) error {
-	return c.CreateNicknameContext(context.Background(), name, server, remote)
-}
-
 // CreateNicknameContext exposes server.remote under a local name, fetching
 // the remote schema eagerly — under the caller's context — so planning
 // needs no remote round trip.
@@ -408,7 +349,7 @@ func (c *Catalog) CreateNicknameContext(ctx context.Context, name, server, remot
 	if err != nil {
 		return err
 	}
-	schema, err := ServerTableSchema(ctx, srv, remote)
+	schema, err := srv.TableSchemaContext(ctx, remote)
 	if err != nil {
 		return fmt.Errorf("catalog: nickname %s: %w", name, err)
 	}
@@ -509,17 +450,9 @@ func (f *SQLFunc) Params() []types.Column { return f.FParams }
 // Schema implements TableFunc.
 func (f *SQLFunc) Schema() types.Schema { return f.FReturns }
 
-// Invoke binds the arguments, runs the body, and coerces the result to the
-// declared RETURNS TABLE schema.
-//
-// Deprecated: use InvokeContext; this shim runs the body with a
-// background context.
-func (f *SQLFunc) Invoke(rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
-	return f.InvokeContext(context.Background(), rt, task, args)
-}
-
-// InvokeContext implements CtxTableFunc: the body's nested SELECT runs
-// under the statement context.
+// InvokeContext implements TableFunc: it binds the arguments, runs the body
+// under the statement context, and coerces the result to the declared
+// RETURNS TABLE schema.
 func (f *SQLFunc) InvokeContext(ctx context.Context, rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
 	if len(args) != len(f.FParams) {
 		return nil, fmt.Errorf("catalog: %s expects %d arguments, got %d", f.FName, len(f.FParams), len(args))
@@ -542,7 +475,7 @@ func (f *SQLFunc) InvokeContext(ctx context.Context, rt QueryRunner, task *simla
 	if f.BeforeInvoke != nil {
 		f.BeforeInvoke(task)
 	}
-	res, err := RunSelectOn(ctx, rt, f.Body, params, task)
+	res, err := rt.RunSelectContext(ctx, f.Body, params, task)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: executing %s: %w", f.FName, err)
 	}
@@ -628,16 +561,9 @@ func (f *GoFunc) Params() []types.Column { return f.FParams }
 // Schema implements TableFunc.
 func (f *GoFunc) Schema() types.Schema { return f.FReturns }
 
-// Invoke casts the arguments to the declared parameter types, runs the
-// host implementation, and coerces its result to the declared schema.
-//
-// Deprecated: use InvokeContext; this shim runs the implementation with a
-// background context.
-func (f *GoFunc) Invoke(rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
-	return f.InvokeContext(context.Background(), rt, task, args)
-}
-
-// InvokeContext implements CtxTableFunc.
+// InvokeContext implements TableFunc: it casts the arguments to the
+// declared parameter types, runs the host implementation, and coerces its
+// result to the declared schema.
 func (f *GoFunc) InvokeContext(ctx context.Context, rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
 	if len(args) != len(f.FParams) {
 		return nil, fmt.Errorf("catalog: %s expects %d arguments, got %d", f.FName, len(f.FParams), len(args))

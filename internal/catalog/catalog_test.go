@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -75,13 +76,13 @@ type stubServer struct {
 }
 
 func (s *stubServer) Name() string { return s.name }
-func (s *stubServer) TableSchema(remote string) (types.Schema, error) {
+func (s *stubServer) TableSchemaContext(_ context.Context, remote string) (types.Schema, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
 	return s.schema, nil
 }
-func (s *stubServer) Query(sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
+func (s *stubServer) QueryContext(_ context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
 	return types.NewTable(s.schema), nil
 }
 
@@ -104,10 +105,10 @@ func TestServersAndNicknames(t *testing.T) {
 		t.Errorf("Servers = %v", names)
 	}
 
-	if err := cat.CreateNickname("nick", "S1", "remote_t"); err != nil {
+	if err := cat.CreateNicknameContext(context.Background(), "nick", "S1", "remote_t"); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.CreateNickname("nick", "S1", "remote_t"); err == nil {
+	if err := cat.CreateNicknameContext(context.Background(), "nick", "S1", "remote_t"); err == nil {
 		t.Error("duplicate nickname accepted")
 	}
 	n := cat.Nickname("NICK")
@@ -124,7 +125,7 @@ func TestServersAndNicknames(t *testing.T) {
 	if _, err := cat.CreateTable("base", types.Schema{{Name: "A", Type: types.Integer}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.CreateNickname("base", "S1", "remote_t"); err == nil {
+	if err := cat.CreateNicknameContext(context.Background(), "base", "S1", "remote_t"); err == nil {
 		t.Error("nickname shadowing table accepted")
 	}
 	// Remote schema failure propagates.
@@ -132,10 +133,10 @@ func TestServersAndNicknames(t *testing.T) {
 	if err := cat.AddServer(bad); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.CreateNickname("n2", "S2", "x"); err == nil {
+	if err := cat.CreateNicknameContext(context.Background(), "n2", "S2", "x"); err == nil {
 		t.Error("remote schema failure swallowed")
 	}
-	if err := cat.CreateNickname("n3", "nosrv", "x"); err == nil {
+	if err := cat.CreateNicknameContext(context.Background(), "n3", "nosrv", "x"); err == nil {
 		t.Error("nickname on unknown server accepted")
 	}
 }
@@ -178,7 +179,7 @@ type stubRunner struct {
 	err    error
 }
 
-func (r *stubRunner) RunSelect(sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error) {
+func (r *stubRunner) RunSelectContext(_ context.Context, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error) {
 	r.got = params
 	if r.err != nil {
 		return nil, r.err
@@ -204,7 +205,7 @@ func TestSQLFuncInvoke(t *testing.T) {
 		BeforeInvoke: func(task *simlat.Task) { beforeRan = true },
 		AfterInvoke:  func(task *simlat.Task) { afterRan = true },
 	}
-	out, err := fn.Invoke(runner, simlat.Free(), []types.Value{types.NewString("5")})
+	out, err := fn.InvokeContext(context.Background(), runner, simlat.Free(), []types.Value{types.NewString("5")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,17 +224,17 @@ func TestSQLFuncInvoke(t *testing.T) {
 		t.Errorf("result:\n%s", out)
 	}
 
-	if _, err := fn.Invoke(runner, simlat.Free(), nil); err == nil {
+	if _, err := fn.InvokeContext(context.Background(), runner, simlat.Free(), nil); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	if _, err := fn.Invoke(nil, simlat.Free(), []types.Value{types.NewInt(1)}); err == nil {
+	if _, err := fn.InvokeContext(context.Background(), nil, simlat.Free(), []types.Value{types.NewInt(1)}); err == nil {
 		t.Error("nil runner accepted")
 	}
-	if _, err := fn.Invoke(runner, simlat.Free(), []types.Value{types.NewString("xx")}); err == nil {
+	if _, err := fn.InvokeContext(context.Background(), runner, simlat.Free(), []types.Value{types.NewString("xx")}); err == nil {
 		t.Error("uncastable argument accepted")
 	}
 	runner.err = errors.New("body failure")
-	if _, err := fn.Invoke(runner, simlat.Free(), []types.Value{types.NewInt(1)}); err == nil {
+	if _, err := fn.InvokeContext(context.Background(), runner, simlat.Free(), []types.Value{types.NewInt(1)}); err == nil {
 		t.Error("body failure swallowed")
 	}
 	// Arity mismatch between body result and declared schema.
@@ -242,7 +243,7 @@ func TestSQLFuncInvoke(t *testing.T) {
 		{Name: "a", Type: types.Integer}, {Name: "b", Type: types.Integer},
 	})
 	runner.result = wide
-	if _, err := fn.Invoke(runner, simlat.Free(), []types.Value{types.NewInt(1)}); err == nil {
+	if _, err := fn.InvokeContext(context.Background(), runner, simlat.Free(), []types.Value{types.NewInt(1)}); err == nil {
 		t.Error("column-count mismatch accepted")
 	}
 }
@@ -258,7 +259,7 @@ func TestGoFuncInvoke(t *testing.T) {
 			return out, nil
 		},
 	}
-	out, err := fn.Invoke(nil, simlat.Free(), []types.Value{types.NewString("42")})
+	out, err := fn.InvokeContext(context.Background(), nil, simlat.Free(), []types.Value{types.NewString("42")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +267,10 @@ func TestGoFuncInvoke(t *testing.T) {
 	if out.Rows[0][0].Str() != "000" {
 		t.Errorf("coerced result = %v", out.Rows[0][0])
 	}
-	if _, err := fn.Invoke(nil, simlat.Free(), nil); err == nil {
+	if _, err := fn.InvokeContext(context.Background(), nil, simlat.Free(), nil); err == nil {
 		t.Error("arity mismatch accepted")
 	}
-	if _, err := fn.Invoke(nil, simlat.Free(), []types.Value{types.NewString("x")}); err == nil {
+	if _, err := fn.InvokeContext(context.Background(), nil, simlat.Free(), []types.Value{types.NewString("x")}); err == nil {
 		t.Error("uncastable argument accepted")
 	}
 	if fn.Name() != "Mk" || len(fn.Params()) != 1 || len(fn.Schema()) != 1 {
@@ -311,7 +312,7 @@ func TestViews(t *testing.T) {
 	if err := cat.AddServer(&stubServer{name: "S9", schema: types.Schema{{Name: "A", Type: types.Integer}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.CreateNickname("nick9", "S9", "r"); err != nil {
+	if err := cat.CreateNicknameContext(context.Background(), "nick9", "S9", "r"); err != nil {
 		t.Fatal(err)
 	}
 	if err := cat.CreateView("nick9", q); err == nil {

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -24,10 +25,10 @@ func analyzeFixture(t *testing.T) (*Engine, *Session) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.MustExec("CREATE FUNCTION Slow (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.slow'")
-	s.MustExec("CREATE TABLE driver (X INT)")
+	s.MustExecContext(context.Background(), "CREATE FUNCTION Slow (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.slow'")
+	s.MustExecContext(context.Background(), "CREATE TABLE driver (X INT)")
 	for i := 0; i < 16; i++ {
-		s.MustExec("INSERT INTO driver VALUES (" + string(rune('0'+i%8)) + ")")
+		s.MustExecContext(context.Background(), "INSERT INTO driver VALUES ("+string(rune('0'+i%8))+")")
 	}
 	return eng, s
 }
@@ -36,7 +37,7 @@ const analyzeQuery = "SELECT d.X, f.Y FROM driver d, TABLE (Slow(d.X)) AS f"
 
 func TestExplainAnalyzeSequential(t *testing.T) {
 	_, s := analyzeFixture(t)
-	out := s.MustExec("EXPLAIN ANALYZE " + analyzeQuery).Table.String()
+	out := s.MustExecContext(context.Background(), "EXPLAIN ANALYZE "+analyzeQuery).Table.String()
 	for _, want := range []string{
 		"actual rows=16",    // every node saw all 16 rows
 		"loops=16",          // lateral right side opened per outer row
@@ -54,9 +55,9 @@ func TestExplainAnalyzeSequential(t *testing.T) {
 
 func TestExplainAnalyzeParallelDeterministic(t *testing.T) {
 	_, s := analyzeFixture(t)
-	s.MustExec("SET PARALLELISM 4")
-	a := s.MustExec("EXPLAIN ANALYZE " + analyzeQuery).Table.String()
-	b := s.MustExec("EXPLAIN ANALYZE " + analyzeQuery).Table.String()
+	s.MustExecContext(context.Background(), "SET PARALLELISM 4")
+	a := s.MustExecContext(context.Background(), "EXPLAIN ANALYZE "+analyzeQuery).Table.String()
+	b := s.MustExecContext(context.Background(), "EXPLAIN ANALYZE "+analyzeQuery).Table.String()
 	if a != b {
 		t.Errorf("EXPLAIN ANALYZE under parallelism not deterministic:\n%s\nvs\n%s", a, b)
 	}
@@ -75,7 +76,7 @@ func TestExplainAnalyzeParallelDeterministic(t *testing.T) {
 func TestExplainAnalyzeCacheCounters(t *testing.T) {
 	eng, s := analyzeFixture(t)
 	eng.SetFunctionCache(true)
-	out := s.MustExec("EXPLAIN ANALYZE " + analyzeQuery).Table.String()
+	out := s.MustExecContext(context.Background(), "EXPLAIN ANALYZE "+analyzeQuery).Table.String()
 	// 16 lookups over 8 distinct keys, sequential: 8 misses then 8 hits.
 	for _, want := range []string{
 		"cache(hits=8 misses=8 coalesced=0)",
@@ -92,7 +93,7 @@ func TestExplainAnalyzeCacheCounters(t *testing.T) {
 
 func TestExplainWithoutAnalyzeUnchanged(t *testing.T) {
 	_, s := analyzeFixture(t)
-	out := s.MustExec("EXPLAIN " + analyzeQuery).Table.String()
+	out := s.MustExecContext(context.Background(), "EXPLAIN "+analyzeQuery).Table.String()
 	if strings.Contains(out, "actual rows=") {
 		t.Errorf("plain EXPLAIN carries actuals:\n%s", out)
 	}
@@ -102,13 +103,13 @@ func TestExplainShowsMeasuredActualsAfterAnalyze(t *testing.T) {
 	eng, s := analyzeFixture(t)
 	eng.SetPlanStats(stats.NewPlanStore(0))
 
-	before := s.MustExec("EXPLAIN " + analyzeQuery).Table.String()
+	before := s.MustExecContext(context.Background(), "EXPLAIN "+analyzeQuery).Table.String()
 	if strings.Contains(before, "last run:") || strings.Contains(before, "measured:") {
 		t.Errorf("plain EXPLAIN annotated before any ANALYZE run:\n%s", before)
 	}
 
-	s.MustExec("EXPLAIN ANALYZE " + analyzeQuery)
-	after := s.MustExec("EXPLAIN " + analyzeQuery).Table.String()
+	s.MustExecContext(context.Background(), "EXPLAIN ANALYZE "+analyzeQuery)
+	after := s.MustExecContext(context.Background(), "EXPLAIN "+analyzeQuery).Table.String()
 	for _, want := range []string{
 		"(last run: rows=16 loops=1 time=160.0",
 		"(last run: rows=16 loops=16 time=160.0", // the lateral right side
@@ -120,14 +121,14 @@ func TestExplainShowsMeasuredActualsAfterAnalyze(t *testing.T) {
 	}
 
 	// A different plan shape stays unannotated.
-	other := s.MustExec("EXPLAIN SELECT d.X FROM driver d").Table.String()
+	other := s.MustExecContext(context.Background(), "EXPLAIN SELECT d.X FROM driver d").Table.String()
 	if strings.Contains(other, "last run:") {
 		t.Errorf("unrelated plan shape annotated:\n%s", other)
 	}
 
 	// A second ANALYZE run bumps the run counter.
-	s.MustExec("EXPLAIN ANALYZE " + analyzeQuery)
-	again := s.MustExec("EXPLAIN " + analyzeQuery).Table.String()
+	s.MustExecContext(context.Background(), "EXPLAIN ANALYZE "+analyzeQuery)
+	again := s.MustExecContext(context.Background(), "EXPLAIN "+analyzeQuery).Table.String()
 	if !strings.Contains(again, "last of 2 analyzed run(s)") {
 		t.Errorf("run counter not updated:\n%s", again)
 	}

@@ -21,7 +21,7 @@ func benchPoint(b *testing.B, stmts func(k int) []string) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			s := New().NewSession()
-			s.MustExec(c.ddl)
+			s.MustExecContext(context.Background(), c.ddl)
 			tab, err := s.Engine().Catalog().Table("kv")
 			if err != nil {
 				b.Fatal(err)

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -15,7 +16,7 @@ import (
 func TestConcurrentSessions(t *testing.T) {
 	eng := New()
 	setup := eng.NewSession()
-	setup.MustExec("CREATE TABLE counters (Worker INT, N INT)")
+	setup.MustExecContext(context.Background(), "CREATE TABLE counters (Worker INT, N INT)")
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -25,16 +26,16 @@ func TestConcurrentSessions(t *testing.T) {
 			defer wg.Done()
 			s := eng.NewSession()
 			for i := 0; i < 30; i++ {
-				if _, err := s.Exec(fmt.Sprintf("INSERT INTO counters VALUES (%d, %d)", w, i)); err != nil {
+				if _, err := s.ExecContext(context.Background(), fmt.Sprintf("INSERT INTO counters VALUES (%d, %d)", w, i)); err != nil {
 					errs <- err
 					return
 				}
-				if _, err := s.Query("SELECT COUNT(*) FROM counters"); err != nil {
+				if _, err := s.QueryContext(context.Background(), "SELECT COUNT(*) FROM counters"); err != nil {
 					errs <- err
 					return
 				}
 				if i%10 == 0 {
-					if _, err := s.Query(fmt.Sprintf("SELECT N FROM counters WHERE Worker = %d ORDER BY N", w)); err != nil {
+					if _, err := s.QueryContext(context.Background(), fmt.Sprintf("SELECT N FROM counters WHERE Worker = %d ORDER BY N", w)); err != nil {
 						errs <- err
 						return
 					}
@@ -47,7 +48,7 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	tab, err := setup.Query("SELECT COUNT(*) FROM counters")
+	tab, err := setup.QueryContext(context.Background(), "SELECT COUNT(*) FROM counters")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +60,15 @@ func TestConcurrentSessions(t *testing.T) {
 func TestEnginePlanOptions(t *testing.T) {
 	eng := New()
 	s := eng.NewSession()
-	s.MustExec("CREATE TABLE a (K INT)")
-	s.MustExec("CREATE TABLE b (K INT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE a (K INT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE b (K INT)")
 	query := "EXPLAIN SELECT * FROM a, b WHERE a.K = b.K"
-	res := s.MustExec(query)
+	res := s.MustExecContext(context.Background(), query)
 	if !strings.Contains(res.Table.String(), "HashJoin") {
 		t.Fatalf("default plan:\n%s", res.Table)
 	}
 	eng.SetPlanOptions(plan.Options{DisableHashJoin: true})
-	res = s.MustExec(query)
+	res = s.MustExecContext(context.Background(), query)
 	if strings.Contains(res.Table.String(), "HashJoin") {
 		t.Errorf("ablated plan still hash-joins:\n%s", res.Table)
 	}
@@ -77,13 +78,13 @@ func TestEngineCompositionCost(t *testing.T) {
 	eng := New()
 	eng.SetCompositionCost(6 * simlat.PaperMS)
 	s := eng.NewSession()
-	s.MustExec("CREATE TABLE a (K INT)")
-	s.MustExec("CREATE TABLE b (K INT)")
-	s.MustExec("INSERT INTO a VALUES (1)")
-	s.MustExec("INSERT INTO b VALUES (1)")
+	s.MustExecContext(context.Background(), "CREATE TABLE a (K INT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE b (K INT)")
+	s.MustExecContext(context.Background(), "INSERT INTO a VALUES (1)")
+	s.MustExecContext(context.Background(), "INSERT INTO b VALUES (1)")
 	task := simlat.NewVirtualTask()
 	s.SetTask(task)
-	if _, err := s.Query("SELECT * FROM a, b WHERE a.K = b.K"); err != nil {
+	if _, err := s.QueryContext(context.Background(), "SELECT * FROM a, b WHERE a.K = b.K"); err != nil {
 		t.Fatal(err)
 	}
 	if task.Elapsed() != 6*simlat.PaperMS {

@@ -254,23 +254,11 @@ type stmtState struct {
 type stmtStateKey struct{}
 
 func stmtStateFrom(ctx context.Context) *stmtState {
-	if ctx == nil {
-		return nil
-	}
 	st, _ := ctx.Value(stmtStateKey{}).(*stmtState)
 	return st
 }
 
-// RunSelect implements catalog.QueryRunner: nested execution of UDTF
-// bodies and remote pushdown targets.
-//
-// Deprecated: use RunSelectContext; RunSelect runs without deadline
-// propagation or cancellation.
-func (e *Engine) RunSelect(sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error) {
-	return e.RunSelectContext(context.Background(), sel, params, task)
-}
-
-// RunSelectContext implements catalog.ContextRunner: nested execution of
+// RunSelectContext implements catalog.QueryRunner: nested execution of
 // UDTF bodies and remote pushdown targets under the statement's deadline.
 func (e *Engine) RunSelectContext(ctx context.Context, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error) {
 	tab, _, err := e.runSelect(ctx, sel, params, task)
@@ -366,10 +354,6 @@ func (s *Session) SetPartialResults(enabled bool) { s.allowPartial = enabled }
 // shared warning sink. Statements arriving with a deadline already
 // anchored (nested execution) keep it.
 func (s *Session) beginStmt(ctx context.Context) (context.Context, *stmtState) {
-	if ctx == nil {
-		//fedlint:ignore ctxfirst nil-context hardening for callers of the deprecated context-free shims
-		ctx = context.Background()
-	}
 	if st := stmtStateFrom(ctx); st != nil {
 		return ctx, st // nested statement: share the outer statement's state
 	}
@@ -401,14 +385,6 @@ type Result struct {
 	Partial  bool
 }
 
-// Query executes a SELECT and returns its result table.
-//
-// Deprecated: use QueryContext; Query runs without deadline propagation
-// or cancellation.
-func (s *Session) Query(sql string) (*types.Table, error) {
-	return s.QueryContext(context.Background(), sql)
-}
-
 // QueryContext executes a SELECT under the statement deadline and retry
 // budget carried (or anchored) on ctx, returning its result table.
 func (s *Session) QueryContext(ctx context.Context, sql string) (*types.Table, error) {
@@ -424,14 +400,6 @@ func (s *Session) QueryContext(ctx context.Context, sql string) (*types.Table, e
 	return tab, err
 }
 
-// Exec parses and executes any single statement.
-//
-// Deprecated: use ExecContext; Exec runs without deadline propagation or
-// cancellation.
-func (s *Session) Exec(sql string) (*Result, error) {
-	return s.ExecContext(context.Background(), sql)
-}
-
 // ExecContext parses and executes any single statement under ctx.
 func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := sqlparser.Parse(sql)
@@ -439,14 +407,6 @@ func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) 
 		return nil, err
 	}
 	return s.ExecStmtContext(ctx, stmt)
-}
-
-// ExecScript executes a semicolon-separated statement sequence, stopping
-// at the first error.
-//
-// Deprecated: use ExecScriptContext.
-func (s *Session) ExecScript(sql string) ([]*Result, error) {
-	return s.ExecScriptContext(context.Background(), sql)
 }
 
 // ExecScriptContext executes a semicolon-separated statement sequence
@@ -467,14 +427,6 @@ func (s *Session) ExecScriptContext(ctx context.Context, sql string) ([]*Result,
 	return results, nil
 }
 
-// MustExec executes a statement and panics on error; for fixtures whose
-// statements are statically known to be valid.
-//
-// Deprecated: use MustExecContext.
-func (s *Session) MustExec(sql string) *Result {
-	return s.MustExecContext(context.Background(), sql)
-}
-
 // MustExecContext executes a statement under ctx and panics on error;
 // for fixtures whose statements are statically known to be valid.
 func (s *Session) MustExecContext(ctx context.Context, sql string) *Result {
@@ -483,13 +435,6 @@ func (s *Session) MustExecContext(ctx context.Context, sql string) *Result {
 		panic(err)
 	}
 	return r
-}
-
-// ExecStmt executes one parsed statement.
-//
-// Deprecated: use ExecStmtContext.
-func (s *Session) ExecStmt(stmt sqlparser.Statement) (*Result, error) {
-	return s.ExecStmtContext(context.Background(), stmt)
 }
 
 // ExecStmtContext executes one parsed statement under ctx.

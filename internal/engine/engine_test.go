@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ func newTestSession(t *testing.T) *Session {
 	t.Helper()
 	eng := New()
 	s := eng.NewSession()
-	if _, err := s.ExecScript(`
+	if _, err := s.ExecScriptContext(context.Background(), `
 		CREATE TABLE suppliers (No INT PRIMARY KEY, Name VARCHAR(30), Rating INT);
 		CREATE TABLE parts (PartNo INT, SuppNo INT, PartName VARCHAR(30), Price DOUBLE);
 		INSERT INTO suppliers VALUES (1, 'ACME', 5), (2, 'Globex', 3), (3, 'Initech', 4);
@@ -31,7 +32,7 @@ func newTestSession(t *testing.T) *Session {
 
 func queryRows(t *testing.T, s *Session, sql string) *types.Table {
 	t.Helper()
-	tab, err := s.Query(sql)
+	tab, err := s.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}
@@ -97,7 +98,7 @@ func TestExplicitJoins(t *testing.T) {
 
 func TestHashJoinChosenForEquiJoin(t *testing.T) {
 	s := newTestSession(t)
-	res, err := s.Exec("EXPLAIN SELECT s.Name FROM suppliers s, parts p WHERE s.No = p.SuppNo")
+	res, err := s.ExecContext(context.Background(), "EXPLAIN SELECT s.Name FROM suppliers s, parts p WHERE s.No = p.SuppNo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestDerivedTable(t *testing.T) {
 
 func TestDML(t *testing.T) {
 	s := newTestSession(t)
-	res := s.MustExec("UPDATE suppliers SET Rating = Rating + 1 WHERE Name = 'Globex'")
+	res := s.MustExecContext(context.Background(), "UPDATE suppliers SET Rating = Rating + 1 WHERE Name = 'Globex'")
 	if res.RowsAffected != 1 {
 		t.Errorf("update affected %d", res.RowsAffected)
 	}
@@ -195,11 +196,11 @@ func TestDML(t *testing.T) {
 	if tab.Rows[0][0].Int() != 4 {
 		t.Errorf("rating after update = %v", tab.Rows[0][0])
 	}
-	res = s.MustExec("DELETE FROM parts WHERE Price < 0.06")
+	res = s.MustExecContext(context.Background(), "DELETE FROM parts WHERE Price < 0.06")
 	if res.RowsAffected != 2 {
 		t.Errorf("delete affected %d", res.RowsAffected)
 	}
-	res = s.MustExec("INSERT INTO parts (PartNo, PartName) VALUES (99, 'gasket')")
+	res = s.MustExecContext(context.Background(), "INSERT INTO parts (PartNo, PartName) VALUES (99, 'gasket')")
 	if res.RowsAffected != 1 {
 		t.Errorf("insert affected %d", res.RowsAffected)
 	}
@@ -208,8 +209,8 @@ func TestDML(t *testing.T) {
 		t.Errorf("missing column should be NULL, got %v", tab.Rows[0][0])
 	}
 	// INSERT ... SELECT.
-	s.MustExec("CREATE TABLE parts2 (PartNo INT, SuppNo INT, PartName VARCHAR(30), Price DOUBLE)")
-	res = s.MustExec("INSERT INTO parts2 SELECT * FROM parts")
+	s.MustExecContext(context.Background(), "CREATE TABLE parts2 (PartNo INT, SuppNo INT, PartName VARCHAR(30), Price DOUBLE)")
+	res = s.MustExecContext(context.Background(), "INSERT INTO parts2 SELECT * FROM parts")
 	if res.RowsAffected != 4 {
 		t.Errorf("insert-select affected %d", res.RowsAffected)
 	}
@@ -236,9 +237,9 @@ func TestSQLUDTFLateralChain(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.MustExec("CREATE FUNCTION GetSupplierNo (SupplierName VARCHAR) RETURNS TABLE (SupplierNo INT) LANGUAGE EXTERNAL NAME 'test.GetSupplierNo'")
-	s.MustExec("CREATE FUNCTION GetQuality (SupplierNo INT) RETURNS TABLE (Qual INT) LANGUAGE EXTERNAL NAME 'test.GetQuality'")
-	s.MustExec(`CREATE FUNCTION GetSuppQual (SupplierName VARCHAR)
+	s.MustExecContext(context.Background(), "CREATE FUNCTION GetSupplierNo (SupplierName VARCHAR) RETURNS TABLE (SupplierNo INT) LANGUAGE EXTERNAL NAME 'test.GetSupplierNo'")
+	s.MustExecContext(context.Background(), "CREATE FUNCTION GetQuality (SupplierNo INT) RETURNS TABLE (Qual INT) LANGUAGE EXTERNAL NAME 'test.GetQuality'")
+	s.MustExecContext(context.Background(), `CREATE FUNCTION GetSuppQual (SupplierName VARCHAR)
 		RETURNS TABLE (Qual INT) LANGUAGE SQL RETURN
 		SELECT GQ.Qual
 		FROM TABLE (GetSupplierNo(GetSuppQual.SupplierName)) AS GSN,
@@ -259,20 +260,20 @@ func TestSQLUDTFLateralChain(t *testing.T) {
 func TestCreateFunctionValidation(t *testing.T) {
 	s := newTestSession(t)
 	// Body referencing an unknown function must fail at creation.
-	if _, err := s.Exec(`CREATE FUNCTION broken (x INT) RETURNS TABLE (y INT)
+	if _, err := s.ExecContext(context.Background(), `CREATE FUNCTION broken (x INT) RETURNS TABLE (y INT)
 		LANGUAGE SQL RETURN SELECT z.A FROM TABLE (NoSuchFn(broken.x)) AS z`); err == nil {
 		t.Error("invalid body accepted")
 	}
-	if _, err := s.Exec("CREATE FUNCTION f (x INT) RETURNS TABLE (y INT) LANGUAGE EXTERNAL NAME 'unregistered'"); err == nil {
+	if _, err := s.ExecContext(context.Background(), "CREATE FUNCTION f (x INT) RETURNS TABLE (y INT) LANGUAGE EXTERNAL NAME 'unregistered'"); err == nil {
 		t.Error("unregistered external accepted")
 	}
 	// Duplicate registration.
-	s.MustExec("CREATE FUNCTION ok (x INT) RETURNS TABLE (y INT) LANGUAGE SQL RETURN SELECT 1")
-	if _, err := s.Exec("CREATE FUNCTION ok (x INT) RETURNS TABLE (y INT) LANGUAGE SQL RETURN SELECT 1"); err == nil {
+	s.MustExecContext(context.Background(), "CREATE FUNCTION ok (x INT) RETURNS TABLE (y INT) LANGUAGE SQL RETURN SELECT 1")
+	if _, err := s.ExecContext(context.Background(), "CREATE FUNCTION ok (x INT) RETURNS TABLE (y INT) LANGUAGE SQL RETURN SELECT 1"); err == nil {
 		t.Error("duplicate function accepted")
 	}
-	s.MustExec("DROP FUNCTION ok")
-	if _, err := s.Exec("DROP FUNCTION ok"); err == nil {
+	s.MustExecContext(context.Background(), "DROP FUNCTION ok")
+	if _, err := s.ExecContext(context.Background(), "DROP FUNCTION ok"); err == nil {
 		t.Error("double drop accepted")
 	}
 }
@@ -285,7 +286,7 @@ type fakeServer struct {
 
 func (f *fakeServer) Name() string { return f.name }
 
-func (f *fakeServer) TableSchema(remote string) (types.Schema, error) {
+func (f *fakeServer) TableSchemaContext(_ context.Context, remote string) (types.Schema, error) {
 	tab, err := f.eng.Catalog().Table(remote)
 	if err != nil {
 		return nil, err
@@ -293,29 +294,29 @@ func (f *fakeServer) TableSchema(remote string) (types.Schema, error) {
 	return tab.Schema(), nil
 }
 
-func (f *fakeServer) Query(sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
-	return f.eng.RunSelect(sel, nil, task)
+func (f *fakeServer) QueryContext(ctx context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
+	return f.eng.RunSelectContext(ctx, sel, nil, task)
 }
 
 func TestFederatedNicknameAndPushdown(t *testing.T) {
 	local := New()
 	remoteEng := New()
 	rs := remoteEng.NewSession()
-	rs.MustExec("CREATE TABLE stock (CompNo INT, Qty INT)")
-	rs.MustExec("INSERT INTO stock VALUES (1, 100), (2, 5), (3, 42)")
+	rs.MustExecContext(context.Background(), "CREATE TABLE stock (CompNo INT, Qty INT)")
+	rs.MustExecContext(context.Background(), "INSERT INTO stock VALUES (1, 100), (2, 5), (3, 42)")
 
 	if err := local.Catalog().AddServer(&fakeServer{name: "stocksrv", eng: remoteEng}); err != nil {
 		t.Fatal(err)
 	}
 	s := local.NewSession()
-	s.MustExec("CREATE NICKNAME remote_stock FOR stocksrv.stock")
+	s.MustExecContext(context.Background(), "CREATE NICKNAME remote_stock FOR stocksrv.stock")
 
 	tab := queryRows(t, s, "SELECT CompNo FROM remote_stock WHERE Qty > 10 ORDER BY CompNo")
 	if tab.Len() != 2 || tab.Rows[0][0].Int() != 1 || tab.Rows[1][0].Int() != 3 {
 		t.Errorf("federated query:\n%s", tab)
 	}
 	// The predicate must be pushed into the remote query.
-	res := s.MustExec("EXPLAIN SELECT CompNo FROM remote_stock WHERE Qty > 10")
+	res := s.MustExecContext(context.Background(), "EXPLAIN SELECT CompNo FROM remote_stock WHERE Qty > 10")
 	planText := res.Table.String()
 	if !strings.Contains(planText, "RemoteScan") || !strings.Contains(planText, "Qty > 10") {
 		t.Errorf("pushdown missing from plan:\n%s", planText)
@@ -324,8 +325,8 @@ func TestFederatedNicknameAndPushdown(t *testing.T) {
 		t.Errorf("pushed predicate still filtered locally:\n%s", planText)
 	}
 	// Join a nickname with a local table.
-	s.MustExec("CREATE TABLE names (CompNo INT, Name VARCHAR(20))")
-	s.MustExec("INSERT INTO names VALUES (1, 'bolt'), (3, 'pin')")
+	s.MustExecContext(context.Background(), "CREATE TABLE names (CompNo INT, Name VARCHAR(20))")
+	s.MustExecContext(context.Background(), "INSERT INTO names VALUES (1, 'bolt'), (3, 'pin')")
 	tab = queryRows(t, s, `SELECT n.Name, r.Qty FROM names n, remote_stock r
 		WHERE n.CompNo = r.CompNo ORDER BY n.Name`)
 	if tab.Len() != 2 || tab.Rows[0][0].Str() != "bolt" || tab.Rows[0][1].Int() != 100 {
@@ -335,7 +336,7 @@ func TestFederatedNicknameAndPushdown(t *testing.T) {
 
 func TestCreateServerViaWrapper(t *testing.T) {
 	remoteEng := New()
-	remoteEng.NewSession().MustExec("CREATE TABLE t (a INT)")
+	remoteEng.NewSession().MustExecContext(context.Background(), "CREATE TABLE t (a INT)")
 	local := New()
 	err := local.RegisterWrapperImpl("testwrap", func(serverName string, options map[string]string) (catalog.ForeignServer, error) {
 		if options["target"] != "remote1" {
@@ -347,31 +348,31 @@ func TestCreateServerViaWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := local.NewSession()
-	s.MustExec("CREATE WRAPPER testwrap")
-	s.MustExec("CREATE SERVER srv1 WRAPPER testwrap OPTIONS (target 'remote1')")
-	s.MustExec("CREATE NICKNAME nt FOR srv1.t")
-	if _, err := s.Query("SELECT * FROM nt"); err != nil {
+	s.MustExecContext(context.Background(), "CREATE WRAPPER testwrap")
+	s.MustExecContext(context.Background(), "CREATE SERVER srv1 WRAPPER testwrap OPTIONS (target 'remote1')")
+	s.MustExecContext(context.Background(), "CREATE NICKNAME nt FOR srv1.t")
+	if _, err := s.QueryContext(context.Background(), "SELECT * FROM nt"); err != nil {
 		t.Errorf("query via wrapper-created server: %v", err)
 	}
-	if _, err := s.Exec("CREATE SERVER bad WRAPPER testwrap OPTIONS (target 'nope')"); err == nil {
+	if _, err := s.ExecContext(context.Background(), "CREATE SERVER bad WRAPPER testwrap OPTIONS (target 'nope')"); err == nil {
 		t.Error("factory error not propagated")
 	}
-	if _, err := s.Exec("CREATE WRAPPER unknownimpl"); err == nil {
+	if _, err := s.ExecContext(context.Background(), "CREATE WRAPPER unknownimpl"); err == nil {
 		t.Error("unlinked wrapper accepted")
 	}
 }
 
 func TestShowAndExplain(t *testing.T) {
 	s := newTestSession(t)
-	res := s.MustExec("SHOW TABLES")
+	res := s.MustExecContext(context.Background(), "SHOW TABLES")
 	if res.Table.Len() != 2 {
 		t.Errorf("SHOW TABLES:\n%s", res.Table)
 	}
-	res = s.MustExec("SHOW FUNCTIONS")
+	res = s.MustExecContext(context.Background(), "SHOW FUNCTIONS")
 	if res.Table.Len() != 0 {
 		t.Errorf("SHOW FUNCTIONS:\n%s", res.Table)
 	}
-	if _, err := s.Exec("EXPLAIN DELETE FROM parts"); err == nil {
+	if _, err := s.ExecContext(context.Background(), "EXPLAIN DELETE FROM parts"); err == nil {
 		t.Error("EXPLAIN DELETE accepted")
 	}
 	// suppliers.No is the primary key (hash index); parts has no index.
@@ -392,7 +393,7 @@ func TestShowAndExplain(t *testing.T) {
 		{"SELECT * FROM suppliers WHERE Name = 'ACME'", "TableScan suppliers", true},
 		{"SELECT * FROM parts p LEFT JOIN suppliers s ON p.SuppNo = s.No WHERE s.No = 1", "TableScan suppliers", true},
 	} {
-		plan := s.MustExec("EXPLAIN " + c.sql).Table.String()
+		plan := s.MustExecContext(context.Background(), "EXPLAIN "+c.sql).Table.String()
 		if !strings.Contains(plan, c.want) || strings.Contains(plan, "Filter") != c.filtered {
 			t.Errorf("%s: want %q, filter=%v; plan:\n%s", c.sql, c.want, c.filtered, plan)
 		}
@@ -420,7 +421,7 @@ func TestErrorPaths(t *testing.T) {
 		"SELECT a.PartNo FROM parts a, parts b WHERE PartName = 'bolt'", // ambiguous PartName
 		"SELECT 1 FROM parts a, suppliers a",                            // duplicate correlation
 	} {
-		if _, err := s.Exec(bad); err == nil {
+		if _, err := s.ExecContext(context.Background(), bad); err == nil {
 			t.Errorf("Exec(%q) should fail", bad)
 		}
 	}
@@ -428,7 +429,7 @@ func TestErrorPaths(t *testing.T) {
 
 func TestExecScriptStopsAtError(t *testing.T) {
 	s := New().NewSession()
-	results, err := s.ExecScript("CREATE TABLE a (x INT); INSERT INTO nope VALUES (1); CREATE TABLE b (y INT)")
+	results, err := s.ExecScriptContext(context.Background(), "CREATE TABLE a (x INT); INSERT INTO nope VALUES (1); CREATE TABLE b (y INT)")
 	if err == nil {
 		t.Fatal("script error not reported")
 	}
@@ -447,7 +448,7 @@ func TestMustExecPanics(t *testing.T) {
 			t.Error("MustExec should panic on error")
 		}
 	}()
-	s.MustExec("DROP TABLE nope")
+	s.MustExecContext(context.Background(), "DROP TABLE nope")
 }
 
 func TestSessionTaskAccounting(t *testing.T) {
@@ -466,7 +467,7 @@ func TestSessionTaskAccounting(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.MustExec("CREATE FUNCTION Slow () RETURNS TABLE (X INT) LANGUAGE EXTERNAL NAME 'test.slow'")
+	s.MustExecContext(context.Background(), "CREATE FUNCTION Slow () RETURNS TABLE (X INT) LANGUAGE EXTERNAL NAME 'test.slow'")
 	queryRows(t, s, "SELECT * FROM TABLE (Slow()) AS sl")
 	if task.Elapsed() != 10*simlat.PaperMS {
 		t.Errorf("task elapsed = %v", task.Elapsed())

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"fedwf/internal/catalog"
@@ -23,9 +24,9 @@ func TestFunctionCacheMemoisesLateralCalls(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.MustExec("CREATE FUNCTION Counted (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.counted'")
-	s.MustExec("CREATE TABLE driver (X INT)")
-	s.MustExec("INSERT INTO driver VALUES (1), (2), (1), (2), (1)")
+	s.MustExecContext(context.Background(), "CREATE FUNCTION Counted (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.counted'")
+	s.MustExecContext(context.Background(), "CREATE TABLE driver (X INT)")
+	s.MustExecContext(context.Background(), "INSERT INTO driver VALUES (1), (2), (1), (2), (1)")
 
 	query := "SELECT d.X, c.Y FROM driver d, TABLE (Counted(d.X)) AS c ORDER BY d.X"
 

@@ -33,10 +33,10 @@ func TestIndexedTwinDifferential(t *testing.T) {
 	const create = "CREATE TABLE t (K INT, V INT, S VARCHAR(8), D DOUBLE, B BOOLEAN)"
 	for seed := int64(1); seed <= 4; seed++ {
 		indexed, plain := New().NewSession(), New().NewSession()
-		indexed.MustExec(create)
-		plain.MustExec(create)
+		indexed.MustExecContext(context.Background(), create)
+		plain.MustExecContext(context.Background(), create)
 		for _, col := range []string{"K", "S", "D", "B"} {
-			indexed.MustExec(fmt.Sprintf("CREATE INDEX idx_%s ON t (%s)", col, col))
+			indexed.MustExecContext(context.Background(), fmt.Sprintf("CREATE INDEX idx_%s ON t (%s)", col, col))
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 1500; i++ {
@@ -106,14 +106,14 @@ func TestMixedReadWriteConcurrent(t *testing.T) {
 	)
 	eng := New()
 	setup := eng.NewSession()
-	setup.MustExec("CREATE TABLE kv (K INT PRIMARY KEY, V INT)")
+	setup.MustExecContext(context.Background(), "CREATE TABLE kv (K INT PRIMARY KEY, V INT)")
 	for k := 0; k < base; k++ {
-		setup.MustExec(fmt.Sprintf("INSERT INTO kv VALUES (%d, 0)", k))
+		setup.MustExecContext(context.Background(), fmt.Sprintf("INSERT INTO kv VALUES (%d, 0)", k))
 	}
 	churnKey := func(w, j int) int { return base + w + workers*j }
 	for w := 0; w < workers; w++ {
 		for j := 0; j < held; j++ {
-			setup.MustExec(fmt.Sprintf("INSERT INTO kv VALUES (%d, 0)", churnKey(w, j)))
+			setup.MustExecContext(context.Background(), fmt.Sprintf("INSERT INTO kv VALUES (%d, 0)", churnKey(w, j)))
 		}
 	}
 

@@ -55,8 +55,8 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 				nested.SetPlanOptions(plan.Options{DisableHashJoin: true})
 				hs, ns := hashed.NewSession(), nested.NewSession()
 				both := func(sql string) {
-					hs.MustExec(sql)
-					ns.MustExec(sql)
+					hs.MustExecContext(context.Background(), sql)
+					ns.MustExecContext(context.Background(), sql)
 				}
 				both(fmt.Sprintf("CREATE TABLE l (K %s, K2 INT, V INT)", lt))
 				both(fmt.Sprintf("CREATE TABLE r (K %s, K2 INT, W INT)", rt))
@@ -85,7 +85,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 				} {
 					if got, want := rowMultiset(hs, sql), rowMultiset(ns, sql); got != want {
 						t.Errorf("l.K %s, r.K %s, seed %d: %s\ndefault plan:\n%s\nnested loop:\n%s\nplan:\n%s",
-							lt, rt, seed, sql, got, want, hs.MustExec("EXPLAIN "+sql).Table)
+							lt, rt, seed, sql, got, want, hs.MustExecContext(context.Background(), "EXPLAIN "+sql).Table)
 					}
 				}
 			}
@@ -98,24 +98,24 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 // loop raises, and across INT and DOUBLE above 2^53 it missed a match.
 func TestJoinAcrossKindsIsNotHashed(t *testing.T) {
 	s := New().NewSession()
-	s.MustExec("CREATE TABLE a (S VARCHAR(10))")
-	s.MustExec("CREATE TABLE b (K INT)")
-	s.MustExec("INSERT INTO a VALUES ('1')")
-	s.MustExec("INSERT INTO b VALUES (1)")
-	if _, err := s.Exec("SELECT * FROM a, b WHERE a.S = b.K"); err == nil || !strings.Contains(err.Error(), "cannot compare STRING with INT") {
+	s.MustExecContext(context.Background(), "CREATE TABLE a (S VARCHAR(10))")
+	s.MustExecContext(context.Background(), "CREATE TABLE b (K INT)")
+	s.MustExecContext(context.Background(), "INSERT INTO a VALUES ('1')")
+	s.MustExecContext(context.Background(), "INSERT INTO b VALUES (1)")
+	if _, err := s.ExecContext(context.Background(), "SELECT * FROM a, b WHERE a.S = b.K"); err == nil || !strings.Contains(err.Error(), "cannot compare STRING with INT") {
 		t.Errorf("VARCHAR = INT join: err = %v, want the comparison error", err)
 	}
-	s.MustExec("CREATE TABLE c (K BIGINT)")
-	s.MustExec("CREATE TABLE d (F DOUBLE)")
-	s.MustExec("INSERT INTO c VALUES (9007199254740993)")
-	s.MustExec("INSERT INTO d VALUES (9007199254740992.0)")
-	if got := s.MustExec("SELECT COUNT(*) FROM c, d WHERE c.K = d.F").Table.Rows[0][0].Int(); got != 1 {
+	s.MustExecContext(context.Background(), "CREATE TABLE c (K BIGINT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE d (F DOUBLE)")
+	s.MustExecContext(context.Background(), "INSERT INTO c VALUES (9007199254740993)")
+	s.MustExecContext(context.Background(), "INSERT INTO d VALUES (9007199254740992.0)")
+	if got := s.MustExecContext(context.Background(), "SELECT COUNT(*) FROM c, d WHERE c.K = d.F").Table.Rows[0][0].Int(); got != 1 {
 		t.Errorf("BIGINT = DOUBLE join above 2^53 counts %d rows, the comparison says 1", got)
 	}
 
 	// Only key pairs of known, different kinds lose the hash join; a side
 	// of unknown type keeps it.
-	s.MustExec("CREATE TABLE e (K SMALLINT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE e (K SMALLINT)")
 	for _, c := range []struct {
 		sql             string
 		hashed, applied bool
@@ -129,7 +129,7 @@ func TestJoinAcrossKindsIsNotHashed(t *testing.T) {
 		{"SELECT * FROM b JOIN c ON b.K = c.K AND b.K = 1", true, false},
 		{"SELECT * FROM b, c, d WHERE b.K = c.K AND c.K = d.F", true, true},
 	} {
-		plan := s.MustExec("EXPLAIN " + c.sql).Table.String()
+		plan := s.MustExecContext(context.Background(), "EXPLAIN "+c.sql).Table.String()
 		if strings.Contains(plan, "HashJoin") != c.hashed || strings.Contains(plan, "Apply") != c.applied {
 			t.Errorf("EXPLAIN %s: want HashJoin %v, Apply %v\n%s", c.sql, c.hashed, c.applied, plan)
 		}

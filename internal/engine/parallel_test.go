@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -26,9 +27,9 @@ func parallelFixture(t *testing.T) (*Engine, *Session, *atomic.Int64) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.MustExec("CREATE FUNCTION Counted (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.counted'")
-	s.MustExec("CREATE TABLE driver (X INT)")
-	s.MustExec("INSERT INTO driver VALUES (1), (2), (1), (2), (1)")
+	s.MustExecContext(context.Background(), "CREATE FUNCTION Counted (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.counted'")
+	s.MustExecContext(context.Background(), "CREATE TABLE driver (X INT)")
+	s.MustExecContext(context.Background(), "INSERT INTO driver VALUES (1), (2), (1), (2), (1)")
 	return eng, s, &calls
 }
 
@@ -37,11 +38,11 @@ func TestSetParallelismStatement(t *testing.T) {
 	query := "SELECT d.X, c.Y FROM driver d, TABLE (Counted(d.X)) AS c ORDER BY d.X, c.Y"
 	want := queryRows(t, s, query)
 
-	res := s.MustExec("SET PARALLELISM 4")
+	res := s.MustExecContext(context.Background(), "SET PARALLELISM 4")
 	if res.Message != "parallelism set to 4" || eng.Parallelism() != 4 {
 		t.Fatalf("SET PARALLELISM: %q, parallelism %d", res.Message, eng.Parallelism())
 	}
-	plan := s.MustExec("EXPLAIN " + query).Table.String()
+	plan := s.MustExecContext(context.Background(), "EXPLAIN "+query).Table.String()
 	if !strings.Contains(plan, "ParallelApply (dop=4)") {
 		t.Errorf("EXPLAIN lacks ParallelApply:\n%s", plan)
 	}
@@ -51,19 +52,19 @@ func TestSetParallelismStatement(t *testing.T) {
 	}
 
 	// SET PARALLELISM 0 restores sequential plans.
-	s.MustExec("SET PARALLELISM 0")
-	plan = s.MustExec("EXPLAIN " + query).Table.String()
+	s.MustExecContext(context.Background(), "SET PARALLELISM 0")
+	plan = s.MustExecContext(context.Background(), "EXPLAIN "+query).Table.String()
 	if strings.Contains(plan, "ParallelApply") {
 		t.Errorf("plan still parallel after SET PARALLELISM 0:\n%s", plan)
 	}
 
 	// Negative resolves to GOMAXPROCS.
-	s.MustExec("SET PARALLELISM -1")
+	s.MustExecContext(context.Background(), "SET PARALLELISM -1")
 	if eng.Parallelism() != runtime.GOMAXPROCS(0) {
 		t.Errorf("SET PARALLELISM -1 -> %d, want GOMAXPROCS %d", eng.Parallelism(), runtime.GOMAXPROCS(0))
 	}
 
-	if _, err := s.Exec("SET NO_SUCH_OPTION 1"); err == nil {
+	if _, err := s.ExecContext(context.Background(), "SET NO_SUCH_OPTION 1"); err == nil {
 		t.Error("unknown SET option accepted")
 	}
 }
@@ -117,10 +118,10 @@ func TestParallelismPreservesVirtualAccounting(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s.MustExec("CREATE FUNCTION Slow (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.slow'")
-	s.MustExec("CREATE TABLE nums (X INT)")
+	s.MustExecContext(context.Background(), "CREATE FUNCTION Slow (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.slow'")
+	s.MustExecContext(context.Background(), "CREATE TABLE nums (X INT)")
 	for i := 0; i < 16; i++ {
-		s.MustExec("INSERT INTO nums VALUES (" + string(rune('0'+i%8)) + ")")
+		s.MustExecContext(context.Background(), "INSERT INTO nums VALUES ("+string(rune('0'+i%8))+")")
 	}
 	query := "SELECT COUNT(*) FROM nums n, TABLE (Slow(n.X)) AS f"
 

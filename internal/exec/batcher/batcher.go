@@ -149,8 +149,8 @@ func (b *Batcher) Flush() {
 }
 
 // RowBytes estimates the wire size of one argument row: a fixed per-value
-// header plus the rendered payload, mirroring the gob wireValue layout
-// closely enough for the byte trigger to be meaningful.
+// header plus the rendered payload — an upper estimate of the framed
+// encoding, close enough for the byte trigger to be meaningful.
 func RowBytes(row []types.Value) int {
 	n := 0
 	for _, v := range row {

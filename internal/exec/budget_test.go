@@ -15,17 +15,17 @@ import (
 // coming back unnoticed; per-chunk allocation sits near 1 300.
 func TestLocalJoinAllocationBudget(t *testing.T) {
 	s := engine.New().NewSession()
-	s.MustExec("CREATE TABLE l (K INT, V INT)")
-	s.MustExec("CREATE TABLE r (K INT, W INT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE l (K INT, V INT)")
+	s.MustExecContext(context.Background(), "CREATE TABLE r (K INT, W INT)")
 	for i := 0; i < 2000; i += 100 {
 		l, r := "INSERT INTO l VALUES ", "INSERT INTO r VALUES "
 		for j := i; j < i+100; j++ {
 			l += fmt.Sprintf("(%d, %d),", j%100, j)
 			r += fmt.Sprintf("(%d, %d),", j%100, j)
 		}
-		s.MustExec(l[:len(l)-1])
+		s.MustExecContext(context.Background(), l[:len(l)-1])
 		if i < 500 {
-			s.MustExec(r[:len(r)-1])
+			s.MustExecContext(context.Background(), r[:len(r)-1])
 		}
 	}
 	const sql = "SELECT l.K, COUNT(*), SUM(r.W) FROM l, r WHERE l.K = r.K AND l.V >= 17 GROUP BY l.K"

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -125,10 +126,10 @@ type stubForeign struct {
 }
 
 func (s *stubForeign) Name() string { return "stub" }
-func (s *stubForeign) TableSchema(string) (types.Schema, error) {
+func (s *stubForeign) TableSchemaContext(context.Context, string) (types.Schema, error) {
 	return s.res.Schema, nil
 }
-func (s *stubForeign) Query(sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
+func (s *stubForeign) QueryContext(_ context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
 	if s.err != nil {
 		return nil, s.err
 	}

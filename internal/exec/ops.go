@@ -406,7 +406,7 @@ func (r *RemoteScan) Open(ctx *Ctx, _ types.Row) error {
 	if err := ctx.check(); err != nil {
 		return err
 	}
-	res, err := catalog.QueryServer(ctx.Context, r.Server, r.Query, ctx.Task)
+	res, err := r.Server.QueryContext(ctx.Context, r.Query, ctx.Task)
 	if err != nil {
 		return fmt.Errorf("exec: remote scan on %s: %w", r.Server.Name(), err)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"io"
 	"strings"
@@ -174,7 +175,7 @@ func (f *fnTableFunc) Params() []types.Column {
 	return []types.Column{{Name: "x", Type: types.Integer}}
 }
 func (f *fnTableFunc) Schema() types.Schema { return intSchema("y") }
-func (f *fnTableFunc) Invoke(rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
+func (f *fnTableFunc) InvokeContext(_ context.Context, rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
 	return f.fn(args)
 }
 

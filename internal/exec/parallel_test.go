@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -26,7 +27,7 @@ func (f *taskFnTableFunc) Params() []types.Column {
 	return []types.Column{{Name: "x", Type: types.Integer}}
 }
 func (f *taskFnTableFunc) Schema() types.Schema { return intSchema("y") }
-func (f *taskFnTableFunc) Invoke(rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
+func (f *taskFnTableFunc) InvokeContext(_ context.Context, rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
 	task.Spend(f.cost)
 	return f.fn(args)
 }

@@ -2,6 +2,7 @@ package fdbs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"fedwf/internal/fedfunc"
+	"fedwf/internal/obs"
 	"fedwf/internal/obs/collector"
 	"fedwf/internal/obs/journal"
 	"fedwf/internal/obs/stats"
@@ -32,12 +34,12 @@ func TestAuditVirtualTables(t *testing.T) {
 	srv := newAuditServer(t)
 	for i := 1; i <= 6; i++ {
 		stmt := fmt.Sprintf("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier%d')) AS Q", i)
-		if _, _, err := srv.ExecObserved(stmt); err != nil {
+		if _, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	tab, _, err := srv.ExecObserved("SELECT * FROM fed_wf_instances ORDER BY started_vt DESC LIMIT 5")
+	tab, _, err := srv.ExecTracedContext(context.Background(), "SELECT * FROM fed_wf_instances ORDER BY started_vt DESC LIMIT 5", obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +68,8 @@ func TestAuditVirtualTables(t *testing.T) {
 
 	// Per-activity history joins on the instance id.
 	newest := tab.Rows[0][instCol].Str()
-	acts, _, err := srv.ExecObserved(
-		"SELECT Node, Event, Rows FROM fed_wf_activities WHERE Instance = 'wf-000006' ORDER BY At_VT")
+	acts, _, err := srv.ExecTracedContext(context.Background(),
+		"SELECT Node, Event, Rows FROM fed_wf_activities WHERE Instance = 'wf-000006' ORDER BY At_VT", obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +87,8 @@ func TestAuditVirtualTables(t *testing.T) {
 	}
 
 	// The statement history itself, filtered by kind.
-	evts, _, err := srv.ExecObserved(
-		"SELECT Seq, Fingerprint, Rows FROM fed_audit_events WHERE Kind = 'statement' ORDER BY Seq")
+	evts, _, err := srv.ExecTracedContext(context.Background(),
+		"SELECT Seq, Fingerprint, Rows FROM fed_audit_events WHERE Kind = 'statement' ORDER BY Seq", obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +111,7 @@ func TestAuditJournalMatchesStackCounters(t *testing.T) {
 		const n = 7
 		for i := 0; i < n; i++ {
 			stmt := fmt.Sprintf("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier%d')) AS Q", i%9+1)
-			if _, _, err := srv.ExecObserved(stmt); err != nil {
+			if _, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,7 +149,7 @@ func TestJournalEventsCarryTheWarehouseFingerprint(t *testing.T) {
 	srv := newAuditServer(t)
 	const stmt = "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"
 	for i := 0; i < 3; i++ {
-		if _, _, err := srv.ExecObserved(stmt); err != nil {
+		if _, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -185,7 +187,7 @@ func TestAuditConcurrentScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				stmt := fmt.Sprintf("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier%d')) AS Q", (g+i)%9+1)
-				if _, _, err := srv.ExecObserved(stmt); err != nil {
+				if _, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -214,7 +216,7 @@ func TestAuditConcurrentScrapes(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			// Scanning the audit table appends its own statement event —
 			// the reentrancy the sharded snapshot must survive.
-			if _, _, err := srv.ExecObserved("SELECT Kind FROM fed_audit_events LIMIT 20"); err != nil {
+			if _, _, err := srv.ExecTracedContext(context.Background(), "SELECT Kind FROM fed_audit_events LIMIT 20", obs.TraceContext{}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -229,7 +231,7 @@ func TestShutdownFlushesSinks(t *testing.T) {
 	srv := newAuditServer(t)
 	var sink bytes.Buffer
 	srv.Journal().SetSink(&sink)
-	if _, _, err := srv.ExecObserved("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"); err != nil {
+	if _, _, err := srv.ExecTracedContext(context.Background(), "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q", obs.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Shutdown(0); err != nil {

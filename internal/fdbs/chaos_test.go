@@ -59,8 +59,8 @@ func TestChaosStatementsAlwaysResolve(t *testing.T) {
 
 	setup := srv.Session()
 	setup.SetTask(simlat.NewVirtualTask())
-	setup.MustExec("CREATE TABLE comps (Name VARCHAR(30))")
-	setup.MustExec("INSERT INTO comps VALUES ('washer'), ('bolt'), ('nut')")
+	setup.MustExecContext(context.Background(), "CREATE TABLE comps (Name VARCHAR(30))")
+	setup.MustExecContext(context.Background(), "INSERT INTO comps VALUES ('washer'), ('bolt'), ('nut')")
 
 	statements := []string{
 		"SELECT KompNr FROM TABLE (GibKompNr('washer')) AS K",

@@ -239,37 +239,21 @@ const (
 	fnExec = "exec"
 )
 
-// ExecObserved runs one statement on a fresh session with a per-request
-// virtual cost meter, records serving-path metrics, consults the
-// slow-query log, and returns the result table alongside timing metadata
-// (paper_ms, wall_ms, rows, cache counters, arch).
+// ExecTracedContext runs one statement on a fresh session with a
+// per-request virtual cost meter, records serving-path metrics, consults
+// the slow-query log, and returns the result table alongside timing
+// metadata (paper_ms, wall_ms, rows, cache counters, arch). The engine
+// session still drives the integration stack, so the simulated latency is
+// the paper's per-statement elapsed time; wall time is the real serving
+// duration of this process.
 //
-// The engine session still drives the integration stack, so the simulated
-// latency is the paper's per-statement elapsed time; wall time is the real
-// serving duration of this process.
-//
-// Deprecated: use ExecTracedContext; this shim serves with a background
-// context.
-func (s *Server) ExecObserved(text string) (*types.Table, map[string]string, error) {
-	return s.ExecTracedContext(context.Background(), text, obs.TraceContext{})
-}
-
-// ExecTraced is ExecObserved under an incoming trace context: the
-// statement's span tree adopts the caller's trace ID, every completed
+// The statement's span tree adopts the trace ID of tc, every completed
 // statement is offered to the trace collector (tail sampling decides
 // retention), and — when the caller sampled the request — the span tree is
 // shipped back as a fragment in the metadata so the caller can graft it.
-//
-// Deprecated: use ExecTracedContext; this shim serves with a background
-// context.
-func (s *Server) ExecTraced(text string, tc obs.TraceContext) (*types.Table, map[string]string, error) {
-	return s.ExecTracedContext(context.Background(), text, tc)
-}
-
-// ExecTracedContext is ExecTraced under a caller context: any relative
-// statement timeout carried on ctx (e.g. re-armed by the RPC server from
-// the wire) is anchored to the statement's fresh virtual meter, and
-// cancellation aborts the statement between operators.
+// Any relative statement timeout carried on ctx (e.g. re-armed by the RPC
+// server from the wire) is anchored to the statement's fresh virtual
+// meter, and cancellation aborts the statement between operators.
 func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.TraceContext) (*types.Table, map[string]string, error) {
 	archLabel := s.stack.Arch().Label()
 	task := simlat.NewVirtualTask()
@@ -504,41 +488,23 @@ type Client struct {
 type ClientOption func(*clientConfig)
 
 type clientConfig struct {
-	tenant    string
-	legacyGob bool
+	tenant string
 }
 
 // WithTenant sets the tenant this session is accounted under; the
 // server's per-tenant session quotas, admission limits, and serving
-// metrics key on it. Ignored on the legacy gob transport, which has no
-// handshake to carry it.
+// metrics key on it.
 func WithTenant(tenant string) ClientOption {
 	return func(c *clientConfig) { c.tenant = tenant }
 }
 
-// WithLegacyGob forces the serialized one-call-at-a-time gob transport
-// instead of negotiating the framed multiplexed protocol. Useful for
-// compatibility tests and debugging against the oldest wire format.
-func WithLegacyGob() ClientOption {
-	return func(c *clientConfig) { c.legacyGob = true }
-}
-
-// DialClient connects to a listening integration server. By default it
-// negotiates the framed multiplexed protocol (pipelined statements over
-// one connection, typed errors, tenant accounting) and transparently
-// falls back to the serialized gob transport against servers that
-// predate it.
+// DialClient connects to a listening integration server over the framed
+// multiplexed protocol: pipelined statements over one connection, typed
+// errors, tenant accounting.
 func DialClient(addr string, opts ...ClientOption) (*Client, error) {
 	var cfg clientConfig
 	for _, o := range opts {
 		o(&cfg)
-	}
-	if cfg.legacyGob {
-		c, err := rpc.Dial(addr)
-		if err != nil {
-			return nil, err
-		}
-		return &Client{c: c}, nil
 	}
 	var dopts []rpc.DialOption
 	if cfg.tenant != "" {
@@ -559,13 +525,11 @@ type ExecResult struct {
 	// non-queries); nil when the statement failed.
 	Table *types.Table
 	// Meta is the server's timing metadata (paper_ms, wall_ms, rows,
-	// cache counters, arch, trace keys). Nil against transports or
-	// servers that predate metadata; may be non-nil even on error.
+	// cache counters, arch, trace keys); may be non-nil even on error.
 	Meta map[string]string
 	// Trace is the client-side root span with the server's fragment
 	// grafted under it (the full waterfall client.exec → rpc.call →
-	// rpc.serve → fdbs.exec → …). Nil unless WithTrace was given and the
-	// transport supports metadata.
+	// rpc.serve → fdbs.exec → …). Nil unless WithTrace was given.
 	Trace *obs.Span
 }
 
@@ -641,12 +605,7 @@ func (c *Client) Exec(ctx context.Context, sql string, opts ...ExecOption) (*Exe
 	}
 	req := rpc.Request{Function: fnExec, Args: []types.Value{types.NewString(sql)}}
 	res := &ExecResult{}
-	mc, hasMeta := c.c.(rpc.MetaCaller)
-	if !hasMeta {
-		tab, err := c.c.Call(ctx, nil, req)
-		res.Table = tab
-		return res, err
-	}
+	mc := c.c.(rpc.MetaCaller) // what DialMux returns always is one
 	if !cfg.trace {
 		tab, meta, err := mc.CallMeta(ctx, nil, req)
 		res.Table, res.Meta = tab, meta
@@ -664,46 +623,6 @@ func (c *Client) Exec(ctx context.Context, sql string, opts ...ExecOption) (*Exe
 	}
 	res.Table, res.Meta, res.Trace = tab, meta, root
 	return res, err
-}
-
-// ExecContext runs one statement remotely and returns its result table.
-//
-// Deprecated: use Exec, which also reports the server's timing metadata.
-func (c *Client) ExecContext(ctx context.Context, sql string) (*types.Table, error) {
-	res, err := c.Exec(ctx, sql)
-	return res.Table, err
-}
-
-// ExecTimed runs one statement remotely and additionally returns the
-// server's per-statement metadata.
-//
-// Deprecated: use Exec; this shim runs with a background context.
-func (c *Client) ExecTimed(sql string) (*types.Table, map[string]string, error) {
-	return c.ExecTimedContext(context.Background(), sql)
-}
-
-// ExecTimedContext runs one statement remotely with timing metadata.
-//
-// Deprecated: use Exec, whose ExecResult carries the same metadata.
-func (c *Client) ExecTimedContext(ctx context.Context, sql string) (*types.Table, map[string]string, error) {
-	res, err := c.Exec(ctx, sql)
-	return res.Table, res.Meta, err
-}
-
-// ExecTraced runs one statement remotely with tracing requested.
-//
-// Deprecated: use Exec with WithTrace; this shim runs with a background
-// context.
-func (c *Client) ExecTraced(sql string) (*types.Table, map[string]string, *obs.Span, error) {
-	return c.ExecTracedContext(context.Background(), sql)
-}
-
-// ExecTracedContext runs one statement remotely with tracing requested.
-//
-// Deprecated: use Exec with WithTrace.
-func (c *Client) ExecTracedContext(ctx context.Context, sql string) (*types.Table, map[string]string, *obs.Span, error) {
-	res, err := c.Exec(ctx, sql, WithTrace())
-	return res.Table, res.Meta, res.Trace, err
 }
 
 // Close releases the connection.

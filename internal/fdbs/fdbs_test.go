@@ -22,7 +22,7 @@ func TestIntegrationServerWfMS(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := srv.Session()
-	tab, err := s.Query("SELECT BSC.Decision FROM TABLE (BuySuppComp(4, 'washer')) AS BSC")
+	tab, err := s.QueryContext(context.Background(), "SELECT BSC.Decision FROM TABLE (BuySuppComp(4, 'washer')) AS BSC")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +46,9 @@ func TestFederatedFunctionCombinedWithLocalTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := srv.Session()
-	s.MustExec("CREATE TABLE watchlist (SupplierNo INT, Note VARCHAR(30))")
-	s.MustExec("INSERT INTO watchlist VALUES (3, 'strategic'), (7, 'probation')")
-	tab, err := s.Query(`SELECT w.Note, QR.Qual, QR.Relia
+	s.MustExecContext(context.Background(), "CREATE TABLE watchlist (SupplierNo INT, Note VARCHAR(30))")
+	s.MustExecContext(context.Background(), "INSERT INTO watchlist VALUES (3, 'strategic'), (7, 'probation')")
+	tab, err := s.QueryContext(context.Background(), `SELECT w.Note, QR.Qual, QR.Relia
 		FROM watchlist w, TABLE (GetSuppQualRelia(w.SupplierNo)) AS QR
 		ORDER BY w.SupplierNo`)
 	if err != nil {
@@ -68,12 +68,12 @@ func TestHomogenizedView(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := srv.Session()
-	s.MustExec("CREATE TABLE known_suppliers (SupplierNo INT)")
-	s.MustExec("INSERT INTO known_suppliers VALUES (2), (5)")
-	s.MustExec(`CREATE VIEW supplier_scores AS
+	s.MustExecContext(context.Background(), "CREATE TABLE known_suppliers (SupplierNo INT)")
+	s.MustExecContext(context.Background(), "INSERT INTO known_suppliers VALUES (2), (5)")
+	s.MustExecContext(context.Background(), `CREATE VIEW supplier_scores AS
 		SELECT k.SupplierNo, QR.Qual, QR.Relia
 		FROM known_suppliers k, TABLE (GetSuppQualRelia(k.SupplierNo)) AS QR`)
-	tab, err := s.Query("SELECT SupplierNo, Qual FROM supplier_scores WHERE Relia > 0 ORDER BY SupplierNo")
+	tab, err := s.QueryContext(context.Background(), "SELECT SupplierNo, Qual FROM supplier_scores WHERE Relia > 0 ORDER BY SupplierNo")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,18 +136,18 @@ func TestAttachInProcSource(t *testing.T) {
 	}
 	remote := engine.New()
 	rs := remote.NewSession()
-	rs.MustExec("CREATE TABLE prices (CompNo INT, Price DOUBLE)")
-	rs.MustExec("INSERT INTO prices VALUES (2, 0.05), (3, 0.02)")
+	rs.MustExecContext(context.Background(), "CREATE TABLE prices (CompNo INT, Price DOUBLE)")
+	rs.MustExecContext(context.Background(), "INSERT INTO prices VALUES (2, 0.05), (3, 0.02)")
 	srv.AttachInProcSource("erp", remote)
 
 	s := srv.Session()
-	s.MustExec("CREATE WRAPPER sqlwrapper")
-	s.MustExec("CREATE SERVER erpsrv WRAPPER sqlwrapper OPTIONS (target 'erp')")
-	s.MustExec("CREATE NICKNAME prices FOR erpsrv.prices")
+	s.MustExecContext(context.Background(), "CREATE WRAPPER sqlwrapper")
+	s.MustExecContext(context.Background(), "CREATE SERVER erpsrv WRAPPER sqlwrapper OPTIONS (target 'erp')")
+	s.MustExecContext(context.Background(), "CREATE NICKNAME prices FOR erpsrv.prices")
 
 	// Federated function output joined with a remote SQL source: the
 	// paper's combined data-and-function integration in one statement.
-	tab, err := s.Query(`SELECT K.KompNr, p.Price
+	tab, err := s.QueryContext(context.Background(), `SELECT K.KompNr, p.Price
 		FROM TABLE (GibKompNr('nut')) AS K, prices p
 		WHERE K.KompNr = p.CompNo`)
 	if err != nil {
@@ -180,7 +180,7 @@ func TestExecObservedMetricsAndSlowLog(t *testing.T) {
 	var slow strings.Builder
 	srv.SetSlowQueryLog(obs.NewSlowQueryLog(&slow, simlat.PaperMS))
 
-	tab, meta, err := srv.ExecObserved("SELECT * FROM TABLE (GetNoSuppComp('Supplier1', 'nut')) AS R")
+	tab, meta, err := srv.ExecTracedContext(context.Background(), "SELECT * FROM TABLE (GetNoSuppComp('Supplier1', 'nut')) AS R", obs.TraceContext{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestExecObservedMetricsAndSlowLog(t *testing.T) {
 	}
 
 	// Errors count separately and return no metadata.
-	if _, _, err := srv.ExecObserved("SELECT nonsense FROM nowhere"); err == nil {
+	if _, _, err := srv.ExecTracedContext(context.Background(), "SELECT nonsense FROM nowhere", obs.TraceContext{}); err == nil {
 		t.Fatal("bad statement accepted")
 	}
 	if got := m.Queries.With("wfms", "error").Value(); got != 1 {
@@ -255,10 +255,11 @@ func TestClientExecTimedOverTCP(t *testing.T) {
 	}
 	defer client.Close()
 
-	tab, meta, err := client.ExecTimed("SELECT * FROM TABLE (GetNoSuppComp('Supplier1', 'nut')) AS R")
+	res, err := client.Exec(context.Background(), "SELECT * FROM TABLE (GetNoSuppComp('Supplier1', 'nut')) AS R")
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab, meta := res.Table, res.Meta
 	if tab.Len() == 0 {
 		t.Fatal("no rows over TCP")
 	}

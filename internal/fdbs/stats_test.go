@@ -1,6 +1,7 @@
 package fdbs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -25,13 +26,13 @@ func TestStatsWarehouseQueryableFromSQL(t *testing.T) {
 	}
 	for _, sup := range []int{1, 2, 3} {
 		stmt := fmt.Sprintf("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier%d')) AS Q", sup)
-		if _, _, err := srv.ExecObserved(stmt); err != nil {
+		if _, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	s := srv.Session()
-	tab, err := s.Query("SELECT Fingerprint, Calls, Errors, Total_MS, Mean_MS, P99_MS, Query FROM fed_stat_statements ORDER BY Total_MS DESC LIMIT 5")
+	tab, err := s.QueryContext(context.Background(), "SELECT Fingerprint, Calls, Errors, Total_MS, Mean_MS, P99_MS, Query FROM fed_stat_statements ORDER BY Total_MS DESC LIMIT 5")
 	if err != nil {
 		t.Fatalf("querying fed_stat_statements: %v", err)
 	}
@@ -49,7 +50,7 @@ func TestStatsWarehouseQueryableFromSQL(t *testing.T) {
 		t.Errorf("total_ms = %v, want > 0", row[3].Float())
 	}
 
-	fns, err := s.Query("SELECT Func, Calls FROM fed_stat_functions ORDER BY Total_MS DESC")
+	fns, err := s.QueryContext(context.Background(), "SELECT Func, Calls FROM fed_stat_functions ORDER BY Total_MS DESC")
 	if err != nil {
 		t.Fatalf("querying fed_stat_functions: %v", err)
 	}
@@ -90,7 +91,7 @@ func TestStatsEndpointsConcurrentWithStatements(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				stmt := fmt.Sprintf("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier%d')) AS Q", (w*perWriter+i)%9+1)
-				if _, _, err := srv.ExecObserved(stmt); err != nil {
+				if _, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -123,7 +124,7 @@ func TestStatsEndpointsConcurrentWithStatements(t *testing.T) {
 		defer wg.Done()
 		s := srv.Session()
 		for i := 0; i < scrapes; i++ {
-			if _, err := s.Query("SELECT Calls FROM fed_stat_statements"); err != nil {
+			if _, err := s.QueryContext(context.Background(), "SELECT Calls FROM fed_stat_statements"); err != nil {
 				t.Errorf("querying fed_stat_statements: %v", err)
 				return
 			}

@@ -49,7 +49,7 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer appsSrv.Close()
-	appsClient, err := rpc.Dial(appsAddr.String())
+	appsClient, err := rpc.DialMux(appsAddr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,11 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 	}
 	defer client.Close()
 
-	tab, meta, root, err := client.ExecTraced("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q")
+	res, err := client.Exec(context.Background(), "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q", WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
+	tab, meta, root := res.Table, res.Meta, res.Trace
 	if tab.Len() != 1 {
 		t.Fatalf("traced query result:\n%s", tab)
 	}
@@ -165,10 +166,11 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 		t.Error("error trace has no span tree")
 	}
 	// …while a fast healthy untraced statement is dropped under rate -1.
-	_, meta2, err := client.ExecTimed("SHOW FUNCTIONS")
+	res2, err := client.Exec(context.Background(), "SHOW FUNCTIONS")
 	if err != nil {
 		t.Fatal(err)
 	}
+	meta2 := res2.Meta
 	if meta2["trace_retained"] == "1" {
 		t.Error("fast healthy trace retained with sampling off")
 	}
@@ -212,10 +214,11 @@ func TestExecTracedUDTFArch(t *testing.T) {
 	}
 	defer client.Close()
 
-	_, meta, root, err := client.ExecTraced("SELECT * FROM TABLE (GetNoSuppComp('Supplier1', 'nut')) AS R")
+	res, err := client.Exec(context.Background(), "SELECT * FROM TABLE (GetNoSuppComp('Supplier1', 'nut')) AS R", WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
+	meta, root := res.Meta, res.Trace
 	rendered := obs.Render(root)
 	for _, want := range []string{"client.exec", "rpc.serve", "fdbs.exec", "udtf.sql", "udtf.access", "controller.call", "appsys.call"} {
 		if !strings.Contains(rendered, want) {

@@ -761,7 +761,7 @@ func runSelect(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, s
 	if err != nil {
 		return nil, err
 	}
-	return catalog.RunSelectOn(ctx, rt, sel, nil, task)
+	return rt.RunSelectContext(ctx, sel, nil, task)
 }
 
 // goBodyGetSuppQual realises the linear case in a programming language:

@@ -1,6 +1,7 @@
 package fedfunc
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -25,7 +26,7 @@ func rpcNewServer(t *testing.T, reg *appsys.Registry) *rpc.Server {
 }
 
 func rpcDial(srv *rpc.Server) (rpc.Client, error) {
-	return rpc.Dial(srv.Addr().String())
+	return rpc.DialMux(srv.Addr().String())
 }
 
 func newStacks(t *testing.T) (*Stack, *Stack) {
@@ -63,12 +64,12 @@ func TestArchitectureEquivalence(t *testing.T) {
 		}
 		for i := range spec.SampleArgs {
 			name := fmt.Sprintf("%s/sample%d", spec.Name, i)
-			wfRes, err := wf.CallSpec(simlat.Free(), spec, i)
+			wfRes, err := wf.CallSpecContext(context.Background(), simlat.Free(), spec, i)
 			if err != nil {
 				t.Errorf("%s: WfMS: %v", name, err)
 				continue
 			}
-			udRes, err := ud.CallSpec(simlat.Free(), spec, i)
+			udRes, err := ud.CallSpecContext(context.Background(), simlat.Free(), spec, i)
 			if err != nil {
 				t.Errorf("%s: UDTF: %v", name, err)
 				continue
@@ -97,12 +98,12 @@ func TestGoVariantEquivalence(t *testing.T) {
 			continue
 		}
 		for i, args := range spec.SampleArgs {
-			sqlRes, err := ud.Call(simlat.Free(), spec.Name, args)
+			sqlRes, err := ud.CallContext(context.Background(), simlat.Free(), spec.Name, args)
 			if err != nil {
 				t.Errorf("%s sample %d (SQL): %v", spec.Name, i, err)
 				continue
 			}
-			goRes, err := ud.Call(simlat.Free(), spec.Name+"_Go", args)
+			goRes, err := ud.CallContext(context.Background(), simlat.Free(), spec.Name+"_Go", args)
 			if err != nil {
 				t.Errorf("%s sample %d (Go): %v", spec.Name, i, err)
 				continue
@@ -130,17 +131,17 @@ func TestCyclicOnlyInWfMSAndGo(t *testing.T) {
 	if ud.Supports("AllCompNames") {
 		t.Error("UDTF stack claims to support the cyclic case")
 	}
-	if _, err := ud.Call(simlat.Free(), "AllCompNames", nil); err == nil {
+	if _, err := ud.CallContext(context.Background(), simlat.Free(), "AllCompNames", nil); err == nil {
 		t.Error("UDTF stack executed the cyclic case")
 	}
-	wfRes, err := wf.Call(simlat.Free(), "AllCompNames", nil)
+	wfRes, err := wf.CallContext(context.Background(), simlat.Free(), "AllCompNames", nil)
 	if err != nil {
 		t.Fatalf("WfMS cyclic case: %v", err)
 	}
 	if wfRes.Len() != appsys.NumComponents {
 		t.Errorf("WfMS cyclic case returned %d rows, want %d", wfRes.Len(), appsys.NumComponents)
 	}
-	goRes, err := ud.Call(simlat.Free(), "AllCompNames_Go", nil)
+	goRes, err := ud.CallContext(context.Background(), simlat.Free(), "AllCompNames_Go", nil)
 	if err != nil {
 		t.Fatalf("Go cyclic case: %v", err)
 	}
@@ -211,18 +212,18 @@ func TestWfMSSlowerButSameOrder(t *testing.T) {
 	wf, ud := newStacks(t)
 	spec, _ := SpecByName("GetNoSuppComp")
 	// Warm both stacks first (hot measurements).
-	if _, err := wf.CallSpec(simlat.Free(), spec, 0); err != nil {
+	if _, err := wf.CallSpecContext(context.Background(), simlat.Free(), spec, 0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ud.CallSpec(simlat.Free(), spec, 0); err != nil {
+	if _, err := ud.CallSpecContext(context.Background(), simlat.Free(), spec, 0); err != nil {
 		t.Fatal(err)
 	}
 	wfTask := simlat.NewVirtualTask()
-	if _, err := wf.CallSpec(wfTask, spec, 0); err != nil {
+	if _, err := wf.CallSpecContext(context.Background(), wfTask, spec, 0); err != nil {
 		t.Fatal(err)
 	}
 	udTask := simlat.NewVirtualTask()
-	if _, err := ud.CallSpec(udTask, spec, 0); err != nil {
+	if _, err := ud.CallSpecContext(context.Background(), udTask, spec, 0); err != nil {
 		t.Fatal(err)
 	}
 	ratio := float64(wfTask.Elapsed()) / float64(udTask.Elapsed())
@@ -239,11 +240,11 @@ func TestWfMSSlowerButSameOrder(t *testing.T) {
 func TestParallelOrderingPerArchitecture(t *testing.T) {
 	wf, ud := newStacks(t)
 	measure := func(s *Stack, name string, args []types.Value) float64 {
-		if _, err := s.Call(simlat.Free(), name, args); err != nil { // warm
+		if _, err := s.CallContext(context.Background(), simlat.Free(), name, args); err != nil { // warm
 			t.Fatal(err)
 		}
 		task := simlat.NewVirtualTask()
-		if _, err := s.Call(task, name, args); err != nil {
+		if _, err := s.CallContext(context.Background(), task, name, args); err != nil {
 			t.Fatal(err)
 		}
 		return float64(task.Elapsed())
@@ -268,7 +269,7 @@ func TestBootStates(t *testing.T) {
 	spec, _ := SpecByName("GetSuppQual")
 	measure := func() float64 {
 		task := simlat.NewVirtualTask()
-		if _, err := wf.CallSpec(task, spec, 0); err != nil {
+		if _, err := wf.CallSpecContext(context.Background(), task, spec, 0); err != nil {
 			t.Fatal(err)
 		}
 		return float64(task.Elapsed())
@@ -298,11 +299,11 @@ func TestControllerAblation(t *testing.T) {
 	}
 	spec, _ := SpecByName("GetNoSuppComp")
 	measure := func(s *Stack) float64 {
-		if _, err := s.CallSpec(simlat.Free(), spec, 0); err != nil {
+		if _, err := s.CallSpecContext(context.Background(), simlat.Free(), spec, 0); err != nil {
 			t.Fatal(err)
 		}
 		task := simlat.NewVirtualTask()
-		if _, err := s.CallSpec(task, spec, 0); err != nil {
+		if _, err := s.CallSpecContext(context.Background(), task, spec, 0); err != nil {
 			t.Fatal(err)
 		}
 		return float64(task.Elapsed())
@@ -334,7 +335,7 @@ func TestRegisterProcess(t *testing.T) {
 	if err := wf.RegisterProcess(process); err != nil {
 		t.Fatal(err)
 	}
-	tab, err := wf.Call(simlat.Free(), "ThreeNames", nil)
+	tab, err := wf.CallContext(context.Background(), simlat.Free(), "ThreeNames", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,11 +354,11 @@ func TestRegisterProcess(t *testing.T) {
 
 func TestStackErrors(t *testing.T) {
 	wf, _ := newStacks(t)
-	if _, err := wf.Call(simlat.Free(), "NoSuchFn", nil); err == nil {
+	if _, err := wf.CallContext(context.Background(), simlat.Free(), "NoSuchFn", nil); err == nil {
 		t.Error("unknown federated function accepted")
 	}
 	spec, _ := SpecByName("GetSuppQual")
-	if _, err := wf.CallSpec(simlat.Free(), spec, 99); err == nil {
+	if _, err := wf.CallSpecContext(context.Background(), simlat.Free(), spec, 99); err == nil {
 		t.Error("bad sample index accepted")
 	}
 	if wf.Arch() != ArchWfMS {
@@ -390,7 +391,7 @@ func TestRemoteAppsClient(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
 		}
-		tab, err := stack.Call(simlat.Free(), "GetSuppQual", []types.Value{types.NewString("Supplier3")})
+		tab, err := stack.CallContext(context.Background(), simlat.Free(), "GetSuppQual", []types.Value{types.NewString("Supplier3")})
 		if err != nil {
 			t.Fatalf("%s: %v", arch, err)
 		}
@@ -406,7 +407,7 @@ func TestStringArgumentsQuoted(t *testing.T) {
 	wf, ud := newStacks(t)
 	args := []types.Value{types.NewString("o'brian -- DROP")}
 	for _, s := range []*Stack{wf, ud} {
-		tab, err := s.Call(simlat.Free(), "GetSuppQual", args)
+		tab, err := s.CallContext(context.Background(), simlat.Free(), "GetSuppQual", args)
 		if err != nil {
 			t.Errorf("%s: %v", s.Arch(), err)
 			continue

@@ -374,13 +374,6 @@ func (s *Stack) ResetCounters() {
 	s.wfInstances.Store(0)
 }
 
-// Call invokes a federated function through the full stack.
-//
-// Deprecated: use CallContext; Call runs without deadline propagation.
-func (s *Stack) Call(task *simlat.Task, name string, args []types.Value) (*types.Table, error) {
-	return s.CallContext(context.Background(), task, name, args)
-}
-
 // CallContext invokes a federated function through the full stack: the
 // statement "SELECT * FROM TABLE (Fn(args...)) AS R" enters the FDBS,
 // whose executor drives the architecture's UDTF. The statement runs under
@@ -397,15 +390,6 @@ func (s *Stack) CallContext(ctx context.Context, task *simlat.Task, name string,
 	session := s.engine.NewSession()
 	session.SetTask(task)
 	return session.QueryContext(ctx, sql)
-}
-
-// CallSpec invokes a spec's federated function with one of its sample
-// argument vectors.
-//
-// Deprecated: use CallSpecContext; CallSpec runs without deadline
-// propagation.
-func (s *Stack) CallSpec(task *simlat.Task, spec *Spec, sampleIdx int) (*types.Table, error) {
-	return s.CallSpecContext(context.Background(), task, spec, sampleIdx)
 }
 
 // CallSpecContext invokes a spec's federated function with one of its

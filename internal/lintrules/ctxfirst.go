@@ -9,12 +9,10 @@ import (
 // CtxFirst enforces the context-first API convention: context.Context is
 // always the first parameter of a function that takes one, and fresh root
 // contexts (context.Background/TODO) are never minted inside internal/
-// packages — callers thread their context down. The deprecated
-// context-free shims (functions whose doc comment carries "Deprecated:")
-// are the one sanctioned place a background context may appear.
+// packages — callers thread their context down.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
-	Doc:  "context.Context must be the first parameter; no context.Background/TODO outside deprecated shims",
+	Doc:  "context.Context must be the first parameter; no context.Background/TODO inside internal/",
 	Run:  runCtxFirst,
 }
 
@@ -22,47 +20,24 @@ var ctxRootFuncs = map[string]bool{"Background": true, "TODO": true}
 
 func runCtxFirst(pass *Pass) {
 	info := pass.Pkg.Info
+	// The parameter-order check applies everywhere in the module, the
+	// root-context check inside internal/ only.
+	internal := strings.HasPrefix(pass.Pkg.PkgPath, internalPfx)
 	for _, f := range pass.Pkg.Files {
-		// Parameter-order check applies everywhere in the module.
 		ast.Inspect(f, func(n ast.Node) bool {
-			var ft *ast.FuncType
-			switch fn := n.(type) {
+			switch n := n.(type) {
 			case *ast.FuncDecl:
-				ft = fn.Type
+				checkCtxPosition(pass, n.Type)
 			case *ast.FuncLit:
-				ft = fn.Type
-			default:
-				return true
+				checkCtxPosition(pass, n.Type)
+			case *ast.SelectorExpr:
+				if name := usedPkgObject(info, n.Sel, "context", ctxRootFuncs); internal && name != "" {
+					pass.Reportf(n.Pos(),
+						"context.%s minted inside internal/: thread the caller's context", name)
+				}
 			}
-			checkCtxPosition(pass, ft)
 			return true
 		})
-	}
-	if !strings.HasPrefix(pass.Pkg.PkgPath, internalPfx) {
-		return
-	}
-	for _, f := range pass.Pkg.Files {
-		for _, decl := range f.Decls {
-			deprecated := false
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Doc != nil &&
-				strings.Contains(fd.Doc.Text(), "Deprecated:") {
-				deprecated = true
-			}
-			if deprecated {
-				continue
-			}
-			ast.Inspect(decl, func(n ast.Node) bool {
-				sel, ok := n.(*ast.SelectorExpr)
-				if !ok {
-					return true
-				}
-				if name := usedPkgObject(info, sel.Sel, "context", ctxRootFuncs); name != "" {
-					pass.Reportf(sel.Pos(),
-						"context.%s minted inside internal/: thread the caller's context (or mark the enclosing shim Deprecated)", name)
-				}
-				return true
-			})
-		}
 	}
 }
 

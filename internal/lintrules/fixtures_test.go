@@ -51,20 +51,17 @@ var fixtureTests = []struct {
 }{
 	{"virtualclock", "fedwf/internal/fixturevclock", VirtualClock},
 	{"ctxfirst", "fedwf/internal/fixturectx", CtxFirst},
-	{"deprecatedcall", "fedwf/internal/fixturedep", DeprecatedCall},
 	{"errtaxonomy", "fedwf/internal/fixtureerr", ErrTaxonomy},
 	{"spanend", "fedwf/internal/fixturespan", SpanEnd},
 	{"layering", "fedwf/internal/exec", Layering},
 	{"layering_harness", "fedwf/fixtureharness", Layering},
 	{"layering_unknown", "fedwf/internal/mystery", Layering},
-	{"gobwire", "fedwf/internal/fixturegob", GobWire},
 	{"metricname", "fedwf/internal/fixturemetric", MetricName},
 	{"eventkind", "fedwf/internal/fixturekind", EventKind},
 	{"lockheld", "fedwf/internal/fixturelock", LockHeld},
 	{"lockorder", "fedwf/internal/fixtureorder", LockOrder},
 	{"goleak", "fedwf/internal/fixtureleak", GoLeak},
 	{"ctxflow", "fedwf/internal/fixturectxflow", CtxFlow},
-	{"wirecompat", "fedwf/internal/fixturewire", WireCompat},
 	{"suppress_span", "fedwf/internal/fixturesuppress", VirtualClock},
 }
 

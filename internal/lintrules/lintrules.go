@@ -4,10 +4,9 @@
 // Four PRs in, the codebase runs on conventions no general-purpose tool
 // checks: deterministic virtual time via simlat (the paper's E1–E12
 // measurements are only reproducible because latency is simulated),
-// context-first APIs with deprecated context-free shims, the resil typed
-// error taxonomy, span begin/end discipline in obs, a strict layer DAG,
-// and gob wire hygiene in rpc. Each analyzer encodes one of those
-// invariants over type-checked ASTs; the cmd/fedlint driver loads the
+// context-first APIs, the resil typed error taxonomy, span begin/end
+// discipline in obs, and a strict layer DAG. Each analyzer encodes one of
+// those invariants over type-checked ASTs; the cmd/fedlint driver loads the
 // module with a stdlib-only loader (go/parser + go/types with the source
 // importer — the go.mod stays dependency-free) and fails CI on any
 // diagnostic.
@@ -85,18 +84,15 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		VirtualClock,
 		CtxFirst,
-		DeprecatedCall,
 		ErrTaxonomy,
 		SpanEnd,
 		Layering,
-		GobWire,
 		MetricName,
 		EventKind,
 		LockHeld,
 		LockOrder,
 		GoLeak,
 		CtxFlow,
-		WireCompat,
 	}
 }
 

@@ -1,6 +1,5 @@
 // Package fixture exercises the ctxfirst rule: context.Context first in
-// every parameter list, and no fresh root contexts inside internal/
-// outside Deprecated shims.
+// every parameter list, and no fresh root contexts inside internal/.
 package fixture
 
 import "context"
@@ -28,10 +27,10 @@ var BadLit = func(n int, ctx context.Context) int { // want `context\.Context mu
 	return n
 }
 
-// Deprecated: use Good; this context-free shim is the sanctioned home
-// for a background context.
+// Deprecated: use Good. The notice buys no exemption: a context-free shim
+// minting a background context is a finding like any other.
 func DeprecatedShim() string {
-	return Good(context.Background(), "shim")
+	return Good(context.Background(), "shim") // want `context\.Background minted inside internal/`
 }
 
 // Good threads the caller's context, first.
@@ -40,7 +39,7 @@ func Good(ctx context.Context, name string) string {
 	return name
 }
 
-// Suppressed shows a sanctioned root context outside a shim.
+// Suppressed shows a sanctioned root context.
 func Suppressed() context.Context {
 	//fedlint:ignore ctxfirst fixture exercises the suppression path
 	return context.Background()

@@ -52,10 +52,11 @@ type ServerMetrics struct {
 // expose it without extra plumbing.
 type ServingMetrics struct {
 	// SessionsOpen is the number of currently open client sessions, by
-	// tenant (framed and legacy-gob connections both count).
+	// tenant.
 	SessionsOpen *GaugeVec
-	// SessionsOpened counts accepted sessions, by tenant and negotiated
-	// protocol ("framed" / "gob").
+	// SessionsOpened counts accepted sessions, by tenant and protocol
+	// (always "framed"; the label predates the gob transport's retirement
+	// and dashboards key on it).
 	SessionsOpened *CounterVec
 	// SessionsRejected counts sessions refused at the handshake because
 	// the tenant's session quota was exhausted, by tenant.

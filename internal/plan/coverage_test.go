@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -85,10 +86,10 @@ type remoteProbe struct {
 }
 
 func (r *remoteProbe) Name() string { return "probe" }
-func (r *remoteProbe) TableSchema(remote string) (types.Schema, error) {
+func (r *remoteProbe) TableSchemaContext(_ context.Context, remote string) (types.Schema, error) {
 	return r.schema, nil
 }
-func (r *remoteProbe) Query(sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
+func (r *remoteProbe) QueryContext(_ context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
 	r.lastQ = sel.String()
 	out := types.NewTable(r.schema)
 	// Honour the WHERE clause so results stay correct: re-run locally.
@@ -138,7 +139,7 @@ func TestRemotePushdownExpressionKinds(t *testing.T) {
 	if err := cat.AddServer(probe); err != nil {
 		t.Fatal(err)
 	}
-	if err := cat.CreateNickname("rp", "probe", "whatever"); err != nil {
+	if err := cat.CreateNicknameContext(context.Background(), "rp", "probe", "whatever"); err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {

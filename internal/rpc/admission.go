@@ -24,7 +24,7 @@ import (
 )
 
 // DefaultTenant is the tenant requests are accounted under when the
-// client did not negotiate one (legacy gob connections, empty hello).
+// client's hello names none.
 const DefaultTenant = "default"
 
 // AdmissionPolicy bounds what one tenant may hold open and in flight.

@@ -56,7 +56,7 @@ func TestSessionQuota(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	close2, err := a.OpenSession("acme", "gob")
+	close2, err := a.OpenSession("acme", "framed")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,7 @@ package rpc
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
-	"net"
 	"sync/atomic"
 	"testing"
 
@@ -96,7 +94,7 @@ func TestCallBatchOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +138,7 @@ func TestCallBatchOverTCPServerFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,77 +150,6 @@ func TestCallBatchOverTCPServerFallback(t *testing.T) {
 	}
 	if len(tabs) != 3 {
 		t.Fatalf("got %d tables, want 3", len(tabs))
-	}
-}
-
-// legacy* mirror the wire structs as they existed before batch support:
-// no BatchRows on the request, no Batch on the response. gob matches
-// struct fields by name, so this is exactly what an old binary speaks.
-type legacyValue struct {
-	Kind uint8
-	I    int64
-	F    float64
-	S    string
-	B    bool
-}
-
-type legacyColumn struct {
-	Name     string
-	BaseType uint8
-	Length   int
-}
-
-type legacyRequest struct {
-	System     string
-	Function   string
-	Args       []legacyValue
-	TraceID    string
-	SpanID     string
-	Sampled    bool
-	DeadlineMS int64
-}
-
-type legacyResponse struct {
-	Err     string
-	Columns []legacyColumn
-	Rows    [][]legacyValue
-	Meta    map[string]string
-}
-
-// TestLegacySingleRowClientCompat proves an old single-row gob client
-// still interoperates with the upgraded (batch-capable) server over TCP.
-func TestLegacySingleRowClientCompat(t *testing.T) {
-	srv := NewServer(echoHandler)
-	srv.SetBatchHandler(batchEchoHandler(nil))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	for call := 0; call < 2; call++ {
-		req := legacyRequest{System: "stock", Function: "GetQuality",
-			Args: []legacyValue{{Kind: 2, I: int64(7 + call)}}}
-		if err := enc.Encode(&req); err != nil {
-			t.Fatalf("legacy send: %v", err)
-		}
-		var res legacyResponse
-		if err := dec.Decode(&res); err != nil {
-			t.Fatalf("legacy receive: %v", err)
-		}
-		if res.Err != "" {
-			t.Fatalf("legacy call errored: %s", res.Err)
-		}
-		if len(res.Rows) != 1 || res.Rows[0][0].S != "stock" || res.Rows[0][2].I != 1 {
-			t.Fatalf("legacy echo = %+v", res.Rows)
-		}
 	}
 }
 

@@ -132,7 +132,7 @@ func BenchmarkMuxRoundTrip(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer srv.Close()
-			c, err := DialMux(addr.String(), WithoutFallback())
+			c, err := DialMux(addr.String())
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -2,14 +2,11 @@ package rpc
 
 import (
 	"bytes"
-	"context"
-	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
-	"fedwf/internal/simlat"
 	"fedwf/internal/types"
 )
 
@@ -170,78 +167,6 @@ func TestSmallRepliesCostNoMore(t *testing.T) {
 		t.Logf("%s: %.0f allocations, %.0f bytes (before: %d, %d)", name, allocs, size, parentAllocs, parentBytes)
 		if allocs > parentAllocs || size > parentBytes {
 			t.Errorf("%s: %.0f allocations, %.0f bytes; the boxing codec took %d, %d", name, allocs, size, parentAllocs, parentBytes)
-		}
-	}
-}
-
-// TestGobAndFramedParity: one handler, reached through Dial (gob, which
-// still boxes through the wire structs) and DialMux (framed), answers
-// with equal tables, metadata and errors — row calls and batch calls.
-func TestGobAndFramedParity(t *testing.T) {
-	// Every edge cell but one: gob omits a field that equals zero, so a
-	// -0.0 arrives as +0.0 over Dial. The framed codec ships the bits.
-	var cells []types.Value
-	for _, v := range edgeCells {
-		if v.Kind() != types.KindFloat || v.Float() != 0 || !math.Signbit(v.Float()) {
-			cells = append(cells, v)
-		}
-	}
-	var rows []types.Row
-	for i := 0; i+3 <= len(cells); i += 3 {
-		rows = append(rows, cells[i:i+3])
-	}
-	srv := NewServerMeta(func(_ context.Context, _ *simlat.Task, req Request) (*types.Table, map[string]string, error) {
-		tab, err := echoHandler(context.Background(), simlat.Free(), req)
-		if err != nil {
-			return nil, map[string]string{"failed": req.Function}, err
-		}
-		tab.Rows = append(tab.Rows, req.Args) // ragged on purpose: the codec counts cells per row
-		tab.Rows = append(tab.Rows, rows...)
-		return tab, map[string]string{"rows": "many", "fn": req.Function}, nil
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	gobClient, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gobClient.Close()
-	framed, err := DialMux(addr.String(), WithoutFallback())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer framed.Close()
-
-	ctx, task := context.Background(), simlat.Free()
-	for _, req := range []Request{
-		{System: "stock", Function: "GetQuality", Args: cells},
-		{System: "stock", Function: "NoArgs"},
-		{System: "stock", Function: "fail"},
-	} {
-		gt, gm, gerr := gobClient.(MetaCaller).CallMeta(ctx, task, req)
-		ft, fm, ferr := framed.(MetaCaller).CallMeta(ctx, task, req)
-		if (gerr == nil) != (ferr == nil) || (gerr != nil && gerr.Error() != ferr.Error()) {
-			t.Fatalf("%s: gob error %v, framed error %v", req.Function, gerr, ferr)
-		}
-		if !reflect.DeepEqual(gm, fm) {
-			t.Errorf("%s: gob meta %v, framed meta %v", req.Function, gm, fm)
-		}
-		if gerr == nil && !sameTable(gt, ft) {
-			t.Errorf("%s: tables differ:\n gob    %v\n framed %v", req.Function, gt.Rows, ft.Rows)
-		}
-	}
-	batch := BatchRequest{System: "stock", Function: "GetQuality", Rows: [][]types.Value{cells, {}, {types.Null}}}
-	gb, gerr := gobClient.(BatchCaller).CallBatch(ctx, task, batch)
-	fb, ferr := framed.(BatchCaller).CallBatch(ctx, task, batch)
-	if gerr != nil || ferr != nil || len(gb) != 3 || len(fb) != 3 {
-		t.Fatalf("batch: gob (%d, %v), framed (%d, %v)", len(gb), gerr, len(fb), ferr)
-	}
-	for i := range gb {
-		if !sameTable(gb[i], fb[i]) {
-			t.Errorf("batch entry %d differs:\n gob    %v\n framed %v", i, gb[i].Rows, fb[i].Rows)
 		}
 	}
 }

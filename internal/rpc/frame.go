@@ -1,23 +1,21 @@
-// The framed binary protocol: the high-concurrency transport negotiated
-// on connect. A framed connection opens with an 8-byte magic preamble the
-// gob transport can never produce, followed by length-prefixed frames:
+// The framed binary protocol: the one wire format of the TCP transport. A
+// connection opens with an 8-byte magic preamble, followed by
+// length-prefixed frames:
 //
 //	[4-byte big-endian payload length][payload]
 //
 // The first payload byte is the message type (hello, hello-ack, request,
-// response); the rest is a hand-rolled varint encoding of the same wire
-// shapes the gob transport ships, written from and read into the engine's
-// own types.Value rows. Requests carry a connection-unique id and the
+// response); the rest is a hand-rolled varint encoding of call and reply,
+// written from and read into the engine's own types.Value rows. Requests carry a connection-unique id and the
 // server answers them out of order, so one connection multiplexes many
 // in-flight statements (pipelining). Responses additionally carry an error
 // class so the resil taxonomy survives the process boundary: a shed
 // admission still matches errors.Is(err, resil.ErrAppSysUnavailable) on
 // the client side.
 //
-// The magic's first byte is zero on purpose: a legacy gob server reading
-// it sees a zero-length gob message, fails immediately, and closes the
-// connection — which is what lets DialMux detect an old peer quickly and
-// fall back to the gob transport.
+// The magic's first byte is zero, which no text protocol and no gob stream
+// opens with: a peer speaking anything else is told apart by its first
+// eight bytes and hung up on (see Server.serveConn).
 package rpc
 
 import (
@@ -34,9 +32,7 @@ import (
 )
 
 const (
-	// muxMagic opens every framed connection. Eight bytes, never a valid
-	// gob stream prefix (gob rejects the zero-length message the leading
-	// zero byte announces).
+	// muxMagic opens every framed connection.
 	muxMagic = "\x00FEDWFX1"
 	// muxProtoVersion is the framed protocol revision sent in the hello.
 	muxProtoVersion = 1
@@ -182,7 +178,7 @@ func readFrame(r io.Reader) ([]byte, error) {
 
 // ------------------------------------------------------------ the codec
 
-// Cell tags: the Kind byte of the gob wireValue, so both transports agree.
+// Cell tags, one per types.Kind; part of the wire format.
 const (
 	tagNull byte = iota
 	tagBool
@@ -192,8 +188,7 @@ const (
 )
 
 // wbuf builds a frame. The encoding is varints for integers,
-// length-prefixed bytes for strings, one tag byte per value kind — the
-// binary image of the wire structs the gob transport registers, written
+// length-prefixed bytes for strings, one tag byte per value kind, written
 // straight from types.Value cells. Every message is written twice by the
 // same code: first with b nil, which only adds the payload size up in n,
 // then into a buffer of exactly that size behind the reserved header — so
@@ -587,8 +582,8 @@ func (w *wbuf) request(id uint64, c *call) {
 
 // encodeFrameRequest builds the frame of one call under a connection-unique
 // id. Batch rows ride the same message type; a non-empty batch makes args
-// irrelevant, exactly as on the gob wireRequest. A call over the frame
-// limit is refused before anything is encoded.
+// irrelevant. A call over the frame limit is refused before anything is
+// encoded.
 func encodeFrameRequest(id uint64, c *call) ([]byte, error) {
 	var w wbuf
 	w.request(id, c)

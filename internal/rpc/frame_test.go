@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -352,11 +353,12 @@ func TestFrameSizeLimit(t *testing.T) {
 
 // ------------------------------------------------- byte-identity oracle
 
-// refbuf is the codec this one replaced, kept the way types.referenceHash
-// keeps the hash it replaced: it boxes every cell into the gob wire structs
-// (reply.toWire, call.toWire) and serializes those with append-doubling.
-// The new encoders must produce its bytes exactly — that identity is what
-// lets a peer built before the change and one built after it interoperate
+// refbuf is an independent second implementation of the frame format, kept
+// the way types.referenceHash keeps the hash it replaced: it reads the same
+// call and reply the codec does but shares no code with it — one pass,
+// append-doubling, a cell's tag taken from its Kind. The codec must produce
+// its bytes exactly, and both must hash to framesSHA256 — that identity is
+// what lets peers built before and after a codec change interoperate
 // without a protocol version bump.
 type refbuf struct{ b []byte }
 
@@ -373,74 +375,88 @@ func (w *refbuf) boolv(v bool) {
 }
 func (w *refbuf) f64(v float64) { w.b = binary.BigEndian.AppendUint64(w.b, math.Float64bits(v)) }
 
-func (w *refbuf) value(v wireValue) {
-	w.byte1(v.Kind)
-	switch v.Kind {
-	case 1:
-		w.boolv(v.B)
-	case 2:
-		w.i64(v.I)
-	case 3:
-		w.f64(v.F)
-	case 4:
-		w.str(v.S)
+func (w *refbuf) value(v types.Value) {
+	switch v.Kind() {
+	case types.KindBool:
+		w.byte1(1)
+		w.boolv(v.Bool())
+	case types.KindInt:
+		w.byte1(2)
+		w.i64(v.Int())
+	case types.KindFloat:
+		w.byte1(3)
+		w.f64(v.Float())
+	case types.KindString:
+		w.byte1(4)
+		w.str(v.Str())
+	default:
+		w.byte1(0)
 	}
 }
 
-func (w *refbuf) valueRow(row []wireValue) {
+func (w *refbuf) valueRow(row []types.Value) {
 	w.u64(uint64(len(row)))
 	for _, v := range row {
 		w.value(v)
 	}
 }
 
-func (w *refbuf) table(cols []wireColumn, rows [][]wireValue) {
-	w.u64(uint64(len(cols)))
-	for _, c := range cols {
-		w.str(c.Name)
-		w.byte1(c.BaseType)
-		w.i64(int64(c.Length))
+func (w *refbuf) table(t *types.Table) {
+	if t == nil {
+		w.u64(0)
+		w.u64(0)
+		return
 	}
-	w.u64(uint64(len(rows)))
-	for _, r := range rows {
+	w.u64(uint64(len(t.Schema)))
+	for _, c := range t.Schema {
+		w.str(c.Name)
+		w.byte1(uint8(c.Type.Base))
+		w.i64(int64(c.Type.Length))
+	}
+	w.u64(uint64(len(t.Rows)))
+	for _, r := range t.Rows {
 		w.valueRow(r)
 	}
 }
 
-func referenceEncodeRequest(id uint64, wr *wireRequest) []byte {
+func referenceEncodeRequest(id uint64, c *call) []byte {
 	var w refbuf
 	w.byte1(frameRequest)
 	w.u64(id)
-	w.str(wr.System)
-	w.str(wr.Function)
-	w.valueRow(wr.Args)
-	w.str(wr.TraceID)
-	w.str(wr.SpanID)
-	w.boolv(wr.Sampled)
-	w.i64(wr.DeadlineMS)
-	w.u64(uint64(len(wr.BatchRows)))
-	for _, row := range wr.BatchRows {
+	w.str(c.system)
+	w.str(c.function)
+	w.valueRow(c.args)
+	w.str(c.trace.TraceID)
+	w.str(c.trace.SpanID)
+	w.boolv(c.trace.Sampled)
+	w.i64(c.deadlineMS)
+	w.u64(uint64(len(c.batch)))
+	for _, row := range c.batch {
 		w.valueRow(row)
 	}
 	return w.b
 }
 
-func referenceEncodeResponse(id uint64, class uint8, wr *wireResponse) []byte {
+func referenceEncodeResponse(id uint64, class uint8, rep *reply) []byte {
 	var w refbuf
 	w.byte1(frameResponse)
 	w.u64(id)
 	w.byte1(class)
-	w.str(wr.Err)
-	w.table(wr.Columns, wr.Rows)
-	w.u64(uint64(len(wr.Meta)))
-	for k, v := range wr.Meta {
+	if rep.err != nil {
+		w.str(rep.err.Error())
+	} else {
+		w.str("")
+	}
+	w.table(rep.table)
+	w.u64(uint64(len(rep.meta)))
+	for k, v := range rep.meta {
 		w.str(k)
 		w.str(v)
 	}
-	w.u64(uint64(len(wr.Batch)))
-	for _, e := range wr.Batch {
-		w.str(e.Err)
-		w.table(e.Columns, e.Rows)
+	w.u64(uint64(len(rep.batch)))
+	for i, t := range rep.batch {
+		w.str(entryErr(rep, i))
+		w.table(t)
 	}
 	return w.b
 }
@@ -534,15 +550,25 @@ func randomCall(rng *rand.Rand) *call {
 	return c
 }
 
+// framesSHA256 is the SHA-256 over the payloads TestFramesByteIdenticalToReference
+// produces, in order: 2 000 seeded response and request frames (seed 16), the
+// three hello frames and the hello-ack. It was taken at commit 0794e0c, while
+// the reference encoder still read the gob wire structs, and holds the frame
+// bytes to what peers built before the gob transport was retired expect.
+const framesSHA256 = "0b57dd42fd43e68d4e6b36aa5cc4f43de473dee5580243f15c8f27a1ab854a39"
+
 // TestFramesByteIdenticalToReference: every message type, seeded random
 // contents, every request id width — the encoders write exactly the bytes
-// the boxing codec wrote, behind a header that says so, into a buffer
-// sized exactly once.
+// the reference encoder writes, behind a header that says so, into a
+// buffer sized exactly once.
 func TestFramesByteIdenticalToReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	ids := []uint64{0, 1, 127, 128, 1 << 32, math.MaxUint64}
+	codecSum, refSum := sha256.New(), sha256.New()
 	check := func(what string, frame, want []byte) {
 		t.Helper()
+		codecSum.Write(payload(frame))
+		refSum.Write(want)
 		if !bytes.Equal(payload(frame), want) {
 			t.Fatalf("%s differs from the reference encoding:\n got %x\nwant %x", what, payload(frame), want)
 		}
@@ -553,27 +579,38 @@ func TestFramesByteIdenticalToReference(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		id := ids[rng.Intn(len(ids))]
 		rep := randomReply(rng)
-		check("response", encodeFrameResponse(id, rep), referenceEncodeResponse(id, classOf(rep.err), rep.toWire()))
+		check("response", encodeFrameResponse(id, rep), referenceEncodeResponse(id, classOf(rep.err), rep))
 		c := randomCall(rng)
 		frame, err := encodeFrameRequest(id, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check("request", frame, referenceEncodeRequest(id, c.toWire()))
+		check("request", frame, referenceEncodeRequest(id, c))
 	}
 	// The handshake frames, against the parent's bytes spelled out.
 	for _, tenant := range []string{"", "acme", strings.Repeat("t", 200)} {
 		want := binary.AppendUvarint([]byte{frameHello, muxProtoVersion}, uint64(len(tenant)))
 		want = append(want, tenant...)
 		opener := encodeHello(tenant)
+		codecSum.Write(opener[len(muxMagic)+frameHeaderLen:])
+		refSum.Write(want)
 		if !bytes.Equal(opener[len(muxMagic)+frameHeaderLen:], want) ||
 			binary.BigEndian.Uint32(opener[len(muxMagic):]) != uint32(len(want)) {
 			t.Errorf("hello for %q = %x", tenant, opener)
 		}
 	}
 	ack := encodeHelloAck(300, classUnavailable, "quota")
-	if want := append([]byte{frameHelloAck, muxProtoVersion, 0xac, 0x02, classUnavailable, 5}, "quota"...); !bytes.Equal(payload(ack), want) {
+	want := append([]byte{frameHelloAck, muxProtoVersion, 0xac, 0x02, classUnavailable, 5}, "quota"...)
+	codecSum.Write(payload(ack))
+	refSum.Write(want)
+	if !bytes.Equal(payload(ack), want) {
 		t.Errorf("hello-ack = %x, want %x", payload(ack), want)
+	}
+	if got := fmt.Sprintf("%x", codecSum.Sum(nil)); got != framesSHA256 {
+		t.Errorf("the codec's frames hash to %s, want %s", got, framesSHA256)
+	}
+	if got := fmt.Sprintf("%x", refSum.Sum(nil)); got != framesSHA256 {
+		t.Errorf("the reference encoder's frames hash to %s, want %s", got, framesSHA256)
 	}
 	// writeFrame seals the header over exactly the payload.
 	var out bytes.Buffer

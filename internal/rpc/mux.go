@@ -4,29 +4,46 @@
 // connection-unique id, a single reader goroutine dispatches responses to
 // the waiting calls by id, and responses may return out of order — so N
 // goroutines pipelining statements share one socket instead of N. Dialing
-// negotiates the protocol by sending the magic preamble; a legacy gob
-// server rejects it instantly (the preamble is an invalid gob stream) and
-// DialMux transparently falls back to the serialized gob transport, so
-// new clients work against old servers and vice versa.
+// sends the magic preamble and the hello in one write; a peer that does not
+// answer with a well-formed hello-ack inside the handshake window fails
+// the dial with ErrTransport.
 package rpc
 
 import (
 	"bufio"
 	"context"
+	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"time"
 
+	"fedwf/internal/obs"
+	"fedwf/internal/resil"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
 )
+
+// handshakeTimeout is how long either end waits for the other's half of
+// the negotiation: the client for the hello-ack, the server for magic and
+// hello.
+const handshakeTimeout = 5 * time.Second
+
+// armHandshake gives conn d from now to finish the negotiation; d <= 0
+// sets no deadline.
+func armHandshake(conn net.Conn, d time.Duration) error {
+	if d <= 0 {
+		return nil
+	}
+	//fedlint:ignore virtualclock handshake guard against peers that never answer is wall-protocol plumbing
+	return conn.SetDeadline(time.Now().Add(d))
+}
 
 // DialOption configures DialMux.
 type DialOption func(*dialConfig)
 
 type dialConfig struct {
 	tenant    string
-	fallback  bool
 	handshake time.Duration
 }
 
@@ -36,11 +53,11 @@ func WithTenant(tenant string) DialOption {
 	return func(c *dialConfig) { c.tenant = tenant }
 }
 
-// WithoutFallback disables the automatic downgrade to the gob transport
-// when the server does not speak the framed protocol; dialing an old
-// server then fails instead. Useful in tests and strict deployments.
+// WithoutFallback is an accepted no-op: there is no second transport left
+// to fall back to. It stays only because cmd/fedbench/probes.go passes it,
+// and leaves with that call in the next benchmark PR.
 func WithoutFallback() DialOption {
-	return func(c *dialConfig) { c.fallback = false }
+	return func(*dialConfig) {}
 }
 
 // WithHandshakeTimeout bounds the protocol negotiation (not the calls).
@@ -51,74 +68,57 @@ func WithHandshakeTimeout(d time.Duration) DialOption {
 
 // DialMux connects to a server with the framed multiplexed protocol. The
 // returned client is safe for concurrent use: calls are pipelined over
-// the single connection and responses return out of order. Against a
-// server that predates the framed protocol, it falls back to the
-// serialized gob transport (unless WithoutFallback); a handshake the
-// server answers with a typed rejection (e.g. session quota exhausted)
-// fails without fallback, since the server did speak the protocol.
+// the single connection and responses return out of order. A peer that
+// hangs up, stays silent past the handshake timeout or answers anything
+// but a hello-ack fails the dial with an error matching ErrTransport; a
+// handshake the server answers with a typed rejection (e.g. session quota
+// exhausted) fails with that error.
 func DialMux(addr string, opts ...DialOption) (Client, error) {
-	cfg := dialConfig{tenant: DefaultTenant, fallback: true, handshake: 5 * time.Second}
+	cfg := dialConfig{tenant: DefaultTenant, handshake: handshakeTimeout}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	RegisterWireTypes() // the fallback path is gob
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	mc, negotiated, err := tryMux(conn, cfg)
-	if err == nil {
-		return mc, nil
-	}
-	conn.Close()
-	if negotiated || !cfg.fallback {
-		// The server spoke the framed protocol and refused us, or the
-		// caller wants no downgrade.
+	mc, err := handshake(conn, cfg)
+	if err != nil {
+		conn.Close()
 		return nil, err
 	}
-	return Dial(addr)
+	return mc, nil
 }
 
-// tryMux performs the framed handshake on conn. negotiated reports that
-// the server answered with a well-formed hello-ack (so a failure is a
-// protocol-level rejection, not an old peer).
-func tryMux(conn net.Conn, cfg dialConfig) (c *muxClient, negotiated bool, err error) {
-	// The handshake deadline is real network plumbing, not a measured
-	// federation path; it is what detects a legacy peer that neither acks
-	// nor hangs up.
-	//fedlint:ignore virtualclock handshake guard against peers that never answer is wall-protocol plumbing
-	deadline := time.Now().Add(cfg.handshake)
-	if cfg.handshake > 0 {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return nil, false, &transportError{"handshake", err}
-		}
+// handshake performs the framed negotiation on conn.
+func handshake(conn net.Conn, cfg dialConfig) (*muxClient, error) {
+	if err := armHandshake(conn, cfg.handshake); err != nil {
+		return nil, &transportError{"handshake", err}
 	}
 	// Magic + hello go out in one write so the negotiation is one segment.
 	if _, err := conn.Write(encodeHello(cfg.tenant)); err != nil {
-		return nil, false, &transportError{"handshake send", err}
+		return nil, &transportError{"handshake send", err}
 	}
 	br := bufio.NewReader(conn)
 	payload, err := readFrame(br)
 	if err != nil {
-		// EOF / reset: a legacy gob server choked on the magic and hung
-		// up; a timeout means the peer never answered.
-		return nil, false, &transportError{"handshake receive", err}
+		// EOF / reset: the peer does not speak the protocol and hung up;
+		// a timeout means it never answered.
+		return nil, &transportError{"handshake receive", err}
 	}
 	_, class, errMsg, err := decodeHelloAck(payload)
 	if err != nil {
-		return nil, false, &transportError{"handshake decode", err}
+		return nil, &transportError{"handshake decode", err}
 	}
 	if errMsg != "" {
-		return nil, true, errFromWire(class, errMsg)
+		return nil, errFromWire(class, errMsg)
 	}
-	if cfg.handshake > 0 {
-		if err := conn.SetDeadline(time.Time{}); err != nil {
-			return nil, true, &transportError{"handshake", err}
-		}
+	if err := conn.SetDeadline(time.Time{}); err != nil {
+		return nil, &transportError{"handshake", err}
 	}
 	mc := &muxClient{conn: conn, br: br, pending: make(map[uint64]chan *reply), done: make(chan struct{})}
 	go mc.readLoop()
-	return mc, true, nil
+	return mc, nil
 }
 
 type muxClient struct {
@@ -170,13 +170,12 @@ func (c *muxClient) fail(err error) {
 	c.conn.Close()
 }
 
-// roundTrip implements transport: it sends one request frame and waits
-// for its response. Unlike the gob transport, cancellation only abandons
-// this call — the connection and its other in-flight calls stay healthy;
-// the reader drops the late response by its id. A call too large to frame
-// fails as a plain error for the same reason. Server-reported failures
-// come back typed (errors.Is against the resil taxonomy works across the
-// wire), which the gob transport cannot offer.
+// roundTrip sends one request frame and waits for its response. The error
+// is the transport's own failure; what the server reported is in the reply,
+// typed (errors.Is against the resil taxonomy works across the wire).
+// Cancellation only abandons this call — the connection and its other
+// in-flight calls stay healthy; the reader drops the late response by its
+// id. A call too large to frame fails as a plain error for the same reason.
 func (c *muxClient) roundTrip(ctx context.Context, cl *call) (*reply, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -234,20 +233,100 @@ func (c *muxClient) roundTrip(ctx context.Context, cl *call) (*reply, error) {
 	}
 }
 
-// Call implements Client.
+// newCall starts an outgoing call: the trace context (the task's live span
+// unless the request carries a sampled one) and the remaining statement
+// deadline.
+func newCall(ctx context.Context, task *simlat.Task, system, function string, tc obs.TraceContext) *call {
+	if !tc.Sampled {
+		tc = obs.ContextFrom(task)
+	}
+	c := &call{system: system, function: function, trace: tc}
+	if rem, ok := resil.Remaining(ctx, task); ok && rem > 0 {
+		c.deadlineMS = int64(rem / simlat.PaperMS)
+	}
+	return c
+}
+
+// graftReplyFragment grafts a server-side span fragment shipped in the
+// response metadata under the local call span, and strips it from the
+// map.
+func graftReplyFragment(sp *obs.Span, meta map[string]string) {
+	enc, ok := meta[obs.MetaTraceFragment]
+	if !ok {
+		return
+	}
+	if sp != nil {
+		if frag, err := obs.DecodeFragment(enc); err == nil && frag.Root != nil {
+			obs.Graft(sp, obs.SpanFromData(frag.Root, sp.Start()))
+		}
+	}
+	delete(meta, obs.MetaTraceFragment)
+}
+
+// Call implements Client. The task is not transmitted; TCP callees charge
+// their own clocks (wall-mode semantics).
 func (c *muxClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-	res, _, err := callMeta(ctx, task, c, req)
+	res, _, err := c.CallMeta(ctx, task, req)
 	return res, err
 }
 
-// CallMeta implements MetaCaller over the framed protocol.
+// CallMeta implements MetaCaller. When the task carries a live trace, the
+// span's context travels with the call and the server's span fragment —
+// returned in the response metadata — is grafted under the local rpc.call
+// span, stitching the cross-process waterfall. The statement's remaining
+// deadline ships with the call.
 func (c *muxClient) CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error) {
-	return callMeta(ctx, task, c, req)
+	if err := resil.Check(ctx, task); err != nil {
+		return nil, nil, err
+	}
+	sp := obs.StartSpan(task, "rpc.call", obs.Attr{Key: "system", Value: req.System}, obs.Attr{Key: "function", Value: req.Function})
+	defer sp.End(task)
+	cl := newCall(ctx, task, req.System, req.Function, req.Trace)
+	cl.args = req.Args
+	rep, err := c.roundTrip(ctx, cl)
+	if err != nil {
+		return nil, nil, err
+	}
+	graftReplyFragment(sp, rep.meta)
+	if rep.err != nil {
+		sp.SetAttr("error", rep.err.Error())
+		return nil, rep.meta, rep.err
+	}
+	return rep.table, rep.meta, nil
 }
 
-// CallBatch implements BatchCaller over the framed protocol.
+// CallBatch implements BatchCaller: N parameter rows travel in one wire
+// request and the reply carries one table (or error) per row. Deadline and
+// trace propagation follow CallMeta.
 func (c *muxClient) CallBatch(ctx context.Context, task *simlat.Task, req BatchRequest) ([]*types.Table, error) {
-	return callBatch(ctx, task, c, req)
+	if err := resil.Check(ctx, task); err != nil {
+		return nil, err
+	}
+	sp := obs.StartSpan(task, "rpc.call.batch",
+		obs.Attr{Key: "system", Value: req.System},
+		obs.Attr{Key: "function", Value: req.Function},
+		obs.Attr{Key: "batch_size", Value: fmt.Sprintf("%d", len(req.Rows))})
+	defer sp.End(task)
+	cl := newCall(ctx, task, req.System, req.Function, req.Trace)
+	cl.batch = req.Rows
+	rep, err := c.roundTrip(ctx, cl)
+	if err != nil {
+		return nil, err
+	}
+	graftReplyFragment(sp, rep.meta)
+	if rep.err != nil {
+		sp.SetAttr("error", rep.err.Error())
+		return nil, rep.err
+	}
+	if len(rep.batch) != len(req.Rows) {
+		return nil, fmt.Errorf("rpc: batch reply has %d entries for %d rows", len(rep.batch), len(req.Rows))
+	}
+	for _, msg := range rep.batchErrs {
+		if msg != "" {
+			return nil, errors.New(msg)
+		}
+	}
+	return rep.batch, nil
 }
 
 // Close implements Client.

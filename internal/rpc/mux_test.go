@@ -6,8 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,8 +119,7 @@ func TestMuxPipelinedOutOfOrder(t *testing.T) {
 }
 
 // TestMuxCancelAbandonsOneCall: cancelling a pipelined call abandons only
-// that call — the connection and subsequent calls stay healthy, unlike the
-// gob transport where cancellation kills the stream.
+// that call — the connection and subsequent calls stay healthy.
 func TestMuxCancelAbandonsOneCall(t *testing.T) {
 	var gates sync.Map
 	gate := make(chan struct{})
@@ -194,115 +195,177 @@ func TestMuxTypedErrorsAcrossWire(t *testing.T) {
 	}
 }
 
-// startLegacyGobServer runs a minimal replica of the pre-framed server: a
-// bare gob decode/encode loop with no knowledge of the magic preamble.
-// Reading the preamble fails gob decoding, so the connection drops —
-// exactly how an old binary treats a framed hello.
-func startLegacyGobServer(t *testing.T) net.Addr {
+// foreignPeer listens on loopback, counts the connections it accepts and
+// hands each to serve: a peer that does not speak the framed protocol.
+func foreignPeer(t *testing.T, serve func(net.Conn)) (net.Addr, *atomic.Int64) {
 	t.Helper()
-	RegisterWireTypes()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
+	accepts := new(atomic.Int64)
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var wreq wireRequest
-					if err := dec.Decode(&wreq); err != nil {
-						return
-					}
-					tab, _ := echoHandler(context.Background(), simlat.Free(),
-						Request{System: wreq.System, Function: wreq.Function})
-					var wres wireResponse
-					wres.Columns, wres.Rows = toWireTable(tab)
-					if err := enc.Encode(&wres); err != nil {
-						return
-					}
-				}
-			}(conn)
+			accepts.Add(1)
+			go serve(conn)
 		}
 	}()
-	return ln.Addr()
+	return ln.Addr(), accepts
 }
 
-// TestDialMuxFallsBackToGob: against a server that predates the framed
-// protocol, DialMux transparently downgrades and the call still works.
-func TestDialMuxFallsBackToGob(t *testing.T) {
-	addr := startLegacyGobServer(t)
-	c, err := DialMux(addr.String(), WithHandshakeTimeout(2*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, ok := c.(*muxClient); ok {
-		t.Fatal("DialMux against a legacy server returned a mux client")
-	}
-	tab, err := c.Call(context.Background(), simlat.Free(), Request{System: "stock", Function: "Legacy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Rows[0][1].Str() != "Legacy" {
-		t.Errorf("echo = %v", tab.Rows[0])
-	}
-}
-
-// TestDialMuxWithoutFallback: the strict variant refuses the downgrade and
-// surfaces the handshake failure as a transport error.
+// TestDialMuxWithoutFallback: against a peer that hangs up on the hello and
+// one that never answers it, DialMux fails with a transport error after a
+// single connection — there is no second transport to retry with.
 func TestDialMuxWithoutFallback(t *testing.T) {
-	addr := startLegacyGobServer(t)
-	c, err := DialMux(addr.String(), WithoutFallback(), WithHandshakeTimeout(2*time.Second))
-	if err == nil {
-		c.Close()
-		t.Fatal("DialMux(WithoutFallback) succeeded against a legacy server")
+	release := make(chan struct{})
+	defer close(release)
+	peers := map[string]func(net.Conn){
+		"hangs up": func(conn net.Conn) { conn.Close() },
+		"stays silent": func(conn net.Conn) {
+			<-release
+			conn.Close()
+		},
 	}
-	if !errors.Is(err, ErrTransport) {
-		t.Errorf("handshake failure = %v, want ErrTransport", err)
+	for name, serve := range peers {
+		addr, accepts := foreignPeer(t, serve)
+		c, err := DialMux(addr.String(), WithHandshakeTimeout(50*time.Millisecond))
+		if err == nil {
+			c.Close()
+			t.Fatalf("peer %s: DialMux succeeded", name)
+		}
+		if !errors.Is(err, ErrTransport) {
+			t.Errorf("peer %s: handshake failure = %v, want ErrTransport", name, err)
+		}
+		time.Sleep(20 * time.Millisecond) // a second dial would have landed by now
+		if n := accepts.Load(); n != 1 {
+			t.Errorf("peer %s: saw %d connections for one DialMux, want exactly 1", name, n)
+		}
 	}
 }
 
-// TestFramedAndGobClientsShareListener: one listener serves a legacy gob
-// client and a framed client side by side — negotiation is per connection.
-func TestFramedAndGobClientsShareListener(t *testing.T) {
+// sessionCounter is an admission controller with a session quota of one
+// that counts the sessions it opened.
+func sessionCounter() (*Admission, *atomic.Int64) {
+	opened := new(atomic.Int64)
+	return NewAdmission(AdmissionPolicy{MaxSessionsPerTenant: 1}, nil, AdmissionObserver{
+		OnSessionOpen: func(string, string) { opened.Add(1) },
+	}), opened
+}
+
+// wantHungUp fails the test unless the server closes conn within d without
+// having sent a byte.
+func wantHungUp(t *testing.T, conn net.Conn, d time.Duration) {
+	t.Helper()
+	conn.SetReadDeadline(time.Now().Add(d))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read from the server = (%d bytes, %v), want the connection closed with nothing sent", n, err)
+	}
+}
+
+// openConns is how many accepted connections the server still tracks.
+func openConns(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// TestGobPeerIsHungUpOn: a client of the retired gob transport gets its
+// connection closed without a byte in reply and without a session.
+func TestGobPeerIsHungUpOn(t *testing.T) {
 	srv := NewServer(echoHandler)
+	adm, opened := sessionCounter()
+	srv.SetAdmission(adm)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	legacy, err := Dial(addr.String())
+	conn, err := net.Dial("tcp", addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer legacy.Close()
-	framed, err := DialMux(addr.String(), WithoutFallback())
+	defer conn.Close()
+	type gobRequest struct {
+		System, Function string
+		DeadlineMS       int64
+	}
+	if err := gob.NewEncoder(conn).Encode(gobRequest{System: "stock", Function: "GetQuality", DeadlineMS: 1500}); err != nil {
+		t.Fatal(err)
+	}
+	wantHungUp(t, conn, 2*time.Second)
+	if n := opened.Load(); n != 0 {
+		t.Errorf("%d sessions opened for a peer that never said hello", n)
+	}
+}
+
+// TestSilentPeersAreClosedAfterTheHandshakeWindow: connections that send
+// nothing, or the magic and then nothing, hold no session — admission
+// cannot bound them — so the handshake deadline must: the server hangs up
+// on all of them and forgets them. A peer that completes the handshake is
+// not timed afterwards.
+func TestSilentPeersAreClosedAfterTheHandshakeWindow(t *testing.T) {
+	const window = 150 * time.Millisecond
+	srv := NewServer(echoHandler)
+	srv.handshake = window
+	adm, opened := sessionCounter()
+	srv.SetAdmission(adm)
+	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer framed.Close()
-	for name, c := range map[string]Client{"gob": legacy, "framed": framed} {
-		tab, err := c.Call(context.Background(), simlat.Free(), Request{System: "s", Function: name})
-		if err != nil {
-			t.Fatalf("%s client: %v", name, err)
+	defer srv.Close()
+	good, err := DialMux(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+
+	const peers = 200
+	conns := make([]net.Conn, peers)
+	for i := range conns {
+		if conns[i], err = net.Dial("tcp", addr.String()); err != nil {
+			t.Fatal(err)
 		}
-		if tab.Rows[0][1].Str() != name {
-			t.Errorf("%s echo = %v", name, tab.Rows[0])
+		defer conns[i].Close()
+		if i%2 == 1 {
+			if _, err := conns[i].Write([]byte(muxMagic)); err != nil {
+				t.Fatal(err)
+			}
 		}
+	}
+	for _, conn := range conns {
+		wantHungUp(t, conn, 20*window)
+	}
+	deadline := time.Now().Add(20 * window)
+	for openConns(srv) != 1 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := openConns(srv); n != 1 {
+		t.Errorf("server still tracks %d connections, want only the handshaken one", n)
+	}
+	if n := opened.Load(); n != 1 {
+		t.Errorf("%d sessions opened, want 1", n)
+	}
+	// The handshaken session has now idled for several windows.
+	if _, err := good.Call(context.Background(), simlat.Free(), Request{System: "s", Function: "late"}); err != nil {
+		t.Errorf("call on a session idle past the handshake window: %v", err)
+	}
+	good.Close()
+	for openConns(srv) != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := openConns(srv); n != 0 {
+		t.Errorf("server still tracks %d connections after every peer left", n)
 	}
 }
 
 // TestMuxSessionQuotaRejectionTyped: a handshake the server answers with a
-// quota rejection fails typed — and does NOT fall back to gob, since the
-// server did speak the framed protocol.
+// quota rejection fails typed, not as a transport failure.
 func TestMuxSessionQuotaRejectionTyped(t *testing.T) {
 	srv := NewServer(echoHandler)
 	srv.SetAdmission(NewAdmission(AdmissionPolicy{MaxSessionsPerTenant: 1}, nil, AdmissionObserver{}))
@@ -316,8 +379,7 @@ func TestMuxSessionQuotaRejectionTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer first.Close()
-	// Same tenant, second session: refused at the handshake, typed, no
-	// fallback even though fallback is enabled.
+	// Same tenant, second session: refused at the handshake, typed.
 	if c, err := DialMux(addr.String(), WithTenant("acme")); err == nil {
 		c.Close()
 		t.Fatal("second session dialed past a quota of 1")
@@ -397,7 +459,7 @@ func TestOversizedMessagesFailOnlyTheirCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := DialMux(addr.String(), WithoutFallback())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

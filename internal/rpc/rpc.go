@@ -2,21 +2,18 @@
 // Java RMI: the hops between integration UDTFs, the controller, the
 // workflow engine, and the application systems.
 //
-// Three transports exist:
+// Two transports exist:
 //
 //   - in-process (NewInProc): a direct call that threads the caller's
 //     simlat.Task through, so simulated costs charged inside the callee
 //     land on the caller's meter. All virtual-clock experiments use it.
-//   - TCP with gob framing (Serve/Dial): the legacy remote transport —
-//     one request at a time per connection. The callee cannot charge the
+//   - TCP with the framed binary protocol (Server/DialMux): a magic
+//     preamble and a hello/ack handshake, then length-prefixed frames
+//     with request ids and out-of-order responses — many concurrent calls
+//     multiplexed over one connection. The callee cannot charge the
 //     caller's virtual meter across a wire, so TCP is meaningful in wall
 //     mode, where server-side sleeps are observed by the blocked client.
-//   - TCP with the framed binary protocol (DialMux): length-prefixed
-//     frames, request ids, out-of-order responses — many concurrent
-//     calls multiplexed over one connection. Negotiated on connect by a
-//     magic preamble; the server falls back to the gob loop for legacy
-//     clients, and DialMux falls back to the gob client against legacy
-//     servers.
+//     A peer that does not open with the magic is hung up on.
 //
 // The server additionally runs session management and admission control
 // (see Admission): per-tenant session quotas at the handshake and a
@@ -27,8 +24,6 @@ package rpc
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -47,10 +42,9 @@ type Request struct {
 	Function string
 	Args     []types.Value
 	// Trace is the caller's trace context. In-process transports ignore
-	// it (the live span rides the task); the TCP transport serializes it
-	// over gob so servers can open child spans under the remote parent.
-	// The zero value means untraced — which is also what requests from
-	// old clients without the field decode to.
+	// it (the live span rides the task); the TCP transport puts it on the
+	// wire so servers can open child spans under the remote parent. The
+	// zero value means untraced.
 	Trace obs.TraceContext
 }
 
@@ -326,9 +320,7 @@ func (f *faultClient) Close() error { return f.c.Close() }
 
 // ------------------------------------------------------------- wire form
 
-// call is one request as the handler side sees it, whichever transport
-// carried it: the framed codec reads and writes it directly, the gob loop
-// converts it to and from wireRequest.
+// call is one request as the framed codec reads and writes it.
 type call struct {
 	system, function string
 	args             []types.Value
@@ -337,7 +329,7 @@ type call struct {
 	deadlineMS       int64 // statement time remaining at send, paper ms; 0: none
 }
 
-// reply is the transport-neutral answer to a call.
+// reply is the answer to a call.
 type reply struct {
 	err       error        // handler or admission failure; typed again on the client
 	table     *types.Table // nil on error
@@ -346,211 +338,17 @@ type reply struct {
 	batchErrs []string       // per-entry failures a peer reported, parallel to batch; nil if none
 }
 
-// The structs below are the gob transport's image of call and reply. Only
-// the gob loop, the gob client and their compat tests touch them.
-
-// wireValue is the gob-encodable image of a types.Value.
-type wireValue struct {
-	Kind uint8
-	I    int64
-	F    float64
-	S    string
-	B    bool
-}
-
-func toWireValue(v types.Value) wireValue {
-	switch v.Kind() {
-	case types.KindBool:
-		return wireValue{Kind: 1, B: v.Bool()}
-	case types.KindInt:
-		return wireValue{Kind: 2, I: v.Int()}
-	case types.KindFloat:
-		return wireValue{Kind: 3, F: v.Float()}
-	case types.KindString:
-		return wireValue{Kind: 4, S: v.Str()}
-	default:
-		return wireValue{Kind: 0}
-	}
-}
-
-func fromWireValue(w wireValue) types.Value {
-	switch w.Kind {
-	case 1:
-		return types.NewBool(w.B)
-	case 2:
-		return types.NewInt(w.I)
-	case 3:
-		return types.NewFloat(w.F)
-	case 4:
-		return types.NewString(w.S)
-	default:
-		return types.Null
-	}
-}
-
-type wireColumn struct {
-	Name     string
-	BaseType uint8
-	Length   int
-}
-
-type wireRequest struct {
-	System   string
-	Function string
-	Args     []wireValue
-	// W3C-traceparent-style trace context. gob matches struct fields by
-	// name, so requests from clients that predate these fields decode
-	// with all three zero — an untraced call.
-	TraceID string
-	SpanID  string
-	Sampled bool
-	// DeadlineMS is the statement time remaining at send, in paper
-	// milliseconds; 0 means no deadline. The server re-arms it as a
-	// relative timeout on the handler context, so deadlines propagate
-	// across the process boundary. Old peers decode it as 0.
-	DeadlineMS int64
-	// BatchRows carries the parameter rows of a set-oriented request; a
-	// non-empty slice makes Args irrelevant and asks the server for one
-	// result table per row. Old servers decode the field and ignore it —
-	// which is why batch-capable clients must only send it to servers that
-	// announce batch support (or accept a single-row-shaped reply); old
-	// clients never set it, so upgraded servers serve them unchanged.
-	BatchRows [][]wireValue
-}
-
-// wireBatchEntry is one per-row result of a set-oriented reply: either an
-// error or a table. Entries appear in request-row order.
-type wireBatchEntry struct {
-	Err     string
-	Columns []wireColumn
-	Rows    [][]wireValue
-}
-
-type wireResponse struct {
-	Err     string
-	Columns []wireColumn
-	Rows    [][]wireValue
-	Meta    map[string]string
-	// Batch carries the per-row tables of a set-oriented reply; empty on
-	// single-row responses, and decoded as empty by old clients (which
-	// never issue batch requests, so they never look for it).
-	Batch []wireBatchEntry
-}
-
-// registerWireTypes guards one-time gob registration.
-var registerWireTypes sync.Once
-
-// RegisterWireTypes registers every type the TCP transport puts on a gob
-// stream, in one place. Both Dial and NewServerMeta call it, so ad-hoc
-// registration at call sites is never needed. Span fragments deliberately
-// do not add wire types: they travel as JSON strings inside the response
-// Meta map (see obs.MetaTraceFragment), which is how old peers can ignore
-// them entirely. Calling this more than once is a no-op.
-func RegisterWireTypes() {
-	registerWireTypes.Do(func() {
-		gob.Register(wireValue{})
-		gob.Register(wireColumn{})
-		gob.Register(wireRequest{})
-		gob.Register(wireResponse{})
-		gob.Register(wireBatchEntry{})
-	})
-}
-
-// convRow maps f over a row: the gob transport's per-cell boxing.
-func convRow[A, B any](row []A, f func(A) B) []B {
-	out := make([]B, len(row))
-	for i, v := range row {
-		out[i] = f(v)
-	}
-	return out
-}
-
-func toWireTable(t *types.Table) ([]wireColumn, [][]wireValue) {
-	cols := make([]wireColumn, len(t.Schema))
-	for i, c := range t.Schema {
-		cols[i] = wireColumn{Name: c.Name, BaseType: uint8(c.Type.Base), Length: c.Type.Length}
-	}
-	rows := make([][]wireValue, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = convRow(r, toWireValue)
-	}
-	return cols, rows
-}
-
-func fromWireTable(cols []wireColumn, rows [][]wireValue) *types.Table {
-	schema := make(types.Schema, len(cols))
-	for i, c := range cols {
-		schema[i] = types.Column{Name: c.Name, Type: types.Type{Base: types.BaseType(c.BaseType), Length: c.Length}}
-	}
-	out := types.NewTable(schema)
-	for _, wr := range rows {
-		out.Rows = append(out.Rows, convRow(wr, fromWireValue))
-	}
-	return out
-}
-
-func (c *call) toWire() *wireRequest {
-	w := &wireRequest{System: c.system, Function: c.function, Args: convRow(c.args, toWireValue),
-		TraceID: c.trace.TraceID, SpanID: c.trace.SpanID, Sampled: c.trace.Sampled, DeadlineMS: c.deadlineMS}
-	for _, row := range c.batch {
-		w.BatchRows = append(w.BatchRows, convRow(row, toWireValue))
-	}
-	return w
-}
-
-func callFromWire(w *wireRequest) *call {
-	c := &call{system: w.System, function: w.Function, args: convRow(w.Args, fromWireValue),
-		trace:      obs.TraceContext{TraceID: w.TraceID, SpanID: w.SpanID, Sampled: w.Sampled},
-		deadlineMS: w.DeadlineMS}
-	for _, row := range w.BatchRows {
-		c.batch = append(c.batch, convRow(row, fromWireValue))
-	}
-	return c
-}
-
-func (r *reply) toWire() *wireResponse {
-	w := &wireResponse{Meta: r.meta}
-	if r.err != nil {
-		w.Err = r.err.Error()
-	}
-	if r.table != nil {
-		w.Columns, w.Rows = toWireTable(r.table)
-	}
-	for i, t := range r.batch {
-		var e wireBatchEntry
-		e.Columns, e.Rows = toWireTable(t)
-		if i < len(r.batchErrs) {
-			e.Err = r.batchErrs[i]
-		}
-		w.Batch = append(w.Batch, e)
-	}
-	return w
-}
-
-func replyFromWire(w *wireResponse) *reply {
-	r := &reply{meta: w.Meta}
-	if w.Err != "" {
-		r.err = errors.New(w.Err)
-		return r
-	}
-	r.table = fromWireTable(w.Columns, w.Rows)
-	for _, e := range w.Batch {
-		r.batch = append(r.batch, fromWireTable(e.Columns, e.Rows))
-		r.batchErrs = append(r.batchErrs, e.Err)
-	}
-	return r
-}
-
 // ------------------------------------------------------------ TCP server
 
-// Server serves RPC requests over TCP: framed multiplexed sessions for
-// clients that open with the protocol magic, the legacy one-at-a-time gob
-// loop for everyone else.
+// Server serves RPC requests over TCP: one framed multiplexed session per
+// connection that opens with the protocol magic and a hello.
 type Server struct {
 	h   MetaHandler
 	bh  BatchHandler
 	ln  net.Listener
 	adm *Admission // nil admits everything
+
+	handshake time.Duration // how long a connection may take to send magic and hello; tests shorten it
 
 	sessionSeq atomic.Uint64 // framed session ids
 
@@ -590,8 +388,7 @@ func NewServer(h Handler) *Server {
 
 // NewServerMeta creates a server around a metadata-returning handler.
 func NewServerMeta(h MetaHandler) *Server {
-	RegisterWireTypes()
-	return &Server{h: h, conns: make(map[net.Conn]struct{})}
+	return &Server{h: h, handshake: handshakeTimeout, conns: make(map[net.Conn]struct{})}
 }
 
 // SetBatchHandler installs a set-oriented handler consulted for requests
@@ -661,10 +458,11 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// serveConn negotiates the protocol for one accepted connection: clients
-// that open with the framed magic get a multiplexed session; everyone
-// else gets the legacy gob loop (the peeked bytes stay in the buffered
-// reader, so old clients are served byte-identically).
+// serveConn admits one accepted connection to the framed protocol: a peer
+// that does not open with the magic is hung up on without a reply. Until
+// its hello is acknowledged the connection holds no session, so admission
+// cannot see it; the handshake deadline is what bounds how long a silent
+// peer keeps its socket and goroutine.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -673,42 +471,16 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
+	if armHandshake(conn, s.handshake) != nil {
+		return
+	}
 	br := bufio.NewReader(conn)
 	peek, err := br.Peek(len(muxMagic))
-	if err == nil && string(peek) == muxMagic {
-		br.Discard(len(muxMagic))
-		s.serveFramed(conn, br)
+	if err != nil || string(peek) != muxMagic {
 		return
 	}
-	s.serveGob(conn, br)
-}
-
-// serveGob is the legacy transport loop: one gob request at a time,
-// answered in order. The connection is one session of the default tenant;
-// over the session quota the server simply hangs up (the gob protocol has
-// no pre-request channel for a typed refusal).
-func (s *Server) serveGob(conn net.Conn, br *bufio.Reader) {
-	closeSession, err := s.adm.OpenSession(DefaultTenant, "gob")
-	if err != nil {
-		return
-	}
-	defer closeSession()
-	dec := gob.NewDecoder(br)
-	enc := gob.NewEncoder(conn)
-	for {
-		var wreq wireRequest
-		if err := dec.Decode(&wreq); err != nil {
-			return
-		}
-		s.beginRequest()
-		//fedlint:ignore ctxfirst the connection handler is a request root; there is no caller context to thread
-		ctx := context.Background()
-		encErr := enc.Encode(s.handleWire(ctx, DefaultTenant, callFromWire(&wreq)).toWire())
-		s.endRequest()
-		if encErr != nil {
-			return
-		}
-	}
+	br.Discard(len(muxMagic))
+	s.serveFramed(conn, br)
 }
 
 // serveFramed is the multiplexed transport loop: after the hello/ack
@@ -740,7 +512,8 @@ func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader) {
 	wmu.Lock()
 	err = writeFrame(conn, encodeHelloAck(sid, classGeneric, ""))
 	wmu.Unlock()
-	if err != nil {
+	// Only the handshake is timed; an established session may idle.
+	if err != nil || conn.SetDeadline(time.Time{}) != nil {
 		return
 	}
 	// One context per connection: when the read loop exits (client hung
@@ -777,9 +550,7 @@ func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader) {
 
 // handleWire executes one call — admission, deadline re-arming, tracing,
 // row or batch dispatch — and returns its reply; a failure rides in
-// reply.err (the framed path derives the error class from it). Both
-// transport loops share it, so admission and tracing behave identically
-// regardless of protocol.
+// reply.err (the codec derives the error class from it).
 func (s *Server) handleWire(ctx context.Context, tenant string, c *call) *reply {
 	rep := &reply{}
 	if c.deadlineMS > 0 {
@@ -952,178 +723,3 @@ func (s *Server) Shutdown(grace time.Duration) error {
 	}
 	return err
 }
-
-// ------------------------------------------------------------ TCP client
-
-// newCall starts an outgoing call: the trace context (the task's live span
-// unless the request carries a sampled one) and the remaining statement
-// deadline; both remote transports share it.
-func newCall(ctx context.Context, task *simlat.Task, system, function string, tc obs.TraceContext) *call {
-	if !tc.Sampled {
-		tc = obs.ContextFrom(task)
-	}
-	c := &call{system: system, function: function, trace: tc}
-	if rem, ok := resil.Remaining(ctx, task); ok && rem > 0 {
-		c.deadlineMS = int64(rem / simlat.PaperMS)
-	}
-	return c
-}
-
-// graftReplyFragment grafts a server-side span fragment shipped in the
-// response metadata under the local call span, and strips it from the
-// map; both remote transports share it.
-func graftReplyFragment(sp *obs.Span, meta map[string]string) {
-	enc, ok := meta[obs.MetaTraceFragment]
-	if !ok {
-		return
-	}
-	if sp != nil {
-		if frag, err := obs.DecodeFragment(enc); err == nil && frag.Root != nil {
-			obs.Graft(sp, obs.SpanFromData(frag.Root, sp.Start()))
-		}
-	}
-	delete(meta, obs.MetaTraceFragment)
-}
-
-// transport is what the two remote clients differ in: carrying one call
-// to the server and its reply back. The error is the transport's own
-// failure; what the server reported is in the reply.
-type transport interface {
-	roundTrip(ctx context.Context, c *call) (*reply, error)
-}
-
-// callMeta is CallMeta over either remote transport. When the task carries
-// a live trace, the span's context travels with the call and the server's
-// span fragment — returned in the response metadata — is grafted under the
-// local rpc.call span, stitching the cross-process waterfall. The
-// statement's remaining deadline ships with the call.
-func callMeta(ctx context.Context, task *simlat.Task, t transport, req Request) (*types.Table, map[string]string, error) {
-	if err := resil.Check(ctx, task); err != nil {
-		return nil, nil, err
-	}
-	sp := obs.StartSpan(task, "rpc.call", obs.Attr{Key: "system", Value: req.System}, obs.Attr{Key: "function", Value: req.Function})
-	defer sp.End(task)
-	c := newCall(ctx, task, req.System, req.Function, req.Trace)
-	c.args = req.Args
-	rep, err := t.roundTrip(ctx, c)
-	if err != nil {
-		return nil, nil, err
-	}
-	graftReplyFragment(sp, rep.meta)
-	if rep.err != nil {
-		sp.SetAttr("error", rep.err.Error())
-		return nil, rep.meta, rep.err
-	}
-	return rep.table, rep.meta, nil
-}
-
-// callBatch is CallBatch over either remote transport: N parameter rows
-// travel in one wire request and the reply carries one table (or error)
-// per row. Deadline and trace propagation follow callMeta. A server that
-// predates batch support replies in the single-row shape; that surfaces
-// here as an explicit error rather than silently dropping rows.
-func callBatch(ctx context.Context, task *simlat.Task, t transport, req BatchRequest) ([]*types.Table, error) {
-	if err := resil.Check(ctx, task); err != nil {
-		return nil, err
-	}
-	sp := obs.StartSpan(task, "rpc.call.batch",
-		obs.Attr{Key: "system", Value: req.System},
-		obs.Attr{Key: "function", Value: req.Function},
-		obs.Attr{Key: "batch_size", Value: fmt.Sprintf("%d", len(req.Rows))})
-	defer sp.End(task)
-	c := newCall(ctx, task, req.System, req.Function, req.Trace)
-	c.batch = req.Rows
-	rep, err := t.roundTrip(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	graftReplyFragment(sp, rep.meta)
-	if rep.err != nil {
-		sp.SetAttr("error", rep.err.Error())
-		return nil, rep.err
-	}
-	if len(rep.batch) != len(req.Rows) {
-		return nil, fmt.Errorf("rpc: batch reply has %d entries for %d rows (server predates batch support?)", len(rep.batch), len(req.Rows))
-	}
-	for _, msg := range rep.batchErrs {
-		if msg != "" {
-			return nil, errors.New(msg)
-		}
-	}
-	return rep.batch, nil
-}
-
-type tcpClient struct {
-	mu   sync.Mutex
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
-}
-
-// Dial connects to a Server. The client serialises concurrent calls; open
-// several clients for parallelism.
-func Dial(addr string) (Client, error) {
-	RegisterWireTypes()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	return &tcpClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
-}
-
-// Call implements Client. The task is not transmitted; TCP callees charge
-// their own clocks (wall-mode semantics).
-func (c *tcpClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-	res, _, err := callMeta(ctx, task, c, req)
-	return res, err
-}
-
-// CallMeta implements MetaCaller over the wire.
-func (c *tcpClient) CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error) {
-	return callMeta(ctx, task, c, req)
-}
-
-// CallBatch implements BatchCaller over the wire.
-func (c *tcpClient) CallBatch(ctx context.Context, task *simlat.Task, req BatchRequest) ([]*types.Table, error) {
-	return callBatch(ctx, task, c, req)
-}
-
-// roundTrip implements transport: one gob message each way, converted to
-// and from the wire structs here. Cancelling ctx while the call is in
-// flight aborts the blocked read (the connection is not reusable
-// afterwards — cancellation is terminal for a statement).
-func (c *tcpClient) roundTrip(ctx context.Context, cl *call) (*reply, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.enc.Encode(cl.toWire()); err != nil {
-		return nil, &transportError{"send", err}
-	}
-	var watchDone chan struct{}
-	if ctx != nil && ctx.Done() != nil {
-		watchDone = make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				// Unblock the pending Decode; the gob stream is dead after
-				// this, which is fine — the statement is over.
-				c.conn.SetReadDeadline(time.Unix(1, 0))
-			case <-watchDone:
-			}
-		}()
-	}
-	var wres wireResponse
-	err := c.dec.Decode(&wres)
-	if watchDone != nil {
-		close(watchDone)
-	}
-	if err != nil {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, &transportError{"call cancelled", ctx.Err()}
-		}
-		return nil, &transportError{"receive", err}
-	}
-	return replyFromWire(&wres), nil
-}
-
-// Close implements Client.
-func (c *tcpClient) Close() error { return c.conn.Close() }

@@ -61,7 +61,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Error("Addr returned nil after Listen")
 	}
 
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTCPValueFidelity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			c, err := Dial(addr.String())
+			c, err := DialMux(addr.String())
 			if err != nil {
 				errs <- err
 				return
@@ -182,26 +182,8 @@ func TestServerCloseIdempotent(t *testing.T) {
 }
 
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
+	if _, err := DialMux("127.0.0.1:1"); err == nil {
 		t.Error("dialing a closed port should fail")
-	}
-}
-
-func TestWireValueRoundTrip(t *testing.T) {
-	for _, v := range []types.Value{
-		types.Null,
-		types.NewInt(0),
-		types.NewInt(-1 << 40),
-		types.NewFloat(-0.125),
-		types.NewString(""),
-		types.NewString("x\ny"),
-		types.NewBool(true),
-		types.NewBool(false),
-	} {
-		back := fromWireValue(toWireValue(v))
-		if !back.Equal(v) {
-			t.Errorf("round trip of %v gave %v", v, back)
-		}
 	}
 }
 
@@ -236,7 +218,7 @@ func TestCallMetaOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +256,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +289,7 @@ func TestShutdownDrainsInflight(t *testing.T) {
 		t.Errorf("drained response = %v", r.tab.Rows[0])
 	}
 	// New connections are refused after shutdown.
-	if _, err := Dial(addr.String()); err == nil {
+	if _, err := DialMux(addr.String()); err == nil {
 		t.Error("dial succeeded after shutdown")
 	}
 }

@@ -2,8 +2,6 @@ package rpc
 
 import (
 	"context"
-	"encoding/gob"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -22,62 +20,6 @@ func tracedEchoHandler(ctx context.Context, task *simlat.Task, req Request) (*ty
 	return echoHandler(ctx, task, req)
 }
 
-func TestRegisterWireTypesIdempotent(t *testing.T) {
-	RegisterWireTypes()
-	RegisterWireTypes() // second call must not panic (gob double registration)
-}
-
-// TestLegacyClientCompat proves an old client — one whose wire request
-// predates the trace-context fields — still talks to a new server: gob
-// matches fields by name, the missing fields decode to zero values, and a
-// zero-value context means untraced.
-func TestLegacyClientCompat(t *testing.T) {
-	var gotTrace obs.TraceContext
-	srv := NewServer(func(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-		gotTrace = req.Trace
-		return echoHandler(ctx, task, req)
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-
-	// The old wire shape: no TraceID/SpanID/Sampled fields at all.
-	type legacyRequest struct {
-		System   string
-		Function string
-		Args     []wireValue
-	}
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(&legacyRequest{System: "s", Function: "f", Args: []wireValue{toWireValue(types.NewInt(1))}}); err != nil {
-		t.Fatal(err)
-	}
-	var wres wireResponse
-	if err := dec.Decode(&wres); err != nil {
-		t.Fatal(err)
-	}
-	if wres.Err != "" {
-		t.Fatalf("legacy call failed: %s", wres.Err)
-	}
-	if gotTrace != (obs.TraceContext{}) {
-		t.Errorf("legacy request decoded a non-zero trace context: %+v", gotTrace)
-	}
-	if _, ok := wres.Meta[obs.MetaTraceFragment]; ok {
-		t.Error("untraced legacy call received a span fragment")
-	}
-	if fromWireTable(wres.Columns, wres.Rows).Rows[0][2].Int() != 1 {
-		t.Error("legacy payload mangled")
-	}
-}
-
 func TestTracedTCPCallGraftsServerSpans(t *testing.T) {
 	srv := NewServer(tracedEchoHandler)
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -85,7 +27,7 @@ func TestTracedTCPCallGraftsServerSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +84,7 @@ func TestTracedErrorCarriesErrorAttr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +127,7 @@ func TestOversizedFragmentGoesToSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr.String())
+	c, err := DialMux(addr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func (f *fixture) measure(t *testing.T, sql string) (time.Duration, *types.Table
 	session := f.eng.NewSession()
 	task := simlat.NewVirtualTask()
 	session.SetTask(task)
-	tab, err := session.Query(sql)
+	tab, err := session.QueryContext(context.Background(), sql)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", sql, err)
 	}

@@ -96,14 +96,6 @@ type RunResult struct {
 	Activities int // number of executed (not skipped) activities, across all iterations
 }
 
-// Run validates and executes a process and returns its output container.
-//
-// Deprecated: use RunContext; this shim delegates with a background
-// context.
-func (e *Engine) Run(task *simlat.Task, p *Process, input map[string]types.Value) (*types.Table, error) {
-	return e.RunContext(context.Background(), task, p, input)
-}
-
 // RunContext validates and executes a process under the statement context
 // and returns its output container.
 func (e *Engine) RunContext(ctx context.Context, task *simlat.Task, p *Process, input map[string]types.Value) (*types.Table, error) {
@@ -112,14 +104,6 @@ func (e *Engine) RunContext(ctx context.Context, task *simlat.Task, p *Process, 
 		return nil, err
 	}
 	return res.Output, nil
-}
-
-// RunDetailed is Run with the audit trail and activity count.
-//
-// Deprecated: use RunDetailedContext; this shim delegates with a
-// background context.
-func (e *Engine) RunDetailed(task *simlat.Task, p *Process, input map[string]types.Value) (*RunResult, error) {
-	return e.RunDetailedContext(context.Background(), task, p, input)
 }
 
 // RunDetailedContext is RunContext with the audit trail and activity

@@ -24,9 +24,9 @@ func testInvoker(t *testing.T) Invoker {
 			if err != nil {
 				return nil, err
 			}
-			return sys.Call(task, function, args)
+			return sys.CallContext(context.Background(), task, function, args)
 		}
-		return reg.Call(task, system, function, args)
+		return reg.CallContext(context.Background(), task, system, function, args)
 	})
 }
 
@@ -93,7 +93,7 @@ func parallelProcess() *Process {
 func TestLinearProcess(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
 	task := simlat.NewVirtualTask()
-	out, err := eng.Run(task, linearProcess(), map[string]types.Value{"suppliername": types.NewString("Supplier3")})
+	out, err := eng.RunContext(context.Background(), task, linearProcess(), map[string]types.Value{"suppliername": types.NewString("Supplier3")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestLinearProcess(t *testing.T) {
 func TestParallelBeatsSequential(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
 	par := simlat.NewVirtualTask()
-	if _, err := eng.Run(par, parallelProcess(), map[string]types.Value{"supplierno": types.NewInt(3)}); err != nil {
+	if _, err := eng.RunContext(context.Background(), par, parallelProcess(), map[string]types.Value{"supplierno": types.NewInt(3)}); err != nil {
 		t.Fatal(err)
 	}
 	// Parallel branch: GQ and GR overlap fully (each 9+40+9+2 = 60);
@@ -120,7 +120,7 @@ func TestParallelBeatsSequential(t *testing.T) {
 		t.Errorf("parallel elapsed = %v, want %v", par.Elapsed(), want)
 	}
 	seq := simlat.NewVirtualTask()
-	if _, err := eng.Run(seq, linearProcess(), map[string]types.Value{"suppliername": types.NewString("Supplier3")}); err != nil {
+	if _, err := eng.RunContext(context.Background(), seq, linearProcess(), map[string]types.Value{"suppliername": types.NewString("Supplier3")}); err != nil {
 		t.Fatal(err)
 	}
 	// Three activities in parallel shape still beat two in sequence plus
@@ -135,7 +135,7 @@ func TestParallelBeatsSequential(t *testing.T) {
 
 func TestParallelResultCorrect(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
-	out, err := eng.Run(simlat.Free(), parallelProcess(), map[string]types.Value{"supplierno": types.NewInt(5)})
+	out, err := eng.RunContext(context.Background(), simlat.Free(), parallelProcess(), map[string]types.Value{"supplierno": types.NewInt(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func buySuppCompProcess() *Process {
 func TestBuySuppCompProcess(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
 	task := simlat.NewVirtualTask()
-	res, err := eng.RunDetailed(task, buySuppCompProcess(), map[string]types.Value{
+	res, err := eng.RunDetailedContext(context.Background(), task, buySuppCompProcess(), map[string]types.Value{
 		"supplierno": types.NewInt(4),
 		"compname":   types.NewString("washer"),
 	})
@@ -213,7 +213,7 @@ func TestBuySuppCompProcess(t *testing.T) {
 
 func TestEmptySourceSkipsDownstream(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
-	out, err := eng.Run(simlat.Free(), linearProcess(), map[string]types.Value{"suppliername": types.NewString("nobody")})
+	out, err := eng.RunContext(context.Background(), simlat.Free(), linearProcess(), map[string]types.Value{"suppliername": types.NewString("nobody")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestTransitionConditionDeadPath(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
 
 	// Supplier 4: quality 40+52=92 >= 70 -> GR runs.
-	out, err := eng.Run(simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(4)})
+	out, err := eng.RunContext(context.Background(), simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(4)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestTransitionConditionDeadPath(t *testing.T) {
 
 	// Supplier 3: quality 40+39=79... pick one below 70: supplier 10 has
 	// 40+(130%55)=60 < 70 -> GR skipped, empty output.
-	res, err := eng.RunDetailed(simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(10)})
+	res, err := eng.RunDetailedContext(context.Background(), simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(10)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestStartAnyJoin(t *testing.T) {
 		Result: "Count",
 	}
 	eng := New(testInvoker(t), testCosts())
-	out, err := eng.Run(simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(1)})
+	out, err := eng.RunContext(context.Background(), simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestStartAnyJoin(t *testing.T) {
 	}
 	// With StartAll the same process must skip Count.
 	p.Starts = nil
-	out, err = eng.Run(simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(1)})
+	out, err = eng.RunContext(context.Background(), simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func allCompNamesProcess(maxCalls int) *Process {
 func TestDoUntilLoopAccumulates(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
 	task := simlat.NewVirtualTask()
-	res, err := eng.RunDetailed(task, allCompNamesProcess(0), map[string]types.Value{"start": types.NewInt(0)})
+	res, err := eng.RunDetailedContext(context.Background(), task, allCompNamesProcess(0), map[string]types.Value{"start": types.NewInt(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +379,7 @@ func TestLoopScalingLinear(t *testing.T) {
 		// Limit the loop by starting the cursor near the end.
 		start := appsys.NumComponents - iters
 		task := simlat.NewVirtualTask()
-		if _, err := eng.Run(task, allCompNamesProcess(0), map[string]types.Value{"start": types.NewInt(int64(start))}); err != nil {
+		if _, err := eng.RunContext(context.Background(), task, allCompNamesProcess(0), map[string]types.Value{"start": types.NewInt(int64(start))}); err != nil {
 			t.Fatal(err)
 		}
 		return task.Elapsed()
@@ -395,7 +395,7 @@ func TestLoopScalingLinear(t *testing.T) {
 func TestLoopIterationCap(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
 	p := allCompNamesProcess(3) // fewer than needed
-	if _, err := eng.Run(simlat.Free(), p, map[string]types.Value{"start": types.NewInt(0)}); err == nil {
+	if _, err := eng.RunContext(context.Background(), simlat.Free(), p, map[string]types.Value{"start": types.NewInt(0)}); err == nil {
 		t.Error("iteration cap not enforced")
 	}
 }
@@ -412,7 +412,7 @@ func TestSubWorkflowWithoutUntil(t *testing.T) {
 		Result: "Sub",
 	}
 	eng := New(testInvoker(t), testCosts())
-	out, err := eng.Run(simlat.Free(), p, map[string]types.Value{"suppliername": types.NewString("Supplier2")})
+	out, err := eng.RunContext(context.Background(), simlat.Free(), p, map[string]types.Value{"suppliername": types.NewString("Supplier2")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +456,7 @@ func TestRowAlignedBindings(t *testing.T) {
 		Result: "C",
 	}
 	eng := New(inv, Costs{})
-	out, err := eng.Run(simlat.Free(), p, nil)
+	out, err := eng.RunContext(context.Background(), simlat.Free(), p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestInvokerErrorPropagates(t *testing.T) {
 	})
 	eng := New(inv, Costs{})
 	p := linearProcess()
-	_, err := eng.Run(simlat.Free(), p, map[string]types.Value{"suppliername": types.NewString("x")})
+	_, err := eng.RunContext(context.Background(), simlat.Free(), p, map[string]types.Value{"suppliername": types.NewString("x")})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("error = %v", err)
 	}
@@ -545,14 +545,14 @@ func TestHelperErrorPropagates(t *testing.T) {
 		Result: "bad",
 	}
 	eng := New(testInvoker(t), Costs{})
-	if _, err := eng.Run(simlat.Free(), p, nil); err == nil {
+	if _, err := eng.RunContext(context.Background(), simlat.Free(), p, nil); err == nil {
 		t.Error("helper error swallowed")
 	}
 }
 
 func TestMissingInputField(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
-	if _, err := eng.Run(simlat.Free(), linearProcess(), map[string]types.Value{}); err == nil {
+	if _, err := eng.RunContext(context.Background(), simlat.Free(), linearProcess(), map[string]types.Value{}); err == nil {
 		t.Error("missing input field accepted")
 	}
 }
@@ -567,12 +567,12 @@ func TestSerialNavigatorAblation(t *testing.T) {
 	input := map[string]types.Value{"supplierno": types.NewInt(5)}
 
 	pt := simlat.NewVirtualTask()
-	pOut, err := parallel.Run(pt, parallelProcess(), input)
+	pOut, err := parallel.RunContext(context.Background(), pt, parallelProcess(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := simlat.NewVirtualTask()
-	sOut, err := serial.Run(st, parallelProcess(), input)
+	sOut, err := serial.RunContext(context.Background(), st, parallelProcess(), input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -588,7 +588,7 @@ func TestSerialNavigatorAblation(t *testing.T) {
 	}
 	// The full Fig. 1 process also serialises cleanly.
 	st2 := simlat.NewVirtualTask()
-	out, err := serial.Run(st2, buySuppCompProcess(), map[string]types.Value{
+	out, err := serial.RunContext(context.Background(), st2, buySuppCompProcess(), map[string]types.Value{
 		"supplierno": types.NewInt(4), "compname": types.NewString("washer"),
 	})
 	if err != nil {
@@ -638,7 +638,7 @@ func TestConstSourceSuppliesParameter(t *testing.T) {
 	}
 	eng := New(testInvoker(t), testCosts())
 	// Find a component stocked by supplier 1234: (1234+c)%3==0 -> c=2.
-	out, err := eng.Run(simlat.Free(), p, map[string]types.Value{"compno": types.NewInt(2)})
+	out, err := eng.RunContext(context.Background(), simlat.Free(), p, map[string]types.Value{"compno": types.NewInt(2)})
 	if err != nil {
 		t.Fatal(err)
 	}

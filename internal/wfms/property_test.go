@@ -63,7 +63,7 @@ func TestNavigatorCriticalPathProperty(t *testing.T) {
 		}), Costs{ActivityBoot: 10 * simlat.PaperMS})
 
 		task := simlat.NewVirtualTask()
-		out, err := eng.Run(task, p, nil)
+		out, err := eng.RunContext(context.Background(), task, p, nil)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -136,7 +136,7 @@ func TestNavigatorSerialSumProperty(t *testing.T) {
 		}), Costs{ContainerHandling: 7 * simlat.PaperMS})
 		eng.SetSerial(true)
 		task := simlat.NewVirtualTask()
-		if _, err := eng.Run(task, p, nil); err != nil {
+		if _, err := eng.RunContext(context.Background(), task, p, nil); err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}

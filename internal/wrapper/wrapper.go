@@ -88,7 +88,6 @@ func NewRemoteHandler(eng *engine.Engine) rpc.Handler {
 // a handle to one remote SQL engine.
 type RemoteServer struct {
 	name    string
-	mu      sync.Mutex
 	client  rpc.Client
 	perCall simlat.Profile // charges RMI hops per remote interaction
 	charge  bool
@@ -103,15 +102,7 @@ func NewRemoteServer(name string, client rpc.Client, profile simlat.Profile, cha
 // Name implements catalog.ForeignServer.
 func (r *RemoteServer) Name() string { return r.name }
 
-// TableSchema implements catalog.ForeignServer.
-//
-// Deprecated: use TableSchemaContext; this shim discovers the remote
-// schema with a background context.
-func (r *RemoteServer) TableSchema(remote string) (types.Schema, error) {
-	return r.TableSchemaContext(context.Background(), remote)
-}
-
-// TableSchemaContext implements catalog.SchemaContextForeignServer: schema
+// TableSchemaContext implements catalog.ForeignServer: schema
 // discovery honours the caller's deadline and cancellation.
 func (r *RemoteServer) TableSchemaContext(ctx context.Context, remote string) (types.Schema, error) {
 	res, err := r.call(ctx, nil, fnSchema, types.NewString(remote))
@@ -132,15 +123,7 @@ func (r *RemoteServer) TableSchemaContext(ctx context.Context, remote string) (t
 	return schema, nil
 }
 
-// Query implements catalog.ForeignServer: it ships the pushed-down
-// statement text to the remote engine.
-//
-// Deprecated: use QueryContext; Query runs without deadline propagation.
-func (r *RemoteServer) Query(sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
-	return r.QueryContext(context.Background(), sel, task)
-}
-
-// QueryContext implements catalog.ContextForeignServer: it ships the
+// QueryContext implements catalog.ForeignServer: it ships the
 // pushed-down statement text to the remote engine, carrying the
 // statement's deadline across the wire.
 func (r *RemoteServer) QueryContext(ctx context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
@@ -159,9 +142,6 @@ func (r *RemoteServer) call(ctx context.Context, task *simlat.Task, fn string, a
 		task.Step(simlat.StepRMICall, r.perCall.RMICall)
 		defer task.Step(simlat.StepRMIReturn, r.perCall.RMIReturn)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	//fedlint:ignore lockheld the lock exists to serialize this call: the plain TCP client shares one gob stream and is not safe for concurrent round-trips
 	return r.client.Call(ctx, task, rpc.Request{System: r.name, Function: fn, Args: []types.Value{arg}})
 }
 
@@ -206,7 +186,7 @@ func (r *Registry) Factory() catalog.WrapperFactory {
 			return NewRemoteServer(serverName, rpc.NewInProc(h), r.profile, charge), nil
 		}
 		if addr, ok := options["address"]; ok {
-			client, err := rpc.Dial(addr)
+			client, err := rpc.DialMux(addr)
 			if err != nil {
 				return nil, fmt.Errorf("wrapper: dialing %s: %w", addr, err)
 			}
