@@ -143,8 +143,7 @@ func TestAuditJournalMatchesStackCounters(t *testing.T) {
 
 // TestJournalEventsCarryTheWarehouseFingerprint: a statement's events are
 // stamped with the id RecordStatement returns — the warehouse entry's own,
-// so the ring pins one string per fingerprint, not one per event — and
-// with no span id, because nothing retained could resolve one.
+// so the ring pins one string per fingerprint, not one per event.
 func TestJournalEventsCarryTheWarehouseFingerprint(t *testing.T) {
 	srv := newAuditServer(t)
 	const stmt = "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"
@@ -159,8 +158,8 @@ func TestJournalEventsCarryTheWarehouseFingerprint(t *testing.T) {
 		if e.Kind != journal.KindStatement && e.Kind != journal.KindCall {
 			continue
 		}
-		if e.Fingerprint != want || e.SpanID != "" {
-			t.Fatalf("%s event: fingerprint %q (want %q), span id %q (want none)", e.Kind, e.Fingerprint, want, e.SpanID)
+		if e.Fingerprint != want {
+			t.Fatalf("%s event: fingerprint %q, want %q", e.Kind, e.Fingerprint, want)
 		}
 		if e.Kind == journal.KindStatement {
 			stmts++

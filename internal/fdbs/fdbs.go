@@ -305,21 +305,18 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	}
 	snap := obs.SnapshotSpan(root)
 	// One wide journal event per statement, one per federated call inside
-	// it, anchored at the federation-wide virtual instant the statement
-	// began; the clock then advances by the statement's simulated time.
-	// The events carry the fingerprint the warehouse returns — its entry's
-	// own string, so the journal ring pins no copy per event — and no span
-	// id: nothing retained (spans, fragments, traces) could resolve one.
+	// it, anchored at the federation-wide virtual instant the journal
+	// stamps the statement with; the clock then advances by the statement's
+	// simulated time. The events carry the fingerprint the warehouse
+	// returns — its entry's own string, so the journal ring pins no copy
+	// per event.
 	cnt := stmtCounters.Snapshot()
-	base := s.jnl.Now()
 	stmtEvent := journal.Event{
-		Kind:      journal.KindStatement,
 		TraceID:   traceID,
 		Arch:      archLabel,
 		Row:       -1,
 		RPCs:      cnt.RPCs,
 		Instances: cnt.Instances,
-		StartVT:   base,
 		DurVT:     paper,
 	}
 	if err != nil {
@@ -328,12 +325,11 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	}
 	emitJournal := func(fp string, rows int) {
 		stmtEvent.Fingerprint, stmtEvent.Rows = fp, rows
-		s.jnl.Append(stmtEvent)
+		base := s.jnl.AppendStatement(stmtEvent)
 		callTmpl := journal.Event{TraceID: traceID, Fingerprint: fp, Arch: archLabel, StartVT: base}
 		for _, ce := range journal.CallEvents(snap, callTmpl) {
 			s.jnl.Append(ce)
 		}
-		s.jnl.Advance(paper)
 	}
 	record := stats.StatementRecord{
 		SQL:            text,

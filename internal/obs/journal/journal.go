@@ -6,11 +6,12 @@
 // tables, the /audit and /wf/instances JSON endpoints, and the SLO
 // burn-rate monitor in slo.go.
 //
-// The journal keeps its own virtual clock: Advance folds each finished
-// statement's simulated duration into a monotonic federation-wide instant,
-// and every event records its absolute virtual start and duration on that
-// clock. Ordering therefore never reads wall time (rule virtualclock), and
-// a journal filled by a deterministic workload is itself deterministic.
+// The journal keeps its own virtual clock: AppendStatement stamps each
+// finished statement with the federation-wide instant and folds its
+// simulated duration into it, Advance adds idle time, and every event
+// records its absolute virtual start and duration on that clock. Ordering
+// therefore never reads wall time (rule virtualclock), and a journal filled
+// by a deterministic workload is itself deterministic.
 package journal
 
 import (
@@ -54,22 +55,30 @@ const (
 	KindSession Kind = "session"
 )
 
+var kinds = [...]Kind{KindStatement, KindCall, KindRetry, KindBreaker,
+	KindShed, KindTimeout, KindInstance, KindActivity, KindSession}
+
 // Kinds returns the declared enum in a fixed order.
-func Kinds() []Kind {
-	return []Kind{KindStatement, KindCall, KindRetry, KindBreaker,
-		KindShed, KindTimeout, KindInstance, KindActivity, KindSession}
+func Kinds() []Kind { return append([]Kind(nil), kinds[:]...) }
+
+// index is k's position in Kinds, or -1 for a kind outside the enum.
+func (k Kind) index() int {
+	for i, d := range kinds {
+		if d == k {
+			return i
+		}
+	}
+	return -1
 }
 
 // Event is one wide journal event. Fields that do not apply to a kind stay
 // zero; Row is -1 unless the event is scoped to one row of a batched
 // workflow chunk. StartVT and DurVT are on the journal's federation-wide
-// virtual clock (absolute start, simulated duration). The FDBS leaves
-// SpanID unset: retained spans carry no ids to resolve one against.
+// virtual clock (absolute start, simulated duration).
 type Event struct {
 	Seq         uint64 `json:"seq"` // monotonic, assigned by Append
 	Kind        Kind   `json:"kind"`
 	TraceID     string `json:"trace_id,omitempty"`
-	SpanID      string `json:"span_id,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"` // statement fingerprint
 	Arch        string `json:"arch,omitempty"`
 	Func        string `json:"func,omitempty"`     // federated function, app system, or process
@@ -122,20 +131,27 @@ type Journal struct {
 	dropped atomic.Int64
 	vclock  atomic.Int64 // federation-wide virtual instant (integer ns; no wall time)
 
+	sinkOn  atomic.Bool // a sink is set; Append skips sinkMu without one
 	sinkMu  sync.Mutex
 	sink    *bufio.Writer
 	sinkErr error
 
-	objMu sync.Mutex
+	// sloMu guards the SLO fold (slo.go): the objectives, the mark ring and
+	// the per-window totals. Statement events are stored under it, so marks
+	// are recorded in sequence order.
+	sloMu sync.Mutex
 	obj   Objectives
+	marks markRing
+	win   []windowFold
+	// oldestMark is the sequence number of the oldest retained mark (0 when
+	// none), so an append that evicts no statement skips sloMu.
+	oldestMark atomic.Uint64
 
-	// Optional registry series, set by AttachMetrics.
+	// Optional registry series, resolved once by AttachMetrics.
 	mEvents  *obs.CounterVec
+	mKinds   [len(kinds)]*obs.Counter
 	mDropped *obs.Counter
 	mLive    *obs.Gauge
-	mAvail   *obs.GaugeVec
-	mLat     *obs.GaugeVec
-	mWindow  *obs.GaugeVec
 }
 
 // New returns an empty journal.
@@ -145,9 +161,12 @@ func New(opt Options) *Journal {
 		capacity = defaultCapacity
 	}
 	per := (capacity + numShards - 1) / numShards
-	j := &Journal{perShard: per}
+	j := &Journal{perShard: per, win: make([]windowFold, len(Windows))}
 	for i := range j.shards {
 		j.shards[i].buf = make([]Event, per)
+	}
+	for k, w := range Windows {
+		j.win[k] = windowFold{w: w, label: windowLabel(w)}
 	}
 	return j
 }
@@ -157,8 +176,52 @@ func (j *Journal) Capacity() int { return j.perShard * numShards }
 
 // Append assigns the event its sequence number, stores it (dropping the
 // shard's oldest event when full), mirrors it to the JSONL sink, and
-// returns the assigned sequence number.
+// returns the assigned sequence number. A statement event is taken as
+// stamped by the caller; AppendStatement stamps it from the journal clock.
 func (j *Journal) Append(e Event) uint64 {
+	var seq uint64
+	if e.Kind == KindStatement {
+		j.sloMu.Lock()
+		seq = j.storeStatementLocked(&e)
+		j.refreshLocked()
+		j.sloMu.Unlock()
+	} else {
+		seq = j.store(&e)
+		if o := j.oldestMark.Load(); o != 0 && o+uint64(j.Capacity()) <= seq {
+			// This append evicted a statement the windows still count.
+			j.sloMu.Lock()
+			j.refreshLocked()
+			j.sloMu.Unlock()
+		}
+	}
+	if j.sinkOn.Load() {
+		j.writeSink(e)
+	}
+	return seq
+}
+
+// AppendStatement appends e as a statement event that starts at the
+// journal's current instant, advances the clock by e.DurVT, and returns
+// the start it stamped — the base on which the statement's call events
+// lay out their own starts.
+func (j *Journal) AppendStatement(e Event) (start time.Duration) {
+	e.Kind = KindStatement
+	j.sloMu.Lock()
+	e.StartVT = j.Now()
+	j.storeStatementLocked(&e)
+	if e.DurVT > 0 {
+		j.vclock.Add(int64(e.DurVT))
+	}
+	j.refreshLocked()
+	j.sloMu.Unlock()
+	if j.sinkOn.Load() {
+		j.writeSink(e)
+	}
+	return e.StartVT
+}
+
+// store assigns e its sequence number and writes it into the ring.
+func (j *Journal) store(e *Event) uint64 {
 	seq := j.seq.Add(1)
 	e.Seq = seq
 	sh := &j.shards[seq%numShards]
@@ -166,22 +229,23 @@ func (j *Journal) Append(e Event) uint64 {
 	sh.mu.Lock()
 	if sh.n == j.perShard {
 		j.dropped.Add(1)
-		if j.mDropped != nil {
-			j.mDropped.Inc()
-		}
+		j.mDropped.Inc()
 	} else {
 		sh.n++
 	}
-	sh.buf[slot] = e
+	sh.buf[slot] = *e
 	sh.mu.Unlock()
 
 	if j.mEvents != nil {
-		j.mEvents.With(string(e.Kind)).Inc()
+		if i := e.Kind.index(); i >= 0 {
+			j.mKinds[i].Inc()
+		} else {
+			j.mEvents.With(string(e.Kind)).Inc()
+		}
 	}
-	if j.mLive != nil {
-		j.mLive.Set(float64(j.Len()))
-	}
-	j.writeSink(&e)
+	// Every assigned sequence number is live or dropped, so this is Len()
+	// without visiting the shards.
+	j.mLive.Set(float64(j.Seq() - uint64(j.Dropped())))
 	return seq
 }
 
@@ -229,17 +293,19 @@ func (j *Journal) Tail(n int) []Event {
 }
 
 // Now returns the federation-wide virtual instant: the accumulated
-// simulated time of everything Advance has folded in.
+// simulated time of every statement and idle period folded in.
 func (j *Journal) Now() time.Duration { return time.Duration(j.vclock.Load()) }
 
-// Advance moves the federation-wide virtual clock forward by d — called
-// with each finished statement's simulated duration (and by experiments to
-// simulate idle time between workloads) — and refreshes the SLO gauges.
+// Advance moves the federation-wide virtual clock forward by d — idle time
+// between statements, which experiments use to spread a workload over
+// virtual time — and refreshes the SLO gauges.
 func (j *Journal) Advance(d time.Duration) {
+	j.sloMu.Lock()
 	if d > 0 {
 		j.vclock.Add(int64(d))
 	}
-	j.updateSLOGauges()
+	j.refreshLocked()
+	j.sloMu.Unlock()
 }
 
 // SetSink mirrors every appended event to w as one JSON line. The writer
@@ -250,9 +316,10 @@ func (j *Journal) SetSink(w io.Writer) {
 	defer j.sinkMu.Unlock()
 	if w == nil {
 		j.sink = nil
-		return
+	} else {
+		j.sink = bufio.NewWriter(w)
 	}
-	j.sink = bufio.NewWriter(w)
+	j.sinkOn.Store(j.sink != nil)
 }
 
 // Flush drains the JSONL sink's buffer and reports the first write error
@@ -268,13 +335,15 @@ func (j *Journal) Flush() error {
 	return j.sinkErr
 }
 
-func (j *Journal) writeSink(e *Event) {
+// writeSink takes the event by value, so Append's copy never escapes when
+// no sink is set.
+func (j *Journal) writeSink(e Event) {
 	j.sinkMu.Lock()
 	defer j.sinkMu.Unlock()
 	if j.sink == nil {
 		return
 	}
-	b, err := json.Marshal(e)
+	b, err := json.Marshal(&e)
 	if err != nil {
 		return
 	}
@@ -286,21 +355,31 @@ func (j *Journal) writeSink(e *Event) {
 
 // AttachMetrics registers the journal's own series on the shared registry:
 // events appended by kind, ring evictions, live events, and the SLO
-// burn-rate gauges per sliding window.
+// burn-rate gauges per sliding window. Every series the append path sets
+// is resolved here, once.
 func (j *Journal) AttachMetrics(reg *obs.Registry) {
 	j.mEvents = reg.CounterVec("fedwf_audit_events_total",
 		"Events appended to the audit journal.", "kind")
+	for i, k := range kinds {
+		j.mKinds[i] = j.mEvents.With(string(k))
+	}
 	j.mDropped = reg.Counter("fedwf_audit_events_dropped_total",
 		"Oldest events evicted from the audit-journal ring.")
 	j.mLive = reg.Gauge("fedwf_audit_ring_live_total",
 		"Live events in the audit-journal ring.")
-	j.mAvail = reg.GaugeVec("fedwf_slo_availability_burn_total",
+	avail := reg.GaugeVec("fedwf_slo_availability_burn_total",
 		"Availability error-budget burn rate over a sliding virtual-time window.", "window")
-	j.mLat = reg.GaugeVec("fedwf_slo_latency_burn_total",
+	lat := reg.GaugeVec("fedwf_slo_latency_burn_total",
 		"Latency-objective error-budget burn rate over a sliding virtual-time window.", "window")
-	j.mWindow = reg.GaugeVec("fedwf_slo_window_statements_total",
+	stmts := reg.GaugeVec("fedwf_slo_window_statements_total",
 		"Statements inside a sliding virtual-time SLO window.", "window")
-	j.updateSLOGauges()
+	j.sloMu.Lock()
+	for k := range j.win {
+		w := &j.win[k]
+		w.mAvail, w.mLat, w.mStmts = avail.With(w.label), lat.With(w.label), stmts.With(w.label)
+	}
+	j.refreshLocked()
+	j.sloMu.Unlock()
 }
 
 // CallEvents derives one KindCall event per federated-function invocation
