@@ -303,7 +303,10 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 		"cache_coalesced": strconv.Itoa(cs.Coalesced),
 		obs.MetaTraceID:   traceID,
 	}
-	snap := obs.SnapshotSpan(root)
+	// One walk of the finished tree finds the statement's federated calls;
+	// the journal, the warehouse and the collector's histogram read that
+	// one list, and only a retained or sampled tree is read again.
+	calls := obs.FedCalls(root, nil)
 	// One wide journal event per statement, one per federated call inside
 	// it, anchored at the federation-wide virtual instant the journal
 	// stamps the statement with; the clock then advances by the statement's
@@ -326,10 +329,7 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	emitJournal := func(fp string, rows int) {
 		stmtEvent.Fingerprint, stmtEvent.Rows = fp, rows
 		base := s.jnl.AppendStatement(stmtEvent)
-		callTmpl := journal.Event{TraceID: traceID, Fingerprint: fp, Arch: archLabel, StartVT: base}
-		for _, ce := range journal.CallEvents(snap, callTmpl) {
-			s.jnl.Append(ce)
-		}
+		s.jnl.AppendCalls(journal.Event{TraceID: traceID, Fingerprint: fp, Arch: archLabel, StartVT: base}, calls)
 	}
 	record := stats.StatementRecord{
 		SQL:            text,
@@ -341,22 +341,22 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 		CacheMisses:    cs.Misses,
 		CacheCoalesced: cs.Coalesced,
 		Counters:       stmtCounters,
-		Funcs:          stats.FuncObservations(snap),
+		Calls:          calls,
 	}
 	errStr := ""
 	if err != nil {
 		errStr = err.Error()
 	}
-	if s.col.Offer(&collector.Trace{
+	if s.col.Offer(collector.Meta{
 		ID: traceID, Statement: text, Arch: archLabel, Error: errStr,
-		Forced: tc.Sampled, Paper: paper, Wall: wall, Root: snap,
-	}) {
+		Forced: tc.Sampled, Paper: paper, Wall: wall,
+	}, root, calls) {
 		meta["trace_retained"] = "1"
 	}
 	if tc.Sampled {
 		// Ship the span tree back to the caller; the transport (or the
 		// caller) grafts it under the span that issued this statement.
-		frag := &obs.Fragment{TraceID: traceID, ParentSpanID: tc.SpanID, Root: snap}
+		frag := &obs.Fragment{TraceID: traceID, ParentSpanID: tc.SpanID, Root: obs.SnapshotSpan(root)}
 		if enc, encErr := frag.Encode(); encErr == nil && len(enc) <= obs.MaxInlineFragmentBytes {
 			meta[obs.MetaTraceFragment] = enc
 		} else {
@@ -443,7 +443,10 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 		},
 	}))
 	s.rpcSrv.SetTraceSink(func(f *obs.Fragment) {
-		s.col.Offer(&collector.Trace{ID: f.TraceID, Statement: "(oversized fragment)", Root: f.Root, Forced: true})
+		// The fragment's federated calls were observed when its statement
+		// was offered, so none are passed again.
+		s.col.Offer(collector.Meta{ID: f.TraceID, Statement: "(oversized fragment)", Forced: true},
+			obs.SpanFromData(f.Root, 0), nil)
 	})
 	// After the graceful drain, push the buffered observability sinks out
 	// so a SIGTERM loses neither slow-query lines nor journal tail events.

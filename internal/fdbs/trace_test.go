@@ -3,6 +3,7 @@ package fdbs
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -12,7 +13,9 @@ import (
 	"fedwf/internal/fedfunc"
 	"fedwf/internal/obs"
 	"fedwf/internal/obs/collector"
+	"fedwf/internal/obs/journal"
 	"fedwf/internal/rpc"
+	"fedwf/internal/types"
 )
 
 // findSpan returns the first span named name in DFS order, or nil.
@@ -162,7 +165,7 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 	if len(errs) != 1 || errs[0].Error == "" {
 		t.Fatalf("error trace not retained: %v", errs)
 	}
-	if findData(errs[0].Root, "fdbs.exec") == nil {
+	if findData(srv.Collector().Get(errs[0].ID).Root, "fdbs.exec") == nil {
 		t.Error("error trace has no span tree")
 	}
 	// …while a fast healthy untraced statement is dropped under rate -1.
@@ -227,5 +230,83 @@ func TestExecTracedUDTFArch(t *testing.T) {
 	}
 	if meta[obs.MetaTraceID] == "" {
 		t.Errorf("meta = %v", meta)
+	}
+}
+
+// lateralSQL is the statement of fedbench's lateral_batch workload.
+const lateralSQL = "SELECT d.SupplierNo, F.Qual, F.Relia FROM drv d, TABLE (GetSuppQualRelia(d.SupplierNo)) AS F WHERE d.SupplierNo >= 0"
+
+// lateralServer is that workload's server: the 64 rows of drv go through the
+// workflow architecture in chunks of 8 at DOP 2, and every trace is kept.
+func lateralServer(t *testing.T) *Server {
+	t.Helper()
+	srv, err := NewServer(Config{Arch: fedfunc.ArchWfMS, Trace: collector.Policy{SampleRate: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Engine().SetParallelism(2)
+	srv.Engine().SetBatchSize(8)
+	if _, _, err := srv.ExecTracedContext(context.Background(), "CREATE TABLE drv (SupplierNo INT)", obs.TraceContext{}); err != nil {
+		t.Fatal(err)
+	}
+	drv, err := srv.Engine().Catalog().Table("drv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := drv.Insert(types.Row{types.NewInt(int64(i%appsys.NumSuppliers + 1))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv
+}
+
+// TestParallelTraceIsDeterministic: under DOP 2 the workers' spans open at
+// the same virtual instant under the same name, so only their attributes
+// can order them. Every warm run of the statement must retain the same
+// tree and journal its federated calls in the same order.
+func TestParallelTraceIsDeterministic(t *testing.T) {
+	srv := lateralServer(t)
+	run := func() (tree, calls string) {
+		_, meta, err := srv.ExecTracedContext(context.Background(), lateralSQL, obs.TraceContext{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := meta[obs.MetaTraceID]
+		tr := srv.Collector().Get(id)
+		if tr == nil || tr.Root == nil {
+			t.Fatalf("trace %s not retained", id)
+		}
+		b, err := json.Marshal(tr.Root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var base time.Duration
+		var order strings.Builder
+		for _, e := range srv.Journal().Snapshot() {
+			switch {
+			case e.TraceID != id:
+			case e.Kind == journal.KindStatement:
+				base = e.StartVT
+			case e.Kind == journal.KindCall:
+				fmt.Fprintf(&order, "%s@%d+%d ", e.Func, e.StartVT-base, e.DurVT)
+			}
+		}
+		return string(b), order.String()
+	}
+	run() // warm
+	trees, orders := map[string]int{}, map[string]int{}
+	for i := 0; i < 200; i++ {
+		tree, calls := run()
+		trees[tree]++
+		orders[calls]++
+	}
+	if len(trees) != 1 || len(orders) != 1 {
+		t.Fatalf("200 runs retained %d distinct trees and journaled %d call orders, want 1 and 1", len(trees), len(orders))
+	}
+	for calls := range orders {
+		if n := strings.Count(calls, "GetSuppQualRelia@"); n != 8 {
+			t.Fatalf("%d federated calls journaled, want 8 (64 rows in chunks of 8): %s", n, calls)
+		}
 	}
 }

@@ -61,8 +61,9 @@ func Default(pol Policy) Policy {
 	return pol
 }
 
-// Trace is one completed, stored trace.
-type Trace struct {
+// Meta is what the collector knows of a completed trace besides its span
+// tree: the statement and how it ended.
+type Meta struct {
 	ID        string        `json:"id"`
 	Statement string        `json:"statement"`
 	Arch      string        `json:"arch,omitempty"`
@@ -70,7 +71,20 @@ type Trace struct {
 	Forced    bool          `json:"forced,omitempty"`
 	Paper     time.Duration `json:"paper_ns"`
 	Wall      time.Duration `json:"wall_ns"`
-	Root      *obs.SpanData `json:"root,omitempty"`
+}
+
+// Trace is one stored trace as Get returns it, with its span tree decoded.
+type Trace struct {
+	Meta
+	Root *obs.SpanData `json:"root,omitempty"`
+}
+
+// stored is one ring slot. The span tree stays in obs's compact encoding —
+// one pointer-free byte slice — until Get decodes it.
+type stored struct {
+	Meta
+	tree  []byte // obs.EncodeTrace's form
+	spans int    // spans in tree, counted at retention
 }
 
 // Summary is the listing form of a trace (no span tree).
@@ -89,7 +103,7 @@ type Collector struct {
 	pol Policy
 
 	mu   sync.Mutex
-	ring []*Trace // newest at (next-1+len)%len, nil while filling
+	ring []*stored // newest at (next-1+len)%len, nil while filling
 	next int
 	rnd  *rand.Rand
 
@@ -105,7 +119,7 @@ type Collector struct {
 // there otherwise.
 func New(pol Policy, reg *obs.Registry) *Collector {
 	c := &Collector{pol: Default(pol)}
-	c.ring = make([]*Trace, c.pol.Capacity)
+	c.ring = make([]*stored, c.pol.Capacity)
 	seed := c.pol.Seed
 	if seed == 0 {
 		seed = defaultSeed
@@ -125,15 +139,23 @@ func New(pol Policy, reg *obs.Registry) *Collector {
 // Policy returns the effective (default-filled) policy.
 func (c *Collector) Policy() Policy { return c.pol }
 
-// Offer hands the collector a completed trace and reports whether tail
-// sampling retained it. The per-federated-function histograms observe
-// every offered trace, retained or not, so sampling does not bias them.
-func (c *Collector) Offer(t *Trace) bool {
-	if c == nil || t == nil {
+// Offer hands the collector a finished statement's trace: its Meta, the
+// live root of its span tree, and the federated calls found in that tree.
+// It reports whether tail sampling retained the trace. The
+// per-federated-function histograms observe every offered trace, retained
+// or not, so sampling does not bias them; a dropped trace costs nothing
+// else. A retained tree is pruned to Policy.MaxTraceBytes and encoded into
+// one allocation.
+func (c *Collector) Offer(t Meta, root *obs.Span, calls []obs.FedCall) bool {
+	if c == nil {
 		return false
 	}
 	c.offered.Inc()
-	c.observeFedFuncs(t.Root)
+	if c.fnLat != nil {
+		for _, fc := range calls {
+			c.fnLat.With(fc.Fn).Observe(float64(fc.Elapsed) / float64(simlat.PaperMS))
+		}
+	}
 	keep := t.Error != "" || t.Forced || t.Paper >= c.pol.LatencyThreshold
 	if !keep && c.pol.SampleRate > 0 {
 		keep = c.randFloat() < c.pol.SampleRate
@@ -142,12 +164,13 @@ func (c *Collector) Offer(t *Trace) bool {
 		c.dropped.Inc()
 		return false
 	}
-	t.Root = t.Root.PruneToSize(c.pol.MaxTraceBytes)
+	kept := &stored{Meta: t}
+	kept.tree, kept.spans = obs.EncodeTrace(root, c.pol.MaxTraceBytes)
 	c.mu.Lock()
 	if c.ring[c.next] != nil {
 		c.evicted.Inc()
 	}
-	c.ring[c.next] = t
+	c.ring[c.next] = kept
 	c.next = (c.next + 1) % len(c.ring)
 	c.mu.Unlock()
 	c.retained.Inc()
@@ -161,42 +184,27 @@ func (c *Collector) randFloat() float64 {
 	return c.rnd.Float64()
 }
 
-// observeFedFuncs walks the tree and feeds each federated-function span
-// (udtf.*) into the latency histogram, labelled by function name.
-func (c *Collector) observeFedFuncs(d *obs.SpanData) {
-	if c.fnLat == nil || d == nil {
-		return
-	}
-	if strings.HasPrefix(d.Name, "udtf.") {
-		fn := ""
-		for _, a := range d.Attrs {
-			if a.Key == "fn" {
-				fn = a.Value
-				break
-			}
-		}
-		if fn != "" {
-			c.fnLat.With(fn).Observe(float64(d.ElapsedNS) / float64(simlat.PaperMS))
-		}
-	}
-	for _, ch := range d.Children {
-		c.observeFedFuncs(ch)
-	}
-}
-
-// Get returns a stored trace by ID, or nil.
+// Get returns a stored trace by ID, with its span tree decoded, or nil.
 func (c *Collector) Get(id string) *Trace {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	var found *stored
 	for _, t := range c.ring {
 		if t != nil && t.ID == id {
-			return t
+			found = t
+			break
 		}
 	}
-	return nil
+	c.mu.Unlock()
+	if found == nil {
+		return nil
+	}
+	// A slot never changes once it is in the ring, so it decodes unlocked.
+	out := &Trace{Meta: found.Meta}
+	out.Root, _ = obs.DecodeTrace(found.tree) // the collector's own encoding
+	return out
 }
 
 // Filter restricts List output.
@@ -212,13 +220,14 @@ type Filter struct {
 	Limit int
 }
 
-// List returns retained traces newest-first, filtered.
-func (c *Collector) List(f Filter) []*Trace {
+// List summarizes the retained traces newest-first, filtered. It decodes
+// no span tree: Get does.
+func (c *Collector) List(f Filter) []Summary {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
-	ordered := make([]*Trace, 0, len(c.ring))
+	ordered := make([]*stored, 0, len(c.ring))
 	for i := 1; i <= len(c.ring); i++ { // newest first: walk backwards from next-1
 		t := c.ring[(c.next-i+len(c.ring))%len(c.ring)]
 		if t != nil {
@@ -227,7 +236,7 @@ func (c *Collector) List(f Filter) []*Trace {
 	}
 	c.mu.Unlock()
 	stmt := strings.ToLower(f.Statement)
-	out := make([]*Trace, 0, len(ordered))
+	out := make([]Summary, 0, len(ordered))
 	for _, t := range ordered {
 		if f.ErrorsOnly && t.Error == "" {
 			continue
@@ -238,7 +247,15 @@ func (c *Collector) List(f Filter) []*Trace {
 		if t.Paper < f.MinPaper {
 			continue
 		}
-		out = append(out, t)
+		out = append(out, Summary{
+			ID:        t.ID,
+			Statement: t.Statement,
+			Arch:      t.Arch,
+			Error:     t.Error,
+			PaperMS:   float64(t.Paper) / float64(simlat.PaperMS),
+			WallMS:    float64(t.Wall) / float64(time.Millisecond),
+			Spans:     t.spans,
+		})
 		if f.Limit > 0 && len(out) >= f.Limit {
 			break
 		}

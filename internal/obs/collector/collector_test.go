@@ -3,7 +3,9 @@ package collector
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -13,12 +15,19 @@ import (
 	"fedwf/internal/simlat"
 )
 
-func mkTrace(id, stmt string, paper time.Duration, errStr string, forced bool) *Trace {
-	return &Trace{
-		ID: id, Statement: stmt, Arch: "wfms", Error: errStr, Forced: forced,
-		Paper: paper, Wall: time.Millisecond,
+func mkTrace(id, stmt string, paper time.Duration, errStr string, forced bool) Trace {
+	return Trace{
+		Meta: Meta{ID: id, Statement: stmt, Arch: "wfms", Error: errStr, Forced: forced,
+			Paper: paper, Wall: time.Millisecond},
 		Root: &obs.SpanData{Name: "fdbs.exec", ElapsedNS: int64(paper)},
 	}
+}
+
+// offer hands c a trace whose span tree is t.Root, live, as the server
+// hands it a finished statement's tree.
+func offer(c *Collector, t Trace) bool {
+	root := obs.SpanFromData(t.Root, 0)
+	return c.Offer(t.Meta, root, obs.FedCalls(root, nil))
 }
 
 func TestDefaults(t *testing.T) {
@@ -34,16 +43,16 @@ func TestDefaults(t *testing.T) {
 func TestTailSamplingRules(t *testing.T) {
 	// Probabilistic retention off: only error/slow/forced traces stay.
 	c := New(Policy{SampleRate: -1, LatencyThreshold: 100 * simlat.PaperMS}, nil)
-	if c.Offer(mkTrace("fast", "SELECT 1", simlat.PaperMS, "", false)) {
+	if offer(c, mkTrace("fast", "SELECT 1", simlat.PaperMS, "", false)) {
 		t.Error("fast healthy trace retained with sampling off")
 	}
-	if !c.Offer(mkTrace("err", "SELECT nope", simlat.PaperMS, "boom", false)) {
+	if !offer(c, mkTrace("err", "SELECT nope", simlat.PaperMS, "boom", false)) {
 		t.Error("error trace dropped")
 	}
-	if !c.Offer(mkTrace("slow", "SELECT big", 200*simlat.PaperMS, "", false)) {
+	if !offer(c, mkTrace("slow", "SELECT big", 200*simlat.PaperMS, "", false)) {
 		t.Error("slow trace dropped")
 	}
-	if !c.Offer(mkTrace("forced", "SELECT t", simlat.PaperMS, "", true)) {
+	if !offer(c, mkTrace("forced", "SELECT t", simlat.PaperMS, "", true)) {
 		t.Error("client-sampled trace dropped")
 	}
 	if c.Len() != 3 {
@@ -51,7 +60,7 @@ func TestTailSamplingRules(t *testing.T) {
 	}
 	// Rate 1: everything stays.
 	all := New(Policy{SampleRate: 1}, nil)
-	if !all.Offer(mkTrace("any", "SELECT 1", simlat.PaperMS, "", false)) {
+	if !offer(all, mkTrace("any", "SELECT 1", simlat.PaperMS, "", false)) {
 		t.Error("rate-1 collector dropped a trace")
 	}
 	// Deterministic seeded sampling: same seed, same decisions.
@@ -59,7 +68,7 @@ func TestTailSamplingRules(t *testing.T) {
 		c := New(Policy{SampleRate: 0.5, Seed: seed}, nil)
 		out := make([]bool, 20)
 		for i := range out {
-			out[i] = c.Offer(mkTrace(fmt.Sprint(i), "s", simlat.PaperMS, "", false))
+			out[i] = offer(c, mkTrace(fmt.Sprint(i), "s", simlat.PaperMS, "", false))
 		}
 		return out
 	}
@@ -74,7 +83,7 @@ func TestTailSamplingRules(t *testing.T) {
 func TestRingWraparoundNewestFirst(t *testing.T) {
 	c := New(Policy{Capacity: 4, SampleRate: 1}, nil)
 	for i := 0; i < 10; i++ {
-		c.Offer(mkTrace(fmt.Sprintf("t%d", i), "SELECT 1", simlat.PaperMS, "", false))
+		offer(c, mkTrace(fmt.Sprintf("t%d", i), "SELECT 1", simlat.PaperMS, "", false))
 	}
 	if c.Len() != 4 {
 		t.Fatalf("ring length = %d", c.Len())
@@ -104,8 +113,7 @@ func TestPerTraceByteCap(t *testing.T) {
 		cur.Children = []*obs.SpanData{child}
 		cur = child
 	}
-	tr := &Trace{ID: "big", Statement: "S", Root: deep}
-	if !c.Offer(tr) {
+	if !offer(c, Trace{Meta: Meta{ID: "big", Statement: "S"}, Root: deep}) {
 		t.Fatal("trace dropped")
 	}
 	stored := c.Get("big")
@@ -116,9 +124,9 @@ func TestPerTraceByteCap(t *testing.T) {
 
 func TestListFilters(t *testing.T) {
 	c := New(Policy{SampleRate: 1}, nil)
-	c.Offer(mkTrace("a", "SELECT * FROM TABLE (GetSuppQual('Supplier3')) AS Q", 10*simlat.PaperMS, "", false))
-	c.Offer(mkTrace("b", "SELECT nonsense", 2*simlat.PaperMS, "no such table", false))
-	c.Offer(mkTrace("c", "INSERT INTO t VALUES (1)", 500*simlat.PaperMS, "", false))
+	offer(c, mkTrace("a", "SELECT * FROM TABLE (GetSuppQual('Supplier3')) AS Q", 10*simlat.PaperMS, "", false))
+	offer(c, mkTrace("b", "SELECT nonsense", 2*simlat.PaperMS, "no such table", false))
+	offer(c, mkTrace("c", "INSERT INTO t VALUES (1)", 500*simlat.PaperMS, "", false))
 	if got := c.List(Filter{Statement: "getsuppqual"}); len(got) != 1 || got[0].ID != "a" {
 		t.Errorf("statement filter: %v", got)
 	}
@@ -142,7 +150,7 @@ func TestFedFuncHistograms(t *testing.T) {
 		ElapsedNS: int64(80 * simlat.PaperMS),
 		Attrs:     []obs.Attr{{Key: "fn", Value: "GetNoSuppComp"}},
 	}}
-	c.Offer(tr) // dropped by sampling, but histograms observe every offer
+	offer(c, tr) // dropped by sampling, but histograms observe every offer
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -160,16 +168,26 @@ func TestFedFuncHistograms(t *testing.T) {
 }
 
 // TestConcurrentOfferListGet exercises the ring buffer under the race
-// detector (CI runs go test -race).
+// detector (CI runs go test -race): offers encode live trees while readers
+// list, summarize and decode them.
 func TestConcurrentOfferListGet(t *testing.T) {
 	c := New(Policy{Capacity: 8, SampleRate: 1}, obs.NewRegistry())
+	mux := http.NewServeMux()
+	c.Register(mux)
+	root := lateralTree(t)
+	calls := obs.FedCalls(root, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				c.Offer(mkTrace(fmt.Sprintf("g%d-%d", g, i), "SELECT 1", simlat.PaperMS, "", false))
+				if i%50 == 0 {
+					// Every goroutine also encodes the one shared live tree.
+					c.Offer(Meta{ID: "lateral", Statement: "SELECT", Forced: true}, root, calls)
+					continue
+				}
+				offer(c, mkTrace(fmt.Sprintf("g%d-%d", g, i), "SELECT 1", simlat.PaperMS, "", false))
 			}
 		}(g)
 	}
@@ -177,8 +195,18 @@ func TestConcurrentOfferListGet(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			c.List(Filter{Limit: 4})
-			c.Get("g0-5")
+			for _, sum := range c.List(Filter{Limit: 4}) {
+				if sum.Spans == 0 {
+					t.Errorf("listed trace %s has no tree", sum.ID)
+					return
+				}
+			}
+			if tr := c.Get("lateral"); tr != nil && tr.Root.SpanCount() != 220 {
+				t.Errorf("lateral trace decoded to %d spans", tr.Root.SpanCount())
+				return
+			}
+			rr := httptest.NewRecorder()
+			mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces?limit=3", nil))
 			c.Len()
 		}
 	}()
@@ -191,8 +219,8 @@ func TestConcurrentOfferListGet(t *testing.T) {
 func TestHTTPEndpoints(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Policy{SampleRate: 1}, reg)
-	c.Offer(mkTrace("abc", "SELECT * FROM TABLE (GetSuppQual('Supplier3')) AS Q", 10*simlat.PaperMS, "", false))
-	c.Offer(mkTrace("bad", "SELECT nope", simlat.PaperMS, "no such table", false))
+	offer(c, mkTrace("abc", "SELECT * FROM TABLE (GetSuppQual('Supplier3')) AS Q", 10*simlat.PaperMS, "", false))
+	offer(c, mkTrace("bad", "SELECT nope", simlat.PaperMS, "no such table", false))
 	mux := obs.MetricsMux(reg)
 	c.Register(mux)
 
@@ -251,5 +279,214 @@ func TestHTTPEndpoints(t *testing.T) {
 	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/nope", nil))
 	if rr.Code != 404 {
 		t.Errorf("missing trace = %d", rr.Code)
+	}
+}
+
+// lateralTree is the retained lateral_batch span tree obs's codec tests use
+// (220 spans, 47 KB of JSON), live, as the server offers it.
+func lateralTree(tb testing.TB) *obs.Span {
+	tb.Helper()
+	b, err := os.ReadFile("../testdata/lateral_batch.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var d obs.SpanData
+	if err := json.Unmarshal(b, &d); err != nil {
+		tb.Fatal(err)
+	}
+	return obs.SpanFromData(&d, 0)
+}
+
+// referenceTrace is the stored trace as /traces/<id> rendered it when the
+// collector kept one flat struct with the span tree in it.
+type referenceTrace struct {
+	ID        string        `json:"id"`
+	Statement string        `json:"statement"`
+	Arch      string        `json:"arch,omitempty"`
+	Error     string        `json:"error,omitempty"`
+	Forced    bool          `json:"forced,omitempty"`
+	Paper     time.Duration `json:"paper_ns"`
+	Wall      time.Duration `json:"wall_ns"`
+	Root      *obs.SpanData `json:"root,omitempty"`
+}
+
+// referenceTruncate and referencePrune are how the collector stored a tree
+// before it kept bytes: a pruned copy of the snapshot, cut level by level
+// until its marshalled JSON fit the cap.
+func referenceTruncate(d *obs.SpanData, depth int) *obs.SpanData {
+	out := &obs.SpanData{Name: d.Name, StartNS: d.StartNS, ElapsedNS: d.ElapsedNS,
+		Attrs: append([]obs.Attr(nil), d.Attrs...), Steps: append([]obs.StepData(nil), d.Steps...)}
+	if depth == 1 {
+		if len(d.Children) > 0 {
+			out.Attrs = append(out.Attrs, obs.Attr{Key: "pruned", Value: "children"})
+		}
+		return out
+	}
+	for _, c := range d.Children {
+		out.Children = append(out.Children, referenceTruncate(c, depth-1))
+	}
+	return out
+}
+
+func referencePrune(t *testing.T, d *obs.SpanData, maxBytes int) *obs.SpanData {
+	size := func(d *obs.SpanData) int {
+		b, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	if size(d) <= maxBytes {
+		return d
+	}
+	var height func(d *obs.SpanData) int
+	height = func(d *obs.SpanData) int {
+		h := 0
+		for _, c := range d.Children {
+			h = max(h, height(c))
+		}
+		return h + 1
+	}
+	for depth := height(d) - 1; depth >= 1; depth-- {
+		if cut := referenceTruncate(d, depth); size(cut) <= maxBytes {
+			return cut
+		}
+	}
+	return referenceTruncate(d, 1)
+}
+
+// TestTraceEndpointsUnchanged: /traces/<id> as JSON and as text, and the
+// listing's span count, are byte for byte what rendering the old stored
+// form — the pruned snapshot — gives, with and without pruning.
+func TestTraceEndpointsUnchanged(t *testing.T) {
+	for _, maxBytes := range []int{0, 20000, 2000, 300} {
+		c := New(Policy{SampleRate: -1, MaxTraceBytes: maxBytes}, nil)
+		mux := http.NewServeMux()
+		c.Register(mux)
+		root := lateralTree(t)
+		root.SetAttr("error", "rpc: <nil> & \"quoted\"\n\u2028")
+		m := Meta{ID: "lat", Statement: "SELECT d.SupplierNo FROM drv d WHERE d.SupplierNo >= 0",
+			Arch: "wfms", Error: "boom <x>", Paper: 1291 * simlat.PaperMS, Wall: 3 * time.Millisecond}
+		if !c.Offer(m, root, obs.FedCalls(root, nil)) {
+			t.Fatal("error trace dropped")
+		}
+		ref := referenceTrace{ID: m.ID, Statement: m.Statement, Arch: m.Arch, Error: m.Error,
+			Paper: m.Paper, Wall: m.Wall, Root: referencePrune(t, obs.SnapshotSpan(root), c.Policy().MaxTraceBytes)}
+
+		var want strings.Builder
+		enc := json.NewEncoder(&want)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(ref); err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/lat", nil))
+		if rr.Body.String() != want.String() {
+			t.Fatalf("cap %d: /traces/lat JSON differs:\n%s\nwant:\n%s", maxBytes, rr.Body.String(), want.String())
+		}
+
+		wantText := fmt.Sprintf("trace %s stmt=%q arch=%s paper=%.3fms wall=%.3fms error=%q\n\n%s\n%s",
+			ref.ID, ref.Statement, ref.Arch, float64(ref.Paper)/float64(simlat.PaperMS),
+			float64(ref.Wall)/float64(time.Millisecond), ref.Error, obs.Waterfall(ref.Root), obs.RenderData(ref.Root))
+		rr = httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/lat?format=text", nil))
+		if rr.Body.String() != wantText {
+			t.Fatalf("cap %d: /traces/lat text differs:\n%s\nwant:\n%s", maxBytes, rr.Body.String(), wantText)
+		}
+
+		rr = httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces", nil))
+		var sums []Summary
+		if err := json.Unmarshal(rr.Body.Bytes(), &sums); err != nil {
+			t.Fatal(err)
+		}
+		if len(sums) != 1 || sums[0].Spans != ref.Root.SpanCount() {
+			t.Fatalf("cap %d: listing %+v, want %d spans", maxBytes, sums, ref.Root.SpanCount())
+		}
+		t.Logf("cap %d: %d spans kept", maxBytes, sums[0].Spans)
+	}
+}
+
+// TestNullChildInPeerFragment: a peer's fragment may carry a null child.
+// Grafted under a traced statement it must neither crash the walk that
+// finds federated calls nor the encoding of a kept trace.
+func TestNullChildInPeerFragment(t *testing.T) {
+	frag, err := obs.DecodeFragment(`{"trace_id":"t","root":{"name":"x","children":[null,{"name":"y"}]}}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := simlat.NewVirtualTask()
+	tr := obs.Trace(task, "fdbs.exec")
+	call := obs.StartSpan(task, "udtf.workflow", obs.Attr{Key: "fn", Value: "GetSuppQual"})
+	obs.Graft(call, obs.SpanFromData(frag.Root, call.Start()))
+	task.Spend(simlat.PaperMS)
+	call.End(task)
+	root := tr.Finish()
+
+	calls := obs.FedCalls(root, nil)
+	if len(calls) != 1 || calls[0].Fn != "GetSuppQual" {
+		t.Fatalf("federated calls = %+v", calls)
+	}
+	c := New(Policy{SampleRate: -1}, obs.NewRegistry())
+	if !c.Offer(Meta{ID: "peer", Statement: "SELECT", Forced: true}, root, calls) {
+		t.Fatal("forced trace dropped")
+	}
+	got := c.Get("peer")
+	if got == nil || got.Root.SpanCount() != 4 {
+		t.Fatalf("stored tree: %+v", got)
+	}
+	if want := "fdbs.exec\n  udtf.workflow\n    x\n      y\n"; names(got.Root, 0) != want {
+		t.Errorf("stored tree:\n%s\nwant:\n%s", names(got.Root, 0), want)
+	}
+}
+
+// names renders a tree's span names, one indented line each.
+func names(d *obs.SpanData, depth int) string {
+	s := strings.Repeat("  ", depth) + d.Name + "\n"
+	for _, c := range d.Children {
+		s += names(c, depth+1)
+	}
+	return s
+}
+
+// TestOfferAllocations pins what a trace costs the collector: a dropped
+// one nothing beyond its histogram observations, a kept one its encoding
+// and its ring slot.
+func TestOfferAllocations(t *testing.T) {
+	root := lateralTree(t)
+	calls := obs.FedCalls(root, nil)
+	if len(calls) == 0 {
+		t.Fatal("the lateral tree has no federated calls")
+	}
+	fast := Meta{ID: "x", Statement: "SELECT", Paper: simlat.PaperMS}
+	drop := New(Policy{SampleRate: -1}, obs.NewRegistry())
+	if n := testing.AllocsPerRun(100, func() { drop.Offer(fast, root, calls) }); n != 0 {
+		t.Errorf("a dropped Offer allocates %v times, want 0", n)
+	}
+	forced := fast
+	forced.Forced = true
+	keep := New(Policy{SampleRate: -1, Capacity: 4}, obs.NewRegistry())
+	if n := testing.AllocsPerRun(100, func() { keep.Offer(forced, root, calls) }); n != 2 {
+		t.Errorf("a kept Offer allocates %v times, want 2 (the encoding and the ring slot)", n)
+	}
+}
+
+func BenchmarkOffer(b *testing.B) {
+	root := lateralTree(b)
+	calls := obs.FedCalls(root, nil)
+	for _, bc := range []struct {
+		name string
+		m    Meta
+	}{
+		{"dropped", Meta{ID: "x", Statement: "SELECT", Paper: simlat.PaperMS}},
+		{"kept_lateral", Meta{ID: "x", Statement: "SELECT", Paper: 1291 * simlat.PaperMS}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := New(Policy{SampleRate: -1}, obs.NewRegistry())
+			b.ReportAllocs()
+			for b.Loop() {
+				c.Offer(bc.m, root, calls)
+			}
+		})
 	}
 }

@@ -46,23 +46,10 @@ func (c *Collector) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Limit = n
 	}
-	traces := c.List(f)
-	out := make([]Summary, 0, len(traces))
-	for _, t := range traces {
-		out = append(out, Summary{
-			ID:        t.ID,
-			Statement: t.Statement,
-			Arch:      t.Arch,
-			Error:     t.Error,
-			PaperMS:   float64(t.Paper) / float64(simlat.PaperMS),
-			WallMS:    float64(t.Wall) / float64(time.Millisecond),
-			Spans:     t.Root.SpanCount(),
-		})
-	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(out)
+	enc.Encode(c.List(f))
 }
 
 func (c *Collector) handleGet(w http.ResponseWriter, r *http.Request) {

@@ -382,43 +382,18 @@ func (j *Journal) AttachMetrics(reg *obs.Registry) {
 	j.sloMu.Unlock()
 }
 
-// CallEvents derives one KindCall event per federated-function invocation
-// from a statement's span tree: every span named "udtf.<something>"
-// carrying an "fn" attribute is one invocation (the same convention the
-// statistics warehouse uses). tmpl supplies the statement-scoped fields —
-// trace ID, fingerprint, arch — and its StartVT is the statement's base on
-// the journal clock, to which each span's relative start is added.
-func CallEvents(root *obs.SpanData, tmpl Event) []Event {
-	if root == nil {
-		return nil
+// AppendCalls appends one KindCall event per federated call of a statement,
+// in the order of calls. tmpl supplies the statement-scoped fields — trace
+// ID, fingerprint, arch — and its StartVT is the statement's base on the
+// journal clock, to which each call's start within the statement is added.
+func (j *Journal) AppendCalls(tmpl Event, calls []obs.FedCall) {
+	tmpl.Kind = KindCall
+	tmpl.Row = -1
+	tmpl.Rows, tmpl.RPCs, tmpl.Instances = 0, 0, 0
+	base := tmpl.StartVT
+	for _, c := range calls {
+		e := tmpl
+		e.Func, e.StartVT, e.DurVT = c.Fn, base+c.Start, c.Elapsed
+		j.Append(e)
 	}
-	var out []Event
-	var walk func(s *obs.SpanData)
-	walk = func(s *obs.SpanData) {
-		if len(s.Name) > 5 && s.Name[:5] == "udtf." {
-			fn := ""
-			for _, a := range s.Attrs {
-				if a.Key == "fn" {
-					fn = a.Value
-					break
-				}
-			}
-			if fn != "" {
-				e := tmpl
-				e.Kind = KindCall
-				e.Func = fn
-				e.Row = -1
-				e.Rows = 0
-				e.RPCs, e.Instances = 0, 0
-				e.StartVT = tmpl.StartVT + time.Duration(s.StartNS)
-				e.DurVT = time.Duration(s.ElapsedNS)
-				out = append(out, e)
-			}
-		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	walk(root)
-	return out
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fedwf/internal/obs"
+	"fedwf/internal/simlat"
 )
 
 func TestEvictionOldestFirstNoGaps(t *testing.T) {
@@ -161,31 +162,36 @@ func TestDefaultObjectivesWhenUnset(t *testing.T) {
 }
 
 func TestCallEventsFromSpanTree(t *testing.T) {
-	root := &obs.SpanData{
-		Name: "fdbs.exec",
-		Children: []*obs.SpanData{
-			{Name: "engine.run", Children: []*obs.SpanData{
-				{Name: "udtf.wf", StartNS: 1e6, ElapsedNS: 5e6,
-					Attrs: []obs.Attr{{Key: "fn", Value: "GetSuppQual"}}},
-				{Name: "udtf.appsys", StartNS: 7e6, ElapsedNS: 3e6,
-					Attrs: []obs.Attr{{Key: "fn", Value: "GibLiefQualifikation"}}},
-			}},
-		},
+	task := simlat.NewVirtualTask()
+	tr := obs.Trace(task, "fdbs.exec")
+	run := obs.StartSpan(task, "engine.run")
+	task.Spend(time.Millisecond)
+	wf := obs.StartSpan(task, "udtf.wf", obs.Attr{Key: "fn", Value: "GetSuppQual"})
+	task.Spend(5 * time.Millisecond)
+	wf.End(task)
+	task.Spend(time.Millisecond)
+	as := obs.StartSpan(task, "udtf.appsys", obs.Attr{Key: "fn", Value: "GibLiefQualifikation"})
+	task.Spend(3 * time.Millisecond)
+	as.End(task)
+	obs.StartSpan(task, "udtf.nofn").End(task) // no fn attribute: not a call
+	run.End(task)
+	calls := obs.FedCalls(tr.Finish(), nil)
+
+	j := New(Options{Capacity: 64})
+	j.AppendCalls(Event{TraceID: "t1", Fingerprint: "fp", Arch: "wfms", Rows: 9,
+		StartVT: 10 * time.Millisecond}, calls)
+	got := j.Snapshot()
+	if len(got) != 2 {
+		t.Fatalf("call events = %d, want 2", len(got))
 	}
-	tmpl := Event{TraceID: "t1", Fingerprint: "fp", Arch: "wfms", Row: -1,
-		StartVT: 10 * time.Millisecond}
-	calls := CallEvents(root, tmpl)
-	if len(calls) != 2 {
-		t.Fatalf("call events = %d, want 2", len(calls))
+	if got[0].Func != "GetSuppQual" || got[0].Kind != KindCall || got[0].Row != -1 || got[0].Rows != 0 {
+		t.Fatalf("first call = %+v", got[0])
 	}
-	if calls[0].Func != "GetSuppQual" || calls[0].Kind != KindCall {
-		t.Fatalf("first call = %+v", calls[0])
+	if got[0].StartVT != 11*time.Millisecond || got[0].DurVT != 5*time.Millisecond {
+		t.Fatalf("first call timing = %v/%v", got[0].StartVT, got[0].DurVT)
 	}
-	if calls[0].StartVT != 11*time.Millisecond || calls[0].DurVT != 5*time.Millisecond {
-		t.Fatalf("first call timing = %v/%v", calls[0].StartVT, calls[0].DurVT)
-	}
-	if calls[1].Func != "GibLiefQualifikation" || calls[1].TraceID != "t1" {
-		t.Fatalf("second call = %+v", calls[1])
+	if got[1].Func != "GibLiefQualifikation" || got[1].TraceID != "t1" || got[1].StartVT != 17*time.Millisecond {
+		t.Fatalf("second call = %+v", got[1])
 	}
 }
 

@@ -14,8 +14,9 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -150,10 +151,7 @@ func (s *Span) Elapsed() time.Duration {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.ended {
-		return 0
-	}
-	return s.end - s.start
+	return s.elapsedLocked()
 }
 
 // SetAttr annotates the span.
@@ -205,24 +203,63 @@ func (s *Span) Steps() []StepTotal {
 	return out
 }
 
-// Children returns the child spans ordered by (start, name), which makes
-// traversal deterministic even when parallel branches appended them in
-// racing order.
+// Children returns the child spans ordered by (start, name, attributes),
+// which makes traversal deterministic even when parallel branches appended
+// them in racing order.
 func (s *Span) Children() []*Span {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
+	s.sortChildrenLocked()
 	out := append([]*Span(nil), s.children...)
 	s.mu.Unlock()
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := out[i].Start(), out[j].Start()
-		if si != sj {
-			return si < sj
-		}
-		return out[i].Name() < out[j].Name()
-	})
 	return out
+}
+
+// sortChildrenLocked puts s's children in their deterministic order, in
+// place. Start and name alone do not settle it: the exec.worker spans of one
+// ParallelApply open at the same instant under the same name and differ only
+// in their worker attribute, so ties break on the attribute list. The caller
+// holds s.mu.
+func (s *Span) sortChildrenLocked() {
+	if !slices.IsSortedFunc(s.children, compareSpans) {
+		slices.SortStableFunc(s.children, compareSpans)
+	}
+}
+
+// compareSpans orders siblings by start, then name, then attribute list. A
+// span's start and name are fixed when it is created, so only its
+// attributes need its lock.
+func compareSpans(a, b *Span) int {
+	if c := cmp.Compare(a.start, b.start); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.name, b.name); c != 0 {
+		return c
+	}
+	return slices.CompareFunc(a.attrList(), b.attrList(), func(x, y Attr) int {
+		if c := strings.Compare(x.Key, y.Key); c != 0 {
+			return c
+		}
+		return strings.Compare(x.Value, y.Value)
+	})
+}
+
+// attrList returns the span's attribute slice without copying it. SetAttr
+// only appends, so the elements below the returned length never change.
+func (s *Span) attrList() []Attr {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.attrs
+}
+
+// elapsedLocked is Elapsed for a caller holding s.mu.
+func (s *Span) elapsedLocked() time.Duration {
+	if !s.ended {
+		return 0
+	}
+	return s.end - s.start
 }
 
 func (s *Span) addChild(c *Span) {
@@ -283,6 +320,41 @@ func (s *Span) StepTotals() []StepTotal {
 		out = append(out, StepTotal{Name: n, Total: totals[n]})
 	}
 	return out
+}
+
+// FedCall is one federated-function invocation of a finished statement: a
+// span named udtf.* that carries an fn attribute.
+type FedCall struct {
+	Fn      string
+	Start   time.Duration // the span's start on the statement's clock
+	Elapsed time.Duration
+}
+
+// FedCalls appends the federated calls of the finished tree under s to dst,
+// in depth-first Children order, and returns the extended slice. It reads
+// every span in place under its lock and copies nothing but the calls, so
+// the journal, the warehouse and the trace collector share one walk.
+func FedCalls(s *Span, dst []FedCall) []FedCall {
+	if s == nil {
+		return dst
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if strings.HasPrefix(s.name, "udtf.") {
+		for _, a := range s.attrs {
+			if a.Key == "fn" {
+				if a.Value != "" {
+					dst = append(dst, FedCall{Fn: a.Value, Start: s.start, Elapsed: s.elapsedLocked()})
+				}
+				break
+			}
+		}
+	}
+	s.sortChildrenLocked()
+	for _, c := range s.children {
+		dst = FedCalls(c, dst)
+	}
+	return dst
 }
 
 // StartSpan opens a child of the task's current span, makes it the task's

@@ -105,7 +105,9 @@ func SnapshotSpan(s *Span) *SpanData {
 
 // SpanFromData rebuilds a live span tree from its serializable form,
 // shifting every start instant by shift so a remote tree (whose clock
-// began at zero) lines up under the local span it is grafted onto.
+// began at zero) lines up under the local span it is grafted onto. A nil
+// child — a peer's fragment may decode to one — is not a span and is
+// dropped, so no live tree ever holds a nil child.
 func SpanFromData(d *SpanData, shift time.Duration) *Span {
 	if d == nil {
 		return nil
@@ -119,36 +121,27 @@ func SpanFromData(d *SpanData, shift time.Duration) *Span {
 		sp.steps[st.Name] = time.Duration(st.NS)
 	}
 	for _, c := range d.Children {
-		sp.children = append(sp.children, SpanFromData(c, shift))
+		if c != nil {
+			sp.children = append(sp.children, SpanFromData(c, shift))
+		}
 	}
 	return sp
 }
 
-// Size returns the encoded size of the tree in bytes.
+// Size returns the length of the tree's JSON encoding in bytes, counted
+// without encoding it, by the pass that sizes a live tree for EncodeTrace.
+// Nil children, which SpanFromData drops, count nothing.
 func (d *SpanData) Size() int {
-	b, err := json.Marshal(d)
-	if err != nil {
-		return 0
-	}
-	return len(b)
-}
-
-// depth returns the height of the tree (a leaf has depth 1).
-func (d *SpanData) depth() int {
 	if d == nil {
-		return 0
+		return jsonNull
 	}
-	max := 0
-	for _, c := range d.Children {
-		if dd := c.depth(); dd > max {
-			max = dd
-		}
-	}
-	return max + 1
+	lv := jsonLevels(SpanFromData(d, 0))
+	return jsonSizeAt(lv, len(lv))
 }
 
-// truncated returns a copy of the tree cut to maxDepth levels; spans whose
-// children were dropped are annotated with pruned=children.
+// truncated returns a copy of the tree cut to maxDepth levels, without nil
+// children; spans whose children were dropped are annotated with
+// pruned=children.
 func (d *SpanData) truncated(maxDepth int) *SpanData {
 	if d == nil || maxDepth < 1 {
 		return nil
@@ -162,25 +155,27 @@ func (d *SpanData) truncated(maxDepth int) *SpanData {
 		return out
 	}
 	for _, c := range d.Children {
-		out.Children = append(out.Children, c.truncated(maxDepth-1))
+		if c != nil {
+			out.Children = append(out.Children, c.truncated(maxDepth-1))
+		}
 	}
 	return out
 }
 
 // PruneToSize drops the deepest levels of the tree until its JSON encoding
 // fits maxBytes (the per-trace byte cap of the collector's ring buffer).
-// The root always survives, even if it alone exceeds the cap.
+// The root always survives, even if it alone exceeds the cap. The sizes of
+// every cut come from one pass over the tree; nothing is encoded.
 func (d *SpanData) PruneToSize(maxBytes int) *SpanData {
-	if d == nil || maxBytes <= 0 || d.Size() <= maxBytes {
+	if d == nil || maxBytes <= 0 {
 		return d
 	}
-	for depth := d.depth() - 1; depth >= 1; depth-- {
-		cut := d.truncated(depth)
-		if cut.Size() <= maxBytes {
-			return cut
-		}
+	lv := jsonLevels(SpanFromData(d, 0))
+	keep := pruneDepth(lv, maxBytes)
+	if keep == len(lv) {
+		return d
 	}
-	return d.truncated(1)
+	return d.truncated(keep)
 }
 
 // SpanCount returns the number of spans in the tree.

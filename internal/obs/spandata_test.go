@@ -10,7 +10,7 @@ import (
 
 // buildTree makes a small finished trace: root with two children, steps,
 // and attrs.
-func buildTree(t *testing.T) *Span {
+func buildTree(t testing.TB) *Span {
 	t.Helper()
 	task := simlat.NewVirtualTask()
 	tr := Trace(task, "root", Attr{Key: "arch", Value: "wfms"})
@@ -157,8 +157,8 @@ func TestPruneToSize(t *testing.T) {
 	if cut.Size() > cap {
 		t.Errorf("pruned size %d > cap %d", cut.Size(), cap)
 	}
-	if cut.depth() >= d.depth() {
-		t.Errorf("pruning did not reduce depth: %d vs %d", cut.depth(), d.depth())
+	if height(cut) >= height(d) {
+		t.Errorf("pruning did not reduce depth: %d vs %d", height(cut), height(d))
 	}
 	// Pruned nodes are marked.
 	if !strings.Contains(RenderData(cut), "pruned=children") {
@@ -173,6 +173,18 @@ func TestPruneToSize(t *testing.T) {
 	if tiny == nil || tiny.Name != "deep" {
 		t.Errorf("root must survive: %+v", tiny)
 	}
+}
+
+// height is the number of levels of the tree (a leaf has one).
+func height(d *SpanData) int {
+	if d == nil {
+		return 0
+	}
+	h := 0
+	for _, c := range d.Children {
+		h = max(h, height(c))
+	}
+	return h + 1
 }
 
 func TestWaterfall(t *testing.T) {

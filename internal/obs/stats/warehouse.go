@@ -3,7 +3,6 @@ package stats
 import (
 	"errors"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -25,8 +24,8 @@ const defaultMaxStatements = 512
 // StatementRecord is one finished statement, as observed by the serving
 // layer. Paper and Wall are the statement's virtual and wall latencies;
 // Counters carries the per-statement execution-shape counts collected
-// along the statement's context; Funcs the per-federated-function
-// latencies extracted from the statement's span tree.
+// along the statement's context; Calls the federated calls found in the
+// statement's span tree.
 type StatementRecord struct {
 	SQL   string
 	Arch  string
@@ -40,15 +39,7 @@ type StatementRecord struct {
 	CacheCoalesced int
 
 	Counters *StmtCounters
-	Funcs    []FuncObservation
-}
-
-// FuncObservation is one federated function's contribution to a
-// statement: how many invocations and how much paper time.
-type FuncObservation struct {
-	Name  string
-	Calls int64
-	Paper time.Duration
+	Calls    []obs.FedCall
 }
 
 type stmtEntry struct {
@@ -91,6 +82,11 @@ type funcEntry struct {
 	statements int64
 	paperTotal time.Duration
 	sketch     *Sketch
+
+	// The statement being recorded: its calls of this function and their
+	// paper time, folded into sketch as one mean observation.
+	stmtCalls int64
+	stmtPaper time.Duration
 }
 
 // Warehouse is the statement-statistics store. All methods are safe for
@@ -158,48 +154,6 @@ func ClassifyError(err error) string {
 	}
 }
 
-// FuncObservations extracts per-federated-function latencies from a
-// statement's span tree: every span named "udtf.<something>" carrying an
-// "fn" attribute is one invocation of that function.
-func FuncObservations(root *obs.SpanData) []FuncObservation {
-	if root == nil {
-		return nil
-	}
-	acc := make(map[string]*FuncObservation)
-	order := make([]string, 0, 4)
-	var walk func(s *obs.SpanData)
-	walk = func(s *obs.SpanData) {
-		if strings.HasPrefix(s.Name, "udtf.") {
-			name := ""
-			for _, a := range s.Attrs {
-				if a.Key == "fn" {
-					name = a.Value
-					break
-				}
-			}
-			if name != "" {
-				o := acc[name]
-				if o == nil {
-					o = &FuncObservation{Name: name}
-					acc[name] = o
-					order = append(order, name)
-				}
-				o.Calls++
-				o.Paper += time.Duration(s.ElapsedNS)
-			}
-		}
-		for _, c := range s.Children {
-			walk(c)
-		}
-	}
-	walk(root)
-	out := make([]FuncObservation, 0, len(order))
-	for _, name := range order {
-		out = append(out, *acc[name])
-	}
-	return out
-}
-
 // RecordStatement folds one finished statement into the warehouse and
 // returns its fingerprint: the warehouse entry's own id string, so callers
 // stamping it on further records pin no second copy per statement.
@@ -248,18 +202,27 @@ func (w *Warehouse) RecordStatement(rec StatementRecord) string {
 	e.wallTotal += rec.Wall
 	e.sketch.Observe(float64(rec.Paper) / float64(time.Millisecond))
 
-	for _, f := range rec.Funcs {
-		fe := w.funcs[f.Name]
+	for _, c := range rec.Calls {
+		fe := w.funcs[c.Fn]
 		if fe == nil {
-			fe = &funcEntry{name: f.Name, sketch: NewSketch()}
-			w.funcs[f.Name] = fe
+			fe = &funcEntry{name: c.Fn, sketch: NewSketch()}
+			w.funcs[c.Fn] = fe
 		}
-		fe.lastSeq = w.seq
-		fe.calls += f.Calls
-		fe.statements++
-		fe.paperTotal += f.Paper
-		if f.Calls > 0 {
-			fe.sketch.Observe(float64(f.Paper) / float64(f.Calls) / float64(time.Millisecond))
+		if fe.lastSeq != w.seq { // the statement's first call of c.Fn
+			fe.lastSeq = w.seq
+			fe.statements++
+		}
+		fe.calls++
+		fe.paperTotal += c.Elapsed
+		fe.stmtCalls++
+		fe.stmtPaper += c.Elapsed
+	}
+	// One latency observation per function the statement called: the mean
+	// of its calls.
+	for _, c := range rec.Calls {
+		if fe := w.funcs[c.Fn]; fe.stmtCalls > 0 {
+			fe.sketch.Observe(float64(fe.stmtPaper) / float64(fe.stmtCalls) / float64(time.Millisecond))
+			fe.stmtCalls, fe.stmtPaper = 0, 0
 		}
 	}
 

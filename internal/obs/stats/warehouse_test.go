@@ -10,6 +10,7 @@ import (
 
 	"fedwf/internal/obs"
 	"fedwf/internal/resil"
+	"fedwf/internal/simlat"
 )
 
 func TestWarehouseAggregatesByFingerprint(t *testing.T) {
@@ -30,7 +31,7 @@ func TestWarehouseAggregatesByFingerprint(t *testing.T) {
 			Rows:      2,
 			CacheHits: 1,
 			Counters:  c,
-			Funcs:     []FuncObservation{{Name: "F", Calls: 1, Paper: 5 * time.Millisecond}},
+			Calls:     []obs.FedCall{{Fn: "F", Elapsed: 5 * time.Millisecond}},
 		})
 	}
 	stmts := w.Statements()
@@ -108,22 +109,32 @@ func TestWarehouseLRUEviction(t *testing.T) {
 }
 
 func TestFuncObservationsWalksSpanTree(t *testing.T) {
-	root := &obs.SpanData{Name: "fdbs.exec", Children: []*obs.SpanData{
-		{Name: "udtf.call", ElapsedNS: 4e6, Attrs: []obs.Attr{{Key: "fn", Value: "GetSuppQual"}}},
-		{Name: "plan", Children: []*obs.SpanData{
-			{Name: "udtf.call", ElapsedNS: 6e6, Attrs: []obs.Attr{{Key: "fn", Value: "GetSuppQual"}}},
-			{Name: "udtf.call", ElapsedNS: 1e6, Attrs: []obs.Attr{{Key: "fn", Value: "CalcReqPos"}}},
-		}},
-	}}
-	obsv := FuncObservations(root)
-	if len(obsv) != 2 {
-		t.Fatalf("got %d functions, want 2", len(obsv))
+	task := simlat.NewVirtualTask()
+	tr := obs.Trace(task, "fdbs.exec")
+	call := func(fn string, d time.Duration) {
+		sp := obs.StartSpan(task, "udtf.call", obs.Attr{Key: "fn", Value: fn})
+		task.Spend(d)
+		sp.End(task)
 	}
-	if obsv[0].Name != "GetSuppQual" || obsv[0].Calls != 2 || obsv[0].Paper != 10*time.Millisecond {
-		t.Errorf("GetSuppQual = %+v, want 2 calls / 10ms", obsv[0])
+	call("GetSuppQual", 4*time.Millisecond)
+	plan := obs.StartSpan(task, "plan")
+	call("GetSuppQual", 6*time.Millisecond)
+	call("CalcReqPos", time.Millisecond)
+	plan.End(task)
+
+	w := NewWarehouse(Options{})
+	w.RecordStatement(StatementRecord{SQL: "SELECT 1", Calls: obs.FedCalls(tr.Finish(), nil)})
+	w.RecordStatement(StatementRecord{SQL: "SELECT 1", Calls: []obs.FedCall{{Fn: "CalcReqPos", Elapsed: time.Millisecond}}})
+	funcs := w.Functions()
+	if len(funcs) != 2 {
+		t.Fatalf("got %d functions, want 2", len(funcs))
 	}
-	if obsv[1].Name != "CalcReqPos" || obsv[1].Calls != 1 {
-		t.Errorf("CalcReqPos = %+v, want 1 call", obsv[1])
+	// One sketch observation per statement: the mean of its calls.
+	if f := funcs[0]; f.Function != "GetSuppQual" || f.Calls != 2 || f.Statements != 1 || f.TotalMS != 10 || f.P50MS != 5 {
+		t.Errorf("GetSuppQual = %+v, want 2 calls in 1 statement, 10 ms, p50 5 ms", f)
+	}
+	if f := funcs[1]; f.Function != "CalcReqPos" || f.Calls != 2 || f.Statements != 2 || f.TotalMS != 2 {
+		t.Errorf("CalcReqPos = %+v, want 2 calls in 2 statements, 2 ms", f)
 	}
 }
 
@@ -147,7 +158,7 @@ func TestWarehouseConcurrent(t *testing.T) {
 					Paper:    time.Duration(i%7+1) * time.Millisecond,
 					Rows:     1,
 					Counters: c,
-					Funcs:    []FuncObservation{{Name: "F", Calls: 1, Paper: time.Millisecond}},
+					Calls:    []obs.FedCall{{Fn: "F", Elapsed: time.Millisecond}},
 				})
 			}
 		}(g)

@@ -25,7 +25,7 @@ type Table struct {
 	name    string
 	schema  types.Schema
 	rows    []types.Row
-	indexes map[string]*hashIndex // lower-cased column name -> index
+	indexes []*hashIndex // by column position; nil where a column has none
 }
 
 // NewTable creates an empty table with the given schema.
@@ -47,7 +47,7 @@ func NewTable(name string, schema types.Schema) (*Table, error) {
 	return &Table{
 		name:    name,
 		schema:  schema.Clone(),
-		indexes: make(map[string]*hashIndex),
+		indexes: make([]*hashIndex, len(schema)),
 	}, nil
 }
 
@@ -79,7 +79,9 @@ func (t *Table) Insert(r types.Row) error {
 	pos := len(t.rows)
 	t.rows = append(t.rows, coerced)
 	for _, idx := range t.indexes {
-		idx.add(coerced, pos)
+		if idx != nil {
+			idx.add(coerced, pos)
+		}
 	}
 	return nil
 }
@@ -133,7 +135,7 @@ func (t *Table) Update(pred func(types.Row) bool, transform func(types.Row) type
 func (t *Table) UpdateKey(column string, key types.Value, pred func(types.Row) bool, transform func(types.Row) types.Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	bucket, keyed := t.bucket(column, key)
+	bucket, keyed := t.bucket(t.schema.ColumnIndex(column), key)
 	// update re-files rows whose key changes, which edits the bucket.
 	return t.update(append([]int(nil), bucket...), keyed, pred, transform)
 }
@@ -159,10 +161,10 @@ func (t *Table) update(cands []int, keyed bool, pred func(types.Row) bool, trans
 		if err != nil {
 			return n, fmt.Errorf("storage: update %s: %w", t.name, err)
 		}
-		for _, idx := range t.indexes {
+		for ci, idx := range t.indexes {
 			// Equal values hash equally and the row keeps its position,
 			// so an unchanged key leaves the index as it is.
-			if old[idx.column].Equal(nr[idx.column]) {
+			if idx == nil || old[ci].Equal(nr[ci]) {
 				continue
 			}
 			idx.remove(old, i)
@@ -187,7 +189,7 @@ func (t *Table) Delete(pred func(types.Row) bool) int {
 func (t *Table) DeleteKey(column string, key types.Value, pred func(types.Row) bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	bucket, keyed := t.bucket(column, key)
+	bucket, keyed := t.bucket(t.schema.ColumnIndex(column), key)
 	return t.delete(bucket, keyed, pred)
 }
 
@@ -225,21 +227,22 @@ func (t *Table) delete(cands []int, keyed bool, pred func(types.Row) bool) int {
 	clear(t.rows[w:])
 	t.rows = t.rows[:w]
 	for _, idx := range t.indexes {
-		idx.deleteRows(victims)
+		if idx != nil {
+			idx.deleteRows(victims)
+		}
 	}
 	return len(victims)
 }
 
-// bucket returns the index bucket that holds every row whose column equals
-// key (and, on a hash collision, others), or false when the column has no
-// index. The slice is the index's own: read it under the lock, do not keep
-// it across a mutation.
-func (t *Table) bucket(column string, key types.Value) ([]int, bool) {
-	idx, ok := t.indexes[strings.ToLower(column)]
-	if !ok {
+// bucket returns the index bucket that holds every row whose column at
+// position ci equals key (and, on a hash collision, others), or false when
+// that column has no index or ci is -1 (no such column). The slice is the
+// index's own: read it under the lock, do not keep it across a mutation.
+func (t *Table) bucket(ci int, key types.Value) ([]int, bool) {
+	if ci < 0 || t.indexes[ci] == nil {
 		return nil, false
 	}
-	return idx.buckets[key.Hash()], true
+	return t.indexes[ci].buckets[key.Hash()], true
 }
 
 // Truncate removes all rows.
@@ -248,7 +251,9 @@ func (t *Table) Truncate() {
 	defer t.mu.Unlock()
 	t.rows = nil
 	for _, idx := range t.indexes {
-		idx.rebuild(nil)
+		if idx != nil {
+			idx.rebuild(nil)
+		}
 	}
 }
 
@@ -261,13 +266,12 @@ func (t *Table) CreateIndex(column string) error {
 	if ci < 0 {
 		return fmt.Errorf("storage: no column %s in table %s", column, t.name)
 	}
-	key := strings.ToLower(column)
-	if _, ok := t.indexes[key]; ok {
+	if t.indexes[ci] != nil {
 		return nil
 	}
 	idx := &hashIndex{column: ci, buckets: make(map[uint64][]int)}
 	idx.rebuild(t.rows)
-	t.indexes[key] = idx
+	t.indexes[ci] = idx
 	return nil
 }
 
@@ -275,8 +279,8 @@ func (t *Table) CreateIndex(column string) error {
 func (t *Table) HasIndex(column string) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.indexes[strings.ToLower(column)]
-	return ok
+	ci := t.schema.ColumnIndex(column)
+	return ci >= 0 && t.indexes[ci] != nil
 }
 
 // Lookup returns a snapshot, in heap order, of the rows whose column equals
@@ -289,7 +293,7 @@ func (t *Table) Lookup(column string, v types.Value) ([]types.Row, error) {
 		return nil, fmt.Errorf("storage: no column %s in table %s", column, t.name)
 	}
 	var out []types.Row
-	if bucket, ok := t.bucket(column, v); ok {
+	if bucket, ok := t.bucket(ci, v); ok {
 		for _, pos := range bucket {
 			if t.rows[pos][ci].Equal(v) {
 				out = append(out, t.rows[pos])

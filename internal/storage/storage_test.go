@@ -258,23 +258,26 @@ func checkIndexes(t *Table) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for col, idx := range t.indexes {
+		if idx == nil {
+			continue
+		}
 		filed := 0
 		for h, bucket := range idx.buckets {
 			if len(bucket) == 0 {
-				return fmt.Errorf("index %s: empty bucket %x", col, h)
+				return fmt.Errorf("index %d: empty bucket %x", col, h)
 			}
 			for i, pos := range bucket {
 				if i > 0 && bucket[i-1] >= pos {
-					return fmt.Errorf("index %s: bucket %v not ascending", col, bucket)
+					return fmt.Errorf("index %d: bucket %v not ascending", col, bucket)
 				}
 				if pos < 0 || pos >= len(t.rows) || t.rows[pos][idx.column].Hash() != h {
-					return fmt.Errorf("index %s: position %d misfiled under %x", col, pos, h)
+					return fmt.Errorf("index %d: position %d misfiled under %x", col, pos, h)
 				}
 			}
 			filed += len(bucket)
 		}
 		if filed != len(t.rows) {
-			return fmt.Errorf("index %s files %d positions for %d rows", col, filed, len(t.rows))
+			return fmt.Errorf("index %d files %d positions for %d rows", col, filed, len(t.rows))
 		}
 	}
 	return nil
@@ -389,7 +392,7 @@ func TestEmptyBucketsLeaveTheIndex(t *testing.T) {
 			t.Fatalf("delete %v removed %d rows", key, n)
 		}
 	}
-	if got := len(tab.indexes["compno"].buckets); got != tab.Len() {
+	if got := len(tab.indexes[tab.schema.ColumnIndex("CompNo")].buckets); got != tab.Len() {
 		t.Errorf("%d buckets for %d rows with distinct keys", got, tab.Len())
 	}
 	if err := checkIndexes(tab); err != nil {
@@ -412,5 +415,43 @@ func TestDeleteClearsVacatedTail(t *testing.T) {
 		if r != nil {
 			t.Errorf("vacated slot %d still holds %v", len(tab.rows)+i, r)
 		}
+	}
+}
+
+// TestKeyedAccessDoesNotFoldTheColumnName: keyed lookups and DML find the
+// index by column position, so the column's spelling costs nothing — the
+// appsys lookups name SupplierNo in its declared case.
+func TestKeyedAccessDoesNotFoldTheColumnName(t *testing.T) {
+	tab, err := NewTable("supp", types.Schema{{Name: "SupplierNo", Type: types.Integer}, {Name: "Name", Type: types.VarChar}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.CreateIndex("SupplierNo"); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := tab.Insert(types.Row{types.NewInt(int64(i % 10)), types.NewString("s")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := types.NewInt(7)
+	lookup := func(col string) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if rows, err := tab.Lookup(col, key); err != nil || len(rows) != 10 {
+				t.Fatalf("Lookup(%s) = %d rows, %v", col, len(rows), err)
+			}
+		})
+	}
+	if exact, folded := lookup("SupplierNo"), lookup("supplierno"); exact != folded {
+		t.Errorf("Lookup allocates %v times as SupplierNo, %v as supplierno", exact, folded)
+	}
+	never := func(types.Row) bool { return false }
+	for _, col := range []string{"SupplierNo", "supplierno"} {
+		if n := testing.AllocsPerRun(100, func() { tab.DeleteKey(col, key, never) }); n != 0 {
+			t.Errorf("DeleteKey(%s) with no victims allocates %v times", col, n)
+		}
+	}
+	if !tab.HasIndex("SUPPLIERNO") || tab.HasIndex("Name") || tab.HasIndex("nosuch") {
+		t.Error("HasIndex does not resolve columns case-insensitively")
 	}
 }
