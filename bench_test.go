@@ -452,10 +452,11 @@ func BenchmarkWorkflowNavigator(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelLateral contrasts sequential Apply with ParallelApply
-// over a 16-row lateral batch against GetSuppQualRelia: the wall-mode
-// loop shows the real speedup, the paper-ms/op metric the deterministic
-// virtual-clock (max-branch) elapsed time per degree of parallelism.
+// BenchmarkParallelLateral contrasts a sequential lateral join with a
+// parallel one over a 16-row lateral batch against GetSuppQualRelia: the
+// wall-mode loop shows the real speedup, the paper-ms/op metric the
+// deterministic virtual-clock (max-branch) elapsed time per degree of
+// parallelism.
 func BenchmarkParallelLateral(b *testing.B) {
 	apps, err := appsys.BuildScenario()
 	if err != nil {
@@ -476,12 +477,7 @@ func BenchmarkParallelLateral(b *testing.B) {
 	for _, dop := range []int{1, 2, 4, 8} {
 		dop := dop
 		b.Run(fmt.Sprintf("dop=%d", dop), func(b *testing.B) {
-			if dop > 1 {
-				eng.SetParallelism(dop)
-			} else {
-				eng.SetParallelism(0)
-			}
-			defer eng.SetParallelism(0)
+			session.MustExecContext(context.Background(), fmt.Sprintf("SET PARALLELISM %d", dop))
 			session.SetTask(simlat.Free())
 			if _, err := session.QueryContext(context.Background(), query); err != nil { // warm
 				b.Fatal(err)

@@ -35,7 +35,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:4711", "fedserver address")
 	command := flag.String("c", "", "execute one statement and exit")
-	dop := flag.Int("dop", 0, "send SET PARALLELISM <n> before any statement (0 = leave server default)")
 	timing := flag.Bool("timing", false, "start with per-statement timing on (\\timing toggles it)")
 	trace := flag.Bool("trace", false, "start with distributed tracing on (\\trace toggles it)")
 	tenant := flag.String("tenant", "", "tenant the session is accounted under (server-side quotas and metrics key on it)")
@@ -51,13 +50,6 @@ func main() {
 		os.Exit(1)
 	}
 	defer client.Close()
-
-	if *dop != 0 {
-		if _, err := client.Exec(context.Background(), fmt.Sprintf("SET PARALLELISM %d", *dop)); err != nil {
-			fmt.Fprintln(os.Stderr, "fedsql:", err)
-			os.Exit(1)
-		}
-	}
 
 	st := &state{timing: *timing, trace: *trace}
 

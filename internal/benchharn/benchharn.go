@@ -582,11 +582,11 @@ const (
 )
 
 // DOPRow is one point of the intra-query parallelism sweep (extension
-// experiment: parallel lateral execution via ParallelApply).
+// experiment: parallel lateral execution).
 type DOPRow struct {
 	Arch     fedfunc.Arch
 	Function string
-	DOP      int // 1 = sequential Apply plan
+	DOP      int // 1 = sequential plan
 	Elapsed  time.Duration
 	Speedup  float64 // sequential elapsed / this elapsed
 	Stats    exec.CacheStats
@@ -595,9 +595,11 @@ type DOPRow struct {
 // ParallelLateral sweeps the degree of parallelism over a lateral batch
 // query — a 16-row driver table joined against a federated function — for
 // both architectures and two mapping shapes: the independent composition
-// GetSuppQualRelia and the 1:n mapping GetSuppGrade. DOP 1 runs today's
-// sequential Apply; higher DOPs run ParallelApply, whose simlat Fork/Join
+// GetSuppQualRelia and the 1:n mapping GetSuppGrade. DOP 1 runs the
+// sequential plan; higher DOPs a parallel Apply, whose simlat Fork/Join
 // accounting makes the virtual clock report the max-branch elapsed time.
+// The session switches modes with SET PARALLELISM, so nested UDTF bodies
+// plan with the same degree.
 // The function cache is enabled throughout, so the rows also show the
 // per-statement hit/miss/coalesced counters.
 func (h *Harness) ParallelLateral(ctx context.Context, dops []int) ([]DOPRow, error) {
@@ -621,11 +623,7 @@ func (h *Harness) ParallelLateral(ctx context.Context, dops []int) ([]DOPRow, er
 				if dop < 1 {
 					return nil, fmt.Errorf("benchharn: dop %d out of range", dop)
 				}
-				if dop > 1 {
-					eng.SetParallelism(dop)
-				} else {
-					eng.SetParallelism(0)
-				}
+				session.MustExecContext(ctx, fmt.Sprintf("SET PARALLELISM %d", dop))
 				session.SetTask(simlat.Free())
 				if _, err := session.QueryContext(ctx, query); err != nil { // warm boot state
 					return nil, err
@@ -647,7 +645,6 @@ func (h *Harness) ParallelLateral(ctx context.Context, dops []int) ([]DOPRow, er
 				}
 				rows = append(rows, row)
 			}
-			eng.SetParallelism(0)
 		}
 	}
 	return rows, nil
@@ -695,7 +692,8 @@ type SetRow struct {
 // federation overheads (UDTF entry, RPC round trip, workflow instance
 // start) across chunks of batchSize rows, so the batched modes must show
 // both fewer wire requests and less virtual elapsed time; the counters in
-// the rows let callers assert exactly that.
+// the rows let callers assert exactly that. The session switches modes
+// with SET BATCH_SIZE and SET PARALLELISM.
 func (h *Harness) SetOriented(ctx context.Context, ns []int, batchSize int) ([]SetRow, error) {
 	if batchSize < 2 {
 		return nil, fmt.Errorf("benchharn: batch size %d out of range", batchSize)
@@ -716,8 +714,7 @@ func (h *Harness) SetOriented(ctx context.Context, ns []int, batchSize int) ([]S
 		if err != nil {
 			return nil, err
 		}
-		eng := stack.Engine()
-		session := eng.NewSession()
+		session := stack.Engine().NewSession()
 		for _, n := range ns {
 			if n < 1 || n > appsys.NumComponents {
 				return nil, fmt.Errorf("benchharn: driver size %d out of range", n)
@@ -730,12 +727,8 @@ func (h *Harness) SetOriented(ctx context.Context, ns []int, batchSize int) ([]S
 			}
 			query := fmt.Sprintf(`SELECT COUNT(*) FROM %s d, TABLE (GibKompNr(d.KompName)) AS K`, driver)
 			for _, m := range modes {
-				eng.SetBatchSize(m.batch)
-				if m.dop > 1 {
-					eng.SetParallelism(m.dop)
-				} else {
-					eng.SetParallelism(0)
-				}
+				session.MustExecContext(ctx, fmt.Sprintf("SET BATCH_SIZE %d", m.batch))
+				session.MustExecContext(ctx, fmt.Sprintf("SET PARALLELISM %d", m.dop))
 				session.SetTask(simlat.Free())
 				if _, err := session.QueryContext(ctx, query); err != nil { // warm boot state
 					return nil, err
@@ -752,8 +745,6 @@ func (h *Harness) SetOriented(ctx context.Context, ns []int, batchSize int) ([]S
 					Elapsed: task.Elapsed(), RPCs: rpcs, WfInst: inst,
 				})
 			}
-			eng.SetBatchSize(0)
-			eng.SetParallelism(0)
 		}
 	}
 	return rows, nil

@@ -67,8 +67,12 @@ func TestEnginePlanOptions(t *testing.T) {
 	if !strings.Contains(res.Table.String(), "HashJoin") {
 		t.Fatalf("default plan:\n%s", res.Table)
 	}
+	// Planner options are what new sessions start from.
 	eng.SetPlanOptions(plan.Options{DisableHashJoin: true})
-	res = s.MustExecContext(context.Background(), query)
+	if res = s.MustExecContext(context.Background(), query); !strings.Contains(res.Table.String(), "HashJoin") {
+		t.Errorf("open session's plan changed:\n%s", res.Table)
+	}
+	res = eng.NewSession().MustExecContext(context.Background(), query)
 	if strings.Contains(res.Table.String(), "HashJoin") {
 		t.Errorf("ablated plan still hash-joins:\n%s", res.Table)
 	}

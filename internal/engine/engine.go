@@ -16,7 +16,6 @@ import (
 
 	"fedwf/internal/catalog"
 	"fedwf/internal/exec"
-	"fedwf/internal/exec/batcher"
 	"fedwf/internal/obs"
 	"fedwf/internal/obs/stats"
 	"fedwf/internal/plan"
@@ -48,11 +47,13 @@ type Engine struct {
 
 // Option configures an engine at construction time. Options are the
 // preferred way to set up an engine; the Set* methods remain for runtime
-// reconfiguration (SET statements).
+// reconfiguration. Planner options (DOP, batch size, hash-join ablation)
+// are the defaults a session copies when it opens; SET changes only the
+// session's copy.
 type Option func(*Engine)
 
 // WithDOP sets the degree of intra-query parallelism (see SetParallelism).
-func WithDOP(n int) Option { return func(e *Engine) { e.setParallelismLocked(n) } }
+func WithDOP(n int) Option { return func(e *Engine) { e.planOpts.Parallelism = resolveDOP(n) } }
 
 // WithFunctionCache enables per-statement table-function memoisation.
 func WithFunctionCache(enabled bool) Option { return func(e *Engine) { e.funcCache = enabled } }
@@ -60,10 +61,6 @@ func WithFunctionCache(enabled bool) Option { return func(e *Engine) { e.funcCac
 // WithBatchSize sets the set-oriented lateral batch size (see
 // SetBatchSize).
 func WithBatchSize(n int) Option { return func(e *Engine) { e.planOpts.Batch.Count = n } }
-
-// WithBatchPolicy sets the full lateral batch policy: count, bytes, and
-// virtual-time-period triggers.
-func WithBatchPolicy(pol batcher.Policy) Option { return func(e *Engine) { e.planOpts.Batch = pol } }
 
 // WithCompositionCost sets the simulated result-composition cost.
 func WithCompositionCost(d time.Duration) Option { return func(e *Engine) { e.compositionCost = d } }
@@ -155,7 +152,8 @@ func (e *Engine) SetCompositionCost(d time.Duration) {
 	e.mu.Unlock()
 }
 
-// SetPlanOptions configures the planner (e.g. the hash-join ablation).
+// SetPlanOptions configures the planner (e.g. the hash-join ablation) for
+// sessions opened from now on.
 func (e *Engine) SetPlanOptions(opts plan.Options) {
 	e.mu.Lock()
 	e.planOpts = opts
@@ -171,41 +169,44 @@ func (e *Engine) SetFunctionCache(enabled bool) {
 	e.mu.Unlock()
 }
 
-// SetParallelism configures intra-query parallelism: n > 1 lets the
-// planner emit ParallelApply with that degree of parallelism for
-// side-effect-free lateral right sides, n <= 1 keeps sequential plans
-// (the default), and n < 0 selects runtime.GOMAXPROCS(0).
+// SetParallelism sets the intra-query parallelism new sessions start
+// with: n > 1 runs lateral joins over side-effect-free right sides on n
+// workers, n <= 1 keeps sequential plans (the default), and n < 0 selects
+// runtime.GOMAXPROCS(0). A session changes its own with SET PARALLELISM.
 func (e *Engine) SetParallelism(n int) {
 	e.mu.Lock()
-	e.setParallelismLocked(n)
+	e.planOpts.Parallelism = resolveDOP(n)
 	e.mu.Unlock()
 }
 
-func (e *Engine) setParallelismLocked(n int) {
+// resolveDOP maps a requested degree of parallelism to the one planned:
+// negative selects runtime.GOMAXPROCS(0).
+func resolveDOP(n int) int {
 	if n < 0 {
-		n = runtime.GOMAXPROCS(0)
+		return runtime.GOMAXPROCS(0)
 	}
-	e.planOpts.Parallelism = n
+	return n
 }
 
-// Parallelism returns the configured degree of parallelism.
+// Parallelism returns the degree of parallelism new sessions start with.
 func (e *Engine) Parallelism() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.planOpts.Parallelism
 }
 
-// SetBatchSize configures set-oriented lateral execution: n >= 2 makes
-// side-effect-free lateral FuncScan right sides accumulate outer rows
+// SetBatchSize sets the lateral batch size new sessions start with: n >= 2
+// makes side-effect-free lateral FuncScan right sides gather outer rows
 // into chunks of up to n, each flushed as one batched federated call;
-// n <= 1 keeps per-row calls (the default).
+// n <= 1 keeps per-row calls (the default). A session changes its own with
+// SET BATCH_SIZE.
 func (e *Engine) SetBatchSize(n int) {
 	e.mu.Lock()
 	e.planOpts.Batch.Count = n
 	e.mu.Unlock()
 }
 
-// BatchSize returns the configured lateral batch size.
+// BatchSize returns the lateral batch size new sessions start with.
 func (e *Engine) BatchSize() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -240,15 +241,18 @@ func (e *Engine) PartialResults() bool {
 	return e.allowPartial
 }
 
-// stmtState is the per-statement resilience state shared by the top-level
-// query and every nested UDTF-body statement it spawns: one warning sink
-// (so a degraded nested branch flags the whole statement partial) and the
-// degradation switch. It rides the context so it crosses the
-// engine -> exec -> catalog -> engine recursion without widening
-// QueryRunner.
+// stmtState is the per-statement state shared by the top-level query and
+// every nested UDTF-body statement it spawns: one warning sink (so a
+// degraded nested branch flags the whole statement partial), the
+// degradation switch, and the planner options of the session that began
+// it. It rides the context so it crosses the engine -> exec -> catalog ->
+// engine recursion without widening QueryRunner.
 type stmtState struct {
 	warnings     *exec.Warnings
 	allowPartial bool
+	// sess began the statement. A nested statement on another engine (a
+	// pushed-down remote query) plans with that engine's options.
+	sess *Session
 }
 
 type stmtStateKey struct{}
@@ -274,13 +278,15 @@ func (e *Engine) runSelect(ctx context.Context, sel *sqlparser.Select, params ma
 	cache := e.funcCache
 	partial := e.allowPartial
 	e.mu.RUnlock()
-	op, err := plan.CompileSelectOpts(e.cat, sel, params, opts)
-	if err != nil {
-		return nil, exec.CacheStats{}, err
-	}
 	st := stmtStateFrom(ctx)
 	if st == nil {
 		st = &stmtState{warnings: &exec.Warnings{}, allowPartial: partial}
+	} else if st.sess.eng == e {
+		opts = st.sess.opts
+	}
+	op, err := plan.CompileSelectOpts(e.cat, sel, params, opts)
+	if err != nil {
+		return nil, exec.CacheStats{}, err
 	}
 	ectx := &exec.Ctx{
 		Task:            task,
@@ -308,19 +314,19 @@ type Session struct {
 	// lastCacheStats records the function-cache counters of the most
 	// recent top-level query (zero when the cache is disabled).
 	lastCacheStats exec.CacheStats
-	// stmtTimeout and allowPartial start from the engine defaults and are
-	// overridable per session via SET STATEMENT_TIMEOUT / SET
-	// PARTIAL_RESULTS.
+	// stmtTimeout, allowPartial and the planner options start from the
+	// engine defaults and are overridable per session via SET
+	// STATEMENT_TIMEOUT / PARTIAL_RESULTS / PARALLELISM / BATCH_SIZE.
 	stmtTimeout  time.Duration
 	allowPartial bool
+	opts         plan.Options
 }
 
 // NewSession opens a session.
 func (e *Engine) NewSession() *Session {
 	e.mu.RLock()
-	st, ap := e.stmtTimeout, e.allowPartial
-	e.mu.RUnlock()
-	return &Session{eng: e, task: simlat.Free(), stmtTimeout: st, allowPartial: ap}
+	defer e.mu.RUnlock()
+	return &Session{eng: e, task: simlat.Free(), stmtTimeout: e.stmtTimeout, allowPartial: e.allowPartial, opts: e.planOpts}
 }
 
 // SetTask attaches the cost meter used by subsequent statements.
@@ -348,6 +354,12 @@ func (s *Session) StatementTimeout() time.Duration { return s.stmtTimeout }
 // SetPartialResults toggles graceful degradation for this session.
 func (s *Session) SetPartialResults(enabled bool) { s.allowPartial = enabled }
 
+// Parallelism returns this session's degree of parallelism.
+func (s *Session) Parallelism() int { return s.opts.Parallelism }
+
+// BatchSize returns this session's lateral batch size.
+func (s *Session) BatchSize() int { return s.opts.Batch.Count }
+
 // beginStmt anchors the statement's resilience state on the context:
 // the virtual-time deadline (session timeout, tightened by any relative
 // transport timeout already on the context), the retry budget, and the
@@ -369,7 +381,7 @@ func (s *Session) beginStmt(ctx context.Context) (context.Context, *stmtState) {
 	if b := s.eng.RetryPolicy().Budget; b > 0 && resil.BudgetFrom(ctx) == nil {
 		ctx = resil.WithBudget(ctx, resil.NewBudget(b))
 	}
-	st := &stmtState{warnings: &exec.Warnings{}, allowPartial: s.allowPartial}
+	st := &stmtState{warnings: &exec.Warnings{}, allowPartial: s.allowPartial, sess: s}
 	return context.WithValue(ctx, stmtStateKey{}, st), st
 }
 
@@ -459,14 +471,14 @@ func (s *Session) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement)
 	case *sqlparser.Set:
 		switch st.Option {
 		case "PARALLELISM":
-			s.eng.SetParallelism(int(st.Value))
-			return &Result{Message: fmt.Sprintf("parallelism set to %d", s.eng.Parallelism())}, nil
+			s.opts.Parallelism = resolveDOP(int(st.Value))
+			return &Result{Message: fmt.Sprintf("parallelism set to %d", s.opts.Parallelism)}, nil
 		case "BATCH_SIZE":
-			s.eng.SetBatchSize(int(st.Value))
-			if s.eng.BatchSize() < 2 {
+			s.opts.Batch.Count = int(st.Value)
+			if !s.opts.Batch.Enabled() {
 				return &Result{Message: "batching disabled"}, nil
 			}
-			return &Result{Message: fmt.Sprintf("batch size set to %d", s.eng.BatchSize())}, nil
+			return &Result{Message: fmt.Sprintf("batch size set to %d", s.opts.Batch.Count)}, nil
 		case "STATEMENT_TIMEOUT":
 			s.stmtTimeout = time.Duration(st.Value) * simlat.PaperMS
 			if st.Value <= 0 {
@@ -515,10 +527,7 @@ func (s *Session) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement)
 
 	case *sqlparser.CreateView:
 		// Validate the defining query now, as with CREATE FUNCTION.
-		s.eng.mu.RLock()
-		opts := s.eng.planOpts
-		s.eng.mu.RUnlock()
-		if err := plan.ValidateView(s.eng.cat, st.Query, opts); err != nil {
+		if err := plan.ValidateView(s.eng.cat, st.Query, s.opts); err != nil {
 			return nil, fmt.Errorf("engine: view %s does not compile: %w", st.Name, err)
 		}
 		if err := s.eng.cat.CreateView(st.Name, st.Query); err != nil {
@@ -813,10 +822,9 @@ func (s *Session) execExplain(ctx context.Context, st *sqlparser.Explain) (*Resu
 	}
 	s.eng.mu.RLock()
 	cc := s.eng.compositionCost
-	opts := s.eng.planOpts
 	cache := s.eng.funcCache
 	s.eng.mu.RUnlock()
-	op, err := plan.CompileSelectOpts(s.eng.cat, sel, nil, opts)
+	op, err := plan.CompileSelectOpts(s.eng.cat, sel, nil, s.opts)
 	if err != nil {
 		return nil, err
 	}

@@ -4,8 +4,10 @@ import (
 	"context"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fedwf/internal/catalog"
 	"fedwf/internal/simlat"
@@ -34,13 +36,13 @@ func parallelFixture(t *testing.T) (*Engine, *Session, *atomic.Int64) {
 }
 
 func TestSetParallelismStatement(t *testing.T) {
-	eng, s, _ := parallelFixture(t)
+	_, s, _ := parallelFixture(t)
 	query := "SELECT d.X, c.Y FROM driver d, TABLE (Counted(d.X)) AS c ORDER BY d.X, c.Y"
 	want := queryRows(t, s, query)
 
 	res := s.MustExecContext(context.Background(), "SET PARALLELISM 4")
-	if res.Message != "parallelism set to 4" || eng.Parallelism() != 4 {
-		t.Fatalf("SET PARALLELISM: %q, parallelism %d", res.Message, eng.Parallelism())
+	if res.Message != "parallelism set to 4" || s.Parallelism() != 4 {
+		t.Fatalf("SET PARALLELISM: %q, parallelism %d", res.Message, s.Parallelism())
 	}
 	plan := s.MustExecContext(context.Background(), "EXPLAIN "+query).Table.String()
 	if !strings.Contains(plan, "ParallelApply (dop=4)") {
@@ -60,8 +62,8 @@ func TestSetParallelismStatement(t *testing.T) {
 
 	// Negative resolves to GOMAXPROCS.
 	s.MustExecContext(context.Background(), "SET PARALLELISM -1")
-	if eng.Parallelism() != runtime.GOMAXPROCS(0) {
-		t.Errorf("SET PARALLELISM -1 -> %d, want GOMAXPROCS %d", eng.Parallelism(), runtime.GOMAXPROCS(0))
+	if s.Parallelism() != runtime.GOMAXPROCS(0) {
+		t.Errorf("SET PARALLELISM -1 -> %d, want GOMAXPROCS %d", s.Parallelism(), runtime.GOMAXPROCS(0))
 	}
 
 	if _, err := s.ExecContext(context.Background(), "SET NO_SUCH_OPTION 1"); err == nil {
@@ -92,7 +94,7 @@ func TestSessionReportsCacheStats(t *testing.T) {
 
 	// Under parallelism the totals are preserved: five lookups, two
 	// underlying invocations, the rest hits or coalesced joins.
-	eng.SetParallelism(4)
+	s.MustExecContext(context.Background(), "SET PARALLELISM 4")
 	calls.Store(0)
 	queryRows(t, s, query)
 	st = s.LastCacheStats()
@@ -101,6 +103,83 @@ func TestSessionReportsCacheStats(t *testing.T) {
 	}
 	if calls.Load() != 2 {
 		t.Errorf("parallel calls = %d, want 2 (singleflight)", calls.Load())
+	}
+}
+
+// SET PARALLELISM and SET BATCH_SIZE change the session that runs them and
+// no other: a second session running at the same time keeps its sequential
+// plan and its paper time, and the engine keeps its defaults. The statements
+// a UDTF body runs for a session plan with that session's options.
+func TestSetIsSessionScoped(t *testing.T) {
+	eng := New()
+	setup := eng.NewSession()
+	if err := eng.RegisterExternal("test.slow", func(rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
+		task.Spend(10 * simlat.PaperMS)
+		out := types.NewTable(types.Schema{{Name: "Y", Type: types.Integer}})
+		out.MustAppend(types.Row{args[0]})
+		return out, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	setup.MustExecContext(context.Background(), "CREATE FUNCTION Slow (X INT) RETURNS TABLE (Y INT) LANGUAGE EXTERNAL NAME 'test.slow'")
+	setup.MustExecContext(context.Background(), "CREATE TABLE nums (X INT)")
+	setup.MustExecContext(context.Background(), "INSERT INTO nums VALUES (1), (2), (3), (4), (5), (6), (7), (8)")
+	const query = "SELECT COUNT(*) FROM nums n, TABLE (Slow(n.X)) AS f"
+	setup.MustExecContext(context.Background(), "CREATE FUNCTION SlowAll (k INT) RETURNS TABLE (N BIGINT) LANGUAGE SQL RETURN "+query)
+
+	// run returns the session's EXPLAIN text and the paper time of the query,
+	// asked directly and through the UDTF.
+	run := func(s *Session) (string, time.Duration) {
+		plan := s.MustExecContext(context.Background(), "EXPLAIN "+query).Table.String()
+		task := simlat.NewVirtualTask()
+		s.SetTask(task)
+		queryRows(t, s, query)
+		direct := task.Elapsed()
+		queryRows(t, s, "SELECT s.N FROM TABLE (SlowAll(1)) AS s")
+		if nested := task.Elapsed() - direct; nested != direct {
+			t.Errorf("the UDTF body took %v, the same statement asked directly %v", nested, direct)
+		}
+		return plan, direct
+	}
+	tuned, other := eng.NewSession(), eng.NewSession()
+	_, before := run(other)
+
+	var duringPlan string
+	var duringMS time.Duration
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		duringPlan, duringMS = run(other)
+	}()
+	tuned.MustExecContext(context.Background(), "SET PARALLELISM 4")
+	tuned.MustExecContext(context.Background(), "SET BATCH_SIZE 8")
+	tunedPlan, tunedMS := run(tuned)
+	wg.Wait()
+	afterPlan, afterMS := run(other)
+
+	if !strings.Contains(tunedPlan, "ParallelApply (dop=4) (batch=count=8)") {
+		t.Errorf("tuned session's plan:\n%s", tunedPlan)
+	}
+	if tunedMS >= before {
+		t.Errorf("tuned session took %v, sequential %v", tunedMS, before)
+	}
+	for _, got := range []struct {
+		plan string
+		ms   time.Duration
+	}{{duringPlan, duringMS}, {afterPlan, afterMS}} {
+		if !strings.Contains(got.plan, "Apply (lateral)") || strings.Contains(got.plan, "Parallel") {
+			t.Errorf("other session's plan changed:\n%s", got.plan)
+		}
+		if got.ms != before {
+			t.Errorf("other session's paper time %v, was %v", got.ms, before)
+		}
+	}
+	if eng.Parallelism() != 0 || eng.BatchSize() != 0 {
+		t.Errorf("engine defaults changed to parallelism %d, batch size %d", eng.Parallelism(), eng.BatchSize())
+	}
+	if plan, _ := run(eng.NewSession()); strings.Contains(plan, "Parallel") {
+		t.Errorf("a new session starts from the tuned session's options:\n%s", plan)
 	}
 }
 
@@ -132,7 +211,7 @@ func TestParallelismPreservesVirtualAccounting(t *testing.T) {
 		return int64(task.Elapsed())
 	}
 	seq := measure()
-	eng.SetParallelism(4)
+	s.MustExecContext(context.Background(), "SET PARALLELISM 4")
 	par := measure()
 	if want := int64(16 * cost); seq != want {
 		t.Errorf("sequential elapsed = %d, want %d", seq, want)

@@ -14,7 +14,7 @@ import (
 )
 
 // OpStats accumulates runtime statistics for one plan node. All clones of
-// the node — ParallelApply makes one clone of its right side per worker —
+// the node — a parallel Apply makes one clone of its right side per worker —
 // share the same OpStats, so the counters aggregate across workers; they
 // are atomic for that reason.
 type OpStats struct {
@@ -33,7 +33,7 @@ type OpStats struct {
 	CacheCoalesced atomic.Int64
 
 	// workers holds per-worker utilization (simlat work charged on each
-	// branch) recorded by ParallelApply after joining its pool.
+	// branch) recorded by a parallel Apply after joining its pool.
 	wmu     sync.Mutex
 	workers []time.Duration
 }
@@ -48,6 +48,22 @@ func (st *OpStats) addWorker(w int, d time.Duration) {
 	st.wmu.Unlock()
 }
 
+// noteCache counts one function-cache outcome; a nil OpStats counts
+// nothing.
+func (st *OpStats) noteCache(o CacheOutcome) {
+	if st == nil {
+		return
+	}
+	switch o {
+	case CacheHit:
+		st.CacheHits.Add(1)
+	case CacheMiss:
+		st.CacheMisses.Add(1)
+	case CacheCoalesced:
+		st.CacheCoalesced.Add(1)
+	}
+}
+
 // Workers returns per-worker utilization, empty for non-parallel nodes.
 func (st *OpStats) Workers() []time.Duration {
 	st.wmu.Lock()
@@ -57,7 +73,7 @@ func (st *OpStats) Workers() []time.Duration {
 
 // Analyzed wraps an operator with row/time accounting for EXPLAIN
 // ANALYZE. Clones share the wrapped node's OpStats, so statistics
-// aggregate across ParallelApply workers.
+// aggregate across parallel Apply workers.
 type Analyzed struct {
 	Child Operator
 	Stats *OpStats
@@ -106,24 +122,20 @@ func (a *Analyzed) Clone() Operator {
 
 // Instrument wraps every node of a plan in Analyzed, rewriting child
 // links in place, and returns the wrapped root. FuncScan nodes are handed
-// their OpStats so they can record per-operator cache outcomes, and
-// ParallelApply nodes theirs so they can record per-worker utilization.
+// their OpStats so they can record per-operator cache outcomes, and Apply
+// nodes theirs so a parallel one can record per-worker utilization.
 func Instrument(op Operator) Operator {
+	if an, ok := op.(*Analyzed); ok {
+		return an
+	}
+	st := &OpStats{}
 	switch o := op.(type) {
-	case *Analyzed:
-		return o
 	case *Apply:
-		o.Left = Instrument(o.Left)
-		o.Right = Instrument(o.Right)
-	case *LeftApply:
-		o.Left = Instrument(o.Left)
-		o.Right = Instrument(o.Right)
-	case *ParallelApply:
-		o.Left = Instrument(o.Left)
-		o.Right = Instrument(o.Right)
+		o.Left, o.Right, o.Stats = Instrument(o.Left), Instrument(o.Right), st
+	case *FuncScan:
+		o.Stats = st
 	case *HashJoin:
-		o.Left = Instrument(o.Left)
-		o.Right = Instrument(o.Right)
+		o.Left, o.Right = Instrument(o.Left), Instrument(o.Right)
 	case *Filter:
 		o.Child = Instrument(o.Child)
 	case *Project:
@@ -141,20 +153,13 @@ func Instrument(op Operator) Operator {
 	case *Agg:
 		o.Child = Instrument(o.Child)
 	}
-	st := &OpStats{}
-	if fs, ok := op.(*FuncScan); ok {
-		fs.Stats = st
-	}
-	if pa, ok := op.(*ParallelApply); ok {
-		pa.Stats = st
-	}
 	return &Analyzed{Child: op, Stats: st}
 }
 
 // ExplainAnalyzeString renders an instrumented plan after execution: one
 // line per node with its Describe text plus actual rows, loops, and
 // cumulative time in paper milliseconds; FuncScan lines add cache
-// outcomes, ParallelApply lines per-worker utilization.
+// outcomes, parallel Apply lines per-worker utilization.
 func ExplainAnalyzeString(op Operator) string {
 	var b strings.Builder
 	var walk func(o Operator, depth int)

@@ -19,7 +19,7 @@ func analyzeLateral(t *testing.T, dop int, cache bool, costs time.Duration) (str
 	sch := types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}}
 	var op Operator
 	if dop > 1 {
-		op = &ParallelApply{Left: leftOp, Right: scan, Sch: sch, DOP: dop}
+		op = &Apply{Left: leftOp, Right: scan, Sch: sch, DOP: dop}
 	} else {
 		op = &Apply{Left: leftOp, Right: scan, Sch: sch}
 	}
@@ -70,10 +70,10 @@ func TestAnalyzeDeterministicInVirtualMode(t *testing.T) {
 
 func TestAnalyzeParallelWorkerUtilization(t *testing.T) {
 	out, root := analyzeLateral(t, 4, false, 10*simlat.PaperMS)
-	var pa *ParallelApply
+	var pa *Apply
 	var find func(o Operator)
 	find = func(o Operator) {
-		if p, ok := o.(*ParallelApply); ok {
+		if p, ok := o.(*Apply); ok {
 			pa = p
 			return
 		}
@@ -87,7 +87,7 @@ func TestAnalyzeParallelWorkerUtilization(t *testing.T) {
 	}
 	find(root)
 	if pa == nil || pa.Stats == nil {
-		t.Fatal("ParallelApply stats not wired")
+		t.Fatal("parallel Apply stats not wired")
 	}
 	ws := pa.Stats.Workers()
 	if len(ws) != 4 {

@@ -85,10 +85,11 @@ func TestLeftApplyBatchedMatchesPerRow(t *testing.T) {
 	// fanOut leaves every l%3==0 row unmatched; the filter drops more.
 	on := Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(3)}}
 	mk := func(fn catalog.TableFunc, pol batcher.Policy) Operator {
-		return &LeftApply{
+		return &Apply{
 			Left:  &Values{Sch: intSchema("l"), Rows: left},
 			Right: &FuncScan{Fn: fn, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 			On:    on,
+			Outer: true,
 			Sch:   lateralSchema(),
 			Batch: pol,
 		}
@@ -111,7 +112,7 @@ func TestParallelApplyBatchedMatchesSequential(t *testing.T) {
 	want := runAll(t, seq)
 	for _, dop := range []int{1, 2, 4} {
 		bf := &batchFnTableFunc{fnTableFunc: fnTableFunc{name: "F", fn: fanOut}}
-		par := &ParallelApply{
+		par := &Apply{
 			Left:  &Values{Sch: intSchema("l"), Rows: left},
 			Right: &FuncScan{Fn: bf, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 			Sch:   lateralSchema(),
@@ -206,7 +207,7 @@ func TestParallelBatchedSharedCacheInvokesEachKeyOnce(t *testing.T) {
 	}
 	fc := NewFuncCache()
 	bf := &batchFnTableFunc{fnTableFunc: fnTableFunc{name: "F", fn: fanOut}}
-	par := &ParallelApply{
+	par := &Apply{
 		Left:  &Values{Sch: intSchema("l"), Rows: intRows(rows...)},
 		Right: &FuncScan{Fn: bf, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 		Sch:   lateralSchema(),
@@ -238,10 +239,11 @@ func TestLeftApplyBatchedDegradePadsChunk(t *testing.T) {
 		fnTableFunc: fnTableFunc{name: "F", fn: fanOut},
 		err:         resil.ErrAppSysUnavailable,
 	}
-	la := &LeftApply{
+	la := &Apply{
 		Left:  &Values{Sch: intSchema("l"), Rows: intRows(1, 2, 3)},
 		Right: &FuncScan{Fn: bf, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 		Sch:   lateralSchema(),
+		Outer: true,
 		Batch: batcher.Policy{Count: 8},
 	}
 	warns := &Warnings{}
@@ -262,10 +264,11 @@ func TestLeftApplyBatchedDegradePadsChunk(t *testing.T) {
 	}
 
 	// Without AllowDegraded the same failure fails the statement.
-	la2 := &LeftApply{
+	la2 := &Apply{
 		Left:  &Values{Sch: intSchema("l"), Rows: intRows(1, 2, 3)},
 		Right: &FuncScan{Fn: bf, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 		Sch:   lateralSchema(),
+		Outer: true,
 		Batch: batcher.Policy{Count: 8},
 	}
 	if _, err := Run(la2, &Ctx{Task: simlat.Free()}); !errors.Is(err, resil.ErrAppSysUnavailable) {

@@ -1,72 +1,6 @@
 package batcher
 
-import (
-	"testing"
-	"time"
-
-	"fedwf/internal/types"
-)
-
-func TestCountTrigger(t *testing.T) {
-	b := New(Policy{Count: 3})
-	if got := b.Add(10, 0); got != TriggerNone {
-		t.Fatalf("row 1: got %v, want none", got)
-	}
-	if got := b.Add(10, 0); got != TriggerNone {
-		t.Fatalf("row 2: got %v, want none", got)
-	}
-	if got := b.Add(10, 0); got != TriggerCount {
-		t.Fatalf("row 3: got %v, want count", got)
-	}
-	if b.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", b.Pending())
-	}
-	b.Flush()
-	if b.Pending() != 0 {
-		t.Fatalf("pending after flush = %d, want 0", b.Pending())
-	}
-	if got := b.Add(10, 0); got != TriggerNone {
-		t.Fatalf("row after flush: got %v, want none", got)
-	}
-}
-
-func TestBytesTrigger(t *testing.T) {
-	b := New(Policy{Count: 100, Bytes: 50})
-	if got := b.Add(20, 0); got != TriggerNone {
-		t.Fatalf("20 bytes: got %v, want none", got)
-	}
-	if got := b.Add(35, 0); got != TriggerBytes {
-		t.Fatalf("55 bytes: got %v, want bytes", got)
-	}
-}
-
-func TestPeriodTriggerUsesVirtualTime(t *testing.T) {
-	b := New(Policy{Count: 100, Period: 10 * time.Millisecond})
-	if got := b.Add(1, 100*time.Millisecond); got != TriggerNone {
-		t.Fatalf("first row: got %v, want none", got)
-	}
-	if got := b.Add(1, 105*time.Millisecond); got != TriggerNone {
-		t.Fatalf("+5ms: got %v, want none", got)
-	}
-	if got := b.Add(1, 110*time.Millisecond); got != TriggerPeriod {
-		t.Fatalf("+10ms: got %v, want period", got)
-	}
-	b.Flush()
-	// The window restarts at the next first row.
-	if got := b.Add(1, 115*time.Millisecond); got != TriggerNone {
-		t.Fatalf("new window: got %v, want none", got)
-	}
-}
-
-func TestDisabledPolicyFlushesEveryRow(t *testing.T) {
-	for _, pol := range []Policy{{}, {Count: 1}} {
-		b := New(pol)
-		if got := b.Add(1, 0); got != TriggerCount {
-			t.Fatalf("policy %+v: got %v, want count per row", pol, got)
-		}
-		b.Flush()
-	}
-}
+import "testing"
 
 func TestEnabled(t *testing.T) {
 	cases := []struct {
@@ -76,8 +10,6 @@ func TestEnabled(t *testing.T) {
 		{Policy{}, false},
 		{Policy{Count: 1}, false},
 		{Policy{Count: 2}, true},
-		{Policy{Bytes: 1}, true},
-		{Policy{Period: time.Millisecond}, true},
 	}
 	for _, c := range cases {
 		if got := c.pol.Enabled(); got != c.want {
@@ -86,19 +18,11 @@ func TestEnabled(t *testing.T) {
 	}
 }
 
-func TestRowBytes(t *testing.T) {
-	row := []types.Value{types.NewInt(7), types.NewString("abcd")}
-	if got := RowBytes(row); got != 16+16+4 {
-		t.Fatalf("RowBytes = %d, want 36", got)
-	}
-}
-
 func TestPolicyString(t *testing.T) {
-	if got := (Policy{}).String(); got != "off" {
-		t.Fatalf("zero policy String = %q", got)
+	if got := (Policy{Count: 1}).String(); got != "off" {
+		t.Fatalf("disabled policy String = %q", got)
 	}
-	p := Policy{Count: 8, Bytes: 1024, Period: 5 * time.Millisecond}
-	if got := p.String(); got != "count=8,bytes=1024,period=5ms" {
+	if got := (Policy{Count: 8}).String(); got != "count=8" {
 		t.Fatalf("String = %q", got)
 	}
 }

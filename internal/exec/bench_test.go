@@ -78,6 +78,32 @@ func BenchmarkSort(b *testing.B) {
 	}, 2000)
 }
 
+// BenchmarkLateral is lateral_batch's join in each execution mode: 64 outer
+// rows over ten keys, one two-column row per function call, chunks of 8 and
+// two workers where the mode has them.
+func BenchmarkLateral(b *testing.B) {
+	left := make([]types.Row, 64)
+	for i := range left {
+		left[i] = types.Row{types.NewInt(int64(i%10 + 1))}
+	}
+	qr := types.Schema{{Name: "q", Type: types.Integer}, {Name: "r", Type: types.Integer}}
+	fn := &fnTableFunc{name: "QualRelia", fn: func(args []types.Value) (*types.Table, error) {
+		out := types.NewTable(qr)
+		out.MustAppend(types.Row{types.NewInt(args[0].Int() % 5), types.NewInt(args[0].Int() % 7)})
+		return out, nil
+	}}
+	for _, m := range []struct {
+		name       string
+		dop, batch int
+	}{{"per_row", 1, 0}, {"batched", 1, 8}, {"parallel", 2, 0}, {"parallel_batched", 2, 8}} {
+		b.Run(m.name, func(b *testing.B) {
+			right := &FuncScan{Fn: fn, Args: []Expr{Col{Idx: 0, Name: "k"}}, Sch: qr}
+			benchRun(b, lateralOp(&Values{Sch: intSchema("k"), Rows: left}, right,
+				append(intSchema("k"), qr...), false, nil, m.dop, m.batch), 64)
+		})
+	}
+}
+
 func BenchmarkDistinct(b *testing.B) {
 	src := wideRows(2000, 1000)
 	benchRun(b, &Distinct{Child: &Project{

@@ -465,3 +465,12 @@ func Truthy(v types.Value) (bool, error) {
 	}
 	return v.AsBool()
 }
+
+// holds evaluates pred over row and reports whether the row matches.
+func holds(pred Expr, row types.Row) (bool, error) {
+	v, err := pred.Eval(row)
+	if err != nil {
+		return false, err
+	}
+	return Truthy(v)
+}

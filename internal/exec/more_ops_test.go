@@ -174,7 +174,7 @@ func TestDescribeAndChildrenEverywhere(t *testing.T) {
 		&Distinct{Child: vals},
 		&Limit{Child: vals, Count: 1},
 		&Agg{Child: vals, Aggs: []AggSpec{{Kind: AggCountStar}}, Sch: intSchema("c")},
-		&LeftApply{Left: vals, Right: vals, Sch: types.Schema{
+		&Apply{Left: vals, Right: vals, Outer: true, Sch: types.Schema{
 			{Name: "a", Type: types.Integer}, {Name: "b", Type: types.Integer}}},
 	}
 	for _, op := range ops {

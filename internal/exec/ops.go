@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fedwf/internal/catalog"
-	"fedwf/internal/exec/batcher"
 	"fedwf/internal/obs"
 	"fedwf/internal/resil"
 	"fedwf/internal/simlat"
@@ -60,7 +59,7 @@ func (c *Ctx) check() error {
 
 // FuncCache memoises (function, arguments) -> result within one statement.
 // It is a singleflight cache: concurrent invocations with identical keys —
-// as issued by ParallelApply workers — coalesce into one underlying call,
+// as issued by parallel Apply workers — coalesce into one underlying call,
 // with the latecomers blocking until the in-flight call completes instead
 // of stampeding the controller with duplicate federated-function calls.
 type FuncCache struct {
@@ -158,28 +157,37 @@ func (fc *FuncCache) Invoke(name string, args []types.Value, call func() (*types
 // InvokeOutcome is Invoke plus the classification of this lookup, letting
 // an instrumented FuncScan keep per-operator cache counters.
 func (fc *FuncCache) InvokeOutcome(name string, args []types.Value, call func() (*types.Table, error)) (*types.Table, CacheOutcome, error) {
+	c, outcome := fc.acquire(name, args)
+	if outcome == CacheMiss {
+		c.res, c.err = call()
+		close(c.done)
+	}
+	<-c.done
+	return c.res, outcome, c.err
+}
+
+// acquire classifies one lookup and reserves the key on a miss, whose
+// caller MUST publish a result (set res/err, close done) exactly once. A
+// coalesced entry is owned by another call in flight — or by an earlier
+// duplicate row of the same chunk, so duplicates travel once.
+func (fc *FuncCache) acquire(name string, args []types.Value) (*funcCall, CacheOutcome) {
 	key := fc.key(name, args)
 	fc.mu.Lock()
+	defer fc.mu.Unlock()
 	if c, ok := fc.entries[key]; ok {
-		outcome := CacheHit
 		select {
 		case <-c.done:
 			fc.hits++
+			return c, CacheHit
 		default:
 			fc.coalesced++
-			outcome = CacheCoalesced
+			return c, CacheCoalesced
 		}
-		fc.mu.Unlock()
-		<-c.done
-		return c.res, outcome, c.err
 	}
 	c := &funcCall{done: make(chan struct{})}
 	fc.entries[key] = c
 	fc.misses++
-	fc.mu.Unlock()
-	c.res, c.err = call()
-	close(c.done)
-	return c.res, CacheMiss, c.err
+	return c, CacheMiss
 }
 
 // Operator is a Volcano-style iterator. Open receives the current outer
@@ -195,8 +203,8 @@ type Operator interface {
 	// Clone returns a fresh, closed instance of the same subplan sharing
 	// the immutable plan-time fields (schemas, expressions, catalog
 	// references) but none of the iteration state, so the copy can run
-	// concurrently with the original. ParallelApply clones its right side
-	// once per worker.
+	// concurrently with the original. A parallel Apply clones its right
+	// side once per worker.
 	Clone() Operator
 }
 
@@ -204,21 +212,31 @@ type Operator interface {
 // every path, including an Open that fails after acquiring resources
 // (e.g. an Apply whose left side opened before the failure).
 func Run(op Operator, ctx *Ctx) (*types.Table, error) {
-	if err := op.Open(ctx, nil); err != nil {
-		op.Close()
+	rows, err := collect(op, ctx, nil)
+	if err != nil {
 		return nil, err
 	}
-	defer op.Close()
 	out := types.NewTable(op.Schema().Clone())
+	out.Rows = rows
+	return out, nil
+}
+
+// collect opens op under bind and drains it; op is closed on every path.
+func collect(op Operator, ctx *Ctx, bind types.Row) ([]types.Row, error) {
+	defer op.Close()
+	if err := op.Open(ctx, bind); err != nil {
+		return nil, err
+	}
+	var rows []types.Row
 	for {
 		row, err := op.Next()
 		if err == io.EOF {
-			return out, nil
+			return rows, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out.Rows = append(out.Rows, row)
+		rows = append(rows, row)
 	}
 }
 
@@ -466,15 +484,23 @@ type FuncScan struct {
 // Schema implements Operator.
 func (f *FuncScan) Schema() types.Schema { return f.Sch }
 
-// Open implements Operator.
-func (f *FuncScan) Open(ctx *Ctx, bind types.Row) error {
-	args := make([]types.Value, len(f.Args))
+// evalArgs evaluates the argument expressions against bind into args.
+func (f *FuncScan) evalArgs(bind types.Row, args []types.Value) error {
 	for i, a := range f.Args {
 		v, err := a.Eval(bind)
 		if err != nil {
 			return fmt.Errorf("exec: argument %d of %s: %w", i+1, f.Fn.Name(), err)
 		}
 		args[i] = v
+	}
+	return nil
+}
+
+// Open implements Operator.
+func (f *FuncScan) Open(ctx *Ctx, bind types.Row) error {
+	args := make([]types.Value, len(f.Args))
+	if err := f.evalArgs(bind, args); err != nil {
+		return err
 	}
 	if err := ctx.check(); err != nil {
 		return err
@@ -489,16 +515,7 @@ func (f *FuncScan) Open(ctx *Ctx, bind types.Row) error {
 	if ctx.FuncCache != nil {
 		var outcome CacheOutcome
 		res, outcome, err = ctx.FuncCache.InvokeOutcome(f.Fn.Name(), args, invoke)
-		if f.Stats != nil {
-			switch outcome {
-			case CacheHit:
-				f.Stats.CacheHits.Add(1)
-			case CacheMiss:
-				f.Stats.CacheMisses.Add(1)
-			case CacheCoalesced:
-				f.Stats.CacheCoalesced.Add(1)
-			}
-		}
+		f.Stats.noteCache(outcome)
 	} else {
 		res, err = invoke()
 	}
@@ -508,6 +525,67 @@ func (f *FuncScan) Open(ctx *Ctx, bind types.Row) error {
 	f.res = res
 	f.pos = 0
 	return nil
+}
+
+// invokeBatch returns the function's result for each outer row of chunk
+// from at most one set-oriented call, which only cache misses join. Any
+// failure fails the whole chunk, as the RPC layer's batches do.
+func (f *FuncScan) invokeBatch(ctx *Ctx, bind types.Row, chunk []types.Row) (out []*types.Table, err error) {
+	n, width := len(chunk), len(f.Args)
+	vals, argRows := make([]types.Value, n*width), make([][]types.Value, n)
+	for i, lr := range chunk {
+		argRows[i] = vals[i*width : (i+1)*width : (i+1)*width]
+		if err := f.evalArgs(childBind(bind, lr), argRows[i]); err != nil {
+			return nil, err
+		}
+	}
+	if err := ctx.check(); err != nil {
+		return nil, err
+	}
+	sp := obs.StartSpan(ctx.Task, "exec.func.batch",
+		obs.Attr{Key: "fn", Value: f.Fn.Name()},
+		obs.Attr{Key: "batch_size", Value: fmt.Sprint(n)})
+	defer func() {
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		}
+		sp.End(ctx.Task)
+	}()
+	wire, calls, wireCalls := argRows, []*funcCall(nil), []*funcCall(nil)
+	if fc := ctx.FuncCache; fc != nil {
+		wire, calls = nil, make([]*funcCall, n)
+		for i, args := range argRows {
+			c, outcome := fc.acquire(f.Fn.Name(), args)
+			calls[i] = c
+			f.Stats.noteCache(outcome)
+			if outcome == CacheMiss {
+				wire, wireCalls = append(wire, args), append(wireCalls, c)
+			}
+		}
+	}
+	sp.SetAttr("wire_rows", fmt.Sprint(len(wire)))
+	if len(wire) > 0 {
+		out, err = catalog.InvokeFuncBatch(ctx.Context, f.Fn, ctx.Runner, ctx.Task, wire)
+		// Publish on every reserved entry, failures too (errors are cached).
+		for j, c := range wireCalls {
+			if c.err = err; err == nil {
+				c.res = out[j]
+			}
+			close(c.done)
+		}
+		if err != nil || calls == nil {
+			return out, err
+		}
+	}
+	out = make([]*types.Table, n)
+	for i, c := range calls {
+		<-c.done // hits and own misses are already closed; coalesced may wait
+		if c.err != nil {
+			return nil, c.err
+		}
+		out[i] = c.res
+	}
+	return out, nil
 }
 
 // Next implements Operator.
@@ -538,251 +616,6 @@ func (f *FuncScan) Children() []Operator { return nil }
 // Clone implements Operator.
 func (f *FuncScan) Clone() Operator {
 	return &FuncScan{Fn: f.Fn, Args: f.Args, Sch: f.Sch, Stats: f.Stats}
-}
-
-// ---------------------------------------------------------------- Apply
-
-// Apply is the lateral cross product: for every left row it re-opens the
-// right side with the left row appended to the binding, emitting
-// leftRow ++ rightRow. With an independent right side it degenerates to a
-// nested-loop cross join; with lateral references it implements the
-// paper's "execution order defined by input parameters".
-type Apply struct {
-	Left, Right Operator
-	Sch         types.Schema
-	// Independent marks a right side without lateral references: the
-	// operator then composes two materialised result sets and charges the
-	// composition cost.
-	Independent bool
-	// Batch, when enabled and the right side is a bare FuncScan,
-	// accumulates outer rows into chunks flushed as one set-oriented
-	// invocation each (see batch.go).
-	Batch batcher.Policy
-
-	ctx       *Ctx
-	bind      types.Row
-	leftRow   types.Row
-	rightOpen bool
-	batch     *batchRun
-	slab      rowSlab
-}
-
-// Schema implements Operator.
-func (a *Apply) Schema() types.Schema { return a.Sch }
-
-// Open implements Operator.
-func (a *Apply) Open(ctx *Ctx, bind types.Row) error {
-	a.ctx = ctx
-	a.bind = bind
-	a.leftRow = nil
-	a.rightOpen = false
-	a.batch = newBatchRun(a.Batch, a.Right)
-	a.slab = rowSlab{}
-	if a.Independent {
-		ctx.Task.Step(simlat.StepJoinComposition, ctx.CompositionCost)
-	}
-	return a.Left.Open(ctx, bind)
-}
-
-// Next implements Operator.
-func (a *Apply) Next() (types.Row, error) {
-	if a.batch != nil {
-		return a.nextBatched()
-	}
-	for {
-		if a.leftRow == nil {
-			lr, err := a.Left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if err := a.ctx.check(); err != nil {
-				return nil, err
-			}
-			a.leftRow = lr
-			childBind := make(types.Row, 0, len(a.bind)+len(lr))
-			childBind = append(childBind, a.bind...)
-			childBind = append(childBind, lr...)
-			if err := a.Right.Open(a.ctx, childBind); err != nil {
-				return nil, err
-			}
-			a.rightOpen = true
-		}
-		rr, err := a.Right.Next()
-		if err == io.EOF {
-			a.Right.Close()
-			a.rightOpen = false
-			a.leftRow = nil
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return a.slab.concat(a.leftRow, rr), nil
-	}
-}
-
-// Close implements Operator.
-func (a *Apply) Close() error {
-	if a.rightOpen {
-		a.Right.Close()
-		a.rightOpen = false
-	}
-	return a.Left.Close()
-}
-
-// Describe implements Operator.
-func (a *Apply) Describe() string {
-	if a.Batch.Enabled() {
-		return fmt.Sprintf("Apply (lateral, batch=%s)", a.Batch)
-	}
-	return "Apply (lateral)"
-}
-
-// Children implements Operator.
-func (a *Apply) Children() []Operator { return []Operator{a.Left, a.Right} }
-
-// Clone implements Operator.
-func (a *Apply) Clone() Operator {
-	return &Apply{Left: a.Left.Clone(), Right: a.Right.Clone(), Sch: a.Sch, Independent: a.Independent, Batch: a.Batch}
-}
-
-// ------------------------------------------------------------ LeftApply
-
-// LeftApply implements LEFT OUTER JOIN with lateral semantics: rows of
-// the right side are matched with On; unmatched left rows are padded with
-// NULLs.
-type LeftApply struct {
-	Left, Right Operator
-	On          Expr // evaluated over leftRow ++ rightRow; nil matches all
-	Sch         types.Schema
-	// Batch mirrors Apply.Batch: chunked set-oriented right-side calls.
-	Batch batcher.Policy
-
-	ctx       *Ctx
-	bind      types.Row
-	leftRow   types.Row
-	rightOpen bool
-	matched   bool
-	batch     *batchRun
-	slab      rowSlab
-}
-
-// Schema implements Operator.
-func (a *LeftApply) Schema() types.Schema { return a.Sch }
-
-// Open implements Operator.
-func (a *LeftApply) Open(ctx *Ctx, bind types.Row) error {
-	a.ctx = ctx
-	a.bind = bind
-	a.leftRow = nil
-	a.rightOpen = false
-	a.batch = newBatchRun(a.Batch, a.Right)
-	a.slab = rowSlab{}
-	return a.Left.Open(ctx, bind)
-}
-
-// Next implements Operator.
-func (a *LeftApply) Next() (types.Row, error) {
-	if a.batch != nil {
-		return a.nextBatched()
-	}
-	for {
-		if a.leftRow == nil {
-			lr, err := a.Left.Next()
-			if err != nil {
-				return nil, err
-			}
-			if err := a.ctx.check(); err != nil {
-				return nil, err
-			}
-			a.leftRow = lr
-			a.matched = false
-			childBind := make(types.Row, 0, len(a.bind)+len(lr))
-			childBind = append(childBind, a.bind...)
-			childBind = append(childBind, lr...)
-			if err := a.Right.Open(a.ctx, childBind); err != nil {
-				a.Right.Close()
-				if degrade(a.ctx, true, err) {
-					// Absorb the shed branch: emit the NULL-padded outer
-					// row, as if the right side matched nothing.
-					a.leftRow = nil
-					return a.padded(lr), nil
-				}
-				return nil, err
-			}
-			a.rightOpen = true
-		}
-		rr, err := a.Right.Next()
-		if err == io.EOF {
-			a.Right.Close()
-			a.rightOpen = false
-			lr := a.leftRow
-			a.leftRow = nil
-			if !a.matched {
-				return a.padded(lr), nil
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := a.slab.concat(a.leftRow, rr)
-		if a.On != nil {
-			v, err := a.On.Eval(out)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := Truthy(v)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				a.slab.unalloc(out)
-				continue
-			}
-		}
-		a.matched = true
-		return out, nil
-	}
-}
-
-// padded returns lr followed by one NULL per right-side column: the row of
-// an outer row that matched nothing.
-func (a *LeftApply) padded(lr types.Row) types.Row {
-	out := a.slab.alloc(len(lr) + len(a.Right.Schema()))
-	for i := copy(out, lr); i < len(out); i++ {
-		out[i] = types.Null
-	}
-	return out
-}
-
-// Close implements Operator.
-func (a *LeftApply) Close() error {
-	if a.rightOpen {
-		a.Right.Close()
-		a.rightOpen = false
-	}
-	return a.Left.Close()
-}
-
-// Describe implements Operator.
-func (a *LeftApply) Describe() string {
-	s := "LeftApply"
-	if a.Batch.Enabled() {
-		s += fmt.Sprintf(" (batch=%s)", a.Batch)
-	}
-	if a.On != nil {
-		s += " on " + a.On.String()
-	}
-	return s
-}
-
-// Children implements Operator.
-func (a *LeftApply) Children() []Operator { return []Operator{a.Left, a.Right} }
-
-// Clone implements Operator.
-func (a *LeftApply) Clone() Operator {
-	return &LeftApply{Left: a.Left.Clone(), Right: a.Right.Clone(), On: a.On, Sch: a.Sch, Batch: a.Batch}
 }
 
 // -------------------------------------------------------------- HashJoin
@@ -912,11 +745,7 @@ func (h *HashJoin) Next() (types.Row, error) {
 		}
 		out := h.slab.concat(h.leftRow, rr)
 		if h.Residual != nil {
-			v, err := h.Residual.Eval(out)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := Truthy(v)
+			ok, err := holds(h.Residual, out)
 			if err != nil {
 				return nil, err
 			}
@@ -981,11 +810,7 @@ func (f *Filter) Next() (types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := f.Pred.Eval(r)
-		if err != nil {
-			return nil, err
-		}
-		ok, err := Truthy(v)
+		ok, err := holds(f.Pred, r)
 		if err != nil {
 			return nil, err
 		}

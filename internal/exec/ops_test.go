@@ -70,7 +70,7 @@ func TestTableScanOperator(t *testing.T) {
 	}
 
 	// With a key the scan reads the index bucket, and so does its clone
-	// (what a ParallelApply worker runs).
+	// (what a parallel Apply worker runs).
 	if err := tb.CreateIndex("n"); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestLeftApplyPadsNulls(t *testing.T) {
 	left := &Values{Sch: intSchema("l"), Rows: intRows(1, 2, 3)}
 	right := &Values{Sch: intSchema("r"), Rows: intRows(10, 20)}
 	on := Bin{Op: "=", L: Bin{Op: "*", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(10)}}, R: Col{Idx: 1, Name: "r"}}
-	la := &LeftApply{Left: left, Right: right, On: on, Sch: types.Schema{
+	la := &Apply{Left: left, Right: right, On: on, Outer: true, Sch: types.Schema{
 		{Name: "l", Type: types.Integer}, {Name: "r", Type: types.Integer},
 	}}
 	tab := runAll(t, la)

@@ -58,14 +58,14 @@ func TestParallelApplyMatchesSequential(t *testing.T) {
 			return &FuncScan{Fn: &fnTableFunc{name: "F", fn: fanOut}, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")}
 		}
 		seq := &Apply{Left: &Values{Sch: intSchema("l"), Rows: left}, Right: scan(), Sch: types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}}}
-		par := &ParallelApply{Left: &Values{Sch: intSchema("l"), Rows: left}, Right: scan(), Sch: seq.Sch}
+		par := &Apply{Left: &Values{Sch: intSchema("l"), Rows: left}, Right: scan(), Sch: seq.Sch}
 		return seq, par
 	}
 	seq, _ := mk()
 	want := runAll(t, seq)
 	for _, dop := range []int{1, 2, 3, 4, 16, 32} {
 		_, par := mk()
-		par.(*ParallelApply).DOP = dop
+		par.(*Apply).DOP = dop
 		got := runAll(t, par)
 		if got.Len() != want.Len() {
 			t.Fatalf("dop=%d: %d rows, want %d", dop, got.Len(), want.Len())
@@ -88,8 +88,8 @@ func TestParallelApplyOuterMatchesLeftApply(t *testing.T) {
 	scan := func() Operator {
 		return &FuncScan{Fn: &fnTableFunc{name: "F", fn: fanOut}, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")}
 	}
-	seq := &LeftApply{Left: &Values{Sch: intSchema("l"), Rows: left}, Right: scan(), On: on, Sch: sch}
-	par := &ParallelApply{Left: &Values{Sch: intSchema("l"), Rows: left}, Right: scan(), On: on, Sch: sch, DOP: 4, Outer: true}
+	seq := &Apply{Left: &Values{Sch: intSchema("l"), Rows: left}, Right: scan(), On: on, Sch: sch, Outer: true}
+	par := &Apply{Left: &Values{Sch: intSchema("l"), Rows: left}, Right: scan(), On: on, Sch: sch, DOP: 4, Outer: true}
 	want := runAll(t, seq)
 	got := runAll(t, par)
 	if got.String() != want.String() {
@@ -109,7 +109,7 @@ func TestParallelApplyVirtualMaxBranch(t *testing.T) {
 		leftOp := &Values{Sch: intSchema("l"), Rows: intRows(seqInts(16)...)}
 		sch := types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}}
 		if par {
-			return &ParallelApply{Left: leftOp, Right: scan, Sch: sch, DOP: 4}
+			return &Apply{Left: leftOp, Right: scan, Sch: sch, DOP: 4}
 		}
 		return &Apply{Left: leftOp, Right: scan, Sch: sch}
 	}
@@ -147,7 +147,7 @@ func TestParallelApplyWallSpeedup(t *testing.T) {
 		sch := types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}}
 		var op Operator
 		if dop > 1 {
-			op = &ParallelApply{Left: leftOp, Right: right, Sch: sch, DOP: dop}
+			op = &Apply{Left: leftOp, Right: right, Sch: sch, DOP: dop}
 		} else {
 			op = &Apply{Left: leftOp, Right: right, Sch: sch}
 		}
@@ -182,7 +182,7 @@ func TestParallelApplyWorkerError(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		return fanOut(args)
 	}}
-	par := &ParallelApply{
+	par := &Apply{
 		Left:  &Values{Sch: intSchema("l"), Rows: intRows(seqInts(100)...)},
 		Right: &FuncScan{Fn: fn, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 		Sch:   types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}},
@@ -201,7 +201,7 @@ func TestParallelApplyWorkerError(t *testing.T) {
 }
 
 func TestParallelApplyEmptyLeft(t *testing.T) {
-	par := &ParallelApply{
+	par := &Apply{
 		Left:  &Values{Sch: intSchema("l")},
 		Right: &FuncScan{Fn: &fnTableFunc{name: "F", fn: fanOut}, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 		Sch:   types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}},
@@ -222,7 +222,7 @@ func TestParallelApplySharedCacheSingleInvocation(t *testing.T) {
 		out.MustAppend(types.Row{types.NewInt(args[0].Int() * 2)})
 		return out, nil
 	}}
-	par := &ParallelApply{
+	par := &Apply{
 		Left:  &Values{Sch: intSchema("l"), Rows: intRows(7, 7, 7, 7, 7, 7, 7, 7)},
 		Right: &FuncScan{Fn: fn, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 		Sch:   types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}},
@@ -363,18 +363,19 @@ func TestRunClosesRootOnError(t *testing.T) {
 		t.Errorf("leak: root closed %v, left closed %v", root.closed, left.closed)
 	}
 
-	// Same regression through LeftApply.
+	// Same regression through an outer Apply.
 	left2 := &closeTracker{Operator: &Values{Sch: intSchema("l"), Rows: intRows(1, 2, 3)}}
-	la := &LeftApply{
+	la := &Apply{
 		Left:  left2,
 		Right: &FuncScan{Fn: fn, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 		Sch:   types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}},
+		Outer: true,
 	}
 	if _, err := Run(la, &Ctx{Task: simlat.Free()}); !errors.Is(err, boom) {
-		t.Fatalf("LeftApply err = %v, want %v", err, boom)
+		t.Fatalf("outer Apply err = %v, want %v", err, boom)
 	}
 	if !left2.closed {
-		t.Error("LeftApply leaked its left operator on a right-side error")
+		t.Error("outer Apply leaked its left operator on a right-side error")
 	}
 
 	// Root Open failure also closes the root.

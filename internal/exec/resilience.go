@@ -10,7 +10,7 @@ import (
 // Warnings collects statement-level warnings — today, the graceful
 // degradation notices emitted when an optional lateral branch is replaced
 // by NULL padding because its application system is shedding. Safe for
-// concurrent use (ParallelApply workers share one instance).
+// concurrent use (parallel Apply workers share one instance).
 type Warnings struct {
 	mu      sync.Mutex
 	list    []string

@@ -53,6 +53,15 @@ func (s *rowSlab) alloc(n int) types.Row {
 	return row
 }
 
+// reserve makes the next n cells come from one chunk, allocating exactly n
+// when the current chunk has less room: a caller that knows how many cells
+// a batch of rows takes pays one allocation of that size for them.
+func (s *rowSlab) reserve(n int) {
+	if len(s.chunk)-s.off < n {
+		s.chunk, s.off = make([]types.Value, n), 0
+	}
+}
+
 // unalloc takes back the row the last alloc returned, which the caller has
 // not passed on: a join candidate its predicate rejected. The next alloc of
 // that width reuses the cells, so rejected candidates cost no slab space.

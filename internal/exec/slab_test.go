@@ -36,7 +36,7 @@ func slabOperators() map[string]Operator {
 		"HashJoin": &HashJoin{Left: src(60, 5), Right: src(25, 5), LeftKeys: []Expr{k}, RightKeys: []Expr{k},
 			Residual: Bin{Op: "<>", L: v, R: Col{Idx: 3, Name: "rv"}}, Sch: four},
 		"Apply": &Apply{Left: src(20, 5), Right: src(15, 5), Sch: four},
-		"LeftApply": &LeftApply{Left: src(120, 9), Right: src(12, 6), Sch: four,
+		"LeftApply": &Apply{Left: src(120, 9), Right: src(12, 6), Sch: four, Outer: true,
 			On: Bin{Op: "=", L: k, R: Col{Idx: 2, Name: "rk"}}},
 		"Agg": &Agg{Child: src(900, 300), Groups: []Expr{k}, Aggs: []AggSpec{{Kind: AggCountStar}, {Kind: AggSum, Arg: v}},
 			Sch: append(pairSchema.Clone(), types.Column{Name: "s", Type: types.BigInt})},
@@ -125,7 +125,7 @@ func TestSlabRejectedCandidatesCostNoSpace(t *testing.T) {
 	// 200 x 200 candidates, 200 matches.
 	left := &Values{Sch: intSchema("l"), Rows: intRows(seqInts(200)...)}
 	right := &Values{Sch: intSchema("r"), Rows: intRows(seqInts(200)...)}
-	join := &LeftApply{Left: left, Right: right, On: Bin{Op: "=", L: Col{Idx: 0, Name: "l"}, R: Col{Idx: 1, Name: "r"}},
+	join := &Apply{Left: left, Right: right, Outer: true, On: Bin{Op: "=", L: Col{Idx: 0, Name: "l"}, R: Col{Idx: 1, Name: "r"}},
 		Sch: types.Schema{{Name: "l", Type: types.Integer}, {Name: "r", Type: types.Integer}}}
 	rows := runAll(t, join).Rows
 	if len(rows) != 200 {
@@ -245,7 +245,7 @@ func TestSlabOneRowResultAllocatesNoMore(t *testing.T) {
 	}
 }
 
-// ParallelApply clones its right side per worker, so each worker's
+// A parallel Apply clones its right side per worker, so each worker's
 // operators carve from their own slabs. Run under -race.
 func TestParallelApplyOverSlabOperators(t *testing.T) {
 	sch := types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}, {Name: "n", Type: types.BigInt}}
@@ -263,7 +263,7 @@ func TestParallelApplyOverSlabOperators(t *testing.T) {
 			Sch:   sch[1:],
 		}
 		if par {
-			return &ParallelApply{Left: left, Right: right, Sch: sch, DOP: 4}
+			return &Apply{Left: left, Right: right, Sch: sch, DOP: 4}
 		}
 		return &Apply{Left: left, Right: right, Sch: sch}
 	}

@@ -34,10 +34,11 @@ type ServerConfig struct {
 	// Direct bypasses the controller (ablation configuration).
 	Direct bool `json:"direct"`
 	// DOP is the intra-query degree of parallelism (0 = sequential,
-	// -1 = GOMAXPROCS).
+	// -1 = GOMAXPROCS) every served statement's session starts from.
 	DOP int `json:"dop"`
 	// BatchSize chunks lateral invocations into set-oriented federated
-	// calls of this many rows (0 or 1 = per-row).
+	// calls of this many rows (0 or 1 = per-row); every served statement's
+	// session starts from it.
 	BatchSize int `json:"batch_size"`
 	// MetricsAddr is the HTTP listen address for /metrics, /healthz,
 	// /traces, /stats and /audit (empty = disabled).
@@ -124,8 +125,8 @@ func (c *ServerConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.StringVar(&c.Addr, "addr", c.Addr, "listen address")
 	fs.StringVar(&c.Arch, "arch", c.Arch, "integration architecture: wfms or udtf")
 	fs.BoolVar(&c.Direct, "direct", c.Direct, "bypass the controller (ablation configuration)")
-	fs.IntVar(&c.DOP, "dop", c.DOP, "intra-query degree of parallelism (0 = sequential, -1 = GOMAXPROCS)")
-	fs.IntVar(&c.BatchSize, "batch-size", c.BatchSize, "set-oriented federated calls: chunk lateral invocations into batches of this many rows (0 or 1 = per-row; SET BATCH_SIZE overrides at runtime)")
+	fs.IntVar(&c.DOP, "dop", c.DOP, "intra-query degree of parallelism (0 = sequential, -1 = GOMAXPROCS); every statement runs in a new session that starts from it")
+	fs.IntVar(&c.BatchSize, "batch-size", c.BatchSize, "set-oriented federated calls: chunk lateral invocations into batches of this many rows (0 or 1 = per-row); every statement runs in a new session that starts from it")
 	fs.StringVar(&c.MetricsAddr, "metrics-addr", c.MetricsAddr, "HTTP listen address for /metrics, /healthz and /traces (empty = disabled)")
 	fs.BoolVar(&c.Pprof, "pprof", c.Pprof, "mount net/http/pprof under /debug/pprof/ on the metrics listener")
 	fs.Float64Var(&c.SlowQueryMS, "slow-query-ms", c.SlowQueryMS, "log statements at or above this simulated latency in paper ms (0 = disabled)")

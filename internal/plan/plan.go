@@ -22,24 +22,31 @@ type Options struct {
 	// DisableHashJoin forces nested-loop Apply plans even for independent
 	// equi-joins (the join-strategy ablation).
 	DisableHashJoin bool
-	// Parallelism > 1 makes the planner emit ParallelApply with that
-	// degree of parallelism wherever the right side of a lateral join is
-	// side-effect-free; <= 1 keeps today's sequential Apply plans.
+	// Parallelism > 1 runs every lateral join whose right side is
+	// side-effect-free on that many workers; <= 1 keeps sequential plans.
 	Parallelism int
-	// Batch makes lateral operators over a side-effect-free FuncScan
-	// accumulate outer rows into chunks flushed as one set-oriented
-	// federated call each (count/bytes/virtual-time-period triggers).
-	// The zero policy keeps today's per-row calls.
+	// Batch makes lateral joins over a side-effect-free FuncScan gather
+	// outer rows into chunks of up to Batch.Count, each flushed as one
+	// set-oriented federated call. The zero policy keeps per-row calls.
 	Batch batcher.Policy
 }
 
-// batchFor gates the batch policy the same way ParallelApply is gated:
-// only a side-effect-free, laterally-referenced right side batches.
-func (c *compiler) batchFor(right exec.Operator, lateral bool) batcher.Policy {
-	if !lateral || !c.opts.Batch.Enabled() || !sideEffectFree(right) {
-		return batcher.Policy{}
+// lateralJoin returns the Apply of left and right over the scope built so
+// far, parallel and batched where the options ask for it and the right side
+// allows it: only a side-effect-free right side may run on clones or have
+// its calls grouped into chunks, and only one that references the left
+// (lateral) is chunked.
+func (c *compiler) lateralJoin(left, right exec.Operator, lateral bool) *exec.Apply {
+	a := &exec.Apply{Left: orEmptyValues(left), Right: right, Sch: c.schemaOf(0, len(c.cols))}
+	if sideEffectFree(right) {
+		if c.opts.Parallelism > 1 {
+			a.DOP = c.opts.Parallelism
+		}
+		if lateral {
+			a.Batch = c.opts.Batch
+		}
 	}
-	return c.opts.Batch
+	return a
 }
 
 // CompileSelect compiles a SELECT against the catalog. params binds the
@@ -207,9 +214,9 @@ func (c *compiler) checkAmbiguity(e sqlparser.Expr) error {
 	return err
 }
 
-// addFromItem extends the chain with one FROM item, choosing between
-// lateral Apply, HashJoin, and LeftApply, and attaching newly satisfied
-// WHERE conjuncts.
+// addFromItem extends the chain with one FROM item, choosing between a
+// lateral Apply (inner or outer) and a HashJoin, and attaching newly
+// satisfied WHERE conjuncts.
 func (c *compiler) addFromItem(chain exec.Operator, item sqlparser.FromItem, pending []*pendingConjunct) (exec.Operator, error) {
 	switch it := item.(type) {
 	case *sqlparser.JoinRef:
@@ -233,21 +240,8 @@ func (c *compiler) addFromItem(chain exec.Operator, item sqlparser.FromItem, pen
 					return nil, err
 				}
 			}
-			var joined exec.Operator
-			if c.opts.Parallelism > 1 && sideEffectFree(rightOp) {
-				joined = &exec.ParallelApply{
-					Left: orEmptyValues(left), Right: rightOp, On: on,
-					Sch: c.schemaOf(0, len(c.cols)),
-					DOP: c.opts.Parallelism, Outer: true,
-					Batch: c.batchFor(rightOp, lateral),
-				}
-			} else {
-				joined = &exec.LeftApply{
-					Left: orEmptyValues(left), Right: rightOp, On: on,
-					Sch:   c.schemaOf(0, len(c.cols)),
-					Batch: c.batchFor(rightOp, lateral),
-				}
-			}
+			joined := c.lateralJoin(left, rightOp, lateral)
+			joined.Outer, joined.On = true, on
 			return c.attachReady(joined, pending)
 		default:
 			c.keyScan(rightOp, leftWidth, pending)
@@ -284,7 +278,6 @@ func (c *compiler) addFromItem(chain exec.Operator, item sqlparser.FromItem, pen
 // the left and an unattached equi-conjunct links them, a HashJoin is
 // produced; otherwise a lateral Apply.
 func (c *compiler) joinWith(left, right exec.Operator, leftWidth int, lateral bool, on sqlparser.Expr, pending []*pendingConjunct) (exec.Operator, error) {
-	full := c.schemaOf(0, len(c.cols))
 	onConjuncts := splitConjuncts(on)
 	if !lateral && !c.opts.DisableHashJoin {
 		var keysL, keysR []exec.Expr
@@ -318,7 +311,7 @@ func (c *compiler) joinWith(left, right exec.Operator, leftWidth int, lateral bo
 		if len(keysL) > 0 {
 			op := exec.Operator(&exec.HashJoin{
 				Left: orEmptyValues(left), Right: right,
-				LeftKeys: keysL, RightKeys: keysR, Sch: full,
+				LeftKeys: keysL, RightKeys: keysR, Sch: c.schemaOf(0, len(c.cols)),
 			})
 			// Remaining ON conjuncts become filters above the join.
 			for _, oc := range onConjuncts {
@@ -343,19 +336,9 @@ func (c *compiler) joinWith(left, right exec.Operator, leftWidth int, lateral bo
 			return op, nil
 		}
 	}
-	var op exec.Operator
-	if c.opts.Parallelism > 1 && sideEffectFree(right) {
-		op = &exec.ParallelApply{
-			Left: orEmptyValues(left), Right: right, Sch: full,
-			DOP: c.opts.Parallelism, Independent: !lateral && leftWidth > 0,
-			Batch: c.batchFor(right, lateral),
-		}
-	} else {
-		op = &exec.Apply{
-			Left: orEmptyValues(left), Right: right, Sch: full, Independent: !lateral && leftWidth > 0,
-			Batch: c.batchFor(right, lateral),
-		}
-	}
+	apply := c.lateralJoin(left, right, lateral)
+	apply.Independent = !lateral && leftWidth > 0
+	var op exec.Operator = apply
 	for _, oc := range onConjuncts {
 		pred, err := c.compileExpr(oc)
 		if err != nil {
