@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fedwf/internal/simlat"
+	"fedwf/internal/storage"
 	"fedwf/internal/types"
 )
 
@@ -111,4 +112,25 @@ func BenchmarkDistinct(b *testing.B) {
 		Exprs: []Expr{Col{Idx: 1, Name: "v"}, Col{Idx: 2, Name: "s"}},
 		Sch:   src.Sch[1:],
 	}}, 1000)
+}
+
+// BenchmarkRunWide is wide_result's plan over a real table: Project of the
+// table's three columns over a Filter over a TableScan of 2 000 rows, all
+// of which pass.
+func BenchmarkRunWide(b *testing.B) {
+	src := wideRows(2000, 1000)
+	tab, err := storage.NewTable("wide", src.Sch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tab.InsertAll(src.Rows); err != nil {
+		b.Fatal(err)
+	}
+	k := Col{Idx: 0, Name: "k"}
+	benchRun(b, &Project{
+		Child: &Filter{Child: &TableScan{Table: tab, Sch: src.Sch},
+			Pred: Bin{Op: ">=", L: k, R: Const{V: types.NewInt(0)}}},
+		Exprs: []Expr{k, Col{Idx: 1, Name: "v"}, Col{Idx: 2, Name: "s"}},
+		Sch:   src.Sch,
+	}, 2000)
 }

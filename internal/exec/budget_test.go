@@ -3,6 +3,7 @@ package exec_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"fedwf/internal/engine"
@@ -37,5 +38,51 @@ func TestLocalJoinAllocationBudget(t *testing.T) {
 	})
 	if allocs >= 3000 {
 		t.Errorf("local_join statement allocates %.0f times, budget 3000", allocs)
+	}
+}
+
+// bytesPerRun is the heap bytes one call of f allocates, averaged over runs
+// after one warm-up call. Like testing.AllocsPerRun it runs at GOMAXPROCS
+// 1: the counter is process-wide, and other goroutines allocate into it.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// wideByteBudget sits between what the wide_result statement allocated
+// when the executor copied the answer (404 KB: the scan's copy of the heap,
+// a projected row per row, the collector's 1.25x append growth) and what
+// it allocates forwarding the table's own rows (110 KB).
+const wideByteBudget = 200_000
+
+// TestWideResultByteBudget: fedbench's wide_result statement, in process
+// through Session.ExecContext — 1 983 of 2 000 three-column rows.
+func TestWideResultByteBudget(t *testing.T) {
+	s := engine.New().NewSession()
+	ctx := context.Background()
+	s.MustExecContext(ctx, "CREATE TABLE wide (K INT, V INT, S VARCHAR(16))")
+	for i := 0; i < 2000; i += 100 {
+		sql := "INSERT INTO wide VALUES "
+		for j := i; j < i+100; j++ {
+			sql += fmt.Sprintf("(%d, %d, 'row-%012d'),", j, j*7919%1000, j)
+		}
+		s.MustExecContext(ctx, sql[:len(sql)-1])
+	}
+	const sql = "SELECT K, V, S FROM wide WHERE K >= 17"
+	bytes := bytesPerRun(20, func() {
+		res, err := s.ExecContext(ctx, sql)
+		if err != nil || res.Table.Len() != 1983 {
+			t.Fatalf("wide_result statement: %v, %v", res, err)
+		}
+	})
+	if bytes >= wideByteBudget {
+		t.Errorf("wide_result statement allocates %.0f bytes, budget %d", bytes, wideByteBudget)
 	}
 }

@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"fedwf/internal/catalog"
 	"fedwf/internal/obs"
@@ -64,15 +68,17 @@ func (c *Ctx) check() error {
 // of stampeding the controller with duplicate federated-function calls.
 type FuncCache struct {
 	mu        sync.Mutex
-	entries   map[string]*funcCall
+	entries   map[uint64][]*funcCall // by callHash; colliding calls share a chain
 	hits      int
 	misses    int
 	coalesced int
 }
 
-// funcCall is one materialised or in-flight invocation; done is closed
-// once res/err are set.
+// funcCall is one materialised or in-flight invocation of name on args;
+// done is closed once res/err are set.
 type funcCall struct {
+	name string
+	args []types.Value
 	done chan struct{}
 	res  *types.Table
 	err  error
@@ -93,7 +99,7 @@ func (s CacheStats) Total() int { return s.Hits + s.Misses + s.Coalesced }
 
 // NewFuncCache returns an empty cache.
 func NewFuncCache() *FuncCache {
-	return &FuncCache{entries: make(map[string]*funcCall)}
+	return &FuncCache{entries: make(map[uint64][]*funcCall)}
 }
 
 // Stats reports cache hits and misses. Safe on a nil cache.
@@ -116,18 +122,60 @@ func (fc *FuncCache) Snapshot() CacheStats {
 	return CacheStats{Hits: fc.hits, Misses: fc.misses, Coalesced: fc.coalesced}
 }
 
-// key builds the lookup key. Each argument carries its physical kind as a
-// tag so values of different types with identical renderings (integer 1
-// vs double 1, say) occupy distinct entries.
-func (fc *FuncCache) key(name string, args []types.Value) string {
-	var b strings.Builder
-	b.WriteString(strings.ToLower(name))
-	for _, a := range args {
-		b.WriteByte('\x00')
-		b.WriteByte('0' + byte(a.Kind()))
-		b.WriteString(a.String())
+// callHash chains the case-folded function name with each argument's
+// Value.Hash: the chain of cache entries a call looks in. sameCall settles
+// collisions, so a lookup builds no key and allocates nothing. Two calls
+// share an entry when their names are equal up to case (strings.ToLower)
+// and their arguments are pairwise of one kind and identical: integer 1 and
+// double 1.0 hash alike but occupy two entries, as do 0.0 and -0.0, while
+// every NaN is the same argument whatever its payload.
+func callHash(name string, args []types.Value) uint64 {
+	var h uint64 = 14695981039346656037
+	for _, r := range name {
+		h = (h ^ uint64(unicode.ToLower(r))) * 1099511628211
 	}
-	return b.String()
+	for _, a := range args {
+		v := a.Hash()
+		if a.Kind() == types.KindFloat && math.IsNaN(a.Float()) {
+			v = nanHash
+		}
+		h = (h ^ v) * 1099511628211
+	}
+	return h
+}
+
+// nanHash stands in for Value.Hash, which hashes a NaN's payload, on
+// every NaN.
+var nanHash = types.NewFloat(math.NaN()).Hash()
+
+// sameCall reports whether c is the call of name on args.
+func (c *funcCall) sameCall(name string, args []types.Value) bool {
+	if len(c.args) != len(args) {
+		return false
+	}
+	for i, a := range args {
+		b := c.args[i]
+		if a.Kind() != b.Kind() {
+			return false
+		}
+		if a.Kind() == types.KindFloat {
+			af, bf := a.Float(), b.Float()
+			if math.Float64bits(af) != math.Float64bits(bf) && !(math.IsNaN(af) && math.IsNaN(bf)) {
+				return false
+			}
+		} else if !a.Equal(b) {
+			return false
+		}
+	}
+	n := c.name
+	for _, r := range name {
+		m, size := utf8.DecodeRuneInString(n)
+		if size == 0 || unicode.ToLower(m) != unicode.ToLower(r) {
+			return false
+		}
+		n = n[size:]
+	}
+	return n == ""
 }
 
 // CacheOutcome classifies one FuncCache lookup.
@@ -171,10 +219,13 @@ func (fc *FuncCache) InvokeOutcome(name string, args []types.Value, call func() 
 // coalesced entry is owned by another call in flight — or by an earlier
 // duplicate row of the same chunk, so duplicates travel once.
 func (fc *FuncCache) acquire(name string, args []types.Value) (*funcCall, CacheOutcome) {
-	key := fc.key(name, args)
+	h := callHash(name, args)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if c, ok := fc.entries[key]; ok {
+	for _, c := range fc.entries[h] {
+		if !c.sameCall(name, args) {
+			continue
+		}
 		select {
 		case <-c.done:
 			fc.hits++
@@ -184,8 +235,8 @@ func (fc *FuncCache) acquire(name string, args []types.Value) (*funcCall, CacheO
 			return c, CacheCoalesced
 		}
 	}
-	c := &funcCall{done: make(chan struct{})}
-	fc.entries[key] = c
+	c := &funcCall{name: name, args: slices.Clone(args), done: make(chan struct{})}
+	fc.entries[h] = append(fc.entries[h], c)
 	fc.misses++
 	return c, CacheMiss
 }
@@ -235,6 +286,12 @@ func collect(op Operator, ctx *Ctx, bind types.Row) ([]types.Row, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if len(rows) == cap(rows) && len(rows) >= 256 {
+			// append grows by about 1.25x from 256 entries on; doubling
+			// copies and discards half as many row headers on a wide
+			// result. Below 256, append doubles already.
+			rows = slices.Grow(rows, len(rows))
 		}
 		rows = append(rows, row)
 	}
@@ -834,12 +891,19 @@ func (f *Filter) Clone() Operator { return &Filter{Child: f.Child.Clone(), Pred:
 
 // -------------------------------------------------------------- Project
 
-// Project computes the output expressions.
+// Project computes the output expressions. When they are the child's
+// leading columns in order — SELECT *, a select list that names a table's
+// columns as declared, the projection that trims hidden ORDER BY columns —
+// it passes the child's row through, capped at the projected width, instead
+// of copying it: values are immutable, and the cap makes an append by
+// whoever receives the row reallocate rather than write into the child's.
 type Project struct {
 	Child Operator
 	Exprs []Expr
 	Sch   types.Schema
 	slab  rowSlab
+	// prefix is set in Open: Exprs are Col{Idx: 0} ... Col{Idx: k-1}.
+	prefix bool
 }
 
 // Schema implements Operator.
@@ -848,6 +912,13 @@ func (p *Project) Schema() types.Schema { return p.Sch }
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx, bind types.Row) error {
 	p.slab = rowSlab{}
+	p.prefix = len(p.Exprs) > 0
+	for i, e := range p.Exprs {
+		if c, ok := e.(Col); !ok || c.Idx != i {
+			p.prefix = false
+			break
+		}
+	}
 	return p.Child.Open(ctx, bind)
 }
 
@@ -857,7 +928,12 @@ func (p *Project) Next() (types.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := p.slab.alloc(len(p.Exprs))
+	k := len(p.Exprs)
+	if p.prefix && len(r) >= k {
+		return r[:k:k], nil
+	}
+	// A short row takes this path so that Col.Eval reports it.
+	out := p.slab.alloc(k)
 	for i, e := range p.Exprs {
 		v, err := e.Eval(r)
 		if err != nil {

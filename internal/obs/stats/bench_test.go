@@ -1,0 +1,35 @@
+package stats
+
+import (
+	"testing"
+	"time"
+
+	"fedwf/internal/obs"
+)
+
+// BenchmarkRecordStatement folds one finished fed_wfms-shaped statement —
+// one federated call, counters from its instance — into a warehouse that
+// already holds its fingerprint, with the warehouse's metrics attached as
+// on a server.
+func BenchmarkRecordStatement(b *testing.B) {
+	w := NewWarehouse(Options{})
+	w.AttachMetrics(obs.NewRegistry())
+	cnt := &StmtCounters{}
+	cnt.AddRPC()
+	cnt.AddInstance()
+	rec := StatementRecord{
+		SQL:      "SELECT R.Decision FROM TABLE (BuySuppComp(4, 'washer')) AS R",
+		Arch:     "wfms",
+		Paper:    239 * time.Millisecond,
+		Wall:     150 * time.Microsecond,
+		Rows:     1,
+		Counters: cnt,
+		Calls:    []obs.FedCall{{Fn: "BuySuppComp", Elapsed: 239 * time.Millisecond}},
+	}
+	w.RecordStatement(rec)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.RecordStatement(rec)
+	}
+}

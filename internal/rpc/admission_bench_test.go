@@ -1,0 +1,38 @@
+package rpc
+
+import (
+	"context"
+	"testing"
+
+	"fedwf/internal/obs"
+)
+
+// BenchmarkAdmission is what the serving layer adds per request and per
+// connection, with the metrics a server attaches: an execution slot taken
+// and released under a policy that never queues (Admit), and a session
+// opened and closed (OpenSession).
+func BenchmarkAdmission(b *testing.B) {
+	a := NewAdmission(AdmissionPolicy{MaxConcurrent: 64, QueueDepth: 64},
+		obs.NewServingMetrics(obs.NewRegistry()), AdmissionObserver{})
+	ctx := context.Background()
+	b.Run("Admit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			release, err := a.Admit(ctx, DefaultTenant)
+			if err != nil {
+				b.Fatal(err)
+			}
+			release()
+		}
+	})
+	b.Run("OpenSession", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			release, err := a.OpenSession(DefaultTenant, "framed")
+			if err != nil {
+				b.Fatal(err)
+			}
+			release()
+		}
+	})
+}

@@ -6,8 +6,13 @@
 // optional single-column hash indexes that are maintained transparently on
 // every mutation. Rows stay in insertion order: a delete closes its gaps
 // without reordering the survivors, and an index lookup returns its matches
-// in that same order. Scans operate on copy-on-read snapshots, so a running
-// query never observes a torn mutation.
+// in that same order. Scans operate on copy-on-write snapshots, so a running
+// query never observes a torn mutation: a scan hands out the heap itself,
+// capped at its length, and marks it shared; the first update or delete
+// after it copies the row headers before writing in place. Each scan thus
+// costs at most one copy, paid by the next writer, and none when no write
+// follows it. An insert appends past every snapshot's cap and a truncate
+// starts a new heap, so neither copies.
 package storage
 
 import (
@@ -15,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fedwf/internal/types"
 )
@@ -26,6 +32,9 @@ type Table struct {
 	schema  types.Schema
 	rows    []types.Row
 	indexes []*hashIndex // by column position; nil where a column has none
+	// shared is set by Scan (under the read lock, hence atomic) while a
+	// snapshot may alias rows; own clears it (under the write lock).
+	shared atomic.Bool
 }
 
 // NewTable creates an empty table with the given schema.
@@ -96,15 +105,27 @@ func (t *Table) InsertAll(rows []types.Row) error {
 	return nil
 }
 
-// Scan returns a snapshot of all rows. The returned slice is fresh but the
-// rows are shared; callers must not mutate row values (values are
-// immutable by construction).
+// Scan returns a snapshot of all rows without copying them: the heap
+// itself, capped at its length, which no later write changes (see own).
+// Callers must not write into the slice or its rows (values are immutable
+// by construction); appending to either reallocates.
 func (t *Table) Scan() []types.Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]types.Row, len(t.rows))
-	copy(out, t.rows)
-	return out
+	if !t.shared.Load() { // concurrent scans then only read the flag
+		t.shared.Store(true)
+	}
+	return t.rows[:len(t.rows):len(t.rows)]
+}
+
+// own makes the heap safe to write in place: when a snapshot may alias it,
+// the row headers move to a copy that no snapshot sees. Call it under the
+// write lock before any store into t.rows[:len(t.rows)].
+func (t *Table) own() {
+	if t.shared.Load() {
+		t.rows = append(make([]types.Row, 0, cap(t.rows)), t.rows...)
+		t.shared.Store(false)
+	}
 }
 
 // Select returns a snapshot of the rows satisfying pred.
@@ -170,6 +191,7 @@ func (t *Table) update(cands []int, keyed bool, pred func(types.Row) bool, trans
 			idx.remove(old, i)
 			idx.add(nr, i)
 		}
+		t.own()
 		t.rows[i] = nr
 		n++
 	}
@@ -214,6 +236,7 @@ func (t *Table) delete(cands []int, keyed bool, pred func(types.Row) bool) int {
 	if len(victims) == 0 {
 		return 0
 	}
+	t.own()
 	w, v := victims[0], 0
 	for r := victims[0]; r < len(t.rows); r++ {
 		if v < len(victims) && victims[v] == r {
@@ -250,6 +273,7 @@ func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows = nil
+	t.shared.Store(false)
 	for _, idx := range t.indexes {
 		if idx != nil {
 			idx.rebuild(nil)

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -453,5 +454,189 @@ func TestKeyedAccessDoesNotFoldTheColumnName(t *testing.T) {
 	}
 	if !tab.HasIndex("SUPPLIERNO") || tab.HasIndex("Name") || tab.HasIndex("nosuch") {
 		t.Error("HasIndex does not resolve columns case-insensitively")
+	}
+}
+
+// render is a snapshot's contents, row by row.
+func render(rows []types.Row) string {
+	var b strings.Builder
+	for _, r := range rows {
+		b.WriteString(r.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// TestScanSnapshotIsolation: a snapshot keeps the contents it was taken
+// with through every kind of write that follows it — keyed and unkeyed
+// updates of the rows it holds, keyed and unkeyed deletes, inserts and a
+// truncate — however many snapshots and writes interleave, and appending
+// to a snapshot never writes into the table.
+func TestScanSnapshotIsolation(t *testing.T) {
+	tab := newCompTable(t)
+	if err := tab.CreateIndex("CompNo"); err != nil {
+		t.Fatal(err)
+	}
+	type snapshot struct {
+		rows []types.Row
+		want string
+	}
+	var snaps []snapshot
+	scan := func() {
+		rows := tab.Scan()
+		snaps = append(snaps, snapshot{rows, render(rows)})
+	}
+	isCompNo := func(n int64) func(types.Row) bool {
+		return func(r types.Row) bool { return r[0].Int() == n }
+	}
+	setQty := func(q int64) func(types.Row) types.Row {
+		return func(r types.Row) types.Row { r[2] = types.NewInt(q); return r }
+	}
+	steps := []struct {
+		name  string
+		write func() error
+		rows  int // table length after the write
+	}{
+		{"keyed update", func() error { _, err := tab.UpdateKey("CompNo", types.NewInt(2), isCompNo(2), setQty(1)); return err }, 3},
+		{"unkeyed update", func() error { _, err := tab.Update(func(types.Row) bool { return true }, setQty(2)); return err }, 3},
+		{"insert", func() error { return tab.Insert(types.Row{types.NewInt(4), types.NewString("pin"), types.NewInt(5)}) }, 4},
+		{"keyed delete", func() error { tab.DeleteKey("CompNo", types.NewInt(1), isCompNo(1)); return nil }, 3},
+		{"insert again", func() error { return tab.Insert(types.Row{types.NewInt(5), types.NewString("rivet"), types.NewInt(6)}) }, 4},
+		{"unkeyed delete", func() error { tab.Delete(isCompNo(3)); return nil }, 3},
+		{"update after delete", func() error { _, err := tab.Update(isCompNo(4), setQty(7)); return err }, 3},
+		{"truncate", func() error { tab.Truncate(); return nil }, 0},
+		{"insert into empty", func() error { return tab.Insert(types.Row{types.NewInt(6), types.NewString("cap"), types.NewInt(8)}) }, 1},
+	}
+	scan()
+	for _, st := range steps {
+		before := render(tab.Scan())
+		if err := st.write(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if tab.Len() != st.rows {
+			t.Fatalf("%s: table has %d rows, want %d", st.name, tab.Len(), st.rows)
+		}
+		if render(tab.Scan()) == before {
+			t.Fatalf("%s changed nothing: the step tests nothing", st.name)
+		}
+		for i, s := range snaps {
+			if got := render(s.rows); got != s.want {
+				t.Fatalf("after %s, snapshot %d reads\n%s\nwant\n%s", st.name, i, got, s.want)
+			}
+		}
+		scan()
+	}
+	// A snapshot is capped at its length: appending to it reallocates. Two
+	// more inserts leave the one-row heap with spare capacity.
+	for k := int64(7); k <= 8; k++ {
+		if err := tab.Insert(types.Row{types.NewInt(k), types.NewString("pin"), types.NewInt(9)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := tab.Scan()
+	want := render(snap)
+	extra := types.Row{types.NewInt(99), types.NewString("x"), types.NewInt(0)}
+	grown := append(snap, extra)
+	last := types.Row{types.NewInt(9), types.NewString("nut"), types.NewInt(10)}
+	if err := tab.Insert(last); err != nil {
+		t.Fatal(err)
+	}
+	if got := render(grown); got != want+render([]types.Row{extra}) {
+		t.Errorf("an insert wrote into a grown snapshot:\n%s", got)
+	}
+	if got := render(tab.Scan()); got != want+render([]types.Row{last}) {
+		t.Errorf("appending to a snapshot wrote into the table:\n%s", got)
+	}
+	if err := checkIndexes(tab); err != nil {
+		t.Error(err)
+	}
+}
+
+// checksum folds a snapshot's values, position by position.
+func checksum(rows []types.Row) uint64 {
+	var h uint64
+	for _, r := range rows {
+		for _, v := range r {
+			h = h*1099511628211 ^ v.Hash()
+		}
+	}
+	return h
+}
+
+// TestScanSnapshotIsolationConcurrent: scanners re-read their snapshots
+// while writers update, delete and insert; a snapshot's checksum never
+// changes, and under -race no write touches memory a snapshot reads.
+func TestScanSnapshotIsolationConcurrent(t *testing.T) {
+	tab, err := NewTable("c", types.Schema{{Name: "K", Type: types.Integer}, {Name: "V", Type: types.Integer}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.CreateIndex("K"); err != nil {
+		t.Fatal(err)
+	}
+	const keys = 64
+	for k := 0; k < keys; k++ {
+		if err := tab.Insert(types.Row{types.NewInt(int64(k)), types.NewInt(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 300; i++ {
+				k := types.NewInt(int64(rng.Intn(keys)))
+				is := func(r types.Row) bool { return r[0].Equal(k) }
+				switch i % 4 {
+				case 0:
+					tab.UpdateKey("K", k, is, func(r types.Row) types.Row { r[1] = types.NewInt(int64(i)); return r })
+				case 1:
+					tab.Update(is, func(r types.Row) types.Row { r[1] = types.NewInt(-int64(i)); return r })
+				case 2:
+					if tab.DeleteKey("K", k, is) > 0 {
+						tab.Insert(types.Row{k, types.NewInt(int64(i))})
+					}
+				default:
+					if tab.Delete(is) > 0 {
+						tab.Insert(types.Row{k, types.NewInt(int64(i))})
+					}
+				}
+			}
+		}(w)
+	}
+	for s := 0; s < 4; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				snap := tab.Scan()
+				sum := checksum(snap)
+				for j := 0; j < 3; j++ {
+					if got := checksum(snap); got != sum {
+						t.Errorf("snapshot of %d rows changed under a writer", len(snap))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := checkIndexes(tab); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestScanDoesNotAllocate: a scan hands out the heap itself, capped at
+// its length; the next writer pays for the copy.
+func TestScanDoesNotAllocate(t *testing.T) {
+	tab := newCompTable(t)
+	var snap []types.Row
+	if n := testing.AllocsPerRun(100, func() { snap = tab.Scan() }); n != 0 {
+		t.Errorf("Scan allocates %v times, want 0", n)
+	}
+	if len(snap) != 3 || cap(snap) != 3 {
+		t.Errorf("snapshot has len %d, cap %d; want 3, 3", len(snap), cap(snap))
 	}
 }
