@@ -11,6 +11,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/all.golden and testdata/all.json.golden from this build")
 
+// paperbench builds the command into a temporary directory and returns
+// its path.
+func paperbench(t *testing.T) string {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds paperbench")
+	}
+	bin := filepath.Join(t.TempDir(), "paperbench")
+	if msg, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building paperbench: %v\n%s", err, msg)
+	}
+	return bin
+}
+
 // TestAllIsByteIdentical pins the paper's output: `paperbench -exp all`
 // runs on the virtual clock, so its text and its -json records are the
 // same bytes on every machine and at every GOMAXPROCS. A change that moves
@@ -20,14 +34,8 @@ var update = flag.Bool("update", false, "rewrite testdata/all.golden and testdat
 //
 // and say why the paper's tables moved.
 func TestAllIsByteIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds paperbench")
-	}
+	bin := paperbench(t)
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "paperbench")
-	if msg, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building paperbench: %v\n%s", err, msg)
-	}
 	for _, procs := range []string{"1", "8"} {
 		t.Run("GOMAXPROCS="+procs, func(t *testing.T) {
 			run := func(args ...string) []byte {

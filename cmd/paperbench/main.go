@@ -17,32 +17,41 @@
 //	paperbench -exp audit        # audit-journal accuracy + SLO burn rates (E15, extension)
 //	paperbench -exp serve        # high-concurrency serving: sessions, admission, pipelining (E16, extension)
 //
+// -exp also takes a comma-separated list (-exp batch,serve); "all" anywhere
+// in the list selects every experiment, and an unknown id is an error.
+//
 // With -json <path>, the numeric results of the experiments that ran are
 // additionally written as a JSON record list (experiment, arch, function,
 // step, dop, paper_ms), for machine consumption.
 //
 // Measurements run on the deterministic virtual clock, so the output is
-// identical on every machine.
+// identical on every machine. paperbench only prints: TestAllIsByteIdentical
+// pins the output, and the acceptance bars of the experiments are tests in
+// internal/benchharn.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"fedwf/internal/benchharn"
 	"fedwf/internal/fedfunc"
-	"fedwf/internal/obs/stats"
-	"fedwf/internal/resil"
 	"fedwf/internal/simlat"
 )
+
+// experiments are the -exp ids, in the order they print.
+var experiments = []string{
+	"complexity", "fig5", "fig6", "bootstate", "parallel", "loop", "controller",
+	"batch", "dop", "spans", "faults", "stats", "audit", "serve",
+}
 
 // record is one numeric result in the -json output.
 type record struct {
@@ -58,7 +67,7 @@ type record struct {
 func paperMS(d time.Duration) float64 { return float64(d) / float64(simlat.PaperMS) }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment ids (comma-separated): all, complexity, fig5, fig6, bootstate, parallel, loop, controller, batch, dop, spans, faults, stats, audit, serve")
+	exp := flag.String("exp", "all", "experiment ids (comma-separated): all, "+strings.Join(experiments, ", "))
 	seed := flag.Uint64("seed", 42, "fault-injection seed for -exp faults and -exp audit (same seed, same faults)")
 	bootFn := flag.String("bootfn", "GetSuppQual", "federated function for the boot-state experiment")
 	dops := flag.String("dops", "1,2,4,8", "comma-separated degrees of parallelism for the E9 sweep")
@@ -67,27 +76,17 @@ func main() {
 	traceOut := flag.String("trace-out", "", "with -exp spans: write each architecture's span tree as JSON into this directory (virtual-clock trees are deterministic, so the files diff cleanly across commits)")
 	flag.Parse()
 
+	run, err := parseExps(*exp)
+	if err != nil {
+		fail(err)
+	}
 	h, err := benchharn.New()
 	if err != nil {
 		fail(err)
 	}
-	selected := strings.ToLower(*exp)
-	run := func(id string) bool {
-		if selected == "all" {
-			return true
-		}
-		for _, part := range strings.Split(selected, ",") {
-			if strings.TrimSpace(part) == id {
-				return true
-			}
-		}
-		return false
-	}
-	any := false
 	var records []record
 
-	if run("complexity") {
-		any = true
+	if run["complexity"] {
 		section("E1 - Mapping complexity (Sect. 3 table)")
 		rows, err := h.Capabilities(context.Background())
 		if err != nil {
@@ -95,8 +94,7 @@ func main() {
 		}
 		fmt.Print(benchharn.RenderCapabilities(rows))
 	}
-	if run("fig5") {
-		any = true
+	if run["fig5"] {
 		section("E2 - Elapsed-time comparison (Fig. 5)")
 		rows, err := h.Fig5(context.Background())
 		if err != nil {
@@ -112,8 +110,7 @@ func main() {
 			}
 		}
 	}
-	if run("fig6") {
-		any = true
+	if run["fig6"] {
 		section("E3 - Time portions of GetNoSuppComp (Fig. 6)")
 		wf, ud, err := h.Fig6(context.Background())
 		if err != nil {
@@ -127,8 +124,7 @@ func main() {
 			}
 		}
 	}
-	if run("bootstate") {
-		any = true
+	if run["bootstate"] {
 		section("E4 - Boot states: initial / after-other-function / repeated")
 		rows, err := h.BootStates(context.Background(), *bootFn)
 		if err != nil {
@@ -142,8 +138,7 @@ func main() {
 				record{Experiment: "E4", Arch: r.Arch, Function: r.Function, Step: "hot", PaperMS: paperMS(r.Hot)})
 		}
 	}
-	if run("parallel") {
-		any = true
+	if run["parallel"] {
 		section("E5 - Parallel (GetSuppQualRelia) vs sequential (GetSuppQual)")
 		rows, err := h.ParallelVsSequential(context.Background())
 		if err != nil {
@@ -156,8 +151,7 @@ func main() {
 				record{Experiment: "E5", Arch: r.Arch, Function: "GetSuppQual", PaperMS: paperMS(r.Sequential)})
 		}
 	}
-	if run("loop") {
-		any = true
+	if run["loop"] {
 		section("E6 - Do-until loop scaling (AllCompNames)")
 		rows, err := h.LoopScaling(context.Background(), []int{1, 2, 4, 8, 16, 24})
 		if err != nil {
@@ -168,8 +162,7 @@ func main() {
 			records = append(records, record{Experiment: "E6", Function: "AllCompNames", Calls: r.Calls, PaperMS: paperMS(r.Elapsed)})
 		}
 	}
-	if run("controller") {
-		any = true
+	if run["controller"] {
 		section("E7 - Controller ablation")
 		rows, with, without, err := h.ControllerAblation(context.Background())
 		if err != nil {
@@ -182,8 +175,7 @@ func main() {
 				record{Experiment: "E7", Arch: r.Arch, Function: "GetNoSuppComp", Step: "without-controller", PaperMS: paperMS(r.Without)})
 		}
 	}
-	if run("batch") {
-		any = true
+	if run["batch"] {
 		section("E8 - Batch throughput scaling (extension beyond the paper)")
 		rows, err := h.BatchScaling(context.Background(), []int{1, 2, 4, 8, 16})
 		if err != nil {
@@ -202,35 +194,12 @@ func main() {
 			fail(err)
 		}
 		fmt.Print(benchharn.RenderSetOriented(setRows))
-		// The acceptance bars of the experiment: a batched chunk is ONE wire
-		// request and ONE workflow instance, so at chunk size B the batched
-		// mode issues at most ceil(N/B) of each; and batching on top of
-		// parallelism must still win, strictly, at every measured N.
-		perRowParallel := make(map[string]time.Duration)
 		for _, r := range setRows {
-			key := fmt.Sprintf("%s/%d", r.Arch.Label(), r.N)
-			switch r.Mode {
-			case "batched":
-				chunks := int64((r.N + *batchSize - 1) / *batchSize)
-				if r.RPCs > chunks {
-					fail(fmt.Errorf("E13: batched mode issued %d RPCs for N=%d, want <= %d", r.RPCs, r.N, chunks))
-				}
-				if r.Arch == fedfunc.ArchWfMS && r.WfInst > chunks {
-					fail(fmt.Errorf("E13: batched mode started %d workflow instances for N=%d, want <= %d", r.WfInst, r.N, chunks))
-				}
-			case "parallel":
-				perRowParallel[key] = r.Elapsed
-			case "batched+parallel":
-				if seq, ok := perRowParallel[key]; ok && r.Elapsed >= seq {
-					fail(fmt.Errorf("E13: batched+parallel %v not below per-row parallel %v at %s", r.Elapsed, seq, key))
-				}
-			}
 			records = append(records, record{Experiment: "E13", Arch: r.Arch.Label(), Function: "GibKompNr",
 				Step: r.Mode, Calls: r.N, PaperMS: paperMS(r.Elapsed)})
 		}
 	}
-	if run("dop") {
-		any = true
+	if run["dop"] {
 		section("E9 - Intra-query parallelism: ParallelApply DOP sweep (extension)")
 		list, err := parseDOPs(*dops)
 		if err != nil {
@@ -245,8 +214,7 @@ func main() {
 			records = append(records, record{Experiment: "E9", Arch: r.Arch.Label(), Function: r.Function, DOP: r.DOP, PaperMS: paperMS(r.Elapsed)})
 		}
 	}
-	if run("spans") {
-		any = true
+	if run["spans"] {
 		section("E10 - Fig. 6 from live spans (extension)")
 		results, err := h.Fig6FromSpans(context.Background())
 		if err != nil {
@@ -254,9 +222,6 @@ func main() {
 		}
 		for _, r := range results {
 			fmt.Println(benchharn.RenderSpanFig6(r))
-			if !r.Match {
-				fail(fmt.Errorf("E10: trace-derived breakdown for %s disagrees with the Recorder", r.Arch))
-			}
 			for _, s := range r.Trace.Steps {
 				records = append(records, record{Experiment: "E10", Arch: r.Arch, Function: "GetNoSuppComp", Step: s.Name, PaperMS: paperMS(s.Total)})
 			}
@@ -276,8 +241,7 @@ func main() {
 			}
 		}
 	}
-	if run("faults") {
-		any = true
+	if run["faults"] {
 		section("E12 - Fault tolerance: retries, deadlines, circuit breaking (extension)")
 		report, err := h.Faults(context.Background(), *seed)
 		if err != nil {
@@ -289,26 +253,9 @@ func main() {
 			records = append(records,
 				record{Experiment: "E12", Function: r.Function, Step: step + "/unprotected", Calls: r.UnprotectedOK, PaperMS: r.UnprotectedRate() * 100},
 				record{Experiment: "E12", Function: r.Function, Step: step + "/protected", Calls: r.ProtectedOK, PaperMS: r.ProtectedRate() * 100})
-			// The acceptance bar of the experiment: at a 20% transient error
-			// rate the protected stack keeps >= 99% statement success.
-			if r.ErrorRate >= 0.20 && r.ProtectedRate() < 0.99 {
-				fail(fmt.Errorf("E12: protected success %.1f%% < 99%% for %s at %.0f%% error rate",
-					r.ProtectedRate()*100, r.Function, r.ErrorRate*100))
-			}
-		}
-		if !report.HangIsTimeout {
-			fail(fmt.Errorf("E12: hung system did not resolve to ErrTimeout"))
-		}
-		if !report.BreakerTripped || !report.ShedIsOpenErr || !report.ShedWithoutCall {
-			fail(fmt.Errorf("E12: breaker demonstration failed (tripped=%v openErr=%v uncalled=%v)",
-				report.BreakerTripped, report.ShedIsOpenErr, report.ShedWithoutCall))
-		}
-		if !report.PartialFlagged {
-			fail(fmt.Errorf("E12: optional branch did not degrade to a partial result"))
 		}
 	}
-	if run("stats") {
-		any = true
+	if run["stats"] {
 		section("E14 - Statement-statistics warehouse accuracy (extension)")
 		for _, arch := range []fedfunc.Arch{fedfunc.ArchWfMS, fedfunc.ArchUDTF} {
 			rep, err := h.StatementStats(context.Background(), arch, 12)
@@ -316,28 +263,12 @@ func main() {
 				fail(err)
 			}
 			fmt.Println(benchharn.RenderStatementStats(rep))
-			// The acceptance bars of the experiment: the warehouse is an
-			// exact ledger — one fingerprint for one statement shape, and
-			// calls, rows, RPCs, workflow instances, and total simulated
-			// time equal to the stack's own counters and the serving
-			// metadata — while the quantile sketch's p99 may sit at most
-			// one log bucket above the exact p99.
-			if !rep.ExactTotals() {
-				fail(fmt.Errorf("E14 %s: warehouse totals diverge from the references (fingerprints=%d calls=%d/%d rows=%d/%d rpcs=%d/%d instances=%d/%d paper=%v/%v)",
-					rep.Arch, rep.Fingerprints, rep.Calls, rep.Statements, rep.Rows, rep.RefRows,
-					rep.RPCs, rep.RefRPCs, rep.Instances, rep.RefInstances, rep.Paper, rep.RefPaper))
-			}
-			if !rep.P99WithinOneBucket() {
-				fail(fmt.Errorf("E14 %s: sketch p99 %.3fms outside [%.3fms, %.3fms]",
-					rep.Arch, rep.P99MS, rep.ExactP99MS, rep.ExactP99MS*stats.SketchGamma))
-			}
 			records = append(records,
 				record{Experiment: "E14", Arch: rep.Arch, Function: "GetSuppQual", Step: "total", Calls: rep.Statements, PaperMS: paperMS(rep.Paper)},
 				record{Experiment: "E14", Arch: rep.Arch, Function: "GetSuppQual", Step: "p99", Calls: rep.Statements, PaperMS: rep.P99MS})
 		}
 	}
-	if run("audit") {
-		any = true
+	if run["audit"] {
 		section("E15 - Audit journal accuracy and SLO burn rates (extension)")
 		for _, arch := range []fedfunc.Arch{fedfunc.ArchWfMS, fedfunc.ArchUDTF} {
 			rep, err := h.AuditAccuracy(context.Background(), arch, 12)
@@ -345,16 +276,6 @@ func main() {
 				fail(err)
 			}
 			fmt.Println(benchharn.RenderAuditAccuracy(rep))
-			// The accuracy bar: the journal's wide events are a third exact
-			// book over the workload — their sums equal the stack's wire
-			// counters and the warehouse's totals, and every claimed
-			// workflow instance has its own wf_instance event.
-			if !rep.Exact() {
-				fail(fmt.Errorf("E15 %s: journal diverges from the references (stmts=%d/%d rows=%d/%d rpcs=%d/%d/%d instances=%d/%d/%d instEvents=%d paper=%v/%v)",
-					rep.Arch, rep.JnlStatements, rep.Statements, rep.JnlRows, rep.WhRows,
-					rep.JnlRPCs, rep.RefRPCs, rep.WhRPCs, rep.JnlInstances, rep.RefInstances, rep.WhInstances,
-					rep.JnlInstEvents, rep.JnlPaper, rep.WhPaper))
-			}
 			records = append(records,
 				record{Experiment: "E15", Arch: rep.Arch, Function: "GetSuppQual", Step: "total", Calls: rep.Statements, PaperMS: paperMS(rep.JnlPaper)})
 		}
@@ -363,61 +284,27 @@ func main() {
 			fail(err)
 		}
 		fmt.Println(benchharn.RenderAuditBurn(burn))
-		// The burn bar: the fault burst is loud in the 5-minute window
-		// (burn > 1.0) but the hour of healthy traffic keeps the 1-hour
-		// window under budget (burn < 1.0) — the multi-window shape that
-		// separates an incident from an SLO miss.
-		if !burn.BurstDetected() {
-			fail(fmt.Errorf("E15: burn shape wrong (5m=%.2f want >1, 1h=%.2f want <1)",
-				burn.Window("5m").AvailBurn, burn.Window("1h").AvailBurn))
-		}
 		records = append(records,
 			record{Experiment: "E15", Arch: "wfms", Function: "GetSuppQual", Step: "burn_5m", Calls: burn.Window("5m").Statements, PaperMS: burn.Window("5m").AvailBurn},
 			record{Experiment: "E15", Arch: "wfms", Function: "GetSuppQual", Step: "burn_1h", Calls: burn.Window("1h").Statements, PaperMS: burn.Window("1h").AvailBurn})
 	}
-	if run("serve") {
-		any = true
+	if run["serve"] {
 		section("E16 - High-concurrency serving: sessions, admission, pipelining (extension)")
 		rep, err := h.ServingSweep(context.Background(), []int{100, 1000, 10000}, 4)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Print(benchharn.RenderServing(rep))
-		// The acceptance bars of the experiment: the bookkeeping is exact
-		// (every generated statement either completed or shed), at 10 000
-		// sessions the bounded queue sheds rather than collapsing, every
-		// shed is the typed resil.ErrAppSysUnavailable the live admission
-		// controller produces, and the pipelined window strictly beats the
-		// serialized one on p99 at a scale without admission pressure —
-		// the protocol benefit isolated from shedding.
 		for _, r := range rep.Rows {
-			if got, want := r.Completed+r.Shed, r.Sessions*r.Cfg.Requests; got != want {
-				fail(fmt.Errorf("E16: %d sessions account for %d statements, want %d", r.Sessions, got, want))
-			}
-			for _, e := range r.Errs {
-				if !errors.Is(e, resil.ErrAppSysUnavailable) {
-					fail(fmt.Errorf("E16: shed error is not ErrAppSysUnavailable: %w", e))
-				}
-			}
 			records = append(records,
 				record{Experiment: "E16", Function: benchharn.ServingFunction, Step: "p50", Calls: r.Sessions, PaperMS: paperMS(r.P50)},
 				record{Experiment: "E16", Function: benchharn.ServingFunction, Step: "p99", Calls: r.Sessions, PaperMS: paperMS(r.P99)},
 				record{Experiment: "E16", Function: benchharn.ServingFunction, Step: "throughput", Calls: r.Sessions, PaperMS: r.Throughput})
 		}
-		if last := rep.Rows[len(rep.Rows)-1]; last.Shed == 0 {
-			fail(fmt.Errorf("E16: no statements shed at %d sessions — admission control is not bounding the queue", last.Sessions))
-		}
-		if rep.Pipelined.P99 >= rep.Serialized.P99 {
-			fail(fmt.Errorf("E16: pipelined p99 %v not below serialized p99 %v", rep.Pipelined.P99, rep.Serialized.P99))
-		}
 		records = append(records,
 			record{Experiment: "E16", Function: benchharn.ServingFunction, Step: "serialized_p99", Calls: rep.Serialized.Cfg.Sessions, PaperMS: paperMS(rep.Serialized.P99)},
 			record{Experiment: "E16", Function: benchharn.ServingFunction, Step: "pipelined_p99", Calls: rep.Pipelined.Cfg.Sessions, PaperMS: paperMS(rep.Pipelined.P99)})
 	}
-	if !any {
-		fail(fmt.Errorf("unknown experiment %q", *exp))
-	}
-
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(records, "", "  ")
 		if err != nil {
@@ -429,6 +316,27 @@ func main() {
 		}
 		fmt.Printf("\npaperbench: wrote %d records to %s\n", len(records), *jsonPath)
 	}
+}
+
+// parseExps returns the set of experiments an -exp list selects. "all"
+// anywhere in the list selects every experiment; an id that names none,
+// the empty one included, is an error.
+func parseExps(list string) (map[string]bool, error) {
+	selected := make(map[string]bool)
+	for _, part := range strings.Split(strings.ToLower(list), ",") {
+		switch id := strings.TrimSpace(part); {
+		case id == "all":
+			for _, e := range experiments {
+				selected[e] = true
+			}
+		case slices.Contains(experiments, id):
+			selected[id] = true
+		default:
+			return nil, fmt.Errorf("unknown experiment %q in -exp %q (want all or a comma-separated list of: %s)",
+				id, list, strings.Join(experiments, ", "))
+		}
+	}
+	return selected, nil
 }
 
 func parseDOPs(s string) ([]int, error) {

@@ -100,12 +100,13 @@ func TestEndToEndServerAndClient(t *testing.T) {
 	}
 }
 
-// TestEndToEndTools smoke-tests wfrun and paperbench.
+// TestEndToEndTools smoke-tests wfrun. paperbench has tests of its own
+// (cmd/paperbench).
 func TestEndToEndTools(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
 	}
-	bins := buildBinaries(t, "wfrun", "paperbench")
+	bins := buildBinaries(t, "wfrun")
 
 	out, err := exec.Command(bins["wfrun"], "-list").CombinedOutput()
 	if err != nil {
@@ -125,18 +126,5 @@ func TestEndToEndTools(t *testing.T) {
 	}
 	if msg, err := exec.Command(bins["wfrun"], "-process", "NoSuch").CombinedOutput(); err == nil {
 		t.Errorf("wfrun should fail for unknown process:\n%s", msg)
-	}
-
-	out, err = exec.Command(bins["paperbench"], "-exp", "fig6").CombinedOutput()
-	if err != nil {
-		t.Fatalf("paperbench: %v\n%s", err, out)
-	}
-	for _, want := range []string{"WfMS approach", "Process activities", "51%", "enhanced SQL UDTF approach"} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("paperbench output missing %q:\n%s", want, out)
-		}
-	}
-	if msg, err := exec.Command(bins["paperbench"], "-exp", "nosuch").CombinedOutput(); err == nil {
-		t.Errorf("paperbench should fail for unknown experiment:\n%s", msg)
 	}
 }

@@ -42,17 +42,6 @@ type AuditAccuracyReport struct {
 	WhPaper      time.Duration
 }
 
-// Exact reports whether journal, stack, and warehouse agree exactly.
-func (r *AuditAccuracyReport) Exact() bool {
-	return r.JnlStatements == int64(r.Statements) &&
-		r.JnlRPCs == r.RefRPCs && r.JnlRPCs == r.WhRPCs &&
-		r.JnlInstances == r.RefInstances && r.JnlInstances == r.WhInstances &&
-		r.JnlInstEvents == r.JnlInstances &&
-		r.WhStatements == int64(r.Statements) &&
-		r.JnlRows == r.WhRows &&
-		r.JnlPaper == r.WhPaper
-}
-
 // AuditAccuracy runs n statements of one shape with rotating literals
 // against a fresh federated server and cross-checks the audit journal
 // against the stack's wire counters and the warehouse's totals. Every
@@ -120,13 +109,6 @@ func (r *AuditBurnReport) Window(label string) journal.WindowBurn {
 		}
 	}
 	return journal.WindowBurn{Window: label}
-}
-
-// BurstDetected reports the E15 acceptance shape: the fault burst pushes
-// the 5-minute availability burn over 1.0 while the 1-hour window, diluted
-// by an hour of healthy traffic, stays under 1.0.
-func (r *AuditBurnReport) BurstDetected() bool {
-	return r.Window("5m").AvailBurn > 1.0 && r.Window("1h").AvailBurn < 1.0
 }
 
 // AuditBurn drives the burn-rate demonstration: an hour of healthy

@@ -58,7 +58,7 @@ type ServingResult struct {
 	Completed int
 	Shed      int
 	// Errs holds the error of every shed statement (always wrapping
-	// resil.ErrAppSysUnavailable; kept so experiments can assert it).
+	// resil.ErrAppSysUnavailable; kept so tests can assert it).
 	Errs []error
 	// P50 and P99 are generation-to-completion latency percentiles over
 	// the completed statements.

@@ -18,8 +18,8 @@ import (
 
 // StatsReport is the E14 result: the statement-statistics warehouse's
 // view of a deterministic workload next to independently collected
-// reference numbers, so paperbench can assert the warehouse is exact —
-// not merely plausible — on everything except the quantiles, which are
+// reference numbers, so a test can assert the warehouse is exact — not
+// merely plausible — on everything except the quantiles, which are
 // bounded by the sketch's one-bucket error.
 type StatsReport struct {
 	Arch       string
@@ -42,23 +42,6 @@ type StatsReport struct {
 	RefInstances int64
 	RefPaper     time.Duration // sum of per-statement paper_ns metadata
 	ExactP99MS   float64       // exact p99 over the recorded per-statement times
-}
-
-// ExactTotals reports whether every warehouse aggregate equals its
-// independent reference.
-func (r *StatsReport) ExactTotals() bool {
-	return r.Fingerprints == 1 &&
-		r.Calls == int64(r.Statements) &&
-		r.Rows == r.RefRows &&
-		r.RPCs == r.RefRPCs &&
-		r.Instances == r.RefInstances &&
-		r.Paper == r.RefPaper
-}
-
-// P99WithinOneBucket reports whether the sketch's p99 sits in
-// [exact, exact*SketchGamma] — the log-bucket error bound.
-func (r *StatsReport) P99WithinOneBucket() bool {
-	return r.P99MS >= r.ExactP99MS && r.P99MS <= r.ExactP99MS*stats.SketchGamma
 }
 
 // StatementStats runs the E14 experiment: n statements over the same
