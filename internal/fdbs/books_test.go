@@ -1,0 +1,142 @@
+package fdbs
+
+import (
+	"context"
+	"fmt"
+	"testing"
+	"time"
+
+	"fedwf/internal/appsys"
+	"fedwf/internal/fedfunc"
+	"fedwf/internal/obs"
+	"fedwf/internal/obs/collector"
+	"fedwf/internal/obs/journal"
+	"fedwf/internal/resil"
+	"fedwf/internal/simlat"
+)
+
+// books is one server's account of a workload's fault handling and
+// federated traffic: retries, breaker trips, sheds, timeouts, wire
+// requests and workflow instances.
+type books struct {
+	Retries, Trips, Sheds, Timeouts, RPCs, Instances int64
+}
+
+// warehouseBooks sums the statement-statistics warehouse over every
+// fingerprint.
+func warehouseBooks(srv *Server) books {
+	var b books
+	for _, s := range srv.Stats().Statements() {
+		b.Retries += s.Retries
+		b.Trips += s.BreakerTrips
+		b.Sheds += s.Sheds
+		b.Timeouts += s.Timeouts
+		b.RPCs += s.RPCs
+		b.Instances += s.Instances
+	}
+	return b
+}
+
+// journalBooks counts the audit journal's fault events and sums its
+// statement events' wire requests and instances.
+func journalBooks(t *testing.T, srv *Server) books {
+	t.Helper()
+	if d := srv.Journal().Dropped(); d != 0 {
+		t.Fatalf("journal dropped %d events; the workload must fit the ring", d)
+	}
+	var b books
+	for _, e := range srv.Journal().Snapshot() {
+		switch e.Kind {
+		case journal.KindRetry:
+			b.Retries++
+		case journal.KindBreaker:
+			b.Trips++
+		case journal.KindShed:
+			b.Sheds++
+		case journal.KindTimeout:
+			b.Timeouts++
+		case journal.KindStatement:
+			b.RPCs += e.RPCs
+			b.Instances += e.Instances
+		}
+	}
+	return b
+}
+
+// metricBooks sums the per-system Prometheus counters; the stack's own
+// counters supply the wire requests and instances.
+func metricBooks(srv *Server) books {
+	m := srv.Metrics()
+	var b books
+	for _, sys := range []string{appsys.StockKeeping, appsys.ProductData, appsys.Purchasing} {
+		b.Retries += int64(m.Retries.With(sys).Value())
+		b.Trips += int64(m.BreakerTrips.With(sys).Value())
+		b.Sheds += int64(m.BreakerSheds.With(sys).Value())
+		b.Timeouts += int64(m.Timeouts.With(sys).Value())
+	}
+	b.RPCs, b.Instances = srv.Stack().Counters()
+	return b
+}
+
+// TestTelemetryBooksAgree runs a faulty workload through the serving path
+// on both architectures and checks that every store the server feeds
+// keeps the same books: the warehouse, the audit journal, the Prometheus
+// counters and the stack's counters agree exactly on retries, breaker
+// trips, sheds, timeouts, wire requests and workflow instances, and the
+// plan makes each of the four fault counts non-zero.
+func TestTelemetryBooksAgree(t *testing.T) {
+	for _, arch := range []fedfunc.Arch{fedfunc.ArchWfMS, fedfunc.ArchUDTF} {
+		t.Run(arch.Label(), func(t *testing.T) {
+			inj := resil.NewInjector(42)
+			for _, sys := range []string{appsys.StockKeeping, appsys.ProductData, appsys.Purchasing} {
+				inj.Plan(sys, resil.FaultPlan{ErrorRate: 0.3, HangRate: 0.02})
+			}
+			srv, err := NewServer(Config{
+				Arch:           arch,
+				Faults:         inj,
+				Retry:          resil.RetryPolicy{MaxAttempts: 3, BaseBackoff: 800 * simlat.PaperMS, Multiplier: 2},
+				Breaker:        resil.BreakerPolicy{ConsecutiveFailures: 3, OpenFor: time.Minute},
+				StmtTimeout:    2000 * simlat.PaperMS,
+				PartialResults: true,
+				Trace:          collector.Policy{SampleRate: -1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 60; i++ {
+				stmt := fmt.Sprintf("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier%d')) AS Q", i%9+1)
+				// Failures are part of the plan; only the books are checked.
+				_, _, _ = srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{})
+			}
+			wh, jn, mt := warehouseBooks(srv), journalBooks(t, srv), metricBooks(srv)
+			t.Logf("warehouse %+v", wh)
+			if jn != wh {
+				t.Errorf("journal %+v, warehouse %+v", jn, wh)
+			}
+			if mt != wh {
+				t.Errorf("metrics and stack %+v, warehouse %+v", mt, wh)
+			}
+			if wh.Retries == 0 || wh.Trips == 0 || wh.Sheds == 0 || wh.Timeouts == 0 {
+				t.Errorf("the plan must exercise every fault count, got %+v", wh)
+			}
+		})
+	}
+}
+
+// BenchmarkExecTraced measures the serving path's per-statement cost: one
+// GetSuppQual statement through ExecTracedContext, with every store fed
+// and the collector's probabilistic sampling off.
+func BenchmarkExecTraced(b *testing.B) {
+	srv, err := NewServer(Config{Trace: collector.Policy{SampleRate: -1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const stmt = "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
