@@ -36,30 +36,10 @@ type Controller struct {
 	connected bool
 }
 
-// Option configures a Controller at construction time.
-type Option func(*Controller)
-
-// WithGuard wraps the controller's application-system client with a
-// resil.Executor: retry with backoff plus the per-system circuit breaker.
-func WithGuard(ex *resil.Executor) Option {
-	return func(c *Controller) { c.apps = rpc.Guard(c.apps, ex) }
-}
-
-// WithFaultInjection wraps the application-system client with a fault
-// injector. Compose before WithGuard in the option list so retries re-roll
-// each attempt: New(p, wf, apps, WithFaultInjection(inj), WithGuard(ex)).
-func WithFaultInjection(in *resil.Injector) Option {
-	return func(c *Controller) { c.apps = rpc.WithFaults(c.apps, in) }
-}
-
 // New creates a controller in front of a workflow engine and an
-// application-system endpoint. Options apply in order.
-func New(profile simlat.Profile, wf *wfms.Engine, apps rpc.Client, opts ...Option) *Controller {
-	c := &Controller{profile: profile, wf: wf, apps: apps}
-	for _, opt := range opts {
-		opt(c)
-	}
-	return c
+// application-system endpoint.
+func New(profile simlat.Profile, wf *wfms.Engine, apps rpc.Client) *Controller {
+	return &Controller{profile: profile, wf: wf, apps: apps}
 }
 
 // WorkflowEngine returns the workflow engine behind the controller.

@@ -45,28 +45,14 @@ type Engine struct {
 	planStats       *stats.PlanStore
 }
 
-// Option configures an engine at construction time. Options are the
-// preferred way to set up an engine; the Set* methods remain for runtime
-// reconfiguration. Planner options (DOP, batch size, hash-join ablation)
-// are the defaults a session copies when it opens; SET changes only the
-// session's copy.
+// Option configures an engine at construction time; the Set* methods
+// reconfigure it at run time. Planner settings (DOP, batch size, hash-join
+// ablation) are the defaults a session copies when it opens; SET changes
+// only the session's copy.
 type Option func(*Engine)
-
-// WithDOP sets the degree of intra-query parallelism (see SetParallelism).
-func WithDOP(n int) Option { return func(e *Engine) { e.planOpts.Parallelism = resolveDOP(n) } }
-
-// WithFunctionCache enables per-statement table-function memoisation.
-func WithFunctionCache(enabled bool) Option { return func(e *Engine) { e.funcCache = enabled } }
-
-// WithBatchSize sets the set-oriented lateral batch size (see
-// SetBatchSize).
-func WithBatchSize(n int) Option { return func(e *Engine) { e.planOpts.Batch.Count = n } }
 
 // WithCompositionCost sets the simulated result-composition cost.
 func WithCompositionCost(d time.Duration) Option { return func(e *Engine) { e.compositionCost = d } }
-
-// WithPlanOptions sets the planner options wholesale.
-func WithPlanOptions(opts plan.Options) Option { return func(e *Engine) { e.planOpts = opts } }
 
 // WithRetryPolicy sets the default retry policy; its Budget seeds each
 // statement's retry budget (shared by every federated call the statement
@@ -220,13 +206,6 @@ func (e *Engine) RetryPolicy() resil.RetryPolicy {
 	return e.retry
 }
 
-// SetRetryPolicy updates the default retry policy (see WithRetryPolicy).
-func (e *Engine) SetRetryPolicy(p resil.RetryPolicy) {
-	e.mu.Lock()
-	e.retry = p
-	e.mu.Unlock()
-}
-
 // StatementTimeout returns the default per-statement deadline.
 func (e *Engine) StatementTimeout() time.Duration {
 	e.mu.RLock()
@@ -344,15 +323,8 @@ func (s *Session) Engine() *Engine { return s.eng }
 // caches and are not included.
 func (s *Session) LastCacheStats() exec.CacheStats { return s.lastCacheStats }
 
-// SetStatementTimeout sets this session's per-statement virtual-time
-// deadline; zero disables it.
-func (s *Session) SetStatementTimeout(d time.Duration) { s.stmtTimeout = d }
-
 // StatementTimeout returns this session's per-statement deadline.
 func (s *Session) StatementTimeout() time.Duration { return s.stmtTimeout }
-
-// SetPartialResults toggles graceful degradation for this session.
-func (s *Session) SetPartialResults(enabled bool) { s.allowPartial = enabled }
 
 // Parallelism returns this session's degree of parallelism.
 func (s *Session) Parallelism() int { return s.opts.Parallelism }

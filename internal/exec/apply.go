@@ -10,7 +10,6 @@ import (
 
 	"fedwf/internal/exec/batcher"
 	"fedwf/internal/obs"
-	"fedwf/internal/obs/stats"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
 )
@@ -135,7 +134,7 @@ func (j *joiner) join(out []types.Row, lr types.Row, rs []types.Row) ([]types.Ro
 // call or Open may be degraded (no right row arrived); a failed drain not.
 func (j *joiner) rightRows() (degradable bool, err error) {
 	if j.fs != nil {
-		stats.FromContext(j.ctx.Context).AddBatch(len(j.chunk), j.op.Batch.Count)
+		obs.FromContext(j.ctx.Context).AddBatch(len(j.chunk), j.op.Batch.Count)
 		tabs, err := j.fs.invokeBatch(j.ctx, j.bind, j.chunk)
 		j.rs = j.rs[:0]
 		for _, tab := range tabs {

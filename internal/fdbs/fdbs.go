@@ -117,30 +117,26 @@ func NewServer(cfg Config) (*Server, error) {
 		StmtTimeout:    cfg.StmtTimeout,
 		PartialResults: cfg.PartialResults,
 		Observer: resil.Observer{
-			OnRetry: func(ctx context.Context, system string, _ int, _ time.Duration) {
+			OnRetry: func(_ context.Context, system string, _ int, _ time.Duration) {
 				metrics.Retries.With(system).Inc()
-				stats.FromContext(ctx).AddRetry()
 				jnl.Append(journal.Event{Kind: journal.KindRetry,
 					Func: system, Row: -1, StartVT: jnl.Now()})
 			},
-			OnBreakerTransition: func(ctx context.Context, system string, _, to resil.BreakerState) {
+			OnBreakerTransition: func(_ context.Context, system string, _, to resil.BreakerState) {
 				if to == resil.BreakerOpen {
 					metrics.BreakerTrips.With(system).Inc()
-					stats.FromContext(ctx).AddBreakerTrip()
 					jnl.Append(journal.Event{Kind: journal.KindBreaker,
 						Func: system, Detail: "open", Class: "circuit_open",
 						Row: -1, StartVT: jnl.Now()})
 				}
 			},
-			OnShed: func(ctx context.Context, system string) {
+			OnShed: func(_ context.Context, system string) {
 				metrics.BreakerSheds.With(system).Inc()
-				stats.FromContext(ctx).AddShed()
 				jnl.Append(journal.Event{Kind: journal.KindShed,
 					Func: system, Class: "circuit_open", Row: -1, StartVT: jnl.Now()})
 			},
-			OnTimeout: func(ctx context.Context, system string) {
+			OnTimeout: func(_ context.Context, system string) {
 				metrics.Timeouts.With(system).Inc()
-				stats.FromContext(ctx).AddTimeout()
 				jnl.Append(journal.Event{Kind: journal.KindTimeout,
 					Func: system, Class: "timeout", Row: -1, StartVT: jnl.Now()})
 			},
@@ -240,9 +236,11 @@ const (
 )
 
 // ExecTracedContext runs one statement on a fresh session with a
-// per-request virtual cost meter, records serving-path metrics, consults
-// the slow-query log, and returns the result table alongside timing
-// metadata (paper_ms, wall_ms, rows, cache counters, arch). The engine
+// per-request virtual cost meter, describes the finished statement once as
+// an obs.Statement — folded by the metrics, the trace collector, the
+// statistics warehouse, the audit journal and the slow-query log — and
+// returns the result table alongside timing metadata (paper_ms, wall_ms,
+// rows, cache counters, arch). The engine
 // session still drives the integration stack, so the simulated latency is
 // the paper's per-statement elapsed time; wall time is the real serving
 // duration of this process.
@@ -267,9 +265,8 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	tr.Root().SetTraceID(traceID)
 	s.metrics.InFlight.Add(1)
 	// Per-statement execution-shape counters ride the context through the
-	// whole stack (RPC client, workflow engine, resilience executor, batch
-	// path); the warehouse folds them in when the statement finishes.
-	ctx, stmtCounters := stats.WithStmtCounters(ctx)
+	// whole stack; each layer counts what it does where it does it.
+	ctx, stmtCounters := obs.WithStmtCounters(ctx)
 	// A scale-0 wall task reads real time without sleeping; routing the
 	// serving-duration measurement through the simlat meter keeps every
 	// clock read in the federation behind one interface (rule virtualclock).
@@ -278,80 +275,54 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	wall := wallMeter.Elapsed()
 	root := tr.Finish()
 	s.metrics.InFlight.Add(-1)
-	paper := task.Elapsed()
 
-	status := "ok"
-	if err != nil {
-		status = "error"
-		root.SetAttr("error", err.Error())
-	}
-	s.metrics.Queries.With(archLabel, status).Inc()
-	s.metrics.LatencyPaperMS.With(archLabel).Observe(float64(paper) / float64(simlat.PaperMS))
 	cs := session.LastCacheStats()
-	s.metrics.CacheHits.Add(float64(cs.Hits))
-	s.metrics.CacheMisses.Add(float64(cs.Misses))
-	s.metrics.CacheCoalesced.Add(float64(cs.Coalesced))
-	s.metrics.Parallelism.Set(float64(s.Engine().Parallelism()))
+	st := obs.Statement{
+		TraceID:        traceID,
+		SQL:            text,
+		Arch:           archLabel,
+		Paper:          task.Elapsed(),
+		Wall:           wall,
+		CacheHits:      cs.Hits,
+		CacheMisses:    cs.Misses,
+		CacheCoalesced: cs.Coalesced,
+		Counters:       stmtCounters.Snapshot(),
+		Root:           root,
+		Forced:         tc.Sampled,
+	}
+	var out *types.Table
+	if err != nil {
+		st.Err, st.Class = err.Error(), stats.ClassifyError(err)
+		root.SetAttr("error", st.Err)
+	} else {
+		out = resultTable(res)
+		st.Rows, st.Partial = out.Len(), res.Partial
+	}
+	// One walk of the finished tree finds the statement's federated calls;
+	// the journal, the warehouse and the collector's histogram read that
+	// one list, and only a retained or sampled tree is read again.
+	st.Calls = obs.FedCalls(root, nil)
 
 	meta := map[string]string{
 		"arch":            archLabel,
-		"paper_ms":        fmt.Sprintf("%.3f", float64(paper)/float64(simlat.PaperMS)),
-		"paper_ns":        strconv.FormatInt(int64(paper), 10),
+		"paper_ms":        fmt.Sprintf("%.3f", float64(st.Paper)/float64(simlat.PaperMS)),
+		"paper_ns":        strconv.FormatInt(int64(st.Paper), 10),
 		"wall_ms":         fmt.Sprintf("%.3f", float64(wall)/float64(time.Millisecond)),
 		"cache_hits":      strconv.Itoa(cs.Hits),
 		"cache_misses":    strconv.Itoa(cs.Misses),
 		"cache_coalesced": strconv.Itoa(cs.Coalesced),
 		obs.MetaTraceID:   traceID,
 	}
-	// One walk of the finished tree finds the statement's federated calls;
-	// the journal, the warehouse and the collector's histogram read that
-	// one list, and only a retained or sampled tree is read again.
-	calls := obs.FedCalls(root, nil)
-	// One wide journal event per statement, one per federated call inside
-	// it, anchored at the federation-wide virtual instant the journal
-	// stamps the statement with; the clock then advances by the statement's
-	// simulated time. The events carry the fingerprint the warehouse
-	// returns — its entry's own string, so the journal ring pins no copy
-	// per event.
-	cnt := stmtCounters.Snapshot()
-	stmtEvent := journal.Event{
-		TraceID:   traceID,
-		Arch:      archLabel,
-		Row:       -1,
-		RPCs:      cnt.RPCs,
-		Instances: cnt.Instances,
-		DurVT:     paper,
-	}
-	if err != nil {
-		stmtEvent.Class = stats.ClassifyError(err)
-		stmtEvent.Err = err.Error()
-	}
-	emitJournal := func(fp string, rows int) {
-		stmtEvent.Fingerprint, stmtEvent.Rows = fp, rows
-		base := s.jnl.AppendStatement(stmtEvent)
-		s.jnl.AppendCalls(journal.Event{TraceID: traceID, Fingerprint: fp, Arch: archLabel, StartVT: base}, calls)
-	}
-	record := stats.StatementRecord{
-		SQL:            text,
-		Arch:           archLabel,
-		Err:            err,
-		Paper:          paper,
-		Wall:           wall,
-		CacheHits:      cs.Hits,
-		CacheMisses:    cs.Misses,
-		CacheCoalesced: cs.Coalesced,
-		Counters:       stmtCounters,
-		Calls:          calls,
-	}
-	errStr := ""
-	if err != nil {
-		errStr = err.Error()
-	}
-	if s.col.Offer(collector.Meta{
-		ID: traceID, Statement: text, Arch: archLabel, Error: errStr,
-		Forced: tc.Sampled, Paper: paper, Wall: wall,
-	}, root, calls) {
+	s.metrics.ObserveStatement(&st)
+	s.metrics.Parallelism.Set(float64(s.Engine().Parallelism()))
+	if s.col.Offer(&st) {
 		meta["trace_retained"] = "1"
+	}
+	// The journal stamps the fingerprint the warehouse returns — its
+	// entry's own string, so the journal ring pins no copy per event.
+	s.jnl.AppendStatement(&st, s.warehouse.RecordStatement(&st))
+	if s.slowLog().Observe(&st) {
+		s.metrics.SlowQueries.Inc()
 	}
 	if tc.Sampled {
 		// Ship the span tree back to the caller; the transport (or the
@@ -364,35 +335,31 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 		}
 	}
 	if err != nil {
-		emitJournal(s.warehouse.RecordStatement(record), 0)
 		return nil, meta, err
 	}
 	if res.Partial {
 		meta["partial"] = "1"
-		s.metrics.PartialResults.Inc()
 	}
 	if len(res.Warnings) > 0 {
 		meta["warnings"] = strings.Join(res.Warnings, "; ")
 	}
-
-	out := res.Table
-	if out == nil {
-		out = types.NewTable(types.Schema{{Name: "Result", Type: types.VarChar}})
-		msg := res.Message
-		if msg == "" {
-			msg = fmt.Sprintf("%d rows affected", res.RowsAffected)
-		}
-		out.MustAppend(types.Row{types.NewString(msg)})
-	}
-	rows := out.Len()
-	meta["rows"] = strconv.Itoa(rows)
-	record.Rows = rows
-	emitJournal(s.warehouse.RecordStatement(record), rows)
-	s.metrics.RowsReturned.With(archLabel).Add(float64(rows))
-	if s.slowLog().Observe(text, paper, wall, rows, root) {
-		s.metrics.SlowQueries.Inc()
-	}
+	meta["rows"] = strconv.Itoa(st.Rows)
 	return out, meta, nil
+}
+
+// resultTable is what a successful statement returns: a query's table, or
+// a one-row message table for any other statement.
+func resultTable(res *engine.Result) *types.Table {
+	if res.Table != nil {
+		return res.Table
+	}
+	out := types.NewTable(types.Schema{{Name: "Result", Type: types.VarChar}})
+	msg := res.Message
+	if msg == "" {
+		msg = fmt.Sprintf("%d rows affected", res.RowsAffected)
+	}
+	out.MustAppend(types.Row{types.NewString(msg)})
+	return out
 }
 
 // handler serves the client protocol: "exec" runs any statement; queries
@@ -420,11 +387,11 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	if s.rpcSrv != nil {
 		return nil, fmt.Errorf("fdbs: server already listening")
 	}
-	s.rpcSrv = rpc.NewServerMeta(s.handler())
+	rs := rpc.NewServerMeta(s.handler())
 	// The admission controller is always installed (a zero policy admits
 	// everything) so the fedwf_sessions_* / fedwf_admission_* metric
 	// families and the session journal trail exist on every server.
-	s.rpcSrv.SetAdmission(rpc.NewAdmission(s.admission, s.metrics.Serving, rpc.AdmissionObserver{
+	rs.SetAdmission(rpc.NewAdmission(s.admission, s.metrics.Serving, rpc.AdmissionObserver{
 		OnSessionOpen: func(tenant, proto string) {
 			s.jnl.Append(journal.Event{Kind: journal.KindSession, Func: tenant,
 				Detail: "open/" + proto, Row: -1, StartVT: s.jnl.Now()})
@@ -442,16 +409,23 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 				Detail: "admission", Class: "appsys_unavailable", Row: -1, StartVT: s.jnl.Now()})
 		},
 	}))
-	s.rpcSrv.SetTraceSink(func(f *obs.Fragment) {
+	rs.SetTraceSink(func(f *obs.Fragment) {
 		// The fragment's federated calls were observed when its statement
 		// was offered, so none are passed again.
-		s.col.Offer(collector.Meta{ID: f.TraceID, Statement: "(oversized fragment)", Forced: true},
-			obs.SpanFromData(f.Root, 0), nil)
+		s.col.Offer(&obs.Statement{TraceID: f.TraceID, SQL: "(oversized fragment)", Forced: true,
+			Root: obs.SpanFromData(f.Root, 0)})
 	})
 	// After the graceful drain, push the buffered observability sinks out
 	// so a SIGTERM loses neither slow-query lines nor journal tail events.
-	s.rpcSrv.SetDrainHook(func() { s.FlushSinks() })
-	return s.rpcSrv.Listen(addr)
+	rs.SetDrainHook(func() { s.FlushSinks() })
+	// The server counts as listening only once the bind succeeded, so a
+	// failed Listen can be retried.
+	a, err := rs.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	s.rpcSrv = rs
+	return a, nil
 }
 
 // FlushSinks drains the buffered observability sinks: the slow-query log

@@ -2,6 +2,7 @@ package fdbs
 
 import (
 	"context"
+	"net"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -79,6 +80,36 @@ func TestHomogenizedView(t *testing.T) {
 	}
 	if tab.Len() != 2 || tab.Rows[0][0].Int() != 2 {
 		t.Errorf("homogenized view:\n%s", tab)
+	}
+}
+
+// TestListenRetriesAfterBindFailure: a Listen that cannot bind leaves the
+// server as it was, so a later Listen on a free address serves.
+func TestListenRetriesAfterBindFailure(t *testing.T) {
+	busy, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	srv, err := NewServer(Config{Arch: fedfunc.ArchUDTF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Listen(busy.Addr().String()); err == nil {
+		t.Fatal("Listen on an address in use succeeded")
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen after a failed bind: %v", err)
+	}
+	defer srv.Close()
+	client, err := DialClient(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Exec(context.Background(), "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"); err != nil {
+		t.Fatal(err)
 	}
 }
 

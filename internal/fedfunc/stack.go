@@ -11,7 +11,7 @@ import (
 	"fedwf/internal/catalog"
 	"fedwf/internal/controller"
 	"fedwf/internal/engine"
-	"fedwf/internal/obs/stats"
+	"fedwf/internal/obs"
 	"fedwf/internal/resil"
 	"fedwf/internal/rpc"
 	"fedwf/internal/simlat"
@@ -63,10 +63,10 @@ type Stack struct {
 
 	// rpcCalls counts wire requests to the application systems (one per
 	// Call and one per CallBatch, so batching N rows is ONE request);
-	// wfInstances counts started workflow process instances. Both feed the
-	// set-orientation experiment (E13).
-	rpcCalls    *atomic.Int64
-	wfInstances *atomic.Int64
+	// instBase is the workflow engine's instance count at the last
+	// ResetCounters. Both feed the set-orientation experiment (E13).
+	rpcCalls *atomic.Int64
+	instBase atomic.Int64
 }
 
 // Options configures stack construction.
@@ -134,11 +134,6 @@ func NewStack(arch Arch, opts Options) (*Stack, error) {
 	rpcCalls := new(atomic.Int64)
 	appsClient = &countingClient{inner: appsClient, n: rpcCalls}
 	wfEngine := wfms.New(rpcInvoker{c: appsClient}, wfms.CostsFromProfile(profile))
-	wfInstances := new(atomic.Int64)
-	wfEngine.SetProcessObserver(func(ctx context.Context) {
-		wfInstances.Add(1)
-		stats.FromContext(ctx).AddInstance()
-	})
 	ctl := controller.New(profile, wfEngine, appsClient)
 	var bridge *controller.Bridge
 	if opts.Direct {
@@ -155,13 +150,12 @@ func NewStack(arch Arch, opts Options) (*Stack, error) {
 			engine.WithStatementTimeout(opts.StmtTimeout),
 			engine.WithPartialResults(opts.PartialResults),
 		),
-		bridge:      bridge,
-		instrument:  udtf.NewInstrument(profile),
-		profile:     profile,
-		supported:   make(map[string]bool),
-		guard:       guard,
-		rpcCalls:    rpcCalls,
-		wfInstances: wfInstances,
+		bridge:     bridge,
+		instrument: udtf.NewInstrument(profile),
+		profile:    profile,
+		supported:  make(map[string]bool),
+		guard:      guard,
+		rpcCalls:   rpcCalls,
 	}
 	specs := Specs()
 	switch arch {
@@ -250,14 +244,14 @@ type countingClient struct {
 
 func (c *countingClient) Call(ctx context.Context, task *simlat.Task, req rpc.Request) (*types.Table, error) {
 	c.n.Add(1)
-	stats.FromContext(ctx).AddRPC()
+	obs.FromContext(ctx).AddRPC()
 	return c.inner.Call(ctx, task, req)
 }
 
 // CallMeta implements rpc.MetaCaller when the wrapped client does.
 func (c *countingClient) CallMeta(ctx context.Context, task *simlat.Task, req rpc.Request) (*types.Table, map[string]string, error) {
 	c.n.Add(1)
-	stats.FromContext(ctx).AddRPC()
+	obs.FromContext(ctx).AddRPC()
 	if mc, ok := c.inner.(rpc.MetaCaller); ok {
 		return mc.CallMeta(ctx, task, req)
 	}
@@ -273,7 +267,7 @@ func (c *countingClient) CallMeta(ctx context.Context, task *simlat.Task, req rp
 // cannot batch.
 func (c *countingClient) CallBatch(ctx context.Context, task *simlat.Task, req rpc.BatchRequest) ([]*types.Table, error) {
 	c.n.Add(1)
-	stats.FromContext(ctx).AddRPC()
+	obs.FromContext(ctx).AddRPC()
 	return rpc.CallBatch(ctx, task, c.inner, req)
 }
 
@@ -365,13 +359,13 @@ func (s *Stack) Guard() *resil.Executor { return s.guard }
 // batch mapped onto one process instance counts as ONE instance — the
 // quantities experiment E13 asserts on.
 func (s *Stack) Counters() (rpcCalls, wfInstances int64) {
-	return s.rpcCalls.Load(), s.wfInstances.Load()
+	return s.rpcCalls.Load(), s.WorkflowEngine().Instances() - s.instBase.Load()
 }
 
 // ResetCounters zeroes the RPC and workflow-instance counters.
 func (s *Stack) ResetCounters() {
 	s.rpcCalls.Store(0)
-	s.wfInstances.Store(0)
+	s.instBase.Store(s.WorkflowEngine().Instances())
 }
 
 // CallContext invokes a federated function through the full stack: the

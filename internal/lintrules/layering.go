@@ -49,14 +49,14 @@ var allowedImports = map[string][]string{
 	// Workflow side.
 	"rpc":        {"obs", "resil", "simlat", "types"},
 	"appsys":     {"obs", "resil", "rpc", "simlat", "storage", "types"},
-	"wfms":       {"appsys", "obs", "obs/journal", "obs/stats", "resil", "simlat", "types"},
+	"wfms":       {"appsys", "obs", "obs/journal", "resil", "simlat", "types"},
 	"controller": {"appsys", "obs", "resil", "rpc", "simlat", "types", "wfms"},
 
 	// Coupling layer (paper Sect. 3: UDTFs, federation functions,
 	// wrappers, and the FDBS server tying both worlds together).
 	"udtf":    {"appsys", "catalog", "controller", "engine", "obs", "rpc", "simlat", "sqlparser", "types", "wfms"},
 	"wrapper": {"catalog", "engine", "obs", "rpc", "simlat", "sqlparser", "types"},
-	"fedfunc": {"appsys", "catalog", "controller", "engine", "obs/stats", "resil", "rpc", "simlat", "sqlparser", "types", "udtf", "wfms"},
+	"fedfunc": {"appsys", "catalog", "controller", "engine", "obs", "resil", "rpc", "simlat", "sqlparser", "types", "udtf", "wfms"},
 	"fdbs":    {"appsys", "catalog", "engine", "fedfunc", "obs", "obs/collector", "obs/journal", "obs/stats", "resil", "rpc", "simlat", "types", "wrapper"},
 
 	// Harness and tooling. benchharn is additionally restricted to

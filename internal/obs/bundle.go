@@ -1,5 +1,7 @@
 package obs
 
+import "fedwf/internal/simlat"
+
 // ServerMetrics bundles the metric families the federated server records
 // on its serving path, so fdbs and fedserver share one wiring point.
 type ServerMetrics struct {
@@ -112,4 +114,27 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 		PartialResults: reg.Counter("fedwf_partial_results_total", "Statements answered with degraded optional branches."),
 		Serving:        NewServingMetrics(reg),
 	}
+}
+
+// ObserveStatement updates the per-statement series from one finished
+// statement: its outcome and paper latency by architecture and its
+// function-cache counts; a successful statement adds its rows and, when
+// degraded, a partial result.
+func (m *ServerMetrics) ObserveStatement(st *Statement) {
+	status := "ok"
+	if st.Err != "" {
+		status = "error"
+	}
+	m.Queries.With(st.Arch, status).Inc()
+	m.LatencyPaperMS.With(st.Arch).Observe(float64(st.Paper) / float64(simlat.PaperMS))
+	m.CacheHits.Add(float64(st.CacheHits))
+	m.CacheMisses.Add(float64(st.CacheMisses))
+	m.CacheCoalesced.Add(float64(st.CacheCoalesced))
+	if st.Err != "" {
+		return
+	}
+	if st.Partial {
+		m.PartialResults.Inc()
+	}
+	m.RowsReturned.With(st.Arch).Add(float64(st.Rows))
 }

@@ -61,8 +61,9 @@ func Default(pol Policy) Policy {
 	return pol
 }
 
-// Meta is what the collector knows of a completed trace besides its span
-// tree: the statement and how it ended.
+// Meta is what the collector keeps of a retained trace besides its span
+// tree — the statement and how it ended — and the JSON form /traces
+// serves it in.
 type Meta struct {
 	ID        string        `json:"id"`
 	Statement string        `json:"statement"`
@@ -139,24 +140,23 @@ func New(pol Policy, reg *obs.Registry) *Collector {
 // Policy returns the effective (default-filled) policy.
 func (c *Collector) Policy() Policy { return c.pol }
 
-// Offer hands the collector a finished statement's trace: its Meta, the
-// live root of its span tree, and the federated calls found in that tree.
-// It reports whether tail sampling retained the trace. The
-// per-federated-function histograms observe every offered trace, retained
-// or not, so sampling does not bias them; a dropped trace costs nothing
-// else. A retained tree is pruned to Policy.MaxTraceBytes and encoded into
-// one allocation.
-func (c *Collector) Offer(t Meta, root *obs.Span, calls []obs.FedCall) bool {
+// Offer hands the collector a finished statement: its trace is the span
+// tree at st.Root, whose federated calls are st.Calls. It reports whether
+// tail sampling retained the trace. The per-federated-function histograms
+// observe every offered trace, retained or not, so sampling does not bias
+// them; a dropped trace costs nothing else. A retained tree is pruned to
+// Policy.MaxTraceBytes and encoded into one allocation.
+func (c *Collector) Offer(st *obs.Statement) bool {
 	if c == nil {
 		return false
 	}
 	c.offered.Inc()
 	if c.fnLat != nil {
-		for _, fc := range calls {
+		for _, fc := range st.Calls {
 			c.fnLat.With(fc.Fn).Observe(float64(fc.Elapsed) / float64(simlat.PaperMS))
 		}
 	}
-	keep := t.Error != "" || t.Forced || t.Paper >= c.pol.LatencyThreshold
+	keep := st.Err != "" || st.Forced || st.Paper >= c.pol.LatencyThreshold
 	if !keep && c.pol.SampleRate > 0 {
 		keep = c.randFloat() < c.pol.SampleRate
 	}
@@ -164,8 +164,9 @@ func (c *Collector) Offer(t Meta, root *obs.Span, calls []obs.FedCall) bool {
 		c.dropped.Inc()
 		return false
 	}
-	kept := &stored{Meta: t}
-	kept.tree, kept.spans = obs.EncodeTrace(root, c.pol.MaxTraceBytes)
+	kept := &stored{Meta: Meta{ID: st.TraceID, Statement: st.SQL, Arch: st.Arch, Error: st.Err,
+		Forced: st.Forced, Paper: st.Paper, Wall: st.Wall}}
+	kept.tree, kept.spans = obs.EncodeTrace(st.Root, c.pol.MaxTraceBytes)
 	c.mu.Lock()
 	if c.ring[c.next] != nil {
 		c.evicted.Inc()

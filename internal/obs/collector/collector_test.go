@@ -27,7 +27,8 @@ func mkTrace(id, stmt string, paper time.Duration, errStr string, forced bool) T
 // hands it a finished statement's tree.
 func offer(c *Collector, t Trace) bool {
 	root := obs.SpanFromData(t.Root, 0)
-	return c.Offer(t.Meta, root, obs.FedCalls(root, nil))
+	return c.Offer(&obs.Statement{TraceID: t.ID, SQL: t.Statement, Arch: t.Arch, Err: t.Error,
+		Forced: t.Forced, Paper: t.Paper, Wall: t.Wall, Root: root, Calls: obs.FedCalls(root, nil)})
 }
 
 func TestDefaults(t *testing.T) {
@@ -184,7 +185,7 @@ func TestConcurrentOfferListGet(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				if i%50 == 0 {
 					// Every goroutine also encodes the one shared live tree.
-					c.Offer(Meta{ID: "lateral", Statement: "SELECT", Forced: true}, root, calls)
+					c.Offer(&obs.Statement{TraceID: "lateral", SQL: "SELECT", Forced: true, Root: root, Calls: calls})
 					continue
 				}
 				offer(c, mkTrace(fmt.Sprintf("g%d-%d", g, i), "SELECT 1", simlat.PaperMS, "", false))
@@ -365,13 +366,14 @@ func TestTraceEndpointsUnchanged(t *testing.T) {
 		c.Register(mux)
 		root := lateralTree(t)
 		root.SetAttr("error", "rpc: <nil> & \"quoted\"\n\u2028")
-		m := Meta{ID: "lat", Statement: "SELECT d.SupplierNo FROM drv d WHERE d.SupplierNo >= 0",
-			Arch: "wfms", Error: "boom <x>", Paper: 1291 * simlat.PaperMS, Wall: 3 * time.Millisecond}
-		if !c.Offer(m, root, obs.FedCalls(root, nil)) {
+		st := obs.Statement{TraceID: "lat", SQL: "SELECT d.SupplierNo FROM drv d WHERE d.SupplierNo >= 0",
+			Arch: "wfms", Err: "boom <x>", Paper: 1291 * simlat.PaperMS, Wall: 3 * time.Millisecond,
+			Root: root, Calls: obs.FedCalls(root, nil)}
+		if !c.Offer(&st) {
 			t.Fatal("error trace dropped")
 		}
-		ref := referenceTrace{ID: m.ID, Statement: m.Statement, Arch: m.Arch, Error: m.Error,
-			Paper: m.Paper, Wall: m.Wall, Root: referencePrune(t, obs.SnapshotSpan(root), c.Policy().MaxTraceBytes)}
+		ref := referenceTrace{ID: st.TraceID, Statement: st.SQL, Arch: st.Arch, Error: st.Err,
+			Paper: st.Paper, Wall: st.Wall, Root: referencePrune(t, obs.SnapshotSpan(root), c.Policy().MaxTraceBytes)}
 
 		var want strings.Builder
 		enc := json.NewEncoder(&want)
@@ -428,7 +430,7 @@ func TestNullChildInPeerFragment(t *testing.T) {
 		t.Fatalf("federated calls = %+v", calls)
 	}
 	c := New(Policy{SampleRate: -1}, obs.NewRegistry())
-	if !c.Offer(Meta{ID: "peer", Statement: "SELECT", Forced: true}, root, calls) {
+	if !c.Offer(&obs.Statement{TraceID: "peer", SQL: "SELECT", Forced: true, Root: root, Calls: calls}) {
 		t.Fatal("forced trace dropped")
 	}
 	got := c.Get("peer")
@@ -458,15 +460,15 @@ func TestOfferAllocations(t *testing.T) {
 	if len(calls) == 0 {
 		t.Fatal("the lateral tree has no federated calls")
 	}
-	fast := Meta{ID: "x", Statement: "SELECT", Paper: simlat.PaperMS}
+	fast := obs.Statement{TraceID: "x", SQL: "SELECT", Paper: simlat.PaperMS, Root: root, Calls: calls}
 	drop := New(Policy{SampleRate: -1}, obs.NewRegistry())
-	if n := testing.AllocsPerRun(100, func() { drop.Offer(fast, root, calls) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { drop.Offer(&fast) }); n != 0 {
 		t.Errorf("a dropped Offer allocates %v times, want 0", n)
 	}
 	forced := fast
 	forced.Forced = true
 	keep := New(Policy{SampleRate: -1, Capacity: 4}, obs.NewRegistry())
-	if n := testing.AllocsPerRun(100, func() { keep.Offer(forced, root, calls) }); n != 2 {
+	if n := testing.AllocsPerRun(100, func() { keep.Offer(&forced) }); n != 2 {
 		t.Errorf("a kept Offer allocates %v times, want 2 (the encoding and the ring slot)", n)
 	}
 }
@@ -476,16 +478,16 @@ func BenchmarkOffer(b *testing.B) {
 	calls := obs.FedCalls(root, nil)
 	for _, bc := range []struct {
 		name string
-		m    Meta
+		st   obs.Statement
 	}{
-		{"dropped", Meta{ID: "x", Statement: "SELECT", Paper: simlat.PaperMS}},
-		{"kept_lateral", Meta{ID: "x", Statement: "SELECT", Paper: 1291 * simlat.PaperMS}},
+		{"dropped", obs.Statement{TraceID: "x", SQL: "SELECT", Paper: simlat.PaperMS, Root: root, Calls: calls}},
+		{"kept_lateral", obs.Statement{TraceID: "x", SQL: "SELECT", Paper: 1291 * simlat.PaperMS, Root: root, Calls: calls}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			c := New(Policy{SampleRate: -1}, obs.NewRegistry())
 			b.ReportAllocs()
 			for b.Loop() {
-				c.Offer(bc.m, root, calls)
+				c.Offer(&bc.st)
 			}
 		})
 	}

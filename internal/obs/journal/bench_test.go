@@ -15,7 +15,8 @@ func fullJournal(tb testing.TB) *Journal {
 	j := New(Options{})
 	j.AttachMetrics(obs.NewRegistry())
 	for j.Seq() < uint64(2*j.Capacity()) {
-		start := j.AppendStatement(Event{Fingerprint: "fp", Arch: "wfms", Row: -1, DurVT: 20 * time.Millisecond})
+		start := j.Now()
+		j.AppendStatement(&obs.Statement{Arch: "wfms", Paper: 20 * time.Millisecond}, "fp")
 		for i := 0; i < 8; i++ {
 			j.Append(Event{Kind: KindActivity, Instance: "wf-000001", Row: -1, StartVT: start})
 		}
@@ -40,11 +41,11 @@ func BenchmarkAppend(b *testing.B) {
 
 func BenchmarkAppendStatement(b *testing.B) {
 	j := fullJournal(b)
-	e := Event{Fingerprint: "fp", Arch: "wfms", Row: -1, DurVT: 20 * time.Millisecond}
+	st := obs.Statement{Arch: "wfms", Paper: 20 * time.Millisecond}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkSeq += uint64(j.AppendStatement(e))
+		j.AppendStatement(&st, "fp")
 	}
 }
 
@@ -61,15 +62,15 @@ func BenchmarkSLOReport(b *testing.B) {
 // allocations on a full ring with metrics attached and no sink.
 func TestAppendPathsDoNotAllocate(t *testing.T) {
 	j := fullJournal(t)
-	stmt := Event{Fingerprint: "fp", Arch: "wfms", Row: -1, DurVT: 20 * time.Millisecond}
+	stmt := &obs.Statement{Arch: "wfms", Paper: 20 * time.Millisecond}
 	// A ring of statements only: the mark ring is at its largest size, so
 	// no run below is charged for its growth.
 	for i := 0; i < j.Capacity(); i++ {
-		j.AppendStatement(stmt)
+		j.AppendStatement(stmt, "fp")
 	}
 	for name, f := range map[string]func(){
 		"Append":          func() { j.Append(Event{Kind: KindCall, Func: "GetSuppQual", Row: -1}) },
-		"AppendStatement": func() { j.AppendStatement(stmt) },
+		"AppendStatement": func() { j.AppendStatement(stmt, "fp") },
 		"Advance":         func() { j.Advance(time.Second) },
 	} {
 		if got := testing.AllocsPerRun(1000, f); got != 0 {

@@ -200,12 +200,25 @@ func (j *Journal) Append(e Event) uint64 {
 	return seq
 }
 
-// AppendStatement appends e as a statement event that starts at the
-// journal's current instant, advances the clock by e.DurVT, and returns
-// the start it stamped — the base on which the statement's call events
-// lay out their own starts.
-func (j *Journal) AppendStatement(e Event) (start time.Duration) {
-	e.Kind = KindStatement
+// AppendStatement appends one finished statement: its statement event,
+// stamped with the fingerprint and started at the journal's current
+// instant, then one KindCall event per federated call, each started at
+// that instant plus the call's start within the statement. The clock
+// advances by the statement's paper time.
+func (j *Journal) AppendStatement(st *obs.Statement, fingerprint string) {
+	e := Event{
+		Kind:        KindStatement,
+		TraceID:     st.TraceID,
+		Fingerprint: fingerprint,
+		Arch:        st.Arch,
+		Class:       st.Class,
+		Row:         -1,
+		Rows:        st.Rows,
+		RPCs:        st.Counters.RPCs,
+		Instances:   st.Counters.Instances,
+		Err:         st.Err,
+		DurVT:       st.Paper,
+	}
 	j.sloMu.Lock()
 	e.StartVT = j.Now()
 	j.storeStatementLocked(&e)
@@ -217,7 +230,10 @@ func (j *Journal) AppendStatement(e Event) (start time.Duration) {
 	if j.sinkOn.Load() {
 		j.writeSink(e)
 	}
-	return e.StartVT
+	for _, c := range st.Calls {
+		j.Append(Event{Kind: KindCall, TraceID: st.TraceID, Fingerprint: fingerprint, Arch: st.Arch,
+			Func: c.Fn, Row: -1, StartVT: e.StartVT + c.Start, DurVT: c.Elapsed})
+	}
 }
 
 // store assigns e its sequence number and writes it into the ring.
@@ -380,20 +396,4 @@ func (j *Journal) AttachMetrics(reg *obs.Registry) {
 	}
 	j.refreshLocked()
 	j.sloMu.Unlock()
-}
-
-// AppendCalls appends one KindCall event per federated call of a statement,
-// in the order of calls. tmpl supplies the statement-scoped fields — trace
-// ID, fingerprint, arch — and its StartVT is the statement's base on the
-// journal clock, to which each call's start within the statement is added.
-func (j *Journal) AppendCalls(tmpl Event, calls []obs.FedCall) {
-	tmpl.Kind = KindCall
-	tmpl.Row = -1
-	tmpl.Rows, tmpl.RPCs, tmpl.Instances = 0, 0, 0
-	base := tmpl.StartVT
-	for _, c := range calls {
-		e := tmpl
-		e.Func, e.StartVT, e.DurVT = c.Fn, base+c.Start, c.Elapsed
-		j.Append(e)
-	}
 }

@@ -178,13 +178,21 @@ func TestCallEventsFromSpanTree(t *testing.T) {
 	calls := obs.FedCalls(tr.Finish(), nil)
 
 	j := New(Options{Capacity: 64})
-	j.AppendCalls(Event{TraceID: "t1", Fingerprint: "fp", Arch: "wfms", Rows: 9,
-		StartVT: 10 * time.Millisecond}, calls)
+	j.Advance(10 * time.Millisecond)
+	j.AppendStatement(&obs.Statement{TraceID: "t1", Arch: "wfms", Rows: 9, Paper: 12 * time.Millisecond,
+		Counters: obs.CounterSnapshot{RPCs: 2, Instances: 1}, Calls: calls}, "fp")
 	got := j.Snapshot()
-	if len(got) != 2 {
-		t.Fatalf("call events = %d, want 2", len(got))
+	if len(got) != 3 {
+		t.Fatalf("events = %d, want the statement and 2 calls", len(got))
 	}
-	if got[0].Func != "GetSuppQual" || got[0].Kind != KindCall || got[0].Row != -1 || got[0].Rows != 0 {
+	if s := got[0]; s.Kind != KindStatement || s.Fingerprint != "fp" || s.Rows != 9 || s.RPCs != 2 || s.Instances != 1 ||
+		s.StartVT != 10*time.Millisecond || s.DurVT != 12*time.Millisecond {
+		t.Fatalf("statement = %+v", s)
+	}
+	got = got[1:]
+	// Call events carry the statement's scope and nothing of its counts.
+	if got[0].Func != "GetSuppQual" || got[0].Kind != KindCall || got[0].Row != -1 || got[0].Rows != 0 ||
+		got[0].RPCs != 0 || got[0].Instances != 0 || got[0].Fingerprint != "fp" || got[0].Arch != "wfms" {
 		t.Fatalf("first call = %+v", got[0])
 	}
 	if got[0].StartVT != 11*time.Millisecond || got[0].DurVT != 5*time.Millisecond {

@@ -109,7 +109,8 @@ func TestSLOFoldMatchesScan(t *testing.T) {
 			switch r := rng.Intn(100); {
 			case r < 45:
 				op = "AppendStatement"
-				j.AppendStatement(statement())
+				e := statement()
+				j.AppendStatement(&obs.Statement{Err: e.Err, Paper: e.DurVT}, "")
 			case r < 52:
 				op = "Append(statement)"
 				e := statement()
@@ -169,14 +170,12 @@ func TestSLOFoldMatchesScanConcurrent(t *testing.T) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 500; i++ {
-				e := Event{Row: -1, DurVT: time.Duration(rng.Int63n(int64(200 * time.Millisecond)))}
+				st := obs.Statement{Paper: time.Duration(rng.Int63n(int64(200 * time.Millisecond)))}
 				if rng.Intn(8) == 0 {
-					e.Err = "boom"
+					st.Err = "boom"
 				}
-				start := j.AppendStatement(e)
-				for c := rng.Intn(3); c > 0; c-- {
-					j.Append(Event{Kind: KindCall, Row: -1, StartVT: start})
-				}
+				st.Calls = make([]obs.FedCall, rng.Intn(3))
+				j.AppendStatement(&st, "")
 				if rng.Intn(40) == 0 {
 					j.Advance(time.Duration(rng.Int63n(int64(20 * time.Second))))
 				}
@@ -202,7 +201,7 @@ func TestMetricsMatchJournal(t *testing.T) {
 		for i := 0; i < tc.n; i++ {
 			switch i % 4 {
 			case 0:
-				j.AppendStatement(Event{Row: -1, DurVT: time.Duration(i) * time.Second})
+				j.AppendStatement(&obs.Statement{Paper: time.Duration(i) * time.Second}, "")
 			case 1:
 				j.Append(Event{Kind: KindStatement, Row: -1, StartVT: j.Now(), Err: "boom"})
 			default:

@@ -125,20 +125,23 @@ func TestSlowQueryLog(t *testing.T) {
 		t.Error("zero threshold did not disable the log")
 	}
 	var nilLog *SlowQueryLog
-	if nilLog.Observe("SELECT 1", time.Hour, time.Hour, 1, nil) {
+	if nilLog.Observe(&Statement{SQL: "SELECT 1", Paper: time.Hour, Wall: time.Hour, Rows: 1}) {
 		t.Error("nil log claimed to observe")
 	}
 
 	var sb strings.Builder
 	l := NewSlowQueryLog(&sb, 100*simlat.PaperMS)
-	if l.Observe("SELECT fast", 99*simlat.PaperMS, time.Millisecond, 1, nil) {
+	if l.Observe(&Statement{SQL: "SELECT fast", Paper: 99 * simlat.PaperMS, Wall: time.Millisecond, Rows: 1}) {
 		t.Error("below-threshold statement logged")
+	}
+	if l.Observe(&Statement{SQL: "SELECT failed", Err: "boom", Paper: time.Hour}) {
+		t.Error("failed statement logged")
 	}
 	task := simlat.NewVirtualTask()
 	tr := Trace(task, "fdbs.exec")
 	task.Step("work", 150*simlat.PaperMS)
 	root := tr.Finish()
-	if !l.Observe("SELECT\n  slow", 150*simlat.PaperMS, 2*time.Millisecond, 3, root) {
+	if !l.Observe(&Statement{SQL: "SELECT\n  slow", Paper: 150 * simlat.PaperMS, Wall: 2 * time.Millisecond, Rows: 3, Root: root}) {
 		t.Error("threshold statement not logged")
 	}
 	line := sb.String()

@@ -28,18 +28,18 @@ func NewSlowQueryLog(w io.Writer, threshold time.Duration) *SlowQueryLog {
 	return &SlowQueryLog{w: w, threshold: threshold}
 }
 
-// Observe logs the statement if paper latency reached the threshold and
-// reports whether it did. The span tree, when present, is flattened into a
-// one-line summary.
-func (l *SlowQueryLog) Observe(stmt string, paper, wall time.Duration, rows int, root *Span) bool {
-	if l == nil || paper < l.threshold {
+// Observe logs a successful statement whose paper latency reached the
+// threshold and reports whether it did. The span tree, when present, is
+// flattened into a one-line summary.
+func (l *SlowQueryLog) Observe(st *Statement) bool {
+	if l == nil || st.Err != "" || st.Paper < l.threshold {
 		return false
 	}
 	line := fmt.Sprintf("slow-query paper_ms=%.1f wall_ms=%.3f rows=%d stmt=%q",
-		float64(paper)/float64(simlat.PaperMS),
-		float64(wall)/float64(time.Millisecond),
-		rows, compactStmt(stmt))
-	if s := Summary(root); s != "" {
+		float64(st.Paper)/float64(simlat.PaperMS),
+		float64(st.Wall)/float64(time.Millisecond),
+		st.Rows, compactStmt(st.SQL))
+	if s := Summary(st.Root); s != "" {
 		line += fmt.Sprintf(" spans=%q", s)
 	}
 	l.mu.Lock()

@@ -14,22 +14,19 @@ import (
 func BenchmarkRecordStatement(b *testing.B) {
 	w := NewWarehouse(Options{})
 	w.AttachMetrics(obs.NewRegistry())
-	cnt := &StmtCounters{}
-	cnt.AddRPC()
-	cnt.AddInstance()
-	rec := StatementRecord{
+	st := &obs.Statement{
 		SQL:      "SELECT R.Decision FROM TABLE (BuySuppComp(4, 'washer')) AS R",
 		Arch:     "wfms",
 		Paper:    239 * time.Millisecond,
 		Wall:     150 * time.Microsecond,
 		Rows:     1,
-		Counters: cnt,
+		Counters: obs.CounterSnapshot{RPCs: 1, Instances: 1},
 		Calls:    []obs.FedCall{{Fn: "BuySuppComp", Elapsed: 239 * time.Millisecond}},
 	}
-	w.RecordStatement(rec)
+	w.RecordStatement(st)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.RecordStatement(rec)
+		w.RecordStatement(st)
 	}
 }

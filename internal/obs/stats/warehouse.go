@@ -21,27 +21,6 @@ type Options struct {
 
 const defaultMaxStatements = 512
 
-// StatementRecord is one finished statement, as observed by the serving
-// layer. Paper and Wall are the statement's virtual and wall latencies;
-// Counters carries the per-statement execution-shape counts collected
-// along the statement's context; Calls the federated calls found in the
-// statement's span tree.
-type StatementRecord struct {
-	SQL   string
-	Arch  string
-	Err   error
-	Paper time.Duration
-	Wall  time.Duration
-	Rows  int
-
-	CacheHits      int
-	CacheMisses    int
-	CacheCoalesced int
-
-	Counters *StmtCounters
-	Calls    []obs.FedCall
-}
-
 type stmtEntry struct {
 	id      string
 	query   string // normalized text
@@ -157,9 +136,8 @@ func ClassifyError(err error) string {
 // RecordStatement folds one finished statement into the warehouse and
 // returns its fingerprint: the warehouse entry's own id string, so callers
 // stamping it on further records pin no second copy per statement.
-func (w *Warehouse) RecordStatement(rec StatementRecord) string {
-	id, normalized := Fingerprint(rec.SQL)
-	snap := rec.Counters.Snapshot()
+func (w *Warehouse) RecordStatement(st *obs.Statement) string {
+	id, normalized := Fingerprint(st.SQL)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -174,35 +152,35 @@ func (w *Warehouse) RecordStatement(rec StatementRecord) string {
 		}
 	}
 	e.lastSeq = w.seq
-	if rec.Arch != "" {
-		e.arch = rec.Arch
+	if st.Arch != "" {
+		e.arch = st.Arch
 	}
 	e.calls++
-	e.rows += int64(rec.Rows)
-	if class := ClassifyError(rec.Err); class != "" {
+	e.rows += int64(st.Rows)
+	if st.Class != "" {
 		e.errTotal++
 		if e.errors == nil {
 			e.errors = make(map[string]int64)
 		}
-		e.errors[class]++
+		e.errors[st.Class]++
 	}
-	e.retries += snap.Retries
-	e.breakerTrips += snap.BreakerTrips
-	e.sheds += snap.Sheds
-	e.timeouts += snap.Timeouts
-	e.rpcs += snap.RPCs
-	e.instances += snap.Instances
-	e.cacheHits += int64(rec.CacheHits)
-	e.cacheMisses += int64(rec.CacheMisses)
-	e.cacheCoalesced += int64(rec.CacheCoalesced)
-	e.batchCalls += snap.BatchCalls
-	e.batchRows += snap.BatchRows
-	e.batchSlots += snap.BatchSlots
-	e.paperTotal += rec.Paper
-	e.wallTotal += rec.Wall
-	e.sketch.Observe(float64(rec.Paper) / float64(time.Millisecond))
+	e.retries += st.Counters.Retries
+	e.breakerTrips += st.Counters.BreakerTrips
+	e.sheds += st.Counters.Sheds
+	e.timeouts += st.Counters.Timeouts
+	e.rpcs += st.Counters.RPCs
+	e.instances += st.Counters.Instances
+	e.cacheHits += int64(st.CacheHits)
+	e.cacheMisses += int64(st.CacheMisses)
+	e.cacheCoalesced += int64(st.CacheCoalesced)
+	e.batchCalls += st.Counters.BatchCalls
+	e.batchRows += st.Counters.BatchRows
+	e.batchSlots += st.Counters.BatchSlots
+	e.paperTotal += st.Paper
+	e.wallTotal += st.Wall
+	e.sketch.Observe(float64(st.Paper) / float64(time.Millisecond))
 
-	for _, c := range rec.Calls {
+	for _, c := range st.Calls {
 		fe := w.funcs[c.Fn]
 		if fe == nil {
 			fe = &funcEntry{name: c.Fn, sketch: NewSketch()}
@@ -219,7 +197,7 @@ func (w *Warehouse) RecordStatement(rec StatementRecord) string {
 	}
 	// One latency observation per function the statement called: the mean
 	// of its calls.
-	for _, c := range rec.Calls {
+	for _, c := range st.Calls {
 		if fe := w.funcs[c.Fn]; fe.stmtCalls > 0 {
 			fe.sketch.Observe(float64(fe.stmtPaper) / float64(fe.stmtCalls) / float64(time.Millisecond))
 			fe.stmtCalls, fe.stmtPaper = 0, 0

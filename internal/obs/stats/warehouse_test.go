@@ -15,8 +15,8 @@ import (
 
 func TestWarehouseAggregatesByFingerprint(t *testing.T) {
 	w := NewWarehouse(Options{})
-	ctx, c := WithStmtCounters(context.Background())
-	if got := FromContext(ctx); got != c {
+	ctx, c := obs.WithStmtCounters(context.Background())
+	if got := obs.FromContext(ctx); got != c {
 		t.Fatal("FromContext must return the installed counters")
 	}
 	c.AddRPC()
@@ -24,13 +24,13 @@ func TestWarehouseAggregatesByFingerprint(t *testing.T) {
 	c.AddInstance()
 	c.AddBatch(3, 4)
 	for i := 0; i < 3; i++ {
-		w.RecordStatement(StatementRecord{
+		w.RecordStatement(&obs.Statement{
 			SQL:       fmt.Sprintf("SELECT Q FROM TABLE (F('s%d')) AS Q", i),
 			Arch:      "wfms",
 			Paper:     time.Duration(10+i) * time.Millisecond,
 			Rows:      2,
 			CacheHits: 1,
-			Counters:  c,
+			Counters:  c.Snapshot(),
 			Calls:     []obs.FedCall{{Fn: "F", Elapsed: 5 * time.Millisecond}},
 		})
 	}
@@ -72,7 +72,7 @@ func TestWarehouseErrorClasses(t *testing.T) {
 		&resil.AppSysError{System: "Purchasing", Transient: true, Err: fmt.Errorf("boom")},
 		nil,
 	} {
-		w.RecordStatement(StatementRecord{SQL: "SELECT 1", Err: err, Paper: time.Millisecond})
+		w.RecordStatement(&obs.Statement{SQL: "SELECT 1", Class: ClassifyError(err), Paper: time.Millisecond})
 	}
 	s := w.Statements()[0]
 	if s.Errors != 3 {
@@ -87,10 +87,10 @@ func TestWarehouseErrorClasses(t *testing.T) {
 
 func TestWarehouseLRUEviction(t *testing.T) {
 	w := NewWarehouse(Options{MaxStatements: 2})
-	w.RecordStatement(StatementRecord{SQL: "SELECT a FROM t"})
-	w.RecordStatement(StatementRecord{SQL: "SELECT b FROM t"})
-	w.RecordStatement(StatementRecord{SQL: "SELECT a FROM t"}) // refresh a
-	w.RecordStatement(StatementRecord{SQL: "SELECT c FROM t"}) // evicts b
+	w.RecordStatement(&obs.Statement{SQL: "SELECT a FROM t"})
+	w.RecordStatement(&obs.Statement{SQL: "SELECT b FROM t"})
+	w.RecordStatement(&obs.Statement{SQL: "SELECT a FROM t"}) // refresh a
+	w.RecordStatement(&obs.Statement{SQL: "SELECT c FROM t"}) // evicts b
 	var queries []string
 	for _, s := range w.Statements() {
 		queries = append(queries, s.Query)
@@ -123,8 +123,8 @@ func TestFuncObservationsWalksSpanTree(t *testing.T) {
 	plan.End(task)
 
 	w := NewWarehouse(Options{})
-	w.RecordStatement(StatementRecord{SQL: "SELECT 1", Calls: obs.FedCalls(tr.Finish(), nil)})
-	w.RecordStatement(StatementRecord{SQL: "SELECT 1", Calls: []obs.FedCall{{Fn: "CalcReqPos", Elapsed: time.Millisecond}}})
+	w.RecordStatement(&obs.Statement{SQL: "SELECT 1", Calls: obs.FedCalls(tr.Finish(), nil)})
+	w.RecordStatement(&obs.Statement{SQL: "SELECT 1", Calls: []obs.FedCall{{Fn: "CalcReqPos", Elapsed: time.Millisecond}}})
 	funcs := w.Functions()
 	if len(funcs) != 2 {
 		t.Fatalf("got %d functions, want 2", len(funcs))
@@ -149,15 +149,12 @@ func TestWarehouseConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			ctx, c := WithStmtCounters(context.Background())
-			_ = ctx
 			for i := 0; i < 200; i++ {
-				c.AddRPC()
-				w.RecordStatement(StatementRecord{
+				w.RecordStatement(&obs.Statement{
 					SQL:      fmt.Sprintf("SELECT x%d FROM t WHERE k = %d", i%16, i),
 					Paper:    time.Duration(i%7+1) * time.Millisecond,
 					Rows:     1,
-					Counters: c,
+					Counters: obs.CounterSnapshot{RPCs: 1},
 					Calls:    []obs.FedCall{{Fn: "F", Elapsed: time.Millisecond}},
 				})
 			}

@@ -1,18 +1,56 @@
-package stats
+package obs
 
 import (
 	"context"
 	"sync/atomic"
+	"time"
 )
 
-// StmtCounters ride the statement context through the whole stack: the
-// RPC client, the workflow engine, the resilience executor, and the batch
-// path each increment the counter they own, and the serving layer folds
-// the totals into the warehouse when the statement finishes. Carrying the
-// counters on the context — rather than diffing process-wide counters —
-// keeps concurrent statements from bleeding into each other's numbers.
-// All methods are safe on a nil receiver, so instrumented code paths need
-// no "is a statement being counted?" checks.
+// Statement is one finished statement as the serving layer saw it — the
+// one record every per-statement store folds: the statistics warehouse,
+// the audit journal, the trace collector, the slow-query log and the
+// server's metrics. The serving layer fills it once, on its stack; the
+// stores read it and keep none of it by reference.
+type Statement struct {
+	TraceID string
+	SQL     string
+	Arch    string
+	// Err is the error text and Class its resil taxonomy class; both are
+	// empty when the statement succeeded.
+	Err   string
+	Class string
+	// Paper and Wall are the statement's virtual and wall latencies.
+	Paper time.Duration
+	Wall  time.Duration
+	// Rows is the result row count (0 on error); Partial marks a result
+	// with degraded optional branches.
+	Rows    int
+	Partial bool
+
+	CacheHits      int
+	CacheMisses    int
+	CacheCoalesced int
+
+	// Counters are the execution-shape counts the stack made along the
+	// statement's context.
+	Counters CounterSnapshot
+	// Calls are the federated calls found in the span tree rooted at Root.
+	Calls []FedCall
+	Root  *Span
+	// Forced marks a trace the caller sampled, which the collector keeps.
+	Forced bool
+}
+
+// StmtCounters ride the statement context through the whole stack, and
+// each layer counts what it does where it does it: the RPC client its
+// wire requests, the workflow engine its instances, the resilience
+// executor its retries, breaker trips, sheds and timeouts, the lateral
+// operator its flushed chunks. The serving layer snapshots the totals into
+// its Statement when the statement finishes. Carrying the counters on the
+// context — rather than diffing process-wide counters — keeps concurrent
+// statements from bleeding into each other's numbers. All methods are safe
+// on a nil receiver, so instrumented code paths need no "is a statement
+// being counted?" checks.
 type StmtCounters struct {
 	rpcs         atomic.Int64
 	instances    atomic.Int64
@@ -102,7 +140,7 @@ func (c *StmtCounters) AddBatch(rows, slots int) {
 	c.batchSlots.Add(int64(slots))
 }
 
-// Snapshot is the counter values at one instant.
+// CounterSnapshot is the counter values at one instant.
 type CounterSnapshot struct {
 	RPCs, Instances, Retries, BreakerTrips, Sheds, Timeouts int64
 	BatchCalls, BatchRows, BatchSlots                       int64

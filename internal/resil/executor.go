@@ -14,10 +14,9 @@ import (
 )
 
 // Observer receives fault-handling events for metrics. All fields are
-// optional; callbacks must be safe for concurrent use. Each callback
-// receives the statement's context, so observers can attribute the event
-// to whatever the context carries (e.g. per-statement statistics) without
-// resil knowing about those layers.
+// optional; callbacks must be safe for concurrent use. The statement's own
+// counts need no observer: the executor adds each event to the
+// obs.StmtCounters its context carries.
 type Observer struct {
 	// OnRetry fires before each retry attempt's backoff is charged.
 	OnRetry func(ctx context.Context, system string, attempt int, backoff time.Duration)
@@ -35,7 +34,6 @@ type Observer struct {
 type Executor struct {
 	retry    RetryPolicy
 	breakpol BreakerPolicy
-	now      func() time.Time
 
 	mu       sync.Mutex
 	breakers map[string]*Breaker
@@ -50,19 +48,8 @@ func NewExecutor(retry RetryPolicy, breaker BreakerPolicy) *Executor {
 	return &Executor{
 		retry:    retry,
 		breakpol: breaker,
-		now:      time.Now,
 		breakers: make(map[string]*Breaker),
 	}
-}
-
-// SetClock injects the breaker cooldown clock (tests use a fake).
-func (e *Executor) SetClock(now func() time.Time) {
-	if e == nil || now == nil {
-		return
-	}
-	e.mu.Lock()
-	e.now = now
-	e.mu.Unlock()
 }
 
 // SetObserver installs the metrics callbacks.
@@ -93,7 +80,7 @@ func (e *Executor) breaker(system string) *Breaker {
 	defer e.mu.Unlock()
 	b, ok := e.breakers[system]
 	if !ok {
-		b = NewBreaker(system, e.breakpol, e.now)
+		b = NewBreaker(system, e.breakpol, nil)
 		e.breakers[system] = b
 	}
 	return b
@@ -171,6 +158,7 @@ func (e *Executor) Call(ctx context.Context, task *simlat.Task, system string,
 				e.sheds++
 				shed := e.observer.OnShed
 				e.mu.Unlock()
+				obs.FromContext(ctx).AddShed()
 				if shed != nil {
 					shed(ctx, system)
 				}
@@ -199,6 +187,9 @@ func (e *Executor) Call(ctx context.Context, task *simlat.Task, system string,
 				e.mu.Lock()
 				trans := e.observer.OnBreakerTransition
 				e.mu.Unlock()
+				if to == BreakerOpen {
+					obs.FromContext(ctx).AddBreakerTrip()
+				}
 				if trans != nil {
 					trans(ctx, system, from, to)
 				}
@@ -225,6 +216,7 @@ func (e *Executor) Call(ctx context.Context, task *simlat.Task, system string,
 		e.retries++
 		retryCB := e.observer.OnRetry
 		e.mu.Unlock()
+		obs.FromContext(ctx).AddRetry()
 		if retryCB != nil {
 			retryCB(ctx, system, attempt+1, backoff)
 		}
@@ -238,11 +230,12 @@ func (e *Executor) Call(ctx context.Context, task *simlat.Task, system string,
 	return nil, lastErr
 }
 
-// noteTimeout forwards deadline give-ups to the observer.
+// noteTimeout counts a deadline give-up and forwards it to the observer.
 func (e *Executor) noteTimeout(ctx context.Context, system string, err error) {
 	if !errors.Is(err, ErrTimeout) {
 		return
 	}
+	obs.FromContext(ctx).AddTimeout()
 	e.mu.Lock()
 	cb := e.observer.OnTimeout
 	e.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"fedwf/internal/obs"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
 )
@@ -419,5 +420,30 @@ func TestExecutorObserverEvents(t *testing.T) {
 	if retriesSeen == 0 || transitions == 0 || sheds == 0 {
 		t.Fatalf("observer should see retries/transitions/sheds, got %d/%d/%d",
 			retriesSeen, transitions, sheds)
+	}
+}
+
+// TestExecutorCountsIntoStatement: the executor adds every retry, breaker
+// trip, shed and timeout to the counters its context carries, with no
+// observer installed.
+func TestExecutorCountsIntoStatement(t *testing.T) {
+	ex := NewExecutor(RetryPolicy{MaxAttempts: 3}, BreakerPolicy{ConsecutiveFailures: 2, OpenFor: time.Hour})
+	ctx, cnt := obs.WithStmtCounters(context.Background())
+	task := simlat.NewVirtualTask()
+	fail := func(context.Context) (*types.Table, error) {
+		return nil, &AppSysError{System: "PPS", Transient: true, Err: errors.New("down")}
+	}
+	ex.Call(ctx, task, "PPS", fail) // 2 retries; trips on the 2nd failure, sheds the 3rd attempt
+	ex.Call(ctx, task, "PPS", fail) // shed
+	expired := WithDeadlineAt(ctx, 0)
+	task.Step("work", simlat.PaperMS)
+	ex.Call(expired, task, "EDI", fail) // past its deadline before the first attempt
+	got := cnt.Snapshot()
+	if got.Retries != 2 || got.BreakerTrips != 1 || got.Sheds != 2 || got.Timeouts != 1 {
+		t.Fatalf("retries/trips/sheds/timeouts = %d/%d/%d/%d, want 2/1/2/1",
+			got.Retries, got.BreakerTrips, got.Sheds, got.Timeouts)
+	}
+	if int64(ex.Retries()) != got.Retries || int64(ex.Trips()) != got.BreakerTrips || int64(ex.Sheds()) != got.Sheds {
+		t.Fatalf("executor totals %d/%d/%d disagree with the statement's", ex.Retries(), ex.Trips(), ex.Sheds())
 	}
 }

@@ -40,10 +40,9 @@ func (e *Engine) RunBatchContext(ctx context.Context, task *simlat.Task, p *Proc
 		}
 		sp.End(task)
 	}()
-	st := e.newRunState(task)
+	st := e.newRunState(ctx, task)
 	// One instance start for the whole batch.
 	task.Step(simlat.StepStartWorkflow, e.costs.StartProcess)
-	e.notifyProcess(ctx)
 	if vectorizable(p) {
 		out, err = e.runVectorized(ctx, task, p, inputs, st)
 	} else {

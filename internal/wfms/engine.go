@@ -24,17 +24,14 @@ type Engine struct {
 	// onActivity, when set, is called once per executed activity (from
 	// activity goroutines; the observer must be safe for concurrent use).
 	onActivity func()
-	// onProcess, when set, is called once per started process instance —
-	// a whole batch shares one instance, so it fires once per batch. It
-	// receives the run's context so observers can attribute the instance
-	// to the statement that started it.
-	onProcess func(context.Context)
 	// jnl, when set, receives one wf_instance event per process instance
 	// and one wf_activity event per audit-trail entry, so instance
 	// history survives the run (the MQSeries-Workflow audit trail the
 	// paper's WfMS side is modeled on).
-	jnl     *journal.Journal
-	instSeq atomic.Uint64 // instance ids, engine-lifetime monotonic
+	jnl *journal.Journal
+	// instSeq counts started process instances over the engine's lifetime
+	// and numbers them; a whole batch shares one instance.
+	instSeq atomic.Uint64
 }
 
 // New creates a workflow engine around an invoker for local functions.
@@ -65,17 +62,10 @@ func (e *Engine) notifyActivity() {
 // wiring time, before any process runs.
 func (e *Engine) SetJournal(j *journal.Journal) { e.jnl = j }
 
-// SetProcessObserver installs a callback invoked once per started process
-// instance. A batched run starts exactly one instance regardless of how
-// many rows the batch carries — the observer is how experiments count
-// workflow instances. The callback receives the run's context.
-func (e *Engine) SetProcessObserver(f func(context.Context)) { e.onProcess = f }
-
-func (e *Engine) notifyProcess(ctx context.Context) {
-	if e.onProcess != nil {
-		e.onProcess(ctx)
-	}
-}
+// Instances returns the number of process instances started since the
+// engine was built. A batched run starts exactly one instance regardless
+// of how many rows the batch carries.
+func (e *Engine) Instances() int64 { return int64(e.instSeq.Load()) }
 
 // AuditEvent is one entry of a process instance's audit trail.
 type AuditEvent struct {
@@ -114,11 +104,10 @@ func (e *Engine) RunDetailedContext(ctx context.Context, task *simlat.Task, p *P
 	}
 	sp := obs.StartSpan(task, "wfms.process", obs.Attr{Key: "process", Value: p.Name})
 	defer sp.End(task)
-	st := e.newRunState(task)
+	st := e.newRunState(ctx, task)
 	// Starting the process instance boots the workflow engine's Java
 	// environment: a constant cost per call, per the paper's Fig. 6.
 	task.Step(simlat.StepStartWorkflow, e.costs.StartProcess)
-	e.notifyProcess(ctx)
 	out, err := e.runProcess(ctx, task, p, input, st)
 	rows := 0
 	if out != nil {
@@ -151,14 +140,18 @@ type runState struct {
 	startAt  time.Duration // task-relative instant the instance began
 }
 
-// newRunState starts the audit trail of one process instance. When the
-// engine carries a journal, the instance gets a stable engine-lifetime id
-// and its trail is mirrored into the journal as wide events.
-func (e *Engine) newRunState(task *simlat.Task) *runState {
+// newRunState starts one process instance: it counts the instance, for the
+// engine and for the statement ctx carries, and starts its audit trail.
+// When the engine carries a journal, the instance's engine-lifetime number
+// becomes its id and its trail is mirrored into the journal as wide
+// events.
+func (e *Engine) newRunState(ctx context.Context, task *simlat.Task) *runState {
+	n := e.instSeq.Add(1)
+	obs.FromContext(ctx).AddInstance()
 	st := &runState{row: -1}
 	if e.jnl != nil {
 		st.jnl = e.jnl
-		st.instance = fmt.Sprintf("wf-%06d", e.instSeq.Add(1))
+		st.instance = fmt.Sprintf("wf-%06d", n)
 		st.base = e.jnl.Now()
 		st.startAt = task.Elapsed()
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"fedwf/internal/appsys"
+	"fedwf/internal/obs"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
 )
@@ -644,5 +645,26 @@ func TestConstSourceSuppliesParameter(t *testing.T) {
 	}
 	if out.Len() != 1 || out.Rows[0][0].Int() != int64(appsys.StockNumber(appsys.SpecialSupplier, 2)) {
 		t.Errorf("output:\n%s", out)
+	}
+}
+
+// TestInstancesCounted: every started instance is counted once, for the
+// engine and for the statement its context carries, journal or not — and
+// a batch is one instance.
+func TestInstancesCounted(t *testing.T) {
+	eng := New(testInvoker(t), testCosts())
+	ctx, cnt := obs.WithStmtCounters(context.Background())
+	input := map[string]types.Value{"suppliername": types.NewString("Supplier3")}
+	if _, err := eng.RunContext(ctx, simlat.NewVirtualTask(), linearProcess(), input); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RunBatchContext(ctx, simlat.NewVirtualTask(), linearProcess(), batchInputs(3)); err != nil {
+		t.Fatal(err)
+	}
+	if got := eng.Instances(); got != 2 {
+		t.Errorf("engine instances = %d, want 2", got)
+	}
+	if got := cnt.Snapshot().Instances; got != 2 {
+		t.Errorf("statement instances = %d, want 2", got)
 	}
 }
