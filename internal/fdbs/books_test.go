@@ -78,12 +78,25 @@ func metricBooks(srv *Server) books {
 	return b
 }
 
+// instanceActivities sums the executed activities the journal's
+// wf_instance events report.
+func instanceActivities(srv *Server) int64 {
+	var n int64
+	for _, e := range srv.Journal().Snapshot() {
+		if e.Kind == journal.KindInstance {
+			n += int64(e.Activities)
+		}
+	}
+	return n
+}
+
 // TestTelemetryBooksAgree runs a faulty workload through the serving path
 // on both architectures and checks that every store the server feeds
 // keeps the same books: the warehouse, the audit journal, the Prometheus
 // counters and the stack's counters agree exactly on retries, breaker
 // trips, sheds, timeouts, wire requests and workflow instances, and the
-// plan makes each of the four fault counts non-zero.
+// plan makes each of the four fault counts non-zero. The executed workflow
+// activities on /metrics agree with the journal's wf_instance events.
 func TestTelemetryBooksAgree(t *testing.T) {
 	for _, arch := range []fedfunc.Arch{fedfunc.ArchWfMS, fedfunc.ArchUDTF} {
 		t.Run(arch.Label(), func(t *testing.T) {
@@ -118,6 +131,14 @@ func TestTelemetryBooksAgree(t *testing.T) {
 			}
 			if wh.Retries == 0 || wh.Trips == 0 || wh.Sheds == 0 || wh.Timeouts == 0 {
 				t.Errorf("the plan must exercise every fault count, got %+v", wh)
+			}
+			acts, inst := int64(srv.Metrics().WfMSActivities.Value()), instanceActivities(srv)
+			t.Logf("activities: metrics %d, wf_instance events %d", acts, inst)
+			if acts != inst {
+				t.Errorf("fedwf_wfms_activities_total %d, wf_instance events' activities %d", acts, inst)
+			}
+			if (arch == fedfunc.ArchWfMS) != (acts > 0) {
+				t.Errorf("activities %d on %s: only the WfMS architecture runs activities", acts, arch.Label())
 			}
 		})
 	}
