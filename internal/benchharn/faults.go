@@ -9,6 +9,7 @@ import (
 
 	"fedwf/internal/appsys"
 	"fedwf/internal/fedfunc"
+	"fedwf/internal/obs"
 	"fedwf/internal/resil"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
@@ -121,16 +122,18 @@ func (h *Harness) Faults(ctx context.Context, seed uint64) (*FaultReport, error)
 				return nil, err
 			}
 			row := FaultSweepRow{ErrorRate: rate, Function: fn, Calls: statements}
+			// The protected statements count their retries into one set.
+			protCtx, protCounts := obs.WithStmtCounters(ctx)
 			for i := 0; i < statements; i++ {
 				sample := i % len(spec.SampleArgs)
 				if _, err := unprot.CallContext(ctx, simlat.NewVirtualTask(), fn, spec.SampleArgs[sample]); err == nil {
 					row.UnprotectedOK++
 				}
-				if _, err := prot.CallContext(ctx, simlat.NewVirtualTask(), fn, spec.SampleArgs[sample]); err == nil {
+				if _, err := prot.CallContext(protCtx, simlat.NewVirtualTask(), fn, spec.SampleArgs[sample]); err == nil {
 					row.ProtectedOK++
 				}
 			}
-			row.Retries = prot.Guard().Retries()
+			row.Retries = int(protCounts.Snapshot().Retries)
 			report.Rows = append(report.Rows, row)
 		}
 	}
@@ -179,12 +182,13 @@ func (h *Harness) faultBreakerDemo(ctx context.Context, seed uint64, report *Fau
 		return err
 	}
 	args := []types.Value{types.NewString("washer")}
+	tripCtx, tripCounts := obs.WithStmtCounters(ctx)
 	for i := 0; i < 3; i++ {
-		if _, err := stack.CallContext(ctx, simlat.NewVirtualTask(), "GibKompNr", args); err == nil {
+		if _, err := stack.CallContext(tripCtx, simlat.NewVirtualTask(), "GibKompNr", args); err == nil {
 			return fmt.Errorf("benchharn: always-failing system succeeded")
 		}
 	}
-	report.BreakerTripped = stack.Guard().Trips() > 0
+	report.BreakerTripped = tripCounts.Snapshot().BreakerTrips > 0
 	before := inj.Injected(appsys.ProductData)
 	_, shedErr := stack.CallContext(ctx, simlat.NewVirtualTask(), "GibKompNr", args)
 	report.ShedIsOpenErr = errors.Is(shedErr, resil.ErrCircuitOpen)

@@ -2,6 +2,7 @@ package fdbs
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -139,6 +140,41 @@ func TestTelemetryBooksAgree(t *testing.T) {
 			}
 			if (arch == fedfunc.ArchWfMS) != (acts > 0) {
 				t.Errorf("activities %d on %s: only the WfMS architecture runs activities", acts, arch.Label())
+			}
+		})
+	}
+}
+
+// TestTimeoutInsideACallIsCounted: a request whose hang runs into the
+// statement deadline counts one timeout against its system, on every book,
+// whether or not a retry or breaker policy guards the stack.
+func TestTimeoutInsideACallIsCounted(t *testing.T) {
+	for _, guarded := range []bool{false, true} {
+		t.Run(fmt.Sprintf("guarded=%v", guarded), func(t *testing.T) {
+			inj := resil.NewInjector(42)
+			for _, sys := range []string{appsys.StockKeeping, appsys.ProductData, appsys.Purchasing} {
+				inj.Plan(sys, resil.FaultPlan{HangRate: 1})
+			}
+			cfg := Config{Arch: fedfunc.ArchUDTF, Faults: inj, StmtTimeout: 500 * simlat.PaperMS}
+			if guarded {
+				cfg.Retry = resil.RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * simlat.PaperMS, Multiplier: 2}
+				cfg.Breaker = resil.BreakerPolicy{ConsecutiveFailures: 3, OpenFor: time.Minute}
+			}
+			srv, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, err = srv.ExecTracedContext(context.Background(),
+				"SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier1')) AS Q", obs.TraceContext{})
+			if !errors.Is(err, resil.ErrTimeout) {
+				t.Fatalf("want a timeout, got %v", err)
+			}
+			// The first call of GetSuppQual asks the purchasing system.
+			if got := srv.Metrics().Timeouts.With(appsys.Purchasing).Value(); got != 1 {
+				t.Errorf("fedwf_statement_timeouts_total{system=%q} = %v, want 1", appsys.Purchasing, got)
+			}
+			if wh, jn := warehouseBooks(srv), journalBooks(t, srv); wh.Timeouts != 1 || jn.Timeouts != 1 {
+				t.Errorf("timeouts: warehouse %d, journal %d, want 1", wh.Timeouts, jn.Timeouts)
 			}
 		})
 	}

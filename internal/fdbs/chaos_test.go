@@ -8,6 +8,7 @@ import (
 
 	"fedwf/internal/appsys"
 	"fedwf/internal/fedfunc"
+	"fedwf/internal/obs"
 	"fedwf/internal/resil"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
@@ -69,13 +70,16 @@ func TestChaosStatementsAlwaysResolve(t *testing.T) {
 		"SELECT c.Name, k.KompNr FROM comps c LEFT JOIN TABLE (GibKompNr(c.Name)) AS k ON 1 = 1",
 	}
 
+	// Every statement counts its faults into one set, which the DOP-4
+	// workers update concurrently.
+	ctx, counts := obs.WithStmtCounters(context.Background())
 	var ok, typed, partial int
 	for i := 0; i < 120; i++ {
 		text := statements[i%len(statements)]
 		session := srv.Session()
 		task := simlat.NewVirtualTask()
 		session.SetTask(task)
-		res, execErr := session.ExecContext(context.Background(), text)
+		res, execErr := session.ExecContext(ctx, text)
 		switch {
 		case execErr == nil && res.Partial:
 			partial++
@@ -94,7 +98,7 @@ func TestChaosStatementsAlwaysResolve(t *testing.T) {
 		}
 	}
 	t.Logf("chaos outcomes: %d ok, %d typed errors, %d partial (retries spent: %d)",
-		ok, typed, partial, srv.Stack().Guard().Retries())
+		ok, typed, partial, counts.Snapshot().Retries)
 	if ok == 0 {
 		t.Error("no statement succeeded under 15% transient errors with retries")
 	}

@@ -116,31 +116,6 @@ func NewServer(cfg Config) (*Server, error) {
 		Faults:         cfg.Faults,
 		StmtTimeout:    cfg.StmtTimeout,
 		PartialResults: cfg.PartialResults,
-		Observer: resil.Observer{
-			OnRetry: func(_ context.Context, system string, _ int, _ time.Duration) {
-				metrics.Retries.With(system).Inc()
-				jnl.Append(journal.Event{Kind: journal.KindRetry,
-					Func: system, Row: -1, StartVT: jnl.Now()})
-			},
-			OnBreakerTransition: func(_ context.Context, system string, _, to resil.BreakerState) {
-				if to == resil.BreakerOpen {
-					metrics.BreakerTrips.With(system).Inc()
-					jnl.Append(journal.Event{Kind: journal.KindBreaker,
-						Func: system, Detail: "open", Class: "circuit_open",
-						Row: -1, StartVT: jnl.Now()})
-				}
-			},
-			OnShed: func(_ context.Context, system string) {
-				metrics.BreakerSheds.With(system).Inc()
-				jnl.Append(journal.Event{Kind: journal.KindShed,
-					Func: system, Class: "circuit_open", Row: -1, StartVT: jnl.Now()})
-			},
-			OnTimeout: func(_ context.Context, system string) {
-				metrics.Timeouts.With(system).Inc()
-				jnl.Append(journal.Event{Kind: journal.KindTimeout,
-					Func: system, Class: "timeout", Row: -1, StartVT: jnl.Now()})
-			},
-		},
 	})
 	if err != nil {
 		return nil, err
@@ -149,7 +124,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if err := wrapReg.Link(stack.Engine()); err != nil {
 		return nil, err
 	}
-	stack.WorkflowEngine().SetActivityObserver(func() { metrics.WfMSActivities.Inc() })
 	// The per-run wfms audit trail is redirected into the journal, so
 	// instance history survives the run and is queryable afterwards.
 	stack.WorkflowEngine().SetJournal(jnl)

@@ -2,6 +2,7 @@ package fedfunc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -91,8 +92,6 @@ type Options struct {
 	// application-system calls (inside the retry loop, so each attempt
 	// re-rolls).
 	Faults *resil.Injector
-	// Observer receives retry/breaker/shed/timeout events for metrics.
-	Observer resil.Observer
 	// StmtTimeout is the default per-statement virtual deadline; zero
 	// disables it.
 	StmtTimeout time.Duration
@@ -128,7 +127,6 @@ func NewStack(arch Arch, opts Options) (*Stack, error) {
 	var guard *resil.Executor
 	if opts.Retry.Enabled() || opts.Breaker.Enabled() {
 		guard = resil.NewExecutor(opts.Retry, opts.Breaker)
-		guard.SetObserver(opts.Observer)
 		appsClient = rpc.Guard(appsClient, guard)
 	}
 	rpcCalls := new(atomic.Int64)
@@ -236,7 +234,9 @@ func (s *Stack) registerGibKompNrBatch() error {
 // countingClient counts wire requests leaving the stack: each Call and
 // each CallBatch increments by ONE, so batching N rows shows up as a
 // single request. The count sits outside the guard, measuring logical
-// round trips rather than retry attempts.
+// round trips rather than retry attempts. Every request passes here,
+// guarded or not, so it is also where a request that gives up on the
+// statement deadline is counted, once, under the breaker's key.
 type countingClient struct {
 	inner rpc.Client
 	n     *atomic.Int64
@@ -245,21 +245,26 @@ type countingClient struct {
 func (c *countingClient) Call(ctx context.Context, task *simlat.Task, req rpc.Request) (*types.Table, error) {
 	c.n.Add(1)
 	obs.FromContext(ctx).AddRPC()
-	return c.inner.Call(ctx, task, req)
+	res, err := c.inner.Call(ctx, task, req)
+	countTimeout(ctx, req, err)
+	return res, err
 }
 
 // CallMeta implements rpc.MetaCaller when the wrapped client does.
 func (c *countingClient) CallMeta(ctx context.Context, task *simlat.Task, req rpc.Request) (*types.Table, map[string]string, error) {
+	mc, ok := c.inner.(rpc.MetaCaller)
+	if !ok {
+		res, err := c.Call(ctx, task, req)
+		if err != nil {
+			return nil, nil, err
+		}
+		return res, map[string]string{}, nil
+	}
 	c.n.Add(1)
 	obs.FromContext(ctx).AddRPC()
-	if mc, ok := c.inner.(rpc.MetaCaller); ok {
-		return mc.CallMeta(ctx, task, req)
-	}
-	res, err := c.inner.Call(ctx, task, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, map[string]string{}, nil
+	res, meta, err := mc.CallMeta(ctx, task, req)
+	countTimeout(ctx, req, err)
+	return res, meta, err
 }
 
 // CallBatch implements rpc.BatchCaller: one increment for the whole set,
@@ -268,7 +273,17 @@ func (c *countingClient) CallMeta(ctx context.Context, task *simlat.Task, req rp
 func (c *countingClient) CallBatch(ctx context.Context, task *simlat.Task, req rpc.BatchRequest) ([]*types.Table, error) {
 	c.n.Add(1)
 	obs.FromContext(ctx).AddRPC()
-	return rpc.CallBatch(ctx, task, c.inner, req)
+	res, err := rpc.CallBatch(ctx, task, c.inner, req)
+	countTimeout(ctx, rpc.Request{System: req.System, Function: req.Function}, err)
+	return res, err
+}
+
+// countTimeout counts a request that ended in resil.ErrTimeout against its
+// application system.
+func countTimeout(ctx context.Context, req rpc.Request, err error) {
+	if errors.Is(err, resil.ErrTimeout) {
+		obs.FromContext(ctx).AddFault(obs.FaultTimeout, rpc.GuardKey(req))
+	}
 }
 
 func (c *countingClient) Close() error { return c.inner.Close() }

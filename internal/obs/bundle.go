@@ -37,8 +37,8 @@ type ServerMetrics struct {
 	// BreakerSheds counts calls rejected unexecuted by an open breaker, by
 	// system.
 	BreakerSheds *CounterVec
-	// Timeouts counts statements abandoned on their deadline mid-call, by
-	// system.
+	// Timeouts counts application-system requests abandoned on the
+	// statement deadline, by system.
 	Timeouts *CounterVec
 	// PartialResults counts statements answered with degraded (NULL-padded)
 	// optional branches.
@@ -117,8 +117,9 @@ func NewServerMetrics(reg *Registry) *ServerMetrics {
 }
 
 // ObserveStatement updates the per-statement series from one finished
-// statement: its outcome and paper latency by architecture and its
-// function-cache counts; a successful statement adds its rows and, when
+// statement: its outcome and paper latency by architecture, its
+// function-cache counts, its executed workflow activities and its fault
+// counts by system; a successful statement adds its rows and, when
 // degraded, a partial result.
 func (m *ServerMetrics) ObserveStatement(st *Statement) {
 	status := "ok"
@@ -130,6 +131,10 @@ func (m *ServerMetrics) ObserveStatement(st *Statement) {
 	m.CacheHits.Add(float64(st.CacheHits))
 	m.CacheMisses.Add(float64(st.CacheMisses))
 	m.CacheCoalesced.Add(float64(st.CacheCoalesced))
+	m.WfMSActivities.Add(float64(st.Counters.Activities))
+	for _, f := range st.Counters.Faults {
+		m.faultSeries(f.Kind).With(f.System).Add(float64(f.N))
+	}
 	if st.Err != "" {
 		return
 	}
@@ -137,4 +142,10 @@ func (m *ServerMetrics) ObserveStatement(st *Statement) {
 		m.PartialResults.Inc()
 	}
 	m.RowsReturned.With(st.Arch).Add(float64(st.Rows))
+}
+
+// faultSeries is the per-system family counting one fault kind.
+func (m *ServerMetrics) faultSeries(k FaultKind) *CounterVec {
+	return [...]*CounterVec{FaultRetry: m.Retries, FaultBreakerTrip: m.BreakerTrips,
+		FaultShed: m.BreakerSheds, FaultTimeout: m.Timeouts}[k]
 }

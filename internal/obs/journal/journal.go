@@ -203,7 +203,9 @@ func (j *Journal) Append(e Event) uint64 {
 // AppendStatement appends one finished statement: its statement event,
 // stamped with the fingerprint and started at the journal's current
 // instant, then one KindCall event per federated call, each started at
-// that instant plus the call's start within the statement. The clock
+// that instant plus the call's start within the statement, then one event
+// per fault the statement met (retry, breaker trip, shed, timeout; Func is
+// the application system), started at the statement's instant. The clock
 // advances by the statement's paper time.
 func (j *Journal) AppendStatement(st *obs.Statement, fingerprint string) {
 	e := Event{
@@ -234,6 +236,21 @@ func (j *Journal) AppendStatement(st *obs.Statement, fingerprint string) {
 		j.Append(Event{Kind: KindCall, TraceID: st.TraceID, Fingerprint: fingerprint, Arch: st.Arch,
 			Func: c.Fn, Row: -1, StartVT: e.StartVT + c.Start, DurVT: c.Elapsed})
 	}
+	for _, f := range st.Counters.Faults {
+		fe := faultEvents[f.Kind]
+		fe.Func, fe.Row, fe.StartVT = f.System, -1, e.StartVT
+		for n := f.N; n > 0; n-- {
+			j.Append(fe)
+		}
+	}
+}
+
+// faultEvents is the event each counted fault kind appends.
+var faultEvents = [...]Event{
+	obs.FaultRetry:       {Kind: KindRetry},
+	obs.FaultBreakerTrip: {Kind: KindBreaker, Detail: "open", Class: "circuit_open"},
+	obs.FaultShed:        {Kind: KindShed, Class: "circuit_open"},
+	obs.FaultTimeout:     {Kind: KindTimeout, Class: "timeout"},
 }
 
 // store assigns e its sequence number and writes it into the ring.

@@ -203,6 +203,43 @@ func TestCallEventsFromSpanTree(t *testing.T) {
 	}
 }
 
+// TestFaultEventsFollowCalls: a statement's faults append one event per
+// occurrence after its call events, each naming the system in Func, with
+// the kind's detail and class, no row, and the statement's start.
+func TestFaultEventsFollowCalls(t *testing.T) {
+	j := New(Options{Capacity: 64})
+	j.Advance(7 * time.Millisecond)
+	j.AppendStatement(&obs.Statement{TraceID: "t1", Arch: "udtf", Paper: 30 * time.Millisecond,
+		Calls: []obs.FedCall{{Fn: "GetSuppQual", Start: 2 * time.Millisecond, Elapsed: 20 * time.Millisecond}},
+		Counters: obs.CounterSnapshot{Faults: []obs.FaultCount{
+			{Kind: obs.FaultRetry, System: "pps", N: 2},
+			{Kind: obs.FaultBreakerTrip, System: "pps", N: 1},
+			{Kind: obs.FaultShed, System: "pdm", N: 1},
+			{Kind: obs.FaultTimeout, System: "fn:GetQuality", N: 1},
+		}}}, "fp")
+	got := j.Snapshot()
+	const start = 7 * time.Millisecond
+	want := []Event{
+		{Kind: KindRetry, Func: "pps"},
+		{Kind: KindRetry, Func: "pps"},
+		{Kind: KindBreaker, Func: "pps", Detail: "open", Class: "circuit_open"},
+		{Kind: KindShed, Func: "pdm", Class: "circuit_open"},
+		{Kind: KindTimeout, Func: "fn:GetQuality", Class: "timeout"},
+	}
+	if len(got) != 2+len(want) || got[0].Kind != KindStatement || got[1].Kind != KindCall {
+		t.Fatalf("events = %+v, want the statement, its call, then %d faults", got, len(want))
+	}
+	for i, w := range want {
+		w.Seq, w.Row, w.StartVT = uint64(i+3), -1, start
+		if g := got[i+2]; g != w {
+			t.Errorf("fault event %d = %+v, want %+v", i, g, w)
+		}
+	}
+	if j.Now() != start+30*time.Millisecond {
+		t.Errorf("clock = %v, want only the statement's paper time added", j.Now())
+	}
+}
+
 func TestHTTPEndpoints(t *testing.T) {
 	j := New(Options{Capacity: 64})
 	j.SetObjectives(Objectives{Availability: 0.99, Latency: 50 * time.Millisecond})

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -43,24 +44,51 @@ type Statement struct {
 
 // StmtCounters ride the statement context through the whole stack, and
 // each layer counts what it does where it does it: the RPC client its
-// wire requests, the workflow engine its instances, the resilience
-// executor its retries, breaker trips, sheds and timeouts, the lateral
-// operator its flushed chunks. The serving layer snapshots the totals into
-// its Statement when the statement finishes. Carrying the counters on the
-// context — rather than diffing process-wide counters — keeps concurrent
-// statements from bleeding into each other's numbers. All methods are safe
-// on a nil receiver, so instrumented code paths need no "is a statement
-// being counted?" checks.
+// wire requests and timed-out requests, the workflow engine its instances
+// and activities, the resilience executor its retries, breaker trips and
+// sheds, the lateral operator its flushed chunks. The serving layer
+// snapshots the totals into its Statement when the statement finishes.
+// Carrying the counters on the context — rather than diffing process-wide
+// counters — keeps concurrent statements from bleeding into each other's
+// numbers. All methods are safe on a nil receiver, so instrumented code
+// paths need no "is a statement being counted?" checks.
 type StmtCounters struct {
-	rpcs         atomic.Int64
-	instances    atomic.Int64
-	retries      atomic.Int64
-	breakerTrips atomic.Int64
-	sheds        atomic.Int64
-	timeouts     atomic.Int64
-	batchCalls   atomic.Int64
-	batchRows    atomic.Int64
-	batchSlots   atomic.Int64
+	rpcs       atomic.Int64
+	instances  atomic.Int64
+	activities atomic.Int64
+	batchCalls atomic.Int64
+	batchRows  atomic.Int64
+	batchSlots atomic.Int64
+
+	// faults holds one entry per (kind, system) seen, so its size is
+	// bounded by kinds × systems however many faults the statement meets.
+	mu     sync.Mutex
+	faults []FaultCount
+}
+
+// FaultKind names one fault-handling event counted against an
+// application system.
+type FaultKind uint8
+
+// The counted fault kinds.
+const (
+	// FaultRetry is one retry attempt.
+	FaultRetry FaultKind = iota
+	// FaultBreakerTrip is one circuit-breaker trip (transition to open).
+	FaultBreakerTrip
+	// FaultShed is one call rejected unexecuted by an open breaker.
+	FaultShed
+	// FaultTimeout is one application-system request abandoned on the
+	// statement deadline.
+	FaultTimeout
+)
+
+// FaultCount is how many faults of one kind a statement met against one
+// application system (the breaker's key: the system, else "fn:"+function).
+type FaultCount struct {
+	Kind   FaultKind
+	System string
+	N      int64
 }
 
 type stmtCountersKey struct{}
@@ -96,32 +124,27 @@ func (c *StmtCounters) AddInstance() {
 	}
 }
 
-// AddRetry counts one retry attempt.
-func (c *StmtCounters) AddRetry() {
+// AddActivity counts one executed workflow activity.
+func (c *StmtCounters) AddActivity() {
 	if c != nil {
-		c.retries.Add(1)
+		c.activities.Add(1)
 	}
 }
 
-// AddBreakerTrip counts one circuit-breaker trip (transition to open).
-func (c *StmtCounters) AddBreakerTrip() {
-	if c != nil {
-		c.breakerTrips.Add(1)
+// AddFault counts one fault of the given kind against system.
+func (c *StmtCounters) AddFault(kind FaultKind, system string) {
+	if c == nil {
+		return
 	}
-}
-
-// AddShed counts one call rejected unexecuted by an open breaker.
-func (c *StmtCounters) AddShed() {
-	if c != nil {
-		c.sheds.Add(1)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i := range c.faults {
+		if f := &c.faults[i]; f.Kind == kind && f.System == system {
+			f.N++
+			return
+		}
 	}
-}
-
-// AddTimeout counts one call abandoned on the statement deadline.
-func (c *StmtCounters) AddTimeout() {
-	if c != nil {
-		c.timeouts.Add(1)
-	}
+	c.faults = append(c.faults, FaultCount{Kind: kind, System: system, N: 1})
 }
 
 // AddBatch counts one flushed set-oriented chunk: rows is the chunk's
@@ -140,10 +163,14 @@ func (c *StmtCounters) AddBatch(rows, slots int) {
 	c.batchSlots.Add(int64(slots))
 }
 
-// CounterSnapshot is the counter values at one instant.
+// CounterSnapshot is the counter values at one instant. Faults lists the
+// fault counts per (kind, system) in first-seen order; Retries,
+// BreakerTrips, Sheds and Timeouts are its sums per kind.
 type CounterSnapshot struct {
-	RPCs, Instances, Retries, BreakerTrips, Sheds, Timeouts int64
-	BatchCalls, BatchRows, BatchSlots                       int64
+	RPCs, Instances, Activities            int64
+	Retries, BreakerTrips, Sheds, Timeouts int64
+	BatchCalls, BatchRows, BatchSlots      int64
+	Faults                                 []FaultCount
 }
 
 // Snapshot reads all counters; a nil receiver reads zeros.
@@ -151,15 +178,21 @@ func (c *StmtCounters) Snapshot() CounterSnapshot {
 	if c == nil {
 		return CounterSnapshot{}
 	}
-	return CounterSnapshot{
-		RPCs:         c.rpcs.Load(),
-		Instances:    c.instances.Load(),
-		Retries:      c.retries.Load(),
-		BreakerTrips: c.breakerTrips.Load(),
-		Sheds:        c.sheds.Load(),
-		Timeouts:     c.timeouts.Load(),
-		BatchCalls:   c.batchCalls.Load(),
-		BatchRows:    c.batchRows.Load(),
-		BatchSlots:   c.batchSlots.Load(),
+	s := CounterSnapshot{
+		RPCs:       c.rpcs.Load(),
+		Instances:  c.instances.Load(),
+		Activities: c.activities.Load(),
+		BatchCalls: c.batchCalls.Load(),
+		BatchRows:  c.batchRows.Load(),
+		BatchSlots: c.batchSlots.Load(),
 	}
+	c.mu.Lock()
+	s.Faults = append([]FaultCount(nil), c.faults...)
+	c.mu.Unlock()
+	var sum [FaultTimeout + 1]int64
+	for _, f := range s.Faults {
+		sum[f.Kind] += f.N
+	}
+	s.Retries, s.BreakerTrips, s.Sheds, s.Timeouts = sum[FaultRetry], sum[FaultBreakerTrip], sum[FaultShed], sum[FaultTimeout]
+	return s
 }

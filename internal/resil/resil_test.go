@@ -3,6 +3,7 @@ package resil
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -300,8 +301,9 @@ func TestExecutorRetriesTransientFailures(t *testing.T) {
 	pol := DefaultRetryPolicy()
 	ex := NewExecutor(pol, BreakerPolicy{})
 	task := simlat.NewVirtualTask()
+	ctx, cnt := obs.WithStmtCounters(context.Background())
 	calls := 0
-	tbl, err := ex.Call(context.Background(), task, "PPS", func(context.Context) (*types.Table, error) {
+	tbl, err := ex.Call(ctx, task, "PPS", func(context.Context) (*types.Table, error) {
 		calls++
 		if calls < 3 {
 			return nil, &AppSysError{System: "PPS", Transient: true, Err: errors.New("flaky")}
@@ -314,8 +316,8 @@ func TestExecutorRetriesTransientFailures(t *testing.T) {
 	if calls != 3 {
 		t.Fatalf("expected 3 attempts, got %d", calls)
 	}
-	if ex.Retries() != 2 {
-		t.Fatalf("expected 2 retries recorded, got %d", ex.Retries())
+	if got := cnt.Snapshot().Retries; got != 2 {
+		t.Fatalf("expected 2 retries recorded, got %d", got)
 	}
 	if task.Elapsed() == 0 {
 		t.Fatalf("backoff should have charged virtual time")
@@ -358,16 +360,17 @@ func TestExecutorBreakerShedsWithoutCalling(t *testing.T) {
 	pol := BreakerPolicy{ConsecutiveFailures: 2, OpenFor: time.Hour}
 	ex := NewExecutor(RetryPolicy{MaxAttempts: 1}, pol)
 	task := simlat.NewVirtualTask()
+	ctx, cnt := obs.WithStmtCounters(context.Background())
 	fail := func(context.Context) (*types.Table, error) {
 		return nil, &AppSysError{System: "PPS", Transient: true, Err: errors.New("down")}
 	}
-	ex.Call(context.Background(), task, "PPS", fail)
-	ex.Call(context.Background(), task, "PPS", fail)
+	ex.Call(ctx, task, "PPS", fail)
+	ex.Call(ctx, task, "PPS", fail)
 	if ex.BreakerState("PPS") != BreakerOpen {
 		t.Fatalf("2 consecutive failures should trip, state=%v", ex.BreakerState("PPS"))
 	}
 	called := false
-	_, err := ex.Call(context.Background(), task, "PPS",
+	_, err := ex.Call(ctx, task, "PPS",
 		func(context.Context) (*types.Table, error) { called = true; return okTable(), nil })
 	if !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker should shed with ErrCircuitOpen, got %v", err)
@@ -375,8 +378,8 @@ func TestExecutorBreakerShedsWithoutCalling(t *testing.T) {
 	if called {
 		t.Fatalf("shed call must never reach the faulty system")
 	}
-	if ex.Sheds() != 1 || ex.Trips() != 1 {
-		t.Fatalf("expected 1 shed / 1 trip, got %d / %d", ex.Sheds(), ex.Trips())
+	if got := cnt.Snapshot(); got.Sheds != 1 || got.BreakerTrips != 1 {
+		t.Fatalf("expected 1 shed / 1 trip, got %d / %d", got.Sheds, got.BreakerTrips)
 	}
 	// A different system's breaker is independent.
 	if ex.BreakerState("EDI") != BreakerClosed {
@@ -402,30 +405,9 @@ func TestExecutorStopsRetryingPastDeadline(t *testing.T) {
 	}
 }
 
-func TestExecutorObserverEvents(t *testing.T) {
-	pol := DefaultRetryPolicy()
-	ex := NewExecutor(pol, BreakerPolicy{ConsecutiveFailures: 2, OpenFor: time.Hour})
-	var retriesSeen, transitions, sheds int
-	ex.SetObserver(Observer{
-		OnRetry:             func(context.Context, string, int, time.Duration) { retriesSeen++ },
-		OnBreakerTransition: func(context.Context, string, BreakerState, BreakerState) { transitions++ },
-		OnShed:              func(context.Context, string) { sheds++ },
-	})
-	task := simlat.NewVirtualTask()
-	fail := func(context.Context) (*types.Table, error) {
-		return nil, &AppSysError{System: "PPS", Transient: true, Err: errors.New("down")}
-	}
-	ex.Call(context.Background(), task, "PPS", fail) // 3 attempts: 2 retries, trips on 2nd failure
-	ex.Call(context.Background(), task, "PPS", fail) // shed
-	if retriesSeen == 0 || transitions == 0 || sheds == 0 {
-		t.Fatalf("observer should see retries/transitions/sheds, got %d/%d/%d",
-			retriesSeen, transitions, sheds)
-	}
-}
-
 // TestExecutorCountsIntoStatement: the executor adds every retry, breaker
-// trip, shed and timeout to the counters its context carries, with no
-// observer installed.
+// trip and shed to the counters its context carries, against the system
+// it guards, one entry per (kind, system) in first-seen order.
 func TestExecutorCountsIntoStatement(t *testing.T) {
 	ex := NewExecutor(RetryPolicy{MaxAttempts: 3}, BreakerPolicy{ConsecutiveFailures: 2, OpenFor: time.Hour})
 	ctx, cnt := obs.WithStmtCounters(context.Background())
@@ -435,15 +417,25 @@ func TestExecutorCountsIntoStatement(t *testing.T) {
 	}
 	ex.Call(ctx, task, "PPS", fail) // 2 retries; trips on the 2nd failure, sheds the 3rd attempt
 	ex.Call(ctx, task, "PPS", fail) // shed
-	expired := WithDeadlineAt(ctx, 0)
-	task.Step("work", simlat.PaperMS)
-	ex.Call(expired, task, "EDI", fail) // past its deadline before the first attempt
+	flaky := 0
+	ex.Call(ctx, task, "EDI", func(context.Context) (*types.Table, error) {
+		if flaky++; flaky == 1 {
+			return nil, &AppSysError{System: "EDI", Transient: true, Err: errors.New("flaky")}
+		}
+		return okTable(), nil
+	}) // 1 retry, then success
 	got := cnt.Snapshot()
-	if got.Retries != 2 || got.BreakerTrips != 1 || got.Sheds != 2 || got.Timeouts != 1 {
-		t.Fatalf("retries/trips/sheds/timeouts = %d/%d/%d/%d, want 2/1/2/1",
-			got.Retries, got.BreakerTrips, got.Sheds, got.Timeouts)
+	want := []obs.FaultCount{
+		{Kind: obs.FaultRetry, System: "PPS", N: 2},
+		{Kind: obs.FaultBreakerTrip, System: "PPS", N: 1},
+		{Kind: obs.FaultShed, System: "PPS", N: 2},
+		{Kind: obs.FaultRetry, System: "EDI", N: 1},
 	}
-	if int64(ex.Retries()) != got.Retries || int64(ex.Trips()) != got.BreakerTrips || int64(ex.Sheds()) != got.Sheds {
-		t.Fatalf("executor totals %d/%d/%d disagree with the statement's", ex.Retries(), ex.Trips(), ex.Sheds())
+	if !reflect.DeepEqual(got.Faults, want) {
+		t.Fatalf("faults = %+v, want %+v", got.Faults, want)
+	}
+	if got.Retries != 3 || got.BreakerTrips != 1 || got.Sheds != 2 || got.Timeouts != 0 {
+		t.Fatalf("retries/trips/sheds/timeouts = %d/%d/%d/%d, want 3/1/2/0",
+			got.Retries, got.BreakerTrips, got.Sheds, got.Timeouts)
 	}
 }

@@ -195,9 +195,9 @@ func (c *inProcClient) Close() error { return nil }
 
 // ------------------------------------------------------- guard middleware
 
-// guardKey names the breaker/injection stream a request belongs to: the
+// GuardKey names the breaker/injection stream a request belongs to: the
 // target system, or the function for system-resolved dispatches.
-func guardKey(req Request) string {
+func GuardKey(req Request) string {
 	if req.System != "" {
 		return req.System
 	}
@@ -222,7 +222,7 @@ func Guard(c Client, ex *resil.Executor) Client {
 
 // Call implements Client.
 func (g *guardClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-	return g.ex.Call(ctx, task, guardKey(req), func(ctx context.Context) (*types.Table, error) {
+	return g.ex.Call(ctx, task, GuardKey(req), func(ctx context.Context) (*types.Table, error) {
 		return g.c.Call(ctx, task, req)
 	})
 }
@@ -242,7 +242,7 @@ func (g *guardClient) CallMeta(ctx context.Context, task *simlat.Task, req Reque
 		return res, map[string]string{}, nil
 	}
 	var meta map[string]string
-	res, err := g.ex.Call(ctx, task, guardKey(req), func(ctx context.Context) (*types.Table, error) {
+	res, err := g.ex.Call(ctx, task, GuardKey(req), func(ctx context.Context) (*types.Table, error) {
 		r, m, err := mc.CallMeta(ctx, task, req)
 		meta = m
 		return r, err
@@ -255,7 +255,7 @@ func (g *guardClient) CallMeta(ctx context.Context, task *simlat.Task, req Reque
 // retries, and trips breakers atomically.
 func (g *guardClient) CallBatch(ctx context.Context, task *simlat.Task, req BatchRequest) ([]*types.Table, error) {
 	var out []*types.Table
-	key := guardKey(Request{System: req.System, Function: req.Function})
+	key := GuardKey(Request{System: req.System, Function: req.Function})
 	_, err := g.ex.Call(ctx, task, key, func(ctx context.Context) (*types.Table, error) {
 		res, err := CallBatch(ctx, task, g.c, req)
 		out = res
@@ -288,7 +288,7 @@ func WithFaults(c Client, in *resil.Injector) Client {
 
 // Call implements Client.
 func (f *faultClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-	if err := f.in.Inject(ctx, task, guardKey(req)); err != nil {
+	if err := f.in.Inject(ctx, task, GuardKey(req)); err != nil {
 		return nil, err
 	}
 	return f.c.Call(ctx, task, req)
@@ -296,7 +296,7 @@ func (f *faultClient) Call(ctx context.Context, task *simlat.Task, req Request) 
 
 // CallMeta implements MetaCaller when the wrapped client does.
 func (f *faultClient) CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error) {
-	if err := f.in.Inject(ctx, task, guardKey(req)); err != nil {
+	if err := f.in.Inject(ctx, task, GuardKey(req)); err != nil {
 		return nil, nil, err
 	}
 	if mc, ok := f.c.(MetaCaller); ok {
@@ -309,7 +309,7 @@ func (f *faultClient) CallMeta(ctx context.Context, task *simlat.Task, req Reque
 // CallBatch implements BatchCaller: one injection roll per batch, because
 // a batch is one wire request.
 func (f *faultClient) CallBatch(ctx context.Context, task *simlat.Task, req BatchRequest) ([]*types.Table, error) {
-	if err := f.in.Inject(ctx, task, guardKey(Request{System: req.System, Function: req.Function})); err != nil {
+	if err := f.in.Inject(ctx, task, GuardKey(Request{System: req.System, Function: req.Function})); err != nil {
 		return nil, err
 	}
 	return CallBatch(ctx, task, f.c, req)

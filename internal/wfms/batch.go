@@ -158,7 +158,6 @@ func (e *Engine) runFunctionActivityBatch(ctx context.Context, task *simlat.Task
 	// One program start and one container-handling pass for the batch.
 	task.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
-	e.notifyActivity()
 
 	var flat [][]types.Value
 	perRow := make([]int, len(inputs)) // bindings contributed by each row; -1 = no data
@@ -218,7 +217,6 @@ func (e *Engine) runHelperActivityBatch(task *simlat.Task, a *HelperActivity, in
 	defer task.SetLabel(prev)
 	task.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
-	e.notifyActivity()
 
 	key := strings.ToLower(a.Name)
 	for i, input := range inputs {

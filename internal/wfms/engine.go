@@ -21,9 +21,6 @@ type Engine struct {
 	invoker Invoker
 	costs   Costs
 	serial  bool
-	// onActivity, when set, is called once per executed activity (from
-	// activity goroutines; the observer must be safe for concurrent use).
-	onActivity func()
 	// jnl, when set, receives one wf_instance event per process instance
 	// and one wf_activity event per audit-trail entry, so instance
 	// history survives the run (the MQSeries-Workflow audit trail the
@@ -44,17 +41,6 @@ func New(invoker Invoker, costs Costs) *Engine {
 // advantage is worth — with a serial navigator the WfMS loses to the
 // sequential variant on the independent case too.
 func (e *Engine) SetSerial(serial bool) { e.serial = serial }
-
-// SetActivityObserver installs a callback invoked once per executed
-// activity. Set it at wiring time, before any process runs; it is called
-// from concurrent activity goroutines.
-func (e *Engine) SetActivityObserver(f func()) { e.onActivity = f }
-
-func (e *Engine) notifyActivity() {
-	if e.onActivity != nil {
-		e.onActivity()
-	}
-}
 
 // SetJournal redirects the engine's audit trail into the federation audit
 // journal: every process instance and every activity transition is
@@ -132,6 +118,9 @@ type runState struct {
 	audit    []AuditEvent
 	executed int
 	row      int // current in-chunk row index; -1 = whole instance
+	// cnt is the statement's counters, which count every executed
+	// activity beside executed.
+	cnt *obs.StmtCounters
 
 	// Journal routing, set by newRunState when the engine has one.
 	jnl      *journal.Journal
@@ -141,14 +130,16 @@ type runState struct {
 }
 
 // newRunState starts one process instance: it counts the instance, for the
-// engine and for the statement ctx carries, and starts its audit trail.
+// engine and for the statement ctx carries, and starts its audit trail,
+// whose executed activities are counted for the statement too.
 // When the engine carries a journal, the instance's engine-lifetime number
 // becomes its id and its trail is mirrored into the journal as wide
 // events.
 func (e *Engine) newRunState(ctx context.Context, task *simlat.Task) *runState {
 	n := e.instSeq.Add(1)
-	obs.FromContext(ctx).AddInstance()
-	st := &runState{row: -1}
+	cnt := obs.FromContext(ctx)
+	cnt.AddInstance()
+	st := &runState{row: -1, cnt: cnt}
 	if e.jnl != nil {
 		st.jnl = e.jnl
 		st.instance = fmt.Sprintf("wf-%06d", n)
@@ -229,6 +220,7 @@ func (st *runState) countExec() {
 	st.mu.Lock()
 	st.executed++
 	st.mu.Unlock()
+	st.cnt.AddActivity()
 }
 
 // completion is one navigator event.
@@ -470,7 +462,6 @@ func (e *Engine) runFunctionActivity(ctx context.Context, branch *simlat.Task, a
 	defer branch.SetLabel(prev)
 	branch.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
-	e.notifyActivity()
 
 	bindings, empty, err := bindingRows(a.Args, input, outputs)
 	if err != nil {
@@ -502,7 +493,6 @@ func (e *Engine) runHelperActivity(branch *simlat.Task, a *HelperActivity, input
 	defer branch.SetLabel(prev)
 	branch.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
-	e.notifyActivity()
 
 	in := make(map[string]*types.Table, len(outputs)+1)
 	for k, v := range outputs {

@@ -650,16 +650,24 @@ func TestConstSourceSuppliesParameter(t *testing.T) {
 
 // TestInstancesCounted: every started instance is counted once, for the
 // engine and for the statement its context carries, journal or not — and
-// a batch is one instance.
+// a batch is one instance. The statement counts each executed activity
+// too: the run's own count, and one per node for a batch.
 func TestInstancesCounted(t *testing.T) {
 	eng := New(testInvoker(t), testCosts())
 	ctx, cnt := obs.WithStmtCounters(context.Background())
 	input := map[string]types.Value{"suppliername": types.NewString("Supplier3")}
-	if _, err := eng.RunContext(ctx, simlat.NewVirtualTask(), linearProcess(), input); err != nil {
+	res, err := eng.RunDetailedContext(ctx, simlat.NewVirtualTask(), linearProcess(), input)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got := cnt.Snapshot().Activities; got != int64(res.Activities) || got == 0 {
+		t.Errorf("statement activities = %d, want the run's %d", got, res.Activities)
 	}
 	if _, err := eng.RunBatchContext(ctx, simlat.NewVirtualTask(), linearProcess(), batchInputs(3)); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := cnt.Snapshot().Activities, int64(res.Activities+len(linearProcess().Nodes)); got != want {
+		t.Errorf("statement activities after the batch = %d, want %d", got, want)
 	}
 	if got := eng.Instances(); got != 2 {
 		t.Errorf("engine instances = %d, want 2", got)
