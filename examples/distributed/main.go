@@ -37,13 +37,13 @@ func main() {
 	defer server.Close()
 	fmt.Println("application systems listening on", addr)
 
-	// "Local" side: the integration server reaches them through a bounded
-	// pool of framed multiplexed connections — parallel lateral workers
-	// pipeline their calls over a few shared sockets instead of dialing
-	// per call.
-	client := rpc.NewPool(4, func() (rpc.Client, error) {
-		return rpc.DialMux(addr.String())
-	})
+	// "Local" side: the integration server reaches them through one framed
+	// multiplexed connection — parallel lateral workers pipeline their
+	// calls over the shared socket instead of dialing per call.
+	client, err := rpc.DialMux(addr.String())
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer client.Close()
 
 	// The local scenario catalog supplies the function signatures; every

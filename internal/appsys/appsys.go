@@ -35,6 +35,9 @@ type Function struct {
 	Returns     types.Schema
 	ServiceTime time.Duration // simulated execution time per call
 	Impl        func(sys *System, args []types.Value) (*types.Table, error)
+	// Single declares that the function answers at most one row per call;
+	// a call that answers more fails.
+	Single bool
 }
 
 // System is one application system.
@@ -121,6 +124,9 @@ func (s *System) CallContext(ctx context.Context, task *simlat.Task, name string
 	res, err := f.Impl(s, cast)
 	if err != nil {
 		return nil, fmt.Errorf("appsys: %s.%s: %w", s.name, f.Name, err)
+	}
+	if f.Single && res.Len() > 1 {
+		return nil, fmt.Errorf("appsys: %s.%s answered %d rows but is declared single-row", s.name, f.Name, res.Len())
 	}
 	out = types.NewTable(f.Returns.Clone())
 	for _, r := range res.Rows {

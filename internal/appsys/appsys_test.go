@@ -175,6 +175,31 @@ func TestCallValidation(t *testing.T) {
 	}
 }
 
+// TestSingleIsChecked: a function declared Single that answers two rows
+// fails its call instead of feeding a process fork it would corrupt.
+func TestSingleIsChecked(t *testing.T) {
+	sys := NewSystem("s")
+	two := func(*System, []types.Value) (*types.Table, error) {
+		out := types.NewTable(types.Schema{{Name: "N", Type: types.Integer}})
+		out.Rows = append(out.Rows, types.Row{types.NewInt(1)}, types.Row{types.NewInt(2)})
+		return out, nil
+	}
+	for _, f := range []*Function{
+		{Name: "Many", Returns: types.Schema{{Name: "N", Type: types.Integer}}, Impl: two},
+		{Name: "One", Returns: types.Schema{{Name: "N", Type: types.Integer}}, Impl: two, Single: true},
+	} {
+		if err := sys.Register(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tab, err := sys.CallContext(context.Background(), simlat.Free(), "Many", nil); err != nil || tab.Len() != 2 {
+		t.Fatalf("Many: %v rows, %v", tab, err)
+	}
+	if _, err := sys.CallContext(context.Background(), simlat.Free(), "One", nil); err == nil {
+		t.Fatal("a Single function answered two rows without error")
+	}
+}
+
 func TestResolve(t *testing.T) {
 	reg := MustBuildScenario()
 	sys, fn, err := reg.Resolve("GetGrade")

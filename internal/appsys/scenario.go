@@ -140,6 +140,7 @@ func buildStockKeeping() (*System, error) {
 			Params:      []types.Column{{Name: "SupplierNo", Type: types.Integer}},
 			Returns:     types.Schema{{Name: "Qual", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
+			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
 				return lookupProject(sys, "quality", "SupplierNo", args[0], []string{"Qual"})
 			},
@@ -152,6 +153,7 @@ func buildStockKeeping() (*System, error) {
 			},
 			Returns:     types.Schema{{Name: "Number", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
+			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
 				tab, err := sys.store.Get("stockitems")
 				if err != nil {
@@ -218,6 +220,7 @@ func buildProductData() (*System, error) {
 			Params:      []types.Column{{Name: "CompName", Type: types.VarCharN(30)}},
 			Returns:     types.Schema{{Name: "No", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
+			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
 				return lookupProject(sys, "components", "CompName", args[0], []string{"CompNo"})
 			},
@@ -243,6 +246,7 @@ func buildProductData() (*System, error) {
 				{Name: "HasMore", Type: types.Integer},
 			},
 			ServiceTime: DefaultServiceTime,
+			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
 				cursor := args[0].Int()
 				out := types.NewTable(types.Schema{
@@ -328,6 +332,7 @@ func buildPurchasing() (*System, error) {
 			Params:      []types.Column{{Name: "SupplierNo", Type: types.Integer}},
 			Returns:     types.Schema{{Name: "Relia", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
+			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
 				return lookupProject(sys, "suppliers", "SupplierNo", args[0], []string{"Relia"})
 			},
@@ -337,6 +342,7 @@ func buildPurchasing() (*System, error) {
 			Params:      []types.Column{{Name: "SupplierName", Type: types.VarCharN(30)}},
 			Returns:     types.Schema{{Name: "SupplierNo", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
+			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
 				return lookupProject(sys, "suppliers", "Name", args[0], []string{"SupplierNo"})
 			},
@@ -349,6 +355,7 @@ func buildPurchasing() (*System, error) {
 			},
 			Returns:     types.Schema{{Name: "Grade", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
+			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
 				out := types.NewTable(types.Schema{{Name: "Grade", Type: types.Integer}})
 				out.Rows = append(out.Rows, types.Row{
@@ -365,6 +372,7 @@ func buildPurchasing() (*System, error) {
 			},
 			Returns:     types.Schema{{Name: "Answer", Type: types.VarCharN(10)}},
 			ServiceTime: DefaultServiceTime,
+			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
 				answer := "NO"
 				// Buy when the supplier grade clears the threshold and the

@@ -434,10 +434,10 @@ type SQLFunc struct {
 	// Hooks let the UDTF layer charge simulated costs around the body.
 	BeforeInvoke func(task *simlat.Task)
 	AfterInvoke  func(task *simlat.Task)
-	// BatchBody, when set, is a hand-written set-oriented realization of
-	// the function: one call receives all argument rows of a batch and
-	// answers one table per row. The per-row SQL body stays the reference
-	// semantics; BatchBody is the optimized path a batched plan uses.
+	// BatchBody, when set, is a set-oriented realization of the function:
+	// one call receives all argument rows of a batch and answers one table
+	// per row. The per-row SQL body stays the reference semantics;
+	// BatchBody is the optimized path a batched plan uses.
 	BatchBody func(ctx context.Context, rt QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error)
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"fedwf/internal/appsys"
@@ -402,18 +403,77 @@ func TestRemoteAppsClient(t *testing.T) {
 }
 
 // TestStringArgumentsQuoted ensures federated function calls survive SQL
-// metacharacters in string arguments.
+// metacharacters in string arguments, on both stacks and through the Go
+// I-UDTF bodies, which bind their arguments rather than quote them.
 func TestStringArgumentsQuoted(t *testing.T) {
 	wf, ud := newStacks(t)
-	args := []types.Value{types.NewString("o'brian -- DROP")}
-	for _, s := range []*Stack{wf, ud} {
-		tab, err := s.CallContext(context.Background(), simlat.Free(), "GetSuppQual", args)
+	name := types.NewString("o'brian -- DROP")
+	calls := []struct {
+		s    *Stack
+		fn   string
+		args []types.Value
+	}{
+		{wf, "GetSuppQual", []types.Value{name}},
+		{ud, "GetSuppQual", []types.Value{name}},
+		{ud, "GetSuppQual_Go", []types.Value{name}},
+		{ud, "BuySuppComp_Go", []types.Value{types.NewInt(4), name}},
+	}
+	for _, c := range calls {
+		tab, err := c.s.CallContext(context.Background(), simlat.Free(), c.fn, c.args)
 		if err != nil {
-			t.Errorf("%s: %v", s.Arch(), err)
+			t.Errorf("%s %s: %v", c.s.Arch(), c.fn, err)
 			continue
 		}
 		if tab.Len() != 0 {
-			t.Errorf("%s: unexpected rows:\n%s", s.Arch(), tab)
+			t.Errorf("%s %s: unexpected rows:\n%s", c.s.Arch(), c.fn, tab)
 		}
 	}
+}
+
+// TestCompiledBodiesConcurrent: a compiled mapping is shared by every
+// statement that calls it — its Go I-UDTF's parsed SELECTs and its
+// process helper run from many goroutines at once and must agree with a
+// lone call.
+func TestCompiledBodiesConcurrent(t *testing.T) {
+	wf, ud := newStacks(t)
+	type call struct {
+		s    *Stack
+		fn   string
+		args []types.Value
+	}
+	var calls []call
+	for _, spec := range Specs() {
+		for _, args := range spec.SampleArgs {
+			calls = append(calls, call{wf, spec.Name, args})
+			if spec.GoBody != nil {
+				calls = append(calls, call{ud, spec.Name + "_Go", args})
+			}
+		}
+	}
+	want := make([]string, len(calls))
+	for i, c := range calls {
+		tab, err := c.s.CallContext(context.Background(), simlat.Free(), c.fn, c.args)
+		if err != nil {
+			t.Fatalf("%s%v: %v", c.fn, c.args, err)
+		}
+		want[i] = strings.Join(sortedRows(tab), "|")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, c := range calls {
+				tab, err := c.s.CallContext(context.Background(), simlat.Free(), c.fn, c.args)
+				if err != nil {
+					t.Errorf("%s%v: %v", c.fn, c.args, err)
+					continue
+				}
+				if got := strings.Join(sortedRows(tab), "|"); got != want[i] {
+					t.Errorf("%s%v concurrently: %s, alone: %s", c.fn, c.args, got, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

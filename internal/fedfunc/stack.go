@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fedwf/internal/appsys"
-	"fedwf/internal/catalog"
 	"fedwf/internal/controller"
 	"fedwf/internal/engine"
 	"fedwf/internal/obs"
@@ -60,7 +59,6 @@ type Stack struct {
 	instrument *udtf.Instrument
 	profile    simlat.Profile
 	supported  map[string]bool
-	guard      *resil.Executor
 
 	// rpcCalls counts wire requests to the application systems (one per
 	// Call and one per CallBatch, so batching N rows is ONE request);
@@ -152,83 +150,48 @@ func NewStack(arch Arch, opts Options) (*Stack, error) {
 		instrument: udtf.NewInstrument(profile),
 		profile:    profile,
 		supported:  make(map[string]bool),
-		guard:      guard,
 		rpcCalls:   rpcCalls,
 	}
-	specs := Specs()
-	switch arch {
-	case ArchWfMS:
-		for _, spec := range specs {
-			if err := udtf.RegisterWorkflowUDTF(s.engine, bridge, s.instrument, spec.Process()); err != nil {
-				return nil, fmt.Errorf("fedfunc: registering %s: %w", spec.Name, err)
-			}
-			s.supported[strings.ToLower(spec.Name)] = true
-		}
-	case ArchUDTF:
+	if arch == ArchUDTF {
 		if err := s.registerAccessUDTFs(apps); err != nil {
 			return nil, err
 		}
-		for _, spec := range specs {
-			if !spec.SupportsUDTF() {
-				continue // the cyclic case: no SQL realisation
-			}
-			if err := udtf.RegisterSQLIntegrationUDTF(s.engine, s.instrument, spec.SQLDefinition); err != nil {
-				return nil, fmt.Errorf("fedfunc: registering %s: %w", spec.Name, err)
-			}
-			s.supported[strings.ToLower(spec.Name)] = true
-		}
-		// The trivial case gets a hand-written set-oriented realization:
-		// batched plans drive the A-UDTF's batch path, so a whole chunk
-		// costs one I-UDTF entry, one A-UDTF entry, and one RPC round trip.
-		if err := s.registerGibKompNrBatch(); err != nil {
-			return nil, err
-		}
-		// The Go I-UDTF variants (enhanced Java UDTF architecture) ride on
-		// the same A-UDTFs.
-		for _, spec := range specs {
-			if spec.GoBody == nil {
-				continue
-			}
-			name := spec.Name + "_Go"
-			if err := udtf.RegisterGoIntegrationUDTF(s.engine, s.instrument, name,
-				spec.Params, spec.Returns, udtf.GoBody(spec.GoBody)); err != nil {
-				return nil, fmt.Errorf("fedfunc: registering %s: %w", name, err)
-			}
-			s.supported[strings.ToLower(name)] = true
-		}
-	default:
+	} else if arch != ArchWfMS {
 		return nil, fmt.Errorf("fedfunc: unknown architecture %d", arch)
+	}
+	for _, spec := range Specs() {
+		if err := s.register(spec); err != nil {
+			return nil, fmt.Errorf("fedfunc: registering %s: %w", spec.Name, err)
+		}
 	}
 	return s, nil
 }
 
-// registerGibKompNrBatch installs the set-oriented realization of the
-// trivial-case SQL I-UDTF: all KompName rows of a chunk forward to the
-// GetCompNo A-UDTF's own batch path in one call, and each per-row result
-// is projected onto the federated signature (No -> KompNr), mirroring the
-// SQL body's SELECT list.
-func (s *Stack) registerGibKompNrBatch() error {
-	getCompNo, err := s.engine.Catalog().Func("GetCompNo")
-	if err != nil {
-		return err
+// register installs one compiled mapping: its process on the WfMS stack;
+// its SQL I-UDTF (if any, with its batch form) and Go I-UDTF on the UDTF
+// stack.
+func (s *Stack) register(spec *Spec) error {
+	if s.arch == ArchWfMS {
+		return s.RegisterProcess(spec.Process())
 	}
-	returns := types.Schema{{Name: "KompNr", Type: types.Integer}}
-	body := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
-		tabs, err := catalog.InvokeFuncBatch(ctx, getCompNo, rt, task, rows)
-		if err != nil {
-			return nil, err
+	if spec.SupportsUDTF() {
+		if err := udtf.RegisterSQLIntegrationUDTF(s.engine, s.instrument, spec.SQLDefinition); err != nil {
+			return err
 		}
-		out := make([]*types.Table, len(tabs))
-		for i, tab := range tabs {
-			pt := &types.Table{Schema: returns.Clone(), Rows: make([]types.Row, 0, len(tab.Rows))}
-			for _, r := range tab.Rows {
-				pt.Rows = append(pt.Rows, types.Row{r[0]})
-			}
-			out[i] = pt
+		if err := spec.graph.registerBatch(s.engine, s.instrument); err != nil {
+			return err
 		}
-		return out, nil
+		s.supported[strings.ToLower(spec.Name)] = true
 	}
-	return udtf.SetSQLBatchRealization(s.engine, s.instrument, "GibKompNr", body)
+	if spec.GoBody != nil {
+		name := spec.Name + "_Go"
+		if err := udtf.RegisterGoIntegrationUDTF(s.engine, s.instrument, name,
+			spec.Params, spec.Returns, udtf.GoBody(spec.GoBody)); err != nil {
+			return err
+		}
+		s.supported[strings.ToLower(name)] = true
+	}
+	return nil
 }
 
 // countingClient counts wire requests leaving the stack: each Call and
@@ -362,11 +325,6 @@ func (s *Stack) Flush(level udtf.BootLevel) {
 		s.bridge.Reset()
 	}
 }
-
-// Guard exposes the resilience executor guarding the stack's
-// application-system calls (nil when neither retries nor breaking are
-// configured).
-func (s *Stack) Guard() *resil.Executor { return s.guard }
 
 // Counters returns the number of application-system wire requests and
 // started workflow process instances since construction or the last

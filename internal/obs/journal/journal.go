@@ -205,8 +205,8 @@ func (j *Journal) Append(e Event) uint64 {
 // instant, then one KindCall event per federated call, each started at
 // that instant plus the call's start within the statement, then one event
 // per fault the statement met (retry, breaker trip, shed, timeout; Func is
-// the application system), started at the statement's instant. The clock
-// advances by the statement's paper time.
+// the application system), carrying the statement's trace id and started
+// at its instant. The clock advances by the statement's paper time.
 func (j *Journal) AppendStatement(st *obs.Statement, fingerprint string) {
 	e := Event{
 		Kind:        KindStatement,
@@ -238,7 +238,7 @@ func (j *Journal) AppendStatement(st *obs.Statement, fingerprint string) {
 	}
 	for _, f := range st.Counters.Faults {
 		fe := faultEvents[f.Kind]
-		fe.Func, fe.Row, fe.StartVT = f.System, -1, e.StartVT
+		fe.TraceID, fe.Func, fe.Row, fe.StartVT = st.TraceID, f.System, -1, e.StartVT
 		for n := f.N; n > 0; n-- {
 			j.Append(fe)
 		}

@@ -203,6 +203,34 @@ func TestCallEventsFromSpanTree(t *testing.T) {
 	}
 }
 
+// TestFaultEventsCarryTraceID: a fault event joins to its statement on
+// the trace id, as the statement's call events do.
+func TestFaultEventsCarryTraceID(t *testing.T) {
+	j := New(Options{Capacity: 16})
+	for _, id := range []string{"t1", "t2"} {
+		j.AppendStatement(&obs.Statement{TraceID: id, Counters: obs.CounterSnapshot{Faults: []obs.FaultCount{
+			{Kind: obs.FaultRetry, System: "pps", N: 1},
+			{Kind: obs.FaultTimeout, System: "pdm", N: 1},
+		}}}, "fp")
+	}
+	var stmt string // the trace id of the statement the events follow
+	var faults int
+	for _, e := range j.Snapshot() {
+		switch e.Kind {
+		case KindStatement:
+			stmt = e.TraceID
+		case KindRetry, KindTimeout:
+			faults++
+			if e.TraceID != stmt {
+				t.Errorf("%s event %d: trace id %q, want its statement's %q", e.Kind, e.Seq, e.TraceID, stmt)
+			}
+		}
+	}
+	if faults != 4 {
+		t.Fatalf("fault events = %d, want 4", faults)
+	}
+}
+
 // TestFaultEventsFollowCalls: a statement's faults append one event per
 // occurrence after its call events, each naming the system in Func, with
 // the kind's detail and class, no row, and the statement's start.
@@ -230,7 +258,7 @@ func TestFaultEventsFollowCalls(t *testing.T) {
 		t.Fatalf("events = %+v, want the statement, its call, then %d faults", got, len(want))
 	}
 	for i, w := range want {
-		w.Seq, w.Row, w.StartVT = uint64(i+3), -1, start
+		w.Seq, w.TraceID, w.Row, w.StartVT = uint64(i+3), "t1", -1, start
 		if g := got[i+2]; g != w {
 			t.Errorf("fault event %d = %+v, want %+v", i, g, w)
 		}

@@ -337,6 +337,30 @@ func TestExecutorDoesNotRetryPermanentErrors(t *testing.T) {
 	}
 }
 
+// TestBreakerIgnoresPermanentErrors: only transient failures and timeouts
+// count toward tripping; a permanent error says nothing about the
+// system's health, so more of them than the threshold leave the breaker
+// closed and the next call goes through.
+func TestBreakerIgnoresPermanentErrors(t *testing.T) {
+	ex := NewExecutor(RetryPolicy{MaxAttempts: 1}, BreakerPolicy{ConsecutiveFailures: 2, OpenFor: time.Hour})
+	ctx, cnt := obs.WithStmtCounters(context.Background())
+	for i := 0; i < 5; i++ {
+		ex.Call(ctx, simlat.NewVirtualTask(), "X", func(context.Context) (*types.Table, error) {
+			return nil, &AppSysError{System: "X", Transient: false, Err: errors.New("no such function")}
+		})
+	}
+	if st := ex.BreakerState("X"); st != BreakerClosed {
+		t.Fatalf("5 permanent errors moved the breaker to %v, want closed", st)
+	}
+	if _, err := ex.Call(ctx, simlat.NewVirtualTask(), "X",
+		func(context.Context) (*types.Table, error) { return okTable(), nil }); err != nil {
+		t.Fatalf("call after permanent errors: %v", err)
+	}
+	if got := cnt.Snapshot(); got.BreakerTrips != 0 || got.Sheds != 0 {
+		t.Fatalf("trips/sheds = %d/%d, want 0/0", got.BreakerTrips, got.Sheds)
+	}
+}
+
 func TestExecutorHonorsRetryBudget(t *testing.T) {
 	pol := DefaultRetryPolicy()
 	pol.MaxAttempts = 5

@@ -103,8 +103,7 @@ func errFromWire(class uint8, msg string) error {
 
 // ErrTransport marks transport-level failures — send, receive, handshake,
 // cancellation — as opposed to errors the server reported over a healthy
-// connection. Connection pools use it to decide whether a connection is
-// still reusable.
+// connection, after which the connection may still be reused.
 var ErrTransport = errors.New("rpc: transport failure")
 
 // transportError wraps a transport failure with its operation.

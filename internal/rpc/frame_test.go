@@ -279,8 +279,8 @@ func TestTransportErrorMatching(t *testing.T) {
 	if !strings.Contains(err.Error(), "call cancelled") {
 		t.Errorf("transportError message = %q", err.Error())
 	}
-	// Server-reported errors are NOT transport errors: pools keep the
-	// connection when errors.Is(err, ErrTransport) is false.
+	// Server-reported errors are NOT transport errors: the connection stays
+	// usable when errors.Is(err, ErrTransport) is false.
 	if errors.Is(errFromWire(classUnavailable, "shed"), ErrTransport) {
 		t.Error("a typed server error must not look like a transport failure")
 	}

@@ -496,7 +496,7 @@ func TestOversizedMessagesFailOnlyTheirCall(t *testing.T) {
 	}
 
 	// Client side: a request too large to frame is refused before anything
-	// is written, as a plain error — a Pool must not retire the connection.
+	// is written, as a plain error: the connection stays usable.
 	_, err = c.Call(context.Background(), simlat.Free(), Request{System: "s", Function: "f", Args: []types.Value{types.NewString(huge)}})
 	if err == nil || !strings.Contains(err.Error(), "rpc: request of") || errors.Is(err, ErrTransport) {
 		t.Errorf("oversized request: got %v, want a plain frame-limit error", err)

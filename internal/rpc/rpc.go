@@ -132,10 +132,6 @@ type inProcClient struct {
 // NewInProc returns a client that dispatches directly to the handler.
 func NewInProc(h Handler) Client { return &inProcClient{h: metaOf(h)} }
 
-// NewInProcMeta returns an in-process client over a metadata-returning
-// handler.
-func NewInProcMeta(h MetaHandler) Client { return &inProcClient{h: h} }
-
 // NewInProcBatch returns an in-process client that dispatches row requests
 // to h and set-oriented requests to bh. A nil bh falls back to one h call
 // per row.

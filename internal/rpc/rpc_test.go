@@ -196,7 +196,7 @@ func metaEchoHandler(_ context.Context, task *simlat.Task, req Request) (*types.
 }
 
 func TestCallMetaInProc(t *testing.T) {
-	c := NewInProcMeta(metaEchoHandler)
+	c := NewInProc(echoHandler)
 	defer c.Close()
 	mc, ok := c.(MetaCaller)
 	if !ok {
@@ -206,8 +206,11 @@ func TestCallMetaInProc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.Rows[0][1].Str() != "f" || meta["fn"] != "f" {
-		t.Errorf("meta echo = %v / %v", tab.Rows[0], meta)
+	if tab.Rows[0][1].Str() != "f" || len(meta) != 0 {
+		t.Errorf("CallMeta = %v / %v, want the echo and no metadata", tab.Rows[0], meta)
+	}
+	if _, _, err := mc.CallMeta(context.Background(), simlat.Free(), Request{System: "s", Function: "fail"}); err == nil {
+		t.Error("CallMeta lost the handler's error")
 	}
 }
 

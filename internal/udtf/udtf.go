@@ -135,11 +135,11 @@ func RegisterAccessUDTF(eng *engine.Engine, bridge *controller.Bridge, ins *Inst
 	return eng.Catalog().RegisterFunc(fn)
 }
 
-// SetSQLBatchRealization installs a hand-written set-oriented realization
-// on a registered SQL I-UDTF: the body receives all argument rows of a
-// batch and answers one table per row, paying the I-UDTF entry and finish
-// costs once for the whole set. The per-row SQL body remains the
-// reference semantics for unbatched plans.
+// SetSQLBatchRealization installs a set-oriented realization on a
+// registered SQL I-UDTF: the body receives all argument rows of a batch
+// and answers one table per row, paying the I-UDTF entry and finish costs
+// once for the whole set. The per-row SQL body remains the reference
+// semantics for unbatched plans.
 func SetSQLBatchRealization(eng *engine.Engine, ins *Instrument, name string, body GoBatchBody) error {
 	fn, err := eng.Catalog().Func(name)
 	if err != nil {
