@@ -45,7 +45,11 @@ var joinKeyLiterals = map[string][]string{
 // nested-loop plan (plan.Options.DisableHashJoin) shows: the same rows, or
 // the same error. It runs every pair of key column types over seeded random
 // tables with NULL keys and duplicates on both sides, with a two-column key,
-// a residual predicate, and grouping, ordering and DISTINCT on top.
+// a residual predicate, and grouping, ordering and DISTINCT on top. The
+// aggregates over a join cover the join that reuses its output row
+// (HashJoin.Transient): HAVING, MIN/MAX over the key (as VARCHAR too),
+// COUNT(DISTINCT) and AVG, a non-key ON conjunct (a Filter between the
+// Agg and the join), three tables, and a scalar aggregate over no rows.
 func TestHashJoinMatchesNestedLoop(t *testing.T) {
 	keyTypes := []string{"SMALLINT", "INT", "BIGINT", "DOUBLE", "VARCHAR(8)", "BOOLEAN"}
 	for _, lt := range keyTypes {
@@ -73,6 +77,8 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 				x := rng.Intn(10)
 				for _, sql := range []string{
 					"SELECT l.K, l.V, r.K, r.W FROM l, r WHERE l.K = r.K",
+					"SELECT * FROM l, r WHERE l.K = r.K",
+					"SELECT * FROM l JOIN r ON l.K = r.K ORDER BY l.V, r.W",
 					"SELECT l.K, l.V, r.K, r.W FROM l, r WHERE r.K = l.K",
 					"SELECT l.V, r.W FROM l JOIN r ON l.K = r.K",
 					"SELECT l.V, r.W FROM l JOIN r ON l.K = r.K AND l.K2 = r.K2",
@@ -80,6 +86,12 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 					fmt.Sprintf("SELECT l.V, r.W FROM l, r WHERE l.K = r.K AND l.V >= %d", x),
 					"SELECT COUNT(*) FROM l, r WHERE l.K = r.K",
 					"SELECT l.K, COUNT(*), SUM(r.W) FROM l, r WHERE l.K = r.K GROUP BY l.K",
+					"SELECT l.K, COUNT(*), SUM(r.W) FROM l, r WHERE l.K = r.K GROUP BY l.K HAVING COUNT(*) > 1",
+					"SELECT l.K2, MIN(l.K), MAX(r.K), MIN(CAST(r.K AS VARCHAR(24))) FROM l, r WHERE l.K = r.K GROUP BY l.K2",
+					"SELECT r.K2, COUNT(DISTINCT r.W), AVG(l.V), AVG(r.W) FROM l, r WHERE l.K = r.K GROUP BY r.K2",
+					"SELECT l.K, COUNT(*), MAX(r.W) FROM l JOIN r ON l.K = r.K AND l.V < r.W GROUP BY l.K",
+					"SELECT l.K, COUNT(*), SUM(q.W) FROM l, r, r AS q WHERE l.K = r.K AND r.K2 = q.K2 GROUP BY l.K",
+					"SELECT COUNT(*), SUM(r.W), MIN(l.K), AVG(l.V) FROM l, r WHERE l.K = r.K AND l.V > 100",
 					"SELECT l.V, r.W FROM l, r WHERE l.K = r.K ORDER BY l.V, r.W DESC",
 					"SELECT DISTINCT l.K, r.K FROM l, r WHERE l.K = r.K",
 				} {

@@ -80,36 +80,35 @@ func (a AggSpec) String() string {
 	return fmt.Sprintf("%s(%s%s)", a.Kind, d, a.Arg)
 }
 
-// aggState accumulates one aggregate for one group.
+// aggState accumulates one aggregate for one group; the AggSpec it folds
+// is the Agg's, at the same position.
 type aggState struct {
-	spec    AggSpec
-	count   int64
-	sum     types.Value
-	extreme types.Value
-	seen    map[uint64][]types.Value // for DISTINCT
+	count int64
+	acc   types.Value              // SUM and AVG: the sum; MIN and MAX: the extreme
+	seen  map[uint64][]types.Value // for DISTINCT
 }
 
-func newAggState(spec AggSpec) *aggState {
-	st := &aggState{spec: spec, sum: types.Null, extreme: types.Null}
+func newAggState(spec AggSpec) aggState {
+	st := aggState{acc: types.Null}
 	if spec.Distinct {
 		st.seen = make(map[uint64][]types.Value)
 	}
 	return st
 }
 
-func (st *aggState) add(row types.Row) error {
-	if st.spec.Kind == AggCountStar {
+func (st *aggState) add(spec AggSpec, row types.Row) error {
+	if spec.Kind == AggCountStar {
 		st.count++
 		return nil
 	}
-	v, err := st.spec.Arg.Eval(row)
+	v, err := spec.Arg.Eval(row)
 	if err != nil {
 		return err
 	}
 	if v.IsNull() {
 		return nil // aggregates ignore NULL inputs
 	}
-	if st.spec.Distinct {
+	if spec.Distinct {
 		h := v.Hash()
 		for _, prev := range st.seen[h] {
 			if prev.Equal(v) {
@@ -119,51 +118,49 @@ func (st *aggState) add(row types.Row) error {
 		st.seen[h] = append(st.seen[h], v)
 	}
 	st.count++
-	switch st.spec.Kind {
+	switch spec.Kind {
 	case AggSum, AggAvg:
-		if st.sum.IsNull() {
-			st.sum = v
+		if st.acc.IsNull() {
+			st.acc = v
 		} else {
-			st.sum, err = types.Add(st.sum, v)
+			st.acc, err = types.Add(st.acc, v)
 			if err != nil {
 				return err
 			}
 		}
 	case AggMin, AggMax:
-		if st.extreme.IsNull() {
-			st.extreme = v
+		if st.acc.IsNull() {
+			st.acc = v
 			return nil
 		}
-		c, err := types.Compare(v, st.extreme)
+		c, err := types.Compare(v, st.acc)
 		if err != nil {
 			return err
 		}
-		if (st.spec.Kind == AggMin && c < 0) || (st.spec.Kind == AggMax && c > 0) {
-			st.extreme = v
+		if (spec.Kind == AggMin && c < 0) || (spec.Kind == AggMax && c > 0) {
+			st.acc = v
 		}
 	}
 	return nil
 }
 
-func (st *aggState) result() (types.Value, error) {
-	switch st.spec.Kind {
+func (st *aggState) result(spec AggSpec) (types.Value, error) {
+	switch spec.Kind {
 	case AggCount, AggCountStar:
 		return types.NewInt(st.count), nil
-	case AggSum:
-		return st.sum, nil
+	case AggSum, AggMin, AggMax:
+		return st.acc, nil
 	case AggAvg:
 		if st.count == 0 {
 			return types.Null, nil
 		}
-		f, err := st.sum.AsFloat()
+		f, err := st.acc.AsFloat()
 		if err != nil {
 			return types.Null, err
 		}
 		return types.NewFloat(f / float64(st.count)), nil
-	case AggMin, AggMax:
-		return st.extreme, nil
 	default:
-		return types.Null, fmt.Errorf("exec: bad aggregate kind %d", st.spec.Kind)
+		return types.Null, fmt.Errorf("exec: bad aggregate kind %d", spec.Kind)
 	}
 }
 
@@ -171,6 +168,10 @@ func (st *aggState) result() (types.Value, error) {
 // followed by the aggregate results, in specification order. Without
 // GROUP BY keys it emits exactly one row (the SQL scalar-aggregate case),
 // even over empty input.
+//
+// Agg keeps no input row: it copies a new group's keys and folds each row
+// into the states before it asks for the next, so its child may hand it a
+// row it reuses (HashJoin.Transient).
 type Agg struct {
 	Child  Operator
 	Groups []Expr
@@ -190,23 +191,25 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 		return err
 	}
 	defer g.Child.Close()
-	// A group's output row exists from the moment the group does: the keys
-	// sit in its first cells, the aggregate results fill the rest at the end.
-	type group struct {
-		row    types.Row
-		states []*aggState
-	}
-	newGroup := func(row types.Row) *group {
-		grp := &group{row: row, states: make([]*aggState, len(g.Aggs))}
-		for i, spec := range g.Aggs {
-			grp.states[i] = newAggState(spec)
-		}
-		return grp
-	}
+	// Groups are numbered in order of first appearance. Group i's output
+	// row is g.rows[i], which exists from the moment the group does: the
+	// keys sit in its first cells, the aggregate results fill the rest at
+	// the end. Its states are states[i*len(g.Aggs):][:len(g.Aggs)]; groups
+	// whose keys share a hash are chained through head and next.
 	var slab rowSlab
 	width := len(g.Groups) + len(g.Aggs)
-	groups := make(map[uint64][]*group)
-	var order []*group
+	g.rows = nil
+	var states []aggState
+	head := make(map[uint64]int32)
+	var next []int32
+	newGroup := func(keys []types.Value) {
+		row := slab.alloc(width)
+		copy(row, keys)
+		g.rows = append(g.rows, row)
+		for _, spec := range g.Aggs {
+			states = append(states, newAggState(spec))
+		}
+	}
 	// Every input row evaluates its keys into the one scratch vector; only a
 	// row that opens a new group has them copied.
 	keys := make([]types.Value, len(g.Groups))
@@ -227,47 +230,38 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 			keys[i] = v
 			h = h*1099511628211 ^ v.Hash()
 		}
-		var grp *group
-		for _, cand := range groups[h] {
-			same := true
-			for i := range keys {
-				if !cand.row[i].Equal(keys[i]) {
-					same = false
-					break
-				}
-			}
-			if same {
-				grp = cand
-				break
-			}
+		first, ok := head[h]
+		if !ok {
+			first = -1
 		}
-		if grp == nil {
-			row := slab.alloc(width)
-			copy(row, keys)
-			grp = newGroup(row)
-			groups[h] = append(groups[h], grp)
-			order = append(order, grp)
+		grp := first
+		for grp >= 0 && !g.rows[grp][:len(keys)].Equal(keys) {
+			grp = next[grp]
 		}
-		for _, st := range grp.states {
-			if err := st.add(r); err != nil {
+		if grp < 0 {
+			grp = int32(len(g.rows))
+			newGroup(keys)
+			next = append(next, first)
+			head[h] = grp
+		}
+		for i, spec := range g.Aggs {
+			if err := states[int(grp)*len(g.Aggs)+i].add(spec, r); err != nil {
 				return err
 			}
 		}
 	}
-	if len(order) == 0 && len(g.Groups) == 0 {
+	if len(g.rows) == 0 && len(g.Groups) == 0 {
 		// Scalar aggregate over empty input: one row of defaults.
-		order = append(order, newGroup(slab.alloc(width)))
+		newGroup(nil)
 	}
-	g.rows = make([]types.Row, 0, len(order))
-	for _, grp := range order {
-		for i, st := range grp.states {
-			v, err := st.result()
+	for gi, row := range g.rows {
+		for i, spec := range g.Aggs {
+			v, err := states[gi*len(g.Aggs)+i].result(spec)
 			if err != nil {
 				return err
 			}
-			grp.row[len(g.Groups)+i] = v
+			row[len(g.Groups)+i] = v
 		}
-		g.rows = append(g.rows, grp.row)
 	}
 	g.pos = 0
 	return nil

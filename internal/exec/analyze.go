@@ -135,7 +135,9 @@ func Instrument(op Operator) Operator {
 	case *FuncScan:
 		o.Stats = st
 	case *HashJoin:
-		o.Left, o.Right = Instrument(o.Left), Instrument(o.Right)
+		// A transient join's reader is now an Analyzed, not the Agg or
+		// Filter the planner checked, so the join builds rows of its own.
+		o.Left, o.Right, o.Transient = Instrument(o.Left), Instrument(o.Right), false
 	case *Filter:
 		o.Child = Instrument(o.Child)
 	case *Project:

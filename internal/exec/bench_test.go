@@ -13,8 +13,8 @@ import (
 // through Run — the consumer a statement has — over Values inputs, so the
 // figures are the operator's own. Shapes follow fedbench: the join and the
 // aggregate are local_join's (2 000 x 500 rows on 100 key values, 10 000
-// rows into 100 groups), Project, Sort and Distinct see wide_result's
-// 2 000 three-column rows.
+// rows into 100 groups), apart and as local_join's plan stacks them;
+// Project, Sort and Distinct see wide_result's 2 000 three-column rows.
 
 func benchRun(b *testing.B, op Operator, wantRows int) {
 	b.Helper()
@@ -59,6 +59,24 @@ func BenchmarkAgg(b *testing.B) {
 		Child:  &Values{Sch: pairSchema, Rows: pairRows(10000, 100)},
 		Groups: []Expr{Col{Idx: 0, Name: "k"}},
 		Aggs:   []AggSpec{{Kind: AggCountStar}, {Kind: AggSum, Arg: Col{Idx: 1, Name: "v"}}},
+		Sch:    append(pairSchema.Clone(), types.Column{Name: "s", Type: types.BigInt}),
+	}, 100)
+}
+
+// BenchmarkAggOverHashJoin is local_join's plan over Values: the Agg folds
+// the join's 10 000 rows through the one row a transient join reuses.
+func BenchmarkAggOverHashJoin(b *testing.B) {
+	k := Col{Idx: 0, Name: "k"}
+	benchRun(b, &Agg{
+		Child: &HashJoin{
+			Left:     &Values{Sch: pairSchema, Rows: pairRows(2000, 100)},
+			Right:    &Values{Sch: pairSchema, Rows: pairRows(500, 100)},
+			LeftKeys: []Expr{k}, RightKeys: []Expr{k},
+			Sch:       append(pairSchema.Clone(), pairSchema...),
+			Transient: true,
+		},
+		Groups: []Expr{k},
+		Aggs:   []AggSpec{{Kind: AggCountStar}, {Kind: AggSum, Arg: Col{Idx: 3, Name: "v"}}},
 		Sch:    append(pairSchema.Clone(), types.Column{Name: "s", Type: types.BigInt}),
 	}, 100)
 }

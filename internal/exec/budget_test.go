@@ -12,8 +12,13 @@ import (
 // The statement of fedbench's local_join workload — 2 000 x 500 rows joined
 // on 100 key values into 10 000 rows, grouped into 100 — allocated 44 500
 // times when every hash, every joined row and every input row's group key
-// was an allocation of its own. The budget keeps a per-row allocation from
-// coming back unnoticed; per-chunk allocation sits near 1 300.
+// was an allocation of its own, and 1 275 times (1.42 MB) when the join
+// still carved each of its 10 000 rows from a slab, kept a slice per hash
+// key and the Agg an object per group and per aggregate state. Now the join
+// hands the Agg one reused row (HashJoin.Transient), its build side is one
+// chained table and the Agg's states one arena: near 240 allocations and
+// 120 KB. The budgets keep a per-row or per-group allocation, or joined
+// rows built only to be folded, from coming back unnoticed.
 func TestLocalJoinAllocationBudget(t *testing.T) {
 	s := engine.New().NewSession()
 	s.MustExecContext(context.Background(), "CREATE TABLE l (K INT, V INT)")
@@ -30,16 +35,24 @@ func TestLocalJoinAllocationBudget(t *testing.T) {
 		}
 	}
 	const sql = "SELECT l.K, COUNT(*), SUM(r.W) FROM l, r WHERE l.K = r.K AND l.V >= 17 GROUP BY l.K"
-	allocs := testing.AllocsPerRun(5, func() {
+	run := func() {
 		res, err := s.ExecContext(context.Background(), sql)
 		if err != nil || res.Table.Len() != 100 {
 			t.Fatalf("local_join statement: %v, %v", res, err)
 		}
-	})
-	if allocs >= 3000 {
-		t.Errorf("local_join statement allocates %.0f times, budget 3000", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, run); allocs >= 800 {
+		t.Errorf("local_join statement allocates %.0f times, budget 800", allocs)
+	}
+	if bytes := bytesPerRun(5, run); bytes >= localJoinByteBudget {
+		t.Errorf("local_join statement allocates %.0f bytes, budget %d", bytes, localJoinByteBudget)
 	}
 }
+
+// localJoinByteBudget sits between what the local_join statement allocated
+// when the join built every joined row (1.42 MB) and what it allocates
+// folding them through one reused row (~120 KB).
+const localJoinByteBudget = 400_000
 
 // bytesPerRun is the heap bytes one call of f allocates, averaged over runs
 // after one warm-up call. Like testing.AllocsPerRun it runs at GOMAXPROCS

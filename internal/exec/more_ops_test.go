@@ -188,16 +188,15 @@ func TestDescribeAndChildrenEverywhere(t *testing.T) {
 			t.Errorf("%T reports empty schema", op)
 		}
 	}
-	hj := &HashJoin{
+	hj := &Filter{Child: &HashJoin{
 		Left: vals, Right: vals,
 		LeftKeys:  []Expr{Col{Idx: 0, Name: "a"}},
 		RightKeys: []Expr{Col{Idx: 0, Name: "b"}},
-		Residual:  Const{V: types.NewBool(true)},
 		Sch: types.Schema{
 			{Name: "a", Type: types.Integer}, {Name: "b", Type: types.Integer}},
-	}
-	if !strings.Contains(hj.Describe(), "residual") {
-		t.Error("HashJoin Describe without residual note")
+	}, Pred: Const{V: types.NewBool(true)}}
+	if got := ExplainString(hj); got != "Filter TRUE\n  HashJoin on a#0=b#0\n    Values (1 rows)\n    Values (1 rows)\n" {
+		t.Errorf("filtered HashJoin explains as %q", got)
 	}
 	agg := &Agg{
 		Child:  vals,

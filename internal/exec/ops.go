@@ -683,15 +683,30 @@ func (f *FuncScan) Clone() Operator {
 type HashJoin struct {
 	Left, Right         Operator
 	LeftKeys, RightKeys []Expr // equal-length key expressions
-	Residual            Expr   // extra predicate over leftRow ++ rightRow, may be nil
 	Sch                 types.Schema
+	// Transient makes every match come back in one row the join reuses, so
+	// a row is valid only until the next Next. The planner sets it when the
+	// consumer is an Agg, alone or through Filters, which folds each row
+	// before it asks for the next and keeps none (DESIGN Sect. 18).
+	Transient bool
 
-	ctx     *Ctx
-	table   map[uint64][]types.Row
+	ctx *Ctx
+	// The build side as one chained table. Each hash's rows form a ring
+	// in build order; last maps the hash to the index in build of the
+	// ring's last row, whose next is the first.
+	last    map[uint64]int32
+	build   []buildRow
 	leftRow types.Row
-	bucket  []types.Row
-	bpos    int
+	cand    int32 // the next build row to try against leftRow, -1 for none
+	end     int32 // the last build row with leftRow's hash
 	slab    rowSlab
+	out     types.Row // the reused row of a transient join
+}
+
+// buildRow is one row of a HashJoin's build side.
+type buildRow struct {
+	row  types.Row
+	next int32 // the next row with the same hash, the first after the last
 }
 
 // Schema implements Operator.
@@ -701,8 +716,7 @@ func (h *HashJoin) Schema() types.Schema { return h.Sch }
 func (h *HashJoin) Open(ctx *Ctx, bind types.Row) error {
 	h.ctx = ctx
 	h.leftRow = nil
-	h.bucket = nil
-	h.table = make(map[uint64][]types.Row)
+	h.last, h.build = make(map[uint64]int32), nil
 	h.slab = rowSlab{}
 	// A hash join always composes independent result sets.
 	ctx.Task.Step(simlat.StepJoinComposition, ctx.CompositionCost)
@@ -726,7 +740,15 @@ func (h *HashJoin) Open(ctx *Ctx, bind types.Row) error {
 		if null {
 			continue // NULL keys never join
 		}
-		h.table[key] = append(h.table[key], rr)
+		// Row i goes into its hash's ring after the last row, or starts a
+		// ring of one, and is the ring's last row from now on.
+		i := int32(len(h.build))
+		next := i
+		if last, ok := h.last[key]; ok {
+			next, h.build[last].next = h.build[last].next, i
+		}
+		h.build = append(h.build, buildRow{row: rr, next: next})
+		h.last[key] = i
 	}
 	h.Right.Close()
 	return h.Left.Open(ctx, bind)
@@ -762,17 +784,24 @@ func (h *HashJoin) Next() (types.Row, error) {
 			if null {
 				continue
 			}
+			last, ok := h.last[key]
+			if !ok {
+				continue
+			}
 			h.leftRow = lr
-			h.bucket = h.table[key]
-			h.bpos = 0
+			h.cand, h.end = h.build[last].next, last
 		}
-		if h.bpos >= len(h.bucket) {
+		if h.cand < 0 {
 			h.leftRow = nil
 			continue
 		}
-		rr := h.bucket[h.bpos]
-		h.bpos++
-		// Buckets are by hash: compare the keys themselves, and only then
+		rr := h.build[h.cand].row
+		if h.cand == h.end {
+			h.cand = -1
+		} else {
+			h.cand = h.build[h.cand].next
+		}
+		// Rings are by hash: compare the keys themselves, and only then
 		// build the combined row, so a collision costs none.
 		match := true
 		for i := range h.LeftKeys {
@@ -800,25 +829,20 @@ func (h *HashJoin) Next() (types.Row, error) {
 		if !match {
 			continue
 		}
-		out := h.slab.concat(h.leftRow, rr)
-		if h.Residual != nil {
-			ok, err := holds(h.Residual, out)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				h.slab.unalloc(out)
-				continue
-			}
+		if !h.Transient {
+			return h.slab.concat(h.leftRow, rr), nil
 		}
-		return out, nil
+		if n := len(h.leftRow) + len(rr); len(h.out) != n {
+			h.out = make(types.Row, n)
+		}
+		copy(h.out[copy(h.out, h.leftRow):], rr)
+		return h.out, nil
 	}
 }
 
 // Close implements Operator.
 func (h *HashJoin) Close() error {
-	h.table = nil
-	h.bucket = nil
+	h.last, h.build = nil, nil
 	return h.Left.Close()
 }
 
@@ -828,11 +852,7 @@ func (h *HashJoin) Describe() string {
 	for i := range h.LeftKeys {
 		keys[i] = h.LeftKeys[i].String() + "=" + h.RightKeys[i].String()
 	}
-	s := "HashJoin on " + strings.Join(keys, " AND ")
-	if h.Residual != nil {
-		s += " residual " + h.Residual.String()
-	}
-	return s
+	return "HashJoin on " + strings.Join(keys, " AND ")
 }
 
 // Children implements Operator.
@@ -842,7 +862,7 @@ func (h *HashJoin) Children() []Operator { return []Operator{h.Left, h.Right} }
 func (h *HashJoin) Clone() Operator {
 	return &HashJoin{
 		Left: h.Left.Clone(), Right: h.Right.Clone(),
-		LeftKeys: h.LeftKeys, RightKeys: h.RightKeys, Residual: h.Residual, Sch: h.Sch,
+		LeftKeys: h.LeftKeys, RightKeys: h.RightKeys, Sch: h.Sch, Transient: h.Transient,
 	}
 }
 

@@ -266,18 +266,18 @@ func TestHashJoinMatchesAndSkipsNullKeys(t *testing.T) {
 	if !strings.Contains(hj.Describe(), "HashJoin") {
 		t.Error("Describe")
 	}
-	// Residual predicate.
-	hj2 := &HashJoin{
+	// A non-key ON conjunct is a Filter over the join, as the planner
+	// places it.
+	hj2 := &Filter{Child: &HashJoin{
 		Left: &Values{Sch: intSchema("l"), Rows: intRows(1, 2)}, Right: &Values{Sch: intSchema("r"), Rows: intRows(1, 2)},
 		LeftKeys:  []Expr{Col{Idx: 0, Name: "l"}},
 		RightKeys: []Expr{Col{Idx: 0, Name: "r"}},
-		Residual:  Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(1)}},
 		Sch: types.Schema{
 			{Name: "l", Type: types.Integer}, {Name: "r", Type: types.Integer},
 		},
-	}
+	}, Pred: Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(1)}}}
 	if got := runAll(t, hj2).Len(); got != 1 {
-		t.Errorf("residual join rows = %d", got)
+		t.Errorf("filtered join rows = %d", got)
 	}
 }
 

@@ -33,8 +33,8 @@ func slabOperators() map[string]Operator {
 	}
 	return map[string]Operator{
 		"Project": project(),
-		"HashJoin": &HashJoin{Left: src(60, 5), Right: src(25, 5), LeftKeys: []Expr{k}, RightKeys: []Expr{k},
-			Residual: Bin{Op: "<>", L: v, R: Col{Idx: 3, Name: "rv"}}, Sch: four},
+		"HashJoin": &Filter{Child: &HashJoin{Left: src(60, 5), Right: src(25, 5), LeftKeys: []Expr{k}, RightKeys: []Expr{k}, Sch: four},
+			Pred: Bin{Op: "<>", L: v, R: Col{Idx: 3, Name: "rv"}}},
 		"Apply": &Apply{Left: src(20, 5), Right: src(15, 5), Sch: four},
 		"LeftApply": &Apply{Left: src(120, 9), Right: src(12, 6), Sch: four, Outer: true,
 			On: Bin{Op: "=", L: k, R: Col{Idx: 2, Name: "rk"}}},

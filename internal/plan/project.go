@@ -151,6 +151,7 @@ func (c *compiler) compileAggregation(op exec.Operator, sel *sqlparser.Select) (
 	for _, s := range env.specs {
 		aggSchema = append(aggSchema, types.Column{Name: s.name, Type: s.typ})
 	}
+	markTransient(op)
 	var out exec.Operator = &exec.Agg{Child: op, Groups: env.groupExprs, Aggs: env.specList, Sch: aggSchema}
 
 	if sel.Having != nil {
@@ -173,6 +174,24 @@ func (c *compiler) compileAggregation(op exec.Operator, sel *sqlparser.Select) (
 	}
 	resolveExtra := func(e sqlparser.Expr) (exec.Expr, error) { return env.rewrite(e) }
 	return c.finishPipeline(out, exprs, schema, sel, resolveExtra)
+}
+
+// markTransient lets a HashJoin that feeds an Agg, directly or through
+// Filters, reuse one output row: Filter passes each row on and keeps none,
+// and Agg folds each row before it asks for the next. Every other consumer
+// may keep the rows it is given, so no other join is marked.
+func markTransient(op exec.Operator) {
+	for {
+		switch o := op.(type) {
+		case *exec.Filter:
+			op = o.Child
+		case *exec.HashJoin:
+			o.Transient = true
+			return
+		default:
+			return
+		}
+	}
 }
 
 type aggGroup struct {
