@@ -172,6 +172,36 @@ func TestJournalEventsCarryTheWarehouseFingerprint(t *testing.T) {
 	}
 }
 
+// TestWorkflowEventsCarryTraceID: the workflow events of a served
+// statement join to it on the trace id, as its call and fault events do,
+// and follow them in the journal.
+func TestWorkflowEventsCarryTraceID(t *testing.T) {
+	srv := newAuditServer(t)
+	for i := 1; i <= 3; i++ {
+		stmt := fmt.Sprintf("SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier%d')) AS Q", i)
+		tc := obs.TraceContext{TraceID: fmt.Sprintf("%016x", i)}
+		if _, _, err := srv.ExecTracedContext(context.Background(), stmt, tc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stmt string // the trace id of the statement the events follow
+	workflow := map[journal.Kind]int{}
+	for _, e := range srv.Journal().Snapshot() {
+		switch e.Kind {
+		case journal.KindStatement:
+			stmt = e.TraceID
+		case journal.KindActivity, journal.KindInstance:
+			workflow[e.Kind]++
+			if e.TraceID == "" || e.TraceID != stmt {
+				t.Errorf("%s event %d: trace id %q, want its statement's %q", e.Kind, e.Seq, e.TraceID, stmt)
+			}
+		}
+	}
+	if workflow[journal.KindInstance] != 3 || workflow[journal.KindActivity] == 0 {
+		t.Fatalf("workflow events = %v, want 3 instances and their activities", workflow)
+	}
+}
+
 // TestAuditConcurrentScrapes runs statements, /audit scrapes, and
 // journal-table scans concurrently — the -race build is the assertion.
 func TestAuditConcurrentScrapes(t *testing.T) {

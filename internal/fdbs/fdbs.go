@@ -120,13 +120,11 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	metrics.Parallelism.ReadFrom(func() float64 { return float64(stack.Engine().Parallelism()) })
 	wrapReg := wrapper.NewRegistry(profile)
 	if err := wrapReg.Link(stack.Engine()); err != nil {
 		return nil, err
 	}
-	// The per-run wfms audit trail is redirected into the journal, so
-	// instance history survives the run and is queryable afterwards.
-	stack.WorkflowEngine().SetJournal(jnl)
 	col := collector.New(cfg.Trace, metrics.Registry)
 	warehouse := stats.NewWarehouse(stats.Options{})
 	warehouse.AttachMetrics(metrics.Registry)
@@ -288,7 +286,6 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 		obs.MetaTraceID:   traceID,
 	}
 	s.metrics.ObserveStatement(&st)
-	s.metrics.Parallelism.Set(float64(s.Engine().Parallelism()))
 	if s.col.Offer(&st) {
 		meta["trace_retained"] = "1"
 	}

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -191,6 +192,14 @@ func (c *ServerConfig) Validate() error {
 	default:
 		return fmt.Errorf("config: unknown architecture %q (want wfms or udtf)", c.Arch)
 	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"trace_sample", c.TraceSample}, {"fault_rate", c.FaultRate}, {"slo_availability", c.SLOAvailability}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("config: %s must be a finite number, got %v", f.name, f.v)
+		}
+	}
 	if c.TraceSample > 1 {
 		return fmt.Errorf("config: trace_sample %.3f > 1", c.TraceSample)
 	}
@@ -205,14 +214,24 @@ func (c *ServerConfig) Validate() error {
 			return fmt.Errorf("config: slo_availability %.4f outside (0, 1)", c.SLOAvailability)
 		}
 	}
-	for name, v := range map[string]float64{
-		"slow_query_ms": c.SlowQueryMS, "grace_ms": c.GraceMS,
-		"stmt_timeout_ms": c.StmtTimeoutMS, "retry_backoff_ms": c.RetryBackoffMS,
-		"breaker_open_ms": c.BreakerOpenMS, "trace_slow_ms": c.TraceSlowMS,
-		"slo_latency_ms": c.SLOLatencyMS,
+	// Every *MS field becomes a time.Duration in milliseconds (paper or
+	// wall), so it must be a finite, non-negative number of them that fits.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"slow_query_ms", c.SlowQueryMS}, {"grace_ms", c.GraceMS},
+		{"stmt_timeout_ms", c.StmtTimeoutMS}, {"retry_backoff_ms", c.RetryBackoffMS},
+		{"breaker_open_ms", c.BreakerOpenMS}, {"trace_slow_ms", c.TraceSlowMS},
+		{"slo_latency_ms", c.SLOLatencyMS},
 	} {
-		if v < 0 {
-			return fmt.Errorf("config: %s must not be negative", name)
+		switch {
+		case math.IsNaN(f.v) || math.IsInf(f.v, 0):
+			return fmt.Errorf("config: %s must be a finite number, got %v", f.name, f.v)
+		case f.v < 0:
+			return fmt.Errorf("config: %s must not be negative", f.name)
+		case f.v*float64(time.Millisecond) >= math.MaxInt64:
+			return fmt.Errorf("config: %s %g ms overflows a duration", f.name, f.v)
 		}
 	}
 	for name, v := range map[string]int{

@@ -2,6 +2,7 @@ package fdbs
 
 import (
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -91,6 +92,65 @@ func TestValidateRejectsBrokenConfigs(t *testing.T) {
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestValidateRejectsNonFiniteAndOverflow: NaN, ±Inf, and millisecond
+// values whose time.Duration overflows are rejected naming the field,
+// whether they come from a flag or the struct; the largest value that
+// fits still validates.
+func TestValidateRejectsNonFiniteAndOverflow(t *testing.T) {
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-stmt-timeout-ms", "Inf"}, "stmt_timeout_ms"},
+		{[]string{"-stmt-timeout-ms", "1e300"}, "stmt_timeout_ms"},
+		{[]string{"-stmt-timeout-ms", "9.3e12"}, "stmt_timeout_ms"},
+		{[]string{"-slo-latency-ms", "Inf"}, "slo_latency_ms"},
+		{[]string{"-slo-latency-ms", "-Inf"}, "slo_latency_ms"},
+		{[]string{"-retry-backoff-ms", "NaN"}, "retry_backoff_ms"},
+		{[]string{"-slow-query-ms", "NaN"}, "slow_query_ms"},
+		{[]string{"-trace-slow-ms", "1e20"}, "trace_slow_ms"},
+		{[]string{"-trace-sample", "NaN"}, "trace_sample"},
+		{[]string{"-trace-sample", "-Inf"}, "trace_sample"},
+		{[]string{"-slo-availability", "NaN"}, "slo_availability"},
+		{[]string{"-fault-rate", "NaN", "-fault-seed", "7"}, "fault_rate"},
+	}
+	for _, tc := range cases {
+		c := DefaultServerConfig()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		c.RegisterFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		err := c.Validate()
+		if err == nil {
+			t.Errorf("%v: validated", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.want)
+		}
+	}
+	for name, mutate := range map[string]func(*ServerConfig){
+		"grace_ms":        func(c *ServerConfig) { c.GraceMS = math.Inf(1) },
+		"breaker_open_ms": func(c *ServerConfig) { c.BreakerOpenMS = math.NaN() },
+	} {
+		c := DefaultServerConfig()
+		mutate(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %v does not name it", name, err)
+		}
+	}
+	c := DefaultServerConfig()
+	c.StmtTimeoutMS = 9.2e12 // just under 2^63 ns
+	cfg, err := c.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.StmtTimeout <= 0 {
+		t.Fatalf("stmt timeout = %v, want positive", cfg.StmtTimeout)
 	}
 }
 

@@ -49,7 +49,7 @@ var allowedImports = map[string][]string{
 	// Workflow side.
 	"rpc":        {"obs", "resil", "simlat", "types"},
 	"appsys":     {"obs", "resil", "rpc", "simlat", "storage", "types"},
-	"wfms":       {"appsys", "obs", "obs/journal", "resil", "simlat", "types"},
+	"wfms":       {"appsys", "obs", "resil", "simlat", "types"},
 	"controller": {"appsys", "obs", "resil", "rpc", "simlat", "types", "wfms"},
 
 	// Coupling layer (paper Sect. 3: UDTFs, federation functions,

@@ -20,7 +20,7 @@ type ServerMetrics struct {
 	CacheHits      *Counter
 	CacheMisses    *Counter
 	CacheCoalesced *Counter
-	// Parallelism is the session DOP last applied.
+	// Parallelism is the DOP new sessions start with.
 	Parallelism *Gauge
 	// WfMSActivities counts workflow activities executed by the WfMS
 	// engine.

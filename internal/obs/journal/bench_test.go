@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"io"
 	"testing"
 	"time"
 
@@ -12,8 +13,14 @@ import (
 // paper-ms long, then eight call and workflow events.
 func fullJournal(tb testing.TB) *Journal {
 	tb.Helper()
+	return fillJournal(tb, obs.NewRegistry())
+}
+
+// fillJournal is fullJournal with its series on reg.
+func fillJournal(tb testing.TB, reg *obs.Registry) *Journal {
+	tb.Helper()
 	j := New(Options{})
-	j.AttachMetrics(obs.NewRegistry())
+	j.AttachMetrics(reg)
 	for j.Seq() < uint64(2*j.Capacity()) {
 		start := j.Now()
 		j.AppendStatement(&obs.Statement{Arch: "wfms", Paper: 20 * time.Millisecond}, "fp")
@@ -58,13 +65,27 @@ func BenchmarkSLOReport(b *testing.B) {
 	}
 }
 
+// BenchmarkWritePrometheus scrapes a registry whose journal holds a full
+// default ring: the read side, where the ring gauges and the nine SLO
+// gauges compute their values.
+func BenchmarkWritePrometheus(b *testing.B) {
+	reg := obs.NewRegistry()
+	fillJournal(b, reg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestAppendPathsDoNotAllocate pins the per-statement paths at zero
 // allocations on a full ring with metrics attached and no sink.
 func TestAppendPathsDoNotAllocate(t *testing.T) {
 	j := fullJournal(t)
 	stmt := &obs.Statement{Arch: "wfms", Paper: 20 * time.Millisecond}
-	// A ring of statements only: the mark ring is at its largest size, so
-	// no run below is charged for its growth.
+	// A ring of statements only, as a statement-heavy stream leaves it.
 	for i := 0; i < j.Capacity(); i++ {
 		j.AppendStatement(stmt, "fp")
 	}

@@ -12,11 +12,15 @@
 // records its absolute virtual start and duration on that clock. Ordering
 // therefore never reads wall time (rule virtualclock), and a journal filled
 // by a deterministic workload is itself deterministic.
+//
+// The journal stores events and derives nothing at append: the burn rates
+// and the ring gauges are computed from the stored events when read.
 package journal
 
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -109,15 +113,16 @@ type Options struct {
 const (
 	defaultCapacity = 4096
 	// numShards spreads appends over independent locks; events land on the
-	// shard seq mod numShards, so each shard sees a strictly increasing
-	// subsequence and the union of per-shard rings is always a contiguous
-	// suffix of the sequence numbers.
+	// shard seq mod numShards, each in the slot its sequence number names,
+	// and a slot keeps the newer of two events, so once appends settle the
+	// union of per-shard rings is a contiguous suffix of the sequence
+	// numbers.
 	numShards = 8
 )
 
 type shard struct {
 	mu  sync.Mutex
-	buf []Event // ring of perShard slots
+	buf []Event // ring of perShard slots; Seq 0 marks an empty slot
 	n   int     // filled slots
 }
 
@@ -136,22 +141,12 @@ type Journal struct {
 	sink    *bufio.Writer
 	sinkErr error
 
-	// sloMu guards the SLO fold (slo.go): the objectives, the mark ring and
-	// the per-window totals. Statement events are stored under it, so marks
-	// are recorded in sequence order.
-	sloMu sync.Mutex
-	obj   Objectives
-	marks markRing
-	win   []windowFold
-	// oldestMark is the sequence number of the oldest retained mark (0 when
-	// none), so an append that evicts no statement skips sloMu.
-	oldestMark atomic.Uint64
+	obj atomic.Pointer[Objectives] // nil until SetObjectives
 
 	// Optional registry series, resolved once by AttachMetrics.
 	mEvents  *obs.CounterVec
 	mKinds   [len(kinds)]*obs.Counter
 	mDropped *obs.Counter
-	mLive    *obs.Gauge
 }
 
 // New returns an empty journal.
@@ -161,12 +156,9 @@ func New(opt Options) *Journal {
 		capacity = defaultCapacity
 	}
 	per := (capacity + numShards - 1) / numShards
-	j := &Journal{perShard: per, win: make([]windowFold, len(Windows))}
+	j := &Journal{perShard: per}
 	for i := range j.shards {
 		j.shards[i].buf = make([]Event, per)
-	}
-	for k, w := range Windows {
-		j.win[k] = windowFold{w: w, label: windowLabel(w)}
 	}
 	return j
 }
@@ -176,24 +168,11 @@ func (j *Journal) Capacity() int { return j.perShard * numShards }
 
 // Append assigns the event its sequence number, stores it (dropping the
 // shard's oldest event when full), mirrors it to the JSONL sink, and
-// returns the assigned sequence number. A statement event is taken as
-// stamped by the caller; AppendStatement stamps it from the journal clock.
+// returns the assigned sequence number. The event keeps the start its
+// caller stamped; AppendStatement stamps a statement from the journal
+// clock.
 func (j *Journal) Append(e Event) uint64 {
-	var seq uint64
-	if e.Kind == KindStatement {
-		j.sloMu.Lock()
-		seq = j.storeStatementLocked(&e)
-		j.refreshLocked()
-		j.sloMu.Unlock()
-	} else {
-		seq = j.store(&e)
-		if o := j.oldestMark.Load(); o != 0 && o+uint64(j.Capacity()) <= seq {
-			// This append evicted a statement the windows still count.
-			j.sloMu.Lock()
-			j.refreshLocked()
-			j.sloMu.Unlock()
-		}
-	}
+	seq := j.store(&e)
 	if j.sinkOn.Load() {
 		j.writeSink(e)
 	}
@@ -202,13 +181,17 @@ func (j *Journal) Append(e Event) uint64 {
 
 // AppendStatement appends one finished statement: its statement event,
 // stamped with the fingerprint and started at the journal's current
-// instant, then one KindCall event per federated call, each started at
-// that instant plus the call's start within the statement, then one event
-// per fault the statement met (retry, breaker trip, shed, timeout; Func is
-// the application system), carrying the statement's trace id and started
-// at its instant. The clock advances by the statement's paper time.
+// instant, which advances by the statement's paper time; then one KindCall
+// event per federated call; then one event per fault the statement met
+// (retry, breaker trip, shed, timeout; Func is the application system);
+// then, per finished workflow instance, one KindActivity event per entry
+// of its audit trail and its KindInstance event. Every event carries the
+// statement's trace id, and each starts at the statement's start plus its
+// offset within the statement (a fault at the statement's start).
 func (j *Journal) AppendStatement(st *obs.Statement, fingerprint string) {
-	e := Event{
+	d := max(st.Paper, 0)
+	start := time.Duration(j.vclock.Add(int64(d))) - d
+	j.Append(Event{
 		Kind:        KindStatement,
 		TraceID:     st.TraceID,
 		Fingerprint: fingerprint,
@@ -219,29 +202,29 @@ func (j *Journal) AppendStatement(st *obs.Statement, fingerprint string) {
 		RPCs:        st.Counters.RPCs,
 		Instances:   st.Counters.Instances,
 		Err:         st.Err,
+		StartVT:     start,
 		DurVT:       st.Paper,
-	}
-	j.sloMu.Lock()
-	e.StartVT = j.Now()
-	j.storeStatementLocked(&e)
-	if e.DurVT > 0 {
-		j.vclock.Add(int64(e.DurVT))
-	}
-	j.refreshLocked()
-	j.sloMu.Unlock()
-	if j.sinkOn.Load() {
-		j.writeSink(e)
-	}
+	})
 	for _, c := range st.Calls {
 		j.Append(Event{Kind: KindCall, TraceID: st.TraceID, Fingerprint: fingerprint, Arch: st.Arch,
-			Func: c.Fn, Row: -1, StartVT: e.StartVT + c.Start, DurVT: c.Elapsed})
+			Func: c.Fn, Row: -1, StartVT: start + c.Start, DurVT: c.Elapsed})
 	}
 	for _, f := range st.Counters.Faults {
 		fe := faultEvents[f.Kind]
-		fe.TraceID, fe.Func, fe.Row, fe.StartVT = st.TraceID, f.System, -1, e.StartVT
+		fe.TraceID, fe.Func, fe.Row, fe.StartVT = st.TraceID, f.System, -1, start
 		for n := f.N; n > 0; n-- {
 			j.Append(fe)
 		}
+	}
+	for _, in := range st.Counters.Trail {
+		id := fmt.Sprintf("wf-%06d", in.Seq)
+		for _, a := range in.Audit {
+			j.Append(Event{Kind: KindActivity, TraceID: st.TraceID, Instance: id, Node: a.Node,
+				Detail: a.Event, Row: a.Row, Rows: a.Rows, StartVT: start + a.At})
+		}
+		j.Append(Event{Kind: KindInstance, TraceID: st.TraceID, Instance: id, Func: in.Process,
+			Batch: in.Batch, Activities: in.Activities, Row: -1, Rows: in.Rows, Err: in.Err,
+			StartVT: start + in.Start, DurVT: in.Dur})
 	}
 }
 
@@ -253,20 +236,26 @@ var faultEvents = [...]Event{
 	obs.FaultTimeout:     {Kind: KindTimeout, Class: "timeout"},
 }
 
-// store assigns e its sequence number and writes it into the ring.
+// store assigns e its sequence number and writes it into its slot, which
+// keeps the newer event: an append delayed past a whole ring's worth of
+// later appends finds its slot taken by a newer event, and is dropped
+// instead of overwriting it. A taken slot costs one dropped event either
+// way, the evicted older one or the late one itself.
 func (j *Journal) store(e *Event) uint64 {
 	seq := j.seq.Add(1)
 	e.Seq = seq
 	sh := &j.shards[seq%numShards]
-	slot := int((seq-1)/numShards) % j.perShard
+	slot := &sh.buf[int((seq-1)/numShards)%j.perShard]
 	sh.mu.Lock()
-	if sh.n == j.perShard {
+	if slot.Seq == 0 {
+		sh.n++
+	} else {
 		j.dropped.Add(1)
 		j.mDropped.Inc()
-	} else {
-		sh.n++
 	}
-	sh.buf[slot] = *e
+	if slot.Seq < seq {
+		*slot = *e
+	}
 	sh.mu.Unlock()
 
 	if j.mEvents != nil {
@@ -276,9 +265,6 @@ func (j *Journal) store(e *Event) uint64 {
 			j.mEvents.With(string(e.Kind)).Inc()
 		}
 	}
-	// Every assigned sequence number is live or dropped, so this is Len()
-	// without visiting the shards.
-	j.mLive.Set(float64(j.Seq() - uint64(j.Dropped())))
 	return seq
 }
 
@@ -309,7 +295,11 @@ func (j *Journal) Snapshot() []Event {
 	for i := range j.shards {
 		sh := &j.shards[i]
 		sh.mu.Lock()
-		out = append(out, sh.buf[:sh.n]...)
+		for k := range sh.buf {
+			if sh.buf[k].Seq != 0 {
+				out = append(out, sh.buf[k])
+			}
+		}
 		sh.mu.Unlock()
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
@@ -331,14 +321,11 @@ func (j *Journal) Now() time.Duration { return time.Duration(j.vclock.Load()) }
 
 // Advance moves the federation-wide virtual clock forward by d — idle time
 // between statements, which experiments use to spread a workload over
-// virtual time — and refreshes the SLO gauges.
+// virtual time.
 func (j *Journal) Advance(d time.Duration) {
-	j.sloMu.Lock()
 	if d > 0 {
 		j.vclock.Add(int64(d))
 	}
-	j.refreshLocked()
-	j.sloMu.Unlock()
 }
 
 // SetSink mirrors every appended event to w as one JSON line. The writer
@@ -387,9 +374,10 @@ func (j *Journal) writeSink(e Event) {
 }
 
 // AttachMetrics registers the journal's own series on the shared registry:
-// events appended by kind, ring evictions, live events, and the SLO
-// burn-rate gauges per sliding window. Every series the append path sets
-// is resolved here, once.
+// events appended by kind and ring evictions, which the append path
+// counts (its series are resolved here, once), and the live events and
+// the SLO burn-rate gauges per sliding window, which are computed from
+// the ring when read.
 func (j *Journal) AttachMetrics(reg *obs.Registry) {
 	j.mEvents = reg.CounterVec("fedwf_audit_events_total",
 		"Events appended to the audit journal.", "kind")
@@ -398,19 +386,22 @@ func (j *Journal) AttachMetrics(reg *obs.Registry) {
 	}
 	j.mDropped = reg.Counter("fedwf_audit_events_dropped_total",
 		"Oldest events evicted from the audit-journal ring.")
-	j.mLive = reg.Gauge("fedwf_audit_ring_live_total",
-		"Live events in the audit-journal ring.")
+	// Every assigned sequence number is live or dropped, so this is Len()
+	// without visiting the shards.
+	reg.Gauge("fedwf_audit_ring_live_total",
+		"Live events in the audit-journal ring.").ReadFrom(func() float64 {
+		return float64(j.Seq() - uint64(j.Dropped()))
+	})
 	avail := reg.GaugeVec("fedwf_slo_availability_burn_total",
 		"Availability error-budget burn rate over a sliding virtual-time window.", "window")
 	lat := reg.GaugeVec("fedwf_slo_latency_burn_total",
 		"Latency-objective error-budget burn rate over a sliding virtual-time window.", "window")
 	stmts := reg.GaugeVec("fedwf_slo_window_statements_total",
 		"Statements inside a sliding virtual-time SLO window.", "window")
-	j.sloMu.Lock()
-	for k := range j.win {
-		w := &j.win[k]
-		w.mAvail, w.mLat, w.mStmts = avail.With(w.label), lat.With(w.label), stmts.With(w.label)
+	for _, w := range Windows {
+		label := windowLabel(w)
+		avail.With(label).ReadFrom(func() float64 { return j.SLOBurn(w).AvailBurn })
+		lat.With(label).ReadFrom(func() float64 { return j.SLOBurn(w).LatencyBurn })
+		stmts.With(label).ReadFrom(func() float64 { return float64(j.SLOBurn(w).Statements) })
 	}
-	j.refreshLocked()
-	j.sloMu.Unlock()
 }

@@ -204,30 +204,34 @@ func TestCallEventsFromSpanTree(t *testing.T) {
 }
 
 // TestFaultEventsCarryTraceID: a fault event joins to its statement on
-// the trace id, as the statement's call events do.
+// the trace id, as the statement's call and workflow events do.
 func TestFaultEventsCarryTraceID(t *testing.T) {
-	j := New(Options{Capacity: 16})
+	j := New(Options{Capacity: 32})
 	for _, id := range []string{"t1", "t2"} {
-		j.AppendStatement(&obs.Statement{TraceID: id, Counters: obs.CounterSnapshot{Faults: []obs.FaultCount{
-			{Kind: obs.FaultRetry, System: "pps", N: 1},
-			{Kind: obs.FaultTimeout, System: "pdm", N: 1},
-		}}}, "fp")
+		j.AppendStatement(&obs.Statement{TraceID: id, Counters: obs.CounterSnapshot{
+			Faults: []obs.FaultCount{
+				{Kind: obs.FaultRetry, System: "pps", N: 1},
+				{Kind: obs.FaultTimeout, System: "pdm", N: 1},
+			},
+			Trail: []*obs.WorkflowInstance{{Seq: 1, Process: "GetSuppQual",
+				Audit: []obs.AuditEvent{{Node: "GQ", Event: "started", Row: -1}}}},
+		}}, "fp")
 	}
 	var stmt string // the trace id of the statement the events follow
-	var faults int
+	var joined int
 	for _, e := range j.Snapshot() {
 		switch e.Kind {
 		case KindStatement:
 			stmt = e.TraceID
-		case KindRetry, KindTimeout:
-			faults++
+		case KindRetry, KindTimeout, KindActivity, KindInstance:
+			joined++
 			if e.TraceID != stmt {
 				t.Errorf("%s event %d: trace id %q, want its statement's %q", e.Kind, e.Seq, e.TraceID, stmt)
 			}
 		}
 	}
-	if faults != 4 {
-		t.Fatalf("fault events = %d, want 4", faults)
+	if joined != 8 {
+		t.Fatalf("fault and workflow events = %d, want 8", joined)
 	}
 }
 
@@ -265,6 +269,52 @@ func TestFaultEventsFollowCalls(t *testing.T) {
 	}
 	if j.Now() != start+30*time.Millisecond {
 		t.Errorf("clock = %v, want only the statement's paper time added", j.Now())
+	}
+}
+
+// TestWorkflowEventsFollowFaults: a statement's finished workflow
+// instances append, after its call and fault events and in finish order,
+// one wf_activity event per audit-trail entry and then the instance's
+// wf_instance event, each started at the statement's start plus its
+// offset within the statement.
+func TestWorkflowEventsFollowFaults(t *testing.T) {
+	j := New(Options{Capacity: 64})
+	j.Advance(7 * time.Millisecond)
+	j.AppendStatement(&obs.Statement{TraceID: "t1", Arch: "wfms", Paper: 90 * time.Millisecond,
+		Calls: []obs.FedCall{{Fn: "GetSuppQual", Start: time.Millisecond, Elapsed: 80 * time.Millisecond}},
+		Counters: obs.CounterSnapshot{
+			Faults: []obs.FaultCount{{Kind: obs.FaultRetry, System: "pps", N: 1}},
+			Trail: []*obs.WorkflowInstance{
+				{Seq: 12, Process: "GetSuppQual", Batch: 1, Activities: 1, Rows: 1,
+					Start: 2 * time.Millisecond, Dur: 40 * time.Millisecond,
+					Audit: []obs.AuditEvent{
+						{At: 3 * time.Millisecond, Node: "GSN", Event: "started", Row: -1},
+						{At: 9 * time.Millisecond, Node: "GSN", Event: "completed", Rows: 1, Row: -1},
+					}},
+				{Seq: 13, Process: "GetSuppQual", Batch: 2, Err: "wfms: activity GQ: boom",
+					Start: 50 * time.Millisecond, Dur: 30 * time.Millisecond,
+					Audit: []obs.AuditEvent{{At: 55 * time.Millisecond, Node: "GQ", Event: "skipped", Row: 1}}},
+			},
+		}}, "fp")
+	const start = 7 * time.Millisecond
+	want := []Event{
+		{Kind: KindActivity, Instance: "wf-000012", Node: "GSN", Detail: "started", Row: -1, StartVT: start + 3*time.Millisecond},
+		{Kind: KindActivity, Instance: "wf-000012", Node: "GSN", Detail: "completed", Row: -1, Rows: 1, StartVT: start + 9*time.Millisecond},
+		{Kind: KindInstance, Instance: "wf-000012", Func: "GetSuppQual", Batch: 1, Activities: 1, Row: -1, Rows: 1,
+			StartVT: start + 2*time.Millisecond, DurVT: 40 * time.Millisecond},
+		{Kind: KindActivity, Instance: "wf-000013", Node: "GQ", Detail: "skipped", Row: 1, StartVT: start + 55*time.Millisecond},
+		{Kind: KindInstance, Instance: "wf-000013", Func: "GetSuppQual", Batch: 2, Row: -1, Err: "wfms: activity GQ: boom",
+			StartVT: start + 50*time.Millisecond, DurVT: 30 * time.Millisecond},
+	}
+	got := j.Snapshot()
+	if len(got) != 3+len(want) || got[0].Kind != KindStatement || got[1].Kind != KindCall || got[2].Kind != KindRetry {
+		t.Fatalf("events = %+v, want the statement, its call, its retry, then %d workflow events", got, len(want))
+	}
+	for i, w := range want {
+		w.Seq, w.TraceID = uint64(i+4), "t1"
+		if g := got[i+3]; g != w {
+			t.Errorf("workflow event %d = %+v, want %+v", i, g, w)
+		}
 	}
 }
 
@@ -316,6 +366,38 @@ func TestHTTPEndpoints(t *testing.T) {
 }
 
 func TestConcurrentAppendSnapshotAdvance(t *testing.T) {
+	concurrentAppendSnapshotAdvance(t, KindStatement)
+}
+
+// TestConcurrentAppendSnapshotAdvanceCalls is the same race with events
+// that are not statements, then many rounds of it on the smallest ring: an
+// appender delayed past a whole ring of later appends finds its slot taken
+// by a newer event, which must survive, and the journal must count the
+// delayed event dropped.
+func TestConcurrentAppendSnapshotAdvanceCalls(t *testing.T) {
+	concurrentAppendSnapshotAdvance(t, KindCall)
+	for round := 0; round < 2000; round++ {
+		j := New(Options{Capacity: numShards})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 64; i++ {
+					j.Append(Event{Kind: KindCall, Row: -1})
+				}
+			}()
+		}
+		wg.Wait()
+		checkSuffix(t, j, 8*64, fmt.Sprintf("round %d", round))
+	}
+}
+
+// concurrentAppendSnapshotAdvance appends events of one kind from eight
+// goroutines while four others snapshot, read a burn rate and advance the
+// clock; afterwards every sequence number is live or dropped and the live
+// events are the newest ones, gap-free.
+func concurrentAppendSnapshotAdvance(t *testing.T, kind Kind) {
 	j := New(Options{Capacity: 128})
 	reg := obs.NewRegistry()
 	j.AttachMetrics(reg)
@@ -325,7 +407,7 @@ func TestConcurrentAppendSnapshotAdvance(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				j.Append(Event{Kind: KindStatement, Row: -1,
+				j.Append(Event{Kind: kind, Row: -1,
 					Fingerprint: fmt.Sprintf("fp%d", g), StartVT: j.Now()})
 			}
 		}(g)
@@ -342,17 +424,27 @@ func TestConcurrentAppendSnapshotAdvance(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := j.Seq(); got != 1600 {
-		t.Fatalf("seq = %d, want 1600", got)
+	checkSuffix(t, j, 1600, "post-race")
+}
+
+// checkSuffix checks a quiet journal that took n appends: every sequence
+// number is live or dropped, and the live events are the newest
+// min(n, Capacity()), gap-free.
+func checkSuffix(t *testing.T, j *Journal, n int, where string) {
+	t.Helper()
+	if got := j.Seq(); got != uint64(n) {
+		t.Fatalf("%s: seq = %d, want %d", where, got, n)
 	}
-	if got := int64(j.Len()) + j.Dropped(); got != 1600 {
-		t.Fatalf("live+dropped = %d, want 1600", got)
+	if got := int64(j.Len()) + j.Dropped(); got != int64(n) {
+		t.Fatalf("%s: live+dropped = %d, want %d", where, got, n)
 	}
-	// Post-race snapshot must still be gap-free.
 	evts := j.Snapshot()
+	if len(evts) != min(n, j.Capacity()) || evts[len(evts)-1].Seq != uint64(n) {
+		t.Fatalf("%s: %d live events ending at seq %d, want the newest %d", where, len(evts), evts[len(evts)-1].Seq, min(n, j.Capacity()))
+	}
 	for i := 1; i < len(evts); i++ {
 		if evts[i].Seq != evts[i-1].Seq+1 {
-			t.Fatalf("gap between seq %d and %d", evts[i-1].Seq, evts[i].Seq)
+			t.Fatalf("%s: gap between seq %d and %d", where, evts[i-1].Seq, evts[i].Seq)
 		}
 	}
 }

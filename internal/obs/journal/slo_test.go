@@ -1,9 +1,13 @@
 package journal
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,42 +16,40 @@ import (
 	"fedwf/internal/obs"
 )
 
-// referenceBurn is the scan the SLO fold replaced, kept as its oracle: it
-// walks every live event under its shard lock and counts the statements
-// that started after now - w.
-func referenceBurn(j *Journal, w time.Duration) WindowBurn {
-	obj := j.Objectives()
-	now := j.Now()
-	cutoff := now - w
+// modelStmt is one appended statement as the model keeps it: the sequence
+// number and start the journal gave it, and what the test appended.
+type modelStmt struct {
+	seq   uint64
+	start time.Duration
+	dur   time.Duration
+	err   bool
+}
 
+// modelBurn is the oracle for SLOBurn, built from the definition rather
+// than from the ring: a statement counts while its event is still in the
+// ring (seq > Seq() - Capacity()) and it started inside the window
+// (start > now - w).
+func modelBurn(j *Journal, stmts []modelStmt, w time.Duration) WindowBurn {
+	obj, now, last := j.Objectives(), j.Now(), j.Seq()
 	b := WindowBurn{Window: windowLabel(w)}
-	for i := range j.shards {
-		sh := &j.shards[i]
-		sh.mu.Lock()
-		for k := 0; k < sh.n; k++ {
-			e := &sh.buf[k]
-			if e.Kind != KindStatement || e.StartVT <= cutoff {
-				continue
-			}
-			b.Statements++
-			if e.Err != "" {
-				b.Errors++
-			}
-			if obj.Latency > 0 && e.DurVT > obj.Latency {
-				b.Slow++
-			}
+	for _, s := range stmts {
+		if s.seq+uint64(j.Capacity()) <= last || s.start <= now-w {
+			continue
 		}
-		sh.mu.Unlock()
+		b.Statements++
+		if s.err {
+			b.Errors++
+		}
+		if obj.Latency > 0 && s.dur > obj.Latency {
+			b.Slow++
+		}
 	}
-	if b.Statements == 0 {
-		return b
-	}
-	b.ErrFraction = float64(b.Errors) / float64(b.Statements)
-	b.SlowFraction = float64(b.Slow) / float64(b.Statements)
-	budget := 1 - obj.Availability
-	if budget > 0 {
-		b.AvailBurn = b.ErrFraction / budget
-		b.LatencyBurn = b.SlowFraction / budget
+	if b.Statements > 0 {
+		b.ErrFraction = float64(b.Errors) / float64(b.Statements)
+		b.SlowFraction = float64(b.Slow) / float64(b.Statements)
+		if budget := 1 - obj.Availability; budget > 0 {
+			b.AvailBurn, b.LatencyBurn = b.ErrFraction/budget, b.SlowFraction/budget
+		}
 	}
 	return b
 }
@@ -60,31 +62,37 @@ func sloGauges(reg *obs.Registry, label string) (avail, lat, stmts float64) {
 	return avail, lat, stmts
 }
 
-// checkFoldMatchesScan compares every folded window, two windows that are
-// not folded, and the published gauges against the reference scan.
-func checkFoldMatchesScan(t *testing.T, j *Journal, reg *obs.Registry, where string) {
+// checkBurnMatchesModel compares the gauges and the report of every window
+// of Windows, and SLOBurn of two windows without gauges, against the
+// model.
+func checkBurnMatchesModel(t *testing.T, j *Journal, reg *obs.Registry, stmts []modelStmt, where string) {
 	t.Helper()
-	for _, w := range Windows {
-		want := referenceBurn(j, w)
-		avail, lat, stmts := sloGauges(reg, want.Window)
-		if avail != want.AvailBurn || lat != want.LatencyBurn || stmts != float64(want.Statements) {
-			t.Fatalf("%s: %s gauges = %v/%v/%v, scan = %+v", where, want.Window, avail, lat, stmts, want)
+	rep := j.SLOReport()
+	for k, w := range Windows {
+		want := modelBurn(j, stmts, w)
+		avail, lat, n := sloGauges(reg, want.Window)
+		if avail != want.AvailBurn || lat != want.LatencyBurn || n != float64(want.Statements) {
+			t.Fatalf("%s: %s gauges = %v/%v/%v, model = %+v", where, want.Window, avail, lat, n, want)
+		}
+		if rep.Windows[k] != want {
+			t.Fatalf("%s: report %+v, model %+v", where, rep.Windows[k], want)
 		}
 	}
-	for _, w := range append(append([]time.Duration(nil), Windows...), 90*time.Second, 2*time.Hour) {
-		if got, want := j.SLOBurn(w), referenceBurn(j, w); got != want {
-			t.Fatalf("%s: window %v fold = %+v, scan = %+v", where, w, got, want)
+	for _, w := range []time.Duration{90 * time.Second, 2 * time.Hour} {
+		if got, want := j.SLOBurn(w), modelBurn(j, stmts, w); got != want {
+			t.Fatalf("%s: window %v burn = %+v, model = %+v", where, w, got, want)
 		}
 	}
 }
 
-// TestSLOFoldMatchesScan drives random mixes of statements (some failing,
-// some over the latency objective, some stamped by hand through Append),
-// other events, idle time (now and then longer than the longest window)
-// and objective changes through small rings, so statements leave the
-// windows by time and by eviction constantly, and compares the fold with
-// the scan after every step.
-func TestSLOFoldMatchesScan(t *testing.T) {
+// TestSLOBurnMatchesModel drives random mixes of statements (some failing,
+// some over the latency objective, some stamped by hand through Append,
+// now and then with a start behind earlier statements'), other events,
+// idle time (now and then longer than the longest window) and objective
+// changes through small rings, so statements leave the windows by time
+// and by eviction constantly, and compares the burn rates with the model
+// after every step.
+func TestSLOBurnMatchesModel(t *testing.T) {
 	availabilities := []float64{0.9, 0.95, 0.99, 0.995, 1}
 	latencies := []time.Duration{0, 50 * time.Millisecond, 100 * time.Millisecond, 250 * time.Millisecond}
 	for seed := int64(1); seed <= 20; seed++ {
@@ -92,30 +100,43 @@ func TestSLOFoldMatchesScan(t *testing.T) {
 		j := New(Options{Capacity: 8 + rng.Intn(121)})
 		reg := obs.NewRegistry()
 		j.AttachMetrics(reg)
-		// Durations are whole 10 ms and idle time whole seconds, so starts
-		// land exactly on window boundaries too.
-		statement := func() Event {
-			e := Event{Row: -1, DurVT: time.Duration(rng.Intn(41)) * 10 * time.Millisecond}
+		var stmts []modelStmt
+		// Durations are whole 10 ms and idle time and start offsets whole
+		// seconds, so starts land exactly on window boundaries too.
+		statement := func() modelStmt {
+			s := modelStmt{dur: time.Duration(rng.Intn(41)) * 10 * time.Millisecond, err: rng.Intn(6) == 0}
 			if rng.Intn(20) == 0 {
-				e.DurVT = time.Duration(rng.Intn(181)) * time.Second
+				s.dur = time.Duration(rng.Intn(181)) * time.Second
 			}
-			if rng.Intn(6) == 0 {
-				e.Err = "resil: statement deadline exceeded"
+			return s
+		}
+		errText := func(s modelStmt) string {
+			if s.err {
+				return "resil: statement deadline exceeded"
 			}
-			return e
+			return ""
 		}
 		for step := 0; step < 2000; step++ {
 			var op string
 			switch r := rng.Intn(100); {
 			case r < 45:
 				op = "AppendStatement"
-				e := statement()
-				j.AppendStatement(&obs.Statement{Err: e.Err, Paper: e.DurVT}, "")
+				s := statement()
+				s.seq, s.start = j.Seq()+1, j.Now()
+				j.AppendStatement(&obs.Statement{Err: errText(s), Paper: s.dur}, "")
+				stmts = append(stmts, s)
 			case r < 52:
 				op = "Append(statement)"
-				e := statement()
-				e.Kind, e.StartVT = KindStatement, j.Now()
-				j.Append(e)
+				s := statement()
+				s.start = j.Now()
+				if rng.Intn(3) == 0 {
+					// Out of order: it started before statements already
+					// appended, possibly outside a window at once.
+					op = "Append(statement, earlier start)"
+					s.start -= time.Duration(rng.Intn(400)) * time.Second
+				}
+				s.seq = j.Append(Event{Kind: KindStatement, Row: -1, Err: errText(s), StartVT: s.start, DurVT: s.dur})
+				stmts = append(stmts, s)
 			case r < 85:
 				op = "Append"
 				j.Append(Event{Kind: kinds[1+rng.Intn(len(kinds)-1)], Row: -1, StartVT: j.Now()})
@@ -132,19 +153,26 @@ func TestSLOFoldMatchesScan(t *testing.T) {
 					Latency:      latencies[rng.Intn(len(latencies))],
 				})
 			}
-			checkFoldMatchesScan(t, j, reg, fmt.Sprintf("seed %d capacity %d step %d (%s)", seed, j.Capacity(), step, op))
+			checkBurnMatchesModel(t, j, reg, stmts, fmt.Sprintf("seed %d capacity %d step %d (%s)", seed, j.Capacity(), step, op))
+			// An evicted statement never counts again; forget it so the
+			// model stays as small as the ring.
+			stmts = slices.DeleteFunc(stmts, func(s modelStmt) bool { return s.seq+uint64(j.Capacity()) <= j.Seq() })
 		}
 	}
 }
 
-// TestSLOFoldMatchesScanConcurrent appends statements and other events
-// from eight goroutines while others read the report and snapshots; once
-// they are quiet, fold, gauges and scan must agree.
-func TestSLOFoldMatchesScanConcurrent(t *testing.T) {
+// TestSLOBurnMatchesModelConcurrent appends statements and other events
+// from eight goroutines while others scrape /metrics and read the report
+// and snapshots; once they are quiet, gauges, report and burn rates must
+// agree with the model. Each statement carries its own trace id, which
+// finds the sequence number and start the journal gave it in the sink.
+func TestSLOBurnMatchesModelConcurrent(t *testing.T) {
 	j := New(Options{Capacity: 64})
 	reg := obs.NewRegistry()
 	j.AttachMetrics(reg)
 	j.SetObjectives(Objectives{Availability: 0.99, Latency: 100 * time.Millisecond})
+	var sink bytes.Buffer
+	j.SetSink(&sink)
 
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
@@ -158,24 +186,33 @@ func TestSLOFoldMatchesScanConcurrent(t *testing.T) {
 					return
 				default:
 				}
+				if err := reg.WritePrometheus(io.Discard); err != nil {
+					t.Error(err)
+					return
+				}
 				_ = j.SLOReport()
 				_ = j.Snapshot()
 			}
 		}()
 	}
+	appended := make([]map[string]modelStmt, 8)
 	var writers sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := range appended {
+		appended[g] = make(map[string]modelStmt)
 		writers.Add(1)
 		go func(g int) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 500; i++ {
-				st := obs.Statement{Paper: time.Duration(rng.Int63n(int64(200 * time.Millisecond)))}
-				if rng.Intn(8) == 0 {
+				id := fmt.Sprintf("g%d-%d", g, i)
+				s := modelStmt{dur: time.Duration(rng.Int63n(int64(200 * time.Millisecond))), err: rng.Intn(8) == 0}
+				st := obs.Statement{TraceID: id, Paper: s.dur}
+				if s.err {
 					st.Err = "boom"
 				}
 				st.Calls = make([]obs.FedCall, rng.Intn(3))
 				j.AppendStatement(&st, "")
+				appended[g][id] = s
 				if rng.Intn(40) == 0 {
 					j.Advance(time.Duration(rng.Int63n(int64(20 * time.Second))))
 				}
@@ -185,7 +222,32 @@ func TestSLOFoldMatchesScanConcurrent(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	readers.Wait()
-	checkFoldMatchesScan(t, j, reg, "at quiescence")
+
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var stmts []modelStmt
+	lines := bufio.NewScanner(strings.NewReader(sink.String()))
+	for lines.Scan() {
+		var e Event
+		if err := json.Unmarshal(lines.Bytes(), &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Kind != KindStatement {
+			continue
+		}
+		var g, i int
+		if _, err := fmt.Sscanf(e.TraceID, "g%d-%d", &g, &i); err != nil {
+			t.Fatalf("statement event with trace id %q", e.TraceID)
+		}
+		s := appended[g][e.TraceID]
+		s.seq, s.start = e.Seq, e.StartVT
+		stmts = append(stmts, s)
+	}
+	if len(stmts) != 8*500 {
+		t.Fatalf("sink holds %d statement events, want %d", len(stmts), 8*500)
+	}
+	checkBurnMatchesModel(t, j, reg, stmts, "at quiescence")
 }
 
 // TestMetricsMatchJournal: after N appends into capacity C, the live gauge

@@ -39,11 +39,12 @@ type series struct {
 	labelValues []string
 
 	mu    sync.Mutex
-	value float64   // counter/gauge
-	count uint64    // histogram
-	sum   float64   // histogram
-	bkts  []uint64  // histogram: cumulative per upper bound
-	upper []float64 // histogram: shared bucket bounds
+	value float64        // counter/gauge
+	read  func() float64 // gauge set by ReadFrom: computes the value
+	count uint64         // histogram
+	sum   float64        // histogram
+	bkts  []uint64       // histogram: cumulative per upper bound
+	upper []float64      // histogram: shared bucket bounds
 }
 
 func (r *Registry) family(name, help, typ string, labelNames []string, buckets []float64) *family {
@@ -102,9 +103,7 @@ func (c *Counter) Value() float64 {
 	if c == nil || c.s == nil {
 		return 0
 	}
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.s.value
+	return c.s.scalar()
 }
 
 // Gauge is a value that can go up and down.
@@ -130,14 +129,37 @@ func (g *Gauge) Add(v float64) {
 	g.s.mu.Unlock()
 }
 
+// ReadFrom makes the gauge compute its value when read: Value and
+// WritePrometheus call fn, outside the series lock, instead of reporting
+// what Set and Add stored. It suits a gauge that restates state kept
+// elsewhere, which then needs no update on the hot path.
+func (g *Gauge) ReadFrom(fn func() float64) {
+	if g == nil || g.s == nil {
+		return
+	}
+	g.s.mu.Lock()
+	g.s.read = fn
+	g.s.mu.Unlock()
+}
+
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil || g.s == nil {
 		return 0
 	}
-	g.s.mu.Lock()
-	defer g.s.mu.Unlock()
-	return g.s.value
+	return g.s.scalar()
+}
+
+// scalar is a counter's or gauge's value, computed by its read function
+// when it has one.
+func (s *series) scalar() float64 {
+	s.mu.Lock()
+	v, read := s.value, s.read
+	s.mu.Unlock()
+	if read != nil {
+		return read()
+	}
+	return v
 }
 
 // Histogram accumulates observations into cumulative buckets.
@@ -285,29 +307,27 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 }
 
 func writeSeries(w io.Writer, f *family, s *series) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	base := labelString(f.labelNames, s.labelValues, "", "")
-	switch f.typ {
-	case "histogram":
-		for i, ub := range s.upper {
-			le := formatFloat(ub)
-			if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labelNames, s.labelValues, "le", le), s.bkts[i]); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labelNames, s.labelValues, "le", "+Inf"), s.count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, base, formatFloat(s.sum)); err != nil {
-			return err
-		}
-		_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, base, s.count)
-		return err
-	default:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, base, formatFloat(s.value))
+	if f.typ != "histogram" {
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, base, formatFloat(s.scalar()))
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, ub := range s.upper {
+		le := formatFloat(ub)
+		if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labelNames, s.labelValues, "le", le), s.bkts[i]); err != nil {
+			return err
+		}
+	}
+	if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, labelString(f.labelNames, s.labelValues, "le", "+Inf"), s.count); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", f.name, base, formatFloat(s.sum)); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "%s_count%s %d\n", f.name, base, s.count)
+	return err
 }
 
 // labelString renders {k="v",...}, optionally appending one extra pair

@@ -151,3 +151,29 @@ func TestSlowQueryLog(t *testing.T) {
 		}
 	}
 }
+
+// TestGaugeReadFrom: a gauge set by ReadFrom reports what its function
+// computes, on Value and on the exposition, and calls it outside the
+// series lock, so the function may touch the gauge itself.
+func TestGaugeReadFrom(t *testing.T) {
+	reg := NewRegistry()
+	g := reg.GaugeVec("fedwf_test_live_total", "Live things.", "pool").With("a")
+	n := 0.0
+	g.ReadFrom(func() float64 {
+		g.Set(-1) // stored, and never reported while fn is set
+		n++
+		return n
+	})
+	if got := g.Value(); got != 1 {
+		t.Fatalf("Value = %v, want 1", got)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), `fedwf_test_live_total{pool="a"} 2`+"\n") {
+		t.Fatalf("exposition does not read the function:\n%s", b.String())
+	}
+	var nilGauge *Gauge
+	nilGauge.ReadFrom(func() float64 { return 1 }) // no-op, like Set
+}

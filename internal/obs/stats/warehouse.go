@@ -80,9 +80,8 @@ type Warehouse struct {
 	evictions int64
 
 	// Optional registry series, set by AttachMetrics.
-	mRecorded     *obs.Counter
-	mEvicted      *obs.Counter
-	mFingerprints *obs.Gauge
+	mRecorded *obs.Counter
+	mEvicted  *obs.Counter
 }
 
 // NewWarehouse returns an empty warehouse.
@@ -99,8 +98,8 @@ func NewWarehouse(opt Options) *Warehouse {
 }
 
 // AttachMetrics registers the warehouse's own series on the shared
-// registry: statements recorded, fingerprints evicted, and live
-// fingerprint count.
+// registry: statements recorded, fingerprints evicted, and the live
+// fingerprint count, which is read from the warehouse when scraped.
 func (w *Warehouse) AttachMetrics(reg *obs.Registry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -108,9 +107,12 @@ func (w *Warehouse) AttachMetrics(reg *obs.Registry) {
 		"Statements folded into the statistics warehouse.")
 	w.mEvicted = reg.Counter("fedwf_stats_fingerprints_evicted_total",
 		"Cold fingerprints evicted from the statistics warehouse.")
-	w.mFingerprints = reg.Gauge("fedwf_stats_fingerprints_live_total",
-		"Live statement fingerprints in the statistics warehouse.")
-	w.mFingerprints.Set(float64(len(w.stmts)))
+	reg.Gauge("fedwf_stats_fingerprints_live_total",
+		"Live statement fingerprints in the statistics warehouse.").ReadFrom(func() float64 {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return float64(len(w.stmts))
+	})
 }
 
 // ClassifyError maps an error to its resil taxonomy class for the
@@ -147,9 +149,6 @@ func (w *Warehouse) RecordStatement(st *obs.Statement) string {
 		e = &stmtEntry{id: id, query: normalized, sketch: NewSketch(), lastSeq: w.seq}
 		w.stmts[id] = e
 		w.evictColdLocked()
-		if w.mFingerprints != nil {
-			w.mFingerprints.Set(float64(len(w.stmts)))
-		}
 	}
 	e.lastSeq = w.seq
 	if st.Arch != "" {

@@ -44,9 +44,10 @@ type Statement struct {
 
 // StmtCounters ride the statement context through the whole stack, and
 // each layer counts what it does where it does it: the RPC client its
-// wire requests and timed-out requests, the workflow engine its instances
-// and activities, the resilience executor its retries, breaker trips and
-// sheds, the lateral operator its flushed chunks. The serving layer
+// wire requests and timed-out requests, the workflow engine its instances,
+// their activities and their audit trails, the resilience executor its
+// retries, breaker trips and sheds, the lateral operator its flushed
+// chunks. The serving layer
 // snapshots the totals into its Statement when the statement finishes.
 // Carrying the counters on the context — rather than diffing process-wide
 // counters — keeps concurrent statements from bleeding into each other's
@@ -64,6 +65,42 @@ type StmtCounters struct {
 	// bounded by kinds × systems however many faults the statement meets.
 	mu     sync.Mutex
 	faults []FaultCount
+	// trail holds the finished workflow instances in finish order; trail0
+	// backs it while the statement has run one, so the common
+	// one-instance statement allocates nothing for it.
+	trail  []*WorkflowInstance
+	trail0 [1]*WorkflowInstance
+}
+
+// AuditEvent is one entry of a workflow process instance's audit trail.
+type AuditEvent struct {
+	At    time.Duration // virtual instant within the statement
+	Node  string
+	Event string // "started", "completed", "skipped", "iteration"
+	Rows  int
+	// Row is the in-chunk row index the entry is attributable to when the
+	// instance absorbed a batch; -1 means the entry covers the whole
+	// instance.
+	Row int
+}
+
+// WorkflowInstance is one finished workflow process instance, the record
+// its statement's audit journal writes the instance and its trail from.
+type WorkflowInstance struct {
+	// Seq numbers the instance over its engine's lifetime (1-based).
+	Seq     uint64
+	Process string
+	// Batch is the number of input rows the instance absorbed.
+	Batch int
+	// Activities counts its executed (not skipped) activities, Rows its
+	// output rows; Err is the error text of a failed instance.
+	Activities int
+	Rows       int
+	Err        string
+	// Start is the instant within the statement the instance began and
+	// Dur its simulated duration.
+	Start, Dur time.Duration
+	Audit      []AuditEvent
 }
 
 // FaultKind names one fault-handling event counted against an
@@ -147,6 +184,20 @@ func (c *StmtCounters) AddFault(kind FaultKind, system string) {
 	c.faults = append(c.faults, FaultCount{Kind: kind, System: system, N: 1})
 }
 
+// FinishInstance hands the statement one finished workflow instance. The
+// record is kept by reference: its owner writes no more to it.
+func (c *StmtCounters) FinishInstance(in *WorkflowInstance) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	if c.trail == nil {
+		c.trail = c.trail0[:0]
+	}
+	c.trail = append(c.trail, in)
+	c.mu.Unlock()
+}
+
 // AddBatch counts one flushed set-oriented chunk: rows is the chunk's
 // actual row count, slots the policy's row capacity (the count trigger;
 // rows when the policy has no row bound). Fill ratio aggregates as
@@ -165,12 +216,14 @@ func (c *StmtCounters) AddBatch(rows, slots int) {
 
 // CounterSnapshot is the counter values at one instant. Faults lists the
 // fault counts per (kind, system) in first-seen order; Retries,
-// BreakerTrips, Sheds and Timeouts are its sums per kind.
+// BreakerTrips, Sheds and Timeouts are its sums per kind. Trail lists the
+// finished workflow instances in finish order.
 type CounterSnapshot struct {
 	RPCs, Instances, Activities            int64
 	Retries, BreakerTrips, Sheds, Timeouts int64
 	BatchCalls, BatchRows, BatchSlots      int64
 	Faults                                 []FaultCount
+	Trail                                  []*WorkflowInstance
 }
 
 // Snapshot reads all counters; a nil receiver reads zeros.
@@ -188,6 +241,8 @@ func (c *StmtCounters) Snapshot() CounterSnapshot {
 	}
 	c.mu.Lock()
 	s.Faults = append([]FaultCount(nil), c.faults...)
+	// Instances are only ever appended, so the snapshot shares the slice.
+	s.Trail = c.trail
 	c.mu.Unlock()
 	var sum [FaultTimeout + 1]int64
 	for _, f := range s.Faults {

@@ -89,3 +89,43 @@ func TestObserveStatementFoldsCounters(t *testing.T) {
 		t.Errorf("a system without retries must have no retry series:\n%s", out)
 	}
 }
+
+// TestFinishedInstancesRideTheSnapshot: instances finished on concurrent
+// branches all reach the snapshot, by reference, and a snapshot taken
+// earlier keeps its own length.
+func TestFinishedInstancesRideTheSnapshot(t *testing.T) {
+	_, c := WithStmtCounters(context.Background())
+	first := &WorkflowInstance{Seq: 1}
+	c.FinishInstance(first)
+	early := c.Snapshot()
+	recs := make([]WorkflowInstance, 8)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			recs[i].Seq = uint64(i + 2)
+			c.FinishInstance(&recs[i])
+		}()
+	}
+	wg.Wait()
+	if len(early.Trail) != 1 || early.Trail[0] != first {
+		t.Fatalf("early trail = %v, want the first instance", early.Trail)
+	}
+	got := c.Snapshot().Trail
+	if len(got) != 9 || got[0] != first {
+		t.Fatalf("trail = %v, want 9 instances led by the first", got)
+	}
+	seen := map[uint64]bool{}
+	for _, in := range got {
+		seen[in.Seq] = true
+	}
+	if len(seen) != 9 {
+		t.Fatalf("trail instances %v are not distinct", seen)
+	}
+	var none *StmtCounters
+	none.FinishInstance(first) // untracked execution drops the record
+	if none.Snapshot().Trail != nil {
+		t.Fatal("nil counters produced a trail")
+	}
+}

@@ -66,7 +66,7 @@ func (e *Engine) RunBatchContext(ctx context.Context, task *simlat.Task, p *Proc
 			rows += t.Len()
 		}
 	}
-	st.finishInstance(task, p.Name, len(inputs), rows, err)
+	st.finish(task, p.Name, len(inputs), rows, err)
 	return out, err
 }
 

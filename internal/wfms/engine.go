@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fedwf/internal/obs"
-	"fedwf/internal/obs/journal"
 	"fedwf/internal/resil"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
@@ -21,11 +20,6 @@ type Engine struct {
 	invoker Invoker
 	costs   Costs
 	serial  bool
-	// jnl, when set, receives one wf_instance event per process instance
-	// and one wf_activity event per audit-trail entry, so instance
-	// history survives the run (the MQSeries-Workflow audit trail the
-	// paper's WfMS side is modeled on).
-	jnl *journal.Journal
 	// instSeq counts started process instances over the engine's lifetime
 	// and numbers them; a whole batch shares one instance.
 	instSeq atomic.Uint64
@@ -42,28 +36,13 @@ func New(invoker Invoker, costs Costs) *Engine {
 // sequential variant on the independent case too.
 func (e *Engine) SetSerial(serial bool) { e.serial = serial }
 
-// SetJournal redirects the engine's audit trail into the federation audit
-// journal: every process instance and every activity transition is
-// appended as a wide event, so history outlives the RunResult. Set it at
-// wiring time, before any process runs.
-func (e *Engine) SetJournal(j *journal.Journal) { e.jnl = j }
-
 // Instances returns the number of process instances started since the
 // engine was built. A batched run starts exactly one instance regardless
 // of how many rows the batch carries.
 func (e *Engine) Instances() int64 { return int64(e.instSeq.Load()) }
 
 // AuditEvent is one entry of a process instance's audit trail.
-type AuditEvent struct {
-	At    time.Duration // virtual instant within the run
-	Node  string
-	Event string // "started", "completed", "skipped", "iteration"
-	Rows  int
-	// Row is the in-chunk row index the entry is attributable to when the
-	// instance absorbed a batch (RunBatchContext); -1 means the entry
-	// covers the whole instance.
-	Row int
-}
+type AuditEvent = obs.AuditEvent
 
 // RunResult carries the process output plus execution metadata.
 type RunResult struct {
@@ -99,54 +78,44 @@ func (e *Engine) RunDetailedContext(ctx context.Context, task *simlat.Task, p *P
 	if out != nil {
 		rows = out.Len()
 	}
-	st.finishInstance(task, p.Name, 1, rows, err)
+	audit := st.inst.Audit
+	sort.Slice(audit, func(i, j int) bool {
+		if audit[i].At != audit[j].At {
+			return audit[i].At < audit[j].At
+		}
+		return audit[i].Node < audit[j].Node
+	})
+	st.finish(task, p.Name, 1, rows, err)
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(st.audit, func(i, j int) bool {
-		if st.audit[i].At != st.audit[j].At {
-			return st.audit[i].At < st.audit[j].At
-		}
-		return st.audit[i].Node < st.audit[j].Node
-	})
-	return &RunResult{Output: out, Audit: st.audit, Activities: st.executed}, nil
+	return &RunResult{Output: out, Audit: audit, Activities: st.inst.Activities}, nil
 }
 
 // runState aggregates audit information across (sub-)process runs.
 type runState struct {
-	mu       sync.Mutex
-	audit    []AuditEvent
-	executed int
-	row      int // current in-chunk row index; -1 = whole instance
+	mu sync.Mutex
+	// inst is the instance's record: its audit trail and executed
+	// activities accumulate in it, and finish hands it to the statement.
+	inst obs.WorkflowInstance
+	row  int // current in-chunk row index; -1 = whole instance
 	// cnt is the statement's counters, which count every executed
-	// activity beside executed.
+	// activity beside inst.Activities.
 	cnt *obs.StmtCounters
-
-	// Journal routing, set by newRunState when the engine has one.
-	jnl      *journal.Journal
-	instance string
-	base     time.Duration // journal virtual instant when the instance began
-	startAt  time.Duration // task-relative instant the instance began
 }
 
 // newRunState starts one process instance: it counts the instance, for the
-// engine and for the statement ctx carries, and starts its audit trail,
-// whose executed activities are counted for the statement too.
-// When the engine carries a journal, the instance's engine-lifetime number
-// becomes its id and its trail is mirrored into the journal as wide
-// events.
+// engine and for the statement ctx carries, numbers it over the engine's
+// lifetime, and starts its audit trail, whose executed activities are
+// counted for the statement too.
 func (e *Engine) newRunState(ctx context.Context, task *simlat.Task) *runState {
-	n := e.instSeq.Add(1)
 	cnt := obs.FromContext(ctx)
 	cnt.AddInstance()
-	st := &runState{row: -1, cnt: cnt}
-	if e.jnl != nil {
-		st.jnl = e.jnl
-		st.instance = fmt.Sprintf("wf-%06d", n)
-		st.base = e.jnl.Now()
-		st.startAt = task.Elapsed()
+	return &runState{
+		inst: obs.WorkflowInstance{Seq: e.instSeq.Add(1), Start: task.Elapsed()},
+		row:  -1,
+		cnt:  cnt,
 	}
-	return st
 }
 
 // setRow tags subsequent audit entries with an in-chunk row index (-1
@@ -160,65 +129,35 @@ func (st *runState) setRow(row int) {
 
 func (st *runState) record(at time.Duration, node, event string, rows int) {
 	st.mu.Lock()
-	row := st.row
-	st.audit = append(st.audit, AuditEvent{At: at, Node: node, Event: event, Rows: rows, Row: row})
+	st.inst.Audit = append(st.inst.Audit, AuditEvent{At: at, Node: node, Event: event, Rows: rows, Row: st.row})
 	st.mu.Unlock()
-	st.emitActivity(at, node, event, rows, row)
 }
 
 // recordRow is record with an explicit row index — the vectorized batch
 // path attributes split results to rows without flipping shared state.
 func (st *runState) recordRow(at time.Duration, node, event string, rows, row int) {
 	st.mu.Lock()
-	st.audit = append(st.audit, AuditEvent{At: at, Node: node, Event: event, Rows: rows, Row: row})
+	st.inst.Audit = append(st.inst.Audit, AuditEvent{At: at, Node: node, Event: event, Rows: rows, Row: row})
 	st.mu.Unlock()
-	st.emitActivity(at, node, event, rows, row)
 }
 
-func (st *runState) emitActivity(at time.Duration, node, event string, rows, row int) {
-	if st.jnl == nil {
-		return
-	}
-	st.jnl.Append(journal.Event{
-		Kind:     journal.KindActivity,
-		Instance: st.instance,
-		Node:     node,
-		Detail:   event,
-		Row:      row,
-		Rows:     rows,
-		StartVT:  st.base + at,
-	})
-}
-
-// finishInstance appends the instance's own wide event — emitted on both
-// the success and the error path, so failed instances are auditable too.
-func (st *runState) finishInstance(task *simlat.Task, process string, batch, rows int, err error) {
-	if st.jnl == nil {
-		return
-	}
+// finish completes the instance's record and hands it to the statement —
+// on both the success and the error path, so failed instances are
+// auditable too.
+func (st *runState) finish(task *simlat.Task, process string, batch, rows int, err error) {
 	st.mu.Lock()
-	executed := st.executed
-	st.mu.Unlock()
-	ev := journal.Event{
-		Kind:       journal.KindInstance,
-		Instance:   st.instance,
-		Func:       process,
-		Batch:      batch,
-		Activities: executed,
-		Row:        -1,
-		Rows:       rows,
-		StartVT:    st.base + st.startAt,
-		DurVT:      task.Elapsed() - st.startAt,
-	}
+	in := &st.inst
+	in.Process, in.Batch, in.Rows, in.Dur = process, batch, rows, task.Elapsed()-in.Start
 	if err != nil {
-		ev.Err = err.Error()
+		in.Err = err.Error()
 	}
-	st.jnl.Append(ev)
+	st.mu.Unlock()
+	st.cnt.FinishInstance(in)
 }
 
 func (st *runState) countExec() {
 	st.mu.Lock()
-	st.executed++
+	st.inst.Activities++
 	st.mu.Unlock()
 	st.cnt.AddActivity()
 }

@@ -2,8 +2,11 @@ package wfms
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
+	"fedwf/internal/obs"
 	"fedwf/internal/obs/journal"
 	"fedwf/internal/simlat"
 	"fedwf/internal/types"
@@ -17,6 +20,20 @@ func batchInputs(n int) []map[string]types.Value {
 	return in
 }
 
+// statementContext is a statement's context: the engine hands every
+// instance it finishes to the counters the context carries.
+func statementContext() (context.Context, *obs.StmtCounters) {
+	return obs.WithStmtCounters(context.Background())
+}
+
+// journalStatement appends the finished statement the counters describe
+// to a fresh journal, which writes its workflow events from the trail.
+func journalStatement(cnt *obs.StmtCounters, task *simlat.Task) *journal.Journal {
+	j := journal.New(journal.Options{Capacity: 256})
+	j.AppendStatement(&obs.Statement{TraceID: "t1", Arch: "wfms", Paper: task.Elapsed(), Counters: cnt.Snapshot()}, "fp")
+	return j
+}
+
 func eventsOf(j *journal.Journal, kind journal.Kind) []journal.Event {
 	var out []journal.Event
 	for _, e := range j.Snapshot() {
@@ -28,15 +45,15 @@ func eventsOf(j *journal.Journal, kind journal.Kind) []journal.Event {
 }
 
 func TestJournalInstanceAndActivityEvents(t *testing.T) {
-	j := journal.New(journal.Options{Capacity: 256})
 	eng := New(testInvoker(t), testCosts())
-	eng.SetJournal(j)
 	task := simlat.NewVirtualTask()
-	res, err := eng.RunDetailedContext(context.Background(), task, linearProcess(),
+	ctx, cnt := statementContext()
+	res, err := eng.RunDetailedContext(ctx, task, linearProcess(),
 		map[string]types.Value{"suppliername": types.NewString("Supplier3")})
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := journalStatement(cnt, task)
 
 	inst := eventsOf(j, journal.KindInstance)
 	if len(inst) != 1 {
@@ -49,21 +66,25 @@ func TestJournalInstanceAndActivityEvents(t *testing.T) {
 	if ie.Activities != res.Activities || ie.Rows != res.Output.Len() {
 		t.Fatalf("instance event counts = %+v, want activities %d rows %d", ie, res.Activities, res.Output.Len())
 	}
-	if ie.DurVT != task.Elapsed() {
-		t.Fatalf("instance DurVT = %v, want %v", ie.DurVT, task.Elapsed())
+	if ie.StartVT != 0 || ie.DurVT != task.Elapsed() || ie.TraceID != "t1" {
+		t.Fatalf("instance event = %+v, want the statement's trace id, start 0 and duration %v", ie, task.Elapsed())
 	}
 
 	acts := eventsOf(j, journal.KindActivity)
-	// Linear chain: started+completed per node, all whole-instance scoped.
-	if len(acts) != 2*len(res.Audit)/2 && len(acts) != len(res.Audit) {
+	// Linear chain: one event per audit entry, in the run's sorted order,
+	// all whole-instance scoped.
+	if len(acts) != len(res.Audit) {
 		t.Fatalf("activity events = %d, audit entries = %d", len(acts), len(res.Audit))
 	}
-	for _, a := range acts {
-		if a.Instance != ie.Instance {
-			t.Fatalf("activity not joinable to instance: %+v", a)
+	for i, a := range acts {
+		if a.Instance != ie.Instance || a.TraceID != "t1" {
+			t.Fatalf("activity not joinable to instance and statement: %+v", a)
 		}
 		if a.Row != -1 {
 			t.Fatalf("non-batched activity has row index: %+v", a)
+		}
+		if ev := res.Audit[i]; a.Node != ev.Node || a.Detail != ev.Event || a.StartVT != ev.At || a.Rows != ev.Rows {
+			t.Fatalf("activity event %d = %+v, audit entry %+v", i, a, ev)
 		}
 	}
 	for _, ev := range res.Audit {
@@ -74,14 +95,14 @@ func TestJournalInstanceAndActivityEvents(t *testing.T) {
 }
 
 func TestJournalBatchRowAttributionVectorized(t *testing.T) {
-	j := journal.New(journal.Options{Capacity: 256})
 	eng := New(testInvoker(t), testCosts())
-	eng.SetJournal(j)
 	task := simlat.NewVirtualTask()
-	out, err := eng.RunBatchContext(context.Background(), task, linearProcess(), batchInputs(3))
+	ctx, cnt := statementContext()
+	out, err := eng.RunBatchContext(ctx, task, linearProcess(), batchInputs(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := journalStatement(cnt, task)
 	if len(out) != 3 {
 		t.Fatalf("outputs = %d, want 3", len(out))
 	}
@@ -123,14 +144,14 @@ func TestJournalBatchRowAttributionFallback(t *testing.T) {
 	p := linearProcess()
 	p.Flow[0].Condition = func(*types.Table) (bool, error) { return true, nil }
 
-	j := journal.New(journal.Options{Capacity: 256})
 	eng := New(testInvoker(t), testCosts())
-	eng.SetJournal(j)
 	task := simlat.NewVirtualTask()
-	out, err := eng.RunBatchContext(context.Background(), task, p, batchInputs(2))
+	ctx, cnt := statementContext()
+	out, err := eng.RunBatchContext(ctx, task, p, batchInputs(2))
 	if err != nil {
 		t.Fatal(err)
 	}
+	j := journalStatement(cnt, task)
 	if len(out) != 2 {
 		t.Fatalf("outputs = %d, want 2", len(out))
 	}
@@ -142,5 +163,23 @@ func TestJournalBatchRowAttributionFallback(t *testing.T) {
 	// per node); nothing may remain unattributed.
 	if perRow[-1] != 0 || perRow[0] == 0 || perRow[1] == 0 {
 		t.Fatalf("fallback row attribution = %v", perRow)
+	}
+}
+
+// TestFailedInstanceIsRecorded: an instance that fails is handed to its
+// statement too, with the error, so the journal audits it.
+func TestFailedInstanceIsRecorded(t *testing.T) {
+	inv := InvokerFunc(func(ctx context.Context, task *simlat.Task, system, function string, args []types.Value) (*types.Table, error) {
+		return nil, errors.New("boom")
+	})
+	eng := New(inv, testCosts())
+	task := simlat.NewVirtualTask()
+	ctx, cnt := statementContext()
+	if _, err := eng.RunContext(ctx, task, linearProcess(), map[string]types.Value{"suppliername": types.NewString("x")}); err == nil {
+		t.Fatal("run succeeded")
+	}
+	inst := eventsOf(journalStatement(cnt, task), journal.KindInstance)
+	if len(inst) != 1 || !strings.Contains(inst[0].Err, "boom") || inst[0].Rows != 0 {
+		t.Fatalf("instance events = %+v, want one carrying the error", inst)
 	}
 }
