@@ -14,8 +14,7 @@
 //	E10 — Fig. 6 from live spans (extension: trace-derived breakdowns)
 //
 // All measurements run on the deterministic virtual clock, so the harness
-// produces identical numbers on every machine; the testing.B benchmarks in
-// the repository root replay the same workloads in wall mode.
+// produces identical numbers on every machine.
 package benchharn
 
 import (

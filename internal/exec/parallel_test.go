@@ -134,13 +134,18 @@ func TestParallelApplyVirtualMaxBranch(t *testing.T) {
 }
 
 func TestParallelApplyWallSpeedup(t *testing.T) {
-	// 24 outer rows at 10ms each: sequential sleeps ~240ms of scaled wall
-	// time, DOP 4 should finish in ~60ms. Assert > 2x to stay robust on
-	// loaded machines.
+	// 24 outer rows whose right side really sleeps 10ms each: sequential
+	// takes ~240ms of wall time, DOP 4 should finish in ~60ms. The task is
+	// free — the cost model plays no part — so the speedup is real
+	// goroutine concurrency. Assert > 2x to stay robust on loaded machines.
 	const cost = 10 * time.Millisecond
+	sleepy := func(args []types.Value) (*types.Table, error) {
+		time.Sleep(cost)
+		return fanOut(args)
+	}
 	run := func(dop int) time.Duration {
 		var right Operator = &FuncScan{
-			Fn:   &taskFnTableFunc{name: "Slow", cost: cost, fn: fanOut},
+			Fn:   &fnTableFunc{name: "Slow", fn: sleepy},
 			Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y"),
 		}
 		leftOp := &Values{Sch: intSchema("l"), Rows: intRows(seqInts(24)...)}
@@ -152,7 +157,7 @@ func TestParallelApplyWallSpeedup(t *testing.T) {
 			op = &Apply{Left: leftOp, Right: right, Sch: sch}
 		}
 		start := time.Now()
-		if _, err := Run(op, &Ctx{Task: simlat.NewWallTask(1.0)}); err != nil {
+		if _, err := Run(op, &Ctx{Task: simlat.Free()}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

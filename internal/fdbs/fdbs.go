@@ -239,12 +239,11 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	// Per-statement execution-shape counters ride the context through the
 	// whole stack; each layer counts what it does where it does it.
 	ctx, stmtCounters := obs.WithStmtCounters(ctx)
-	// A scale-0 wall task reads real time without sleeping; routing the
-	// serving-duration measurement through the simlat meter keeps every
-	// clock read in the federation behind one interface (rule virtualclock).
-	wallMeter := simlat.NewWallTask(0)
+	// The serving duration is real time, read from the stopwatch; the
+	// statement's cost is the task's paper time (rule virtualclock).
+	sw := simlat.StartStopwatch()
 	res, err := session.ExecContext(ctx, text)
-	wall := wallMeter.Elapsed()
+	wall := sw.Elapsed()
 	root := tr.Finish()
 	s.metrics.InFlight.Add(-1)
 
@@ -279,7 +278,7 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 		"arch":            archLabel,
 		"paper_ms":        fmt.Sprintf("%.3f", float64(st.Paper)/float64(simlat.PaperMS)),
 		"paper_ns":        strconv.FormatInt(int64(st.Paper), 10),
-		"wall_ms":         fmt.Sprintf("%.3f", float64(wall)/float64(time.Millisecond)),
+		"wall_ms":         obs.WallMS(wall),
 		"cache_hits":      strconv.Itoa(cs.Hits),
 		"cache_misses":    strconv.Itoa(cs.Misses),
 		"cache_coalesced": strconv.Itoa(cs.Coalesced),
@@ -555,13 +554,15 @@ func (c *Client) Exec(ctx context.Context, sql string, opts ...ExecOption) (*Exe
 		res.Table, res.Meta = tab, meta
 		return res, err
 	}
-	// A wall task with scale 0 reads real time without sleeping, so the
-	// client-side spans measure the true round trip; the live trace on it
-	// marks the request sampled, which the transport puts on the wire.
-	task := simlat.NewWallTask(0)
+	// The client's clock charges nothing: the grafted server tree carries
+	// the statement's paper time, and the round trip rides as wall_ms. The
+	// live trace marks the request sampled, which the transport puts on the wire.
+	task := simlat.NewVirtualTask()
 	tr := obs.Trace(task, "client.exec")
+	sw := simlat.StartStopwatch()
 	tab, meta, err := mc.CallMeta(ctx, task, req)
 	root := tr.Finish()
+	root.SetAttr("wall_ms", obs.WallMS(sw.Elapsed()))
 	if id := meta[obs.MetaTraceID]; id != "" {
 		root.SetTraceID(id)
 	}

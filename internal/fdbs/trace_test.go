@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +128,23 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 		t.Fatalf("appsys hop not grafted under the activity:\n%s", rendered)
 	}
 
+	// One unit across both process boundaries: every span lies inside its
+	// parent, the client root spans exactly the statement's paper time,
+	// and the wall durations ride as attributes.
+	checkNested(t, root, rendered)
+	paperNS, err := strconv.ParseInt(meta["paper_ns"], 10, 64)
+	if err != nil || paperNS <= 0 {
+		t.Fatalf("paper_ns = %q", meta["paper_ns"])
+	}
+	if got := root.Elapsed(); got != time.Duration(paperNS) {
+		t.Errorf("client.exec elapsed = %v, statement paper time = %v:\n%s", got, time.Duration(paperNS), rendered)
+	}
+	for _, sp := range append([]*obs.Span{root}, findSpans(root, "rpc.serve")...) {
+		if !hasAttr(sp, "wall_ms") {
+			t.Errorf("%s at +%v lacks wall_ms: %v", sp.Name(), sp.Start(), sp.Attrs())
+		}
+	}
+
 	// The server retained the forced trace; /traces serves it both ways.
 	if srv.Collector().Get(traceID) == nil {
 		t.Fatal("forced trace not in the collector")
@@ -180,6 +198,41 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 	if srv.Collector().Get(meta2[obs.MetaTraceID]) != nil {
 		t.Error("dropped trace still stored")
 	}
+}
+
+// findSpans returns every span named name under sp, in DFS order.
+func findSpans(sp *obs.Span, name string) []*obs.Span {
+	var out []*obs.Span
+	if sp.Name() == name {
+		out = append(out, sp)
+	}
+	for _, c := range sp.Children() {
+		out = append(out, findSpans(c, name)...)
+	}
+	return out
+}
+
+// checkNested fails t for every span that starts before its parent or ends
+// after it.
+func checkNested(t *testing.T, sp *obs.Span, rendered string) {
+	t.Helper()
+	end := sp.Start() + sp.Elapsed()
+	for _, c := range sp.Children() {
+		if c.Start() < sp.Start() || c.Start()+c.Elapsed() > end {
+			t.Errorf("%s [+%v, %v] is not inside %s [+%v, %v]:\n%s",
+				c.Name(), c.Start(), c.Elapsed(), sp.Name(), sp.Start(), sp.Elapsed(), rendered)
+		}
+		checkNested(t, c, rendered)
+	}
+}
+
+func hasAttr(sp *obs.Span, key string) bool {
+	for _, a := range sp.Attrs() {
+		if a.Key == key {
+			return true
+		}
+	}
+	return false
 }
 
 // findData is findSpan over the serialized form.

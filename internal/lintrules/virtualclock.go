@@ -23,8 +23,9 @@ var wallClockFuncs = map[string]bool{
 }
 
 // VirtualClock forbids wall-clock reads and waits inside internal/
-// packages. All simulated time must flow through the simlat meter, which
-// is the one allowlisted package. References to time.Now as a *value*
+// packages. Simulated time flows through simlat.Task and real serving time
+// through simlat.Stopwatch; simlat is the one allowlisted package.
+// References to time.Now as a *value*
 // (clock injection, as resil's breaker and executor do) are allowed;
 // calls are not.
 var VirtualClock = &Analyzer{
@@ -58,7 +59,7 @@ func runVirtualClock(pass *Pass) {
 			}
 			if isCall(calls, sel) {
 				pass.Reportf(sel.Pos(),
-					"call to time.%s on a measured path: read time from the simlat meter (task.Elapsed, simlat.NewWallTask) instead", name)
+					"call to time.%s on a measured path: read paper time from the task (task.Elapsed) or wall time from simlat.StartStopwatch instead", name)
 				return true
 			}
 			// A bare reference is clock injection; resil's breaker and

@@ -2,9 +2,10 @@
 // tracing, a metrics registry with Prometheus text exposition, and a
 // structured slow-query log.
 //
-// Spans read time from simlat.Task, so a trace taken in virtual mode is
-// fully deterministic — the same query yields byte-identical span trees on
-// every machine — while wall-mode traces carry real time. Every layer of
+// Spans read time from simlat.Task's virtual clock, so a trace is in paper
+// time and fully deterministic — the same query yields byte-identical span
+// trees on every machine; a real serving duration rides as a wall_ms
+// attribute read from a simlat.Stopwatch. Every layer of
 // both integration architectures opens a span at its boundary (engine
 // statement, executor operator, UDTF, controller, WfMS process/activity,
 // application-system RPC), and each labelled simlat charge is attributed
@@ -17,6 +18,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -126,12 +128,21 @@ func (s *Span) SetTraceID(id string) {
 
 // Graft attaches an already-completed span tree — typically reconstructed
 // from a remote fragment — as a child of parent, so cross-process hops
-// appear inline in the caller's waterfall.
+// appear inline in the caller's waterfall. A TCP callee charges its own
+// clock, so the grafted tree may outlast the span it hangs under: Graft
+// raises the ends of parent and every ancestor to cover it, and End never
+// moves an end back, so every span stays inside its parent.
 func Graft(parent, child *Span) {
 	if parent == nil || child == nil {
 		return
 	}
 	parent.addChild(child)
+	end := child.start + child.Elapsed()
+	for p := parent; p != nil; p = p.parent {
+		p.mu.Lock()
+		p.end = max(p.end, end) // on an open span: the floor End closes it at
+		p.mu.Unlock()
+	}
 }
 
 // Start returns the span's start instant on its branch clock.
@@ -268,16 +279,18 @@ func (s *Span) addChild(c *Span) {
 	s.mu.Unlock()
 }
 
-// End closes the span at the task's current branch time and restores the
-// span's parent as the task's current sink (when this span still is).
+// End closes the span at the task's current branch time (or a later end a
+// graft raised it to) and restores the span's parent as the task's current
+// sink (when this span still is).
 func (s *Span) End(task *simlat.Task) {
 	if s == nil {
 		return
 	}
+	now := task.Elapsed()
 	s.mu.Lock()
 	if !s.ended {
 		s.ended = true
-		s.end = task.Elapsed()
+		s.end = max(s.end, now)
 	}
 	s.mu.Unlock()
 	if task.SpanSink() == simlat.SpanSink(s) {
@@ -415,12 +428,7 @@ func (t *Tracer) Finish() *Span {
 	if t == nil {
 		return nil
 	}
-	t.root.mu.Lock()
-	if !t.root.ended {
-		t.root.ended = true
-		t.root.end = t.task.Elapsed()
-	}
-	t.root.mu.Unlock()
+	t.root.End(t.task)
 	t.task.SetSpanSink(t.prev)
 	return t.root
 }
@@ -468,6 +476,12 @@ func Summary(root *Span) string {
 		parts = append(parts, fmt.Sprintf("%s=%s", c.Name(), fmtMS(c.Elapsed())))
 	}
 	return strings.Join(parts, ">")
+}
+
+// WallMS renders a wall-clock duration in milliseconds to the microsecond:
+// the form of every wall_ms span attribute and metadata value.
+func WallMS(d time.Duration) string {
+	return strconv.FormatFloat(float64(d)/float64(time.Millisecond), 'f', 3, 64)
 }
 
 // fmtMS renders a duration in paper milliseconds with one decimal.

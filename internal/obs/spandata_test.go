@@ -3,7 +3,6 @@ package obs
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"fedwf/internal/simlat"
 )
@@ -225,14 +224,42 @@ func TestSnapshotDeterministicNoIDs(t *testing.T) {
 	}
 }
 
-func TestWallTaskSpanTiming(t *testing.T) {
-	// NewWallTask(0) reads real time without sleeping: spans opened on it
-	// measure true elapsed durations.
-	task := simlat.NewWallTask(0)
-	tr := Trace(task, "wall")
-	time.Sleep(2 * time.Millisecond)
-	root := tr.Finish()
-	if root.Elapsed() < time.Millisecond {
-		t.Errorf("wall span elapsed = %v", root.Elapsed())
+func TestGraftRaisesParentChain(t *testing.T) {
+	// A TCP callee charges its own clock: the caller's rpc.call costs
+	// nothing locally, yet the 4ms remote tree grafted under it must stay
+	// inside it and inside every ancestor.
+	remote := SnapshotSpan(buildTree(t))
+	task := simlat.NewVirtualTask()
+	tr := Trace(task, "local")
+	task.Spend(simlat.PaperMS)
+	call := StartSpan(task, "rpc.call")
+	Graft(call, SpanFromData(remote, call.Start()))
+	call.End(task) // the local clock still reads 1ms: End must not shrink the span
+	local := tr.Finish()
+	if call.Start() != simlat.PaperMS || call.Elapsed() != 4*simlat.PaperMS {
+		t.Errorf("rpc.call = +%v for %v, want +1ms for 4ms", call.Start(), call.Elapsed())
+	}
+	if local.Elapsed() != 5*simlat.PaperMS {
+		t.Errorf("root elapsed = %v, want 5ms", local.Elapsed())
+	}
+
+	// A graft under a closed root (a server grafting its handler's fragment
+	// after finishing its own trace) raises the closed end too.
+	srvTask := simlat.NewVirtualTask()
+	serve := Trace(srvTask, "rpc.serve").Finish()
+	Graft(serve, SpanFromData(remote, serve.Start()))
+	if serve.Elapsed() != 4*simlat.PaperMS {
+		t.Errorf("closed root after graft = %v, want 4ms", serve.Elapsed())
+	}
+
+	// A grafted tree shorter than the local work leaves the ends alone.
+	task = simlat.NewVirtualTask()
+	tr = Trace(task, "local")
+	call = StartSpan(task, "rpc.call")
+	Graft(call, SpanFromData(remote, call.Start()))
+	task.Spend(10 * simlat.PaperMS)
+	call.End(task)
+	if local := tr.Finish(); call.Elapsed() != 10*simlat.PaperMS || local.Elapsed() != 10*simlat.PaperMS {
+		t.Errorf("call %v, root %v; want both 10ms", call.Elapsed(), local.Elapsed())
 	}
 }

@@ -14,9 +14,9 @@ const StepRetryBackoff = "Retry backoff"
 const StepFaultInjection = "Fault injection"
 
 // RetryPolicy configures retries of transient application-system
-// failures. Backoff is charged to the statement's cost meter (virtual
-// time in experiments, scaled sleep in wall mode), so retries lengthen
-// the statement's simulated latency exactly as they would a real one.
+// failures. Backoff is charged to the statement's virtual clock, so
+// retries lengthen the statement's simulated latency exactly as they
+// would a real one.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first;
 	// values <= 1 disable retries.

@@ -225,9 +225,8 @@ func (a *Admission) Admit(ctx context.Context, tenant string) (func(), error) {
 	if a.hooks.OnQueued != nil {
 		a.hooks.OnQueued(tenant)
 	}
-	// A scale-0 wall task reads real time without sleeping; the queue wait
-	// is real serving time, metered through the one clock interface.
-	waitMeter := simlat.NewWallTask(0)
+	// The queue wait is real serving time, read from the stopwatch.
+	waitMeter := simlat.StartStopwatch()
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()

@@ -263,8 +263,8 @@ func graftReplyFragment(sp *obs.Span, meta map[string]string) {
 	delete(meta, obs.MetaTraceFragment)
 }
 
-// Call implements Client. The task is not transmitted; TCP callees charge
-// their own clocks (wall-mode semantics).
+// Call implements Client. The task is not transmitted: a TCP callee
+// charges its own clock, in paper time like the caller's.
 func (c *muxClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
 	res, _, err := c.CallMeta(ctx, task, req)
 	return res, err

@@ -563,12 +563,13 @@ func (s *Server) handleWire(ctx context.Context, tenant string, c *call) *reply 
 	defer release()
 	task := simlat.Free()
 	var tr *obs.Tracer
+	var sw simlat.Stopwatch
 	if c.trace.Sampled {
-		// A sampled request gets a real-time meter (scale 0: Elapsed
-		// reads the wall clock, simulated charges never sleep) so the
-		// server-side spans carry true serving durations, and a local
-		// root under the remote parent's trace.
-		task = simlat.NewWallTask(0)
+		// A sampled request gets a virtual clock of its own (the callee
+		// charges its own costs) and a local root under the remote
+		// parent's trace; the wall serving time rides on it as wall_ms.
+		task = simlat.NewVirtualTask()
+		sw = simlat.StartStopwatch()
 		tr = obs.Trace(task, "rpc.serve",
 			obs.Attr{Key: "system", Value: c.system},
 			obs.Attr{Key: "function", Value: c.function})
@@ -585,7 +586,7 @@ func (s *Server) handleWire(ctx context.Context, tenant string, c *call) *reply 
 		}
 	}
 	if tr != nil {
-		rep.meta = s.finishServeTrace(tr, c.trace, rep.meta, rep.err)
+		rep.meta = s.finishServeTrace(tr, sw.Elapsed(), c.trace, rep.meta, rep.err)
 	}
 	return rep
 }
@@ -622,8 +623,9 @@ func (s *Server) serveBatch(ctx context.Context, task *simlat.Task, req BatchReq
 // inline in the response metadata; oversized ones go to the trace sink
 // (when set) and only their trace ID is announced, else they are pruned
 // until they fit.
-func (s *Server) finishServeTrace(tr *obs.Tracer, tc obs.TraceContext, meta map[string]string, err error) map[string]string {
+func (s *Server) finishServeTrace(tr *obs.Tracer, wall time.Duration, tc obs.TraceContext, meta map[string]string, err error) map[string]string {
 	root := tr.Finish()
+	root.SetAttr("wall_ms", obs.WallMS(wall))
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}

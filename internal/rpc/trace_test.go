@@ -34,7 +34,7 @@ func TestTracedTCPCallGraftsServerSpans(t *testing.T) {
 	defer c.Close()
 	mc := c.(MetaCaller)
 
-	task := simlat.NewWallTask(0)
+	task := simlat.NewVirtualTask()
 	tr := obs.Trace(task, "client")
 	_, meta, err := mc.CallMeta(context.Background(), task, Request{System: "s", Function: "f"})
 	root := tr.Finish()
@@ -90,7 +90,7 @@ func TestTracedErrorCarriesErrorAttr(t *testing.T) {
 	}
 	defer c.Close()
 
-	task := simlat.NewWallTask(0)
+	task := simlat.NewVirtualTask()
 	tr := obs.Trace(task, "client")
 	_, _, callErr := c.(MetaCaller).CallMeta(context.Background(), task, Request{Function: "fail"})
 	root := tr.Finish()
@@ -133,7 +133,7 @@ func TestOversizedFragmentGoesToSink(t *testing.T) {
 	}
 	defer c.Close()
 
-	task := simlat.NewWallTask(0)
+	task := simlat.NewVirtualTask()
 	tr := obs.Trace(task, "client")
 	_, meta, err := c.(MetaCaller).CallMeta(context.Background(), task, Request{Function: "f"})
 	tr.Finish()

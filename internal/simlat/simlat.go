@@ -7,11 +7,13 @@
 // the WfMS, removing the controller shrinks UDTF time by 25% but WfMS time
 // by only 8%, and per-step time portions follow Fig. 6. simlat provides
 //
-//   - Task: a cost meter threaded through both integration stacks. In
-//     virtual mode it is a deterministic clock supporting fork/join so
-//     parallel workflow branches overlap (elapsed = max of branches); in
-//     wall mode it sleeps a scaled-down real duration so testing.B
-//     measurements reproduce the same shape.
+//   - Task: the cost model threaded through both integration stacks: a
+//     deterministic virtual clock supporting fork/join so parallel
+//     workflow branches overlap (elapsed = max of branches). A Task never
+//     reads or waits on the wall clock.
+//   - Stopwatch: the one wall-clock reader, for the serving durations
+//     (statement wall time, admission queue waits) that are real time
+//     rather than paper time.
 //   - Recorder: attributes spent time to named steps, regenerating the
 //     Fig. 6 breakdown tables.
 //   - Profile: the calibrated step costs, expressed in "paper
@@ -25,7 +27,7 @@ import (
 )
 
 // PaperMS is one millisecond of 2002-testbed time. All Profile constants
-// are multiples of it; wall-mode tasks scale it down before sleeping.
+// are multiples of it.
 const PaperMS = time.Millisecond
 
 // Mode selects how a Task consumes simulated work.
@@ -36,9 +38,6 @@ const (
 	// ModeVirtual accounts time on a deterministic virtual clock and
 	// never sleeps. Fork/Join implement parallel-branch semantics.
 	ModeVirtual Mode = iota
-	// ModeWall sleeps scale*d real time for every d of simulated work;
-	// parallelism arises from real goroutine concurrency.
-	ModeWall
 	// ModeFree ignores all Spend calls; used when the SQL engine is
 	// exercised outside a measured experiment.
 	ModeFree
@@ -55,13 +54,11 @@ type SpanSink interface {
 // Task is the cost meter for one in-flight request (one federated function
 // call, one query). It is safe for concurrent use by forked branches.
 type Task struct {
-	mode  Mode
-	scale float64 // wall mode: real seconds per paper second
+	mode Mode
 
 	mu    sync.Mutex
 	now   time.Duration // virtual elapsed on this branch
-	spent time.Duration // total work charged to this branch (all modes)
-	start time.Time     // wall mode origin
+	spent time.Duration // total work charged to this branch
 	label string        // current step label; Spend attributes to it
 
 	rec  *Recorder // optional shared step recorder
@@ -70,12 +67,6 @@ type Task struct {
 
 // NewVirtualTask returns a task on a fresh virtual clock.
 func NewVirtualTask() *Task { return &Task{mode: ModeVirtual} }
-
-// NewWallTask returns a task that really sleeps scale*d for each Spend(d).
-// A scale of 0.001 turns one paper-millisecond into one microsecond.
-func NewWallTask(scale float64) *Task {
-	return &Task{mode: ModeWall, scale: scale, start: time.Now()}
-}
 
 // Free returns a task that ignores all accounting.
 func Free() *Task { return &Task{mode: ModeFree} }
@@ -168,28 +159,6 @@ func (t *Task) Spend(d time.Duration) {
 			sink.AddStep(label, d)
 		}
 	}
-	if t.mode == ModeWall {
-		wallWait(time.Duration(float64(d) * t.scale))
-	}
-}
-
-// spinThreshold is the boundary below which wall-mode waits spin instead
-// of sleeping: the OS timer granularity (~0.5 ms per sleep) would
-// otherwise swamp sub-millisecond step costs and distort every measured
-// ratio.
-const spinThreshold = 500 * time.Microsecond
-
-func wallWait(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if d >= spinThreshold {
-		time.Sleep(d)
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-	}
 }
 
 // Step charges d of simulated work and attributes it to the named step,
@@ -203,24 +172,15 @@ func (t *Task) Step(name string, d time.Duration) {
 	t.SetLabel(prev)
 }
 
-// Elapsed returns the branch-local elapsed time: the virtual clock reading
-// in virtual mode, the real time since task creation (rescaled back to
-// paper time) in wall mode, and the total spent in free mode.
+// Elapsed returns the branch-local virtual clock reading (always 0 on a
+// free task, which charges nothing).
 func (t *Task) Elapsed() time.Duration {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	switch t.mode {
-	case ModeWall:
-		if t.scale <= 0 {
-			return time.Since(t.start)
-		}
-		return time.Duration(float64(time.Since(t.start)) / t.scale)
-	default:
-		return t.now
-	}
+	return t.now
 }
 
 // Spent returns the total simulated work charged to this branch.
@@ -242,7 +202,7 @@ func (t *Task) Fork() *Task {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return &Task{mode: t.mode, scale: t.scale, now: t.now, start: t.start, label: t.label, rec: t.rec, sink: t.sink}
+	return &Task{mode: t.mode, now: t.now, label: t.label, rec: t.rec, sink: t.sink}
 }
 
 // ForkN starts n parallel branches at once; the caller must later pass all

@@ -98,16 +98,15 @@ func TestFreeTaskIgnoresEverything(t *testing.T) {
 	}
 }
 
-func TestWallTaskSleeps(t *testing.T) {
-	task := NewWallTask(0.0001) // 1 paper-ms -> 100ns
-	start := time.Now()
-	task.Spend(50 * PaperMS)
-	real := time.Since(start)
-	if real > 100*time.Millisecond {
-		t.Errorf("wall task slept too long: %v", real)
+func TestStopwatchReadsWallTime(t *testing.T) {
+	sw := StartStopwatch()
+	time.Sleep(2 * time.Millisecond)
+	first := sw.Elapsed()
+	if first < 2*time.Millisecond {
+		t.Errorf("stopwatch elapsed = %v after a 2ms sleep", first)
 	}
-	if task.Elapsed() < 50*PaperMS/10 {
-		t.Errorf("rescaled wall elapsed suspiciously small: %v", task.Elapsed())
+	if second := sw.Elapsed(); second < first {
+		t.Errorf("stopwatch ran backwards: %v then %v", first, second)
 	}
 }
 
