@@ -72,7 +72,7 @@ func (s *System) Register(f *Function) error {
 
 // Function returns a registered function by name.
 func (s *System) Function(name string) (*Function, error) {
-	f, ok := s.funcs[strings.ToLower(name)]
+	f, ok := types.LookupFold(s.funcs, name)
 	if !ok {
 		return nil, fmt.Errorf("appsys: system %s has no function %s", s.name, name)
 	}

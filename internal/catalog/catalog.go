@@ -238,7 +238,7 @@ func (c *Catalog) RegisterFunc(f TableFunc) error {
 func (c *Catalog) Func(name string) (TableFunc, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	f, ok := c.funcs[strings.ToLower(name)]
+	f, ok := types.LookupFold(c.funcs, name)
 	if !ok {
 		return nil, fmt.Errorf("catalog: no function named %s", name)
 	}

@@ -3,6 +3,7 @@ package types
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Column describes one column of a relation, UDTF result table, or
@@ -27,6 +28,31 @@ func (s Schema) ColumnIndex(name string) int {
 		}
 	}
 	return -1
+}
+
+// LookupFold reads m, whose keys are lower case, at the lower case of name
+// without allocating: an ASCII name folds into a stack buffer, and a map
+// index by string(buf) copies nothing. A name that is not ASCII, or is
+// longer than the buffer, falls back to strings.ToLower.
+func LookupFold[V any](m map[string]V, name string) (V, bool) {
+	var buf [64]byte
+	if len(name) > len(buf) {
+		v, ok := m[strings.ToLower(name)]
+		return v, ok
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf {
+			v, ok := m[strings.ToLower(name)]
+			return v, ok
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	v, ok := m[string(buf[:len(name)])]
+	return v, ok
 }
 
 // Names returns the column names in order.

@@ -26,6 +26,36 @@ func TestSchemaColumnIndex(t *testing.T) {
 	}
 }
 
+// TestLookupFold: LookupFold finds what an index at strings.ToLower(name)
+// finds, for ASCII names of any case, non-ASCII names, and names longer
+// than its stack buffer, and an ASCII lookup does not allocate.
+func TestLookupFold(t *testing.T) {
+	long := strings.Repeat("Ab", 40)
+	m := map[string]int{
+		"getquality":            1,
+		"straße":                2,
+		"ärger":                 3,
+		strings.ToLower(long):   4,
+		strings.Repeat("x", 64): 5,
+		"":                      6,
+	}
+	for _, name := range []string{
+		"GetQuality", "getquality", "GETQUALITY", "GetQual", "getqualityx",
+		"STRAßE", "straße", "Ärger", "ÄRGER", "ärger", "Ǆ",
+		long, strings.ToUpper(long), long[:64], strings.Repeat("X", 64), strings.Repeat("X", 65),
+		"", "nope",
+	} {
+		want, wantOK := m[strings.ToLower(name)]
+		got, ok := LookupFold(m, name)
+		if got != want || ok != wantOK {
+			t.Errorf("LookupFold(%q) = %d, %v; strings.ToLower lookup = %d, %v", name, got, ok, want, wantOK)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { LookupFold(m, "GetQuality") }); allocs != 0 {
+		t.Errorf("LookupFold of an ASCII name allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestSchemaStringAndNames(t *testing.T) {
 	s := suppSchema()
 	want := "(SupplierNo INTEGER, Name VARCHAR(30), Reliability DOUBLE)"

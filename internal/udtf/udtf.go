@@ -76,11 +76,11 @@ func (ins *Instrument) Flush(level BootLevel) {
 }
 
 // chargeEntry pays the pending boot and prepare penalties for a function.
-func (ins *Instrument) chargeEntry(task *simlat.Task, fnName string) {
+// key is the function's lower-case name, folded once at registration.
+func (ins *Instrument) chargeEntry(task *simlat.Task, key string) {
 	ins.mu.Lock()
 	cold := ins.coldPending
 	ins.coldPending = false
-	key := strings.ToLower(fnName)
 	miss := !ins.prepared[key]
 	ins.prepared[key] = true
 	ins.mu.Unlock()
@@ -98,10 +98,11 @@ func (ins *Instrument) chargeEntry(task *simlat.Task, fnName string) {
 func RegisterAccessUDTF(eng *engine.Engine, bridge *controller.Bridge, ins *Instrument,
 	name, system, function string, params []types.Column, returns types.Schema) error {
 	profile := ins.profile
+	key := strings.ToLower(name)
 	impl := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
 		sp := obs.StartSpan(task, "udtf.access", obs.Attr{Key: "fn", Value: name})
 		defer sp.End(task)
-		ins.chargeEntry(task, name)
+		ins.chargeEntry(task, key)
 		task.Step(simlat.StepPrepareAUDTF, profile.AUDTFPrepare)
 		prev := task.SetLabel(simlat.StepLocalFunctions)
 		out, err := bridge.CallFunction(ctx, task, system, function, args)
@@ -119,7 +120,7 @@ func RegisterAccessUDTF(eng *engine.Engine, bridge *controller.Bridge, ins *Inst
 		defer sp.End(task)
 		// Entry, prepare, and finish are paid once for the whole set; the
 		// hop to the controller carries every row in one request.
-		ins.chargeEntry(task, name)
+		ins.chargeEntry(task, key)
 		task.Step(simlat.StepPrepareAUDTF, profile.AUDTFPrepare)
 		prev := task.SetLabel(simlat.StepLocalFunctions)
 		out, err := bridge.CallFunctionBatch(ctx, task, system, function, rows)
@@ -150,11 +151,12 @@ func SetSQLBatchRealization(eng *engine.Engine, ins *Instrument, name string, bo
 		return fmt.Errorf("udtf: %s is not a SQL function", name)
 	}
 	profile := ins.profile
+	key := strings.ToLower(name)
 	sqlFn.BatchBody = func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
 		sp := obs.StartSpan(task, "udtf.sql.batch",
 			obs.Attr{Key: "fn", Value: name}, obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(rows))})
 		defer sp.End(task)
-		ins.chargeEntry(task, name)
+		ins.chargeEntry(task, key)
 		task.Step(simlat.StepStartIUDTF, profile.IUDTFStart)
 		out, err := body(ctx, rt, task, rows)
 		if err != nil {
@@ -192,10 +194,11 @@ func RegisterSQLIntegrationUDTF(eng *engine.Engine, ins *Instrument, createFunct
 		return fmt.Errorf("udtf: %s is not a SQL function", name)
 	}
 	profile := ins.profile
+	key := strings.ToLower(name)
 	sqlFn.BeforeInvoke = func(task *simlat.Task) {
 		//fedlint:ignore spanend the span is closed by AfterInvoke below via obs.CurrentSpan; the hook pair spans two closures
 		obs.StartSpan(task, "udtf.sql", obs.Attr{Key: "fn", Value: name})
-		ins.chargeEntry(task, name)
+		ins.chargeEntry(task, key)
 		task.Step(simlat.StepStartIUDTF, profile.IUDTFStart)
 	}
 	sqlFn.AfterInvoke = func(task *simlat.Task) {
@@ -225,10 +228,11 @@ type GoBatchBody func(ctx context.Context, rt catalog.QueryRunner, task *simlat.
 func RegisterGoIntegrationUDTF(eng *engine.Engine, ins *Instrument,
 	name string, params []types.Column, returns types.Schema, body GoBody) error {
 	profile := ins.profile
+	key := strings.ToLower(name)
 	impl := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
 		sp := obs.StartSpan(task, "udtf.go", obs.Attr{Key: "fn", Value: name})
 		defer sp.End(task)
-		ins.chargeEntry(task, name)
+		ins.chargeEntry(task, key)
 		task.Step(simlat.StepStartIUDTF, profile.IUDTFStart)
 		out, err := body(ctx, rt, task, args)
 		if err != nil {
@@ -255,15 +259,21 @@ func RegisterWorkflowUDTF(eng *engine.Engine, bridge *controller.Bridge, ins *In
 	profile := ins.profile
 	params := make([]types.Column, len(process.Input))
 	copy(params, process.Input)
+	// The process input container's fields, folded once.
+	key := strings.ToLower(process.Name)
+	fields := make([]string, len(params))
+	for i, p := range params {
+		fields[i] = strings.ToLower(p.Name)
+	}
 	impl := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
 		sp := obs.StartSpan(task, "udtf.workflow", obs.Attr{Key: "fn", Value: process.Name})
 		defer sp.End(task)
-		ins.chargeEntry(task, process.Name)
+		ins.chargeEntry(task, key)
 		task.Step(simlat.StepStartUDTF, profile.UDTFStart)
 		task.Step(simlat.StepProcessUDTF, profile.UDTFProcess)
 		input := make(map[string]types.Value, len(args))
-		for i, p := range process.Input {
-			input[strings.ToLower(p.Name)] = args[i]
+		for i, f := range fields {
+			input[f] = args[i]
 		}
 		out, err := bridge.RunWorkflow(ctx, task, process, input)
 		if err != nil {
@@ -279,14 +289,14 @@ func RegisterWorkflowUDTF(eng *engine.Engine, bridge *controller.Bridge, ins *In
 		defer sp.End(task)
 		// The wrapper enters once for the whole set; the controller maps
 		// the batch onto one process instance looping over the rows.
-		ins.chargeEntry(task, process.Name)
+		ins.chargeEntry(task, key)
 		task.Step(simlat.StepStartUDTF, profile.UDTFStart)
 		task.Step(simlat.StepProcessUDTF, profile.UDTFProcess)
 		inputs := make([]map[string]types.Value, len(rows))
 		for r, args := range rows {
 			input := make(map[string]types.Value, len(args))
-			for i, p := range process.Input {
-				input[strings.ToLower(p.Name)] = args[i]
+			for i, f := range fields {
+				input[f] = args[i]
 			}
 			inputs[r] = input
 		}

@@ -3,7 +3,7 @@ package wfms
 import (
 	"context"
 	"fmt"
-	"strings"
+	"strconv"
 
 	"fedwf/internal/obs"
 	"fedwf/internal/resil"
@@ -28,30 +28,37 @@ import (
 // The returned slice has one output table per input row. Errors fail the
 // whole batch, matching the RPC layer's batch semantics.
 func (e *Engine) RunBatchContext(ctx context.Context, task *simlat.Task, p *Process, inputs []map[string]types.Value) (out []*types.Table, err error) {
-	if err := p.Validate(); err != nil {
+	t, err := e.template(p)
+	if err != nil {
 		return nil, err
 	}
 	sp := obs.StartSpan(task, "wfms.process.batch",
 		obs.Attr{Key: "process", Value: p.Name},
-		obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(inputs))})
+		obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(inputs))})
 	defer func() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		}
 		sp.End(task)
 	}()
-	st := e.newRunState(ctx, task)
+	// A vectorised activity starts once and settles per row; the
+	// fallback navigates every row.
+	events := (1 + len(inputs)) * len(t.nodes)
+	if !t.vector {
+		events = 2 * len(inputs) * len(t.nodes)
+	}
+	st := e.newRunState(ctx, task, events)
 	// One instance start for the whole batch.
 	task.Step(simlat.StepStartWorkflow, e.costs.StartProcess)
-	if vectorizable(p) {
-		out, err = e.runVectorized(ctx, task, p, inputs, st)
+	if t.vector {
+		out, err = e.runVectorized(ctx, task, t, inputs, st)
 	} else {
 		// Fallback: the single instance loops the rows through the
 		// navigator; audit entries carry the row driving each pass.
 		out = make([]*types.Table, len(inputs))
 		for i, input := range inputs {
 			st.setRow(i)
-			res, rerr := e.runProcess(ctx, task, p, input, st)
+			res, rerr := e.runProcess(ctx, task, t, input, st)
 			if rerr != nil {
 				out, err = nil, rerr
 				break
@@ -93,85 +100,78 @@ func vectorizable(p *Process) bool {
 // topological order. Per activity: one navigate charge, one boot, the
 // per-row bindings flattened into one set-oriented invocation, results
 // split back per row.
-func (e *Engine) runVectorized(ctx context.Context, task *simlat.Task, p *Process, inputs []map[string]types.Value, st *runState) ([]*types.Table, error) {
-	// Per-row output containers, keyed by lowercase node name.
-	rowOutputs := make([]map[string]*types.Table, len(inputs))
-	for i := range rowOutputs {
-		rowOutputs[i] = make(map[string]*types.Table, len(p.Nodes))
-	}
-	for _, node := range topoOrder(p) {
+func (e *Engine) runVectorized(ctx context.Context, task *simlat.Task, t *template, inputs []map[string]types.Value, st *runState) ([]*types.Table, error) {
+	// Row r's output containers are slots[r*n : (r+1)*n].
+	n := len(t.nodes)
+	slots := make([]slot, len(inputs)*n)
+	size := strconv.Itoa(len(inputs))
+	for _, i := range t.order {
+		nd := &t.nodes[i]
 		if err := resil.Check(ctx, task); err != nil {
 			return nil, err
 		}
 		sp := obs.StartSpan(task, "wfms.activity.batch",
-			obs.Attr{Key: "node", Value: node.NodeName()},
-			obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(inputs))})
+			obs.Attr{Key: "node", Value: nd.name},
+			obs.Attr{Key: "batch_size", Value: size})
 		// The navigator visits the activity once for the whole batch.
 		task.Step(simlat.StepWorkflowEngine, e.costs.Navigate)
-		st.record(task.Elapsed(), node.NodeName(), "started", 0)
+		st.record(task.Elapsed(), nd.name, "started", 0)
 		var err error
-		switch a := node.(type) {
+		switch a := nd.node.(type) {
 		case *FunctionActivity:
-			err = e.runFunctionActivityBatch(ctx, task, a, inputs, rowOutputs, st)
+			err = e.runFunctionActivityBatch(ctx, task, t, i, inputs, slots, st)
 		case *HelperActivity:
-			err = e.runHelperActivityBatch(task, a, inputs, rowOutputs, st)
+			err = e.runHelperActivityBatch(task, t, i, a, inputs, slots, st)
 		default:
-			err = fmt.Errorf("wfms: unexpected node type %T in vectorized run", node)
+			err = fmt.Errorf("wfms: unexpected node type %T in vectorized run", nd.node)
 		}
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 			sp.End(task)
-			return nil, fmt.Errorf("wfms: activity %s: %w", node.NodeName(), err)
+			return nil, fmt.Errorf("wfms: activity %s: %w", nd.name, err)
 		}
 		sp.End(task)
 	}
 	// Assemble each row's output container from the result node.
 	out := make([]*types.Table, len(inputs))
-	resKey := strings.ToLower(p.Result)
-	for i := range inputs {
-		final := types.NewTable(p.Output.Clone())
-		resOut := rowOutputs[i][resKey]
-		if resOut != nil {
-			if len(resOut.Schema) != len(p.Output) {
-				return nil, fmt.Errorf("wfms: process %s: result node %s produced %d columns, output container has %d",
-					p.Name, p.Result, len(resOut.Schema), len(p.Output))
-			}
-			for _, r := range resOut.Rows {
-				cr, err := types.CoerceRow(r, p.Output)
-				if err != nil {
-					return nil, fmt.Errorf("wfms: process %s output: %w", p.Name, err)
-				}
-				final.Rows = append(final.Rows, cr)
-			}
+	for r := range inputs {
+		final, err := t.output(slots[r*n+t.result].out)
+		if err != nil {
+			return nil, err
 		}
-		out[i] = final
+		out[r] = final
 	}
 	return out, nil
 }
 
-// runFunctionActivityBatch boots the activity program once, flattens every
+// runFunctionActivityBatch boots activity i's program once, flattens every
 // row's argument bindings into one set-oriented invocation, and splits the
 // results back onto the rows.
-func (e *Engine) runFunctionActivityBatch(ctx context.Context, task *simlat.Task, a *FunctionActivity, inputs []map[string]types.Value, rowOutputs []map[string]*types.Table, st *runState) error {
+func (e *Engine) runFunctionActivityBatch(ctx context.Context, task *simlat.Task, t *template, i int, inputs []map[string]types.Value, slots []slot, st *runState) error {
+	nd := &t.nodes[i]
+	a := nd.node.(*FunctionActivity)
 	prev := task.SetLabel(simlat.StepActivities)
 	defer task.SetLabel(prev)
 	// One program start and one container-handling pass for the batch.
 	task.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
 
-	var flat [][]types.Value
-	perRow := make([]int, len(inputs)) // bindings contributed by each row; -1 = no data
-	for i, input := range inputs {
-		bindings, empty, err := bindingRows(a.Args, input, rowOutputs[i])
+	// Every row's argument vectors go into one slab, then one flat list.
+	n, w := len(t.nodes), len(nd.args)
+	vals := make([]types.Value, 0, len(inputs)*w)
+	perRow := make([]int, len(inputs)) // vectors bound by each row; 0 = no data
+	total := 0
+	for r, input := range inputs {
+		var err error
+		vals, perRow[r], err = nd.appendBindings(vals, input, slots[r*n:(r+1)*n])
 		if err != nil {
 			return err
 		}
-		if empty {
-			perRow[i] = -1
-			continue
-		}
-		perRow[i] = len(bindings)
-		flat = append(flat, bindings...)
+		total += perRow[r]
+	}
+	flat := make([][]types.Value, total)
+	for c := range flat {
+		flat[c] = vector(vals, c, w)
 	}
 	var results []*types.Table
 	if len(flat) > 0 {
@@ -182,16 +182,17 @@ func (e *Engine) runFunctionActivityBatch(ctx context.Context, task *simlat.Task
 		}
 	}
 	pos := 0
-	key := strings.ToLower(a.Name)
 	at := task.Elapsed()
-	for i, n := range perRow {
-		if n < 0 {
-			rowOutputs[i][key] = nil // no data: dependents see an empty source
-			st.recordRow(at, a.Name, "skipped", 0, i)
+	for r, k := range perRow {
+		s := &slots[r*n+i]
+		s.done = true
+		if k == 0 {
+			// No data: dependents see an empty source.
+			st.recordRow(at, nd.name, "skipped", 0, r)
 			continue
 		}
 		var union *types.Table
-		for j := 0; j < n; j++ {
+		for j := 0; j < k; j++ {
 			res := results[pos]
 			pos++
 			if union == nil {
@@ -200,75 +201,37 @@ func (e *Engine) runFunctionActivityBatch(ctx context.Context, task *simlat.Task
 				union.Rows = append(union.Rows, res.Rows...)
 			}
 		}
-		rowOutputs[i][key] = union
+		s.out = union
 		rows := 0
 		if union != nil {
 			rows = union.Len()
 		}
-		st.recordRow(at, a.Name, "completed", rows, i)
+		st.recordRow(at, nd.name, "completed", rows, r)
 	}
 	return nil
 }
 
-// runHelperActivityBatch boots the helper once and runs its body per row
+// runHelperActivityBatch boots helper i once and runs its body per row
 // (helper bodies are local Go transforms; only the boot is amortized).
-func (e *Engine) runHelperActivityBatch(task *simlat.Task, a *HelperActivity, inputs []map[string]types.Value, rowOutputs []map[string]*types.Table, st *runState) error {
+func (e *Engine) runHelperActivityBatch(task *simlat.Task, t *template, i int, a *HelperActivity, inputs []map[string]types.Value, slots []slot, st *runState) error {
 	prev := task.SetLabel(simlat.StepActivities)
 	defer task.SetLabel(prev)
 	task.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
 
-	key := strings.ToLower(a.Name)
-	for i, input := range inputs {
-		in := make(map[string]*types.Table, len(rowOutputs[i])+1)
-		for k, v := range rowOutputs[i] {
-			if v == nil {
-				v = &types.Table{}
-			}
-			in[k] = v
-		}
-		in["INPUT"] = inputTable(input)
-		out, err := a.Fn(in)
+	n := len(t.nodes)
+	for r, input := range inputs {
+		row := slots[r*n : (r+1)*n]
+		out, err := a.Fn(t.containers(row, input))
 		if err != nil {
 			return err
 		}
-		rowOutputs[i][key] = out
+		row[i] = slot{out: out, done: true}
 		rows := 0
 		if out != nil {
 			rows = out.Len()
 		}
-		st.recordRow(task.Elapsed(), a.Name, "completed", rows, i)
+		st.recordRow(task.Elapsed(), a.Name, "completed", rows, r)
 	}
 	return nil
-}
-
-// topoOrder returns the process nodes in a deterministic topological
-// order (declaration order among ready nodes).
-func topoOrder(p *Process) []Node {
-	pending := make(map[string]int, len(p.Nodes))
-	for _, n := range p.Nodes {
-		pending[strings.ToLower(n.NodeName())] = len(p.predecessors(n.NodeName()))
-	}
-	order := make([]Node, 0, len(p.Nodes))
-	done := make(map[string]bool, len(p.Nodes))
-	for len(order) < len(p.Nodes) {
-		progressed := false
-		for _, n := range p.Nodes {
-			key := strings.ToLower(n.NodeName())
-			if done[key] || pending[key] != 0 {
-				continue
-			}
-			done[key] = true
-			order = append(order, n)
-			for _, cc := range p.successors(n.NodeName()) {
-				pending[strings.ToLower(cc.To)]--
-			}
-			progressed = true
-		}
-		if !progressed {
-			// Unreachable: Validate rejects cyclic processes.
-			break
-		}
-	}
-	return order
 }

@@ -1,8 +1,10 @@
 package wfms
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,6 +25,10 @@ type Engine struct {
 	// instSeq counts started process instances over the engine's lifetime
 	// and numbers them; a whole batch shares one instance.
 	instSeq atomic.Uint64
+	// templates holds each Process compiled at its first run, keyed by
+	// the *Process, for the engine's lifetime. A process that fails
+	// validation is not stored, so it fails every run.
+	templates sync.Map
 }
 
 // New creates a workflow engine around an invoker for local functions.
@@ -51,8 +57,22 @@ type RunResult struct {
 	Activities int // number of executed (not skipped) activities, across all iterations
 }
 
-// RunContext validates and executes a process under the statement context
-// and returns its output container.
+// template returns p compiled, compiling and storing it at p's first run.
+func (e *Engine) template(p *Process) (*template, error) {
+	if t, ok := e.templates.Load(p); ok {
+		return t.(*template), nil
+	}
+	t, err := compile(p)
+	if err != nil {
+		return nil, err
+	}
+	stored, _ := e.templates.LoadOrStore(p, t)
+	return stored.(*template), nil
+}
+
+// RunContext executes a process under the statement context and returns
+// its output container. The process is validated and compiled at its
+// first run on the engine.
 func (e *Engine) RunContext(ctx context.Context, task *simlat.Task, p *Process, input map[string]types.Value) (*types.Table, error) {
 	res, err := e.RunDetailedContext(ctx, task, p, input)
 	if err != nil {
@@ -64,26 +84,28 @@ func (e *Engine) RunContext(ctx context.Context, task *simlat.Task, p *Process, 
 // RunDetailedContext is RunContext with the audit trail and activity
 // count.
 func (e *Engine) RunDetailedContext(ctx context.Context, task *simlat.Task, p *Process, input map[string]types.Value) (*RunResult, error) {
-	if err := p.Validate(); err != nil {
+	t, err := e.template(p)
+	if err != nil {
 		return nil, err
 	}
 	sp := obs.StartSpan(task, "wfms.process", obs.Attr{Key: "process", Value: p.Name})
 	defer sp.End(task)
-	st := e.newRunState(ctx, task)
+	// Each node starts and completes (or is skipped, once).
+	st := e.newRunState(ctx, task, 2*len(t.nodes))
 	// Starting the process instance boots the workflow engine's Java
 	// environment: a constant cost per call, per the paper's Fig. 6.
 	task.Step(simlat.StepStartWorkflow, e.costs.StartProcess)
-	out, err := e.runProcess(ctx, task, p, input, st)
+	out, err := e.runProcess(ctx, task, t, input, st)
 	rows := 0
 	if out != nil {
 		rows = out.Len()
 	}
 	audit := st.inst.Audit
-	sort.Slice(audit, func(i, j int) bool {
-		if audit[i].At != audit[j].At {
-			return audit[i].At < audit[j].At
+	slices.SortStableFunc(audit, func(a, b AuditEvent) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		return audit[i].Node < audit[j].Node
+		return strings.Compare(a.Node, b.Node)
 	})
 	st.finish(task, p.Name, 1, rows, err)
 	if err != nil {
@@ -106,13 +128,13 @@ type runState struct {
 
 // newRunState starts one process instance: it counts the instance, for the
 // engine and for the statement ctx carries, numbers it over the engine's
-// lifetime, and starts its audit trail, whose executed activities are
-// counted for the statement too.
-func (e *Engine) newRunState(ctx context.Context, task *simlat.Task) *runState {
+// lifetime, and starts its audit trail, sized for the events it expects,
+// whose executed activities are counted for the statement too.
+func (e *Engine) newRunState(ctx context.Context, task *simlat.Task, events int) *runState {
 	cnt := obs.FromContext(ctx)
 	cnt.AddInstance()
 	return &runState{
-		inst: obs.WorkflowInstance{Seq: e.instSeq.Add(1), Start: task.Elapsed()},
+		inst: obs.WorkflowInstance{Seq: e.instSeq.Add(1), Start: task.Elapsed(), Audit: make([]AuditEvent, 0, events)},
 		row:  -1,
 		cnt:  cnt,
 	}
@@ -164,43 +186,49 @@ func (st *runState) countExec() {
 
 // completion is one navigator event.
 type completion struct {
-	node    string
-	out     *types.Table // nil means "no data" (empty binding source)
-	branch  *simlat.Task
-	skipped bool
-	err     error
+	node   int
+	out    *types.Table // nil means "no data" (empty binding source)
+	branch *simlat.Task
+	err    error
+}
+
+// slot is one node's output container in an instance. A node that has
+// settled by running is done, whatever its container (nil: no data).
+type slot struct {
+	out  *types.Table
+	done bool
 }
 
 // runProcess is the navigator: it dispatches ready nodes into parallel
 // goroutines, resolves control connectors as nodes complete (dead-path
 // elimination for false transition conditions), and assembles the output
 // container from the result node.
-func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, p *Process, input map[string]types.Value, st *runState) (*types.Table, error) {
+func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, t *template, input map[string]types.Value, st *runState) (*types.Table, error) {
 	type nodeState struct {
 		unresolved int
 		trueCount  int
 		dispatched bool
+		end        time.Duration // once settled
 	}
-	states := make(map[string]*nodeState, len(p.Nodes))
-	for _, n := range p.Nodes {
-		states[strings.ToLower(n.NodeName())] = &nodeState{unresolved: len(p.predecessors(n.NodeName()))}
+	n := len(t.nodes)
+	states := make([]nodeState, n)
+	for i := range states {
+		states[i].unresolved = len(t.nodes[i].preds)
 	}
-
-	outputs := make(map[string]*types.Table, len(p.Nodes))
-	ends := make(map[string]time.Duration, len(p.Nodes))
+	outputs := make([]slot, n)
 	base := task.Elapsed()
 
 	events := make(chan completion)
 	running := 0
-	var branches []*simlat.Task
+	branches := make([]*simlat.Task, 0, n)
 	var firstErr error
 
 	// In serial mode activities additionally wait for the previously
 	// executed activity to end.
 	var lastEnd time.Duration
-	var serialQueue []string
+	var serialQueue []int
 
-	launch := func(name string, startAt time.Duration) {
+	launch := func(i int, startAt time.Duration) {
 		if e.serial && lastEnd > startAt {
 			startAt = lastEnd
 		}
@@ -208,69 +236,69 @@ func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, p *Process, 
 		branch.AdvanceTo(startAt)
 		branches = append(branches, branch)
 		running++
-		// Snapshot the containers visible to this activity; the live map
-		// keeps changing on the navigator goroutine.
-		snapshot := make(map[string]*types.Table, len(outputs))
-		for k, v := range outputs {
-			snapshot[k] = v
+		view := outputs
+		if t.nodes[i].snapshot {
+			view = slices.Clone(outputs)
 		}
 		go func() {
-			out, err := e.runNode(ctx, branch, p, name, input, snapshot, st)
-			events <- completion{node: name, out: out, branch: branch, err: err}
+			out, err := e.runNode(ctx, branch, t, i, input, view, st)
+			events <- completion{node: i, out: out, branch: branch, err: err}
 		}()
 	}
 
-	dispatch := func(name string, startAt time.Duration) {
-		states[strings.ToLower(name)].dispatched = true
+	dispatch := func(i int, startAt time.Duration) {
+		states[i].dispatched = true
 		if e.serial && running > 0 {
-			serialQueue = append(serialQueue, name)
+			serialQueue = append(serialQueue, i)
 			return
 		}
-		launch(name, startAt)
+		launch(i, startAt)
 	}
 
 	// startTimeFor computes the virtual instant a node may begin: the
 	// latest end among its predecessors (the process start for entry
-	// nodes).
-	startTimeFor := func(name string) time.Duration {
+	// nodes). A node is ready only once all its predecessors settled.
+	startTimeFor := func(i int) time.Duration {
 		at := base
-		for _, cc := range p.predecessors(name) {
-			if end, ok := ends[strings.ToLower(cc.From)]; ok && end > at {
+		for _, c := range t.nodes[i].preds {
+			if end := states[t.conns[c].from].end; end > at {
 				at = end
 			}
 		}
 		return at
 	}
 
-	var skipQueue []string
-	resolveOutgoing := func(name string, out *types.Table, dead bool) error {
-		for _, cc := range p.successors(name) {
+	var skipQueue []int
+	resolveOutgoing := func(i int, out *types.Table, dead bool) error {
+		for _, c := range t.nodes[i].succs {
+			cc := &t.conns[c]
 			fired := !dead
-			if fired && cc.Condition != nil {
+			if fired && cc.cond != nil {
 				condTable := out
 				if condTable == nil {
 					condTable = &types.Table{}
 				}
-				ok, err := cc.Condition(condTable)
+				ok, err := cc.cond(condTable)
 				if err != nil {
-					return fmt.Errorf("wfms: condition on %s->%s: %w", cc.From, cc.To, err)
+					return fmt.Errorf("wfms: condition on %s->%s: %w", t.p.Flow[c].From, t.p.Flow[c].To, err)
 				}
 				fired = ok
 			}
-			ts := states[strings.ToLower(cc.To)]
+			ts := &states[cc.to]
 			ts.unresolved--
 			if fired {
 				ts.trueCount++
 			}
 			if ts.unresolved == 0 && !ts.dispatched {
+				to := &t.nodes[cc.to]
 				runnable := ts.trueCount > 0
-				if p.startCondition(cc.To) == StartAll {
-					runnable = ts.trueCount == len(p.predecessors(cc.To))
+				if !to.any {
+					runnable = ts.trueCount == len(to.preds)
 				}
 				if runnable {
-					dispatch(cc.To, startTimeFor(cc.To))
+					dispatch(cc.to, startTimeFor(cc.to))
 				} else {
-					skipQueue = append(skipQueue, cc.To)
+					skipQueue = append(skipQueue, cc.to)
 				}
 			}
 		}
@@ -278,23 +306,24 @@ func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, p *Process, 
 	}
 
 	// Entry nodes are ready immediately.
-	for _, n := range p.Nodes {
-		if states[strings.ToLower(n.NodeName())].unresolved == 0 {
-			dispatch(n.NodeName(), base)
+	for i := range states {
+		if states[i].unresolved == 0 {
+			dispatch(i, base)
 		}
 	}
 
 	settled := 0
-	for settled < len(p.Nodes) {
+	for settled < n {
 		// Drain pending dead paths first; they complete synchronously.
 		if len(skipQueue) > 0 {
-			name := skipQueue[0]
+			i := skipQueue[0]
 			skipQueue = skipQueue[1:]
-			states[strings.ToLower(name)].dispatched = true
-			ends[strings.ToLower(name)] = startTimeFor(name)
-			st.record(ends[strings.ToLower(name)], name, "skipped", 0)
+			s := &states[i]
+			s.dispatched = true
+			s.end = startTimeFor(i)
+			st.record(s.end, t.nodes[i].name, "skipped", 0)
 			settled++
-			if err := resolveOutgoing(name, nil, true); err != nil && firstErr == nil {
+			if err := resolveOutgoing(i, nil, true); err != nil && firstErr == nil {
 				firstErr = err
 			}
 			continue
@@ -303,20 +332,21 @@ func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, p *Process, 
 			if firstErr != nil {
 				return nil, firstErr
 			}
-			return nil, fmt.Errorf("wfms: process %s deadlocked with %d unsettled nodes", p.Name, len(p.Nodes)-settled)
+			return nil, fmt.Errorf("wfms: process %s deadlocked with %d unsettled nodes", t.p.Name, n-settled)
 		}
 		ev := <-events
 		running--
 		settled++
-		key := strings.ToLower(ev.node)
-		outputs[key] = ev.out
-		ends[key] = ev.branch.Elapsed()
-		if ends[key] > lastEnd {
-			lastEnd = ends[key]
+		outputs[ev.node] = slot{out: ev.out, done: true}
+		end := ev.branch.Elapsed()
+		states[ev.node].end = end
+		if end > lastEnd {
+			lastEnd = end
 		}
+		name := t.nodes[ev.node].name
 		if ev.err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("wfms: activity %s: %w", ev.node, ev.err)
+				firstErr = fmt.Errorf("wfms: activity %s: %w", name, ev.err)
 			}
 			// Resolve successors dead so the run can drain.
 			if err := resolveOutgoing(ev.node, nil, true); err != nil && firstErr == nil {
@@ -328,7 +358,7 @@ func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, p *Process, 
 		if ev.out != nil {
 			rows = ev.out.Len()
 		}
-		st.record(ends[key], ev.node, "completed", rows)
+		st.record(end, name, "completed", rows)
 		if err := resolveOutgoing(ev.node, ev.out, false); err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -343,18 +373,25 @@ func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, p *Process, 
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	return t.output(outputs[t.result].out)
+}
 
-	// Assemble the output container from the result node.
-	resOut := outputs[strings.ToLower(p.Result)]
+// output assembles the process output container from the result node's
+// container.
+func (t *template) output(res *types.Table) (*types.Table, error) {
+	p := t.p
 	final := types.NewTable(p.Output.Clone())
-	if resOut == nil {
+	if res == nil {
 		return final, nil
 	}
-	if len(resOut.Schema) != len(p.Output) {
+	if len(res.Schema) != len(p.Output) {
 		return nil, fmt.Errorf("wfms: process %s: result node %s produced %d columns, output container has %d",
-			p.Name, p.Result, len(resOut.Schema), len(p.Output))
+			p.Name, p.Result, len(res.Schema), len(p.Output))
 	}
-	for _, r := range resOut.Rows {
+	if len(res.Rows) > 0 {
+		final.Rows = make([]types.Row, 0, len(res.Rows))
+	}
+	for _, r := range res.Rows {
 		cr, err := types.CoerceRow(r, p.Output)
 		if err != nil {
 			return nil, fmt.Errorf("wfms: process %s output: %w", p.Name, err)
@@ -364,9 +401,10 @@ func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, p *Process, 
 	return final, nil
 }
 
-// runNode executes one node on its own branch task.
-func (e *Engine) runNode(ctx context.Context, branch *simlat.Task, p *Process, name string, input map[string]types.Value, outputs map[string]*types.Table, st *runState) (out *types.Table, err error) {
-	sp := obs.StartSpan(branch, "wfms.activity", obs.Attr{Key: "node", Value: name})
+// runNode executes node i on its own branch task.
+func (e *Engine) runNode(ctx context.Context, branch *simlat.Task, t *template, i int, input map[string]types.Value, outputs []slot, st *runState) (out *types.Table, err error) {
+	nd := &t.nodes[i]
+	sp := obs.StartSpan(branch, "wfms.activity", obs.Attr{Key: "node", Value: nd.name})
 	defer func() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -376,23 +414,22 @@ func (e *Engine) runNode(ctx context.Context, branch *simlat.Task, p *Process, n
 	if err := resil.Check(ctx, branch); err != nil {
 		return nil, err
 	}
-	st.record(branch.Elapsed(), name, "started", 0)
-	node := p.node(name)
+	st.record(branch.Elapsed(), nd.name, "started", 0)
 	// Navigator bookkeeping per activity.
 	branch.Step(simlat.StepWorkflowEngine, e.costs.Navigate)
-	switch a := node.(type) {
+	switch a := nd.node.(type) {
 	case *FunctionActivity:
-		return e.runFunctionActivity(ctx, branch, a, input, outputs, st)
+		return e.runFunctionActivity(ctx, branch, nd, a, input, outputs, st)
 	case *HelperActivity:
-		return e.runHelperActivity(branch, a, input, outputs, st)
+		return e.runHelperActivity(branch, t, a, input, outputs, st)
 	case *Block:
-		return e.runBlock(ctx, branch, a, input, outputs, st)
+		return e.runBlock(ctx, branch, nd, a, input, outputs, st)
 	default:
-		return nil, fmt.Errorf("wfms: unknown node type %T", node)
+		return nil, fmt.Errorf("wfms: unknown node type %T", nd.node)
 	}
 }
 
-func (e *Engine) runFunctionActivity(ctx context.Context, branch *simlat.Task, a *FunctionActivity, input map[string]types.Value, outputs map[string]*types.Table, st *runState) (*types.Table, error) {
+func (e *Engine) runFunctionActivity(ctx context.Context, branch *simlat.Task, nd *tnode, a *FunctionActivity, input map[string]types.Value, outputs []slot, st *runState) (*types.Table, error) {
 	// Each activity boots a fresh program (the paper's per-activity JVM
 	// start) and handles its input and output containers; the local
 	// function's own service time is charged by the invoker under the
@@ -402,19 +439,19 @@ func (e *Engine) runFunctionActivity(ctx context.Context, branch *simlat.Task, a
 	branch.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
 
-	bindings, empty, err := bindingRows(a.Args, input, outputs)
+	vals, combos, err := nd.appendBindings(nil, input, outputs)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
-	if empty {
+	if combos == 0 {
 		return nil, nil // no data: dependent activities see an empty source
 	}
 	var union *types.Table
-	for _, args := range bindings {
+	for c := 0; c < combos; c++ {
 		if err := resil.Check(ctx, branch); err != nil {
 			return nil, err
 		}
-		out, err := e.invoker.Invoke(ctx, branch, a.System, a.Function, args)
+		out, err := e.invoker.Invoke(ctx, branch, a.System, a.Function, vector(vals, c, len(nd.args)))
 		if err != nil {
 			return nil, err
 		}
@@ -427,39 +464,56 @@ func (e *Engine) runFunctionActivity(ctx context.Context, branch *simlat.Task, a
 	return union, nil
 }
 
-func (e *Engine) runHelperActivity(branch *simlat.Task, a *HelperActivity, input map[string]types.Value, outputs map[string]*types.Table, st *runState) (*types.Table, error) {
+func (e *Engine) runHelperActivity(branch *simlat.Task, t *template, a *HelperActivity, input map[string]types.Value, outputs []slot, st *runState) (*types.Table, error) {
 	prev := branch.SetLabel(simlat.StepActivities)
 	defer branch.SetLabel(prev)
 	branch.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
 
-	in := make(map[string]*types.Table, len(outputs)+1)
-	for k, v := range outputs {
-		if v == nil {
-			v = &types.Table{}
-		}
-		in[k] = v
-	}
-	in["INPUT"] = inputTable(input)
-	out, err := a.Fn(in)
+	out, err := a.Fn(t.containers(outputs, input))
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
 	return out, nil
 }
 
-func (e *Engine) runBlock(ctx context.Context, branch *simlat.Task, b *Block, input map[string]types.Value, outputs map[string]*types.Table, st *runState) (*types.Table, error) {
+// containers is what a helper activity sees: every done node's container
+// by lower-case node name (an empty table for no data), and the process
+// input container as "INPUT".
+func (t *template) containers(outputs []slot, input map[string]types.Value) map[string]*types.Table {
+	done := 0
+	for _, s := range outputs {
+		if s.done {
+			done++
+		}
+	}
+	in := make(map[string]*types.Table, done+1)
+	for i, s := range outputs {
+		if !s.done {
+			continue
+		}
+		v := s.out
+		if v == nil {
+			v = &types.Table{}
+		}
+		in[t.nodes[i].key] = v
+	}
+	in["INPUT"] = inputTable(input)
+	return in
+}
+
+func (e *Engine) runBlock(ctx context.Context, branch *simlat.Task, nd *tnode, b *Block, input map[string]types.Value, outputs []slot, st *runState) (*types.Table, error) {
 	// Assemble the first iteration's input container.
-	blockInput := make(map[string]types.Value, len(b.Args))
-	for field, src := range b.Args {
-		vals, empty, err := sourceValues(src, input, outputs)
+	blockInput := make(map[string]types.Value, len(nd.args))
+	for k := range nd.args {
+		v, empty, err := nd.args[k].bind(input, outputs)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", b.Name, err)
 		}
 		if empty {
 			return nil, nil
 		}
-		blockInput[strings.ToLower(field)] = vals[0]
+		blockInput[nd.blockKeys[k]] = v.at(0)
 	}
 	maxIter := b.MaxIterations
 	if maxIter <= 0 {
@@ -470,7 +524,7 @@ func (e *Engine) runBlock(ctx context.Context, branch *simlat.Task, b *Block, in
 		if err := resil.Check(ctx, branch); err != nil {
 			return nil, err
 		}
-		out, err := e.runProcess(ctx, branch, b.Body, blockInput, st)
+		out, err := e.runProcess(ctx, branch, nd.body, blockInput, st)
 		if err != nil {
 			return nil, err
 		}
@@ -502,113 +556,124 @@ func (e *Engine) runBlock(ctx context.Context, branch *simlat.Task, b *Block, in
 				return nil, fmt.Errorf("%s: feedback: %w", b.Name, err)
 			}
 			for k, v := range next {
-				blockInput[strings.ToLower(k)] = v
+				blockInput[nd.body.fieldKey(k)] = v
 			}
 		}
 	}
 }
 
-// sourceValues resolves one Source to its value list. empty reports a
-// source whose producing node yielded no data.
-func sourceValues(s Source, input map[string]types.Value, outputs map[string]*types.Table) ([]types.Value, bool, error) {
+// binding is one bound argument: a scalar (an input field or a constant),
+// or a column of a producing node's container.
+type binding struct {
+	v   types.Value
+	tab *types.Table
+	col int
+}
+
+// at is the argument's value in row r of its container.
+func (b binding) at(r int) types.Value {
+	if b.tab == nil {
+		return b.v
+	}
+	return b.tab.Rows[r][b.col]
+}
+
+// bind resolves one argument. empty reports a source whose producing node
+// yielded no data.
+func (a *targ) bind(input map[string]types.Value, outputs []slot) (binding, bool, error) {
+	s := a.src
 	switch s.Kind {
 	case ConstSource:
-		return []types.Value{s.Const}, false, nil
+		return binding{v: s.Const}, false, nil
 	case FromInput:
-		v, ok := input[strings.ToLower(s.Column)]
+		v, ok := input[a.key]
 		if !ok {
-			return nil, false, fmt.Errorf("wfms: input container has no field %s", s.Column)
+			return binding{}, false, fmt.Errorf("wfms: input container has no field %s", s.Column)
 		}
-		return []types.Value{v}, false, nil
+		return binding{v: v}, false, nil
 	case FromNode:
-		out, ok := outputs[strings.ToLower(s.Node)]
-		if !ok {
-			return nil, false, fmt.Errorf("wfms: data connector reads %s before it completed", s.Node)
+		out := outputs[a.node]
+		if !out.done {
+			return binding{}, false, fmt.Errorf("wfms: data connector reads %s before it completed", s.Node)
 		}
-		if out == nil || out.Len() == 0 {
-			return nil, true, nil
+		if out.out == nil || out.out.Len() == 0 {
+			return binding{}, true, nil
 		}
-		ci := out.Schema.ColumnIndex(s.Column)
+		ci := out.out.Schema.ColumnIndex(s.Column)
 		if ci < 0 {
-			return nil, false, fmt.Errorf("wfms: output container of %s has no field %s", s.Node, s.Column)
+			return binding{}, false, fmt.Errorf("wfms: output container of %s has no field %s", s.Node, s.Column)
 		}
-		vals := make([]types.Value, out.Len())
-		for i, r := range out.Rows {
-			vals[i] = r[ci]
-		}
-		return vals, false, nil
+		return binding{tab: out.out, col: ci}, false, nil
 	default:
-		return nil, false, fmt.Errorf("wfms: unknown source kind %d", s.Kind)
+		return binding{}, false, fmt.Errorf("wfms: unknown source kind %d", s.Kind)
 	}
 }
 
-// bindingRows builds the argument vectors for a function activity:
-// multi-row sources from the same node stay row-aligned; distinct nodes
-// combine by cross product; INPUT fields and constants are scalars.
-func bindingRows(args []Source, input map[string]types.Value, outputs map[string]*types.Table) ([][]types.Value, bool, error) {
-	if len(args) == 0 {
-		return [][]types.Value{nil}, false, nil
+// appendBindings appends the argument vectors of a function activity to
+// vals, each len(nd.args) values wide: the columns of one producing node
+// stay row-aligned, distinct nodes combine by cross product, and INPUT
+// fields and constants are scalars. It returns how many vectors it
+// appended; none means a source yielded no data.
+func (nd *tnode) appendBindings(vals []types.Value, input map[string]types.Value, outputs []slot) ([]types.Value, int, error) {
+	args := nd.args
+	var bbuf [8]binding
+	var gbuf [2 * 8]int
+	bound := bbuf[:0]
+	if len(args) > len(bbuf) {
+		bound = make([]binding, 0, len(args))
 	}
-	// Group FromNode args by node so same-node columns stay aligned.
-	type group struct {
-		node string
-		rows int
+	counts := gbuf[:0] // rows per group, then each group's current row
+	if 2*nd.groups > len(gbuf) {
+		counts = make([]int, 0, 2*nd.groups)
 	}
-	var groups []group
-	groupIdx := make(map[string]int)
-	colsPerArg := make([][]types.Value, len(args))
-	argGroup := make([]int, len(args))
-	for i, s := range args {
-		vals, empty, err := sourceValues(s, input, outputs)
+	counts = counts[:2*nd.groups]
+	rows, idx := counts[:nd.groups], counts[nd.groups:]
+	for i := range args {
+		b, empty, err := args[i].bind(input, outputs)
 		if err != nil {
-			return nil, false, err
+			return vals, 0, err
 		}
 		if empty {
-			return nil, true, nil
+			return vals, 0, nil
 		}
-		colsPerArg[i] = vals
-		if s.Kind == FromNode {
-			key := strings.ToLower(s.Node)
-			gi, ok := groupIdx[key]
-			if !ok {
-				gi = len(groups)
-				groupIdx[key] = gi
-				groups = append(groups, group{node: key, rows: len(vals)})
-			}
-			if groups[gi].rows != len(vals) {
-				return nil, false, fmt.Errorf("wfms: inconsistent row counts from node %s", s.Node)
-			}
-			argGroup[i] = gi
-		} else {
-			argGroup[i] = -1
+		if g := args[i].group; g >= 0 {
+			rows[g] = b.tab.Len()
 		}
+		bound = append(bound, b)
 	}
-	// Cross product over groups.
 	combos := 1
-	for _, g := range groups {
-		combos *= g.rows
+	for _, r := range rows {
+		combos *= r
 	}
-	out := make([][]types.Value, 0, combos)
-	idx := make([]int, len(groups))
+	if vals == nil {
+		vals = make([]types.Value, 0, combos*len(args))
+	}
 	for c := 0; c < combos; c++ {
-		row := make([]types.Value, len(args))
 		for i := range args {
-			if gi := argGroup[i]; gi >= 0 {
-				row[i] = colsPerArg[i][idx[gi]]
-			} else {
-				row[i] = colsPerArg[i][0]
+			r := 0
+			if g := args[i].group; g >= 0 {
+				r = idx[g]
 			}
+			vals = append(vals, bound[i].at(r))
 		}
-		out = append(out, row)
-		for gi := len(groups) - 1; gi >= 0; gi-- {
-			idx[gi]++
-			if idx[gi] < groups[gi].rows {
+		for g := len(idx) - 1; g >= 0; g-- {
+			idx[g]++
+			if idx[g] < rows[g] {
 				break
 			}
-			idx[gi] = 0
+			idx[g] = 0
 		}
 	}
-	return out, false, nil
+	return vals, combos, nil
+}
+
+// vector is the c-th argument vector of width w in vals: nil when the
+// function takes no argument, and capped so that appending to it copies.
+func vector(vals []types.Value, c, w int) []types.Value {
+	if w == 0 {
+		return nil
+	}
+	return vals[c*w : (c+1)*w : (c+1)*w]
 }
 
 // inputTable renders the process input container as a one-row table for

@@ -304,9 +304,11 @@ func TestStartAnyJoin(t *testing.T) {
 	if out.Len() != 1 {
 		t.Errorf("OR-join did not fire:\n%s", out)
 	}
-	// With StartAll the same process must skip Count.
-	p.Starts = nil
-	out, err = eng.RunContext(context.Background(), simlat.Free(), p, map[string]types.Value{"supplierno": types.NewInt(1)})
+	// With StartAll the same process must skip Count. A template must not
+	// change once run, so the AND-join variant is a second Process value.
+	all := *p
+	all.Starts = nil
+	out, err = eng.RunContext(context.Background(), simlat.Free(), &all, map[string]types.Value{"supplierno": types.NewInt(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,12 @@ const (
 	StartAny
 )
 
-// Process is a workflow process template.
+// Process is a workflow process template. An engine validates and
+// compiles it at its first run and keeps the compiled form for later runs,
+// the way a workflow system translates a process model once and lets every
+// instance navigate the translation. So a Process must not change once an
+// engine has run it: build a new Process value for a different template.
+// A Process that fails validation is not kept and fails every run.
 type Process struct {
 	Name   string
 	Input  []types.Column // input container schema
@@ -294,38 +299,6 @@ func (p *Process) checkAcyclic() error {
 		return fmt.Errorf("wfms: process %s: control-flow graph contains a cycle", p.Name)
 	}
 	return nil
-}
-
-// predecessors returns the incoming connectors of a node.
-func (p *Process) predecessors(name string) []ControlConnector {
-	var out []ControlConnector
-	for _, cc := range p.Flow {
-		if strings.EqualFold(cc.To, name) {
-			out = append(out, cc)
-		}
-	}
-	return out
-}
-
-// successors returns the outgoing connectors of a node.
-func (p *Process) successors(name string) []ControlConnector {
-	var out []ControlConnector
-	for _, cc := range p.Flow {
-		if strings.EqualFold(cc.From, name) {
-			out = append(out, cc)
-		}
-	}
-	return out
-}
-
-// startCondition returns the node's join mode.
-func (p *Process) startCondition(name string) StartCondition {
-	for n, sc := range p.Starts {
-		if strings.EqualFold(n, name) {
-			return sc
-		}
-	}
-	return StartAll
 }
 
 // Costs is the simulated cost profile of the workflow engine, matching the
