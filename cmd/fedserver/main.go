@@ -26,13 +26,16 @@
 // The -stmt-timeout-ms, -retry-*, and -breaker-* flags configure the
 // fault-tolerance layer; -partial-results lets optional lateral branches
 // degrade to NULL padding while a system's circuit is open. With
-// -metrics-addr, a second HTTP listener serves /metrics, /healthz, the
-// trace API (/traces), the statistics warehouse (/stats), and the audit
-// journal (/audit, /wf/instances, /slo). -pprof mounts net/http/pprof on
-// the same listener. SIGINT/SIGTERM trigger a graceful shutdown that
-// drains in-flight statements before severing connections.
+// -metrics-addr, a second HTTP listener serves /metrics and /healthz, and
+// -pprof mounts net/http/pprof on it; it runs no SQL. Everything else the
+// server knows about itself — the statistics warehouse, the audit journal,
+// the SLO monitor and the retained traces — is read as SQL over the
+// fed_stat_*, fed_audit_events, fed_wf_*, fed_slo, fed_traces and fed_spans
+// relations, on the client protocol, admitted and accounted like any other
+// statement. SIGINT/SIGTERM trigger a graceful shutdown that drains
+// in-flight statements before severing connections.
 //
-// Connect with the fedsql command.
+// Connect with the fedsql command; fedtop renders a live view.
 package main
 
 import (
@@ -141,9 +144,6 @@ func main() {
 	var metricsSrv *http.Server
 	if cfg.MetricsAddr != "" {
 		mux := obs.MetricsMux(srv.MetricsRegistry())
-		srv.Collector().Register(mux)
-		srv.Stats().Register(mux)
-		srv.Journal().Register(mux)
 		if cfg.Pprof {
 			mux.HandleFunc("/debug/pprof/", pprof.Index)
 			mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -158,7 +158,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "fedserver: metrics:", err)
 			}
 		}()
-		fmt.Printf("fedserver: metrics on http://%s/metrics, traces on http://%s/traces, stats on http://%s/stats/statements\n", cfg.MetricsAddr, cfg.MetricsAddr, cfg.MetricsAddr)
+		fmt.Printf("fedserver: metrics on http://%s/metrics; statistics, journal, SLOs and traces are the fed_* relations\n", cfg.MetricsAddr)
 	}
 
 	if cfg.RetryAttempts > 1 || cfg.BreakerFailures > 0 || cfg.StmtTimeoutMS > 0 {

@@ -16,6 +16,9 @@
 // n audit-journal events (default 20) from fed_audit_events, and
 // \wf <instance> shows one workflow instance's per-activity history from
 // fed_wf_activities (instance ids come from fed_wf_instances or \audit).
+// The meta-commands send the named statements of package fdbs; every other
+// fact the server keeps about itself — fed_slo, fed_traces, fed_spans —
+// is an ordinary SELECT.
 package main
 
 import (
@@ -115,7 +118,7 @@ func main() {
 				}
 				n = parsed
 			}
-			execute(client, statsQuery(n), st)
+			execute(client, fdbs.TopStatementsQuery(n), st)
 			continue
 		}
 		if buf.Len() == 0 && (trimmed == `\audit` || strings.HasPrefix(trimmed, `\audit `)) {
@@ -128,7 +131,7 @@ func main() {
 				}
 				n = parsed
 			}
-			execute(client, auditQuery(n), st)
+			execute(client, fdbs.RecentEventsQuery(n), st)
 			continue
 		}
 		if buf.Len() == 0 && (trimmed == `\wf` || strings.HasPrefix(trimmed, `\wf `)) {
@@ -137,7 +140,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, `error: \wf takes a workflow instance id (see fed_wf_instances or \audit)`)
 				continue
 			}
-			execute(client, wfQuery(inst), st)
+			execute(client, fdbs.InstanceActivitiesQuery(inst), st)
 			continue
 		}
 		if buf.Len() == 0 && trimmed == `\lasttrace` {
@@ -161,26 +164,6 @@ func main() {
 			prompt = "   ...> "
 		}
 	}
-}
-
-// statsQuery is the \stats meta-command's SQL: the top-n statements by
-// total simulated time from the server's statement-statistics warehouse.
-func statsQuery(n int) string {
-	return fmt.Sprintf("SELECT Fingerprint, Calls, Errors, Total_MS, Mean_MS, P99_MS, Query FROM fed_stat_statements ORDER BY Total_MS DESC LIMIT %d", n)
-}
-
-// auditQuery is the \audit meta-command's SQL: the newest n events from
-// the server's audit journal. DESC puts the newest events first — the
-// shape the console wants.
-func auditQuery(n int) string {
-	return fmt.Sprintf("SELECT Seq, Kind, Func, Instance, Node, Detail, RowIdx, Rows, Started_VT, Dur_MS, Err FROM fed_audit_events ORDER BY Seq DESC LIMIT %d", n)
-}
-
-// wfQuery is the \wf meta-command's SQL: one workflow instance's
-// per-activity history, oldest transition first.
-func wfQuery(instance string) string {
-	return fmt.Sprintf("SELECT Node, Event, RowIdx, Rows, At_VT FROM fed_wf_activities WHERE Instance = '%s' ORDER BY At_VT",
-		strings.ReplaceAll(instance, "'", "''"))
 }
 
 // state holds the REPL toggles and the last captured trace rendering.
@@ -216,7 +199,7 @@ func execute(client *fdbs.Client, sql string, st *state) bool {
 	}
 	if st.trace {
 		if id := meta[obs.MetaTraceID]; id != "" {
-			fmt.Printf("Trace %s captured (\\lasttrace shows the waterfall; /traces/%s on the server's metrics listener).\n", id, id)
+			fmt.Printf("Trace %s captured (\\lasttrace shows the waterfall; the server keeps its spans: %s).\n", id, fdbs.TraceSpansQuery(id))
 		}
 	}
 	return true

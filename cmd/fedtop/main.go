@@ -1,104 +1,53 @@
-// Command fedtop is a top-style live console for a running fedserver: it
-// polls the metrics listener's /stats/statements, /audit, /wf/instances,
-// and /slo endpoints and renders statements, workflow instances, recent
-// journal events, and SLO burn rates as one refreshing view.
+// Command fedtop is a top-style live console for a running fedserver. It
+// connects as an ordinary client over the client protocol and renders SLO
+// burn rates, the top statements, recent workflow instances and recent
+// audit-journal events as one refreshing view, each read from the server's
+// fed_* relations with the named statements of package fdbs. Like any
+// statement, fedtop's own reads are served, admitted and recorded.
 //
-//	fedtop -metrics 127.0.0.1:9090
-//	fedtop -metrics 127.0.0.1:9090 -interval 1s -n 15
-//	fedtop -metrics 127.0.0.1:9090 -once
+//	fedtop -addr 127.0.0.1:4711
+//	fedtop -addr 127.0.0.1:4711 -interval 1s -n 15
+//	fedtop -addr 127.0.0.1:4711 -once
 //
 // Burn rates read as "error-budget consumption speed": 1.0 burns exactly
 // the budget the availability objective allows; sustained values above
-// 1.0 on the longer windows mean the SLO will be missed.
+// 1.0 on the longer windows mean the SLO will be missed. Events the
+// journal dropped are counted on /metrics as
+// fedwf_audit_events_dropped_total.
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
+
+	"fedwf/internal/fdbs"
+	"fedwf/internal/types"
 )
 
-// Mirrors of the server's JSON payloads — only the fields the view needs.
-
-type stmtRow struct {
-	Fingerprint string  `json:"fingerprint"`
-	Query       string  `json:"query"`
-	Calls       int64   `json:"calls"`
-	Rows        int64   `json:"rows"`
-	Errors      int64   `json:"errors"`
-	TotalMS     float64 `json:"total_ms"`
-	MeanMS      float64 `json:"mean_ms"`
-	P99MS       float64 `json:"p99_ms"`
-}
-
-type auditEvent struct {
-	Seq       uint64 `json:"seq"`
-	Kind      string `json:"kind"`
-	Func      string `json:"func"`
-	Instance  string `json:"instance"`
-	Node      string `json:"node"`
-	Detail    string `json:"detail"`
-	Row       int    `json:"row"`
-	Rows      int    `json:"rows"`
-	Batch     int    `json:"batch"`
-	Acts      int    `json:"activities"`
-	Err       string `json:"error"`
-	StartVTNS int64  `json:"start_vt_ns"`
-	DurVTNS   int64  `json:"dur_vt_ns"`
-}
-
-type auditPayload struct {
-	Seq     uint64       `json:"seq"`
-	Live    int          `json:"live"`
-	Dropped int64        `json:"dropped"`
-	Events  []auditEvent `json:"events"`
-}
-
-type instancesPayload struct {
-	Instances []auditEvent `json:"instances"`
-}
-
-type windowBurn struct {
-	Window      string  `json:"window"`
-	Statements  int     `json:"statements"`
-	Errors      int     `json:"errors"`
-	Slow        int     `json:"slow"`
-	AvailBurn   float64 `json:"availability_burn"`
-	LatencyBurn float64 `json:"latency_burn"`
-}
-
-type sloReport struct {
-	Objectives struct {
-		Availability float64 `json:"availability"`
-		LatencyNS    int64   `json:"latency_ns"`
-	} `json:"objectives"`
-	NowVTNS int64        `json:"now_vt_ns"`
-	Windows []windowBurn `json:"windows"`
-}
-
 func main() {
-	metrics := flag.String("metrics", "127.0.0.1:9090", "fedserver metrics listener (host:port)")
+	addr := flag.String("addr", "127.0.0.1:4711", "fedserver address")
 	interval := flag.Duration("interval", 2*time.Second, "poll interval")
 	n := flag.Int("n", 10, "rows per section")
 	once := flag.Bool("once", false, "render one frame and exit (no screen clearing)")
 	flag.Parse()
 
-	base := *metrics
-	if !strings.Contains(base, "://") {
-		base = "http://" + base
+	client, err := fdbs.DialClient(*addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fedtop:", err)
+		os.Exit(1)
 	}
-	client := &http.Client{Timeout: 5 * time.Second}
+	defer client.Close()
 
 	for {
-		frame, err := render(client, base, *n)
+		frame, err := render(client, *addr, *n)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fedtop:", err)
 			if *once {
+				client.Close()
 				os.Exit(1)
 			}
 		} else {
@@ -114,83 +63,75 @@ func main() {
 	}
 }
 
-func getJSON(client *http.Client, url string, v any) error {
-	resp, err := client.Get(url)
+// query runs one statement and returns its rows.
+func query(client *fdbs.Client, sql string) ([]types.Row, error) {
+	res, err := client.Exec(context.Background(), sql)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return res.Table.Rows, nil
 }
 
-func render(client *http.Client, base string, n int) (string, error) {
-	var slo sloReport
-	if err := getJSON(client, base+"/slo", &slo); err != nil {
-		return "", err
+func render(client *fdbs.Client, addr string, n int) (string, error) {
+	var rows [5][]types.Row
+	for i, sql := range []string{fdbs.JournalHeadQuery, fdbs.SLOQuery, fdbs.TopStatementsQuery(n),
+		fdbs.RecentInstancesQuery(n), fdbs.RecentEventsQuery(n)} {
+		r, err := query(client, sql)
+		if err != nil {
+			return "", err
+		}
+		rows[i] = r
 	}
-	var audit auditPayload
-	if err := getJSON(client, fmt.Sprintf("%s/audit?n=%d", base, n), &audit); err != nil {
-		return "", err
-	}
-	var inst instancesPayload
-	if err := getJSON(client, fmt.Sprintf("%s/wf/instances?n=%d", base, n), &inst); err != nil {
-		return "", err
-	}
-	var stmts []stmtRow
-	if err := getJSON(client, base+"/stats/statements", &stmts); err != nil {
-		return "", err
-	}
+	head, slo, stmts, inst, events := rows[0], rows[1], rows[2], rows[3], rows[4]
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "fedtop — %s — vt %.1f paper-s — journal seq %d (live %d, dropped %d)\n\n",
-		base, float64(slo.NowVTNS)/1e9, audit.Seq, audit.Live, audit.Dropped)
+	var now float64
+	if len(slo) > 0 {
+		now = slo[0][8].Float()
+	}
+	fmt.Fprintf(&b, "fedtop — %s — vt %.1f paper-s — journal seq %d (live %d)\n\n",
+		addr, now/1e3, head[0][0].Int(), head[0][1].Int())
 
-	fmt.Fprintf(&b, "SLO  availability %.4f, latency %.0f paper-ms\n",
-		slo.Objectives.Availability, float64(slo.Objectives.LatencyNS)/1e6)
+	if len(slo) > 0 {
+		fmt.Fprintf(&b, "SLO  availability %.4f, latency %.0f paper-ms\n", slo[0][6].Float(), slo[0][7].Float())
+	}
 	fmt.Fprintf(&b, "%-6s %10s %8s %6s %12s %12s\n", "window", "statements", "errors", "slow", "avail burn", "lat burn")
-	for _, w := range slo.Windows {
+	for _, w := range slo {
 		marker := ""
-		if w.AvailBurn > 1 || w.LatencyBurn > 1 {
+		if w[4].Float() > 1 || w[5].Float() > 1 {
 			marker = "  << burning"
 		}
 		fmt.Fprintf(&b, "%-6s %10d %8d %6d %12.2f %12.2f%s\n",
-			w.Window, w.Statements, w.Errors, w.Slow, w.AvailBurn, w.LatencyBurn, marker)
+			w[0].Str(), w[1].Int(), w[2].Int(), w[3].Int(), w[4].Float(), w[5].Float(), marker)
 	}
 
 	b.WriteString("\nTOP STATEMENTS (by total paper time)\n")
-	sort.Slice(stmts, func(i, j int) bool { return stmts[i].TotalMS > stmts[j].TotalMS })
-	if len(stmts) > n {
-		stmts = stmts[:n]
-	}
 	fmt.Fprintf(&b, "%-18s %7s %6s %6s %10s %9s %9s  %s\n",
 		"fingerprint", "calls", "rows", "errs", "total_ms", "mean_ms", "p99_ms", "query")
 	for _, s := range stmts {
 		fmt.Fprintf(&b, "%-18s %7d %6d %6d %10.1f %9.2f %9.2f  %s\n",
-			s.Fingerprint, s.Calls, s.Rows, s.Errors, s.TotalMS, s.MeanMS, s.P99MS, clip(s.Query, 48))
+			s[0].Str(), s[1].Int(), s[2].Int(), s[3].Int(), s[4].Float(), s[5].Float(), s[6].Float(), clip(s[7].Str(), 48))
 	}
 
 	b.WriteString("\nWORKFLOW INSTANCES (newest first)\n")
 	fmt.Fprintf(&b, "%-10s %-20s %6s %5s %5s %10s %9s  %s\n",
 		"instance", "process", "batch", "acts", "rows", "start_vt", "dur_ms", "err")
-	for _, e := range inst.Instances {
+	for _, e := range inst {
 		fmt.Fprintf(&b, "%-10s %-20s %6d %5d %5d %10.1f %9.2f  %s\n",
-			e.Instance, e.Func, e.Batch, e.Acts, e.Rows, float64(e.StartVTNS)/1e6, float64(e.DurVTNS)/1e6, clip(e.Err, 32))
+			e[0].Str(), e[1].Str(), e[2].Int(), e[3].Int(), e[4].Int(), e[5].Float(), e[6].Float(), clip(e[7].Str(), 32))
 	}
 
 	b.WriteString("\nRECENT EVENTS (newest first)\n")
 	fmt.Fprintf(&b, "%-6s %-12s %-20s %-10s %-12s %4s %5s %10s  %s\n",
 		"seq", "kind", "func", "instance", "node/detail", "row", "rows", "start_vt", "err")
-	for _, e := range audit.Events {
-		nd := e.Node
-		if e.Detail != "" {
-			nd += "/" + e.Detail
+	for _, e := range events {
+		nd := e[4].Str()
+		if d := e[5].Str(); d != "" {
+			nd += "/" + d
 		}
 		fmt.Fprintf(&b, "%-6d %-12s %-20s %-10s %-12s %4d %5d %10.1f  %s\n",
-			e.Seq, e.Kind, clip(e.Func, 20), e.Instance, clip(nd, 12), e.Row, e.Rows,
-			float64(e.StartVTNS)/1e6, clip(e.Err, 32))
+			e[0].Int(), e[1].Str(), clip(e[2].Str(), 20), e[3].Str(), clip(nd, 12), e[6].Int(), e[7].Int(),
+			e[8].Float(), clip(e[10].Str(), 32))
 	}
 	return b.String(), nil
 }

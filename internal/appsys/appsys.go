@@ -34,7 +34,9 @@ type Function struct {
 	Params      []types.Column
 	Returns     types.Schema
 	ServiceTime time.Duration // simulated execution time per call
-	Impl        func(sys *System, args []types.Value) (*types.Table, error)
+	// Impl answers a fresh table, which CallContext then owns: it takes
+	// the declared Returns schema, and its values are cast in place.
+	Impl func(sys *System, args []types.Value) (*types.Table, error)
 	// Single declares that the function answers at most one row per call;
 	// a call that answers more fails.
 	Single bool
@@ -92,7 +94,7 @@ func (s *System) Functions() []string {
 // CallContext invokes a local function: the statement deadline is checked
 // first, arguments are cast to the declared parameter types, the service
 // time is charged to the task, and the result is coerced to the declared
-// return schema.
+// return schema, which it shares: no consumer writes to a result's schema.
 func (s *System) CallContext(ctx context.Context, task *simlat.Task, name string, args []types.Value) (out *types.Table, err error) {
 	if err := resil.Check(ctx, task); err != nil {
 		return nil, err
@@ -128,15 +130,13 @@ func (s *System) CallContext(ctx context.Context, task *simlat.Task, name string
 	if f.Single && res.Len() > 1 {
 		return nil, fmt.Errorf("appsys: %s.%s answered %d rows but is declared single-row", s.name, f.Name, res.Len())
 	}
-	out = types.NewTable(f.Returns.Clone())
-	for _, r := range res.Rows {
-		cr, err := types.CoerceRow(r, f.Returns)
-		if err != nil {
+	res.Schema = f.Returns
+	for i, r := range res.Rows {
+		if res.Rows[i], err = types.ConformRow(r, f.Returns); err != nil {
 			return nil, fmt.Errorf("appsys: %s.%s result: %w", s.name, f.Name, err)
 		}
-		out.Rows = append(out.Rows, cr)
 	}
-	return out, nil
+	return res, nil
 }
 
 // CallBatchContext invokes a local function once per argument row under a

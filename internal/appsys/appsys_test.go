@@ -276,3 +276,36 @@ func TestRegistryDuplicates(t *testing.T) {
 		t.Error("duplicate function accepted")
 	}
 }
+
+// TestAnswerCastOnlyWhereNeeded: an answer takes the declared schema, a
+// row whose values already have the declared types is passed on as it is,
+// and a row with a value that needs a cast is copied and cast, leaving the
+// Impl's row untouched.
+func TestAnswerCastOnlyWhereNeeded(t *testing.T) {
+	returns := types.Schema{{Name: "Score", Type: types.Double}, {Name: "Code", Type: types.VarCharN(3)}}
+	exact := types.Row{types.NewFloat(1.5), types.NewString("abc")}
+	needsCast := types.Row{types.NewInt(2), types.NewString("abcdef")}
+	sys := NewSystem("s")
+	if err := sys.Register(&Function{Name: "Mixed", Returns: returns,
+		Impl: func(*System, []types.Value) (*types.Table, error) {
+			return &types.Table{Rows: []types.Row{exact, needsCast}}, nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := sys.CallContext(context.Background(), simlat.Free(), "Mixed", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &tab.Schema[0] != &returns[0] {
+		t.Error("the answer does not share the declared schema")
+	}
+	if &tab.Rows[0][0] != &exact[0] {
+		t.Error("a row needing no cast was copied")
+	}
+	if got := tab.Rows[1]; got[0].Kind() != types.KindFloat || got[0].Float() != 2 || got[1].Str() != "abc" {
+		t.Errorf("cast row = %v, want 2 as DOUBLE and 'abc'", got)
+	}
+	if needsCast[0].Kind() != types.KindInt || needsCast[1].Str() != "abcdef" {
+		t.Errorf("the Impl's row was written: %v", needsCast)
+	}
+}

@@ -418,6 +418,8 @@ func buildPurchasing() (*System, error) {
 }
 
 // lookupProject implements the common single-key lookup with projection.
+// The answer carries no schema of its own: CallContext gives it the
+// function's declared one.
 func lookupProject(sys *System, table, keyCol string, key types.Value, outCols []string) (*types.Table, error) {
 	tab, err := sys.store.Get(table)
 	if err != nil {
@@ -429,22 +431,18 @@ func lookupProject(sys *System, table, keyCol string, key types.Value, outCols [
 	}
 	schema := tab.Schema()
 	idx := make([]int, len(outCols))
-	outSchema := make(types.Schema, len(outCols))
 	for i, c := range outCols {
-		j := schema.ColumnIndex(c)
-		if j < 0 {
+		if idx[i] = schema.ColumnIndex(c); idx[i] < 0 {
 			return nil, fmt.Errorf("appsys: table %s has no column %s", table, c)
 		}
-		idx[i] = j
-		outSchema[i] = schema[j]
 	}
-	out := types.NewTable(outSchema)
-	for _, r := range rows {
+	out := &types.Table{Rows: make([]types.Row, len(rows))}
+	for k, r := range rows {
 		pr := make(types.Row, len(idx))
 		for i, j := range idx {
 			pr[i] = r[j]
 		}
-		out.Rows = append(out.Rows, pr)
+		out.Rows[k] = pr
 	}
 	return out, nil
 }

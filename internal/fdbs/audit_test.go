@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -202,12 +200,11 @@ func TestWorkflowEventsCarryTraceID(t *testing.T) {
 	}
 }
 
-// TestAuditConcurrentScrapes runs statements, /audit scrapes, and
-// journal-table scans concurrently — the -race build is the assertion.
+// TestAuditConcurrentScrapes runs statements, scans of the journal's
+// relations, and served journal-table statements concurrently — the -race
+// build is the assertion.
 func TestAuditConcurrentScrapes(t *testing.T) {
 	srv := newAuditServer(t)
-	mux := http.NewServeMux()
-	srv.Journal().Register(mux)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -227,12 +224,11 @@ func TestAuditConcurrentScrapes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			s := srv.Session()
 			for i := 0; i < 12; i++ {
-				for _, path := range []string{"/audit?n=10", "/wf/instances", "/slo"} {
-					rec := httptest.NewRecorder()
-					mux.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-					if rec.Code != http.StatusOK {
-						t.Errorf("%s: status %d", path, rec.Code)
+				for _, q := range []string{RecentEventsQuery(10), RecentInstancesQuery(10), SLOQuery} {
+					if _, err := s.QueryContext(context.Background(), q); err != nil {
+						t.Errorf("%s: %v", q, err)
 						return
 					}
 				}

@@ -130,8 +130,10 @@ func NewServer(cfg Config) (*Server, error) {
 	warehouse.AttachMetrics(metrics.Registry)
 	plans := stats.NewPlanStore(0)
 	stack.Engine().SetPlanStats(plans)
-	// The federation observes itself through its own query path: the
-	// warehouse's aggregates are SELECT-able as ordinary relations.
+	// The federation observes itself through its own query path, and only
+	// there: the warehouse, the journal, the SLO monitor and the trace
+	// store are SELECT-able as ordinary relations. An introspection
+	// statement is served and recorded like any other.
 	cat := stack.Engine().Catalog()
 	for _, v := range []*catalog.VirtualTable{
 		{Name: "fed_stat_statements", Sch: stats.StatementsSchema(), Provider: warehouse.StatementsTable},
@@ -139,6 +141,9 @@ func NewServer(cfg Config) (*Server, error) {
 		{Name: "fed_audit_events", Sch: journal.EventsSchema(), Provider: jnl.EventsTable},
 		{Name: "fed_wf_instances", Sch: journal.InstancesSchema(), Provider: jnl.InstancesTable},
 		{Name: "fed_wf_activities", Sch: journal.ActivitiesSchema(), Provider: jnl.ActivitiesTable},
+		{Name: "fed_slo", Sch: journal.SLOSchema(), Provider: jnl.SLOTable},
+		{Name: "fed_traces", Sch: TracesSchema(), Provider: func() (*types.Table, error) { return TracesTable(col) }},
+		{Name: "fed_spans", Sch: SpansSchema(), Provider: func() (*types.Table, error) { return SpansTable(col) }},
 	} {
 		if err := cat.RegisterVirtual(v); err != nil {
 			return nil, err
@@ -170,18 +175,19 @@ func (s *Server) AttachInProcSource(target string, eng *engine.Engine) {
 // Metrics exposes the server's metric bundle.
 func (s *Server) Metrics() *obs.ServerMetrics { return s.metrics }
 
-// Collector exposes the trace collector behind /traces.
+// Collector exposes the trace collector behind the fed_traces and
+// fed_spans virtual tables.
 func (s *Server) Collector() *collector.Collector { return s.col }
 
-// Stats exposes the statement-statistics warehouse (behind /stats and the
-// fed_stat_* virtual tables).
+// Stats exposes the statement-statistics warehouse behind the fed_stat_*
+// virtual tables.
 func (s *Server) Stats() *stats.Warehouse { return s.warehouse }
 
 // PlanStats exposes the per-plan-shape measured actuals store.
 func (s *Server) PlanStats() *stats.PlanStore { return s.plans }
 
-// Journal exposes the audit journal (behind /audit, /slo, and the
-// fed_audit_events / fed_wf_instances / fed_wf_activities virtual tables).
+// Journal exposes the audit journal behind the fed_audit_events,
+// fed_wf_instances, fed_wf_activities and fed_slo virtual tables.
 func (s *Server) Journal() *journal.Journal { return s.jnl }
 
 // MetricsRegistry exposes the registry behind the server's metrics, for

@@ -41,8 +41,8 @@ type ServerConfig struct {
 	// calls of this many rows (0 or 1 = per-row); every served statement's
 	// session starts from it.
 	BatchSize int `json:"batch_size"`
-	// MetricsAddr is the HTTP listen address for /metrics, /healthz,
-	// /traces, /stats and /audit (empty = disabled).
+	// MetricsAddr is the HTTP listen address for /metrics and /healthz
+	// (empty = disabled).
 	MetricsAddr string `json:"metrics_addr"`
 	// Pprof mounts net/http/pprof on the metrics listener.
 	Pprof bool `json:"pprof"`
@@ -128,7 +128,7 @@ func (c *ServerConfig) RegisterFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Direct, "direct", c.Direct, "bypass the controller (ablation configuration)")
 	fs.IntVar(&c.DOP, "dop", c.DOP, "intra-query degree of parallelism (0 = sequential, -1 = GOMAXPROCS); every statement runs in a new session that starts from it")
 	fs.IntVar(&c.BatchSize, "batch-size", c.BatchSize, "set-oriented federated calls: chunk lateral invocations into batches of this many rows (0 or 1 = per-row); every statement runs in a new session that starts from it")
-	fs.StringVar(&c.MetricsAddr, "metrics-addr", c.MetricsAddr, "HTTP listen address for /metrics, /healthz and /traces (empty = disabled)")
+	fs.StringVar(&c.MetricsAddr, "metrics-addr", c.MetricsAddr, "HTTP listen address for /metrics and /healthz (empty = disabled)")
 	fs.BoolVar(&c.Pprof, "pprof", c.Pprof, "mount net/http/pprof under /debug/pprof/ on the metrics listener")
 	fs.Float64Var(&c.SlowQueryMS, "slow-query-ms", c.SlowQueryMS, "log statements at or above this simulated latency in paper ms (0 = disabled)")
 	fs.Func("grace", "shutdown grace period for draining in-flight statements (Go duration)", func(v string) error {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 
@@ -69,18 +68,16 @@ func TestStatsWarehouseQueryableFromSQL(t *testing.T) {
 }
 
 // TestStatsEndpointsConcurrentWithStatements hammers the serving path
-// while scraping /metrics and the /stats endpoints and querying the
-// virtual tables — the warehouse, plan store, and registry must be safe
-// under -race.
+// while scraping /metrics and scanning the warehouse's relations — the
+// warehouse, plan store, and registry must be safe under -race. The
+// metrics listener serves /metrics and /healthz and nothing else: the
+// warehouse is read as SQL.
 func TestStatsEndpointsConcurrentWithStatements(t *testing.T) {
 	srv, err := NewServer(Config{Arch: fedfunc.ArchUDTF, Trace: collector.Policy{SampleRate: -1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := obs.MetricsMux(srv.MetricsRegistry())
-	srv.Collector().Register(mux)
-	srv.Stats().Register(mux)
-	web := httptest.NewServer(mux)
+	web := httptest.NewServer(obs.MetricsMux(srv.MetricsRegistry()))
 	defer web.Close()
 
 	const writers, perWriter, scrapes = 4, 20, 30
@@ -98,58 +95,55 @@ func TestStatsEndpointsConcurrentWithStatements(t *testing.T) {
 			}
 		}(w)
 	}
-	for _, path := range []string{"/metrics", "/stats/statements", "/stats/functions"} {
-		wg.Add(1)
-		go func(path string) {
-			defer wg.Done()
-			for i := 0; i < scrapes; i++ {
-				resp, err := http.Get(web.URL + path)
-				if err != nil {
-					t.Errorf("GET %s: %v", path, err)
-					return
-				}
-				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-					t.Errorf("reading %s: %v", path, err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Errorf("GET %s: status %d", path, resp.StatusCode)
-					return
-				}
-			}
-		}(path)
-	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := srv.Session()
 		for i := 0; i < scrapes; i++ {
-			if _, err := s.QueryContext(context.Background(), "SELECT Calls FROM fed_stat_statements"); err != nil {
-				t.Errorf("querying fed_stat_statements: %v", err)
+			resp, err := http.Get(web.URL + "/metrics")
+			if err != nil {
+				t.Errorf("GET /metrics: %v", err)
+				return
+			}
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				t.Errorf("reading /metrics: %v", err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("GET /metrics: status %d", resp.StatusCode)
 				return
 			}
 		}
 	}()
+	for _, q := range []string{"SELECT Calls FROM fed_stat_statements", "SELECT Func, Calls FROM fed_stat_functions"} {
+		wg.Add(1)
+		go func(q string) {
+			defer wg.Done()
+			s := srv.Session()
+			for i := 0; i < scrapes; i++ {
+				if _, err := s.QueryContext(context.Background(), q); err != nil {
+					t.Errorf("%s: %v", q, err)
+					return
+				}
+			}
+		}(q)
+	}
 	wg.Wait()
 
-	stmts := srv.Stats().Statements()
-	if len(stmts) != 1 || stmts[0].Calls != writers*perWriter {
-		got := 0
-		if len(stmts) > 0 {
-			got = int(stmts[0].Calls)
+	tab, err := srv.Session().QueryContext(context.Background(), "SELECT Calls, Query FROM fed_stat_statements")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.Len() != 1 || tab.Rows[0][0].Int() != writers*perWriter || tab.Rows[0][1].Str() != "select q.qual from table (getsuppqual(?)) as q" {
+		t.Fatalf("after the storm fed_stat_statements holds:\n%s\nwant 1 fingerprint with %d calls", tab, writers*perWriter)
+	}
+	for _, path := range []string{"/stats/statements", "/stats/functions", "/traces", "/audit", "/wf/instances", "/slo"} {
+		resp, err := http.Get(web.URL + path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Fatalf("after the storm: %d fingerprints, top calls %d; want 1 fingerprint with %d calls", len(stmts), got, writers*perWriter)
-	}
-	resp, err := http.Get(web.URL + "/stats/statements")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "getsuppqual(?)") {
-		t.Errorf("/stats/statements does not mention the normalized statement:\n%s", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }

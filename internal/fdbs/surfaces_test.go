@@ -3,10 +3,8 @@ package fdbs
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -31,7 +29,7 @@ const surfacesGolden = "testdata/surfaces.golden"
 
 // TestServedSurfacesGolden pins everything the server says about itself
 // after a fixed workload: every Prometheus series but the wall-time one,
-// the JSON endpoints, and every fed_* relation as a multiset. The workload
+// and every fed_* relation as a multiset. The workload
 // runs under both architectures, one statement at a time over framed TCP
 // with fixed trace ids: every catalog federated function on its sample
 // arguments, one lateral batch, and seeded faults that retry, trip a
@@ -170,7 +168,6 @@ func servedSurfaces(t *testing.T, b *strings.Builder, arch fedfunc.Arch) {
 	}
 
 	dumpPrometheus(t, b, srv)
-	dumpEndpoints(t, b, srv)
 	dumpRelations(t, b, srv)
 }
 
@@ -196,105 +193,6 @@ func dumpPrometheus(t *testing.T, b *strings.Builder, srv *Server) {
 	for _, l := range lines {
 		b.WriteString(l + "\n")
 	}
-}
-
-// dumpEndpoints appends each JSON endpoint, one object per line with its
-// keys sorted; the journal's event lists are multisets with seq masked,
-// and every retained trace is dumped span by span.
-func dumpEndpoints(t *testing.T, b *strings.Builder, srv *Server) {
-	t.Helper()
-	mux := obs.MetricsMux(srv.MetricsRegistry())
-	srv.Collector().Register(mux)
-	srv.Stats().Register(mux)
-	srv.Journal().Register(mux)
-	get := func(path string) any {
-		rr := httptest.NewRecorder()
-		mux.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
-		if rr.Code != 200 {
-			t.Fatalf("GET %s: %d", path, rr.Code)
-		}
-		var v any
-		if err := json.Unmarshal(rr.Body.Bytes(), &v); err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return v
-	}
-	for _, path := range []string{"/stats/statements", "/stats/functions", "/audit?n=100000", "/wf/instances?n=100000", "/slo", "/traces"} {
-		fmt.Fprintf(b, "==== %s\n", path)
-		flattenJSON(b, "", get(path), path == "/audit?n=100000" || path == "/wf/instances?n=100000")
-	}
-	var ids []string
-	for _, s := range srv.Collector().List(collector.Filter{}) {
-		ids = append(ids, s.ID)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		fmt.Fprintf(b, "==== /traces/%s\n", id)
-		flattenJSON(b, "", get("/traces/"+id), false)
-	}
-}
-
-// flattenJSON writes v one object per line: a line holds an object's
-// scalar fields, sorted by key and prefixed by its path, and nested
-// objects and arrays follow on their own lines. With multiset, the
-// elements of every array are sorted.
-func flattenJSON(b *strings.Builder, path string, v any, multiset bool) {
-	var lines []string
-	var walk func(path string, v any)
-	walk = func(path string, v any) {
-		switch x := v.(type) {
-		case map[string]any:
-			keys := make([]string, 0, len(x))
-			for k := range x {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			var scalars []string
-			for _, k := range keys {
-				switch x[k].(type) {
-				case map[string]any, []any:
-				default:
-					scalars = append(scalars, k+"="+maskJSON(k, x[k]))
-				}
-			}
-			lines = append(lines, path+" {"+strings.Join(scalars, " ")+"}")
-			for _, k := range keys {
-				switch x[k].(type) {
-				case map[string]any, []any:
-					walk(path+"."+k, x[k])
-				}
-			}
-		case []any:
-			if multiset {
-				start := len(lines)
-				for _, e := range x {
-					walk(path+"[]", e)
-				}
-				sort.Strings(lines[start:])
-				return
-			}
-			for i, e := range x {
-				walk(fmt.Sprintf("%s[%d]", path, i), e)
-			}
-		default:
-			lines = append(lines, path+" "+maskJSON("", x))
-		}
-	}
-	walk(path, v)
-	for _, l := range lines {
-		b.WriteString(l + "\n")
-	}
-}
-
-// maskJSON renders a scalar JSON value, masking sequence numbers and wall
-// time.
-func maskJSON(key string, v any) string {
-	k := strings.ToLower(key)
-	if k == "seq" || strings.Contains(k, "wall") {
-		return "<masked>"
-	}
-	enc, _ := json.Marshal(v)
-	return maskWallAttrs(string(enc))
 }
 
 var wallAttr = regexp.MustCompile(`wall_ms=[0-9.]+`)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -145,32 +144,26 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 		}
 	}
 
-	// The server retained the forced trace; /traces serves it both ways.
+	// The server retained the forced trace; fed_traces lists it and
+	// fed_spans holds its tree, read over the same client protocol.
 	if srv.Collector().Get(traceID) == nil {
 		t.Fatal("forced trace not in the collector")
 	}
-	mux := obs.MetricsMux(srv.MetricsRegistry())
-	srv.Collector().Register(mux)
-	rr := httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces", nil))
-	var sums []collector.Summary
-	if err := json.Unmarshal(rr.Body.Bytes(), &sums); err != nil {
+	listed, err := client.Exec(context.Background(), "SELECT Trace, Forced, Spans FROM fed_traces WHERE Trace = "+quote(traceID))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sums) == 0 || !strings.Contains(rr.Body.String(), traceID) {
-		t.Errorf("/traces listing:\n%s", rr.Body.String())
+	if listed.Table.Len() != 1 || !listed.Table.Rows[0][1].Bool() || listed.Table.Rows[0][2].Int() == 0 {
+		t.Errorf("fed_traces row:\n%s", listed.Table)
 	}
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/"+traceID, nil))
-	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "fdbs.exec") {
-		t.Errorf("/traces/<id> JSON:\n%s", rr.Body.String())
+	spans, err := client.Exec(context.Background(), TraceSpansQuery(traceID))
+	if err != nil {
+		t.Fatal(err)
 	}
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/"+traceID+"?format=text", nil))
-	body := rr.Body.String()
-	for _, want := range []string{"waterfall total=", "wfms.activity", "appsys.call", "#"} {
+	body := spans.Table.String()
+	for _, want := range []string{"fdbs.exec", "wfms.activity", "appsys.call"} {
 		if !strings.Contains(body, want) {
-			t.Errorf("text waterfall missing %q:\n%s", want, body)
+			t.Errorf("fed_spans of the trace lack %q:\n%s", want, body)
 		}
 	}
 
@@ -179,11 +172,14 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 	if _, err := client.Exec(context.Background(), "SELECT nonsense FROM nowhere"); err == nil {
 		t.Fatal("bad statement accepted")
 	}
-	errs := srv.Collector().List(collector.Filter{ErrorsOnly: true})
-	if len(errs) != 1 || errs[0].Error == "" {
-		t.Fatalf("error trace not retained: %v", errs)
+	errs, err := client.Exec(context.Background(), "SELECT Trace, Err FROM fed_traces WHERE Err <> ''")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if findData(srv.Collector().Get(errs[0].ID).Root, "fdbs.exec") == nil {
+	if errs.Table.Len() != 1 {
+		t.Fatalf("error trace not retained:\n%s", errs.Table)
+	}
+	if findData(srv.Collector().Get(errs.Table.Rows[0][0].Str()).Root, "fdbs.exec") == nil {
 		t.Error("error trace has no span tree")
 	}
 	// …while a fast healthy untraced statement is dropped under rate -1.

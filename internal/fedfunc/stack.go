@@ -213,23 +213,6 @@ func (c *countingClient) Call(ctx context.Context, task *simlat.Task, req rpc.Re
 	return res, err
 }
 
-// CallMeta implements rpc.MetaCaller when the wrapped client does.
-func (c *countingClient) CallMeta(ctx context.Context, task *simlat.Task, req rpc.Request) (*types.Table, map[string]string, error) {
-	mc, ok := c.inner.(rpc.MetaCaller)
-	if !ok {
-		res, err := c.Call(ctx, task, req)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, map[string]string{}, nil
-	}
-	c.n.Add(1)
-	obs.FromContext(ctx).AddRPC()
-	res, meta, err := mc.CallMeta(ctx, task, req)
-	countTimeout(ctx, req, err)
-	return res, meta, err
-}
-
 // CallBatch implements rpc.BatchCaller: one increment for the whole set,
 // degrading to per-row calls only below this layer when the transport
 // cannot batch.

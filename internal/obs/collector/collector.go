@@ -1,6 +1,6 @@
-// Package collector is the server-side trace store behind the /traces
-// endpoints: a bounded in-memory ring buffer of completed traces with
-// tail-based sampling. The decision to keep a trace is made after it
+// Package collector is the server-side trace store behind the fed_traces
+// and fed_spans relations: a bounded in-memory ring buffer of completed
+// traces with tail-based sampling. The decision to keep a trace is made after it
 // finishes ("tail" sampling), so the retention rules can look at what
 // actually happened: error traces and slow traces are always kept, traces
 // the client explicitly asked for (fedsql \trace) are always kept, and the
@@ -9,7 +9,6 @@ package collector
 
 import (
 	"math/rand"
-	"strings"
 	"sync"
 	"time"
 
@@ -62,49 +61,40 @@ func Default(pol Policy) Policy {
 }
 
 // Meta is what the collector keeps of a retained trace besides its span
-// tree — the statement and how it ended — and the JSON form /traces
-// serves it in.
+// tree: the statement and how it ended.
 type Meta struct {
-	ID        string        `json:"id"`
-	Statement string        `json:"statement"`
-	Arch      string        `json:"arch,omitempty"`
-	Error     string        `json:"error,omitempty"`
-	Forced    bool          `json:"forced,omitempty"`
-	Paper     time.Duration `json:"paper_ns"`
-	Wall      time.Duration `json:"wall_ns"`
+	ID        string
+	Statement string
+	Arch      string
+	Error     string
+	Forced    bool
+	Paper     time.Duration
+	Wall      time.Duration
 }
 
 // Trace is one stored trace as Get returns it, with its span tree decoded.
 type Trace struct {
 	Meta
-	Root *obs.SpanData `json:"root,omitempty"`
+	Root *obs.SpanData
 }
 
-// stored is one ring slot. The span tree stays in obs's compact encoding —
-// one pointer-free byte slice — until Get decodes it.
-type stored struct {
+// Kept is one retained trace, one ring slot. The span tree stays in obs's
+// compact encoding — one pointer-free byte slice — until Tree decodes it.
+type Kept struct {
 	Meta
+	Spans int    // spans in the tree, counted at retention
 	tree  []byte // obs.EncodeTrace's form
-	spans int    // spans in tree, counted at retention
 }
 
-// Summary is the listing form of a trace (no span tree).
-type Summary struct {
-	ID        string  `json:"id"`
-	Statement string  `json:"statement"`
-	Arch      string  `json:"arch,omitempty"`
-	Error     string  `json:"error,omitempty"`
-	PaperMS   float64 `json:"paper_ms"`
-	WallMS    float64 `json:"wall_ms"`
-	Spans     int     `json:"spans"`
-}
+// Tree decodes the kept span tree.
+func (k *Kept) Tree() (*obs.SpanData, error) { return obs.DecodeTrace(k.tree) }
 
 // Collector is a concurrency-safe bounded trace store.
 type Collector struct {
 	pol Policy
 
 	mu   sync.Mutex
-	ring []*stored // newest at (next-1+len)%len, nil while filling
+	ring []*Kept // newest at (next-1+len)%len, nil while filling
 	next int
 	rnd  *rand.Rand
 
@@ -120,7 +110,7 @@ type Collector struct {
 // there otherwise.
 func New(pol Policy, reg *obs.Registry) *Collector {
 	c := &Collector{pol: Default(pol)}
-	c.ring = make([]*stored, c.pol.Capacity)
+	c.ring = make([]*Kept, c.pol.Capacity)
 	seed := c.pol.Seed
 	if seed == 0 {
 		seed = defaultSeed
@@ -164,9 +154,9 @@ func (c *Collector) Offer(st *obs.Statement) bool {
 		c.dropped.Inc()
 		return false
 	}
-	kept := &stored{Meta: Meta{ID: st.TraceID, Statement: st.SQL, Arch: st.Arch, Error: st.Err,
+	kept := &Kept{Meta: Meta{ID: st.TraceID, Statement: st.SQL, Arch: st.Arch, Error: st.Err,
 		Forced: st.Forced, Paper: st.Paper, Wall: st.Wall}}
-	kept.tree, kept.spans = obs.EncodeTrace(st.Root, c.pol.MaxTraceBytes)
+	kept.tree, kept.Spans = obs.EncodeTrace(st.Root, c.pol.MaxTraceBytes)
 	c.mu.Lock()
 	if c.ring[c.next] != nil {
 		c.evicted.Inc()
@@ -185,97 +175,34 @@ func (c *Collector) randFloat() float64 {
 	return c.rnd.Float64()
 }
 
-// Get returns a stored trace by ID, with its span tree decoded, or nil.
-func (c *Collector) Get(id string) *Trace {
+// Retained returns the retained traces, newest first, decoding none. A
+// slot never changes once it is in the ring, so they are read unlocked.
+func (c *Collector) Retained() []*Kept {
 	if c == nil {
 		return nil
-	}
-	c.mu.Lock()
-	var found *stored
-	for _, t := range c.ring {
-		if t != nil && t.ID == id {
-			found = t
-			break
-		}
-	}
-	c.mu.Unlock()
-	if found == nil {
-		return nil
-	}
-	// A slot never changes once it is in the ring, so it decodes unlocked.
-	out := &Trace{Meta: found.Meta}
-	out.Root, _ = obs.DecodeTrace(found.tree) // the collector's own encoding
-	return out
-}
-
-// Filter restricts List output.
-type Filter struct {
-	// Statement keeps traces whose statement contains this substring
-	// (case-insensitive).
-	Statement string
-	// ErrorsOnly keeps only failed traces.
-	ErrorsOnly bool
-	// MinPaper keeps traces at or above this paper latency.
-	MinPaper time.Duration
-	// Limit caps the result count (0 = no cap).
-	Limit int
-}
-
-// List summarizes the retained traces newest-first, filtered. It decodes
-// no span tree: Get does.
-func (c *Collector) List(f Filter) []Summary {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	ordered := make([]*stored, 0, len(c.ring))
-	for i := 1; i <= len(c.ring); i++ { // newest first: walk backwards from next-1
-		t := c.ring[(c.next-i+len(c.ring))%len(c.ring)]
-		if t != nil {
-			ordered = append(ordered, t)
-		}
-	}
-	c.mu.Unlock()
-	stmt := strings.ToLower(f.Statement)
-	out := make([]Summary, 0, len(ordered))
-	for _, t := range ordered {
-		if f.ErrorsOnly && t.Error == "" {
-			continue
-		}
-		if stmt != "" && !strings.Contains(strings.ToLower(t.Statement), stmt) {
-			continue
-		}
-		if t.Paper < f.MinPaper {
-			continue
-		}
-		out = append(out, Summary{
-			ID:        t.ID,
-			Statement: t.Statement,
-			Arch:      t.Arch,
-			Error:     t.Error,
-			PaperMS:   float64(t.Paper) / float64(simlat.PaperMS),
-			WallMS:    float64(t.Wall) / float64(time.Millisecond),
-			Spans:     t.spans,
-		})
-		if f.Limit > 0 && len(out) >= f.Limit {
-			break
-		}
-	}
-	return out
-}
-
-// Len returns the number of retained traces currently stored.
-func (c *Collector) Len() int {
-	if c == nil {
-		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 0
-	for _, t := range c.ring {
-		if t != nil {
-			n++
+	out := make([]*Kept, 0, len(c.ring))
+	for i := 1; i <= len(c.ring); i++ { // newest first: walk backwards from next-1
+		if t := c.ring[(c.next-i+len(c.ring))%len(c.ring)]; t != nil {
+			out = append(out, t)
 		}
 	}
-	return n
+	return out
 }
+
+// Get returns a stored trace by ID, with its span tree decoded, or nil.
+func (c *Collector) Get(id string) *Trace {
+	for _, t := range c.Retained() {
+		if t.ID == id {
+			out := &Trace{Meta: t.Meta}
+			out.Root, _ = t.Tree() // the collector's own encoding
+			return out
+		}
+	}
+	return nil
+}
+
+// Len returns the number of retained traces currently stored.
+func (c *Collector) Len() int { return len(c.Retained()) }

@@ -3,8 +3,6 @@ package collector
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -89,13 +87,13 @@ func TestRingWraparoundNewestFirst(t *testing.T) {
 	if c.Len() != 4 {
 		t.Fatalf("ring length = %d", c.Len())
 	}
-	got := c.List(Filter{})
+	got := c.Retained()
 	if len(got) != 4 || got[0].ID != "t9" || got[3].ID != "t6" {
 		ids := make([]string, len(got))
 		for i, tr := range got {
 			ids[i] = tr.ID
 		}
-		t.Errorf("newest-first listing = %v", ids)
+		t.Errorf("newest-first retained = %v", ids)
 	}
 	if c.Get("t0") != nil {
 		t.Error("evicted trace still retrievable")
@@ -120,25 +118,6 @@ func TestPerTraceByteCap(t *testing.T) {
 	stored := c.Get("big")
 	if stored.Root.Size() > 400 {
 		t.Errorf("stored tree %d bytes > cap", stored.Root.Size())
-	}
-}
-
-func TestListFilters(t *testing.T) {
-	c := New(Policy{SampleRate: 1}, nil)
-	offer(c, mkTrace("a", "SELECT * FROM TABLE (GetSuppQual('Supplier3')) AS Q", 10*simlat.PaperMS, "", false))
-	offer(c, mkTrace("b", "SELECT nonsense", 2*simlat.PaperMS, "no such table", false))
-	offer(c, mkTrace("c", "INSERT INTO t VALUES (1)", 500*simlat.PaperMS, "", false))
-	if got := c.List(Filter{Statement: "getsuppqual"}); len(got) != 1 || got[0].ID != "a" {
-		t.Errorf("statement filter: %v", got)
-	}
-	if got := c.List(Filter{ErrorsOnly: true}); len(got) != 1 || got[0].ID != "b" {
-		t.Errorf("errors filter: %v", got)
-	}
-	if got := c.List(Filter{MinPaper: 100 * simlat.PaperMS}); len(got) != 1 || got[0].ID != "c" {
-		t.Errorf("latency filter: %v", got)
-	}
-	if got := c.List(Filter{Limit: 2}); len(got) != 2 {
-		t.Errorf("limit: %v", got)
 	}
 }
 
@@ -170,11 +149,9 @@ func TestFedFuncHistograms(t *testing.T) {
 
 // TestConcurrentOfferListGet exercises the ring buffer under the race
 // detector (CI runs go test -race): offers encode live trees while readers
-// list, summarize and decode them.
+// list and decode them.
 func TestConcurrentOfferListGet(t *testing.T) {
 	c := New(Policy{Capacity: 8, SampleRate: 1}, obs.NewRegistry())
-	mux := http.NewServeMux()
-	c.Register(mux)
 	root := lateralTree(t)
 	calls := obs.FedCalls(root, nil)
 	var wg sync.WaitGroup
@@ -196,90 +173,28 @@ func TestConcurrentOfferListGet(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			for _, sum := range c.List(Filter{Limit: 4}) {
-				if sum.Spans == 0 {
-					t.Errorf("listed trace %s has no tree", sum.ID)
+			for _, k := range c.Retained() {
+				if k.Spans == 0 {
+					t.Errorf("listed trace %s has no tree", k.ID)
 					return
+				}
+				if i%20 == 0 {
+					if _, err := k.Tree(); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 			if tr := c.Get("lateral"); tr != nil && tr.Root.SpanCount() != 220 {
 				t.Errorf("lateral trace decoded to %d spans", tr.Root.SpanCount())
 				return
 			}
-			rr := httptest.NewRecorder()
-			mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces?limit=3", nil))
 			c.Len()
 		}
 	}()
 	wg.Wait()
 	if c.Len() != 8 {
 		t.Errorf("ring length after concurrency = %d", c.Len())
-	}
-}
-
-func TestHTTPEndpoints(t *testing.T) {
-	reg := obs.NewRegistry()
-	c := New(Policy{SampleRate: 1}, reg)
-	offer(c, mkTrace("abc", "SELECT * FROM TABLE (GetSuppQual('Supplier3')) AS Q", 10*simlat.PaperMS, "", false))
-	offer(c, mkTrace("bad", "SELECT nope", simlat.PaperMS, "no such table", false))
-	mux := obs.MetricsMux(reg)
-	c.Register(mux)
-
-	// Listing.
-	rr := httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces", nil))
-	if rr.Code != 200 {
-		t.Fatalf("/traces = %d", rr.Code)
-	}
-	var sums []Summary
-	if err := json.Unmarshal(rr.Body.Bytes(), &sums); err != nil {
-		t.Fatal(err)
-	}
-	if len(sums) != 2 || sums[0].ID != "bad" || sums[0].Error == "" || sums[1].Spans != 1 {
-		t.Errorf("summaries = %+v", sums)
-	}
-	// Filtered listing.
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces?errors=1", nil))
-	sums = nil
-	json.Unmarshal(rr.Body.Bytes(), &sums)
-	if len(sums) != 1 || sums[0].ID != "bad" {
-		t.Errorf("error filter over HTTP = %+v", sums)
-	}
-	// Bad query parameters.
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces?min_ms=zzz", nil))
-	if rr.Code != 400 {
-		t.Errorf("bad min_ms = %d", rr.Code)
-	}
-
-	// One trace as JSON.
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/abc", nil))
-	if rr.Code != 200 || !strings.Contains(rr.Header().Get("Content-Type"), "json") {
-		t.Fatalf("/traces/abc = %d %s", rr.Code, rr.Header().Get("Content-Type"))
-	}
-	var tr Trace
-	if err := json.Unmarshal(rr.Body.Bytes(), &tr); err != nil {
-		t.Fatal(err)
-	}
-	if tr.ID != "abc" || tr.Root == nil || tr.Root.Name != "fdbs.exec" {
-		t.Errorf("trace JSON = %+v", tr)
-	}
-	// Text waterfall.
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/abc?format=text", nil))
-	body := rr.Body.String()
-	for _, want := range []string{"trace abc", "waterfall total=", "fdbs.exec", "#"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("text rendering missing %q:\n%s", want, body)
-		}
-	}
-	// Unknown trace.
-	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/nope", nil))
-	if rr.Code != 404 {
-		t.Errorf("missing trace = %d", rr.Code)
 	}
 }
 
@@ -296,117 +211,6 @@ func lateralTree(tb testing.TB) *obs.Span {
 		tb.Fatal(err)
 	}
 	return obs.SpanFromData(&d, 0)
-}
-
-// referenceTrace is the stored trace as /traces/<id> rendered it when the
-// collector kept one flat struct with the span tree in it.
-type referenceTrace struct {
-	ID        string        `json:"id"`
-	Statement string        `json:"statement"`
-	Arch      string        `json:"arch,omitempty"`
-	Error     string        `json:"error,omitempty"`
-	Forced    bool          `json:"forced,omitempty"`
-	Paper     time.Duration `json:"paper_ns"`
-	Wall      time.Duration `json:"wall_ns"`
-	Root      *obs.SpanData `json:"root,omitempty"`
-}
-
-// referenceTruncate and referencePrune are how the collector stored a tree
-// before it kept bytes: a pruned copy of the snapshot, cut level by level
-// until its marshalled JSON fit the cap.
-func referenceTruncate(d *obs.SpanData, depth int) *obs.SpanData {
-	out := &obs.SpanData{Name: d.Name, StartNS: d.StartNS, ElapsedNS: d.ElapsedNS,
-		Attrs: append([]obs.Attr(nil), d.Attrs...), Steps: append([]obs.StepData(nil), d.Steps...)}
-	if depth == 1 {
-		if len(d.Children) > 0 {
-			out.Attrs = append(out.Attrs, obs.Attr{Key: "pruned", Value: "children"})
-		}
-		return out
-	}
-	for _, c := range d.Children {
-		out.Children = append(out.Children, referenceTruncate(c, depth-1))
-	}
-	return out
-}
-
-func referencePrune(t *testing.T, d *obs.SpanData, maxBytes int) *obs.SpanData {
-	size := func(d *obs.SpanData) int {
-		b, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(b)
-	}
-	if size(d) <= maxBytes {
-		return d
-	}
-	var height func(d *obs.SpanData) int
-	height = func(d *obs.SpanData) int {
-		h := 0
-		for _, c := range d.Children {
-			h = max(h, height(c))
-		}
-		return h + 1
-	}
-	for depth := height(d) - 1; depth >= 1; depth-- {
-		if cut := referenceTruncate(d, depth); size(cut) <= maxBytes {
-			return cut
-		}
-	}
-	return referenceTruncate(d, 1)
-}
-
-// TestTraceEndpointsUnchanged: /traces/<id> as JSON and as text, and the
-// listing's span count, are byte for byte what rendering the old stored
-// form — the pruned snapshot — gives, with and without pruning.
-func TestTraceEndpointsUnchanged(t *testing.T) {
-	for _, maxBytes := range []int{0, 20000, 2000, 300} {
-		c := New(Policy{SampleRate: -1, MaxTraceBytes: maxBytes}, nil)
-		mux := http.NewServeMux()
-		c.Register(mux)
-		root := lateralTree(t)
-		root.SetAttr("error", "rpc: <nil> & \"quoted\"\n\u2028")
-		st := obs.Statement{TraceID: "lat", SQL: "SELECT d.SupplierNo FROM drv d WHERE d.SupplierNo >= 0",
-			Arch: "wfms", Err: "boom <x>", Paper: 1291 * simlat.PaperMS, Wall: 3 * time.Millisecond,
-			Root: root, Calls: obs.FedCalls(root, nil)}
-		if !c.Offer(&st) {
-			t.Fatal("error trace dropped")
-		}
-		ref := referenceTrace{ID: st.TraceID, Statement: st.SQL, Arch: st.Arch, Error: st.Err,
-			Paper: st.Paper, Wall: st.Wall, Root: referencePrune(t, obs.SnapshotSpan(root), c.Policy().MaxTraceBytes)}
-
-		var want strings.Builder
-		enc := json.NewEncoder(&want)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(ref); err != nil {
-			t.Fatal(err)
-		}
-		rr := httptest.NewRecorder()
-		mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/lat", nil))
-		if rr.Body.String() != want.String() {
-			t.Fatalf("cap %d: /traces/lat JSON differs:\n%s\nwant:\n%s", maxBytes, rr.Body.String(), want.String())
-		}
-
-		wantText := fmt.Sprintf("trace %s stmt=%q arch=%s paper=%.3fms wall=%.3fms error=%q\n\n%s\n%s",
-			ref.ID, ref.Statement, ref.Arch, float64(ref.Paper)/float64(simlat.PaperMS),
-			float64(ref.Wall)/float64(time.Millisecond), ref.Error, obs.Waterfall(ref.Root), obs.RenderData(ref.Root))
-		rr = httptest.NewRecorder()
-		mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces/lat?format=text", nil))
-		if rr.Body.String() != wantText {
-			t.Fatalf("cap %d: /traces/lat text differs:\n%s\nwant:\n%s", maxBytes, rr.Body.String(), wantText)
-		}
-
-		rr = httptest.NewRecorder()
-		mux.ServeHTTP(rr, httptest.NewRequest("GET", "/traces", nil))
-		var sums []Summary
-		if err := json.Unmarshal(rr.Body.Bytes(), &sums); err != nil {
-			t.Fatal(err)
-		}
-		if len(sums) != 1 || sums[0].Spans != ref.Root.SpanCount() {
-			t.Fatalf("cap %d: listing %+v, want %d spans", maxBytes, sums, ref.Root.SpanCount())
-		}
-		t.Logf("cap %d: %d spans kept", maxBytes, sums[0].Spans)
-	}
 }
 
 // TestNullChildInPeerFragment: a peer's fragment may carry a null child.

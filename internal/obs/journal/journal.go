@@ -2,9 +2,9 @@
 // lock-sharded ring of wide events on the virtual clock. Every statement,
 // federated call, retry/breaker/shed decision, workflow instance, and
 // activity transition is one structured event, so the server can explain
-// its own recent behavior — queryable through the fed_audit_* virtual
-// tables, the /audit and /wf/instances JSON endpoints, and the SLO
-// burn-rate monitor in slo.go.
+// its own recent behavior — queryable through the fed_audit_events,
+// fed_wf_instances, fed_wf_activities and fed_slo virtual tables, the last
+// read from the SLO burn-rate monitor in slo.go.
 //
 // The journal keeps its own virtual clock: AppendStatement stamps each
 // finished statement with the federation-wide instant and folds its
@@ -304,15 +304,6 @@ func (j *Journal) Snapshot() []Event {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
-}
-
-// Tail returns the newest n events in ascending sequence order.
-func (j *Journal) Tail(n int) []Event {
-	all := j.Snapshot()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
 }
 
 // Now returns the federation-wide virtual instant: the accumulated

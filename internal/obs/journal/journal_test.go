@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -47,22 +45,6 @@ func TestCapacityRoundsUpToShardMultiple(t *testing.T) {
 	j := New(Options{Capacity: 30})
 	if got := j.Capacity(); got != 32 {
 		t.Fatalf("capacity = %d, want 32 (rounded to shard multiple)", got)
-	}
-}
-
-func TestTailNewestAscending(t *testing.T) {
-	j := New(Options{Capacity: 64})
-	for i := 0; i < 10; i++ {
-		j.Append(Event{Kind: KindCall, Row: -1})
-	}
-	tail := j.Tail(3)
-	if len(tail) != 3 {
-		t.Fatalf("tail length = %d, want 3", len(tail))
-	}
-	for i, want := range []uint64{8, 9, 10} {
-		if tail[i].Seq != want {
-			t.Fatalf("tail[%d].Seq = %d, want %d", i, tail[i].Seq, want)
-		}
 	}
 }
 
@@ -318,50 +300,58 @@ func TestWorkflowEventsFollowFaults(t *testing.T) {
 	}
 }
 
-func TestHTTPEndpoints(t *testing.T) {
+// TestJournalRelations: fed_audit_events carries every field of an event
+// but its JSON form, fed_wf_instances the instance events, and fed_slo one
+// row per window of SLOReport with the objectives and the virtual instant.
+func TestJournalRelations(t *testing.T) {
 	j := New(Options{Capacity: 64})
 	j.SetObjectives(Objectives{Availability: 0.99, Latency: 50 * time.Millisecond})
 	for i := 0; i < 5; i++ {
-		j.Append(Event{Kind: KindStatement, Row: -1, StartVT: j.Now(), DurVT: time.Millisecond})
+		j.Append(Event{Kind: KindStatement, TraceID: "t", Fingerprint: "f", Arch: "wfms", Row: -1, Rows: 2,
+			RPCs: 3, Instances: 1, StartVT: j.Now(), DurVT: time.Millisecond})
 		j.Advance(time.Second)
 	}
-	j.Append(Event{Kind: KindInstance, Instance: "wf-000001", Func: "wfSuppQual", Row: -1})
+	j.Append(Event{Kind: KindInstance, Instance: "wf-000001", Func: "wfSuppQual", Batch: 4, Activities: 2, Row: -1})
 
-	muxr := http.NewServeMux()
-	j.Register(muxr)
-
-	h := httptest.NewRecorder()
-	req := httptest.NewRequest("GET", "/audit?n=3", nil)
-	muxr.ServeHTTP(h, req)
-	var audit auditPayload
-	if err := json.Unmarshal(h.Body.Bytes(), &audit); err != nil {
-		t.Fatalf("/audit not JSON: %v", err)
+	events, err := j.EventsTable()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if audit.Seq != 6 || len(audit.Events) != 3 {
-		t.Fatalf("/audit payload: seq=%d events=%d", audit.Seq, len(audit.Events))
+	if events.Len() != 6 {
+		t.Fatalf("fed_audit_events has %d rows, want 6", events.Len())
 	}
-	if audit.Events[0].Seq != 6 {
-		t.Fatalf("/audit newest-first: first seq = %d, want 6", audit.Events[0].Seq)
+	want := []string{"1", "'statement'", "'t'", "'f'", "'wfms'", "''", "''", "''", "''", "''", "-1", "2", "0", "0", "3", "1", "0", "1", "''"}
+	for i, v := range events.Rows[0] {
+		if v.String() != want[i] {
+			t.Errorf("fed_audit_events.%s = %s, want %s", events.Schema[i].Name, v, want[i])
+		}
 	}
-
-	h = httptest.NewRecorder()
-	muxr.ServeHTTP(h, httptest.NewRequest("GET", "/wf/instances", nil))
-	var inst instancesPayload
-	if err := json.Unmarshal(h.Body.Bytes(), &inst); err != nil {
-		t.Fatalf("/wf/instances not JSON: %v", err)
-	}
-	if len(inst.Instances) != 1 || inst.Instances[0].Instance != "wf-000001" {
-		t.Fatalf("/wf/instances payload: %+v", inst)
+	if r := events.Rows[5]; r[12].Int() != 4 || r[13].Int() != 2 {
+		t.Errorf("instance event batch/activities = %s/%s, want 4/2", r[12], r[13])
 	}
 
-	h = httptest.NewRecorder()
-	muxr.ServeHTTP(h, httptest.NewRequest("GET", "/slo", nil))
-	var rep SLOReport
-	if err := json.Unmarshal(h.Body.Bytes(), &rep); err != nil {
-		t.Fatalf("/slo not JSON: %v", err)
+	inst, err := j.InstancesTable()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Objectives.Availability != 0.99 || len(rep.Windows) != 3 {
-		t.Fatalf("/slo payload: %+v", rep)
+	if inst.Len() != 1 || inst.Rows[0][0].Str() != "wf-000001" {
+		t.Fatalf("fed_wf_instances:\n%s", inst)
+	}
+
+	slo, err := j.SLOTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := j.SLOReport()
+	if slo.Len() != len(rep.Windows) {
+		t.Fatalf("fed_slo has %d rows, want %d", slo.Len(), len(rep.Windows))
+	}
+	for i, w := range rep.Windows {
+		r := slo.Rows[i]
+		if r[0].Str() != w.Window || r[1].Int() != int64(w.Statements) || r[4].Float() != w.AvailBurn ||
+			r[8].Float() != 0.99 || r[9].Float() != 50 || r[10].Float() != 5000 {
+			t.Errorf("fed_slo row %d = %v, want %+v at 0.99, 50 ms, now 5000 ms", i, r, w)
+		}
 	}
 }
 

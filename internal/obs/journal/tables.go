@@ -22,6 +22,7 @@ func EventsSchema() types.Schema {
 		{Name: "Kind", Type: types.VarChar},
 		{Name: "Trace", Type: types.VarCharN(16)},
 		{Name: "Fingerprint", Type: types.VarCharN(16)},
+		{Name: "Arch", Type: types.VarChar},
 		{Name: "Func", Type: types.VarChar},
 		{Name: "Class", Type: types.VarChar},
 		{Name: "Instance", Type: types.VarChar},
@@ -29,6 +30,10 @@ func EventsSchema() types.Schema {
 		{Name: "Detail", Type: types.VarChar},
 		{Name: "RowIdx", Type: types.BigInt},
 		{Name: "Rows", Type: types.BigInt},
+		{Name: "Batch", Type: types.BigInt},
+		{Name: "Activities", Type: types.BigInt},
+		{Name: "RPCs", Type: types.BigInt},
+		{Name: "Instances", Type: types.BigInt},
 		{Name: "Started_VT", Type: types.Double},
 		{Name: "Dur_MS", Type: types.Double},
 		{Name: "Err", Type: types.VarChar},
@@ -45,6 +50,7 @@ func (j *Journal) EventsTable() (*types.Table, error) {
 			types.NewString(string(e.Kind)),
 			types.NewString(e.TraceID),
 			types.NewString(e.Fingerprint),
+			types.NewString(e.Arch),
 			types.NewString(e.Func),
 			types.NewString(e.Class),
 			types.NewString(e.Instance),
@@ -52,6 +58,10 @@ func (j *Journal) EventsTable() (*types.Table, error) {
 			types.NewString(e.Detail),
 			types.NewInt(int64(e.Row)),
 			types.NewInt(int64(e.Rows)),
+			types.NewInt(int64(e.Batch)),
+			types.NewInt(int64(e.Activities)),
+			types.NewInt(e.RPCs),
+			types.NewInt(e.Instances),
 			types.NewFloat(paperMS(e.StartVT)),
 			types.NewFloat(paperMS(e.DurVT)),
 			types.NewString(e.Err),
@@ -124,6 +134,48 @@ func (j *Journal) ActivitiesTable() (*types.Table, error) {
 			types.NewInt(int64(e.Row)),
 			types.NewInt(int64(e.Rows)),
 			types.NewFloat(paperMS(e.StartVT)),
+		})
+	}
+	return tab, nil
+}
+
+// SLOSchema is the relation schema of fed_slo: one row per sliding window
+// of the burn-rate monitor, evaluated at the journal's current virtual
+// instant (Now_VT, paper milliseconds) against the configured objectives.
+func SLOSchema() types.Schema {
+	return types.Schema{
+		{Name: "Window", Type: types.VarChar},
+		{Name: "Statements", Type: types.BigInt},
+		{Name: "Errors", Type: types.BigInt},
+		{Name: "Slow", Type: types.BigInt},
+		{Name: "Availability_Burn", Type: types.Double},
+		{Name: "Latency_Burn", Type: types.Double},
+		{Name: "Error_Fraction", Type: types.Double},
+		{Name: "Slow_Fraction", Type: types.Double},
+		{Name: "Availability_Objective", Type: types.Double},
+		{Name: "Latency_Objective_MS", Type: types.Double},
+		{Name: "Now_VT", Type: types.Double},
+	}
+}
+
+// SLOTable materializes the SLOReport as a relation, one row per window
+// in Windows order.
+func (j *Journal) SLOTable() (*types.Table, error) {
+	rep := j.SLOReport()
+	tab := types.NewTable(SLOSchema())
+	for _, w := range rep.Windows {
+		tab.MustAppend(types.Row{
+			types.NewString(w.Window),
+			types.NewInt(int64(w.Statements)),
+			types.NewInt(int64(w.Errors)),
+			types.NewInt(int64(w.Slow)),
+			types.NewFloat(w.AvailBurn),
+			types.NewFloat(w.LatencyBurn),
+			types.NewFloat(w.ErrFraction),
+			types.NewFloat(w.SlowFraction),
+			types.NewFloat(rep.Objectives.Availability),
+			types.NewFloat(paperMS(rep.Objectives.Latency)),
+			types.NewFloat(paperMS(rep.NowVT)),
 		})
 	}
 	return tab, nil

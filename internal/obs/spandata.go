@@ -54,7 +54,7 @@ const (
 	MetaTraceFragment = "trace.fragment"
 	// MetaTracePushed names the trace ID of a fragment too large for the
 	// meta channel; the server pushed it to its collector instead, where
-	// /traces/<id> serves it.
+	// the fed_spans relation serves it.
 	MetaTracePushed = "trace.pushed"
 	// MetaTraceID reports the trace ID assigned to a traced statement.
 	MetaTraceID = "trace_id"
@@ -218,8 +218,8 @@ func DecodeFragment(s string) (*Fragment, error) {
 }
 
 // RenderData renders a SpanData tree in the same indented format Render
-// uses for live spans, so /traces output matches what EXPLAIN ANALYZE and
-// the slow-query log show.
+// uses for live spans, so a client's trace rendering matches what EXPLAIN
+// ANALYZE and the slow-query log show.
 func RenderData(d *SpanData) string {
 	var b strings.Builder
 	var walk func(d *SpanData, depth int)
@@ -233,11 +233,7 @@ func RenderData(d *SpanData) string {
 			b.WriteString(" " + a.String())
 		}
 		if len(d.Steps) > 0 {
-			parts := make([]string, len(d.Steps))
-			for i, st := range d.Steps {
-				parts[i] = fmt.Sprintf("%s:%s", st.Name, fmtMS(time.Duration(st.NS)))
-			}
-			b.WriteString(" steps=[" + strings.Join(parts, "; ") + "]")
+			b.WriteString(" steps=[" + FormatSteps(d.Steps) + "]")
 		}
 		b.WriteByte('\n')
 		for _, c := range d.Children {
@@ -246,6 +242,16 @@ func RenderData(d *SpanData) string {
 	}
 	walk(d, 0)
 	return b.String()
+}
+
+// FormatSteps renders a span's step attribution as "label:ms; …" in paper
+// milliseconds, the form RenderData prints inside steps=[…].
+func FormatSteps(steps []StepData) string {
+	parts := make([]string, len(steps))
+	for i, st := range steps {
+		parts[i] = st.Name + ":" + fmtMS(time.Duration(st.NS))
+	}
+	return strings.Join(parts, "; ")
 }
 
 // waterfallWidth is the bar width of the waterfall rendering.

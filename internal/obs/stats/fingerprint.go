@@ -6,8 +6,7 @@
 // retries, breaker trips, cache outcomes, RPC and workflow-instance
 // counts, batch fill, and paper-latency quantiles from a deterministic
 // log-bucket sketch. The warehouse is bounded (LRU eviction of cold
-// fingerprints) and surfaced three ways: JSON endpoints
-// (/stats/statements, /stats/functions), Prometheus series on the shared
+// fingerprints) and surfaced two ways: Prometheus series on the shared
 // registry, and the fed_stat_statements / fed_stat_functions virtual
 // tables queryable through the federation's own SQL path.
 //

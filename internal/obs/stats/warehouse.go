@@ -2,7 +2,10 @@ package stats
 
 import (
 	"errors"
+	"maps"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -229,50 +232,50 @@ func (w *Warehouse) evictColdLocked() {
 
 // StatementStats is the exported per-fingerprint aggregate.
 type StatementStats struct {
-	Fingerprint string `json:"fingerprint"`
-	Query       string `json:"query"`
-	Arch        string `json:"arch,omitempty"`
+	Fingerprint string
+	Query       string
+	Arch        string
 
-	Calls int64 `json:"calls"`
-	Rows  int64 `json:"rows"`
+	Calls int64
+	Rows  int64
 
-	Errors        int64            `json:"errors"`
-	ErrorsByClass map[string]int64 `json:"errors_by_class,omitempty"`
+	Errors        int64
+	ErrorsByClass map[string]int64
 
-	Retries      int64 `json:"retries"`
-	BreakerTrips int64 `json:"breaker_trips"`
-	Sheds        int64 `json:"sheds"`
-	Timeouts     int64 `json:"timeouts"`
-	RPCs         int64 `json:"rpcs"`
-	Instances    int64 `json:"instances"`
+	Retries      int64
+	BreakerTrips int64
+	Sheds        int64
+	Timeouts     int64
+	RPCs         int64
+	Instances    int64
 
-	CacheHits      int64 `json:"cache_hits"`
-	CacheMisses    int64 `json:"cache_misses"`
-	CacheCoalesced int64 `json:"cache_coalesced"`
+	CacheHits      int64
+	CacheMisses    int64
+	CacheCoalesced int64
 
-	BatchCalls int64   `json:"batch_calls"`
-	BatchRows  int64   `json:"batch_rows"`
-	BatchFill  float64 `json:"batch_fill"`
+	BatchCalls int64
+	BatchRows  int64
+	BatchFill  float64
 
-	TotalMS float64 `json:"total_ms"`
-	MeanMS  float64 `json:"mean_ms"`
-	MaxMS   float64 `json:"max_ms"`
-	P50MS   float64 `json:"p50_ms"`
-	P95MS   float64 `json:"p95_ms"`
-	P99MS   float64 `json:"p99_ms"`
-	WallMS  float64 `json:"wall_ms"`
+	TotalMS float64
+	MeanMS  float64
+	MaxMS   float64
+	P50MS   float64
+	P95MS   float64
+	P99MS   float64
+	WallMS  float64
 }
 
 // FunctionStats is the exported per-federated-function aggregate.
 type FunctionStats struct {
-	Function   string  `json:"function"`
-	Calls      int64   `json:"calls"`
-	Statements int64   `json:"statements"`
-	TotalMS    float64 `json:"total_ms"`
-	MeanMS     float64 `json:"mean_ms"`
-	P50MS      float64 `json:"p50_ms"`
-	P95MS      float64 `json:"p95_ms"`
-	P99MS      float64 `json:"p99_ms"`
+	Function   string
+	Calls      int64
+	Statements int64
+	TotalMS    float64
+	MeanMS     float64
+	P50MS      float64
+	P95MS      float64
+	P99MS      float64
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
@@ -302,18 +305,13 @@ func (e *stmtEntry) snapshot() StatementStats {
 		P95MS:          e.sketch.Quantile(0.95),
 		P99MS:          e.sketch.Quantile(0.99),
 		WallMS:         ms(e.wallTotal),
+		ErrorsByClass:  maps.Clone(e.errors),
 	}
 	if e.calls > 0 {
 		s.MeanMS = s.TotalMS / float64(e.calls)
 	}
 	if e.batchSlots > 0 {
 		s.BatchFill = float64(e.batchRows) / float64(e.batchSlots)
-	}
-	if len(e.errors) > 0 {
-		s.ErrorsByClass = make(map[string]int64, len(e.errors))
-		for k, v := range e.errors {
-			s.ErrorsByClass[k] = v
-		}
 	}
 	return s
 }
@@ -401,27 +399,48 @@ func (w *Warehouse) Totals() Totals {
 }
 
 // StatementsSchema is the relation schema of fed_stat_statements.
+// Errors_By_Class lists the error classes as "class=n" pairs sorted by
+// class; Wall_MS is the fingerprint's total real serving time.
 func StatementsSchema() types.Schema {
 	return types.Schema{
 		{Name: "Fingerprint", Type: types.VarCharN(16)},
+		{Name: "Arch", Type: types.VarChar},
 		{Name: "Calls", Type: types.BigInt},
 		{Name: "Rows", Type: types.BigInt},
 		{Name: "Errors", Type: types.BigInt},
+		{Name: "Errors_By_Class", Type: types.VarChar},
 		{Name: "Retries", Type: types.BigInt},
 		{Name: "BreakerTrips", Type: types.BigInt},
+		{Name: "Sheds", Type: types.BigInt},
 		{Name: "Timeouts", Type: types.BigInt},
 		{Name: "RPCs", Type: types.BigInt},
 		{Name: "Instances", Type: types.BigInt},
 		{Name: "CacheHits", Type: types.BigInt},
 		{Name: "CacheMisses", Type: types.BigInt},
+		{Name: "CacheCoalesced", Type: types.BigInt},
+		{Name: "BatchCalls", Type: types.BigInt},
+		{Name: "BatchRows", Type: types.BigInt},
 		{Name: "BatchFill", Type: types.Double},
 		{Name: "Total_MS", Type: types.Double},
 		{Name: "Mean_MS", Type: types.Double},
+		{Name: "Max_MS", Type: types.Double},
 		{Name: "P50_MS", Type: types.Double},
 		{Name: "P95_MS", Type: types.Double},
 		{Name: "P99_MS", Type: types.Double},
+		{Name: "Wall_MS", Type: types.Double},
 		{Name: "Query", Type: types.VarChar},
 	}
+}
+
+// classCounts renders an errors-by-class map as "class=n" pairs sorted by
+// class.
+func classCounts(m map[string]int64) string {
+	parts := make([]string, 0, len(m))
+	for class, n := range m {
+		parts = append(parts, class+"="+strconv.FormatInt(n, 10))
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
 }
 
 // StatementsTable materializes the current statement aggregates as a
@@ -431,22 +450,30 @@ func (w *Warehouse) StatementsTable() (*types.Table, error) {
 	for _, s := range w.Statements() {
 		tab.MustAppend(types.Row{
 			types.NewString(s.Fingerprint),
+			types.NewString(s.Arch),
 			types.NewInt(s.Calls),
 			types.NewInt(s.Rows),
 			types.NewInt(s.Errors),
+			types.NewString(classCounts(s.ErrorsByClass)),
 			types.NewInt(s.Retries),
 			types.NewInt(s.BreakerTrips),
+			types.NewInt(s.Sheds),
 			types.NewInt(s.Timeouts),
 			types.NewInt(s.RPCs),
 			types.NewInt(s.Instances),
 			types.NewInt(s.CacheHits),
 			types.NewInt(s.CacheMisses),
+			types.NewInt(s.CacheCoalesced),
+			types.NewInt(s.BatchCalls),
+			types.NewInt(s.BatchRows),
 			types.NewFloat(s.BatchFill),
 			types.NewFloat(s.TotalMS),
 			types.NewFloat(s.MeanMS),
+			types.NewFloat(s.MaxMS),
 			types.NewFloat(s.P50MS),
 			types.NewFloat(s.P95MS),
 			types.NewFloat(s.P99MS),
+			types.NewFloat(s.WallMS),
 			types.NewString(s.Query),
 		})
 	}

@@ -70,7 +70,7 @@ func (e *Executor) BreakerState(system string) BreakerState {
 // Call runs op under the system's breaker and the retry policy. A nil
 // executor calls op once, unguarded. Retry attempts appear as resil.retry
 // child spans; the final attempt count and any breaker transition are
-// annotated on the enclosing span, so /traces shows the whole story. Each
+// annotated on the enclosing span, so fed_spans shows the whole story. Each
 // retry, breaker trip and shed is counted against the system in the
 // obs.StmtCounters ctx carries.
 func (e *Executor) Call(ctx context.Context, task *simlat.Task, system string,

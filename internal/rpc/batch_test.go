@@ -153,40 +153,6 @@ func TestCallBatchOverTCPServerFallback(t *testing.T) {
 	}
 }
 
-// minimalClient implements only Client — no MetaCaller, no BatchCaller.
-type minimalClient struct{ h Handler }
-
-func (m *minimalClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-	return m.h(ctx, task, req)
-}
-func (m *minimalClient) Close() error { return nil }
-
-func TestGuardCallMetaNonMetaCallerReturnsEmptyMap(t *testing.T) {
-	g := Guard(&minimalClient{h: echoHandler}, resil.NewExecutor(resil.RetryPolicy{}, resil.BreakerPolicy{}))
-	res, meta, err := g.(MetaCaller).CallMeta(context.Background(), simlat.NewVirtualTask(),
-		Request{System: "stock", Function: "GetQuality", Args: []types.Value{types.NewInt(1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == nil || res.Len() != 1 {
-		t.Fatalf("result = %v", res)
-	}
-	if meta == nil {
-		t.Fatal("metadata is nil; want explicit empty map")
-	}
-	if len(meta) != 0 {
-		t.Fatalf("metadata = %v, want empty", meta)
-	}
-	// Errors still return a nil map.
-	_, meta, err = g.(MetaCaller).CallMeta(context.Background(), simlat.NewVirtualTask(), Request{Function: "fail"})
-	if err == nil {
-		t.Fatal("error not propagated")
-	}
-	if meta != nil {
-		t.Fatalf("metadata on error = %v, want nil", meta)
-	}
-}
-
 func TestGuardCallBatch(t *testing.T) {
 	var calls atomic.Int64
 	inner := NewInProcBatch(echoHandler, batchEchoHandler(&calls))

@@ -90,8 +90,9 @@ type Client interface {
 	Close() error
 }
 
-// MetaCaller is implemented by clients that surface response metadata;
-// both built-in transports do.
+// MetaCaller is implemented by clients that surface response metadata:
+// the client DialMux returns, through which the fdbs protocol reads each
+// statement's timing and trace.
 type MetaCaller interface {
 	CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error)
 }
@@ -125,30 +126,24 @@ func CallBatch(ctx context.Context, task *simlat.Task, c Client, req BatchReques
 // ----------------------------------------------------------- in-process
 
 type inProcClient struct {
-	h  MetaHandler
+	h  Handler
 	bh BatchHandler
 }
 
 // NewInProc returns a client that dispatches directly to the handler.
-func NewInProc(h Handler) Client { return &inProcClient{h: metaOf(h)} }
+func NewInProc(h Handler) Client { return &inProcClient{h: h} }
 
 // NewInProcBatch returns an in-process client that dispatches row requests
 // to h and set-oriented requests to bh. A nil bh falls back to one h call
 // per row.
 func NewInProcBatch(h Handler, bh BatchHandler) Client {
-	return &inProcClient{h: metaOf(h), bh: bh}
+	return &inProcClient{h: h, bh: bh}
 }
 
 // Call implements Client.
 func (c *inProcClient) Call(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-	res, _, err := c.CallMeta(ctx, task, req)
-	return res, err
-}
-
-// CallMeta implements MetaCaller.
-func (c *inProcClient) CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error) {
 	if err := resil.Check(ctx, task); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	sp := obs.StartSpan(task, "rpc.call", obs.Attr{Key: "system", Value: req.System}, obs.Attr{Key: "function", Value: req.Function})
 	defer sp.End(task)
@@ -177,7 +172,7 @@ func (c *inProcClient) CallBatch(ctx context.Context, task *simlat.Task, req Bat
 	}
 	out := make([]*types.Table, len(req.Rows))
 	for i, args := range req.Rows {
-		res, _, err := c.h(ctx, task, Request{System: req.System, Function: req.Function, Args: args, Trace: req.Trace})
+		res, err := c.h(ctx, task, Request{System: req.System, Function: req.Function, Args: args, Trace: req.Trace})
 		if err != nil {
 			return nil, err
 		}
@@ -223,29 +218,6 @@ func (g *guardClient) Call(ctx context.Context, task *simlat.Task, req Request) 
 	})
 }
 
-// CallMeta implements MetaCaller when the wrapped client does; metadata of
-// the successful (final) attempt is returned. When the wrapped client is
-// not a MetaCaller, a successful call carries an explicit empty map —
-// never nil — so callers can distinguish "no metadata available" from "the
-// call failed" without a nil check.
-func (g *guardClient) CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error) {
-	mc, ok := g.c.(MetaCaller)
-	if !ok {
-		res, err := g.Call(ctx, task, req)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, map[string]string{}, nil
-	}
-	var meta map[string]string
-	res, err := g.ex.Call(ctx, task, GuardKey(req), func(ctx context.Context) (*types.Table, error) {
-		r, m, err := mc.CallMeta(ctx, task, req)
-		meta = m
-		return r, err
-	})
-	return res, meta, err
-}
-
 // CallBatch implements BatchCaller: the whole batch passes the breaker and
 // retry loop as one unit — a batch is one wire request, so it fails,
 // retries, and trips breakers atomically.
@@ -288,18 +260,6 @@ func (f *faultClient) Call(ctx context.Context, task *simlat.Task, req Request) 
 		return nil, err
 	}
 	return f.c.Call(ctx, task, req)
-}
-
-// CallMeta implements MetaCaller when the wrapped client does.
-func (f *faultClient) CallMeta(ctx context.Context, task *simlat.Task, req Request) (*types.Table, map[string]string, error) {
-	if err := f.in.Inject(ctx, task, GuardKey(req)); err != nil {
-		return nil, nil, err
-	}
-	if mc, ok := f.c.(MetaCaller); ok {
-		return mc.CallMeta(ctx, task, req)
-	}
-	res, err := f.c.Call(ctx, task, req)
-	return res, nil, err
 }
 
 // CallBatch implements BatchCaller: one injection roll per batch, because

@@ -195,25 +195,6 @@ func metaEchoHandler(_ context.Context, task *simlat.Task, req Request) (*types.
 	return tab, map[string]string{"fn": req.Function}, nil
 }
 
-func TestCallMetaInProc(t *testing.T) {
-	c := NewInProc(echoHandler)
-	defer c.Close()
-	mc, ok := c.(MetaCaller)
-	if !ok {
-		t.Fatal("in-proc client does not implement MetaCaller")
-	}
-	tab, meta, err := mc.CallMeta(context.Background(), simlat.Free(), Request{System: "s", Function: "f"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.Rows[0][1].Str() != "f" || len(meta) != 0 {
-		t.Errorf("CallMeta = %v / %v, want the echo and no metadata", tab.Rows[0], meta)
-	}
-	if _, _, err := mc.CallMeta(context.Background(), simlat.Free(), Request{System: "s", Function: "fail"}); err == nil {
-		t.Error("CallMeta lost the handler's error")
-	}
-}
-
 func TestCallMetaOverTCP(t *testing.T) {
 	srv := NewServerMeta(metaEchoHandler)
 	addr, err := srv.Listen("127.0.0.1:0")

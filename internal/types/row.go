@@ -141,6 +141,30 @@ func CoerceRow(r Row, s Schema) (Row, error) {
 	return out, nil
 }
 
+// ConformRow casts r to s like CoerceRow, but returns r itself, not a
+// copy, when no cast changes a value; only a row some cast changes is
+// copied.
+func ConformRow(r Row, s Schema) (Row, error) {
+	if len(r) != len(s) {
+		return nil, fmt.Errorf("types: row has %d values, schema has %d columns", len(r), len(s))
+	}
+	copied := false
+	for i, v := range r {
+		cv, err := Cast(v, s[i].Type)
+		if err != nil {
+			return nil, fmt.Errorf("types: column %s: %w", s[i].Name, err)
+		}
+		if cv == v {
+			continue
+		}
+		if !copied {
+			r, copied = r.Clone(), true
+		}
+		r[i] = cv
+	}
+	return r, nil
+}
+
 // Table is a fully materialised result: a schema plus rows. It is the unit
 // returned by UDTFs, by the wrapper interface, and by the embedded query
 // API.
