@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -195,11 +194,6 @@ func dumpPrometheus(t *testing.T, b *strings.Builder, srv *Server) {
 	}
 }
 
-var wallAttr = regexp.MustCompile(`wall_ms=[0-9.]+`)
-
-// maskWallAttrs masks wall_ms span attributes inside rendered text.
-func maskWallAttrs(s string) string { return wallAttr.ReplaceAllString(s, "wall_ms=<masked>") }
-
 // dumpRelations appends every fed_* relation as a multiset: its schema,
 // then its rows sorted, with sequence and wall-time columns masked.
 func dumpRelations(t *testing.T, b *strings.Builder, srv *Server) {
@@ -225,7 +219,7 @@ func dumpRelations(t *testing.T, b *strings.Builder, srv *Server) {
 				if masked[i] {
 					vals[i] = "<masked>"
 				} else {
-					vals[i] = maskWallAttrs(v.String())
+					vals[i] = v.String()
 				}
 			}
 			rows[r] = strings.Join(vals, " | ")
