@@ -1,7 +1,7 @@
 // Package collector is the server-side trace store behind the fed_traces
 // and fed_spans relations: a bounded in-memory ring buffer of completed
-// traces with tail-based sampling. The decision to keep a trace is made after it
-// finishes ("tail" sampling), so the retention rules can look at what
+// traces with tail-based sampling. The decision to keep a trace is made
+// after it finishes ("tail" sampling), so the retention rules can look at what
 // actually happened: error traces and slow traces are always kept, traces
 // the client explicitly asked for (fedsql \trace) are always kept, and the
 // healthy fast majority is sampled probabilistically.
