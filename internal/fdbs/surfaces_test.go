@@ -168,6 +168,48 @@ func servedSurfaces(t *testing.T, b *strings.Builder, arch fedfunc.Arch) {
 
 	dumpPrometheus(t, b, srv)
 	dumpRelations(t, b, srv)
+
+	// The fixed trace ids above are 16 hex digits; a statement the client
+	// does not trace runs under a server-minted id of 32. After it, every
+	// relation's values must already be of the types its schema declares.
+	if _, _, err := mc.CallMeta(context.Background(), nil, rpc.Request{Function: fnExec,
+		Args: []types.Value{types.NewString("SELECT Name FROM comps")}}); err != nil {
+		t.Fatalf("untraced statement: %v", err)
+	}
+	conformRelations(t, srv)
+}
+
+// conformRelations fails the test for any fed_* row that types.ConformRow
+// would change against the relation's own schema, and insists that the
+// check saw a 32-digit trace id in fed_audit_events.
+func conformRelations(t *testing.T, srv *Server) {
+	t.Helper()
+	s := srv.Session()
+	minted := false
+	for _, name := range srv.Engine().Catalog().Virtuals() {
+		tab, err := s.QueryContext(context.Background(), "SELECT * FROM "+name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, row := range tab.Rows {
+			got, err := types.ConformRow(row, tab.Schema)
+			if err != nil {
+				t.Fatalf("%s row %v: %v", name, row, err)
+			}
+			for i := range row {
+				if got[i] != row[i] {
+					t.Errorf("%s.%s = %v, but its declared type %s makes it %v",
+						name, tab.Schema[i].Name, row[i], tab.Schema[i].Type, got[i])
+				}
+			}
+			if name == "fed_audit_events" && len(row[tab.Schema.ColumnIndex("Trace")].Str()) == 32 {
+				minted = true
+			}
+		}
+	}
+	if !minted {
+		t.Error("no fed_audit_events row carries a 32-digit trace id; the conformance check saw none")
+	}
 }
 
 // dumpPrometheus appends every sample line of /metrics, sorted, except the

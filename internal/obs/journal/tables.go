@@ -20,7 +20,7 @@ func EventsSchema() types.Schema {
 	return types.Schema{
 		{Name: "Seq", Type: types.BigInt},
 		{Name: "Kind", Type: types.VarChar},
-		{Name: "Trace", Type: types.VarCharN(16)},
+		{Name: "Trace", Type: types.VarChar},
 		{Name: "Fingerprint", Type: types.VarCharN(16)},
 		{Name: "Arch", Type: types.VarChar},
 		{Name: "Func", Type: types.VarChar},

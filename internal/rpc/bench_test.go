@@ -118,13 +118,44 @@ func BenchmarkFrameIO(b *testing.B) {
 	})
 }
 
+// deepStack recurses through depth frames of about 1 KB each, so a
+// handler that calls it needs depth KB of goroutine stack.
+//
+//go:noinline
+func deepStack(depth int) byte {
+	var frame [1024]byte
+	frame[depth%len(frame)] = byte(depth)
+	if depth == 0 {
+		return frame[0]
+	}
+	return deepStack(depth-1) + frame[(depth*7)%len(frame)]
+}
+
+var benchStack byte
+
 // BenchmarkMuxRoundTrip is one call over one framed loopback connection:
 // everything above plus two socket writes, two reads and the goroutine
-// hand-offs of the mux client and the per-request server goroutine.
+// hand-offs of the mux client and the connection's server worker.
+// DeepHandler answers OneRow's reply from a handler that first uses 24 KB
+// of stack, as a served statement does on its way through the lexer,
+// planner and federated layers: a worker that had to grow its stack anew
+// for every request would copy it each time.
 func BenchmarkMuxRoundTrip(b *testing.B) {
-	for _, shape := range benchReplies[:2] {
+	shapes := []struct {
+		name       string
+		rep        *reply
+		stackDepth int
+	}{
+		{benchReplies[0].name, benchReplies[0].rep, 0},
+		{benchReplies[1].name, benchReplies[1].rep, 0},
+		{"DeepHandler", benchReplies[1].rep, 24},
+	}
+	for _, shape := range shapes {
 		b.Run(shape.name, func(b *testing.B) {
 			srv := NewServerMeta(func(context.Context, *simlat.Task, Request) (*types.Table, map[string]string, error) {
+				if shape.stackDepth > 0 {
+					benchStack = deepStack(shape.stackDepth)
+				}
 				return shape.rep.table, shape.rep.meta, nil
 			})
 			addr, err := srv.Listen("127.0.0.1:0")

@@ -440,9 +440,16 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // serveFramed is the multiplexed transport loop: after the hello/ack
-// handshake (which enforces the tenant session quota), every request
-// frame is handled on its own goroutine and answered whenever it
-// finishes — responses return out of order, keyed by request id.
+// handshake (which enforces the tenant session quota), each request frame
+// is handed to a worker goroutine of this connection and answered whenever
+// it finishes — responses return out of order, keyed by request id. A
+// request goes to a worker blocked waiting for one; only when every worker
+// is busy does the loop start another, which then stays to take further
+// requests. So no request waits behind another, a connection never holds
+// more workers than a goroutine per request would have had at its busiest,
+// and a worker's stack, once grown by a deep statement, serves the next one
+// without regrowing. Every worker exits when the read loop ends, and
+// serveFramed returns only after the last one has.
 func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader) {
 	payload, err := readFrame(br)
 	if err != nil {
@@ -476,9 +483,28 @@ func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader) {
 	// up), in-flight handlers and queued admission waits are cancelled.
 	//fedlint:ignore ctxfirst the connection handler is a request root; there is no caller context to thread
 	connCtx, cancel := context.WithCancel(context.Background())
-	var reqWG sync.WaitGroup
-	defer reqWG.Wait()
+	// Unbuffered: a send succeeds only into a worker already waiting.
+	reqs := make(chan framedRequest)
+	var workers sync.WaitGroup
+	defer workers.Wait()
+	defer close(reqs)
 	defer cancel()
+	serve := func(r framedRequest) {
+		defer s.endRequest()
+		frame := encodeFrameResponse(r.id, s.handleWire(connCtx, tenant, r.c))
+		wmu.Lock()
+		werr := writeFrame(conn, frame)
+		wmu.Unlock()
+		if werr != nil {
+			cancel() // the connection is dead; unblock siblings
+		}
+	}
+	worker := func(r framedRequest) {
+		defer workers.Done()
+		for ok := true; ok; r, ok = <-reqs {
+			serve(r)
+		}
+	}
 	for {
 		payload, err := readFrame(br)
 		if err != nil {
@@ -489,19 +515,20 @@ func (s *Server) serveFramed(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		s.beginRequest()
-		reqWG.Add(1)
-		go func(id uint64, c *call) {
-			defer reqWG.Done()
-			defer s.endRequest()
-			frame := encodeFrameResponse(id, s.handleWire(connCtx, tenant, c))
-			wmu.Lock()
-			werr := writeFrame(conn, frame)
-			wmu.Unlock()
-			if werr != nil {
-				cancel() // the connection is dead; unblock siblings
-			}
-		}(id, c)
+		r := framedRequest{id, c}
+		select {
+		case reqs <- r:
+		default:
+			workers.Add(1)
+			go worker(r)
+		}
 	}
+}
+
+// framedRequest is one decoded request frame on its way to a worker.
+type framedRequest struct {
+	id uint64
+	c  *call
 }
 
 // handleWire executes one call — admission, deadline re-arming, tracing,
