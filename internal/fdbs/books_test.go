@@ -197,3 +197,34 @@ func BenchmarkExecTraced(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTracedTCPStatement measures one sampled GetNoSuppComp statement
+// over loopback TCP: the client's live trace marks the request sampled, the
+// server ships its span tree back, and the client grafts it under rpc.call.
+func BenchmarkTracedTCPStatement(b *testing.B) {
+	srv, err := NewServer(Config{Trace: collector.Policy{SampleRate: -1}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := DialClient(addr.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer client.Close()
+	const stmt = "SELECT N.Number FROM TABLE (GetNoSuppComp('Supplier1', 'nut')) AS N"
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := client.Exec(context.Background(), stmt, WithTrace())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Trace == nil || len(res.Trace.Children()) != 1 {
+			b.Fatal("no grafted trace")
+		}
+	}
+}
