@@ -223,14 +223,19 @@ const (
 // the paper's per-statement elapsed time; wall time is the real serving
 // duration of this process.
 //
-// The statement's span tree adopts the trace ID of tc, every completed
+// The statement's span tree adopts the trace ID of tc, and every completed
 // statement is offered to the trace collector (tail sampling decides
-// retention), and — when the caller sampled the request — the span tree is
-// shipped back as a fragment in the metadata so the caller can graft it.
-// Any relative statement timeout carried on ctx (e.g. re-armed by the RPC
-// server from the wire) is anchored to the statement's fresh virtual
-// meter, and cancellation aborts the statement between operators.
+// retention). Any relative statement timeout carried on ctx (e.g. re-armed
+// by the RPC server from the wire) is anchored to the statement's fresh
+// virtual meter, and cancellation aborts the statement between operators.
 func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.TraceContext) (*types.Table, map[string]string, error) {
+	return s.execTraced(ctx, text, tc, nil)
+}
+
+// execTraced is ExecTracedContext serving a request: when the caller
+// sampled it, the finished span tree is grafted under serve, the span the
+// transport traces the request under, which ships it back to the caller.
+func (s *Server) execTraced(ctx context.Context, text string, tc obs.TraceContext, serve *obs.Span) (*types.Table, map[string]string, error) {
 	archLabel := s.stack.Arch().Label()
 	task := simlat.NewVirtualTask()
 	session := s.Session()
@@ -301,14 +306,10 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 		s.metrics.SlowQueries.Inc()
 	}
 	if tc.Sampled {
-		// Ship the span tree back to the caller; the transport (or the
-		// caller) grafts it under the span that issued this statement.
-		frag := &obs.Fragment{TraceID: traceID, ParentSpanID: tc.SpanID, Root: obs.SnapshotSpan(root)}
-		if enc, encErr := frag.Encode(); encErr == nil && len(enc) <= obs.MaxInlineFragmentBytes {
-			meta[obs.MetaTraceFragment] = enc
-		} else {
-			meta[obs.MetaTracePushed] = traceID
-		}
+		// The statement's clock and the serve span's both began at zero,
+		// so the live tree grafts under it unshifted; the transport ships
+		// the combined tree back to the caller.
+		obs.Graft(serve, root)
 	}
 	if err != nil {
 		return nil, meta, err
@@ -340,10 +341,11 @@ func resultTable(res *engine.Result) *types.Table {
 
 // handler serves the client protocol: "exec" runs any statement; queries
 // return their table, other statements return a one-row message table. The
-// transport's task is ignored — each statement gets its own virtual meter
-// so the latency metrics stay deterministic and per-request.
+// transport's task charges nothing — each statement gets its own virtual
+// meter so the latency metrics stay deterministic and per-request — but a
+// sampled request's span tree grafts under the task's rpc.serve span.
 func (s *Server) handler() rpc.MetaHandler {
-	return func(ctx context.Context, _ *simlat.Task, req rpc.Request) (*types.Table, map[string]string, error) {
+	return func(ctx context.Context, task *simlat.Task, req rpc.Request) (*types.Table, map[string]string, error) {
 		if !strings.EqualFold(req.Function, fnExec) {
 			return nil, nil, fmt.Errorf("fdbs: unknown protocol function %s", req.Function)
 		}
@@ -354,7 +356,7 @@ func (s *Server) handler() rpc.MetaHandler {
 		if err != nil {
 			return nil, nil, err
 		}
-		return s.ExecTracedContext(ctx, text, req.Trace)
+		return s.execTraced(ctx, text, req.Trace, obs.CurrentSpan(task))
 	}
 }
 
@@ -385,12 +387,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 				Detail: "admission", Class: "appsys_unavailable", Row: -1, StartVT: s.jnl.Now()})
 		},
 	}))
-	rs.SetTraceSink(func(f *obs.Fragment) {
-		// The fragment's federated calls were observed when its statement
-		// was offered, so none are passed again.
-		s.col.Offer(&obs.Statement{TraceID: f.TraceID, SQL: "(oversized fragment)", Forced: true,
-			Root: obs.SpanFromData(f.Root, 0)})
-	})
 	// After the graceful drain, push the buffered observability sinks out
 	// so a SIGTERM loses neither slow-query lines nor journal tail events.
 	rs.SetDrainHook(func() { s.FlushSinks() })

@@ -196,6 +196,82 @@ func TestDaemonModeCrossProcessTrace(t *testing.T) {
 	}
 }
 
+// TestSampledStatementTreeMatchesFedSpans: a sampled statement over TCP
+// arrives as one fragment, and the subtree the client grafts below rpc.serve
+// is the tree the server retained, row for row in fed_spans; the trace is
+// retained once.
+func TestSampledStatementTreeMatchesFedSpans(t *testing.T) {
+	srv, err := NewServer(Config{Trace: collector.Policy{SampleRate: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := DialClient(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	res, err := client.Exec(context.Background(), "SELECT N.Number FROM TABLE (GetNoSuppComp('Supplier1', 'nut')) AS N", WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := res.Meta[obs.MetaTraceID]
+	serve := findSpan(res.Trace, "rpc.serve")
+	if serve == nil || len(serve.Children()) != 1 || serve.Children()[0].Name() != "fdbs.exec" {
+		t.Fatalf("no fdbs.exec grafted below rpc.serve:\n%s", obs.Render(res.Trace))
+	}
+	spans, err := SpansTable(srv.Collector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []types.Row
+	for _, r := range spans.Rows {
+		if r[0].Str() == id {
+			rows = append(rows, r)
+		}
+	}
+	// Names, attributes and steps; the instants are the client's, shifted
+	// by rpc.call's start.
+	var want strings.Builder
+	for _, r := range rows {
+		fmt.Fprintf(&want, "%d %s [%s] [%s]\n", r[3].Int(), r[4].Str(), r[7].Str(), r[8].Str())
+	}
+	var got strings.Builder
+	var walk func(d *obs.SpanData, depth int)
+	walk = func(d *obs.SpanData, depth int) {
+		attrs := make([]string, len(d.Attrs))
+		for i, a := range d.Attrs {
+			attrs[i] = a.String()
+		}
+		fmt.Fprintf(&got, "%d %s [%s] [%s]\n", depth, d.Name, strings.Join(attrs, " "), obs.FormatSteps(d.Steps))
+		for _, c := range d.Children {
+			walk(c, depth+1)
+		}
+	}
+	walk(obs.SnapshotSpan(serve.Children()[0]), 0)
+	if len(rows) < 5 || got.String() != want.String() {
+		t.Errorf("client subtree:\n%s\nfed_spans rows of %s:\n%s", got.String(), id, want.String())
+	}
+	traces, err := TracesTable(srv.Collector())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, r := range traces.Rows {
+		if r[0].Str() == id {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("trace %s listed %d times in fed_traces, want once", id, n)
+	}
+}
+
 // findSpans returns every span named name under sp, in DFS order.
 func findSpans(sp *obs.Span, name string) []*obs.Span {
 	var out []*obs.Span

@@ -108,9 +108,9 @@ func spanRows(id string, d *obs.SpanData) string {
 	return b.String()
 }
 
-// referenceTruncate and referencePrune are how the collector stored a tree
-// before it kept bytes: a pruned copy of the snapshot, cut level by level
-// until its marshalled JSON fit the cap.
+// referenceTruncate and referencePrune state the collector's byte cap: the
+// snapshot cut level by level, keeping the deepest cut whose encoding fits
+// the cap, else the root alone.
 func referenceTruncate(d *obs.SpanData, depth int) *obs.SpanData {
 	out := &obs.SpanData{Name: d.Name, StartNS: d.StartNS, ElapsedNS: d.ElapsedNS,
 		Attrs: append([]obs.Attr(nil), d.Attrs...), Steps: append([]obs.StepData(nil), d.Steps...)}
@@ -126,13 +126,10 @@ func referenceTruncate(d *obs.SpanData, depth int) *obs.SpanData {
 	return out
 }
 
-func referencePrune(t *testing.T, d *obs.SpanData, maxBytes int) *obs.SpanData {
+func referencePrune(d *obs.SpanData, maxBytes int) *obs.SpanData {
 	size := func(d *obs.SpanData) int {
-		b, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(b)
+		enc, _ := obs.EncodeTrace(obs.SpanFromData(d, 0), 0)
+		return len(enc)
 	}
 	if size(d) <= maxBytes {
 		return d
@@ -153,11 +150,11 @@ func referencePrune(t *testing.T, d *obs.SpanData, maxBytes int) *obs.SpanData {
 	return referenceTruncate(d, 1)
 }
 
-// TestSpanRowsMatchPrunedTree: fed_spans holds exactly the old stored
-// form — the pruned snapshot — span for span, with and without pruning,
-// and fed_traces counts its spans.
+// TestSpanRowsMatchPrunedTree: fed_spans holds exactly the reference cut of
+// the snapshot, span for span, with and without pruning, and fed_traces
+// counts its spans.
 func TestSpanRowsMatchPrunedTree(t *testing.T) {
-	for _, maxBytes := range []int{0, 20000, 2000, 300} {
+	for _, maxBytes := range []int{0, 5000, 2000, 300} {
 		c := collector.New(collector.Policy{SampleRate: -1, MaxTraceBytes: maxBytes}, nil)
 		root := lateralTree(t)
 		root.SetAttr("error", "rpc: <nil> & \"quoted\"\n\u2028")
@@ -167,7 +164,7 @@ func TestSpanRowsMatchPrunedTree(t *testing.T) {
 		if !c.Offer(&st) {
 			t.Fatal("error trace dropped")
 		}
-		ref := referencePrune(t, obs.SnapshotSpan(root), c.Policy().MaxTraceBytes)
+		ref := referencePrune(obs.SnapshotSpan(root), c.Policy().MaxTraceBytes)
 
 		spans, err := SpansTable(c)
 		if err != nil {

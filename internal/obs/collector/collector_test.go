@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -103,12 +104,15 @@ func TestRingWraparoundNewestFirst(t *testing.T) {
 	}
 }
 
+// TestPerTraceByteCap: a tree over the cap is stored as the deepest cut
+// whose encoding fits it.
 func TestPerTraceByteCap(t *testing.T) {
-	c := New(Policy{SampleRate: 1, MaxTraceBytes: 400}, nil)
+	const limit = 400
+	c := New(Policy{SampleRate: 1, MaxTraceBytes: limit}, nil)
 	deep := &obs.SpanData{Name: "root"}
 	cur := deep
 	for i := 0; i < 30; i++ {
-		child := &obs.SpanData{Name: strings.Repeat("n", 30)}
+		child := &obs.SpanData{Name: fmt.Sprintf("%02d%s", i, strings.Repeat("n", 30))}
 		cur.Children = []*obs.SpanData{child}
 		cur = child
 	}
@@ -116,9 +120,40 @@ func TestPerTraceByteCap(t *testing.T) {
 		t.Fatal("trace dropped")
 	}
 	stored := c.Get("big")
-	if stored.Root.Size() > 400 {
-		t.Errorf("stored tree %d bytes > cap", stored.Root.Size())
+	if n := encodedLen(stored.Root); n > limit {
+		t.Errorf("stored tree %d bytes > cap", n)
 	}
+	// The reference: encode the tree cut at every depth, keep the deepest
+	// cut that fits.
+	var want *obs.SpanData
+	for depth := 31; depth >= 1 && want == nil; depth-- {
+		if cut := chainCut(deep, depth); depth == 1 || encodedLen(cut) <= limit {
+			want = cut
+		}
+	}
+	if got, w := names(stored.Root, 0), names(want, 0); got != w || !reflect.DeepEqual(stored.Root, want) {
+		t.Errorf("stored tree:\n%s\nwant the deepest cut that fits:\n%s", got, w)
+	}
+}
+
+// encodedLen is the length of a tree's encoding, uncapped.
+func encodedLen(d *obs.SpanData) int {
+	enc, _ := obs.EncodeTrace(obs.SpanFromData(d, 0), 0)
+	return len(enc)
+}
+
+// chainCut copies a chain of single children cut to depth levels, the last
+// carrying pruned=children when it lost one.
+func chainCut(d *obs.SpanData, depth int) *obs.SpanData {
+	out := &obs.SpanData{Name: d.Name}
+	switch {
+	case len(d.Children) == 0:
+	case depth == 1:
+		out.Attrs = []obs.Attr{{Key: "pruned", Value: "children"}}
+	default:
+		out.Children = []*obs.SpanData{chainCut(d.Children[0], depth-1)}
+	}
+	return out
 }
 
 func TestFedFuncHistograms(t *testing.T) {
@@ -213,18 +248,15 @@ func lateralTree(tb testing.TB) *obs.Span {
 	return obs.SpanFromData(&d, 0)
 }
 
-// TestNullChildInPeerFragment: a peer's fragment may carry a null child.
-// Grafted under a traced statement it must neither crash the walk that
-// finds federated calls nor the encoding of a kept trace.
+// TestNullChildInPeerFragment: a tree rebuilt from its decoded form may
+// carry a nil child. Grafted under a traced statement it must neither crash
+// the walk that finds federated calls nor the encoding of a kept trace.
 func TestNullChildInPeerFragment(t *testing.T) {
-	frag, err := obs.DecodeFragment(`{"trace_id":"t","root":{"name":"x","children":[null,{"name":"y"}]}}`)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag := &obs.SpanData{Name: "x", Children: []*obs.SpanData{nil, {Name: "y"}}}
 	task := simlat.NewVirtualTask()
 	tr := obs.Trace(task, "fdbs.exec")
 	call := obs.StartSpan(task, "udtf.workflow", obs.Attr{Key: "fn", Value: "GetSuppQual"})
-	obs.Graft(call, obs.SpanFromData(frag.Root, call.Start()))
+	obs.Graft(call, obs.SpanFromData(frag, call.Start()))
 	task.Spend(simlat.PaperMS)
 	call.End(task)
 	root := tr.Finish()

@@ -3,7 +3,6 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -46,22 +45,21 @@ func ContextFrom(task *simlat.Task) TraceContext {
 	return TraceContext{TraceID: sp.TraceID(), SpanID: sp.ID(), Sampled: true}
 }
 
-// Response-metadata keys reserved for the tracing machinery. Fragments
-// ride the existing meta channel as JSON strings, so no new wire types are
-// needed and old peers simply ignore the keys.
+// Response-metadata keys reserved for the tracing machinery. A fragment
+// rides the existing meta channel as an EncodeTrace byte string (the frame
+// codec writes meta values as length-prefixed raw bytes), so no new wire
+// types are needed and old peers simply ignore the keys.
 const (
-	// MetaTraceFragment carries an encoded Fragment back to the caller.
+	// MetaTraceFragment carries the served span tree back to the caller,
+	// which knows the trace it sent and the span it sent it from.
 	MetaTraceFragment = "trace.fragment"
-	// MetaTracePushed names the trace ID of a fragment too large for the
-	// meta channel; the server pushed it to its collector instead, where
-	// the fed_spans relation serves it.
-	MetaTracePushed = "trace.pushed"
 	// MetaTraceID reports the trace ID assigned to a traced statement.
 	MetaTraceID = "trace_id"
 )
 
-// MaxInlineFragmentBytes caps the encoded fragment size shipped inline in
-// response metadata; larger fragments go to the collector instead.
+// MaxInlineFragmentBytes caps the encoded size of a fragment shipped inline
+// in response metadata; a larger tree is pruned level by level until it
+// fits.
 const MaxInlineFragmentBytes = 256 << 10
 
 // StepData is the serializable form of one step attribution.
@@ -70,10 +68,11 @@ type StepData struct {
 	NS   int64  `json:"ns"`
 }
 
-// SpanData is the serializable form of a span tree. It deliberately
-// carries no span or trace IDs: identity is a transport concern, and
-// keeping IDs out makes virtual-clock trees byte-identical across runs
-// (paperbench -trace-out diffs rely on that).
+// SpanData is the decoded form of a span tree, and its JSON tags are the
+// form paperbench -trace-out writes. It deliberately carries no span or
+// trace IDs: identity is a transport concern, and keeping IDs out makes
+// virtual-clock trees byte-identical across runs (-trace-out diffs rely on
+// that).
 type SpanData struct {
 	Name      string      `json:"name"`
 	StartNS   int64       `json:"start_ns"`
@@ -106,8 +105,8 @@ func SnapshotSpan(s *Span) *SpanData {
 // SpanFromData rebuilds a live span tree from its serializable form,
 // shifting every start instant by shift so a remote tree (whose clock
 // began at zero) lines up under the local span it is grafted onto. A nil
-// child — a peer's fragment may decode to one — is not a span and is
-// dropped, so no live tree ever holds a nil child.
+// child — a hand-built tree may hold one — is not a span and is dropped,
+// so no live tree ever holds a nil child.
 func SpanFromData(d *SpanData, shift time.Duration) *Span {
 	if d == nil {
 		return nil
@@ -128,56 +127,6 @@ func SpanFromData(d *SpanData, shift time.Duration) *Span {
 	return sp
 }
 
-// Size returns the length of the tree's JSON encoding in bytes, counted
-// without encoding it, by the pass that sizes a live tree for EncodeTrace.
-// Nil children, which SpanFromData drops, count nothing.
-func (d *SpanData) Size() int {
-	if d == nil {
-		return jsonNull
-	}
-	lv := jsonLevels(SpanFromData(d, 0))
-	return jsonSizeAt(lv, len(lv))
-}
-
-// truncated returns a copy of the tree cut to maxDepth levels, without nil
-// children; spans whose children were dropped are annotated with
-// pruned=children.
-func (d *SpanData) truncated(maxDepth int) *SpanData {
-	if d == nil || maxDepth < 1 {
-		return nil
-	}
-	out := &SpanData{Name: d.Name, StartNS: d.StartNS, ElapsedNS: d.ElapsedNS,
-		Attrs: append([]Attr(nil), d.Attrs...), Steps: append([]StepData(nil), d.Steps...)}
-	if maxDepth == 1 {
-		if len(d.Children) > 0 {
-			out.Attrs = append(out.Attrs, Attr{Key: "pruned", Value: "children"})
-		}
-		return out
-	}
-	for _, c := range d.Children {
-		if c != nil {
-			out.Children = append(out.Children, c.truncated(maxDepth-1))
-		}
-	}
-	return out
-}
-
-// PruneToSize drops the deepest levels of the tree until its JSON encoding
-// fits maxBytes (the per-trace byte cap of the collector's ring buffer).
-// The root always survives, even if it alone exceeds the cap. The sizes of
-// every cut come from one pass over the tree; nothing is encoded.
-func (d *SpanData) PruneToSize(maxBytes int) *SpanData {
-	if d == nil || maxBytes <= 0 {
-		return d
-	}
-	lv := jsonLevels(SpanFromData(d, 0))
-	keep := pruneDepth(lv, maxBytes)
-	if keep == len(lv) {
-		return d
-	}
-	return d.truncated(keep)
-}
-
 // SpanCount returns the number of spans in the tree.
 func (d *SpanData) SpanCount() int {
 	if d == nil {
@@ -188,33 +137,6 @@ func (d *SpanData) SpanCount() int {
 		n += c.SpanCount()
 	}
 	return n
-}
-
-// Fragment is the unit a traced server ships back to its caller: the
-// server-side subtree plus enough context to graft it — which trace it
-// belongs to and which caller span is its parent.
-type Fragment struct {
-	TraceID      string    `json:"trace_id"`
-	ParentSpanID string    `json:"parent_span_id,omitempty"`
-	Root         *SpanData `json:"root"`
-}
-
-// Encode serializes the fragment for the response-metadata channel.
-func (f *Fragment) Encode() (string, error) {
-	b, err := json.Marshal(f)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// DecodeFragment parses an encoded fragment.
-func DecodeFragment(s string) (*Fragment, error) {
-	var f Fragment
-	if err := json.Unmarshal([]byte(s), &f); err != nil {
-		return nil, err
-	}
-	return &f, nil
 }
 
 // RenderData renders a SpanData tree in the same indented format Render

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -95,20 +97,13 @@ func TestContextFrom(t *testing.T) {
 
 func TestFragmentEncodeDecodeAndGraft(t *testing.T) {
 	remote := buildTree(t)
-	frag := &Fragment{TraceID: "t1", ParentSpanID: "s1", Root: SnapshotSpan(remote)}
-	enc, err := frag.Encode()
+	enc, _ := EncodeTrace(remote, MaxInlineFragmentBytes)
+	back, err := DecodeTrace(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeFragment(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.TraceID != "t1" || back.ParentSpanID != "s1" || back.Root.SpanCount() != 3 {
-		t.Errorf("decoded fragment: %+v", back)
-	}
-	if _, err := DecodeFragment("{nope"); err == nil {
-		t.Error("bad fragment accepted")
+	if back.SpanCount() != 3 || RenderData(back) != Render(remote) {
+		t.Errorf("decoded fragment:\n%s", RenderData(back))
 	}
 
 	// Graft the remote tree under a local parent; it shows up in the
@@ -116,7 +111,7 @@ func TestFragmentEncodeDecodeAndGraft(t *testing.T) {
 	task := simlat.NewVirtualTask()
 	tr := Trace(task, "local")
 	call := StartSpan(task, "rpc.call")
-	Graft(call, SpanFromData(back.Root, call.Start()))
+	Graft(call, SpanFromData(back, call.Start()))
 	call.End(task)
 	local := tr.Finish()
 	rendered := Render(local)
@@ -137,40 +132,45 @@ func TestFragmentEncodeDecodeAndGraft(t *testing.T) {
 	}
 }
 
-func TestPruneToSize(t *testing.T) {
-	// A deep chain: root -> c -> c -> ... (depth 20).
+func TestEncodeTracePrunesToCap(t *testing.T) {
+	// A deep chain: root -> c -> c -> ... (depth 20), every name its own.
 	task := simlat.NewVirtualTask()
 	tr := Trace(task, "deep")
 	spans := make([]*Span, 0, 20)
 	for i := 0; i < 20; i++ {
-		spans = append(spans, StartSpan(task, strings.Repeat("x", 50)))
+		spans = append(spans, StartSpan(task, fmt.Sprintf("%02d%s", i, strings.Repeat("x", 50))))
 		task.Spend(simlat.PaperMS)
 	}
 	for i := len(spans) - 1; i >= 0; i-- {
 		spans[i].End(task)
 	}
-	d := SnapshotSpan(tr.Finish())
-	full := d.Size()
-	cap := full / 3
-	cut := d.PruneToSize(cap)
-	if cut.Size() > cap {
-		t.Errorf("pruned size %d > cap %d", cut.Size(), cap)
+	root := tr.Finish()
+	full, _ := EncodeTrace(root, 0)
+	limit := len(full) / 3
+	enc, _ := EncodeTrace(root, limit)
+	if len(enc) > limit {
+		t.Errorf("pruned size %d > cap %d", len(enc), limit)
 	}
-	if height(cut) >= height(d) {
-		t.Errorf("pruning did not reduce depth: %d vs %d", height(cut), height(d))
+	cut, err := DecodeTrace(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if height(cut) >= height(SnapshotSpan(root)) {
+		t.Errorf("pruning did not reduce depth: %d levels kept", height(cut))
 	}
 	// Pruned nodes are marked.
 	if !strings.Contains(RenderData(cut), "pruned=children") {
 		t.Error("pruned tree lacks the pruned marker")
 	}
 	// Under the cap nothing changes.
-	if same := d.PruneToSize(full + 1); same != d {
-		t.Error("tree under the cap must be returned unchanged")
+	if same, _ := EncodeTrace(root, len(full)); !bytes.Equal(same, full) {
+		t.Error("a tree within the cap must encode uncut")
 	}
 	// Root survives even an impossible cap.
-	tiny := d.PruneToSize(1)
-	if tiny == nil || tiny.Name != "deep" {
-		t.Errorf("root must survive: %+v", tiny)
+	tinyEnc, n := EncodeTrace(root, 1)
+	tiny, err := DecodeTrace(tinyEnc)
+	if err != nil || n != 1 || tiny.Name != "deep" {
+		t.Errorf("root must survive: %+v, %d spans, %v", tiny, n, err)
 	}
 }
 
@@ -217,10 +217,10 @@ func TestSnapshotDeterministicNoIDs(t *testing.T) {
 	if RenderData(a) != RenderData(b) {
 		t.Error("virtual-clock snapshots differ across runs")
 	}
-	ea, _ := (&Fragment{Root: a}).Encode()
-	eb, _ := (&Fragment{Root: b}).Encode()
-	if ea != eb {
-		t.Errorf("fragment encodings differ:\n%s\n%s", ea, eb)
+	ea, _ := EncodeTrace(buildTree(t), 0)
+	eb, _ := EncodeTrace(buildTree(t), 0)
+	if !bytes.Equal(ea, eb) {
+		t.Errorf("fragment encodings differ:\n% x\n% x", ea, eb)
 	}
 }
 

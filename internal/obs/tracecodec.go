@@ -6,7 +6,8 @@ import (
 	"math/bits"
 )
 
-// The compact trace encoding: how the collector keeps a retained span tree.
+// The compact trace encoding: how the collector keeps a retained span tree,
+// and how a served tree travels back to its caller (MetaTraceFragment).
 // One tree is one byte slice, so a ring of retained traces holds no
 // pointers for the garbage collector to trace, and it is several times
 // smaller than the tree's JSON. Spans are written depth first, in Children
@@ -65,50 +66,44 @@ func (t *strTable) enter(i int, s string) {
 	t.n++
 }
 
-// EncodeTrace encodes the finished tree under root in the compact form,
-// pruned exactly as SnapshotSpan(root).PruneToSize(maxBytes) would be, and
-// returns the bytes with the number of spans they hold. The sizing pass also
-// counts the tree's JSON length at every depth, so a tree that fits its cap
-// is read twice in all, and the one allocation is exactly as large as the
-// encoding.
+// EncodeTrace encodes the finished tree under root in the compact form and
+// returns the bytes with the number of spans they hold. A tree whose
+// encoding is over maxBytes (when positive) loses its deepest levels: the
+// spans of the last level kept carry pruned=children instead of their
+// children, and the deepest cut that fits is kept. The root survives even
+// over the cap. Every cut is sized without writing; the one allocation is
+// exactly as large as the encoding.
 func EncodeTrace(root *Span, maxBytes int) ([]byte, int) {
 	if root == nil {
 		return nil, 0
 	}
-	var buf [32]levelSize
-	w := traceWriter{cut: -1, json: true}
-	lv := w.span(root, 0, buf[:0])
-	if maxBytes > 0 {
-		if keep := pruneDepth(lv, maxBytes); keep < len(lv) {
-			// A cut tree encodes differently: size it again.
-			w = traceWriter{cut: keep - 1}
-			w.span(root, 0, nil)
+	w := traceWriter{cut: -1}
+	w.span(root, 0)
+	if maxBytes > 0 && w.n > maxBytes {
+		// A cut tree encodes differently: size each cut, one level
+		// shallower at a time, until one fits or only the root is left.
+		for cut := w.levels - 2; cut >= 0; cut-- {
+			w = traceWriter{cut: cut}
+			if w.span(root, 0); w.n <= maxBytes {
+				break
+			}
 		}
 	}
 	size, spans := w.n, w.spans
 	w = traceWriter{cut: w.cut, b: make([]byte, 0, size)}
-	w.span(root, 0, nil)
+	w.span(root, 0)
 	return w.b, spans
 }
 
-// jsonLevels is the JSON length of the tree under root, level by level, as
-// EncodeTrace's sizing pass counts it.
-func jsonLevels(root *Span) []levelSize {
-	w := traceWriter{cut: -1, json: true}
-	return w.span(root, 0, nil)
-}
-
 // traceWriter writes one encoded trace, or only counts its bytes while b is
-// nil (a sizing pass). With json set, a pass also counts the tree's JSON
-// length level by level: the one count behind the byte cap.
+// nil (a sizing pass).
 type traceWriter struct {
-	b     []byte
-	n     int
-	spans int
-	cut   int // the level whose spans lose their children; -1 for none
-	json  bool
-	tab   strTable
-	jlen  [traceStrings]int // with json: the JSON length of each table string
+	b      []byte
+	n      int
+	spans  int
+	levels int // how many levels the pass reached
+	cut    int // the level whose spans lose their children; -1 for none
+	tab    strTable
 }
 
 func (w *traceWriter) u64(v uint64) {
@@ -121,13 +116,11 @@ func (w *traceWriter) u64(v uint64) {
 
 func (w *traceWriter) i64(v int64) { w.u64(uint64(v<<1) ^ uint64(v>>63)) } // zig-zag, as AppendVarint
 
-// str writes s and, with json, returns its length as a JSON string, which
-// a string in the table has counted once.
-func (w *traceWriter) str(s string) int {
+func (w *traceWriter) str(s string) {
 	i, found := w.tab.find(s)
 	if found {
 		w.u64(uint64(i + 1))
-		return w.jlen[i]
+		return
 	}
 	w.u64(0)
 	w.u64(uint64(len(s)))
@@ -136,28 +129,21 @@ func (w *traceWriter) str(s string) int {
 	} else {
 		w.b = append(w.b, s...)
 	}
-	jn := 0
-	if w.json {
-		jn = jsonStringLen(s)
-	}
 	if i >= 0 {
 		w.tab.enter(i, s)
-		w.jlen[i] = jn
 	}
-	return jn
 }
 
 // span writes the subtree under s, which sits at level (0 is the root),
-// reading every span in place under its lock. With json it folds the
-// subtree's JSON length into lv and returns the extended slice.
-func (w *traceWriter) span(s *Span, level int, lv []levelSize) []levelSize {
+// reading every span in place under its lock.
+func (w *traceWriter) span(s *Span, level int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	w.spans++
-	start, elapsed := int64(s.start), int64(s.elapsedLocked())
-	js := jsonSpanFixed + w.str(s.name)
-	w.i64(start)
-	w.i64(elapsed)
+	w.levels = max(w.levels, level+1)
+	w.str(s.name)
+	w.i64(int64(s.start))
+	w.i64(int64(s.elapsedLocked()))
 	cut := level == w.cut && len(s.children) > 0
 	if cut {
 		w.u64(uint64(len(s.attrs) + 1))
@@ -165,7 +151,8 @@ func (w *traceWriter) span(s *Span, level int, lv []levelSize) []levelSize {
 		w.u64(uint64(len(s.attrs)))
 	}
 	for _, a := range s.attrs {
-		js += jsonAttrFixed + w.str(a.Key) + w.str(a.Value)
+		w.str(a.Key)
+		w.str(a.Value)
 	}
 	if cut {
 		w.str("pruned")
@@ -173,33 +160,18 @@ func (w *traceWriter) span(s *Span, level int, lv []levelSize) []levelSize {
 	}
 	w.u64(uint64(len(s.order)))
 	for _, name := range s.order {
-		ns := int64(s.steps[name])
-		js += jsonStepFixed + w.str(name)
-		w.i64(ns)
-		if w.json {
-			js += jsonIntLen(ns)
-		}
-	}
-	if w.json {
-		js += jsonIntLen(start) + jsonIntLen(elapsed)
-		if len(s.attrs) > 0 {
-			js += jsonAttrsFixed + len(s.attrs) - 1
-		}
-		if len(s.order) > 0 {
-			js += jsonStepsFixed + len(s.order) - 1
-		}
-		lv = addSpan(lv, level, js, len(s.attrs) > 0, len(s.children))
+		w.str(name)
+		w.i64(int64(s.steps[name]))
 	}
 	if cut {
 		w.u64(0)
-		return lv
+		return
 	}
 	s.sortChildrenLocked()
 	w.u64(uint64(len(s.children)))
 	for _, c := range s.children {
-		lv = w.span(c, level+1, lv)
+		w.span(c, level+1)
 	}
-	return lv
 }
 
 // DecodeTrace rebuilds the tree EncodeTrace encoded, in SnapshotSpan's

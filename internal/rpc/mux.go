@@ -256,8 +256,8 @@ func graftReplyFragment(sp *obs.Span, meta map[string]string) {
 		return
 	}
 	if sp != nil {
-		if frag, err := obs.DecodeFragment(enc); err == nil && frag.Root != nil {
-			obs.Graft(sp, obs.SpanFromData(frag.Root, sp.Start()))
+		if root, err := obs.DecodeTrace([]byte(enc)); err == nil && root != nil {
+			obs.Graft(sp, obs.SpanFromData(root, sp.Start()))
 		}
 	}
 	delete(meta, obs.MetaTraceFragment)

@@ -314,7 +314,6 @@ type Server struct {
 	wg        sync.WaitGroup
 	inflight  int           // requests currently being handled or encoded
 	idle      chan struct{} // non-nil while a Shutdown waits for drain; closed at inflight==0
-	traceSink atomic.Value  // func(*obs.Fragment), for fragments too big to inline
 	drainHook func()        // runs after the graceful drain, before Shutdown returns
 }
 
@@ -368,18 +367,6 @@ func (s *Server) Admission() *Admission { return s.adm }
 // sinks such as the slow-query log and the audit-journal JSONL file, so a
 // SIGTERM loses no tail events. Install it at wiring time, before Listen.
 func (s *Server) SetDrainHook(f func()) { s.drainHook = f }
-
-// SetTraceSink installs the destination for server-side span fragments
-// that exceed the inline metadata cap: typically a collector's Offer. When
-// no sink is set, oversized fragments are pruned until they fit inline.
-func (s *Server) SetTraceSink(sink func(*obs.Fragment)) {
-	s.traceSink.Store(sink)
-}
-
-func (s *Server) fragmentSink() func(*obs.Fragment) {
-	sink, _ := s.traceSink.Load().(func(*obs.Fragment))
-	return sink
-}
 
 // Listen binds the address (use "127.0.0.1:0" for an ephemeral port) and
 // serves in the background until Close.
@@ -573,7 +560,7 @@ func (s *Server) handleWire(ctx context.Context, tenant string, c *call) *reply 
 		}
 	}
 	if tr != nil {
-		rep.meta = s.finishServeTrace(tr, sw.Elapsed(), c.trace, rep.meta, rep.err)
+		rep.meta = finishServeTrace(tr, sw.Elapsed(), rep.meta, rep.err)
 	}
 	return rep
 }
@@ -603,45 +590,23 @@ func (s *Server) serveBatch(ctx context.Context, task *simlat.Task, req BatchReq
 	return out, nil
 }
 
-// finishServeTrace closes the serve-side trace and decides how its
-// fragment travels back. If the handler itself produced a fragment (the
-// fdbs exec path does), it is grafted under this server's root first, so
-// exactly one combined fragment leaves the process. Small fragments ship
-// inline in the response metadata; oversized ones go to the trace sink
-// (when set) and only their trace ID is announced, else they are pruned
-// until they fit.
-func (s *Server) finishServeTrace(tr *obs.Tracer, wall time.Duration, tc obs.TraceContext, meta map[string]string, err error) map[string]string {
+// finishServeTrace closes the serve-side trace and ships it back inline
+// in the response metadata, encoded once in the compact trace form and
+// pruned level by level to MaxInlineFragmentBytes. A handler that traces
+// on a clock of its own (the fdbs exec path does) has already grafted its
+// tree under this server's root, so exactly one fragment leaves the
+// process.
+func finishServeTrace(tr *obs.Tracer, wall time.Duration, meta map[string]string, err error) map[string]string {
 	root := tr.Finish()
 	root.SetAttr("wall_ms", obs.WallMS(wall))
 	if err != nil {
 		root.SetAttr("error", err.Error())
 	}
-	if enc, ok := meta[obs.MetaTraceFragment]; ok {
-		if frag, derr := obs.DecodeFragment(enc); derr == nil && frag.Root != nil {
-			obs.Graft(root, obs.SpanFromData(frag.Root, root.Start()))
-		}
-		delete(meta, obs.MetaTraceFragment)
-	}
-	frag := &obs.Fragment{TraceID: tc.TraceID, ParentSpanID: tc.SpanID, Root: obs.SnapshotSpan(root)}
-	enc, encErr := frag.Encode()
-	if encErr != nil {
-		return meta
-	}
 	if meta == nil {
 		meta = make(map[string]string, 1)
 	}
-	if len(enc) > obs.MaxInlineFragmentBytes {
-		if sink := s.fragmentSink(); sink != nil {
-			go sink(frag)
-			meta[obs.MetaTracePushed] = tc.TraceID
-			return meta
-		}
-		frag.Root = frag.Root.PruneToSize(obs.MaxInlineFragmentBytes)
-		if enc, encErr = frag.Encode(); encErr != nil {
-			return meta
-		}
-	}
-	meta[obs.MetaTraceFragment] = enc
+	enc, _ := obs.EncodeTrace(root, obs.MaxInlineFragmentBytes)
+	meta[obs.MetaTraceFragment] = string(enc)
 	return meta
 }
 

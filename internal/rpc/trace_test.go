@@ -2,10 +2,9 @@ package rpc
 
 import (
 	"context"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"fedwf/internal/obs"
 	"fedwf/internal/simlat"
@@ -106,21 +105,22 @@ func TestTracedErrorCarriesErrorAttr(t *testing.T) {
 	}
 }
 
-func TestOversizedFragmentGoesToSink(t *testing.T) {
-	// Handler builds a span tree whose encoding exceeds the inline cap.
+// TestOversizedFragmentArrivesPruned: a handler tree whose encoding is over
+// the inline cap still travels inline, cut to the deepest level that fits,
+// with pruned=children on the spans whose children were dropped.
+func TestOversizedFragmentArrivesPruned(t *testing.T) {
+	// 30 groups of 100 spans, each with an attribute of its own: about
+	// 350 KB encoded, while the groups alone fit in a few hundred bytes.
 	srv := NewServer(func(ctx context.Context, task *simlat.Task, req Request) (*types.Table, error) {
-		for i := 0; i < 3000; i++ {
-			sp := obs.StartSpan(task, "bulk", obs.Attr{Key: "pad", Value: strings.Repeat("p", 100)})
-			sp.End(task)
+		for g := 0; g < 30; g++ {
+			group := obs.StartSpan(task, "group")
+			for i := 0; i < 100; i++ {
+				sp := obs.StartSpan(task, "bulk", obs.Attr{Key: "pad", Value: fmt.Sprintf("%04d%s", g*100+i, strings.Repeat("p", 100))})
+				sp.End(task)
+			}
+			group.End(task)
 		}
 		return echoHandler(ctx, task, req)
-	})
-	var mu sync.Mutex
-	var pushed []*obs.Fragment
-	srv.SetTraceSink(func(f *obs.Fragment) {
-		mu.Lock()
-		pushed = append(pushed, f)
-		mu.Unlock()
 	})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -136,32 +136,30 @@ func TestOversizedFragmentGoesToSink(t *testing.T) {
 	task := simlat.NewVirtualTask()
 	tr := obs.Trace(task, "client")
 	_, meta, err := c.(MetaCaller).CallMeta(context.Background(), task, Request{Function: "f"})
-	tr.Finish()
+	root := tr.Finish()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := meta[obs.MetaTraceFragment]; ok {
-		t.Error("oversized fragment shipped inline")
+		t.Error("fragment key must be consumed by the transport after grafting")
 	}
-	if meta[obs.MetaTracePushed] == "" {
-		t.Error("pushed trace ID not announced")
+	call := root.Children()
+	if len(call) != 1 || len(call[0].Children()) != 1 || call[0].Children()[0].Name() != "rpc.serve" {
+		t.Fatalf("no rpc.serve grafted under rpc.call:\n%s", obs.Render(root))
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(pushed)
-		mu.Unlock()
-		if n > 0 || time.Now().After(deadline) {
-			break
+	// The graft lies at the client's instant 0, so re-encoding it gives the
+	// bytes that travelled.
+	serve := call[0].Children()[0]
+	if enc, _ := obs.EncodeTrace(serve, 0); len(enc) > obs.MaxInlineFragmentBytes {
+		t.Errorf("fragment of %d bytes over the %d-byte cap", len(enc), obs.MaxInlineFragmentBytes)
+	}
+	groups := serve.Children()
+	if len(groups) != 30 {
+		t.Fatalf("rpc.serve kept %d children, want the 30 groups", len(groups))
+	}
+	for _, g := range groups {
+		if len(g.Children()) != 0 || !strings.Contains(obs.Render(g), "pruned=children") {
+			t.Fatalf("group not cut with pruned=children:\n%s", obs.Render(g))
 		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(pushed) != 1 || pushed[0].Root == nil || pushed[0].Root.Name != "rpc.serve" {
-		t.Fatalf("sink did not receive the fragment: %v", pushed)
-	}
-	if pushed[0].TraceID != meta[obs.MetaTracePushed] {
-		t.Error("pushed fragment trace ID mismatch")
 	}
 }
