@@ -3,6 +3,7 @@ package sqlparser
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"fedwf/internal/types"
 )
@@ -714,7 +715,8 @@ func ident(s string) string {
 	if s == "" {
 		return `""`
 	}
-	plain := isIdentStart(rune(s[0]))
+	first, _ := utf8.DecodeRuneInString(s)
+	plain := isIdentStart(first)
 	if plain {
 		for _, r := range s {
 			if !isIdentPart(r) {

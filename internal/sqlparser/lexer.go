@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexical tokens.
@@ -63,8 +64,12 @@ var keywords = map[string]bool{
 }
 
 // Lex tokenises a SQL string. It returns a descriptive error with line and
-// column for unterminated strings, malformed numbers, or stray bytes.
+// column for input that is not UTF-8, unterminated strings, malformed
+// numbers, or stray characters.
 func Lex(input string) ([]Token, error) {
+	if !utf8.ValidString(input) {
+		return nil, invalidUTF8(input)
+	}
 	var toks []Token
 	line, col := 1, 1
 	i := 0
@@ -82,6 +87,7 @@ func Lex(input string) ([]Token, error) {
 	}
 	for i < n {
 		c := input[i]
+		r, _ := utf8.DecodeRuneInString(input[i:])
 		switch {
 		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
 			advance(1)
@@ -178,11 +184,15 @@ func Lex(input string) ([]Token, error) {
 			}
 			advance(j - i)
 			toks = append(toks, Token{Kind: TokNumber, Text: text, Line: startLine, Col: startCol})
-		case isIdentStart(rune(c)):
+		case isIdentStart(r):
 			startLine, startCol := line, col
 			j := i
-			for j < n && isIdentPart(rune(input[j])) {
-				j++
+			for j < n {
+				r, size := utf8.DecodeRuneInString(input[j:])
+				if !isIdentPart(r) {
+					break
+				}
+				j += size
 			}
 			word := input[i:j]
 			advance(j - i)
@@ -209,12 +219,31 @@ func Lex(input string) ([]Token, error) {
 				advance(1)
 				toks = append(toks, Token{Kind: TokOp, Text: string(c), Line: startLine, Col: startCol})
 			default:
-				return nil, fmt.Errorf("sql: unexpected character %q at line %d col %d", c, startLine, startCol)
+				return nil, fmt.Errorf("sql: unexpected character %q at line %d col %d", r, startLine, startCol)
 			}
 		}
 	}
 	toks = append(toks, Token{Kind: TokEOF, Line: line, Col: col})
 	return toks, nil
+}
+
+// invalidUTF8 names the first byte of input that is not UTF-8, at the line
+// and column Lex counts for it.
+func invalidUTF8(input string) error {
+	line, col := 1, 1
+	for i := 0; i < len(input); {
+		r, size := utf8.DecodeRuneInString(input[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			return fmt.Errorf("sql: invalid UTF-8 byte %#x at line %d col %d", input[i], line, col)
+		case r == '\n':
+			line, col = line+1, 1
+		default:
+			col += size
+		}
+		i += size
+	}
+	return nil
 }
 
 func isIdentStart(r rune) bool {

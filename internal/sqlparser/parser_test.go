@@ -71,6 +71,31 @@ func TestLexErrors(t *testing.T) {
 	}
 }
 
+// TestLexUTF8: identifiers are read rune by rune, so a UTF-8 letter of
+// more than one byte stays inside its identifier, and a byte that is not
+// UTF-8 is an error at its position rather than a Latin-1 letter.
+func TestLexUTF8(t *testing.T) {
+	toks, err := Lex("SELECT Größe FROM Maße")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(toks) != 5 || toks[1].Kind != TokIdent || toks[1].Text != "Größe" || toks[3].Text != "Maße" || toks[3].Col != 21 {
+		t.Errorf("tokens = %+v", toks)
+	}
+	roundTrip(t, "SELECT Größe, ÄÖÜ_1 FROM Maße WHERE Größe > 3")
+
+	for _, bad := range []struct{ sql, at string }{
+		{"SET \xdf 0", "byte 0xdf at line 1 col 5"},
+		{"SELECT a\n  FROM t\xff", "byte 0xff at line 2 col 9"},
+		{"SELECT 'caf\xe9'", "byte 0xe9 at line 1 col 12"},
+	} {
+		_, err := Parse(bad.sql)
+		if err == nil || !strings.Contains(err.Error(), "invalid UTF-8 "+bad.at) {
+			t.Errorf("Parse(%q) = %v, want invalid UTF-8 %s", bad.sql, err, bad.at)
+		}
+	}
+}
+
 func TestLexPositions(t *testing.T) {
 	toks, err := Lex("SELECT\n  x")
 	if err != nil {
