@@ -162,9 +162,8 @@ func (c *compiler) compileExprShifted(e sqlparser.Expr, offset int) (exec.Expr, 
 // the reference is not a scope column (caller then tries parameters).
 func (c *compiler) resolveColumn(ref *sqlparser.ColumnRef) (int, error) {
 	if ref.Qualifier != "" {
-		q := strings.ToLower(ref.Qualifier)
 		for i, col := range c.cols {
-			if col.corr == q && strings.EqualFold(col.name, ref.Name) {
+			if strings.EqualFold(col.corr, ref.Qualifier) && strings.EqualFold(col.name, ref.Name) {
 				return i, nil
 			}
 		}
@@ -196,12 +195,10 @@ func (c *compiler) lookupParam(ref *sqlparser.ColumnRef) (types.Value, bool) {
 	if c.params == nil {
 		return types.Null, false
 	}
-	key := strings.ToLower(ref.Name)
-	if ref.Qualifier != "" {
-		key = strings.ToLower(ref.Qualifier) + "." + key
+	if ref.Qualifier == "" {
+		return types.LookupFold(c.params, ref.Name)
 	}
-	v, ok := c.params[key]
-	return v, ok
+	return types.LookupFold(c.params, ref.Qualifier+"."+ref.Name)
 }
 
 // ------------------------------------------------------------- analysis
@@ -262,9 +259,8 @@ func walkRefs(e sqlparser.Expr, visit func(*sqlparser.ColumnRef)) {
 // the index of a reference in the given scope, or -1.
 func scopeIndexOf(ref *sqlparser.ColumnRef, cols []scopeCol) int {
 	if ref.Qualifier != "" {
-		q := strings.ToLower(ref.Qualifier)
 		for i, col := range cols {
-			if col.corr == q && strings.EqualFold(col.name, ref.Name) {
+			if strings.EqualFold(col.corr, ref.Qualifier) && strings.EqualFold(col.name, ref.Name) {
 				return i
 			}
 		}

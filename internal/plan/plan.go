@@ -73,7 +73,7 @@ func ValidateView(cat *catalog.Catalog, sel *sqlparser.Select, opts Options) err
 }
 
 type scopeCol struct {
-	corr string // correlation name exposing this column (lower-cased)
+	corr string // correlation name exposing this column (as written; compared case-insensitively)
 	name string // column name (original case)
 	typ  types.Type
 }
@@ -95,7 +95,6 @@ type compiler struct {
 // can be pushed into the remote query (federated query decomposition).
 type remoteRef struct {
 	scan       *exec.RemoteScan
-	corr       string
 	start, end int
 }
 
@@ -565,7 +564,7 @@ func stripQualifiers(e sqlparser.Expr) sqlparser.Expr {
 func (c *compiler) compileLeaf(item sqlparser.FromItem) (exec.Operator, bool, error) {
 	switch it := item.(type) {
 	case *sqlparser.TableRef:
-		corr := strings.ToLower(it.Corr())
+		corr := it.Corr()
 		if err := c.checkCorrFree(corr); err != nil {
 			return nil, false, err
 		}
@@ -597,7 +596,7 @@ func (c *compiler) compileLeaf(item sqlparser.FromItem) (exec.Operator, bool, er
 			start := len(c.cols)
 			c.appendScope(corr, nick.Schema)
 			scan := &exec.RemoteScan{Server: srv, Query: remote, Sch: nick.Schema.Clone()}
-			c.remotes = append(c.remotes, &remoteRef{scan: scan, corr: corr, start: start, end: len(c.cols)})
+			c.remotes = append(c.remotes, &remoteRef{scan: scan, start: start, end: len(c.cols)})
 			return scan, false, nil
 		}
 		if virt := c.cat.Virtual(it.Name); virt != nil {
@@ -614,7 +613,7 @@ func (c *compiler) compileLeaf(item sqlparser.FromItem) (exec.Operator, bool, er
 		return &exec.TableScan{Table: tab, Sch: sch}, false, nil
 
 	case *sqlparser.TableFuncRef:
-		corr := strings.ToLower(it.Corr())
+		corr := it.Corr()
 		if err := c.checkCorrFree(corr); err != nil {
 			return nil, false, err
 		}
@@ -644,7 +643,7 @@ func (c *compiler) compileLeaf(item sqlparser.FromItem) (exec.Operator, bool, er
 		return &exec.FuncScan{Fn: fn, Args: args, Sch: sch}, lateral, nil
 
 	case *sqlparser.SubqueryRef:
-		corr := strings.ToLower(it.Corr())
+		corr := it.Corr()
 		if err := c.checkCorrFree(corr); err != nil {
 			return nil, false, err
 		}
@@ -666,7 +665,7 @@ func (c *compiler) compileLeaf(item sqlparser.FromItem) (exec.Operator, bool, er
 
 func (c *compiler) checkCorrFree(corr string) error {
 	for _, col := range c.cols {
-		if col.corr == corr {
+		if strings.EqualFold(col.corr, corr) {
 			return fmt.Errorf("plan: duplicate correlation name %s", corr)
 		}
 	}

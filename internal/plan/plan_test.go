@@ -340,3 +340,27 @@ func TestExplicitJoinConditionsStayAtJoin(t *testing.T) {
 		t.Errorf("cross join count = %v", tab.Rows[0][0])
 	}
 }
+
+// TestMixedCaseNamesAllocateNothingMore: correlation names and qualifiers
+// resolve without regard to case, and upper-case ones cost no allocation
+// the same statement in lower case does not.
+func TestMixedCaseNamesAllocateNothingMore(t *testing.T) {
+	cat := testCatalog(t)
+	params := map[string]types.Value{"f.x": types.NewInt(1)}
+	allocs := func(sql string) float64 {
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := CompileSelect(cat, sel, params); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	lower := allocs("SELECT s.Name, t.*, f.x FROM TABLE (Twice(p.SuppNo)) AS t, parts p, suppliers s WHERE s.No = p.SuppNo AND t.y > 1")
+	upper := allocs("SELECT S.Name, T.*, F.X FROM TABLE (Twice(P.SuppNo)) AS T, parts P, suppliers S WHERE S.No = P.SuppNo AND T.y > 1")
+	if upper > lower {
+		t.Errorf("upper-case names: %.0f allocs, lower case %.0f", upper, lower)
+	}
+}

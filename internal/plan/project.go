@@ -26,10 +26,9 @@ func (c *compiler) compileProjection(op exec.Operator, sel *sqlparser.Select) (e
 				return nil, fmt.Errorf("plan: SELECT * requires a FROM clause")
 			}
 		case item.Star:
-			q := strings.ToLower(item.Qualifier)
 			found := false
 			for i, col := range c.cols {
-				if col.corr == q {
+				if strings.EqualFold(col.corr, item.Qualifier) {
 					exprs = append(exprs, exec.Col{Idx: i, Name: col.name})
 					schema = append(schema, types.Column{Name: col.name, Type: col.typ})
 					found = true

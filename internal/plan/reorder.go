@@ -17,17 +17,10 @@ func reorderFromItems(items []sqlparser.FromItem) ([]sqlparser.FromItem, error) 
 	if len(items) < 2 {
 		return items, nil
 	}
-	// Correlations exposed per item.
-	exposed := make([]map[string]bool, len(items))
+	// The correlations each item exposes.
+	var owners []corrOwner
 	for i, item := range items {
-		exposed[i] = make(map[string]bool)
-		collectCorrs(item, exposed[i])
-	}
-	owner := make(map[string]int)
-	for i, corrs := range exposed {
-		for corr := range corrs {
-			owner[corr] = i
-		}
+		owners = collectCorrs(item, i, owners)
 	}
 	// Dependencies: item i depends on item j when one of its table
 	// function arguments references a correlation owned by j.
@@ -39,8 +32,8 @@ func reorderFromItems(items []sqlparser.FromItem) ([]sqlparser.FromItem, error) 
 				if ref.Qualifier == "" {
 					return // unqualified references keep syntactic order
 				}
-				j, ok := owner[strings.ToLower(ref.Qualifier)]
-				if ok && j != i && !seen[j] {
+				j := ownerOf(owners, ref.Qualifier)
+				if j >= 0 && j != i && !seen[j] {
 					seen[j] = true
 					deps[i] = append(deps[i], j)
 				}
@@ -79,17 +72,36 @@ func reorderFromItems(items []sqlparser.FromItem) ([]sqlparser.FromItem, error) 
 	return out, nil
 }
 
-// collectCorrs gathers the correlation names an item exposes.
-func collectCorrs(item sqlparser.FromItem, into map[string]bool) {
+// corrOwner is one correlation name and the FROM item exposing it.
+type corrOwner struct {
+	corr string
+	item int
+}
+
+// collectCorrs appends the correlation names item i exposes to into.
+func collectCorrs(item sqlparser.FromItem, i int, into []corrOwner) []corrOwner {
 	switch it := item.(type) {
 	case *sqlparser.JoinRef:
-		collectCorrs(it.Left, into)
-		collectCorrs(it.Right, into)
+		into = collectCorrs(it.Left, i, into)
+		return collectCorrs(it.Right, i, into)
 	default:
 		if corr := item.Corr(); corr != "" {
-			into[strings.ToLower(corr)] = true
+			into = append(into, corrOwner{corr, i})
+		}
+		return into
+	}
+}
+
+// ownerOf is the item exposing the correlation corr, matched without
+// regard to case, or -1; of two items exposing it (an error the compiler
+// reports), the later.
+func ownerOf(owners []corrOwner, corr string) int {
+	for k := len(owners) - 1; k >= 0; k-- {
+		if strings.EqualFold(owners[k].corr, corr) {
+			return owners[k].item
 		}
 	}
+	return -1
 }
 
 // forEachFuncArg visits every table-function argument within an item

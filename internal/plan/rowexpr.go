@@ -1,8 +1,6 @@
 package plan
 
 import (
-	"strings"
-
 	"fedwf/internal/catalog"
 	"fedwf/internal/exec"
 	"fedwf/internal/sqlparser"
@@ -16,7 +14,7 @@ import (
 func CompileRowExpr(cat *catalog.Catalog, corr string, schema types.Schema, e sqlparser.Expr) (exec.Expr, error) {
 	c := &compiler{cat: cat}
 	if schema != nil {
-		c.appendScope(strings.ToLower(corr), schema)
+		c.appendScope(corr, schema)
 	}
 	return c.compileExpr(e)
 }
@@ -27,7 +25,7 @@ func CompileRowExpr(cat *catalog.Catalog, corr string, schema types.Schema, e sq
 // instead of every row. indexed reports whether a column has an index.
 func PointKey(corr string, schema types.Schema, where sqlparser.Expr, indexed func(column string) bool) (string, types.Value, bool) {
 	c := &compiler{}
-	c.appendScope(strings.ToLower(corr), schema)
+	c.appendScope(corr, schema)
 	for _, cj := range splitConjuncts(where) {
 		if idx, key, ok := c.pointKey(cj, 0, indexed); ok {
 			return c.cols[idx].name, key, true
