@@ -22,9 +22,8 @@ import (
 type Policy struct {
 	// Capacity is the number of ring-buffer slots (default 512).
 	Capacity int
-	// MaxTraceBytes caps the bytes each stored span tree is kept in (its
-	// obs.EncodeTrace encoding); deeper levels are pruned until the tree
-	// fits, and the root is kept even over the cap (default 128 KiB).
+	// MaxTraceBytes caps each stored span tree's obs.EncodeTrace bytes;
+	// deeper levels are pruned until the tree fits (default 128 KiB).
 	MaxTraceBytes int
 	// LatencyThreshold retains every trace whose paper latency reaches it
 	// (default 250 paper-ms).

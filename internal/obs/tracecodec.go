@@ -84,7 +84,8 @@ func EncodeTrace(root *Span, maxBytes int) ([]byte, int) {
 		// shallower at a time, until one fits or only the root is left.
 		for cut := w.levels - 2; cut >= 0; cut-- {
 			w = traceWriter{cut: cut}
-			if w.span(root, 0); w.n <= maxBytes {
+			w.span(root, 0)
+			if w.n <= maxBytes {
 				break
 			}
 		}
