@@ -196,7 +196,8 @@ func (c *Catalog) RegisterVirtual(v *VirtualTable) error {
 func (c *Catalog) Virtual(name string) *VirtualTable {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.virtuals[strings.ToLower(name)]
+	v, _ := types.LookupFold(c.virtuals, name)
+	return v
 }
 
 // Virtuals lists virtual table names in sorted order.
@@ -370,7 +371,8 @@ func (c *Catalog) CreateNicknameContext(ctx context.Context, name, server, remot
 func (c *Catalog) Nickname(name string) *Nickname {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.nicknames[strings.ToLower(name)]
+	n, _ := types.LookupFold(c.nicknames, name)
+	return n
 }
 
 // CreateView registers a named query: the paper's homogenized view layer.
@@ -396,7 +398,8 @@ func (c *Catalog) CreateView(name string, query *sqlparser.Select) error {
 func (c *Catalog) View(name string) *sqlparser.Select {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.views[strings.ToLower(name)]
+	v, _ := types.LookupFold(c.views, name)
+	return v
 }
 
 // DropView removes a view.

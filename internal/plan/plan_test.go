@@ -341,9 +341,9 @@ func TestExplicitJoinConditionsStayAtJoin(t *testing.T) {
 	}
 }
 
-// TestMixedCaseNamesAllocateNothingMore: correlation names and qualifiers
-// resolve without regard to case, and upper-case ones cost no allocation
-// the same statement in lower case does not.
+// TestMixedCaseNamesAllocateNothingMore: table names, correlation names and
+// qualifiers resolve without regard to case, and upper-case ones cost no
+// allocation the same statement in lower case does not.
 func TestMixedCaseNamesAllocateNothingMore(t *testing.T) {
 	cat := testCatalog(t)
 	params := map[string]types.Value{"f.x": types.NewInt(1)}
@@ -359,7 +359,7 @@ func TestMixedCaseNamesAllocateNothingMore(t *testing.T) {
 		})
 	}
 	lower := allocs("SELECT s.Name, t.*, f.x FROM TABLE (Twice(p.SuppNo)) AS t, parts p, suppliers s WHERE s.No = p.SuppNo AND t.y > 1")
-	upper := allocs("SELECT S.Name, T.*, F.X FROM TABLE (Twice(P.SuppNo)) AS T, parts P, suppliers S WHERE S.No = P.SuppNo AND T.y > 1")
+	upper := allocs("SELECT S.Name, T.*, F.X FROM TABLE (Twice(P.SuppNo)) AS T, PARTS P, Suppliers S WHERE S.No = P.SuppNo AND T.y > 1")
 	if upper > lower {
 		t.Errorf("upper-case names: %.0f allocs, lower case %.0f", upper, lower)
 	}

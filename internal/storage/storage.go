@@ -428,7 +428,7 @@ func (s *Store) Create(name string, schema types.Schema) (*Table, error) {
 func (s *Store) Get(name string) (*Table, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t, ok := s.tables[strings.ToLower(name)]
+	t, ok := types.LookupFold(s.tables, name)
 	if !ok {
 		return nil, fmt.Errorf("storage: no table named %s", name)
 	}
