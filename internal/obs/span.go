@@ -57,14 +57,26 @@ type Span struct {
 	start    time.Duration
 	end      time.Duration
 	ended    bool
-	steps    map[string]time.Duration
-	order    []string
+	steps    []StepTotal // one per label, in first-seen order
 	children []*Span
+
+	// Inline backing for attrs, steps and children. Most spans carry one
+	// or two attributes, at most one step label and at most one child, so
+	// opening, annotating, charging and closing one costs the Span itself
+	// and nothing more; a larger span spills to the heap on append. The
+	// capacities keep a Span inside the 256-byte size class.
+	attrBuf  [2]Attr
+	stepBuf  [1]StepTotal
+	childBuf [1]*Span
 }
 
 // newSpan builds a started span.
 func newSpan(name string, parent *Span, start time.Duration) *Span {
-	return &Span{name: name, parent: parent, start: start, steps: make(map[string]time.Duration)}
+	s := &Span{name: name, parent: parent, start: start}
+	s.attrs = s.attrBuf[:0]
+	s.steps = s.stepBuf[:0]
+	s.children = s.childBuf[:0]
+	return s
 }
 
 // Name returns the span's name ("" on nil).
@@ -192,11 +204,14 @@ func (s *Span) AddStep(label string, d time.Duration) {
 		return
 	}
 	s.mu.Lock()
-	if _, ok := s.steps[label]; !ok {
-		s.order = append(s.order, label)
+	defer s.mu.Unlock()
+	for i := range s.steps {
+		if s.steps[i].Name == label {
+			s.steps[i].Total += d
+			return
+		}
 	}
-	s.steps[label] += d
-	s.mu.Unlock()
+	s.steps = append(s.steps, StepTotal{Name: label, Total: d})
 }
 
 // Steps returns this span's own step attributions (children excluded) in
@@ -207,10 +222,8 @@ func (s *Span) Steps() []StepTotal {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]StepTotal, 0, len(s.order))
-	for _, n := range s.order {
-		out = append(out, StepTotal{Name: n, Total: s.steps[n]})
-	}
+	out := make([]StepTotal, len(s.steps))
+	copy(out, s.steps)
 	return out
 }
 

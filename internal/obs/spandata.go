@@ -116,8 +116,7 @@ func SpanFromData(d *SpanData, shift time.Duration) *Span {
 	sp.ended = true
 	sp.end = sp.start + time.Duration(d.ElapsedNS)
 	for _, st := range d.Steps {
-		sp.order = append(sp.order, st.Name)
-		sp.steps[st.Name] = time.Duration(st.NS)
+		sp.steps = append(sp.steps, StepTotal{Name: st.Name, Total: time.Duration(st.NS)})
 	}
 	for _, c := range d.Children {
 		if c != nil {

@@ -159,10 +159,10 @@ func (w *traceWriter) span(s *Span, level int) {
 		w.str("pruned")
 		w.str("children")
 	}
-	w.u64(uint64(len(s.order)))
-	for _, name := range s.order {
-		w.str(name)
-		w.i64(int64(s.steps[name]))
+	w.u64(uint64(len(s.steps)))
+	for _, st := range s.steps {
+		w.str(st.Name)
+		w.i64(int64(st.Total))
 	}
 	if cut {
 		w.u64(0)
