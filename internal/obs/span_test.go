@@ -1,9 +1,13 @@
 package obs
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"fedwf/internal/simlat"
 )
@@ -166,5 +170,103 @@ func TestEndOnlyRestoresWhenCurrent(t *testing.T) {
 	tr.Finish()
 	if task.SpanSink() != nil {
 		t.Error("sink not detached after Finish")
+	}
+}
+
+// A span with one attribute, one step label and one child used to cost five
+// allocations beyond its parent's child list: the Span, its step map and
+// the map's first group, the order slice, the attribute slice, and a sixth
+// for the child slice. With the three stored inline it is one, and the
+// Span stays inside the 256-byte size class, so spans without steps pay
+// no more bytes than the Span and map header did.
+func TestSpanAllocationBudget(t *testing.T) {
+	if size := unsafe.Sizeof(Span{}); size > 256 {
+		t.Errorf("a Span is %d bytes, past the 256-byte size class", size)
+	}
+	task := simlat.NewVirtualTask()
+	tr := Trace(task, "root")
+	root := tr.Root()
+	remote := SpanFromData(&SpanData{Name: "rpc.serve", ElapsedNS: int64(simlat.PaperMS)}, 0)
+	var sp *Span
+	allocs := testing.AllocsPerRun(100, func() {
+		// Every run's span is the root's only child, so only it may allocate.
+		root.children = root.children[:0]
+		sp = StartSpan(task, "exec.op", Attr{Key: "op", Value: "Scan"})
+		task.Step("work", time.Microsecond)
+		Graft(sp, remote)
+		sp.End(task)
+	})
+	tr.Finish()
+	if len(sp.Attrs()) != 1 || len(sp.Steps()) != 1 || len(sp.Children()) != 1 {
+		t.Fatalf("span shape: %v attrs, %v steps, %d children", sp.Attrs(), sp.Steps(), len(sp.Children()))
+	}
+	if allocs != 1 {
+		t.Errorf("opening, annotating, charging and closing a span allocates %.0f times, want 1", allocs)
+	}
+}
+
+// TestConcurrentStepsAndChildren forks eight branches under one span. Each
+// charges a label they all share and one of its own to that span, then
+// opens a child at the same instant as every other branch. The span's
+// steps must total every charge in the order each label was first charged,
+// and its children must come out in their (start, name, attributes) order
+// however the branches raced (run it with -race).
+func TestConcurrentStepsAndChildren(t *testing.T) {
+	const d = simlat.PaperMS
+	task := simlat.NewVirtualTask()
+	tr := Trace(task, "root")
+	fan := StartSpan(task, "fan")
+	task.Step("shared", d)
+	branches := task.ForkN(8)
+	var (
+		mu    sync.Mutex
+		first []string // own labels in the order fan first saw them
+		wg    sync.WaitGroup
+	)
+	for i, b := range branches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b.Step("shared", d)
+			own := "own-" + strconv.Itoa(i)
+			mu.Lock()
+			b.Step(own, d)
+			first = append(first, own)
+			mu.Unlock()
+			c := StartSpan(b, "w", Attr{Key: "worker", Value: strconv.Itoa(i)})
+			b.Step("inner", d)
+			b.Step("inner", d)
+			c.End(b)
+		}()
+	}
+	wg.Wait()
+	task.Join(branches...)
+	fan.End(task)
+	tr.Finish()
+
+	want := []StepTotal{{Name: "shared", Total: 9 * d}}
+	for _, own := range first {
+		want = append(want, StepTotal{Name: own, Total: d})
+	}
+	if got := fan.Steps(); !reflect.DeepEqual(got, want) {
+		t.Errorf("fan steps = %v, want %v", got, want)
+	}
+	kids := fan.Children()
+	if len(kids) != len(branches) {
+		t.Fatalf("fan has %d children, want %d", len(kids), len(branches))
+	}
+	for i, c := range kids {
+		if w := c.Attrs()[0].Value; w != strconv.Itoa(i) {
+			t.Errorf("child %d is worker %s", i, w)
+		}
+		if c.Start() != 3*d || c.Elapsed() != 2*d {
+			t.Errorf("worker %d: start %v elapsed %v, want %v and %v", i, c.Start(), c.Elapsed(), 3*d, 2*d)
+		}
+		if got := c.Steps(); len(got) != 1 || got[0] != (StepTotal{Name: "inner", Total: 2 * d}) {
+			t.Errorf("worker %d steps = %v", i, got)
+		}
+	}
+	if again := fan.Children(); !reflect.DeepEqual(again, kids) {
+		t.Error("a second Children call reordered the children")
 	}
 }
