@@ -249,14 +249,21 @@ func newCall(ctx context.Context, task *simlat.Task, system, function string, tc
 
 // graftReplyFragment grafts a server-side span fragment shipped in the
 // response metadata under the local call span, and strips it from the
-// map.
+// map. A fragment that does not decode — a peer built before fragments
+// travelled in the compact codec sends JSON — leaves the call's table
+// alone and sets a fragment_error attribute on the call span, so a trace
+// without the server's subtree says why.
 func graftReplyFragment(sp *obs.Span, meta map[string]string) {
 	enc, ok := meta[obs.MetaTraceFragment]
 	if !ok {
 		return
 	}
 	if sp != nil {
-		if root, err := obs.DecodeTrace([]byte(enc)); err == nil && root != nil {
+		root, err := obs.DecodeTrace([]byte(enc))
+		switch {
+		case err != nil:
+			sp.SetAttr("fragment_error", err.Error())
+		case root != nil:
 			obs.Graft(sp, obs.SpanFromData(root, sp.Start()))
 		}
 	}

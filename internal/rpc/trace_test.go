@@ -1,8 +1,11 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"fmt"
+	"io"
+	"net"
 	"strings"
 	"testing"
 
@@ -73,6 +76,73 @@ func TestTracedTCPCallGraftsServerSpans(t *testing.T) {
 	}
 	if _, ok := meta[obs.MetaTraceFragment]; ok {
 		t.Error("untraced call received a fragment")
+	}
+}
+
+// TestUndecodableFragmentSetsFragmentError: a peer built before fragments
+// travelled in the compact codec answers a traced call with a JSON
+// fragment. The call still returns its table, and its rpc.call span names
+// the decode error instead of dropping the fragment without a word.
+func TestUndecodableFragmentSetsFragmentError(t *testing.T) {
+	const fragment = `{"trace_id":"4bf92f3577b34da6","root":{"name":"rpc.serve","start_ns":0,"elapsed_ns":1000000}}`
+	addr, _ := foreignPeer(t, func(conn net.Conn) {
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		if _, err := br.Discard(len(muxMagic)); err != nil {
+			return
+		}
+		if _, err := readFrame(br); err != nil { // the hello
+			return
+		}
+		if writeFrame(conn, encodeHelloAck(1, classGeneric, "")) != nil {
+			return
+		}
+		p, err := readFrame(br)
+		if err != nil {
+			return
+		}
+		id, req, err := decodeFrameRequest(p)
+		if err != nil {
+			return
+		}
+		tab, _ := echoHandler(context.Background(), simlat.Free(), Request{System: req.system, Function: req.function, Args: req.args})
+		rep := &reply{table: tab, meta: map[string]string{obs.MetaTraceFragment: fragment}}
+		if writeFrame(conn, encodeFrameResponse(id, rep)) != nil {
+			return
+		}
+		io.Copy(io.Discard, br) // until the client hangs up
+	})
+	c, err := DialMux(addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	task := simlat.NewVirtualTask()
+	tr := obs.Trace(task, "client")
+	res, meta, err := c.(MetaCaller).CallMeta(context.Background(), task, Request{System: "s", Function: "f"})
+	root := tr.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 || res.Rows[0][1].Str() != "f" {
+		t.Errorf("table = %v, want the echo row", res)
+	}
+	if _, ok := meta[obs.MetaTraceFragment]; ok {
+		t.Error("fragment key must be consumed by the transport")
+	}
+	call := root.Children()
+	if len(call) != 1 || call[0].Name() != "rpc.call" || len(call[0].Children()) != 0 {
+		t.Fatalf("want one rpc.call without a graft:\n%s", obs.Render(root))
+	}
+	var reason string
+	for _, a := range call[0].Attrs() {
+		if a.Key == "fragment_error" {
+			reason = a.Value
+		}
+	}
+	if _, want := obs.DecodeTrace([]byte(fragment)); want == nil || reason != want.Error() {
+		t.Errorf("rpc.call fragment_error = %q, want the decode error %v", reason, want)
 	}
 }
 
