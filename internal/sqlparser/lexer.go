@@ -26,7 +26,8 @@ const (
 	TokOp
 )
 
-// Token is one lexical token with its source position (1-based line/col).
+// Token is one lexical token with its source position: 1-based line, and
+// 1-based column counted in characters (runes), not bytes.
 type Token struct {
 	Kind TokenKind
 	Text string // keywords are upper-cased; identifiers keep their case
@@ -74,12 +75,16 @@ func Lex(input string) ([]Token, error) {
 	line, col := 1, 1
 	i := 0
 	n := len(input)
+	// advance moves i on by k bytes; col counts runes, so the continuation
+	// bytes of a multi-byte character do not move it.
 	advance := func(k int) {
 		for j := 0; j < k; j++ {
-			if input[i+j] == '\n' {
+			switch b := input[i+j]; {
+			case b == '\n':
 				line++
 				col = 1
-			} else {
+			case !utf8.RuneStart(b):
+			default:
 				col++
 			}
 		}
@@ -239,7 +244,7 @@ func invalidUTF8(input string) error {
 		case r == '\n':
 			line, col = line+1, 1
 		default:
-			col += size
+			col++
 		}
 		i += size
 	}

@@ -79,7 +79,7 @@ func TestLexUTF8(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(toks) != 5 || toks[1].Kind != TokIdent || toks[1].Text != "Größe" || toks[3].Text != "Maße" || toks[3].Col != 21 {
+	if len(toks) != 5 || toks[1].Kind != TokIdent || toks[1].Text != "Größe" || toks[3].Text != "Maße" || toks[3].Col != 19 {
 		t.Errorf("tokens = %+v", toks)
 	}
 	roundTrip(t, "SELECT Größe, ÄÖÜ_1 FROM Maße WHERE Größe > 3")
@@ -88,6 +88,7 @@ func TestLexUTF8(t *testing.T) {
 		{"SET \xdf 0", "byte 0xdf at line 1 col 5"},
 		{"SELECT a\n  FROM t\xff", "byte 0xff at line 2 col 9"},
 		{"SELECT 'caf\xe9'", "byte 0xe9 at line 1 col 12"},
+		{"SELECT Größe\nFROM Maße WHERE x = '\xc3'", "byte 0xc3 at line 2 col 22"},
 	} {
 		_, err := Parse(bad.sql)
 		if err == nil || !strings.Contains(err.Error(), "invalid UTF-8 "+bad.at) {
