@@ -79,12 +79,10 @@ func Lex(input string) ([]Token, error) {
 	// bytes of a multi-byte character do not move it.
 	advance := func(k int) {
 		for j := 0; j < k; j++ {
-			switch b := input[i+j]; {
-			case b == '\n':
+			if input[i+j] == '\n' {
 				line++
 				col = 1
-			case !utf8.RuneStart(b):
-			default:
+			} else if utf8.RuneStart(input[i+j]) {
 				col++
 			}
 		}
