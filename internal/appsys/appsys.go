@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -35,7 +36,9 @@ type Function struct {
 	Returns     types.Schema
 	ServiceTime time.Duration // simulated execution time per call
 	// Impl answers a fresh table, which CallContext then owns: it takes
-	// the declared Returns schema, and its values are cast in place.
+	// the declared Returns schema, and a row some cast changes is replaced
+	// by a cast copy. args may be the caller's slice (it is copied only
+	// when a cast changes a value), so Impl must not write into it.
 	Impl func(sys *System, args []types.Value) (*types.Table, error)
 	// Single declares that the function answers at most one row per call;
 	// a call that answers more fails.
@@ -114,13 +117,9 @@ func (s *System) CallContext(ctx context.Context, task *simlat.Task, name string
 	if len(args) != len(f.Params) {
 		return nil, fmt.Errorf("appsys: %s.%s expects %d arguments, got %d", s.name, f.Name, len(f.Params), len(args))
 	}
-	cast := make([]types.Value, len(args))
-	for i, p := range f.Params {
-		v, err := types.Cast(args[i], p.Type)
-		if err != nil {
-			return nil, fmt.Errorf("appsys: %s.%s parameter %s: %w", s.name, f.Name, p.Name, err)
-		}
-		cast[i] = v
+	cast, at, err := types.ConformArgs(args, f.Params)
+	if err != nil {
+		return nil, fmt.Errorf("appsys: %s.%s parameter %s: %w", s.name, f.Name, f.Params[at].Name, err)
 	}
 	task.Spend(f.ServiceTime)
 	res, err := f.Impl(s, cast)
@@ -146,7 +145,7 @@ func (s *System) CallContext(ctx context.Context, task *simlat.Task, name string
 func (s *System) CallBatchContext(ctx context.Context, task *simlat.Task, name string, rows [][]types.Value) (out []*types.Table, err error) {
 	sp := obs.StartSpan(task, "appsys.call.batch",
 		obs.Attr{Key: "system", Value: s.name}, obs.Attr{Key: "fn", Value: name},
-		obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(rows))})
+		obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(rows))})
 	defer func() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -184,7 +183,7 @@ func (r *Registry) Add(s *System) error {
 
 // System returns a registered system.
 func (r *Registry) System(name string) (*System, error) {
-	s, ok := r.systems[strings.ToLower(name)]
+	s, ok := types.LookupFold(r.systems, name)
 	if !ok {
 		return nil, fmt.Errorf("appsys: no system named %s", name)
 	}

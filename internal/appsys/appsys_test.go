@@ -309,3 +309,44 @@ func TestAnswerCastOnlyWhereNeeded(t *testing.T) {
 		t.Errorf("the Impl's row was written: %v", needsCast)
 	}
 }
+
+// TestCallLeavesArgumentsUntouched: an argument that needs a cast reaches
+// the Impl cast, and the caller's slice keeps the value it passed.
+func TestCallLeavesArgumentsUntouched(t *testing.T) {
+	sys := NewSystem("s")
+	if err := sys.Register(&Function{Name: "Echo",
+		Params:  []types.Column{{Name: "X", Type: types.Double}},
+		Returns: types.Schema{{Name: "X", Type: types.Double}},
+		Impl: func(_ *System, args []types.Value) (*types.Table, error) {
+			return &types.Table{Rows: []types.Row{{args[0]}}}, nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	args := []types.Value{types.NewInt(3)}
+	tab, err := sys.CallContext(context.Background(), simlat.Free(), "Echo", args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.Rows[0][0]; got.Kind() != types.KindFloat || got.Float() != 3 {
+		t.Errorf("the Impl saw %v, want 3 as DOUBLE", got)
+	}
+	if args[0].Kind() != types.KindInt || args[0].Int() != 3 {
+		t.Errorf("the caller's argument became %v", args[0])
+	}
+}
+
+// BenchmarkCallBatch measures one batch of eight GetQuality rows: the
+// argument casts, the lookups and the answer casts of a chunk.
+func BenchmarkCallBatch(b *testing.B) {
+	reg := MustBuildScenario()
+	rows := make([][]types.Value, 8)
+	for i := range rows {
+		rows[i] = []types.Value{types.NewInt(int64(i + 1))}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := reg.CallBatchContext(context.Background(), simlat.Free(), StockKeeping, "GetQuality", rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -142,7 +142,7 @@ func buildStockKeeping() (*System, error) {
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "quality", "SupplierNo", args[0], []string{"Qual"})
+				return lookupProject(sys, "quality", "SupplierNo", args[0], "Qual")
 			},
 		},
 		{
@@ -222,7 +222,7 @@ func buildProductData() (*System, error) {
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "components", "CompName", args[0], []string{"CompNo"})
+				return lookupProject(sys, "components", "CompName", args[0], "CompNo")
 			},
 		},
 		{
@@ -231,7 +231,7 @@ func buildProductData() (*System, error) {
 			Returns:     types.Schema{{Name: "SubCompNo", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "bom", "CompNo", args[0], []string{"SubCompNo"})
+				return lookupProject(sys, "bom", "CompNo", args[0], "SubCompNo")
 			},
 		},
 		{
@@ -334,7 +334,7 @@ func buildPurchasing() (*System, error) {
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "suppliers", "SupplierNo", args[0], []string{"Relia"})
+				return lookupProject(sys, "suppliers", "SupplierNo", args[0], "Relia")
 			},
 		},
 		{
@@ -344,7 +344,7 @@ func buildPurchasing() (*System, error) {
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
 			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "suppliers", "Name", args[0], []string{"SupplierNo"})
+				return lookupProject(sys, "suppliers", "Name", args[0], "SupplierNo")
 			},
 		},
 		{
@@ -417,32 +417,26 @@ func buildPurchasing() (*System, error) {
 	return sys, nil
 }
 
-// lookupProject implements the common single-key lookup with projection.
-// The answer carries no schema of its own: CallContext gives it the
-// function's declared one.
-func lookupProject(sys *System, table, keyCol string, key types.Value, outCols []string) (*types.Table, error) {
+// lookupProject implements the common single-key lookup projected to one
+// column. The answer carries no schema of its own: CallContext gives it
+// the function's declared one. Its rows are carved from one slab.
+func lookupProject(sys *System, table, keyCol string, key types.Value, outCol string) (*types.Table, error) {
 	tab, err := sys.store.Get(table)
 	if err != nil {
 		return nil, err
+	}
+	ci := tab.ColumnIndex(outCol)
+	if ci < 0 {
+		return nil, fmt.Errorf("appsys: table %s has no column %s", table, outCol)
 	}
 	rows, err := tab.Lookup(keyCol, key)
 	if err != nil {
 		return nil, err
 	}
-	schema := tab.Schema()
-	idx := make([]int, len(outCols))
-	for i, c := range outCols {
-		if idx[i] = schema.ColumnIndex(c); idx[i] < 0 {
-			return nil, fmt.Errorf("appsys: table %s has no column %s", table, c)
-		}
-	}
-	out := &types.Table{Rows: make([]types.Row, len(rows))}
+	cells := make([]types.Value, len(rows))
 	for k, r := range rows {
-		pr := make(types.Row, len(idx))
-		for i, j := range idx {
-			pr[i] = r[j]
-		}
-		out.Rows[k] = pr
+		cells[k] = r[ci]
+		rows[k] = cells[k : k+1 : k+1]
 	}
-	return out, nil
+	return &types.Table{Rows: rows}, nil
 }

@@ -16,6 +16,7 @@ package catalog
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -506,42 +507,22 @@ func (f *SQLFunc) InvokeBatch(ctx context.Context, rt QueryRunner, task *simlat.
 		}
 		return out, nil
 	}
-	cast := make([][]types.Value, len(rows))
-	for i, args := range rows {
-		if len(args) != len(f.FParams) {
-			return nil, fmt.Errorf("catalog: %s expects %d arguments, got %d", f.FName, len(f.FParams), len(args))
-		}
-		cr := make([]types.Value, len(args))
-		for j, p := range f.FParams {
-			v, err := types.Cast(args[j], p.Type)
-			if err != nil {
-				return nil, fmt.Errorf("catalog: %s parameter %s: %w", f.FName, p.Name, err)
-			}
-			cr[j] = v
-		}
-		cast[i] = cr
+	cast, err := castRows(f.FName, f.FParams, rows)
+	if err != nil {
+		return nil, err
 	}
 	res, err := f.BatchBody(ctx, rt, task, cast)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: executing %s: %w", f.FName, err)
 	}
-	if len(res) != len(rows) {
-		return nil, fmt.Errorf("catalog: %s batch body returned %d tables for %d rows", f.FName, len(res), len(rows))
-	}
-	out := make([]*types.Table, len(res))
-	for i, t := range res {
-		ct, err := coerceTable(t, f.FReturns)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: %s result: %w", f.FName, err)
-		}
-		out[i] = ct
-	}
-	return out, nil
+	return coerceTables(f.FName, res, len(rows), f.FReturns)
 }
 
 // GoFunc is a host-implemented table function (LANGUAGE EXTERNAL): the
 // mechanism behind access UDTFs, Go integration UDTFs, and the workflow
-// UDTF.
+// UDTF. A body receives the caller's argument slices wherever no cast
+// changes a value, so it must not write into them; the table it answers
+// is read, never written, and the caller gets a fresh header over its rows.
 type GoFunc struct {
 	FName    string
 	FParams  []types.Column
@@ -568,19 +549,11 @@ func (f *GoFunc) Schema() types.Schema { return f.FReturns }
 // declared parameter types, runs the host implementation, and coerces its
 // result to the declared schema.
 func (f *GoFunc) InvokeContext(ctx context.Context, rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
-	if len(args) != len(f.FParams) {
-		return nil, fmt.Errorf("catalog: %s expects %d arguments, got %d", f.FName, len(f.FParams), len(args))
-	}
-	cast := make([]types.Value, len(args))
-	for i, p := range f.FParams {
-		v, err := types.Cast(args[i], p.Type)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: %s parameter %s: %w", f.FName, p.Name, err)
-		}
-		cast[i] = v
+	cast, err := castArgs(f.FName, f.FParams, args)
+	if err != nil {
+		return nil, err
 	}
 	var res *types.Table
-	var err error
 	if f.FnCtx != nil {
 		res, err = f.FnCtx(ctx, rt, task, cast)
 	} else {
@@ -611,52 +584,78 @@ func (f *GoFunc) InvokeBatch(ctx context.Context, rt QueryRunner, task *simlat.T
 		}
 		return out, nil
 	}
-	cast := make([][]types.Value, len(rows))
-	for i, args := range rows {
-		if len(args) != len(f.FParams) {
-			return nil, fmt.Errorf("catalog: %s expects %d arguments, got %d", f.FName, len(f.FParams), len(args))
-		}
-		cr := make([]types.Value, len(args))
-		for j, p := range f.FParams {
-			v, err := types.Cast(args[j], p.Type)
-			if err != nil {
-				return nil, fmt.Errorf("catalog: %s parameter %s: %w", f.FName, p.Name, err)
-			}
-			cr[j] = v
-		}
-		cast[i] = cr
+	cast, err := castRows(f.FName, f.FParams, rows)
+	if err != nil {
+		return nil, err
 	}
 	res, err := f.FnBatchCtx(ctx, rt, task, cast)
 	if err != nil {
 		return nil, err
 	}
-	if len(res) != len(rows) {
-		return nil, fmt.Errorf("catalog: %s batch body returned %d tables for %d rows", f.FName, len(res), len(rows))
+	return coerceTables(f.FName, res, len(rows), f.FReturns)
+}
+
+// castArgs casts a call's arguments to the declared parameter types (the
+// arity is checked) copy-on-write: args itself when no cast changes a
+// value, else a copy. A function body must not write into its arguments.
+func castArgs(name string, params []types.Column, args []types.Value) ([]types.Value, error) {
+	if len(args) != len(params) {
+		return nil, fmt.Errorf("catalog: %s expects %d arguments, got %d", name, len(params), len(args))
+	}
+	cast, at, err := types.ConformArgs(args, params)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: %s parameter %s: %w", name, params[at].Name, err)
+	}
+	return cast, nil
+}
+
+// castRows is castArgs over a batch: rows itself when no cast changes a
+// value, else a copy that shares every argument row no cast changes.
+func castRows(name string, params []types.Column, rows [][]types.Value) ([][]types.Value, error) {
+	out := rows
+	for i, args := range rows {
+		cast, err := castArgs(name, params, args)
+		if err != nil {
+			return nil, err
+		}
+		if len(cast) == 0 || &cast[0] == &args[0] {
+			continue
+		}
+		if &out[0] == &rows[0] {
+			out = slices.Clone(rows)
+		}
+		out[i] = cast
+	}
+	return out, nil
+}
+
+// coerceTables coerces a batch body's answers, one per argument row, to the
+// declared schema.
+func coerceTables(name string, res []*types.Table, n int, target types.Schema) ([]*types.Table, error) {
+	if len(res) != n {
+		return nil, fmt.Errorf("catalog: %s batch body returned %d tables for %d rows", name, len(res), n)
 	}
 	out := make([]*types.Table, len(res))
 	for i, t := range res {
-		ct, err := coerceTable(t, f.FReturns)
+		ct, err := coerceTable(t, target)
 		if err != nil {
-			return nil, fmt.Errorf("catalog: %s result: %w", f.FName, err)
+			return nil, fmt.Errorf("catalog: %s result: %w", name, err)
 		}
 		out[i] = ct
 	}
 	return out, nil
 }
 
-// coerceTable casts every row of t to the target schema (arity must
-// match); column names are taken from the target.
+// coerceTable conforms t to the target schema (arity must match): a fresh
+// header with the target's columns over t's rows, of which only those a
+// cast changes are copied. t itself is not written.
 func coerceTable(t *types.Table, target types.Schema) (*types.Table, error) {
 	if len(t.Schema) != len(target) {
 		return nil, fmt.Errorf("catalog: result has %d columns, declared %d", len(t.Schema), len(target))
 	}
-	out := types.NewTable(target.Clone())
-	for _, r := range t.Rows {
-		cr, err := types.CoerceRow(r, target)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, cr)
+	rows, err := types.ConformRows(t.Rows, target)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return &types.Table{Schema: target, Rows: rows}, nil
 }

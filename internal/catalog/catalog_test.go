@@ -325,3 +325,70 @@ func TestViews(t *testing.T) {
 		t.Error("double drop accepted")
 	}
 }
+
+// TestGoFuncAnswerIsNotWritten: a row of the body's answer that needs a
+// cast reaches the caller as a cast copy and the body's table keeps its
+// values; appending to the result of a conforming answer does not write
+// into the spare capacity of the body's row slice. The same holds for a
+// batch.
+func TestGoFuncAnswerIsNotWritten(t *testing.T) {
+	body := &types.Table{
+		Schema: types.Schema{{Name: "raw", Type: types.Integer}},
+		Rows:   make([]types.Row, 1, 4),
+	}
+	body.Rows[0] = types.Row{types.NewInt(7)}
+	spare := body.Rows[:2]
+	fn := &GoFunc{
+		FName:    "Answer",
+		FParams:  []types.Column{{Name: "N", Type: types.Integer}},
+		FReturns: types.Schema{{Name: "V", Type: types.Integer}},
+		FnCtx: func(_ context.Context, _ QueryRunner, _ *simlat.Task, args []types.Value) (*types.Table, error) {
+			return body, nil
+		},
+		FnBatchCtx: func(_ context.Context, _ QueryRunner, _ *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
+			out := make([]*types.Table, len(rows))
+			for i := range out {
+				out[i] = body
+			}
+			return out, nil
+		},
+	}
+	args := []types.Value{types.NewInt(1)}
+	invoke := map[string]func() (*types.Table, error){
+		"row": func() (*types.Table, error) { return fn.InvokeContext(context.Background(), nil, simlat.Free(), args) },
+		"batch": func() (*types.Table, error) {
+			res, err := fn.InvokeBatch(context.Background(), nil, simlat.Free(), [][]types.Value{args, args})
+			if err != nil {
+				return nil, err
+			}
+			return res[1], nil
+		},
+	}
+	for _, mode := range []string{"row", "batch"} {
+		res, err := invoke[mode]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Schema[0].Name != "V" || res.Rows[0][0].Int() != 7 {
+			t.Errorf("%s: conforming answer = %v", mode, res)
+		}
+		res.Rows = append(res.Rows, types.Row{types.NewInt(8)})
+		if spare[1] != nil || len(body.Rows) != 1 || body.Schema[0].Name != "raw" {
+			t.Errorf("%s: appending to the result wrote into the body's table: %v", mode, spare)
+		}
+	}
+
+	fn.FReturns = types.Schema{{Name: "V", Type: types.Double}}
+	for _, mode := range []string{"row", "batch"} {
+		res, err := invoke[mode]()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Rows[0][0]; got.Kind() != types.KindFloat || got.Float() != 7 {
+			t.Errorf("%s: cast answer = %v, want 7 as DOUBLE", mode, got)
+		}
+		if got := body.Rows[0][0]; got.Kind() != types.KindInt {
+			t.Errorf("%s: the body's row was cast in place: %v", mode, got)
+		}
+	}
+}

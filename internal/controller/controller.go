@@ -15,7 +15,7 @@ package controller
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 
 	"fedwf/internal/obs"
@@ -92,7 +92,7 @@ func (c *Controller) RunWorkflow(ctx context.Context, task *simlat.Task, p *wfms
 func (c *Controller) RunWorkflowBatch(ctx context.Context, task *simlat.Task, p *wfms.Process, inputs []map[string]types.Value) (out []*types.Table, err error) {
 	sp := obs.StartSpan(task, "controller.run-workflow.batch",
 		obs.Attr{Key: "process", Value: p.Name},
-		obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(inputs))})
+		obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(inputs))})
 	defer func() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -132,7 +132,7 @@ func (c *Controller) CallFunction(ctx context.Context, task *simlat.Task, system
 func (c *Controller) CallFunctionBatch(ctx context.Context, task *simlat.Task, system, function string, rows [][]types.Value) (out []*types.Table, err error) {
 	sp := obs.StartSpan(task, "controller.call.batch",
 		obs.Attr{Key: "system", Value: system}, obs.Attr{Key: "function", Value: function},
-		obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(rows))})
+		obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(rows))})
 	defer func() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())

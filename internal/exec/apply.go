@@ -307,18 +307,24 @@ func (a *Apply) openParallel() error {
 		mu.Unlock()
 		stop.Store(true)
 	}
-	for w := range workers {
+	run := func(w int) {
+		sp := obs.StartSpan(branches[w], "exec.worker", obs.Attr{Key: "worker", Value: strconv.Itoa(w)})
+		defer sp.End(branches[w])
+		wctx := *ctx
+		wctx.Task = branches[w]
+		j := a.newJoiner(&wctx, a.j.bind, rights[w])
+		j.work(left, w, workers, results, &stop, fail)
+	}
+	// Worker 0 runs on this goroutine, whose stack has already grown to
+	// the depth of a federated call; only the others start afresh.
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp := obs.StartSpan(branches[w], "exec.worker", obs.Attr{Key: "worker", Value: strconv.Itoa(w)})
-			defer sp.End(branches[w])
-			wctx := *ctx
-			wctx.Task = branches[w]
-			j := a.newJoiner(&wctx, a.j.bind, rights[w])
-			j.work(left, w, workers, results, &stop, fail)
+			run(w)
 		}()
 	}
+	run(0)
 	wg.Wait()
 	if a.Stats != nil {
 		for w, b := range branches {

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -601,7 +602,7 @@ func (f *FuncScan) invokeBatch(ctx *Ctx, bind types.Row, chunk []types.Row) (out
 	}
 	sp := obs.StartSpan(ctx.Task, "exec.func.batch",
 		obs.Attr{Key: "fn", Value: f.Fn.Name()},
-		obs.Attr{Key: "batch_size", Value: fmt.Sprint(n)})
+		obs.Attr{Key: "batch_size", Value: strconv.Itoa(n)})
 	defer func() {
 		if err != nil {
 			sp.SetAttr("error", err.Error())
@@ -620,7 +621,7 @@ func (f *FuncScan) invokeBatch(ctx *Ctx, bind types.Row, chunk []types.Row) (out
 			}
 		}
 	}
-	sp.SetAttr("wire_rows", fmt.Sprint(len(wire)))
+	sp.SetAttr("wire_rows", strconv.Itoa(len(wire)))
 	if len(wire) > 0 {
 		out, err = catalog.InvokeFuncBatch(ctx.Context, f.Fn, ctx.Runner, ctx.Task, wire)
 		// Publish on every reserved entry, failures too (errors are cached).

@@ -432,10 +432,13 @@ func (r *relation) walk(out *types.Table, rows []types.Row, k int, table func(k 
 }
 
 // combine is the helper activity: the result over the named containers.
-func (r *relation) combine(keys []string) func(map[string]*types.Table) (*types.Table, error) {
-	return func(in map[string]*types.Table) (*types.Table, error) {
+func (r *relation) combine(keys []string) func(wfms.Containers) (*types.Table, error) {
+	return func(in wfms.Containers) (*types.Table, error) {
 		out := types.NewTable(r.schema)
-		err := r.walk(out, make([]types.Row, len(keys)), 0, func(k int) (*types.Table, error) { return in[keys[k]], nil })
+		err := r.walk(out, make([]types.Row, len(keys)), 0, func(k int) (*types.Table, error) {
+			tab, _ := in.Get(keys[k])
+			return tab, nil
+		})
 		if err != nil {
 			return nil, err
 		}

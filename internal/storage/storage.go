@@ -70,6 +70,14 @@ func (t *Table) Schema() types.Schema {
 	return t.schema.Clone()
 }
 
+// ColumnIndex returns the position of the named column (case-insensitive),
+// or -1 when absent, without copying the schema.
+func (t *Table) ColumnIndex(name string) int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.schema.ColumnIndex(name)
+}
+
 // Len returns the current row count.
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -318,6 +326,7 @@ func (t *Table) Lookup(column string, v types.Value) ([]types.Row, error) {
 	}
 	var out []types.Row
 	if bucket, ok := t.bucket(ci, v); ok {
+		out = make([]types.Row, 0, len(bucket))
 		for _, pos := range bucket {
 			if t.rows[pos][ci].Equal(v) {
 				out = append(out, t.rows[pos])

@@ -2,6 +2,7 @@ package types
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -148,21 +149,58 @@ func ConformRow(r Row, s Schema) (Row, error) {
 	if len(r) != len(s) {
 		return nil, fmt.Errorf("types: row has %d values, schema has %d columns", len(r), len(s))
 	}
+	r, at, err := ConformArgs(r, s)
+	if err != nil {
+		return nil, fmt.Errorf("types: column %s: %w", s[at].Name, err)
+	}
+	return r, nil
+}
+
+// ConformArgs casts each argument to the type of its parameter the way
+// ConformRow casts a row: args itself comes back when no cast changes a
+// value, else a copy. A failed cast also returns its argument's position;
+// the caller checks the arity.
+func ConformArgs(args []Value, params []Column) ([]Value, int, error) {
 	copied := false
-	for i, v := range r {
-		cv, err := Cast(v, s[i].Type)
+	for i, v := range args {
+		cv, err := Cast(v, params[i].Type)
 		if err != nil {
-			return nil, fmt.Errorf("types: column %s: %w", s[i].Name, err)
+			return nil, i, err
 		}
 		if cv == v {
 			continue
 		}
 		if !copied {
-			r, copied = r.Clone(), true
+			args, copied = slices.Clone(args), true
 		}
-		r[i] = cv
+		args[i] = cv
 	}
-	return r, nil
+	return args, 0, nil
+}
+
+// ConformRows casts every row to s with ConformRow and returns a slice the
+// caller owns the header of: rows itself, capped so that an append copies,
+// when no cast changes a value; else a copy that shares every row no cast
+// changes. No rows come back as nil.
+func ConformRows(rows []Row, s Schema) ([]Row, error) {
+	if len(rows) == 0 {
+		return nil, nil
+	}
+	out := rows[:len(rows):len(rows)]
+	for i, r := range rows {
+		cr, err := ConformRow(r, s)
+		if err != nil {
+			return nil, err
+		}
+		if len(cr) == 0 || &cr[0] == &r[0] {
+			continue
+		}
+		if &out[0] == &rows[0] {
+			out = slices.Clone(out)
+		}
+		out[i] = cr
+	}
+	return out, nil
 }
 
 // Table is a fully materialised result: a schema plus rows. It is the unit

@@ -19,6 +19,7 @@ package udtf
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -116,7 +117,7 @@ func RegisterAccessUDTF(eng *engine.Engine, bridge *controller.Bridge, ins *Inst
 	}
 	implBatch := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
 		sp := obs.StartSpan(task, "udtf.access.batch",
-			obs.Attr{Key: "fn", Value: name}, obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(rows))})
+			obs.Attr{Key: "fn", Value: name}, obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(rows))})
 		defer sp.End(task)
 		// Entry, prepare, and finish are paid once for the whole set; the
 		// hop to the controller carries every row in one request.
@@ -154,7 +155,7 @@ func SetSQLBatchRealization(eng *engine.Engine, ins *Instrument, name string, bo
 	key := strings.ToLower(name)
 	sqlFn.BatchBody = func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
 		sp := obs.StartSpan(task, "udtf.sql.batch",
-			obs.Attr{Key: "fn", Value: name}, obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(rows))})
+			obs.Attr{Key: "fn", Value: name}, obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(rows))})
 		defer sp.End(task)
 		ins.chargeEntry(task, key)
 		task.Step(simlat.StepStartIUDTF, profile.IUDTFStart)
@@ -285,7 +286,7 @@ func RegisterWorkflowUDTF(eng *engine.Engine, bridge *controller.Bridge, ins *In
 	}
 	implBatch := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
 		sp := obs.StartSpan(task, "udtf.workflow.batch",
-			obs.Attr{Key: "fn", Value: process.Name}, obs.Attr{Key: "batch_size", Value: fmt.Sprint(len(rows))})
+			obs.Attr{Key: "fn", Value: process.Name}, obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(rows))})
 		defer sp.End(task)
 		// The wrapper enters once for the whole set; the controller maps
 		// the batch onto one process instance looping over the rows.

@@ -191,20 +191,15 @@ func (e *Engine) runFunctionActivityBatch(ctx context.Context, task *simlat.Task
 			st.recordRow(at, nd.name, "skipped", 0, r)
 			continue
 		}
-		var union *types.Table
-		for j := 0; j < k; j++ {
-			res := results[pos]
-			pos++
-			if union == nil {
-				union = res
-			} else {
-				union.Rows = append(union.Rows, res.Rows...)
-			}
+		var u union
+		for _, res := range results[pos : pos+k] {
+			u.add(res)
 		}
-		s.out = union
+		pos += k
+		s.out = u.t
 		rows := 0
-		if union != nil {
-			rows = union.Len()
+		if u.t != nil {
+			rows = u.t.Len()
 		}
 		st.recordRow(at, nd.name, "completed", rows, r)
 	}
@@ -222,7 +217,7 @@ func (e *Engine) runHelperActivityBatch(task *simlat.Task, t *template, i int, a
 	n := len(t.nodes)
 	for r, input := range inputs {
 		row := slots[r*n : (r+1)*n]
-		out, err := a.Fn(t.containers(row, input))
+		out, err := a.Fn(Containers{t: t, outputs: row, input: input})
 		if err != nil {
 			return err
 		}

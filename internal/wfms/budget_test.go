@@ -40,11 +40,15 @@ func tableInvoker() Invoker {
 // lower-cased names and copied them for every activity it launched. A
 // template compiled at the first run and navigated by index, with one
 // slab for an activity's argument vectors and copies only for helpers,
-// brought that to 27 and 133. The budgets keep per-run template work from
-// coming back unnoticed.
+// brought that to 27 and 133. Handing helpers a view of the containers
+// instead of a map (with the input container built only when asked for)
+// and giving the output a fresh header over the result's rows instead of
+// a copy of every row brought it to 24 and 53. The budgets, those counts
+// and 2 %, keep per-run template work and per-row copies from coming back
+// unnoticed.
 const (
-	buySuppCompAllocBudget = 28
-	reliaBatchAllocBudget  = 138
+	buySuppCompAllocBudget = 25
+	reliaBatchAllocBudget  = 55
 )
 
 func TestNavigatorAllocationBudget(t *testing.T) {

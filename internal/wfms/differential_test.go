@@ -82,11 +82,11 @@ var diffInvoker = InvokerFunc(func(ctx context.Context, task *simlat.Task, syste
 // predecessor absent because its path died; B sums their A values. It
 // answers no row when that sum is a multiple of four, so downstream
 // activities see an empty source.
-func diffHelper(preds []string) func(map[string]*types.Table) (*types.Table, error) {
-	return func(in map[string]*types.Table) (*types.Table, error) {
+func diffHelper(preds []string) func(Containers) (*types.Table, error) {
+	return func(in Containers) (*types.Table, error) {
 		var a, b int64
 		for _, p := range preds {
-			t, ok := in[p]
+			t, ok := in.Get(p)
 			if !ok {
 				a--
 				continue
@@ -96,7 +96,7 @@ func diffHelper(preds []string) func(map[string]*types.Table) (*types.Table, err
 				b += r[0].Int()
 			}
 		}
-		if inp := in["INPUT"]; inp != nil && len(inp.Rows) == 1 && len(inp.Rows[0]) > 0 {
+		if inp, _ := in.Get("INPUT"); inp != nil && len(inp.Rows) == 1 && len(inp.Rows[0]) > 0 {
 			b += inp.Rows[0][0].Int()
 		}
 		out := types.NewTable(abSchema())

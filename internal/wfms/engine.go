@@ -377,28 +377,22 @@ func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, t *template,
 }
 
 // output assembles the process output container from the result node's
-// container.
+// container: a fresh header with the declared output schema over the
+// result's rows, of which only those a cast changes are copied.
 func (t *template) output(res *types.Table) (*types.Table, error) {
 	p := t.p
-	final := types.NewTable(p.Output.Clone())
 	if res == nil {
-		return final, nil
+		return types.NewTable(p.Output), nil
 	}
 	if len(res.Schema) != len(p.Output) {
 		return nil, fmt.Errorf("wfms: process %s: result node %s produced %d columns, output container has %d",
 			p.Name, p.Result, len(res.Schema), len(p.Output))
 	}
-	if len(res.Rows) > 0 {
-		final.Rows = make([]types.Row, 0, len(res.Rows))
+	rows, err := types.ConformRows(res.Rows, p.Output)
+	if err != nil {
+		return nil, fmt.Errorf("wfms: process %s output: %w", p.Name, err)
 	}
-	for _, r := range res.Rows {
-		cr, err := types.CoerceRow(r, p.Output)
-		if err != nil {
-			return nil, fmt.Errorf("wfms: process %s output: %w", p.Name, err)
-		}
-		final.Rows = append(final.Rows, cr)
-	}
-	return final, nil
+	return &types.Table{Schema: p.Output, Rows: rows}, nil
 }
 
 // runNode executes node i on its own branch task.
@@ -446,7 +440,7 @@ func (e *Engine) runFunctionActivity(ctx context.Context, branch *simlat.Task, n
 	if combos == 0 {
 		return nil, nil // no data: dependent activities see an empty source
 	}
-	var union *types.Table
+	var u union
 	for c := 0; c < combos; c++ {
 		if err := resil.Check(ctx, branch); err != nil {
 			return nil, err
@@ -455,13 +449,31 @@ func (e *Engine) runFunctionActivity(ctx context.Context, branch *simlat.Task, n
 		if err != nil {
 			return nil, err
 		}
-		if union == nil {
-			union = out
-		} else {
-			union.Rows = append(union.Rows, out.Rows...)
-		}
+		u.add(out)
 	}
-	return union, nil
+	return u.t, nil
+}
+
+// union is the union of one row's answers, built without writing into an
+// answer, which the invoker may share: a single answer is used as it is,
+// and a second starts a fresh table that later answers grow.
+type union struct {
+	t     *types.Table
+	owned bool
+}
+
+func (u *union) add(out *types.Table) {
+	switch {
+	case out == nil:
+	case u.t == nil:
+		u.t = out
+	case !u.owned:
+		rows := make([]types.Row, 0, len(u.t.Rows)+len(out.Rows))
+		u.t = &types.Table{Schema: u.t.Schema, Rows: append(append(rows, u.t.Rows...), out.Rows...)}
+		u.owned = true
+	default:
+		u.t.Rows = append(u.t.Rows, out.Rows...)
+	}
 }
 
 func (e *Engine) runHelperActivity(branch *simlat.Task, t *template, a *HelperActivity, input map[string]types.Value, outputs []slot, st *runState) (*types.Table, error) {
@@ -470,36 +482,45 @@ func (e *Engine) runHelperActivity(branch *simlat.Task, t *template, a *HelperAc
 	branch.Spend(e.costs.ActivityBoot + e.costs.ContainerHandling)
 	st.countExec()
 
-	out, err := a.Fn(t.containers(outputs, input))
+	out, err := a.Fn(Containers{t: t, outputs: outputs, input: input})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
 	return out, nil
 }
 
-// containers is what a helper activity sees: every done node's container
-// by lower-case node name (an empty table for no data), and the process
-// input container as "INPUT".
-func (t *template) containers(outputs []slot, input map[string]types.Value) map[string]*types.Table {
-	done := 0
-	for _, s := range outputs {
-		if s.done {
-			done++
-		}
+// Containers is what a helper activity sees of its instance: every done
+// node's output container by lower-case node name, and the process input
+// container as "INPUT". It reads the instance's containers in place, so it
+// is valid only during the call it is passed to.
+type Containers struct {
+	t       *template
+	outputs []slot
+	input   map[string]types.Value
+}
+
+// Get returns the container named key: a done node's under its lower-case
+// name (an empty table when the node produced no data), or for "INPUT" the
+// process input container as a one-row table, built when asked for. A node
+// that is not done, or a key that names no node, is absent.
+func (c Containers) Get(key string) (*types.Table, bool) {
+	if key == "INPUT" {
+		return inputTable(c.input), true
 	}
-	in := make(map[string]*types.Table, done+1)
-	for i, s := range outputs {
-		if !s.done {
+	for i := range c.t.nodes {
+		if c.t.nodes[i].key != key {
 			continue
 		}
-		v := s.out
-		if v == nil {
-			v = &types.Table{}
+		s := c.outputs[i]
+		if !s.done {
+			return nil, false
 		}
-		in[t.nodes[i].key] = v
+		if s.out == nil {
+			return &types.Table{}, true
+		}
+		return s.out, true
 	}
-	in["INPUT"] = inputTable(input)
-	return in
+	return nil, false
 }
 
 func (e *Engine) runBlock(ctx context.Context, branch *simlat.Task, nd *tnode, b *Block, input map[string]types.Value, outputs []slot, st *runState) (*types.Table, error) {

@@ -70,8 +70,9 @@ func parallelProcess() *Process {
 		Nodes: []Node{
 			&FunctionActivity{Name: "GQ", Function: "GetQuality", Args: []Source{Input("SupplierNo")}},
 			&FunctionActivity{Name: "GR", Function: "GetReliability", Args: []Source{Input("SupplierNo")}},
-			&HelperActivity{Name: "Combine", Fn: func(in map[string]*types.Table) (*types.Table, error) {
-				q, r := in["gq"], in["gr"]
+			&HelperActivity{Name: "Combine", Fn: func(in Containers) (*types.Table, error) {
+				q, _ := in.Get("gq")
+				r, _ := in.Get("gr")
 				out := types.NewTable(types.Schema{
 					{Name: "Qual", Type: types.Integer},
 					{Name: "Relia", Type: types.Integer},
@@ -283,7 +284,7 @@ func TestStartAnyJoin(t *testing.T) {
 		Nodes: []Node{
 			&FunctionActivity{Name: "GQ", Function: "GetQuality", Args: []Source{Input("SupplierNo")}},
 			&FunctionActivity{Name: "GR", Function: "GetReliability", Args: []Source{Input("SupplierNo")}},
-			&HelperActivity{Name: "Count", Fn: func(in map[string]*types.Table) (*types.Table, error) {
+			&HelperActivity{Name: "Count", Fn: func(in Containers) (*types.Table, error) {
 				out := types.NewTable(types.Schema{{Name: "N", Type: types.Integer}})
 				out.Rows = append(out.Rows, types.Row{types.NewInt(1)})
 				return out, nil
@@ -479,10 +480,10 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"no name", func(p *Process) { p.Name = "" }},
 		{"duplicate node", func(p *Process) {
-			p.Nodes = append(p.Nodes, &HelperActivity{Name: "gsn", Fn: func(map[string]*types.Table) (*types.Table, error) { return nil, nil }})
+			p.Nodes = append(p.Nodes, &HelperActivity{Name: "gsn", Fn: func(Containers) (*types.Table, error) { return nil, nil }})
 		}},
 		{"reserved name", func(p *Process) {
-			p.Nodes = append(p.Nodes, &HelperActivity{Name: "INPUT", Fn: func(map[string]*types.Table) (*types.Table, error) { return nil, nil }})
+			p.Nodes = append(p.Nodes, &HelperActivity{Name: "INPUT", Fn: func(Containers) (*types.Table, error) { return nil, nil }})
 		}},
 		{"unknown connector from", func(p *Process) { p.Flow = append(p.Flow, ControlConnector{From: "X", To: "GQ"}) }},
 		{"unknown connector to", func(p *Process) { p.Flow = append(p.Flow, ControlConnector{From: "GQ", To: "X"}) }},
@@ -542,7 +543,7 @@ func TestHelperErrorPropagates(t *testing.T) {
 	p := &Process{
 		Name:   "h",
 		Output: types.Schema{{Name: "A", Type: types.Integer}},
-		Nodes: []Node{&HelperActivity{Name: "bad", Fn: func(map[string]*types.Table) (*types.Table, error) {
+		Nodes: []Node{&HelperActivity{Name: "bad", Fn: func(Containers) (*types.Table, error) {
 			return nil, errors.New("helper boom")
 		}}},
 		Result: "bad",

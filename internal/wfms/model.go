@@ -86,11 +86,13 @@ func (a *FunctionActivity) NodeName() string { return a.Name }
 
 // HelperActivity is the paper's helper function: an extra activity
 // implementing type conversions, constant supply, or result-set
-// composition. It sees whole predecessor containers keyed by node name
-// (plus "INPUT" for the process input container).
+// composition. It sees whole predecessor containers by lower-case node
+// name (plus "INPUT" for the process input container) through Containers.
+// Fn must not write into a container it reads, nor keep in beyond the
+// call.
 type HelperActivity struct {
 	Name string
-	Fn   func(in map[string]*types.Table) (*types.Table, error)
+	Fn   func(in Containers) (*types.Table, error)
 }
 
 // NodeName implements Node.

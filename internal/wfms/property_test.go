@@ -41,7 +41,7 @@ func TestNavigatorCriticalPathProperty(t *testing.T) {
 			i := i
 			p.Nodes = append(p.Nodes, &HelperActivity{
 				Name: fmt.Sprintf("A%d", i),
-				Fn: func(in map[string]*types.Table) (*types.Table, error) {
+				Fn: func(in Containers) (*types.Table, error) {
 					invoked[i]++
 					out := types.NewTable(types.Schema{{Name: "X", Type: types.Integer}})
 					out.MustAppend(types.Row{types.NewInt(int64(i))})
@@ -118,7 +118,7 @@ func TestNavigatorSerialSumProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			p.Nodes = append(p.Nodes, &HelperActivity{
 				Name: fmt.Sprintf("A%d", i),
-				Fn: func(in map[string]*types.Table) (*types.Table, error) {
+				Fn: func(in Containers) (*types.Table, error) {
 					out := types.NewTable(types.Schema{{Name: "X", Type: types.Integer}})
 					out.MustAppend(types.Row{types.NewInt(1)})
 					return out, nil
