@@ -364,3 +364,53 @@ func TestMixedCaseNamesAllocateNothingMore(t *testing.T) {
 		t.Errorf("upper-case names: %.0f allocs, lower case %.0f", upper, lower)
 	}
 }
+
+// TestCompileErrorMessages pins the message of every error the expression
+// compiler, the aggregate environment and the ORDER BY and column
+// resolvers raise, by a fragment of its text.
+func TestCompileErrorMessages(t *testing.T) {
+	cat := testCatalog(t)
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT Name, COUNT(*) FROM suppliers", "column Name must appear in the GROUP BY clause or inside an aggregate"},
+		{"SELECT No FROM suppliers GROUP BY Name", "column No must appear in the GROUP BY clause"},
+		{"SELECT Name FROM suppliers GROUP BY Name HAVING No > 1", "column No must appear in the GROUP BY clause"},
+		{"SELECT Name FROM suppliers GROUP BY Name ORDER BY No", "column No must appear in the GROUP BY clause"},
+		{"SELECT No FROM suppliers WHERE SUM(No) > 1", "aggregate SUM not allowed here"},
+		{"SELECT s.No FROM suppliers s JOIN parts p ON COUNT(*) > 1", "aggregate COUNT not allowed here"},
+		{"SELECT s.No FROM suppliers s LEFT JOIN parts p ON MAX(p.PartNo) > 1", "aggregate MAX not allowed here"},
+		{"SELECT No FROM suppliers GROUP BY SUM(No)", "aggregate SUM not allowed here"},
+		{"SELECT SUM(COUNT(*)) FROM suppliers", "nested aggregate in SUM(COUNT(*))"},
+		{"SELECT Name FROM suppliers GROUP BY Name HAVING MAX(MIN(No)) > 1", "nested aggregate in MAX(MIN(No))"},
+		{"SELECT COUNT(No, Name) FROM suppliers", "aggregate COUNT takes exactly one argument"},
+		{"SELECT No FROM suppliers s, suppliers t", "ambiguous column No"},
+		{"SELECT No FROM suppliers s, suppliers s", "duplicate correlation name s"},
+		{"SELECT No FROM suppliers, (SELECT No FROM suppliers) AS d", "ambiguous column No"},
+		{"SELECT s.Name FROM suppliers s, (SELECT No FROM suppliers) AS d WHERE No = 1", "ambiguous column No"},
+		{"SELECT COUNT(No) FROM suppliers, (SELECT No FROM suppliers) AS d", "ambiguous column No"},
+		{"SELECT nope FROM suppliers", "unknown column nope"},
+		{"SELECT s.nope FROM suppliers s", "unknown column s.nope"},
+		{"SELECT x.No FROM suppliers s", "unknown column x.No"},
+		{"SELECT No FROM suppliers WHERE nope = 1", "unknown column nope"},
+		{"SELECT COUNT(nope) FROM suppliers", "unknown column nope"},
+		{"SELECT * FROM TABLE (Twice(nope)) AS f", "argument 1 of Twice: plan: unknown column nope"},
+		{"SELECT * FROM suppliers GROUP BY Name", "SELECT * cannot be combined with GROUP BY or aggregates"},
+		{"SELECT *, COUNT(*) FROM suppliers", "SELECT * cannot be combined with GROUP BY or aggregates"},
+		{"SELECT No FROM suppliers ORDER BY 9", "ORDER BY position 9 out of range"},
+		{"SELECT No FROM suppliers ORDER BY 0", "ORDER BY position 0 out of range"},
+		{"SELECT SuppNo, COUNT(*) FROM parts GROUP BY SuppNo ORDER BY 3", "ORDER BY position 3 out of range"},
+		{"SELECT No FROM suppliers UNION SELECT SuppNo FROM parts ORDER BY 9", "ORDER BY position 9 out of range"},
+		{"SELECT No FROM suppliers UNION SELECT SuppNo FROM parts ORDER BY No + 1", "ORDER BY on a UNION must name an output column or position, got (No + 1)"},
+		{"SELECT No FROM suppliers UNION SELECT SuppNo FROM parts ORDER BY Name", "ORDER BY on a UNION must name an output column or position, got Name"},
+		{"SELECT DISTINCT Name FROM suppliers ORDER BY No", "ORDER BY No must appear in the select list of a DISTINCT query"},
+		{"SELECT UNKNOWNFN(No) FROM suppliers", "UNKNOWNFN"},
+	} {
+		sel, err := sqlparser.ParseSelect(tc.sql)
+		if err != nil {
+			t.Fatalf("parse %q: %v", tc.sql, err)
+		}
+		_, err = CompileSelect(cat, sel, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("CompileSelect(%q) = %v, want an error containing %q", tc.sql, err, tc.want)
+		}
+	}
+}
