@@ -12,102 +12,115 @@ import (
 // compileExpr compiles an AST expression against the current scope; column
 // indexes are absolute positions in the accumulated FROM-chain row.
 func (c *compiler) compileExpr(e sqlparser.Expr) (exec.Expr, error) {
-	return c.compileExprShifted(e, 0)
+	return c.compile(e, 0, nil)
 }
 
-// compileExprShifted compiles with column indexes shifted left by offset;
-// the hash-join right side evaluates keys against right-only rows, whose
-// columns start at `offset` in the global scope.
-func (c *compiler) compileExprShifted(e sqlparser.Expr, offset int) (exec.Expr, error) {
+// compile is the one expression compiler. Column indexes are shifted left
+// by offset: the hash-join right side evaluates keys against right-only
+// rows, whose columns start at offset in the global scope. With an
+// aggregate environment e is compiled over the Agg output row instead: a
+// group expression or an aggregate call is a column of that row, and any
+// other column reference must be a parameter.
+func (c *compiler) compile(e sqlparser.Expr, offset int, env *aggEnv) (exec.Expr, error) {
+	if env != nil {
+		key := e.String()
+		for i, g := range env.groups {
+			if g.ast == key {
+				return exec.Col{Idx: i, Name: g.name}, nil
+			}
+		}
+	}
 	switch ex := e.(type) {
 	case *sqlparser.Literal:
 		return exec.Const{V: ex.Val}, nil
 
 	case *sqlparser.ColumnRef:
-		idx, err := c.resolveColumn(ex)
-		if err != nil {
-			return nil, err
+		idx, n := -1, 0
+		if env == nil {
+			idx, n = lookupColumn(ex, c.cols)
 		}
-		if idx < 0 { // parameter reference
-			v, ok := c.lookupParam(ex)
-			if !ok {
-				return nil, fmt.Errorf("plan: unknown column or parameter %s", ex.String())
-			}
+		switch {
+		case n > 1:
+			return nil, fmt.Errorf("plan: ambiguous column %s", ex.Name)
+		case n == 1 && idx < offset:
+			return nil, fmt.Errorf("plan: column %s not available on this side of the join", ex.String())
+		case n == 1:
+			return exec.Col{Idx: idx - offset, Name: ex.Name}, nil
+		}
+		if v, ok := c.lookupParam(ex); ok {
 			return exec.Const{V: v}, nil
 		}
-		if idx-offset < 0 {
-			return nil, fmt.Errorf("plan: column %s not available on this side of the join", ex.String())
+		if env != nil {
+			return nil, fmt.Errorf("plan: column %s must appear in the GROUP BY clause or inside an aggregate", ex.String())
 		}
-		return exec.Col{Idx: idx - offset, Name: ex.Name}, nil
+		return nil, fmt.Errorf("plan: unknown column %s", ex.String())
 
 	case *sqlparser.UnaryExpr:
-		x, err := c.compileExprShifted(ex.X, offset)
+		x, err := c.compile(ex.X, offset, env)
 		if err != nil {
 			return nil, err
 		}
 		return exec.Unary{Op: ex.Op, X: x}, nil
 
 	case *sqlparser.BinaryExpr:
-		l, err := c.compileExprShifted(ex.L, offset)
+		l, err := c.compile(ex.L, offset, env)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.compileExprShifted(ex.R, offset)
+		r, err := c.compile(ex.R, offset, env)
 		if err != nil {
 			return nil, err
 		}
 		return exec.Bin{Op: ex.Op, L: l, R: r}, nil
 
 	case *sqlparser.IsNull:
-		x, err := c.compileExprShifted(ex.X, offset)
+		x, err := c.compile(ex.X, offset, env)
 		if err != nil {
 			return nil, err
 		}
 		return exec.IsNull{X: x, Not: ex.Not}, nil
 
 	case *sqlparser.Between:
-		x, err := c.compileExprShifted(ex.X, offset)
+		x, err := c.compile(ex.X, offset, env)
 		if err != nil {
 			return nil, err
 		}
-		lo, err := c.compileExprShifted(ex.Lo, offset)
+		lo, err := c.compile(ex.Lo, offset, env)
 		if err != nil {
 			return nil, err
 		}
-		hi, err := c.compileExprShifted(ex.Hi, offset)
+		hi, err := c.compile(ex.Hi, offset, env)
 		if err != nil {
 			return nil, err
 		}
 		return exec.Between{X: x, Lo: lo, Hi: hi, Not: ex.Not}, nil
 
 	case *sqlparser.InList:
-		x, err := c.compileExprShifted(ex.X, offset)
+		x, err := c.compile(ex.X, offset, env)
 		if err != nil {
 			return nil, err
 		}
 		list := make([]exec.Expr, len(ex.List))
 		for i, it := range ex.List {
-			le, err := c.compileExprShifted(it, offset)
-			if err != nil {
+			if list[i], err = c.compile(it, offset, env); err != nil {
 				return nil, err
 			}
-			list[i] = le
 		}
 		return exec.In{X: x, List: list, Not: ex.Not}, nil
 
 	case *sqlparser.Like:
-		x, err := c.compileExprShifted(ex.X, offset)
+		x, err := c.compile(ex.X, offset, env)
 		if err != nil {
 			return nil, err
 		}
-		p, err := c.compileExprShifted(ex.Pattern, offset)
+		p, err := c.compile(ex.Pattern, offset, env)
 		if err != nil {
 			return nil, err
 		}
 		return exec.Like{X: x, Pattern: p, Not: ex.Not}, nil
 
 	case *sqlparser.CastExpr:
-		x, err := c.compileExprShifted(ex.X, offset)
+		x, err := c.compile(ex.X, offset, env)
 		if err != nil {
 			return nil, err
 		}
@@ -116,18 +129,18 @@ func (c *compiler) compileExprShifted(e sqlparser.Expr, offset int) (exec.Expr, 
 	case *sqlparser.CaseExpr:
 		out := exec.Case{}
 		for _, w := range ex.Whens {
-			cond, err := c.compileExprShifted(w.Cond, offset)
+			cond, err := c.compile(w.Cond, offset, env)
 			if err != nil {
 				return nil, err
 			}
-			res, err := c.compileExprShifted(w.Result, offset)
+			res, err := c.compile(w.Result, offset, env)
 			if err != nil {
 				return nil, err
 			}
 			out.Whens = append(out.Whens, struct{ Cond, Result exec.Expr }{cond, res})
 		}
 		if ex.Else != nil {
-			el, err := c.compileExprShifted(ex.Else, offset)
+			el, err := c.compile(ex.Else, offset, env)
 			if err != nil {
 				return nil, err
 			}
@@ -137,7 +150,14 @@ func (c *compiler) compileExprShifted(e sqlparser.Expr, offset int) (exec.Expr, 
 
 	case *sqlparser.FuncCall:
 		if exec.IsAggregateName(ex.Name) {
-			return nil, fmt.Errorf("plan: aggregate %s not allowed here", strings.ToUpper(ex.Name))
+			if env == nil {
+				return nil, fmt.Errorf("plan: aggregate %s not allowed here", strings.ToUpper(ex.Name))
+			}
+			i, err := env.registerAgg(ex)
+			if err != nil {
+				return nil, err
+			}
+			return exec.Col{Idx: len(env.groups) + i, Name: env.specs[i].name}, nil
 		}
 		fn, err := exec.LookupScalar(ex.Name, len(ex.Args))
 		if err != nil {
@@ -145,11 +165,9 @@ func (c *compiler) compileExprShifted(e sqlparser.Expr, offset int) (exec.Expr, 
 		}
 		args := make([]exec.Expr, len(ex.Args))
 		for i, a := range ex.Args {
-			ae, err := c.compileExprShifted(a, offset)
-			if err != nil {
+			if args[i], err = c.compile(a, offset, env); err != nil {
 				return nil, err
 			}
-			args[i] = ae
 		}
 		return exec.ScalarCall{Name: strings.ToUpper(ex.Name), Fn: fn, Args: args}, nil
 
@@ -158,37 +176,27 @@ func (c *compiler) compileExprShifted(e sqlparser.Expr, offset int) (exec.Expr, 
 	}
 }
 
-// resolveColumn returns the scope index of a column reference, or -1 when
-// the reference is not a scope column (caller then tries parameters).
-func (c *compiler) resolveColumn(ref *sqlparser.ColumnRef) (int, error) {
-	if ref.Qualifier != "" {
-		for i, col := range c.cols {
-			if strings.EqualFold(col.corr, ref.Qualifier) && strings.EqualFold(col.name, ref.Name) {
-				return i, nil
-			}
+// lookupColumn is the one column lookup. It returns the index of the scope
+// column ref names, or -1 unless exactly one matches, and the number of
+// matches: an unqualified reference matches every column of its name (two
+// or more are ambiguous), a qualified one the first column of that name
+// its correlation exposes.
+func lookupColumn(ref *sqlparser.ColumnRef, cols []scopeCol) (idx, n int) {
+	idx = -1
+	for i, col := range cols {
+		if !strings.EqualFold(col.name, ref.Name) {
+			continue
 		}
-		// Qualifier may name the enclosing SQL function (parameter ref).
-		if _, ok := c.lookupParam(ref); ok {
-			return -1, nil
-		}
-		return 0, fmt.Errorf("plan: unknown column %s", ref.String())
-	}
-	found := -1
-	for i, col := range c.cols {
-		if strings.EqualFold(col.name, ref.Name) {
-			if found >= 0 {
-				return 0, fmt.Errorf("plan: ambiguous column %s", ref.Name)
-			}
-			found = i
+		if ref.Qualifier == "" {
+			idx, n = i, n+1
+		} else if strings.EqualFold(col.corr, ref.Qualifier) {
+			return i, 1
 		}
 	}
-	if found >= 0 {
-		return found, nil
+	if n > 1 {
+		return -1, n
 	}
-	if _, ok := c.lookupParam(ref); ok {
-		return -1, nil
-	}
-	return 0, fmt.Errorf("plan: unknown column %s", ref.String())
+	return idx, n
 }
 
 func (c *compiler) lookupParam(ref *sqlparser.ColumnRef) (types.Value, bool) {
@@ -214,67 +222,62 @@ func splitConjuncts(e sqlparser.Expr) []sqlparser.Expr {
 	return []sqlparser.Expr{e}
 }
 
-// walkRefs visits every column reference of an expression.
-func walkRefs(e sqlparser.Expr, visit func(*sqlparser.ColumnRef)) {
+// walkChildren is the one structural walk: it visits the direct
+// sub-expressions of e.
+func walkChildren(e sqlparser.Expr, visit func(sqlparser.Expr)) {
 	switch ex := e.(type) {
-	case nil:
-	case *sqlparser.Literal:
-	case *sqlparser.ColumnRef:
-		visit(ex)
 	case *sqlparser.UnaryExpr:
-		walkRefs(ex.X, visit)
+		visit(ex.X)
 	case *sqlparser.BinaryExpr:
-		walkRefs(ex.L, visit)
-		walkRefs(ex.R, visit)
+		visit(ex.L)
+		visit(ex.R)
 	case *sqlparser.IsNull:
-		walkRefs(ex.X, visit)
+		visit(ex.X)
 	case *sqlparser.Between:
-		walkRefs(ex.X, visit)
-		walkRefs(ex.Lo, visit)
-		walkRefs(ex.Hi, visit)
+		visit(ex.X)
+		visit(ex.Lo)
+		visit(ex.Hi)
 	case *sqlparser.InList:
-		walkRefs(ex.X, visit)
+		visit(ex.X)
 		for _, it := range ex.List {
-			walkRefs(it, visit)
+			visit(it)
 		}
 	case *sqlparser.Like:
-		walkRefs(ex.X, visit)
-		walkRefs(ex.Pattern, visit)
+		visit(ex.X)
+		visit(ex.Pattern)
 	case *sqlparser.CastExpr:
-		walkRefs(ex.X, visit)
+		visit(ex.X)
 	case *sqlparser.CaseExpr:
 		for _, w := range ex.Whens {
-			walkRefs(w.Cond, visit)
-			walkRefs(w.Result, visit)
+			visit(w.Cond)
+			visit(w.Result)
 		}
-		walkRefs(ex.Else, visit)
+		if ex.Else != nil {
+			visit(ex.Else)
+		}
 	case *sqlparser.FuncCall:
 		for _, a := range ex.Args {
-			walkRefs(a, visit)
+			visit(a)
 		}
 	}
 }
 
-// scopeIndexOf mirrors resolveColumn without error reporting: it returns
-// the index of a reference in the given scope, or -1.
-func scopeIndexOf(ref *sqlparser.ColumnRef, cols []scopeCol) int {
-	if ref.Qualifier != "" {
-		for i, col := range cols {
-			if strings.EqualFold(col.corr, ref.Qualifier) && strings.EqualFold(col.name, ref.Name) {
-				return i
-			}
-		}
-		return -1
+// walkRefs visits every column reference of an expression.
+func walkRefs(e sqlparser.Expr, visit func(*sqlparser.ColumnRef)) {
+	if ref, ok := e.(*sqlparser.ColumnRef); ok {
+		visit(ref)
+		return
 	}
-	found := -1
-	for i, col := range cols {
-		if strings.EqualFold(col.name, ref.Name) {
-			if found >= 0 {
-				return -1 // ambiguous; let compileExpr report it
-			}
-			found = i
-		}
+	walkChildren(e, func(child sqlparser.Expr) { walkRefs(child, visit) })
+}
+
+// containsAggregate reports whether e contains an aggregate function call.
+func containsAggregate(e sqlparser.Expr) bool {
+	if call, ok := e.(*sqlparser.FuncCall); ok && exec.IsAggregateName(call.Name) {
+		return true
 	}
+	found := false
+	walkChildren(e, func(child sqlparser.Expr) { found = found || containsAggregate(child) })
 	return found
 }
 
@@ -283,7 +286,7 @@ func scopeIndexOf(ref *sqlparser.ColumnRef, cols []scopeCol) int {
 func referencesScope(e sqlparser.Expr, cols []scopeCol) bool {
 	out := false
 	walkRefs(e, func(ref *sqlparser.ColumnRef) {
-		if scopeIndexOf(ref, cols) >= 0 {
+		if idx, _ := lookupColumn(ref, cols); idx >= 0 {
 			out = true
 		}
 	})
@@ -296,8 +299,7 @@ func referencesScope(e sqlparser.Expr, cols []scopeCol) bool {
 func (c *compiler) refsResolvable(e sqlparser.Expr, width int) bool {
 	ok := true
 	walkRefs(e, func(ref *sqlparser.ColumnRef) {
-		idx := scopeIndexOf(ref, c.cols[:width])
-		if idx < 0 {
+		if idx, _ := lookupColumn(ref, c.cols[:width]); idx < 0 {
 			if _, isParam := c.lookupParam(ref); !isParam {
 				ok = false
 			}
@@ -316,7 +318,7 @@ func (c *compiler) equiKey(e sqlparser.Expr, leftWidth int) (sqlparser.Expr, sql
 	}
 	side := func(x sqlparser.Expr) (left, right, any bool) {
 		walkRefs(x, func(ref *sqlparser.ColumnRef) {
-			idx := scopeIndexOf(ref, c.cols)
+			idx, _ := lookupColumn(ref, c.cols)
 			if idx < 0 {
 				return // parameter/unknown: neutral
 			}
@@ -344,53 +346,10 @@ func (c *compiler) equiKey(e sqlparser.Expr, leftWidth int) (sqlparser.Expr, sql
 // selectHasAggregates reports whether any select item or the HAVING clause
 // contains an aggregate function call.
 func selectHasAggregates(sel *sqlparser.Select) bool {
-	found := false
-	var walk func(e sqlparser.Expr)
-	walk = func(e sqlparser.Expr) {
-		switch ex := e.(type) {
-		case nil:
-		case *sqlparser.FuncCall:
-			if exec.IsAggregateName(ex.Name) {
-				found = true
-				return
-			}
-			for _, a := range ex.Args {
-				walk(a)
-			}
-		case *sqlparser.UnaryExpr:
-			walk(ex.X)
-		case *sqlparser.BinaryExpr:
-			walk(ex.L)
-			walk(ex.R)
-		case *sqlparser.IsNull:
-			walk(ex.X)
-		case *sqlparser.Between:
-			walk(ex.X)
-			walk(ex.Lo)
-			walk(ex.Hi)
-		case *sqlparser.InList:
-			walk(ex.X)
-			for _, it := range ex.List {
-				walk(it)
-			}
-		case *sqlparser.Like:
-			walk(ex.X)
-			walk(ex.Pattern)
-		case *sqlparser.CastExpr:
-			walk(ex.X)
-		case *sqlparser.CaseExpr:
-			for _, w := range ex.Whens {
-				walk(w.Cond)
-				walk(w.Result)
-			}
-			walk(ex.Else)
-		}
-	}
 	for _, it := range sel.Items {
-		if !it.Star {
-			walk(it.Expr)
+		if !it.Star && containsAggregate(it.Expr) {
+			return true
 		}
 	}
-	walk(sel.Having)
-	return found
+	return containsAggregate(sel.Having)
 }

@@ -197,16 +197,7 @@ func (c *compiler) compileFrom(sel *sqlparser.Select) (exec.Operator, error) {
 func (c *compiler) checkAmbiguity(e sqlparser.Expr) error {
 	var err error
 	walkRefs(e, func(ref *sqlparser.ColumnRef) {
-		if ref.Qualifier != "" || err != nil {
-			return
-		}
-		n := 0
-		for _, col := range c.cols {
-			if strings.EqualFold(col.name, ref.Name) {
-				n++
-			}
-		}
-		if n > 1 {
+		if _, n := lookupColumn(ref, c.cols); n > 1 && err == nil {
 			err = fmt.Errorf("plan: ambiguous column %s", ref.Name)
 		}
 	})
@@ -299,7 +290,7 @@ func (c *compiler) joinWith(left, right exec.Operator, leftWidth int, lateral bo
 			if err != nil {
 				return nil, err
 			}
-			re, err := c.compileExprShifted(r, leftWidth)
+			re, err := c.compile(r, leftWidth, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -428,7 +419,7 @@ func (c *compiler) pointKey(e sqlparser.Expr, start int, indexed func(column str
 	if !isRef || !isLit || lit.Val.IsNull() {
 		return 0, types.Null, false
 	}
-	idx := scopeIndexOf(ref, c.cols)
+	idx, _ := lookupColumn(ref, c.cols)
 	if idx < start || lit.Val.Kind() != storedKind(c.cols[idx].typ) || !indexed(c.cols[idx].name) {
 		return 0, types.Null, false
 	}
@@ -462,7 +453,7 @@ func (c *compiler) pushToRemote(e sqlparser.Expr) bool {
 	var target *remoteRef
 	local := true
 	walkRefs(e, func(ref *sqlparser.ColumnRef) {
-		idx := scopeIndexOf(ref, c.cols)
+		idx, _ := lookupColumn(ref, c.cols)
 		if idx < 0 {
 			// Parameter references are constants; they stay pushable only
 			// when we can inline them, which the rewrite below does not do.
@@ -501,32 +492,15 @@ func (c *compiler) pushToRemote(e sqlparser.Expr) bool {
 // remotePushable reports whether an expression uses only constructs every
 // foreign server supports (no scalar function calls, no CASE, no CAST).
 func remotePushable(e sqlparser.Expr) bool {
-	switch ex := e.(type) {
-	case *sqlparser.Literal, *sqlparser.ColumnRef:
-		return true
-	case *sqlparser.UnaryExpr:
-		return remotePushable(ex.X)
-	case *sqlparser.BinaryExpr:
-		return remotePushable(ex.L) && remotePushable(ex.R)
-	case *sqlparser.IsNull:
-		return remotePushable(ex.X)
-	case *sqlparser.Between:
-		return remotePushable(ex.X) && remotePushable(ex.Lo) && remotePushable(ex.Hi)
-	case *sqlparser.InList:
-		if !remotePushable(ex.X) {
-			return false
-		}
-		for _, it := range ex.List {
-			if !remotePushable(it) {
-				return false
-			}
-		}
-		return true
-	case *sqlparser.Like:
-		return remotePushable(ex.X) && remotePushable(ex.Pattern)
+	switch e.(type) {
+	case *sqlparser.Literal, *sqlparser.ColumnRef, *sqlparser.UnaryExpr, *sqlparser.BinaryExpr,
+		*sqlparser.IsNull, *sqlparser.Between, *sqlparser.InList, *sqlparser.Like:
 	default:
 		return false
 	}
+	ok := true
+	walkChildren(e, func(child sqlparser.Expr) { ok = ok && remotePushable(child) })
+	return ok
 }
 
 // stripQualifiers clones a pushable expression with correlation qualifiers

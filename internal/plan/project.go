@@ -49,44 +49,34 @@ func (c *compiler) compileProjection(op exec.Operator, sel *sqlparser.Select) (e
 			})
 		}
 	}
-	resolveExtra := func(e sqlparser.Expr) (exec.Expr, error) { return c.compileExpr(e) }
-	return c.finishPipeline(op, exprs, schema, sel, resolveExtra)
+	return c.finishPipeline(op, exprs, schema, sel, nil)
 }
 
 // finishPipeline applies Project (+hidden ORDER BY columns), DISTINCT,
-// Sort, and the trim projection. resolveExtra compiles an ORDER BY key
-// against the pre-projection row for hidden columns.
-func (c *compiler) finishPipeline(child exec.Operator, exprs []exec.Expr, schema types.Schema, sel *sqlparser.Select, resolveExtra func(sqlparser.Expr) (exec.Expr, error)) (exec.Operator, error) {
+// Sort, and the trim projection. A key that is not an output column is
+// compiled into a hidden column over the pre-projection row, which env,
+// when not nil, says is the Agg output row.
+func (c *compiler) finishPipeline(child exec.Operator, exprs []exec.Expr, schema types.Schema, sel *sqlparser.Select, env *aggEnv) (exec.Operator, error) {
 	visible := len(schema)
 	var keys []exec.SortKey
 	for _, o := range sel.OrderBy {
-		// 1. ORDER BY <position>
-		if lit, ok := o.Expr.(*sqlparser.Literal); ok && lit.Val.Kind() == types.KindInt {
-			pos := lit.Val.Int()
-			if pos < 1 || pos > int64(visible) {
-				return nil, fmt.Errorf("plan: ORDER BY position %d out of range", pos)
-			}
-			keys = append(keys, exec.SortKey{Expr: exec.Col{Idx: int(pos - 1), Name: schema[pos-1].Name}, Desc: o.Desc})
-			continue
-		}
-		// 2. ORDER BY <output column name>
-		if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok && ref.Qualifier == "" {
-			if i := schema[:visible].ColumnIndex(ref.Name); i >= 0 {
-				keys = append(keys, exec.SortKey{Expr: exec.Col{Idx: i, Name: schema[i].Name}, Desc: o.Desc})
-				continue
-			}
-		}
-		// 3. Arbitrary expression over the pre-projection row: hidden column.
-		if sel.Distinct {
-			return nil, fmt.Errorf("plan: ORDER BY %s must appear in the select list of a DISTINCT query", o.Expr.String())
-		}
-		e, err := resolveExtra(o.Expr)
+		i, err := outputKey(o.Expr, schema[:visible])
 		if err != nil {
 			return nil, err
 		}
-		exprs = append(exprs, e)
-		schema = append(schema, types.Column{Name: fmt.Sprintf("$sort%d", len(schema)-visible), Type: c.inferType(o.Expr)})
-		keys = append(keys, exec.SortKey{Expr: exec.Col{Idx: len(schema) - 1, Name: schema[len(schema)-1].Name}, Desc: o.Desc})
+		if i < 0 {
+			if sel.Distinct {
+				return nil, fmt.Errorf("plan: ORDER BY %s must appear in the select list of a DISTINCT query", o.Expr.String())
+			}
+			e, err := c.compile(o.Expr, 0, env)
+			if err != nil {
+				return nil, err
+			}
+			exprs = append(exprs, e)
+			schema = append(schema, types.Column{Name: fmt.Sprintf("$sort%d", len(schema)-visible), Type: c.inferType(o.Expr)})
+			i = len(schema) - 1
+		}
+		keys = append(keys, exec.SortKey{Expr: exec.Col{Idx: i, Name: schema[i].Name}, Desc: o.Desc})
 	}
 
 	var out exec.Operator = &exec.Project{Child: child, Exprs: exprs, Sch: schema}
@@ -106,6 +96,27 @@ func (c *compiler) finishPipeline(child exec.Operator, exprs []exec.Expr, schema
 	return out, nil
 }
 
+// outputKey is the one ORDER BY key resolver: it returns the index of the
+// output column a key names by position or by unqualified name, or -1 when
+// the key is neither.
+func outputKey(e sqlparser.Expr, schema types.Schema) (int, error) {
+	switch k := e.(type) {
+	case *sqlparser.Literal:
+		if k.Val.Kind() == types.KindInt {
+			pos := k.Val.Int()
+			if pos < 1 || pos > int64(len(schema)) {
+				return 0, fmt.Errorf("plan: ORDER BY position %d out of range", pos)
+			}
+			return int(pos - 1), nil
+		}
+	case *sqlparser.ColumnRef:
+		if k.Qualifier == "" {
+			return schema.ColumnIndex(k.Name), nil
+		}
+	}
+	return -1, nil
+}
+
 // ----------------------------------------------------------- aggregation
 
 // compileAggregation plans GROUP BY / aggregate queries: the Agg operator
@@ -122,7 +133,7 @@ func (c *compiler) compileAggregation(op exec.Operator, sel *sqlparser.Select) (
 		if ref, ok := g.(*sqlparser.ColumnRef); ok {
 			name = ref.Name
 		}
-		env.groups = append(env.groups, aggGroup{ast: g.String(), name: name, typ: c.inferType(g)})
+		env.groups = append(env.groups, aggCol{ast: g.String(), name: name, typ: c.inferType(g)})
 		env.groupExprs = append(env.groupExprs, e)
 	}
 	// Register every aggregate call appearing anywhere in the query.
@@ -154,7 +165,7 @@ func (c *compiler) compileAggregation(op exec.Operator, sel *sqlparser.Select) (
 	var out exec.Operator = &exec.Agg{Child: op, Groups: env.groupExprs, Aggs: env.specList, Sch: aggSchema}
 
 	if sel.Having != nil {
-		pred, err := env.rewrite(sel.Having)
+		pred, err := c.compile(sel.Having, 0, env)
 		if err != nil {
 			return nil, err
 		}
@@ -164,15 +175,14 @@ func (c *compiler) compileAggregation(op exec.Operator, sel *sqlparser.Select) (
 	var exprs []exec.Expr
 	var schema types.Schema
 	for _, item := range sel.Items {
-		e, err := env.rewrite(item.Expr)
+		e, err := c.compile(item.Expr, 0, env)
 		if err != nil {
 			return nil, err
 		}
 		exprs = append(exprs, e)
 		schema = append(schema, types.Column{Name: outputName(item), Type: c.inferType(item.Expr)})
 	}
-	resolveExtra := func(e sqlparser.Expr) (exec.Expr, error) { return env.rewrite(e) }
-	return c.finishPipeline(out, exprs, schema, sel, resolveExtra)
+	return c.finishPipeline(out, exprs, schema, sel, env)
 }
 
 // markTransient lets a HashJoin that feeds an Agg, directly or through
@@ -193,13 +203,9 @@ func markTransient(op exec.Operator) {
 	}
 }
 
-type aggGroup struct {
-	ast  string
-	name string
-	typ  types.Type
-}
-
-type aggSpecInfo struct {
+// aggCol is one column of the Agg output row: a group expression or an
+// aggregate call, known by its SQL text.
+type aggCol struct {
 	ast  string
 	name string
 	typ  types.Type
@@ -209,17 +215,14 @@ type aggSpecInfo struct {
 // aggregate calls become columns of the Agg operator's output.
 type aggEnv struct {
 	c          *compiler
-	groups     []aggGroup
+	groups     []aggCol
 	groupExprs []exec.Expr
-	specs      []aggSpecInfo
+	specs      []aggCol
 	specList   []exec.AggSpec
 }
 
 // collect registers every aggregate call within e.
 func (env *aggEnv) collect(e sqlparser.Expr) error {
-	if e == nil {
-		return nil
-	}
 	if call, ok := e.(*sqlparser.FuncCall); ok && exec.IsAggregateName(call.Name) {
 		_, err := env.registerAgg(call)
 		return err
@@ -271,196 +274,9 @@ func (env *aggEnv) registerAgg(call *sqlparser.FuncCall) (int, error) {
 			typ = env.c.inferType(call.Args[0])
 		}
 	}
-	env.specs = append(env.specs, aggSpecInfo{ast: key, name: key, typ: typ})
+	env.specs = append(env.specs, aggCol{ast: key, name: key, typ: typ})
 	env.specList = append(env.specList, spec)
 	return len(env.specs) - 1, nil
-}
-
-// rewrite compiles an expression over the Agg output row: group
-// expressions and aggregate calls map to columns; anything else must be
-// built from them (or parameters/literals).
-func (env *aggEnv) rewrite(e sqlparser.Expr) (exec.Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	key := e.String()
-	for i, g := range env.groups {
-		if g.ast == key {
-			return exec.Col{Idx: i, Name: g.name}, nil
-		}
-	}
-	switch ex := e.(type) {
-	case *sqlparser.Literal:
-		return exec.Const{V: ex.Val}, nil
-	case *sqlparser.ColumnRef:
-		// Not a group expression; allow parameter references only.
-		if v, ok := env.c.lookupParam(ex); ok {
-			return exec.Const{V: v}, nil
-		}
-		return nil, fmt.Errorf("plan: column %s must appear in the GROUP BY clause or inside an aggregate", ex.String())
-	case *sqlparser.FuncCall:
-		if exec.IsAggregateName(ex.Name) {
-			i, err := env.registerAgg(ex)
-			if err != nil {
-				return nil, err
-			}
-			return exec.Col{Idx: len(env.groups) + i, Name: env.specs[i].name}, nil
-		}
-		fn, err := exec.LookupScalar(ex.Name, len(ex.Args))
-		if err != nil {
-			return nil, err
-		}
-		args := make([]exec.Expr, len(ex.Args))
-		for i, a := range ex.Args {
-			ae, err := env.rewrite(a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = ae
-		}
-		return exec.ScalarCall{Name: strings.ToUpper(ex.Name), Fn: fn, Args: args}, nil
-	case *sqlparser.UnaryExpr:
-		x, err := env.rewrite(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Unary{Op: ex.Op, X: x}, nil
-	case *sqlparser.BinaryExpr:
-		l, err := env.rewrite(ex.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := env.rewrite(ex.R)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Bin{Op: ex.Op, L: l, R: r}, nil
-	case *sqlparser.IsNull:
-		x, err := env.rewrite(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		return exec.IsNull{X: x, Not: ex.Not}, nil
-	case *sqlparser.Between:
-		x, err := env.rewrite(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := env.rewrite(ex.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := env.rewrite(ex.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Between{X: x, Lo: lo, Hi: hi, Not: ex.Not}, nil
-	case *sqlparser.InList:
-		x, err := env.rewrite(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]exec.Expr, len(ex.List))
-		for i, it := range ex.List {
-			le, err := env.rewrite(it)
-			if err != nil {
-				return nil, err
-			}
-			list[i] = le
-		}
-		return exec.In{X: x, List: list, Not: ex.Not}, nil
-	case *sqlparser.Like:
-		x, err := env.rewrite(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		p, err := env.rewrite(ex.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Like{X: x, Pattern: p, Not: ex.Not}, nil
-	case *sqlparser.CastExpr:
-		x, err := env.rewrite(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		return exec.Cast{X: x, Type: ex.Type}, nil
-	case *sqlparser.CaseExpr:
-		out := exec.Case{}
-		for _, w := range ex.Whens {
-			cond, err := env.rewrite(w.Cond)
-			if err != nil {
-				return nil, err
-			}
-			res, err := env.rewrite(w.Result)
-			if err != nil {
-				return nil, err
-			}
-			out.Whens = append(out.Whens, struct{ Cond, Result exec.Expr }{cond, res})
-		}
-		if ex.Else != nil {
-			el, err := env.rewrite(ex.Else)
-			if err != nil {
-				return nil, err
-			}
-			out.Else = el
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("plan: unsupported expression %T in aggregate query", e)
-	}
-}
-
-// walkChildren visits the direct sub-expressions of e.
-func walkChildren(e sqlparser.Expr, visit func(sqlparser.Expr)) {
-	switch ex := e.(type) {
-	case *sqlparser.UnaryExpr:
-		visit(ex.X)
-	case *sqlparser.BinaryExpr:
-		visit(ex.L)
-		visit(ex.R)
-	case *sqlparser.IsNull:
-		visit(ex.X)
-	case *sqlparser.Between:
-		visit(ex.X)
-		visit(ex.Lo)
-		visit(ex.Hi)
-	case *sqlparser.InList:
-		visit(ex.X)
-		for _, it := range ex.List {
-			visit(it)
-		}
-	case *sqlparser.Like:
-		visit(ex.X)
-		visit(ex.Pattern)
-	case *sqlparser.CastExpr:
-		visit(ex.X)
-	case *sqlparser.CaseExpr:
-		for _, w := range ex.Whens {
-			visit(w.Cond)
-			visit(w.Result)
-		}
-		if ex.Else != nil {
-			visit(ex.Else)
-		}
-	case *sqlparser.FuncCall:
-		for _, a := range ex.Args {
-			visit(a)
-		}
-	}
-}
-
-func containsAggregate(e sqlparser.Expr) bool {
-	if call, ok := e.(*sqlparser.FuncCall); ok && exec.IsAggregateName(call.Name) {
-		return true
-	}
-	found := false
-	walkChildren(e, func(child sqlparser.Expr) {
-		if containsAggregate(child) {
-			found = true
-		}
-	})
-	return found
 }
 
 // outputName picks the display name of a select item.
@@ -481,7 +297,7 @@ func (c *compiler) inferType(e sqlparser.Expr) types.Type {
 	case *sqlparser.Literal:
 		return types.TypeOf(ex.Val)
 	case *sqlparser.ColumnRef:
-		if idx := scopeIndexOf(ex, c.cols); idx >= 0 {
+		if idx, _ := lookupColumn(ex, c.cols); idx >= 0 {
 			return c.cols[idx].typ
 		}
 		if v, ok := c.lookupParam(ex); ok {

@@ -49,21 +49,14 @@ func (c *compiler) compileUnion(sel *sqlparser.Select) (exec.Operator, error) {
 	if len(sel.OrderBy) > 0 {
 		keys := make([]exec.SortKey, 0, len(sel.OrderBy))
 		for _, o := range sel.OrderBy {
-			if lit, ok := o.Expr.(*sqlparser.Literal); ok && lit.Val.Kind() == types.KindInt {
-				pos := lit.Val.Int()
-				if pos < 1 || pos > int64(len(schema)) {
-					return nil, fmt.Errorf("plan: ORDER BY position %d out of range", pos)
-				}
-				keys = append(keys, exec.SortKey{Expr: exec.Col{Idx: int(pos - 1), Name: schema[pos-1].Name}, Desc: o.Desc})
-				continue
+			i, err := outputKey(o.Expr, schema)
+			if err != nil {
+				return nil, err
 			}
-			if ref, ok := o.Expr.(*sqlparser.ColumnRef); ok && ref.Qualifier == "" {
-				if i := schema.ColumnIndex(ref.Name); i >= 0 {
-					keys = append(keys, exec.SortKey{Expr: exec.Col{Idx: i, Name: schema[i].Name}, Desc: o.Desc})
-					continue
-				}
+			if i < 0 {
+				return nil, fmt.Errorf("plan: ORDER BY on a UNION must name an output column or position, got %s", o.Expr.String())
 			}
-			return nil, fmt.Errorf("plan: ORDER BY on a UNION must name an output column or position, got %s", o.Expr.String())
+			keys = append(keys, exec.SortKey{Expr: exec.Col{Idx: i, Name: schema[i].Name}, Desc: o.Desc})
 		}
 		result = &exec.Sort{Child: result, Keys: keys}
 	}
