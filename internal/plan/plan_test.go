@@ -12,7 +12,7 @@ import (
 )
 
 // testCatalog builds a catalog with two tables and two table functions.
-func testCatalog(t *testing.T) *catalog.Catalog {
+func testCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
 	sup, err := cat.CreateTable("suppliers", types.Schema{
@@ -413,4 +413,43 @@ func TestCompileErrorMessages(t *testing.T) {
 			t.Errorf("CompileSelect(%q) = %v, want an error containing %q", tc.sql, err, tc.want)
 		}
 	}
+}
+
+// FuzzCompile: every SELECT that parses either compiles or returns an
+// error, under every planner option set of the EXPLAIN golden, and never
+// panics. The catalog is testCatalog's, with one parameter (lim, also
+// spelled getx.lim, as an SQL function's parameters are).
+func FuzzCompile(f *testing.F) {
+	cat := testCatalog(f)
+	params := map[string]types.Value{"lim": types.NewInt(1), "getx.lim": types.NewInt(1)}
+	for _, sql := range lateralCorpus {
+		f.Add(sql)
+	}
+	for _, sql := range []string{
+		"SELECT No FROM suppliers WHERE No > lim AND Name LIKE 'A%' ORDER BY Name DESC LIMIT 1",
+		"SELECT No FROM suppliers WHERE No > GetX.lim",
+		"SELECT SuppNo, COUNT(*), MAX(PartNo) FROM parts GROUP BY SuppNo HAVING COUNT(*) > lim ORDER BY COUNT(*) DESC, 1",
+		"SELECT s.No, COUNT(*) FROM suppliers s, parts p WHERE s.No = p.SuppNo GROUP BY s.No ORDER BY SUM(p.PartNo)",
+		"SELECT DISTINCT UPPER(Name) AS u FROM suppliers ORDER BY u",
+		"SELECT No FROM suppliers UNION SELECT SuppNo FROM parts UNION ALL SELECT y FROM TABLE (Twice(2)) AS t ORDER BY 1",
+		"SELECT CASE WHEN No IN (1, 2) THEN CAST(No AS DOUBLE) ELSE -1.5 END FROM suppliers WHERE No BETWEEN 1 AND 2 AND Name IS NOT NULL",
+		"SELECT d.c FROM (SELECT COUNT(*) AS c FROM parts) AS d, TABLE (Twice(d.c)) AS f",
+		"SELECT f.y FROM TABLE (Twice(g.n)) AS f, TABLE (Nums()) AS g",
+		"SELECT Name, COUNT(*) FROM suppliers",
+		"SELECT SUM(COUNT(*)) FROM suppliers",
+		"SELECT * FROM suppliers GROUP BY Name",
+		"SELECT No FROM suppliers s, suppliers t",
+		"SELECT 1 WHERE 1 = 2",
+	} {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		sel, err := sqlparser.ParseSelect(sql)
+		if err != nil {
+			return
+		}
+		for _, opts := range lateralOptions {
+			_, _ = CompileSelectOpts(cat, sel, params, opts)
+		}
+	})
 }

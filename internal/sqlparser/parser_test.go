@@ -1,6 +1,9 @@
 package sqlparser
 
 import (
+	"bufio"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -505,4 +508,80 @@ func TestParseSet(t *testing.T) {
 	if _, err := Parse("SET 4"); err == nil {
 		t.Error("missing option name accepted")
 	}
+}
+
+// fuzzSeeds are the statements the servers, consoles and experiments send:
+// the console queries of fdbs/queries.go, the experiments' statements and
+// I-UDTF definitions, DML, DDL and the planner's EXPLAIN golden statements.
+func fuzzSeeds(t testing.TB) []string {
+	t.Helper()
+	seeds := []string{
+		"SELECT Fingerprint, Calls, Rows, Errors, Total_MS, Mean_MS, P99_MS, Query FROM fed_stat_statements ORDER BY Total_MS DESC LIMIT 5",
+		"SELECT Seq, Kind, Func, Instance, Node, Detail, RowIdx, Rows, Started_VT, Dur_MS, Err FROM fed_audit_events ORDER BY Seq DESC LIMIT 20",
+		"SELECT MAX(Seq), COUNT(*) FROM fed_audit_events",
+		"SELECT Node, Event, RowIdx, Rows, At_VT FROM fed_wf_activities WHERE Instance = 'wf-000006' ORDER BY At_VT",
+		"SELECT Window, Statements, Errors, Slow, Availability_Burn, Latency_Burn FROM fed_slo",
+		"SELECT Span, Parent, Depth, Name, Start_MS, Elapsed_MS, Attrs, Steps FROM fed_spans WHERE Trace = 'it''s' ORDER BY Span",
+		"SELECT * FROM TABLE (BuySuppComp(4, 'washer')) AS R",
+		"SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q",
+		"SELECT c.Name, k.KompNr FROM comps c LEFT JOIN TABLE (GibKompNr(c.Name)) AS k ON 1 = 1",
+		"SELECT d.SupplierNo, F.Qual, F.Relia FROM drv d, TABLE (GetSuppQualRelia(d.SupplierNo)) AS F WHERE d.SupplierNo >= 2",
+		"SELECT l.K, COUNT(*), SUM(r.W) FROM l, r WHERE l.K = r.K AND l.V >= 3 GROUP BY l.K HAVING COUNT(*) > 1 ORDER BY 2 DESC",
+		"SELECT No FROM suppliers UNION ALL SELECT SuppNo FROM parts ORDER BY 1 LIMIT 3 OFFSET 1",
+		"SELECT CASE WHEN a IS NULL THEN -1.5 ELSE CAST(b AS VARCHAR(9)) END FROM t WHERE c NOT IN (1, 2) AND d NOT LIKE 'x%' AND e NOT BETWEEN 1 AND 2",
+		"CREATE FUNCTION BuySuppComp (SupplierNo INT, CompName VARCHAR) RETURNS TABLE (Decision VARCHAR) LANGUAGE SQL RETURN SELECT DP.Answer FROM TABLE (GetQuality(BuySuppComp.SupplierNo)) AS GQ, TABLE (GetReliability(BuySuppComp.SupplierNo)) AS GR, TABLE (GetGrade(GQ.Qual, GR.Relia)) AS GG, TABLE (GetCompNo(BuySuppComp.CompName)) AS GCN, TABLE (DecidePurchase(GG.Grade, GCN.No)) AS DP",
+		"CREATE FUNCTION GetSubCompDiscounts (CompNo INT, Discount INT) RETURNS TABLE (SubCompNo INT, SupplierNo INT) LANGUAGE SQL RETURN SELECT GSCD.SubCompNo, GCS4D.SupplierNo FROM TABLE (GetSubCompNo(GetSubCompDiscounts.CompNo)) AS GSCD, TABLE (GetCompSupp4Discount(GetSubCompDiscounts.Discount)) AS GCS4D WHERE GSCD.SubCompNo = GCS4D.CompNo",
+		"CREATE TABLE watchlist (SupplierNo INT, Note VARCHAR(30))",
+		"CREATE INDEX wl_no ON watchlist (SupplierNo)",
+		"CREATE VIEW v AS SELECT DISTINCT a FROM t",
+		"CREATE SERVER erpsrv WRAPPER sqlwrapper OPTIONS (target 'erp')",
+		"CREATE NICKNAME prices FOR erpsrv.prices",
+		"INSERT INTO watchlist VALUES (3, 'strategic'), (7, 'probation')",
+		"INSERT INTO t (a) SELECT b FROM u",
+		"UPDATE t SET a = a + 1, b = 'x' WHERE k = 5",
+		"DELETE FROM t WHERE k = 5 OR name = 'x'",
+		"EXPLAIN SELECT * FROM t",
+		"SHOW TABLES",
+		"SET PARALLELISM 4",
+		"DROP VIEW v",
+	}
+	f, err := os.Open(filepath.Join("..", "plan", "testdata", "lateral_explain.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seen := make(map[string]bool)
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if sql, ok := strings.CutPrefix(sc.Text(), "-- "); ok && strings.HasPrefix(sql, "SELECT") && !seen[sql] {
+			seen[sql] = true
+			seeds = append(seeds, sql)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return seeds
+}
+
+// FuzzParse: rendering a parsed statement and parsing the rendering again
+// reaches a fixpoint — the second parse succeeds and renders the same text.
+func FuzzParse(f *testing.F) {
+	for _, sql := range fuzzSeeds(f) {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		s1, err := Parse(sql)
+		if err != nil {
+			return
+		}
+		text := s1.String()
+		s2, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%q renders as %q, which does not parse: %v", sql, text, err)
+		}
+		if again := s2.String(); again != text {
+			t.Fatalf("%q renders as %q, which renders as %q", sql, text, again)
+		}
+	})
 }
