@@ -189,3 +189,40 @@ func TestMixedReadWriteConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNOrdersAboveEveryNumber: a stored NaN (reachable by casting the
+// string 'NaN' to DOUBLE) equals itself and orders above every other
+// number, so a scan and an index lookup return the same rows for it.
+func TestNaNOrdersAboveEveryNumber(t *testing.T) {
+	ctx := context.Background()
+	indexed, plain := New().NewSession(), New().NewSession()
+	for _, s := range []*Session{indexed, plain} {
+		s.MustExecContext(ctx, "CREATE TABLE t (K INT, D DOUBLE)")
+		s.MustExecContext(ctx, "INSERT INTO t VALUES (1, 2.5), (2, CAST('NaN' AS DOUBLE)), (3, 1.5), (4, -7.25), (5, CAST('NaN' AS DOUBLE))")
+	}
+	indexed.MustExecContext(ctx, "CREATE INDEX idx_d ON t (D)")
+	for _, tc := range []struct{ sql, want string }{
+		{"SELECT K FROM t WHERE D = 1.5", "[3]"},
+		{"SELECT K FROM t WHERE D = CAST('NaN' AS DOUBLE)", "[2 5]"},
+		{"SELECT K FROM t WHERE D > 2", "[1 2 5]"},
+		{"SELECT K FROM t WHERE D < CAST('NaN' AS DOUBLE)", "[1 3 4]"},
+		{"SELECT K FROM t ORDER BY D, K", "[4 3 1 2 5]"},
+		{"SELECT K FROM t ORDER BY D DESC, K", "[2 5 1 3 4]"},
+		{"SELECT COUNT(*) FROM t GROUP BY D ORDER BY 1 DESC LIMIT 1", "[2]"},
+		{"SELECT COUNT(*) FROM t a, t b WHERE a.D = b.D", "[7]"},
+	} {
+		for name, s := range map[string]*Session{"indexed": indexed, "unindexed": plain} {
+			tab, err := s.QueryContext(ctx, tc.sql)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, tc.sql, err)
+			}
+			var got []int64
+			for _, r := range tab.Rows {
+				got = append(got, r[0].Int())
+			}
+			if fmt.Sprint(got) != tc.want {
+				t.Errorf("%s %s = %v, want %s", name, tc.sql, got, tc.want)
+			}
+		}
+	}
+}

@@ -136,18 +136,10 @@ func callHash(name string, args []types.Value) uint64 {
 		h = (h ^ uint64(unicode.ToLower(r))) * 1099511628211
 	}
 	for _, a := range args {
-		v := a.Hash()
-		if a.Kind() == types.KindFloat && math.IsNaN(a.Float()) {
-			v = nanHash
-		}
-		h = (h ^ v) * 1099511628211
+		h = (h ^ a.Hash()) * 1099511628211
 	}
 	return h
 }
-
-// nanHash stands in for Value.Hash, which hashes a NaN's payload, on
-// every NaN.
-var nanHash = types.NewFloat(math.NaN()).Hash()
 
 // sameCall reports whether c is the call of name on args.
 func (c *funcCall) sameCall(name string, args []types.Value) bool {

@@ -373,8 +373,12 @@ func (v Value) Hash() uint64 {
 		// The upper bound is strict: float64(MaxInt64) rounds up to 2^63,
 		// which int64() cannot hold (the conversion's result would differ
 		// by platform).
-		if f := v.Float(); f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
+		f := v.Float()
+		if f == math.Trunc(f) && f >= -(1<<63) && f < 1<<63 {
 			return hashNumeric(1, uint64(int64(f)))
+		}
+		if f != f { // every NaN is one value, whatever its payload
+			return hashNumeric(0, math.Float64bits(math.NaN()))
 		}
 		return hashNumeric(0, v.n)
 	case KindString:
@@ -409,7 +413,8 @@ func hashNumeric(integral, word uint64) uint64 {
 var ErrNullCompare = fmt.Errorf("types: comparison with NULL is UNKNOWN")
 
 // Compare orders two values: -1, 0, +1. Numeric kinds compare numerically
-// across representations. Comparing NULL with anything returns
+// across representations; NaN equals itself and orders above every other
+// number, as in PostgreSQL. Comparing NULL with anything returns
 // ErrNullCompare; comparing incompatible kinds returns an error.
 func Compare(a, b Value) (int, error) {
 	if a.kind == KindNull || b.kind == KindNull {
@@ -428,10 +433,10 @@ func Compare(a, b Value) (int, error) {
 		}
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
+		switch aNaN, bNaN := af != af, bf != bf; {
+		case af < bf || bNaN && !aNaN:
 			return -1, nil
-		case af > bf:
+		case af > bf || aNaN && !bNaN:
 			return 1, nil
 		default:
 			return 0, nil
