@@ -668,26 +668,19 @@ func (s *Session) execUpdate(st *sqlparser.Update) (*Result, error) {
 		}
 		setters = append(setters, setter{idx: i, expr: ce})
 	}
-	var evalErr error
 	// Without an indexed `col = literal` conjunct col is "", which names
 	// no index: the keyed call then examines every row.
 	col, key, _ := plan.PointKey(st.Table, schema, st.Where, tab.HasIndex)
-	n, err := tab.UpdateKey(col, key, pred, func(r types.Row) types.Row {
+	n, err := tab.UpdateKey(col, key, pred, func(r types.Row) (types.Row, error) {
 		for _, set := range setters {
 			v, err := set.expr.Eval(r)
 			if err != nil {
-				if evalErr == nil {
-					evalErr = err
-				}
-				return r
+				return nil, err
 			}
 			r[set.idx] = v
 		}
-		return r
+		return r, nil
 	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -705,29 +698,30 @@ func (s *Session) execDelete(st *sqlparser.Delete) (*Result, error) {
 		return nil, err
 	}
 	col, key, _ := plan.PointKey(st.Table, schema, st.Where, tab.HasIndex) // "" when there is none: every row
-	n := tab.DeleteKey(col, key, pred)
+	n, err := tab.DeleteKey(col, key, pred)
+	if err != nil {
+		return nil, err
+	}
 	return &Result{RowsAffected: n, Message: fmt.Sprintf("%d rows deleted", n)}, nil
 }
 
 // compilePredicate compiles a WHERE clause over one table's rows; a nil
-// clause matches everything. Row-level evaluation errors surface as
-// "no match" after recording, which cannot happen for type-checked
-// predicates over validated rows.
-func (s *Session) compilePredicate(table string, schema types.Schema, where sqlparser.Expr) (func(types.Row) bool, error) {
+// clause matches everything. A row the clause raises on raises the
+// statement's error, as a SELECT's Filter does.
+func (s *Session) compilePredicate(table string, schema types.Schema, where sqlparser.Expr) (func(types.Row) (bool, error), error) {
 	if where == nil {
-		return func(types.Row) bool { return true }, nil
+		return func(types.Row) (bool, error) { return true, nil }, nil
 	}
 	ce, err := plan.CompileRowExpr(s.eng.cat, table, schema, where)
 	if err != nil {
 		return nil, err
 	}
-	return func(r types.Row) bool {
+	return func(r types.Row) (bool, error) {
 		v, err := ce.Eval(r)
 		if err != nil {
-			return false
+			return false, err
 		}
-		ok, err := exec.Truthy(v)
-		return err == nil && ok
+		return exec.Truthy(v)
 	}, nil
 }
 

@@ -216,6 +216,67 @@ func TestDML(t *testing.T) {
 	}
 }
 
+// TestDMLRaisesWhereErrors: a WHERE clause that raises on a row fails
+// UPDATE and DELETE with the error SELECT reports. DELETE then removes
+// nothing; UPDATE, like a row that fails its cast, stops at that row in
+// heap order and keeps the rows before it updated. A SET expression that
+// raises stops it the same way.
+func TestDMLRaisesWhereErrors(t *testing.T) {
+	ctx := context.Background()
+	for _, indexed := range []bool{false, true} {
+		s := New().NewSession()
+		s.MustExecContext(ctx, "CREATE TABLE t (K INT, Name VARCHAR(8))")
+		if indexed {
+			s.MustExecContext(ctx, "CREATE INDEX idx_k ON t (K)")
+		}
+		s.MustExecContext(ctx, "INSERT INTO t VALUES (1, '1'), (2, '2'), (3, 'x'), (4, '4')")
+		rows := func() string {
+			t.Helper()
+			return queryRows(t, s, "SELECT K, Name FROM t").String()
+		}
+		before := rows()
+		for _, sql := range []string{
+			"SELECT * FROM t WHERE Name = 1",
+			"DELETE FROM t WHERE Name = 1",
+			"UPDATE t SET K = K + 10 WHERE Name = 1",
+		} {
+			_, err := s.ExecContext(ctx, sql)
+			if err == nil || !strings.Contains(err.Error(), "cannot compare STRING with INT") {
+				t.Errorf("indexed=%v %s: err %v, want the comparison error", indexed, sql, err)
+			}
+		}
+		for _, sql := range []string{
+			"SELECT * FROM t WHERE CAST(Name AS INT) > 0",
+			"DELETE FROM t WHERE CAST(Name AS INT) > 0",
+			"DELETE FROM t WHERE K = 3 AND CAST(Name AS INT) > 0",
+		} {
+			if _, err := s.ExecContext(ctx, sql); err == nil {
+				t.Errorf("indexed=%v %s: no error", indexed, sql)
+			}
+		}
+		if after := rows(); after != before {
+			t.Errorf("indexed=%v: failed statements changed the table:\n%s\nwas:\n%s", indexed, after, before)
+		}
+		if _, err := s.ExecContext(ctx, "UPDATE t SET K = K + 10 WHERE CAST(Name AS INT) > 0"); err == nil {
+			t.Errorf("indexed=%v: UPDATE with a raising WHERE succeeded", indexed)
+		}
+		if _, err := s.ExecContext(ctx, "UPDATE t SET K = K * 100, Name = CAST(CAST(Name AS INT) + 1 AS VARCHAR(8)) WHERE K > 0"); err == nil {
+			t.Errorf("indexed=%v: UPDATE with a raising SET succeeded", indexed)
+		}
+		want := types.Schema{{Name: "K", Type: types.Integer}, {Name: "Name", Type: types.VarCharN(8)}}
+		wantTab := types.NewTable(want)
+		for _, r := range []types.Row{
+			{types.NewInt(1100), types.NewString("2")}, {types.NewInt(1200), types.NewString("3")},
+			{types.NewInt(3), types.NewString("x")}, {types.NewInt(4), types.NewString("4")},
+		} {
+			wantTab.MustAppend(r)
+		}
+		if got := rows(); got != wantTab.String() {
+			t.Errorf("indexed=%v: after the raising UPDATEs:\n%s\nwant:\n%s", indexed, got, wantTab.String())
+		}
+	}
+}
+
 func TestSQLUDTFLateralChain(t *testing.T) {
 	s := newTestSession(t)
 	eng := s.Engine()

@@ -50,8 +50,8 @@ func BenchmarkUpdateKey(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		k := int64(i % benchRows)
 		n, err := tab.UpdateKey("K", types.NewInt(k),
-			func(r types.Row) bool { return r[0].Int() == k },
-			func(r types.Row) types.Row { r[1] = types.NewInt(r[1].Int() + 1); return r })
+			func(r types.Row) (bool, error) { return r[0].Int() == k, nil },
+			func(r types.Row) (types.Row, error) { r[1] = types.NewInt(r[1].Int() + 1); return r, nil })
 		if err != nil || n != 1 {
 			b.Fatalf("UpdateKey = %d, %v", n, err)
 		}
@@ -64,8 +64,8 @@ func BenchmarkDeleteKeyInsert(b *testing.B) {
 	tab := benchTable(b)
 	for i := 0; i < b.N; i++ {
 		k := int64(i * 7919 % benchRows)
-		if n := tab.DeleteKey("K", types.NewInt(k), func(r types.Row) bool { return r[0].Int() == k }); n != 1 {
-			b.Fatalf("DeleteKey removed %d rows", n)
+		if n, err := tab.DeleteKey("K", types.NewInt(k), func(r types.Row) (bool, error) { return r[0].Int() == k, nil }); n != 1 || err != nil {
+			b.Fatalf("DeleteKey removed %d rows, %v", n, err)
 		}
 		if err := tab.Insert(types.Row{types.NewInt(k), types.NewInt(0)}); err != nil {
 			b.Fatal(err)

@@ -155,13 +155,18 @@ func (t *Table) Select(pred func(types.Row) bool) []types.Row {
 func (t *Table) Update(pred func(types.Row) bool, transform func(types.Row) types.Row) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.update(nil, false, pred, transform)
+	return t.update(nil, false,
+		func(r types.Row) (bool, error) { return pred(r), nil },
+		func(r types.Row) (types.Row, error) { return transform(r), nil })
 }
 
 // UpdateKey is Update for a predicate that implies column = key: when the
 // column is indexed only the rows of that index bucket are examined. pred
-// is still the whole predicate and decides every candidate.
-func (t *Table) UpdateKey(column string, key types.Value, pred func(types.Row) bool, transform func(types.Row) types.Row) (int, error) {
+// is still the whole predicate and decides every candidate. pred and
+// transform may raise: the first row either raises on stops the update
+// with that error, as a row that fails its schema does, and the rows
+// before it stay updated.
+func (t *Table) UpdateKey(column string, key types.Value, pred func(types.Row) (bool, error), transform func(types.Row) (types.Row, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	bucket, keyed := t.bucket(t.schema.ColumnIndex(column), key)
@@ -171,7 +176,7 @@ func (t *Table) UpdateKey(column string, key types.Value, pred func(types.Row) b
 
 // update is the body of Update and UpdateKey: it visits, in heap order,
 // every row (keyed false) or the rows at the ascending positions cands.
-func (t *Table) update(cands []int, keyed bool, pred func(types.Row) bool, transform func(types.Row) types.Row) (int, error) {
+func (t *Table) update(cands []int, keyed bool, pred func(types.Row) (bool, error), transform func(types.Row) (types.Row, error)) (int, error) {
 	visits := len(t.rows)
 	if keyed {
 		visits = len(cands)
@@ -183,11 +188,18 @@ func (t *Table) update(cands []int, keyed bool, pred func(types.Row) bool, trans
 			i = cands[k]
 		}
 		old := t.rows[i]
-		if !pred(old) {
+		ok, err := pred(old)
+		if err != nil {
+			return n, err
+		}
+		if !ok {
 			continue
 		}
-		nr, err := types.CoerceRow(transform(old.Clone()), t.schema)
+		nr, err := transform(old.Clone())
 		if err != nil {
+			return n, err
+		}
+		if nr, err = types.CoerceRow(nr, t.schema); err != nil {
 			return n, fmt.Errorf("storage: update %s: %w", t.name, err)
 		}
 		for ci, idx := range t.indexes {
@@ -211,12 +223,14 @@ func (t *Table) update(cands []int, keyed bool, pred func(types.Row) bool, trans
 func (t *Table) Delete(pred func(types.Row) bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.delete(nil, false, pred)
+	n, _ := t.delete(nil, false, func(r types.Row) (bool, error) { return pred(r), nil })
+	return n
 }
 
 // DeleteKey is Delete for a predicate that implies column = key; see
-// UpdateKey.
-func (t *Table) DeleteKey(column string, key types.Value, pred func(types.Row) bool) int {
+// UpdateKey. When pred raises on a row, DeleteKey removes nothing and
+// returns that error.
+func (t *Table) DeleteKey(column string, key types.Value, pred func(types.Row) (bool, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	bucket, keyed := t.bucket(t.schema.ColumnIndex(column), key)
@@ -226,7 +240,7 @@ func (t *Table) DeleteKey(column string, key types.Value, pred func(types.Row) b
 // delete is the body of Delete and DeleteKey; cands and keyed are as in
 // update. It closes the gaps in place — heap and index positions shift
 // down past each victim — so it allocates for the victims only.
-func (t *Table) delete(cands []int, keyed bool, pred func(types.Row) bool) int {
+func (t *Table) delete(cands []int, keyed bool, pred func(types.Row) (bool, error)) (int, error) {
 	visits := len(t.rows)
 	if keyed {
 		visits = len(cands)
@@ -237,12 +251,16 @@ func (t *Table) delete(cands []int, keyed bool, pred func(types.Row) bool) int {
 		if keyed {
 			i = cands[k]
 		}
-		if pred(t.rows[i]) {
+		ok, err := pred(t.rows[i])
+		if err != nil {
+			return 0, err
+		}
+		if ok {
 			victims = append(victims, i)
 		}
 	}
 	if len(victims) == 0 {
-		return 0
+		return 0, nil
 	}
 	t.own()
 	w, v := victims[0], 0
@@ -262,7 +280,7 @@ func (t *Table) delete(cands []int, keyed bool, pred func(types.Row) bool) int {
 			idx.deleteRows(victims)
 		}
 	}
-	return len(victims)
+	return len(victims), nil
 }
 
 // bucket returns the index bucket that holds every row whose column at

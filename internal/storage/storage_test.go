@@ -319,13 +319,14 @@ func TestIndexScanAgreementProperty(t *testing.T) {
 			case 3:
 				n, m = tab.Delete(is), twin.Delete(is)
 			case 4:
-				n, m = tab.DeleteKey("K", key, is), twin.DeleteKey("K", key, is)
+				n, _ = tab.DeleteKey("K", key, keyPred(is))
+				m, _ = twin.DeleteKey("K", key, keyPred(is))
 			case 5:
 				n, _ = tab.Update(is, bump)
 				m, _ = twin.Update(is, bump)
 			case 6:
-				n, _ = tab.UpdateKey("K", key, is, bump)
-				m, _ = twin.UpdateKey("K", key, is, bump)
+				n, _ = tab.UpdateKey("K", key, keyPred(is), keyTransform(bump))
+				m, _ = twin.UpdateKey("K", key, keyPred(is), keyTransform(bump))
 			}
 			if n != m {
 				t.Logf("op %d: %d rows on the indexed table, %d on the twin", i, n, m)
@@ -383,14 +384,14 @@ func TestEmptyBucketsLeaveTheIndex(t *testing.T) {
 		if k%2 == 0 {
 			// A key-changing update vacates its bucket too.
 			if _, err := tab.UpdateKey("CompNo", key,
-				func(r types.Row) bool { return r[0].Int() == k },
-				func(r types.Row) types.Row { r[0] = types.NewInt(-k); return r }); err != nil {
+				func(r types.Row) (bool, error) { return r[0].Int() == k, nil },
+				func(r types.Row) (types.Row, error) { r[0] = types.NewInt(-k); return r, nil }); err != nil {
 				t.Fatal(err)
 			}
 			key = types.NewInt(-k)
 		}
-		if n := tab.DeleteKey("CompNo", key, func(r types.Row) bool { return r[0].Equal(key) }); n != 1 {
-			t.Fatalf("delete %v removed %d rows", key, n)
+		if n, err := tab.DeleteKey("CompNo", key, func(r types.Row) (bool, error) { return r[0].Equal(key), nil }); n != 1 || err != nil {
+			t.Fatalf("delete %v removed %d rows, %v", key, n, err)
 		}
 	}
 	if got := len(tab.indexes[tab.schema.ColumnIndex("CompNo")].buckets); got != tab.Len() {
@@ -446,7 +447,7 @@ func TestKeyedAccessDoesNotFoldTheColumnName(t *testing.T) {
 	if exact, folded := lookup("SupplierNo"), lookup("supplierno"); exact != folded {
 		t.Errorf("Lookup allocates %v times as SupplierNo, %v as supplierno", exact, folded)
 	}
-	never := func(types.Row) bool { return false }
+	never := func(types.Row) (bool, error) { return false, nil }
 	for _, col := range []string{"SupplierNo", "supplierno"} {
 		if n := testing.AllocsPerRun(100, func() { tab.DeleteKey(col, key, never) }); n != 0 {
 			t.Errorf("DeleteKey(%s) with no victims allocates %v times", col, n)
@@ -497,10 +498,13 @@ func TestScanSnapshotIsolation(t *testing.T) {
 		write func() error
 		rows  int // table length after the write
 	}{
-		{"keyed update", func() error { _, err := tab.UpdateKey("CompNo", types.NewInt(2), isCompNo(2), setQty(1)); return err }, 3},
+		{"keyed update", func() error {
+			_, err := tab.UpdateKey("CompNo", types.NewInt(2), keyPred(isCompNo(2)), keyTransform(setQty(1)))
+			return err
+		}, 3},
 		{"unkeyed update", func() error { _, err := tab.Update(func(types.Row) bool { return true }, setQty(2)); return err }, 3},
 		{"insert", func() error { return tab.Insert(types.Row{types.NewInt(4), types.NewString("pin"), types.NewInt(5)}) }, 4},
-		{"keyed delete", func() error { tab.DeleteKey("CompNo", types.NewInt(1), isCompNo(1)); return nil }, 3},
+		{"keyed delete", func() error { _, err := tab.DeleteKey("CompNo", types.NewInt(1), keyPred(isCompNo(1))); return err }, 3},
 		{"insert again", func() error { return tab.Insert(types.Row{types.NewInt(5), types.NewString("rivet"), types.NewInt(6)}) }, 4},
 		{"unkeyed delete", func() error { tab.Delete(isCompNo(3)); return nil }, 3},
 		{"update after delete", func() error { _, err := tab.Update(isCompNo(4), setQty(7)); return err }, 3},
@@ -591,11 +595,11 @@ func TestScanSnapshotIsolationConcurrent(t *testing.T) {
 				is := func(r types.Row) bool { return r[0].Equal(k) }
 				switch i % 4 {
 				case 0:
-					tab.UpdateKey("K", k, is, func(r types.Row) types.Row { r[1] = types.NewInt(int64(i)); return r })
+					tab.UpdateKey("K", k, keyPred(is), func(r types.Row) (types.Row, error) { r[1] = types.NewInt(int64(i)); return r, nil })
 				case 1:
 					tab.Update(is, func(r types.Row) types.Row { r[1] = types.NewInt(-int64(i)); return r })
 				case 2:
-					if tab.DeleteKey("K", k, is) > 0 {
+					if n, _ := tab.DeleteKey("K", k, keyPred(is)); n > 0 {
 						tab.Insert(types.Row{k, types.NewInt(int64(i))})
 					}
 				default:
@@ -639,4 +643,14 @@ func TestScanDoesNotAllocate(t *testing.T) {
 	if len(snap) != 3 || cap(snap) != 3 {
 		t.Errorf("snapshot has len %d, cap %d; want 3, 3", len(snap), cap(snap))
 	}
+}
+
+// keyPred adapts a predicate that cannot raise to UpdateKey and DeleteKey.
+func keyPred(pred func(types.Row) bool) func(types.Row) (bool, error) {
+	return func(r types.Row) (bool, error) { return pred(r), nil }
+}
+
+// keyTransform adapts a transform that cannot raise to UpdateKey.
+func keyTransform(transform func(types.Row) types.Row) func(types.Row) (types.Row, error) {
+	return func(r types.Row) (types.Row, error) { return transform(r), nil }
 }
