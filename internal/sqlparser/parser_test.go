@@ -395,38 +395,98 @@ func TestParseSelectHelper(t *testing.T) {
 	}
 }
 
+// TestParseErrors pins each error's full text, line and column. Between
+// them the cases reach every error format of the parser and every name
+// expectIdent asks for.
 func TestParseErrors(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"FROB x",
-		"SELECT",
-		"SELECT * FROM",
-		"SELECT * FROM TABLE (f(1))", // missing mandatory correlation
-		"SELECT * FROM (SELECT 1)",   // missing derived-table alias
-		"SELECT * FROM t WHERE",      //
-		"SELECT a FROM t ORDER",      // ORDER without BY
-		"SELECT a FROM t GROUP x",    // GROUP without BY
-		"SELECT a FROM t LIMIT x",    //
-		"SELECT CASE END",            // CASE without WHEN
-		"SELECT CAST(a AS )",         //
-		"SELECT CAST(a AS FROB)",     // unknown type
-		"CREATE TABLE t (a)",         // column without type
-		"CREATE TABLE t (a INT",      // unclosed
-		"CREATE FUNCTION f () RETURNS TABLE (x INT) LANGUAGE COBOL RETURN SELECT 1",
-		"CREATE FUNCTION f () RETURNS TABLE (x INT) LANGUAGE EXTERNAL NAME f",
-		"CREATE SERVER s",                // missing WRAPPER
-		"CREATE NICKNAME n FOR s",        // missing .table
-		"INSERT INTO t VALUES 1",         // missing parens
-		"UPDATE t SET",                   //
-		"DELETE t",                       // missing FROM
-		"SHOW COLUMNS",                   //
-		"SELECT 1; junk",                 //
-		"SELECT a FROM t JOIN u",         // missing ON
-		"SELECT x IN ()",                 // empty IN list — needs at least one
-		"CREATE WRAPPER w OPTIONS (k v)", // option value must be a string
+	for _, c := range []struct{ sql, want string }{
+		{"", "line 1 col 1: expected a statement, got end of input"},
+		{"FROB x", "line 1 col 1: expected a statement, got FROB"},
+		{"SELECT", "line 1 col 7: unexpected end of input in expression"},
+		{"SELECT * FROM", "line 1 col 14: expected table name, got end of input"},
+		{"SELECT * FROM TABLE (f(1))", "line 1 col 27: expected correlation name (mandatory after TABLE(...)), got end of input"},
+		{"SELECT * FROM (SELECT 1)", "line 1 col 25: expected correlation name for derived table, got end of input"},
+		{"SELECT * FROM t WHERE", "line 1 col 22: unexpected end of input in expression"},
+		{"SELECT a FROM t ORDER", "line 1 col 22: expected BY, got end of input"},
+		{"SELECT a FROM t GROUP x", "line 1 col 23: expected BY, got x"},
+		{"SELECT a FROM t LIMIT x", "line 1 col 23: expected integer after LIMIT, got x"},
+		{"SELECT CASE END", "line 1 col 13: CASE requires at least one WHEN arm"},
+		{"SELECT CAST(a AS )", "line 1 col 18: expected a type name, got )"},
+		{"SELECT CAST(a AS FROB)", `line 1 col 22: types: unknown type "FROB"`},
+		{"CREATE TABLE t (a)", "line 1 col 18: expected a type name, got )"},
+		{"CREATE TABLE t (a INT", `line 1 col 22: expected ")", got end of input`},
+		{"CREATE FUNCTION f () RETURNS TABLE (x INT) LANGUAGE COBOL RETURN SELECT 1", "line 1 col 53: expected SQL or EXTERNAL after LANGUAGE, got COBOL"},
+		{"CREATE FUNCTION f () RETURNS TABLE (x INT) LANGUAGE EXTERNAL NAME f", "line 1 col 67: expected string literal after EXTERNAL NAME, got f"},
+		{"CREATE SERVER s", "line 1 col 16: expected WRAPPER, got end of input"},
+		{"CREATE NICKNAME n FOR s", `line 1 col 24: expected ".", got end of input`},
+		{"INSERT INTO t VALUES 1", `line 1 col 22: expected "(", got 1`},
+		{"UPDATE t SET", "line 1 col 13: expected column name, got end of input"},
+		{"DELETE t", "line 1 col 8: expected FROM, got t"},
+		{"SHOW COLUMNS", "line 1 col 6: expected TABLES, FUNCTIONS, SERVERS or VIEWS after SHOW, got COLUMNS"},
+		{"SELECT 1; junk", "line 1 col 11: unexpected junk after statement"},
+		{"SELECT a FROM t JOIN u", "line 1 col 23: expected ON, got end of input"},
+		{"SELECT x IN ()", "line 1 col 14: unexpected ) in expression"},
+		{"CREATE WRAPPER w OPTIONS (k v)", "line 1 col 29: expected string value for option k, got v"},
+		// The remaining error formats.
+		{"CALL f(1)", "line 1 col 1: unsupported statement CALL"},
+		{"CREATE USER u", "line 1 col 8: unsupported CREATE USER"},
+		{"DROP INDEX i", "line 1 col 6: unsupported DROP INDEX"},
+		{"SET 4", "line 1 col 5: expected an option name after SET, got 4"},
+		{"SET PARALLELISM", "line 1 col 16: expected integer after SET PARALLELISM, got end of input"},
+		{"SELECT a FROM t LIMIT 1.5", "line 1 col 23: LIMIT wants an integer, got 1.5"},
+		{"SELECT a FROM t OFFSET 99999999999999999999", "line 1 col 24: OFFSET wants an integer, got 99999999999999999999"},
+		{"SELECT * FROM (t) AS d", "line 1 col 16: expected SELECT in derived table, got t"},
+		{"CREATE FUNCTION f () RETURNS TABLE (x INT) LANGUAGE EXTERNAL f", "line 1 col 62: expected NAME after LANGUAGE EXTERNAL, got f"},
+		{"CREATE TABLE t (a VARCHAR(x))", "line 1 col 27: expected length in type VARCHAR, got x"},
+		{"SELECT 99999999999999999999", `line 1 col 28: bad number "99999999999999999999"`},
+		{"SELECT 1e999", `line 1 col 13: bad number "1e999"`},
+		{"SELECT WHERE", "line 1 col 8: unexpected keyword WHERE in expression"},
+		// The remaining names expectIdent asks for.
+		{"SELECT a AS 1", "line 1 col 13: expected alias, got 1"},
+		{"SELECT * FROM t AS 1", "line 1 col 20: expected correlation name, got 1"},
+		{"SELECT * FROM TABLE (1)", "line 1 col 22: expected table function name, got 1"},
+		{"CREATE INDEX 1 ON t (a)", "line 1 col 14: expected index name, got 1"},
+		{"CREATE NICKNAME 1 FOR s.r", "line 1 col 17: expected nickname, got 1"},
+		{"CREATE NICKNAME n FOR 1.r", "line 1 col 23: expected server name, got 1."},
+		{"CREATE NICKNAME n FOR s.'r'", "line 1 col 25: expected remote table name, got 'r'"},
+		{"CREATE WRAPPER 1", "line 1 col 16: expected wrapper name, got 1"},
+		{"CREATE WRAPPER w OPTIONS (1 'x')", "line 1 col 27: expected option name, got 1"},
+		{"CREATE FUNCTION f (1 INT) RETURNS TABLE (x INT) LANGUAGE SQL RETURN SELECT 1", "line 1 col 20: expected parameter name, got 1"},
+		{"CREATE FUNCTION f () RETURNS TABLE (1 INT) LANGUAGE SQL RETURN SELECT 1", "line 1 col 37: expected result column name, got 1"},
+		{"DROP FUNCTION 1", "line 1 col 15: expected function name, got 1"},
+		{"CREATE VIEW AS SELECT 1", "line 1 col 13: expected view name, got AS"},
+		// Joins, CASE, IS, BETWEEN and a position past the first line.
+		{"SELECT a FROM t LEFT JOIN u", "line 1 col 28: expected ON, got end of input"},
+		{"SELECT a FROM t CROSS u", "line 1 col 23: expected JOIN, got u"},
+		{"SELECT a FROM t INNER u ON 1", "line 1 col 23: expected JOIN, got u"},
+		{"SELECT CASE WHEN 1 2 END", "line 1 col 20: expected THEN, got 2"},
+		{"SELECT CASE WHEN 1 THEN 2", "line 1 col 26: expected END, got end of input"},
+		{"SELECT a IS 1", "line 1 col 13: expected NULL, got 1"},
+		{"SELECT a BETWEEN 1 OR 2", "line 1 col 20: expected AND, got OR"},
+		{"SELECT a FROM t UNION", "line 1 col 22: expected SELECT, got end of input"},
+		{"CREATE TABLE t (a INT PRIMARY)", "line 1 col 30: expected KEY, got )"},
+		{"EXPLAIN", "line 1 col 8: expected a statement, got end of input"},
+		{"SELECT\n  a FROM\n\t(SELECT 1) AS", "line 3 col 15: expected correlation name for derived table, got end of input"},
 	} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) should fail", bad)
+		_, err := Parse(c.sql)
+		if want := "sql: " + c.want; err == nil || err.Error() != want {
+			t.Errorf("Parse(%q) = %v, want %s", c.sql, err, want)
+		}
+	}
+	for _, c := range []struct{ sql, want string }{
+		{"SELECT 1 SELECT 2", "sql: line 1 col 10: expected ';' between statements, got SELECT"},
+		{"SELECT 1;; SELECT", "sql: line 1 col 18: unexpected end of input in expression"},
+	} {
+		if _, err := ParseScript(c.sql); err == nil || err.Error() != c.want {
+			t.Errorf("ParseScript(%q) = %v, want %s", c.sql, err, c.want)
+		}
+	}
+	for _, c := range []struct{ sql, want string }{
+		{"DROP TABLE t", "sql: expected a SELECT statement, got *sqlparser.DropTable"},
+		{"SELEC 1", "sql: line 1 col 1: expected a statement, got SELEC"},
+	} {
+		if _, err := ParseSelect(c.sql); err == nil || err.Error() != c.want {
+			t.Errorf("ParseSelect(%q) = %v, want %s", c.sql, err, c.want)
 		}
 	}
 }
