@@ -2,6 +2,8 @@ package sqlparser
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,13 +18,13 @@ func Parse(input string) (Statement, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	stmt, err := p.parseStatement()
-	if err != nil {
-		return nil, err
-	}
+	stmt := p.parseStatement()
 	p.acceptOp(";")
 	if p.peek().Kind != TokEOF {
-		return nil, p.errf("unexpected %s after statement", p.peek())
+		p.errf("unexpected %s after statement", p.peek())
+	}
+	if p.err != nil {
+		return nil, p.err
 	}
 	return stmt, nil
 }
@@ -53,22 +55,28 @@ func ParseScript(input string) ([]Statement, error) {
 		for p.acceptOp(";") {
 		}
 		if p.peek().Kind == TokEOF {
-			return stmts, nil
+			break
 		}
-		stmt, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		stmts = append(stmts, stmt)
+		stmts = append(stmts, p.parseStatement())
 		if p.peek().Kind != TokEOF && !p.peekOp(";") {
-			return nil, p.errf("expected ';' between statements, got %s", p.peek())
+			p.errf("expected ';' between statements, got %s", p.peek())
 		}
 	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return stmts, nil
 }
 
+// parser keeps the first error it meets. errf records it and moves the
+// cursor onto the final EOF token, so from then on nothing is consumed,
+// every expect fails without recording anything and every loop ends. A
+// parse function therefore returns only its node, and the entry points
+// return err.
 type parser struct {
 	toks []Token
 	pos  int
+	err  error
 }
 
 func (p *parser) peek() Token { return p.toks[p.pos] }
@@ -87,9 +95,12 @@ func (p *parser) next() Token {
 	return t
 }
 
-func (p *parser) errf(format string, args ...any) error {
-	t := p.peek()
-	return fmt.Errorf("sql: line %d col %d: %s", t.Line, t.Col, fmt.Sprintf(format, args...))
+func (p *parser) errf(format string, args ...any) {
+	if p.err == nil {
+		t := p.peek()
+		p.err = fmt.Errorf("sql: line %d col %d: %s", t.Line, t.Col, fmt.Sprintf(format, args...))
+	}
+	p.pos = len(p.toks) - 1
 }
 
 func (p *parser) peekKeyword(kw string) bool {
@@ -105,11 +116,10 @@ func (p *parser) acceptKeyword(kw string) bool {
 	return false
 }
 
-func (p *parser) expectKeyword(kw string) error {
+func (p *parser) expectKeyword(kw string) {
 	if !p.acceptKeyword(kw) {
-		return p.errf("expected %s, got %s", kw, p.peek())
+		p.errf("expected %s, got %s", kw, p.peek())
 	}
-	return nil
 }
 
 func (p *parser) peekOp(op string) bool {
@@ -125,28 +135,72 @@ func (p *parser) acceptOp(op string) bool {
 	return false
 }
 
-func (p *parser) expectOp(op string) error {
-	if !p.acceptOp(op) {
-		return p.errf("expected %q, got %s", op, p.peek())
+// acceptOps consumes the next token if it is one of ops and returns it, or
+// returns "".
+func (p *parser) acceptOps(ops ...string) string {
+	for _, op := range ops {
+		if p.acceptOp(op) {
+			return op
+		}
 	}
-	return nil
+	return ""
+}
+
+func (p *parser) expectOp(op string) {
+	if !p.acceptOp(op) {
+		p.errf("expected %q, got %s", op, p.peek())
+	}
 }
 
 // expectIdent consumes an identifier. Non-reserved usage of keywords is
 // not supported; quoted identifiers lex as TokIdent already.
-func (p *parser) expectIdent(what string) (string, error) {
+func (p *parser) expectIdent(what string) string {
 	t := p.peek()
 	if t.Kind != TokIdent {
-		return "", p.errf("expected %s, got %s", what, t)
+		p.errf("expected %s, got %s", what, t)
+		return ""
 	}
 	p.pos++
-	return t.Text, nil
+	return t.Text
 }
 
-func (p *parser) parseStatement() (Statement, error) {
+// alias parses "[AS] name". The name must follow AS, and must be there
+// when required; otherwise a missing name is "".
+func (p *parser) alias(what string, required bool) string {
+	if p.acceptKeyword("AS") || required {
+		return p.expectIdent(what)
+	}
+	if p.peek().Kind == TokIdent {
+		return p.next().Text
+	}
+	return ""
+}
+
+// exprList parses one or more comma-separated expressions.
+func (p *parser) exprList() []Expr {
+	var list []Expr
+	for {
+		list = append(list, p.parseExpr())
+		if !p.acceptOp(",") {
+			return list
+		}
+	}
+}
+
+// exprAfter parses the expression that follows keyword kw, or returns nil
+// when kw is not next.
+func (p *parser) exprAfter(kw string) Expr {
+	if p.acceptKeyword(kw) {
+		return p.parseExpr()
+	}
+	return nil
+}
+
+func (p *parser) parseStatement() Statement {
 	t := p.peek()
 	if t.Kind != TokKeyword {
-		return nil, p.errf("expected a statement, got %s", t)
+		p.errf("expected a statement, got %s", t)
+		return nil
 	}
 	switch t.Text {
 	case "SELECT":
@@ -163,42 +217,34 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseDelete()
 	case "EXPLAIN":
 		p.next()
-		analyze := false
-		if a := p.peek(); a.Kind == TokKeyword && a.Text == "ANALYZE" {
-			p.next()
-			analyze = true
-		}
-		inner, err := p.parseStatement()
-		if err != nil {
-			return nil, err
-		}
-		return &Explain{Stmt: inner, Analyze: analyze}, nil
+		analyze := p.acceptKeyword("ANALYZE")
+		return &Explain{Stmt: p.parseStatement(), Analyze: analyze}
 	case "SHOW":
 		p.next()
 		w := p.peek()
 		if w.Kind != TokKeyword || (w.Text != "TABLES" && w.Text != "FUNCTIONS" && w.Text != "SERVERS" && w.Text != "VIEWS") {
-			return nil, p.errf("expected TABLES, FUNCTIONS, SERVERS or VIEWS after SHOW, got %s", w)
+			p.errf("expected TABLES, FUNCTIONS, SERVERS or VIEWS after SHOW, got %s", w)
+			return nil
 		}
 		p.next()
-		return &Show{What: w.Text}, nil
+		return &Show{What: w.Text}
 	case "SET":
 		p.next()
 		o := p.peek()
 		if o.Kind != TokIdent && o.Kind != TokKeyword {
-			return nil, p.errf("expected an option name after SET, got %s", o)
+			p.errf("expected an option name after SET, got %s", o)
+			return nil
 		}
 		p.next()
 		neg := p.acceptOp("-")
-		n, err := p.parseIntLiteral("SET " + o.Text)
-		if err != nil {
-			return nil, err
-		}
+		n := p.parseIntLiteral("SET " + o.Text)
 		if neg {
 			n = -n
 		}
-		return &Set{Option: strings.ToUpper(o.Text), Value: n}, nil
+		return &Set{Option: strings.ToUpper(o.Text), Value: n}
 	default:
-		return nil, p.errf("unsupported statement %s", t.Text)
+		p.errf("unsupported statement %s", t.Text)
+		return nil
 	}
 }
 
@@ -207,29 +253,16 @@ func (p *parser) parseStatement() (Statement, error) {
 // parseSelect parses a full query expression: a select core, optional
 // UNION [ALL] members (select cores, per standard SQL), and the chain's
 // ORDER BY / LIMIT / OFFSET.
-func (p *parser) parseSelect() (*Select, error) {
-	sel, err := p.parseSelectCore()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseSelect() *Select {
+	sel := p.parseSelectCore()
 	for p.acceptKeyword("UNION") {
 		all := p.acceptKeyword("ALL")
-		branch, err := p.parseSelectCore()
-		if err != nil {
-			return nil, err
-		}
-		sel.Unions = append(sel.Unions, UnionBranch{All: all, Query: branch})
+		sel.Unions = append(sel.Unions, UnionBranch{All: all, Query: p.parseSelectCore()})
 	}
 	if p.acceptKeyword("ORDER") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
+		p.expectKeyword("BY")
 		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			item := OrderItem{Expr: e}
+			item := OrderItem{Expr: p.parseExpr()}
 			if p.acceptKeyword("DESC") {
 				item.Desc = true
 			} else {
@@ -242,508 +275,251 @@ func (p *parser) parseSelect() (*Select, error) {
 		}
 	}
 	if p.acceptKeyword("LIMIT") {
-		n, err := p.parseIntLiteral("LIMIT")
-		if err != nil {
-			return nil, err
-		}
-		sel.Limit = n
+		sel.Limit = p.parseIntLiteral("LIMIT")
 	}
 	if p.acceptKeyword("OFFSET") {
-		n, err := p.parseIntLiteral("OFFSET")
-		if err != nil {
-			return nil, err
-		}
-		sel.Offset = n
+		sel.Offset = p.parseIntLiteral("OFFSET")
 	}
-	return sel, nil
+	return sel
 }
 
 // parseSelectCore parses SELECT ... FROM ... WHERE ... GROUP BY ... HAVING
 // without set operators or ordering.
-func (p *parser) parseSelectCore() (*Select, error) {
-	if err := p.expectKeyword("SELECT"); err != nil {
-		return nil, err
-	}
-	sel := &Select{Limit: -1}
-	if p.acceptKeyword("DISTINCT") {
-		sel.Distinct = true
-	} else {
+func (p *parser) parseSelectCore() *Select {
+	p.expectKeyword("SELECT")
+	sel := &Select{Limit: -1, Distinct: p.acceptKeyword("DISTINCT")}
+	if !sel.Distinct {
 		p.acceptKeyword("ALL")
 	}
 	for {
-		item, err := p.parseSelectItem()
-		if err != nil {
-			return nil, err
-		}
-		sel.Items = append(sel.Items, item)
+		sel.Items = append(sel.Items, p.parseSelectItem())
 		if !p.acceptOp(",") {
 			break
 		}
 	}
 	if p.acceptKeyword("FROM") {
 		for {
-			f, err := p.parseFromItem()
-			if err != nil {
-				return nil, err
-			}
-			sel.From = append(sel.From, f)
+			sel.From = append(sel.From, p.parseFromItem())
 			if !p.acceptOp(",") {
 				break
 			}
 		}
 	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Where = e
-	}
+	sel.Where = p.exprAfter("WHERE")
 	if p.acceptKeyword("GROUP") {
-		if err := p.expectKeyword("BY"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			sel.GroupBy = append(sel.GroupBy, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
+		p.expectKeyword("BY")
+		sel.GroupBy = p.exprList()
 	}
-	if p.acceptKeyword("HAVING") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		sel.Having = e
-	}
-	return sel, nil
+	sel.Having = p.exprAfter("HAVING")
+	return sel
 }
 
-func (p *parser) parseIntLiteral(what string) (int64, error) {
+func (p *parser) parseIntLiteral(what string) int64 {
 	t := p.peek()
 	if t.Kind != TokNumber {
-		return 0, p.errf("expected integer after %s, got %s", what, t)
+		p.errf("expected integer after %s, got %s", what, t)
+		return 0
 	}
 	n, err := strconv.ParseInt(t.Text, 10, 64)
 	if err != nil {
-		return 0, p.errf("%s wants an integer, got %s", what, t.Text)
+		p.errf("%s wants an integer, got %s", what, t.Text)
+		return 0
 	}
 	p.next()
-	return n, nil
+	return n
 }
 
-func (p *parser) parseSelectItem() (SelectItem, error) {
+func (p *parser) parseSelectItem() SelectItem {
 	if p.acceptOp("*") {
-		return SelectItem{Star: true}, nil
+		return SelectItem{Star: true}
 	}
 	// corr.* form: ident '.' '*'
 	if p.peek().Kind == TokIdent && p.peek2().Kind == TokOp && p.peek2().Text == "." {
-		if p.pos+2 < len(p.toks) && p.toks[p.pos+2].Kind == TokOp && p.toks[p.pos+2].Text == "*" {
+		if star := p.toks[p.pos+2]; star.Kind == TokOp && star.Text == "*" {
 			q := p.next().Text
-			p.next() // '.'
-			p.next() // '*'
-			return SelectItem{Star: true, Qualifier: q}, nil
+			p.pos += 2 // '.' '*'
+			return SelectItem{Star: true, Qualifier: q}
 		}
 	}
-	e, err := p.parseExpr()
-	if err != nil {
-		return SelectItem{}, err
-	}
-	item := SelectItem{Expr: e}
-	if p.acceptKeyword("AS") {
-		a, err := p.expectIdent("alias")
-		if err != nil {
-			return SelectItem{}, err
-		}
-		item.Alias = a
-	} else if p.peek().Kind == TokIdent {
-		item.Alias = p.next().Text
-	}
-	return item, nil
+	e := p.parseExpr()
+	return SelectItem{Expr: e, Alias: p.alias("alias", false)}
 }
 
-func (p *parser) parseFromItem() (FromItem, error) {
-	left, err := p.parseFromPrimary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseFromItem() FromItem {
+	left := p.parseFromPrimary()
 	for {
+		var jt JoinType
 		switch {
-		case p.peekKeyword("JOIN") || p.peekKeyword("INNER"):
-			p.acceptKeyword("INNER")
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			right, err := p.parseFromPrimary()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("ON"); err != nil {
-				return nil, err
-			}
-			on, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			left = &JoinRef{Type: InnerJoin, Left: left, Right: right, On: on}
-		case p.peekKeyword("LEFT"):
-			p.next()
+		case p.acceptKeyword("INNER"), p.peekKeyword("JOIN"):
+			jt = InnerJoin
+		case p.acceptKeyword("LEFT"):
 			p.acceptKeyword("OUTER")
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			right, err := p.parseFromPrimary()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("ON"); err != nil {
-				return nil, err
-			}
-			on, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			left = &JoinRef{Type: LeftJoin, Left: left, Right: right, On: on}
-		case p.peekKeyword("CROSS"):
-			p.next()
-			if err := p.expectKeyword("JOIN"); err != nil {
-				return nil, err
-			}
-			right, err := p.parseFromPrimary()
-			if err != nil {
-				return nil, err
-			}
-			left = &JoinRef{Type: CrossJoin, Left: left, Right: right}
+			jt = LeftJoin
+		case p.acceptKeyword("CROSS"):
+			jt = CrossJoin
 		default:
-			return left, nil
+			return left
 		}
+		p.expectKeyword("JOIN")
+		j := &JoinRef{Type: jt, Left: left, Right: p.parseFromPrimary()}
+		if jt != CrossJoin {
+			p.expectKeyword("ON")
+			j.On = p.parseExpr()
+		}
+		left = j
 	}
 }
 
-func (p *parser) parseFromPrimary() (FromItem, error) {
+func (p *parser) parseFromPrimary() FromItem {
 	switch {
-	case p.peekKeyword("TABLE"):
+	case p.acceptKeyword("TABLE"):
 		// TABLE ( Fn(arg, ...) ) [AS] corr  — correlation name mandatory,
 		// matching the DB2 UDB v7.1 syntax quoted in the paper.
-		p.next()
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		name, err := p.expectIdent("table function name")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		var args []Expr
+		p.expectOp("(")
+		fn := &TableFuncRef{Name: p.expectIdent("table function name")}
+		p.expectOp("(")
 		if !p.peekOp(")") {
-			for {
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-				if !p.acceptOp(",") {
-					break
-				}
-			}
+			fn.Args = p.exprList()
 		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		p.acceptKeyword("AS")
-		corr, err := p.expectIdent("correlation name (mandatory after TABLE(...))")
-		if err != nil {
-			return nil, err
-		}
-		return &TableFuncRef{Name: name, Args: args, Alias: corr}, nil
-	case p.peekOp("("):
-		p.next()
+		p.expectOp(")")
+		p.expectOp(")")
+		fn.Alias = p.alias("correlation name (mandatory after TABLE(...))", true)
+		return fn
+	case p.acceptOp("("):
 		if !p.peekKeyword("SELECT") {
-			return nil, p.errf("expected SELECT in derived table, got %s", p.peek())
+			p.errf("expected SELECT in derived table, got %s", p.peek())
+			return nil
 		}
-		q, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		p.acceptKeyword("AS")
-		corr, err := p.expectIdent("correlation name for derived table")
-		if err != nil {
-			return nil, err
-		}
-		return &SubqueryRef{Query: q, Alias: corr}, nil
+		q := p.parseSelect()
+		p.expectOp(")")
+		return &SubqueryRef{Query: q, Alias: p.alias("correlation name for derived table", true)}
 	default:
-		name, err := p.expectIdent("table name")
-		if err != nil {
-			return nil, err
-		}
-		ref := &TableRef{Name: name}
-		if p.acceptKeyword("AS") {
-			a, err := p.expectIdent("correlation name")
-			if err != nil {
-				return nil, err
-			}
-			ref.Alias = a
-		} else if p.peek().Kind == TokIdent {
-			ref.Alias = p.next().Text
-		}
-		return ref, nil
+		name := p.expectIdent("table name")
+		return &TableRef{Name: name, Alias: p.alias("correlation name", false)}
 	}
 }
 
 // ------------------------------------------------------------------ DDL
 
-func (p *parser) parseCreate() (Statement, error) {
-	if err := p.expectKeyword("CREATE"); err != nil {
-		return nil, err
-	}
+func (p *parser) parseCreate() Statement {
+	p.expectKeyword("CREATE")
 	switch {
 	case p.acceptKeyword("TABLE"):
-		return p.parseCreateTable()
+		ct := &CreateTable{Name: p.expectIdent("table name")}
+		p.expectOp("(")
+		for {
+			col := ColumnDef{Name: p.expectIdent("column name")}
+			col.Type = p.parseType()
+			if p.acceptKeyword("PRIMARY") {
+				p.expectKeyword("KEY")
+				col.PrimaryKey = true
+			}
+			ct.Columns = append(ct.Columns, col)
+			if !p.acceptOp(",") {
+				break
+			}
+		}
+		p.expectOp(")")
+		return ct
 	case p.acceptKeyword("INDEX"):
-		return p.parseCreateIndex()
+		ci := &CreateIndex{Name: p.expectIdent("index name")}
+		p.expectKeyword("ON")
+		ci.Table = p.expectIdent("table name")
+		p.expectOp("(")
+		ci.Column = p.expectIdent("column name")
+		p.expectOp(")")
+		return ci
 	case p.acceptKeyword("VIEW"):
-		name, err := p.expectIdent("view name")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("AS"); err != nil {
-			return nil, err
-		}
-		q, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		return &CreateView{Name: name, Query: q}, nil
+		name := p.expectIdent("view name")
+		p.expectKeyword("AS")
+		return &CreateView{Name: name, Query: p.parseSelect()}
 	case p.acceptKeyword("FUNCTION"):
 		return p.parseCreateFunction()
 	case p.acceptKeyword("WRAPPER"):
-		name, err := p.expectIdent("wrapper name")
-		if err != nil {
-			return nil, err
-		}
-		opts, err := p.parseOptions()
-		if err != nil {
-			return nil, err
-		}
-		return &CreateWrapper{Name: name, Options: opts}, nil
+		name := p.expectIdent("wrapper name")
+		return &CreateWrapper{Name: name, Options: p.parseOptions()}
 	case p.acceptKeyword("SERVER"):
-		name, err := p.expectIdent("server name")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("WRAPPER"); err != nil {
-			return nil, err
-		}
-		w, err := p.expectIdent("wrapper name")
-		if err != nil {
-			return nil, err
-		}
-		opts, err := p.parseOptions()
-		if err != nil {
-			return nil, err
-		}
-		return &CreateServer{Name: name, Wrapper: w, Options: opts}, nil
+		cs := &CreateServer{Name: p.expectIdent("server name")}
+		p.expectKeyword("WRAPPER")
+		cs.Wrapper = p.expectIdent("wrapper name")
+		cs.Options = p.parseOptions()
+		return cs
 	case p.acceptKeyword("NICKNAME"):
-		name, err := p.expectIdent("nickname")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("FOR"); err != nil {
-			return nil, err
-		}
-		server, err := p.expectIdent("server name")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("."); err != nil {
-			return nil, err
-		}
-		remote, err := p.expectIdent("remote table name")
-		if err != nil {
-			return nil, err
-		}
-		return &CreateNickname{Name: name, Server: server, Remote: remote}, nil
+		cn := &CreateNickname{Name: p.expectIdent("nickname")}
+		p.expectKeyword("FOR")
+		cn.Server = p.expectIdent("server name")
+		p.expectOp(".")
+		cn.Remote = p.expectIdent("remote table name")
+		return cn
 	default:
-		return nil, p.errf("unsupported CREATE %s", p.peek())
+		p.errf("unsupported CREATE %s", p.peek())
+		return nil
 	}
 }
 
-func (p *parser) parseCreateTable() (Statement, error) {
-	name, err := p.expectIdent("table name")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	var cols []ColumnDef
-	for {
-		cn, err := p.expectIdent("column name")
-		if err != nil {
-			return nil, err
-		}
-		ct, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		col := ColumnDef{Name: cn, Type: ct}
-		if p.acceptKeyword("PRIMARY") {
-			if err := p.expectKeyword("KEY"); err != nil {
-				return nil, err
-			}
-			col.PrimaryKey = true
-		}
-		cols = append(cols, col)
-		if !p.acceptOp(",") {
-			break
-		}
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return &CreateTable{Name: name, Columns: cols}, nil
-}
-
-func (p *parser) parseCreateIndex() (Statement, error) {
-	name, err := p.expectIdent("index name")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("ON"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent("table name")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	col, err := p.expectIdent("column name")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return &CreateIndex{Name: name, Table: table, Column: col}, nil
-}
-
-func (p *parser) parseCreateFunction() (Statement, error) {
-	name, err := p.expectIdent("function name")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	var params []ParamDef
+func (p *parser) parseCreateFunction() Statement {
+	cf := &CreateFunction{Name: p.expectIdent("function name")}
+	p.expectOp("(")
 	if !p.peekOp(")") {
 		for {
-			pn, err := p.expectIdent("parameter name")
-			if err != nil {
-				return nil, err
-			}
-			pt, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			params = append(params, ParamDef{Name: pn, Type: pt})
+			pd := ParamDef{Name: p.expectIdent("parameter name")}
+			pd.Type = p.parseType()
+			cf.Params = append(cf.Params, pd)
 			if !p.acceptOp(",") {
 				break
 			}
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("RETURNS"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("TABLE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
-	var rets types.Schema
+	p.expectOp(")")
+	p.expectKeyword("RETURNS")
+	p.expectKeyword("TABLE")
+	p.expectOp("(")
 	for {
-		rn, err := p.expectIdent("result column name")
-		if err != nil {
-			return nil, err
-		}
-		rt, err := p.parseType()
-		if err != nil {
-			return nil, err
-		}
-		rets = append(rets, types.Column{Name: rn, Type: rt})
+		rc := types.Column{Name: p.expectIdent("result column name")}
+		rc.Type = p.parseType()
+		cf.Returns = append(cf.Returns, rc)
 		if !p.acceptOp(",") {
 			break
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("LANGUAGE"); err != nil {
-		return nil, err
-	}
+	p.expectOp(")")
+	p.expectKeyword("LANGUAGE")
 	switch {
 	case p.acceptKeyword("SQL"):
-		if err := p.expectKeyword("RETURN"); err != nil {
-			return nil, err
-		}
-		body, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		return &CreateFunction{Name: name, Params: params, Returns: rets, Language: "SQL", Body: body}, nil
+		p.expectKeyword("RETURN")
+		cf.Language, cf.Body = "SQL", p.parseSelect()
 	case p.acceptKeyword("EXTERNAL"):
 		// LANGUAGE EXTERNAL NAME 'registered-host-implementation'
-		n := p.peek()
-		if n.Kind != TokIdent || !strings.EqualFold(n.Text, "NAME") {
-			return nil, p.errf("expected NAME after LANGUAGE EXTERNAL, got %s", n)
+		if n := p.peek(); n.Kind != TokIdent || !strings.EqualFold(n.Text, "NAME") {
+			p.errf("expected NAME after LANGUAGE EXTERNAL, got %s", n)
+			return nil
 		}
 		p.next()
 		s := p.peek()
 		if s.Kind != TokString {
-			return nil, p.errf("expected string literal after EXTERNAL NAME, got %s", s)
+			p.errf("expected string literal after EXTERNAL NAME, got %s", s)
+			return nil
 		}
 		p.next()
-		return &CreateFunction{Name: name, Params: params, Returns: rets, Language: "EXTERNAL", ExternalName: s.Text}, nil
+		cf.Language, cf.ExternalName = "EXTERNAL", s.Text
 	default:
-		return nil, p.errf("expected SQL or EXTERNAL after LANGUAGE, got %s", p.peek())
+		p.errf("expected SQL or EXTERNAL after LANGUAGE, got %s", p.peek())
 	}
+	return cf
 }
 
-func (p *parser) parseOptions() (map[string]string, error) {
+func (p *parser) parseOptions() map[string]string {
 	if !p.acceptKeyword("OPTIONS") {
-		return nil, nil
+		return nil
 	}
-	if err := p.expectOp("("); err != nil {
-		return nil, err
-	}
+	p.expectOp("(")
 	opts := make(map[string]string)
 	for {
-		k, err := p.expectIdent("option name")
-		if err != nil {
-			return nil, err
-		}
+		k := p.expectIdent("option name")
 		v := p.peek()
 		if v.Kind != TokString {
-			return nil, p.errf("expected string value for option %s, got %s", k, v)
+			p.errf("expected string value for option %s, got %s", k, v)
+			return nil
 		}
 		p.next()
 		opts[strings.ToLower(k)] = v.Text
@@ -751,173 +527,87 @@ func (p *parser) parseOptions() (map[string]string, error) {
 			break
 		}
 	}
-	if err := p.expectOp(")"); err != nil {
-		return nil, err
-	}
-	return opts, nil
+	p.expectOp(")")
+	return opts
 }
 
-func (p *parser) parseDrop() (Statement, error) {
-	if err := p.expectKeyword("DROP"); err != nil {
-		return nil, err
-	}
+func (p *parser) parseDrop() Statement {
+	p.expectKeyword("DROP")
 	switch {
 	case p.acceptKeyword("TABLE"):
-		name, err := p.expectIdent("table name")
-		if err != nil {
-			return nil, err
-		}
-		return &DropTable{Name: name}, nil
+		return &DropTable{Name: p.expectIdent("table name")}
 	case p.acceptKeyword("FUNCTION"):
-		name, err := p.expectIdent("function name")
-		if err != nil {
-			return nil, err
-		}
-		return &DropFunction{Name: name}, nil
+		return &DropFunction{Name: p.expectIdent("function name")}
 	case p.acceptKeyword("VIEW"):
-		name, err := p.expectIdent("view name")
-		if err != nil {
-			return nil, err
-		}
-		return &DropView{Name: name}, nil
+		return &DropView{Name: p.expectIdent("view name")}
 	default:
-		return nil, p.errf("unsupported DROP %s", p.peek())
+		p.errf("unsupported DROP %s", p.peek())
+		return nil
 	}
 }
 
 // ------------------------------------------------------------------ DML
 
-func (p *parser) parseInsert() (Statement, error) {
-	if err := p.expectKeyword("INSERT"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("INTO"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent("table name")
-	if err != nil {
-		return nil, err
-	}
-	ins := &Insert{Table: table}
+func (p *parser) parseInsert() Statement {
+	p.expectKeyword("INSERT")
+	p.expectKeyword("INTO")
+	ins := &Insert{Table: p.expectIdent("table name")}
 	if p.acceptOp("(") {
 		for {
-			c, err := p.expectIdent("column name")
-			if err != nil {
-				return nil, err
-			}
-			ins.Columns = append(ins.Columns, c)
+			ins.Columns = append(ins.Columns, p.expectIdent("column name"))
 			if !p.acceptOp(",") {
 				break
 			}
 		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
+		p.expectOp(")")
 	}
 	if p.peekKeyword("SELECT") {
-		q, err := p.parseSelect()
-		if err != nil {
-			return nil, err
-		}
-		ins.Query = q
-		return ins, nil
+		ins.Query = p.parseSelect()
+		return ins
 	}
-	if err := p.expectKeyword("VALUES"); err != nil {
-		return nil, err
-	}
+	p.expectKeyword("VALUES")
 	for {
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		var row []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
+		p.expectOp("(")
+		row := p.exprList()
+		p.expectOp(")")
 		ins.Rows = append(ins.Rows, row)
 		if !p.acceptOp(",") {
-			break
+			return ins
 		}
 	}
-	return ins, nil
 }
 
-func (p *parser) parseUpdate() (Statement, error) {
-	if err := p.expectKeyword("UPDATE"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent("table name")
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("SET"); err != nil {
-		return nil, err
-	}
-	u := &Update{Table: table}
+func (p *parser) parseUpdate() Statement {
+	p.expectKeyword("UPDATE")
+	u := &Update{Table: p.expectIdent("table name")}
+	p.expectKeyword("SET")
 	for {
-		col, err := p.expectIdent("column name")
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectOp("="); err != nil {
-			return nil, err
-		}
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		u.Assignments = append(u.Assignments, Assignment{Column: col, Expr: e})
+		col := p.expectIdent("column name")
+		p.expectOp("=")
+		u.Assignments = append(u.Assignments, Assignment{Column: col, Expr: p.parseExpr()})
 		if !p.acceptOp(",") {
 			break
 		}
 	}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		u.Where = e
-	}
-	return u, nil
+	u.Where = p.exprAfter("WHERE")
+	return u
 }
 
-func (p *parser) parseDelete() (Statement, error) {
-	if err := p.expectKeyword("DELETE"); err != nil {
-		return nil, err
-	}
-	if err := p.expectKeyword("FROM"); err != nil {
-		return nil, err
-	}
-	table, err := p.expectIdent("table name")
-	if err != nil {
-		return nil, err
-	}
-	d := &Delete{Table: table}
-	if p.acceptKeyword("WHERE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		d.Where = e
-	}
-	return d, nil
+func (p *parser) parseDelete() Statement {
+	p.expectKeyword("DELETE")
+	p.expectKeyword("FROM")
+	d := &Delete{Table: p.expectIdent("table name")}
+	d.Where = p.exprAfter("WHERE")
+	return d
 }
 
 // parseType parses a SQL type name: IDENT [(n)] with the special two-word
 // form DOUBLE PRECISION.
-func (p *parser) parseType() (types.Type, error) {
+func (p *parser) parseType() types.Type {
 	t := p.peek()
 	if t.Kind != TokIdent {
-		return types.Type{}, p.errf("expected a type name, got %s", t)
+		p.errf("expected a type name, got %s", t)
+		return types.Type{}
 	}
 	p.next()
 	name := t.Text
@@ -926,83 +616,58 @@ func (p *parser) parseType() (types.Type, error) {
 		p.next()
 	}
 	if p.acceptOp("(") {
-		nTok := p.peek()
-		if nTok.Kind != TokNumber {
-			return types.Type{}, p.errf("expected length in type %s, got %s", name, nTok)
+		n := p.peek()
+		if n.Kind != TokNumber {
+			p.errf("expected length in type %s, got %s", name, n)
+			return types.Type{}
 		}
 		p.next()
-		if err := p.expectOp(")"); err != nil {
-			return types.Type{}, err
-		}
-		name = fmt.Sprintf("%s(%s)", name, nTok.Text)
+		p.expectOp(")")
+		name = fmt.Sprintf("%s(%s)", name, n.Text)
+	}
+	if p.err != nil {
+		return types.Type{}
 	}
 	ty, err := types.ParseType(name)
 	if err != nil {
-		return types.Type{}, p.errf("%v", err)
+		p.errf("%v", err)
 	}
-	return ty, nil
+	return ty
 }
 
 // ------------------------------------------------------------ expressions
 
 // parseExpr parses a full boolean expression (lowest precedence: OR).
-func (p *parser) parseExpr() (Expr, error) {
-	return p.parseOr()
-}
-
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseExpr() Expr {
+	left := p.parseAnd()
 	for p.acceptKeyword("OR") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: "OR", L: left, R: right}
+		left = &BinaryExpr{Op: "OR", L: left, R: p.parseAnd()}
 	}
-	return left, nil
+	return left
 }
 
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseAnd() Expr {
+	left := p.parseNot()
 	for p.acceptKeyword("AND") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: "AND", L: left, R: right}
+		left = &BinaryExpr{Op: "AND", L: left, R: p.parseNot()}
 	}
-	return left, nil
+	return left
 }
 
-func (p *parser) parseNot() (Expr, error) {
+func (p *parser) parseNot() Expr {
 	if p.acceptKeyword("NOT") {
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "NOT", X: x}, nil
+		return &UnaryExpr{Op: "NOT", X: p.parseNot()}
 	}
 	return p.parseComparison()
 }
 
-func (p *parser) parseComparison() (Expr, error) {
-	left, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseComparison() Expr {
+	left := p.parseAdditive()
 	// IS [NOT] NULL
 	if p.acceptKeyword("IS") {
 		not := p.acceptKeyword("NOT")
-		if err := p.expectKeyword("NULL"); err != nil {
-			return nil, err
-		}
-		return &IsNull{X: left, Not: not}, nil
+		p.expectKeyword("NULL")
+		return &IsNull{X: left, Not: not}
 	}
 	not := false
 	if p.peekKeyword("NOT") {
@@ -1015,122 +680,57 @@ func (p *parser) parseComparison() (Expr, error) {
 	}
 	switch {
 	case p.acceptKeyword("BETWEEN"):
-		lo, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("AND"); err != nil {
-			return nil, err
-		}
-		hi, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &Between{X: left, Lo: lo, Hi: hi, Not: not}, nil
+		lo := p.parseAdditive()
+		p.expectKeyword("AND")
+		return &Between{X: left, Lo: lo, Hi: p.parseAdditive(), Not: not}
 	case p.acceptKeyword("IN"):
-		if err := p.expectOp("("); err != nil {
-			return nil, err
-		}
-		var list []Expr
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			list = append(list, e)
-			if !p.acceptOp(",") {
-				break
-			}
-		}
-		if err := p.expectOp(")"); err != nil {
-			return nil, err
-		}
-		return &InList{X: left, List: list, Not: not}, nil
+		p.expectOp("(")
+		list := p.exprList()
+		p.expectOp(")")
+		return &InList{X: left, List: list, Not: not}
 	case p.acceptKeyword("LIKE"):
-		pat, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &Like{X: left, Pattern: pat, Not: not}, nil
+		return &Like{X: left, Pattern: p.parseAdditive(), Not: not}
 	}
-	for _, op := range []string{"<=", ">=", "<>", "!=", "=", "<", ">"} {
-		if p.acceptOp(op) {
-			right, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			if op == "!=" {
-				op = "<>"
-			}
-			return &BinaryExpr{Op: op, L: left, R: right}, nil
+	if op := p.acceptOps("<=", ">=", "<>", "!=", "=", "<", ">"); op != "" {
+		if op == "!=" {
+			op = "<>"
 		}
+		return &BinaryExpr{Op: op, L: left, R: p.parseAdditive()}
 	}
-	return left, nil
+	return left
 }
 
-func (p *parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseAdditive() Expr {
+	left := p.parseMultiplicative()
 	for {
-		var op string
-		switch {
-		case p.acceptOp("+"):
-			op = "+"
-		case p.acceptOp("-"):
-			op = "-"
-		case p.acceptOp("||"):
-			op = "||"
-		default:
-			return left, nil
+		op := p.acceptOps("+", "-", "||")
+		if op == "" {
+			return left
 		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, L: left, R: right}
+		left = &BinaryExpr{Op: op, L: left, R: p.parseMultiplicative()}
 	}
 }
 
-func (p *parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseMultiplicative() Expr {
+	left := p.parseUnary()
 	for {
-		var op string
-		switch {
-		case p.acceptOp("*"):
-			op = "*"
-		case p.acceptOp("/"):
-			op = "/"
-		case p.acceptOp("%"):
-			op = "%"
-		default:
-			return left, nil
+		op := p.acceptOps("*", "/", "%")
+		if op == "" {
+			return left
 		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &BinaryExpr{Op: op, L: left, R: right}
+		left = &BinaryExpr{Op: op, L: left, R: p.parseUnary()}
 	}
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() Expr {
 	if p.acceptOp("-") {
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryExpr{Op: "-", X: x}, nil
+		return &UnaryExpr{Op: "-", X: p.parseUnary()}
 	}
 	p.acceptOp("+")
 	return p.parsePrimary()
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
+func (p *parser) parsePrimary() Expr {
 	t := p.peek()
 	switch t.Kind {
 	case TokNumber:
@@ -1138,165 +738,94 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if strings.ContainsAny(t.Text, ".eE") {
 			f, err := strconv.ParseFloat(t.Text, 64)
 			if err != nil {
-				return nil, p.errf("bad number %q", t.Text)
+				p.errf("bad number %q", t.Text)
 			}
-			return &Literal{Val: types.NewFloat(f)}, nil
+			return &Literal{Val: types.NewFloat(f)}
 		}
 		n, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
-			return nil, p.errf("bad number %q", t.Text)
+			p.errf("bad number %q", t.Text)
 		}
-		return &Literal{Val: types.NewInt(n)}, nil
+		return &Literal{Val: types.NewInt(n)}
 	case TokString:
 		p.next()
-		return &Literal{Val: types.NewString(t.Text)}, nil
+		return &Literal{Val: types.NewString(t.Text)}
 	case TokKeyword:
 		switch t.Text {
 		case "NULL":
 			p.next()
-			return &Literal{Val: types.Null}, nil
-		case "TRUE":
+			return &Literal{Val: types.Null}
+		case "TRUE", "FALSE":
 			p.next()
-			return &Literal{Val: types.NewBool(true)}, nil
-		case "FALSE":
-			p.next()
-			return &Literal{Val: types.NewBool(false)}, nil
+			return &Literal{Val: types.NewBool(t.Text == "TRUE")}
 		case "CAST":
 			p.next()
-			if err := p.expectOp("("); err != nil {
-				return nil, err
-			}
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectKeyword("AS"); err != nil {
-				return nil, err
-			}
-			ty, err := p.parseType()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return &CastExpr{X: x, Type: ty}, nil
+			p.expectOp("(")
+			c := &CastExpr{X: p.parseExpr()}
+			p.expectKeyword("AS")
+			c.Type = p.parseType()
+			p.expectOp(")")
+			return c
 		case "CASE":
 			return p.parseCase()
 		}
-		return nil, p.errf("unexpected keyword %s in expression", t.Text)
-	case TokOp:
-		if t.Text == "(" {
-			p.next()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return e, nil
-		}
-		return nil, p.errf("unexpected %s in expression", t)
+		p.errf("unexpected keyword %s in expression", t.Text)
+		return nil
 	case TokIdent:
 		p.next()
-		name := t.Text
-		// Function call?
 		if p.acceptOp("(") {
-			call := &FuncCall{Name: name}
+			call := &FuncCall{Name: t.Text}
 			if p.acceptOp("*") {
 				call.Star = true
-				if err := p.expectOp(")"); err != nil {
-					return nil, err
-				}
-				return call, nil
-			}
-			if p.acceptKeyword("DISTINCT") {
-				call.Distinct = true
-			}
-			if !p.peekOp(")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, a)
-					if !p.acceptOp(",") {
-						break
-					}
+			} else {
+				call.Distinct = p.acceptKeyword("DISTINCT")
+				if !p.peekOp(")") {
+					call.Args = p.exprList()
 				}
 			}
-			if err := p.expectOp(")"); err != nil {
-				return nil, err
-			}
-			return call, nil
+			p.expectOp(")")
+			return call
 		}
 		// Qualified column: ident '.' ident
 		if p.acceptOp(".") {
-			col, err := p.expectIdent("column name")
-			if err != nil {
-				return nil, err
-			}
-			return &ColumnRef{Qualifier: name, Name: col}, nil
+			return &ColumnRef{Qualifier: t.Text, Name: p.expectIdent("column name")}
 		}
-		return &ColumnRef{Name: name}, nil
-	default:
-		return nil, p.errf("unexpected %s in expression", t)
+		return &ColumnRef{Name: t.Text}
+	case TokOp:
+		if p.acceptOp("(") {
+			e := p.parseExpr()
+			p.expectOp(")")
+			return e
+		}
 	}
+	p.errf("unexpected %s in expression", t)
+	return nil
 }
 
-func (p *parser) parseCase() (Expr, error) {
-	if err := p.expectKeyword("CASE"); err != nil {
-		return nil, err
-	}
+func (p *parser) parseCase() Expr {
+	p.expectKeyword("CASE")
 	c := &CaseExpr{}
 	for p.acceptKeyword("WHEN") {
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectKeyword("THEN"); err != nil {
-			return nil, err
-		}
-		res, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Whens = append(c.Whens, WhenClause{Cond: cond, Result: res})
+		cond := p.parseExpr()
+		p.expectKeyword("THEN")
+		c.Whens = append(c.Whens, WhenClause{Cond: cond, Result: p.parseExpr()})
 	}
 	if len(c.Whens) == 0 {
-		return nil, p.errf("CASE requires at least one WHEN arm")
+		p.errf("CASE requires at least one WHEN arm")
 	}
-	if p.acceptKeyword("ELSE") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		c.Else = e
-	}
-	if err := p.expectKeyword("END"); err != nil {
-		return nil, err
-	}
-	return c, nil
+	c.Else = p.exprAfter("ELSE")
+	p.expectKeyword("END")
+	return c
 }
 
 func optionsString(opts map[string]string) string {
 	if len(opts) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(opts))
-	for k := range opts {
-		keys = append(keys, k)
-	}
-	// Deterministic rendering for round-trip equality.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + " '" + strings.ReplaceAll(opts[k], "'", "''") + "'"
+	// Sorted keys give a deterministic rendering for round-trip equality.
+	var parts []string
+	for _, k := range slices.Sorted(maps.Keys(opts)) {
+		parts = append(parts, k+" '"+strings.ReplaceAll(opts[k], "'", "''")+"'")
 	}
 	return " OPTIONS (" + strings.Join(parts, ", ") + ")"
 }
