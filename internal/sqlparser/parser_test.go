@@ -626,16 +626,28 @@ func fuzzSeeds(t testing.TB) []string {
 
 // FuzzParse: rendering a parsed statement and parsing the rendering again
 // reaches a fixpoint — the second parse succeeds and renders the same text.
+// The entry points agree: a statement Parse accepts is ParseScript's only
+// statement, and every error any of them returns starts with "sql: ".
 func FuzzParse(f *testing.F) {
 	for _, sql := range fuzzSeeds(f) {
 		f.Add(sql)
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		s1, err := Parse(sql)
+		stmts, scriptErr := ParseScript(sql)
+		_, selErr := ParseSelect(sql)
+		for _, e := range []error{err, scriptErr, selErr} {
+			if e != nil && !strings.HasPrefix(e.Error(), "sql: ") {
+				t.Fatalf("%q: error %q does not start with \"sql: \"", sql, e)
+			}
+		}
 		if err != nil {
 			return
 		}
 		text := s1.String()
+		if scriptErr != nil || len(stmts) != 1 || stmts[0].String() != text {
+			t.Fatalf("%q parses as %q, but ParseScript returns %d statements, %v", sql, text, len(stmts), scriptErr)
+		}
 		s2, err := Parse(text)
 		if err != nil {
 			t.Fatalf("%q renders as %q, which does not parse: %v", sql, text, err)
