@@ -79,8 +79,7 @@ func TestEnginePlanOptions(t *testing.T) {
 }
 
 func TestEngineCompositionCost(t *testing.T) {
-	eng := New()
-	eng.SetCompositionCost(6 * simlat.PaperMS)
+	eng := New(WithCompositionCost(6 * simlat.PaperMS))
 	s := eng.NewSession()
 	s.MustExecContext(context.Background(), "CREATE TABLE a (K INT)")
 	s.MustExecContext(context.Background(), "CREATE TABLE b (K INT)")

@@ -51,7 +51,9 @@ type Engine struct {
 // only the session's copy.
 type Option func(*Engine)
 
-// WithCompositionCost sets the simulated result-composition cost.
+// WithCompositionCost sets the simulated cost of composing independent
+// result sets in the executor (joins between independent FROM items); zero
+// disables the accounting.
 func WithCompositionCost(d time.Duration) Option { return func(e *Engine) { e.compositionCost = d } }
 
 // WithRetryPolicy sets the default retry policy; its Budget seeds each
@@ -127,15 +129,6 @@ func (e *Engine) RegisterWrapperImpl(name string, factory catalog.WrapperFactory
 	}
 	e.wrappers[key] = factory
 	return nil
-}
-
-// SetCompositionCost configures the simulated cost of composing
-// independent result sets in the executor (joins between independent FROM
-// items); zero disables the accounting.
-func (e *Engine) SetCompositionCost(d time.Duration) {
-	e.mu.Lock()
-	e.compositionCost = d
-	e.mu.Unlock()
 }
 
 // SetPlanOptions configures the planner (e.g. the hash-join ablation) for
@@ -376,12 +369,20 @@ func (s *Session) QueryContext(ctx context.Context, sql string) (*types.Table, e
 	if err != nil {
 		return nil, err
 	}
-	ctx, _ = s.beginStmt(ctx)
-	sp := obs.StartSpan(s.task, "engine.statement", obs.Attr{Key: "sql", Value: sel.String()})
-	tab, st, err := s.eng.runSelect(ctx, sel, nil, s.task)
-	sp.End(s.task)
-	s.lastCacheStats = st
+	tab, _, err := s.execSelect(ctx, sel)
 	return tab, err
+}
+
+// execSelect runs a SELECT as one statement: it begins the statement, runs
+// it inside the engine.statement span and keeps its function-cache
+// counters for LastCacheStats.
+func (s *Session) execSelect(ctx context.Context, sel *sqlparser.Select) (*types.Table, *stmtState, error) {
+	ctx, state := s.beginStmt(ctx)
+	sp := obs.StartSpan(s.task, "engine.statement", obs.Attr{Key: "sql", Value: sel.String()})
+	tab, cache, err := s.eng.runSelect(ctx, sel, nil, s.task)
+	sp.End(s.task)
+	s.lastCacheStats = cache
+	return tab, state, err
 }
 
 // ExecContext parses and executes any single statement under ctx.
@@ -425,11 +426,7 @@ func (s *Session) MustExecContext(ctx context.Context, sql string) *Result {
 func (s *Session) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparser.Select:
-		ctx, state := s.beginStmt(ctx)
-		sp := obs.StartSpan(s.task, "engine.statement", obs.Attr{Key: "sql", Value: st.String()})
-		tab, stats, err := s.eng.runSelect(ctx, st, nil, s.task)
-		sp.End(s.task)
-		s.lastCacheStats = stats
+		tab, state, err := s.execSelect(ctx, st)
 		if err != nil {
 			return nil, err
 		}

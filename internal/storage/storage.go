@@ -218,29 +218,18 @@ func (t *Table) update(cands []int, keyed bool, pred func(types.Row) (bool, erro
 	return n, nil
 }
 
-// Delete removes every row satisfying pred and returns how many were
-// removed. The surviving rows keep their relative (insertion) order.
-func (t *Table) Delete(pred func(types.Row) bool) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n, _ := t.delete(nil, false, func(r types.Row) (bool, error) { return pred(r), nil })
-	return n
-}
-
-// DeleteKey is Delete for a predicate that implies column = key; see
-// UpdateKey. When pred raises on a row, DeleteKey removes nothing and
-// returns that error.
+// DeleteKey removes every row satisfying pred and returns how many were
+// removed; the surviving rows keep their relative (insertion) order. pred
+// implies column = key, as in UpdateKey; a column that is not indexed, or
+// "", visits every row. When pred raises on a row, DeleteKey removes
+// nothing and returns that error.
 func (t *Table) DeleteKey(column string, key types.Value, pred func(types.Row) (bool, error)) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	bucket, keyed := t.bucket(t.schema.ColumnIndex(column), key)
-	return t.delete(bucket, keyed, pred)
-}
-
-// delete is the body of Delete and DeleteKey; cands and keyed are as in
-// update. It closes the gaps in place — heap and index positions shift
-// down past each victim — so it allocates for the victims only.
-func (t *Table) delete(cands []int, keyed bool, pred func(types.Row) (bool, error)) (int, error) {
+	cands, keyed := t.bucket(t.schema.ColumnIndex(column), key)
+	// Visit as update does, then close the gaps in place — heap and index
+	// positions shift down past each victim — allocating for the victims
+	// only.
 	visits := len(t.rows)
 	if keyed {
 		visits = len(cands)

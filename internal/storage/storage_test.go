@@ -118,7 +118,7 @@ func TestDeleteAndTruncate(t *testing.T) {
 	if err := tab.CreateIndex("CompNo"); err != nil {
 		t.Fatal(err)
 	}
-	n := tab.Delete(func(r types.Row) bool { return r[0].Int() == 2 })
+	n := deleteWhere(tab, func(r types.Row) bool { return r[0].Int() == 2 })
 	if n != 1 || tab.Len() != 2 {
 		t.Errorf("Delete = %d, len = %d", n, tab.Len())
 	}
@@ -127,7 +127,7 @@ func TestDeleteAndTruncate(t *testing.T) {
 	if len(rows) != 1 || rows[0][1].Str() != "washer" {
 		t.Errorf("index after delete: %v", rows)
 	}
-	if n := tab.Delete(func(r types.Row) bool { return false }); n != 0 {
+	if n := deleteWhere(tab, func(r types.Row) bool { return false }); n != 0 {
 		t.Errorf("no-op delete removed %d", n)
 	}
 	tab.Truncate()
@@ -317,7 +317,7 @@ func TestIndexScanAgreementProperty(t *testing.T) {
 					return false
 				}
 			case 3:
-				n, m = tab.Delete(is), twin.Delete(is)
+				n, m = deleteWhere(tab, is), deleteWhere(twin, is)
 			case 4:
 				n, _ = tab.DeleteKey("K", key, keyPred(is))
 				m, _ = twin.DeleteKey("K", key, keyPred(is))
@@ -402,11 +402,11 @@ func TestEmptyBucketsLeaveTheIndex(t *testing.T) {
 	}
 }
 
-// Delete compacts the heap in place; the slots it vacates past the new
+// DeleteKey compacts the heap in place; the slots it vacates past the new
 // length must not keep the moved rows reachable.
 func TestDeleteClearsVacatedTail(t *testing.T) {
 	tab := newCompTable(t)
-	if n := tab.Delete(func(r types.Row) bool { return r[0].Int() != 2 }); n != 2 {
+	if n := deleteWhere(tab, func(r types.Row) bool { return r[0].Int() != 2 }); n != 2 {
 		t.Fatalf("deleted %d rows, want 2", n)
 	}
 	tail := tab.rows[len(tab.rows):cap(tab.rows)]
@@ -506,7 +506,7 @@ func TestScanSnapshotIsolation(t *testing.T) {
 		{"insert", func() error { return tab.Insert(types.Row{types.NewInt(4), types.NewString("pin"), types.NewInt(5)}) }, 4},
 		{"keyed delete", func() error { _, err := tab.DeleteKey("CompNo", types.NewInt(1), keyPred(isCompNo(1))); return err }, 3},
 		{"insert again", func() error { return tab.Insert(types.Row{types.NewInt(5), types.NewString("rivet"), types.NewInt(6)}) }, 4},
-		{"unkeyed delete", func() error { tab.Delete(isCompNo(3)); return nil }, 3},
+		{"unkeyed delete", func() error { _, err := tab.DeleteKey("", types.Null, keyPred(isCompNo(3))); return err }, 3},
 		{"update after delete", func() error { _, err := tab.Update(isCompNo(4), setQty(7)); return err }, 3},
 		{"truncate", func() error { tab.Truncate(); return nil }, 0},
 		{"insert into empty", func() error { return tab.Insert(types.Row{types.NewInt(6), types.NewString("cap"), types.NewInt(8)}) }, 1},
@@ -603,7 +603,7 @@ func TestScanSnapshotIsolationConcurrent(t *testing.T) {
 						tab.Insert(types.Row{k, types.NewInt(int64(i))})
 					}
 				default:
-					if tab.Delete(is) > 0 {
+					if deleteWhere(tab, is) > 0 {
 						tab.Insert(types.Row{k, types.NewInt(int64(i))})
 					}
 				}
@@ -643,6 +643,13 @@ func TestScanDoesNotAllocate(t *testing.T) {
 	if len(snap) != 3 || cap(snap) != 3 {
 		t.Errorf("snapshot has len %d, cap %d; want 3, 3", len(snap), cap(snap))
 	}
+}
+
+// deleteWhere removes every row pred holds for: DeleteKey without a key
+// column visits every row.
+func deleteWhere(tab *Table, pred func(types.Row) bool) int {
+	n, _ := tab.DeleteKey("", types.Null, keyPred(pred))
+	return n
 }
 
 // keyPred adapts a predicate that cannot raise to UpdateKey and DeleteKey.
