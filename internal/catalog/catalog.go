@@ -435,14 +435,40 @@ type SQLFunc struct {
 	FParams  []types.Column
 	FReturns types.Schema
 	Body     *sqlparser.Select
-	// Hooks let the UDTF layer charge simulated costs around the body.
-	BeforeInvoke func(task *simlat.Task)
-	AfterInvoke  func(task *simlat.Task)
+	// Around, when set, runs each call of the body in its place: the UDTF
+	// layer opens its span and charges its simulated costs there, and runs
+	// the body once through call.Run, so whatever it opened closes on every
+	// path.
+	Around func(task *simlat.Task, call SQLCall) (*types.Table, error)
 	// BatchBody, when set, is a set-oriented realization of the function:
 	// one call receives all argument rows of a batch and answers one table
 	// per row. The per-row SQL body stays the reference semantics;
 	// BatchBody is the optimized path a batched plan uses.
 	BatchBody func(ctx context.Context, rt QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error)
+}
+
+// SQLCall is one pending call of a SQL function's body, handed to Around.
+// It is passed by value, so handing it over allocates nothing.
+type SQLCall struct {
+	f      *SQLFunc
+	ctx    context.Context
+	rt     QueryRunner
+	task   *simlat.Task
+	params map[string]types.Value
+}
+
+// Run runs the body and coerces its result to the declared RETURNS TABLE
+// schema.
+func (c SQLCall) Run() (*types.Table, error) {
+	res, err := c.rt.RunSelectContext(c.ctx, c.f.Body, c.params, c.task)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: executing %s: %w", c.f.FName, err)
+	}
+	out, err := coerceTable(res, c.f.FReturns)
+	if err != nil {
+		return nil, fmt.Errorf("catalog: %s result: %w", c.f.FName, err)
+	}
+	return out, nil
 }
 
 // Name implements TableFunc.
@@ -454,9 +480,8 @@ func (f *SQLFunc) Params() []types.Column { return f.FParams }
 // Schema implements TableFunc.
 func (f *SQLFunc) Schema() types.Schema { return f.FReturns }
 
-// InvokeContext implements TableFunc: it binds the arguments, runs the body
-// under the statement context, and coerces the result to the declared
-// RETURNS TABLE schema.
+// InvokeContext implements TableFunc: it binds the arguments and runs the
+// body under the statement context, through Around when it is set.
 func (f *SQLFunc) InvokeContext(ctx context.Context, rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
 	if len(args) != len(f.FParams) {
 		return nil, fmt.Errorf("catalog: %s expects %d arguments, got %d", f.FName, len(f.FParams), len(args))
@@ -476,21 +501,11 @@ func (f *SQLFunc) InvokeContext(ctx context.Context, rt QueryRunner, task *simla
 		params[strings.ToLower(p.Name)] = v
 		params[strings.ToLower(f.FName)+"."+strings.ToLower(p.Name)] = v
 	}
-	if f.BeforeInvoke != nil {
-		f.BeforeInvoke(task)
+	call := SQLCall{f: f, ctx: ctx, rt: rt, task: task, params: params}
+	if f.Around != nil {
+		return f.Around(task, call)
 	}
-	res, err := rt.RunSelectContext(ctx, f.Body, params, task)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: executing %s: %w", f.FName, err)
-	}
-	out, err := coerceTable(res, f.FReturns)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: %s result: %w", f.FName, err)
-	}
-	if f.AfterInvoke != nil {
-		f.AfterInvoke(task)
-	}
-	return out, nil
+	return call.Run()
 }
 
 // InvokeBatch implements BatchTableFunc. Without a BatchBody the batch

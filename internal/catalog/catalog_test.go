@@ -196,21 +196,28 @@ func TestSQLFuncInvoke(t *testing.T) {
 	result.MustAppend(types.Row{types.NewInt(7)})
 	runner := &stubRunner{result: result}
 
-	var beforeRan, afterRan bool
+	// Around runs in place of every call that reaches the body, and sees
+	// the body's outcome, failures included.
+	var arounds int
+	var lastErr error
 	fn := &SQLFunc{
-		FName:        "GetX",
-		FParams:      []types.Column{{Name: "P", Type: types.Integer}},
-		FReturns:     types.Schema{{Name: "X", Type: types.BigInt}},
-		Body:         body,
-		BeforeInvoke: func(task *simlat.Task) { beforeRan = true },
-		AfterInvoke:  func(task *simlat.Task) { afterRan = true },
+		FName:    "GetX",
+		FParams:  []types.Column{{Name: "P", Type: types.Integer}},
+		FReturns: types.Schema{{Name: "X", Type: types.BigInt}},
+		Body:     body,
+		Around: func(task *simlat.Task, call SQLCall) (*types.Table, error) {
+			arounds++
+			out, err := call.Run()
+			lastErr = err
+			return out, err
+		},
 	}
 	out, err := fn.InvokeContext(context.Background(), runner, simlat.Free(), []types.Value{types.NewString("5")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !beforeRan || !afterRan {
-		t.Error("hooks not invoked")
+	if arounds != 1 || lastErr != nil {
+		t.Errorf("Around ran %d times, saw %v", arounds, lastErr)
 	}
 	// Parameters bound bare and qualified, cast to declared type.
 	if v := runner.got["p"]; v.Int() != 5 {
@@ -234,8 +241,12 @@ func TestSQLFuncInvoke(t *testing.T) {
 		t.Error("uncastable argument accepted")
 	}
 	runner.err = errors.New("body failure")
+	arounds = 0
 	if _, err := fn.InvokeContext(context.Background(), runner, simlat.Free(), []types.Value{types.NewInt(1)}); err == nil {
 		t.Error("body failure swallowed")
+	}
+	if arounds != 1 || !errors.Is(lastErr, runner.err) {
+		t.Errorf("Around ran %d times on a failing body, saw %v", arounds, lastErr)
 	}
 	// Arity mismatch between body result and declared schema.
 	runner.err = nil

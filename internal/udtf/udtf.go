@@ -196,20 +196,18 @@ func RegisterSQLIntegrationUDTF(eng *engine.Engine, ins *Instrument, createFunct
 	}
 	profile := ins.profile
 	key := strings.ToLower(name)
-	sqlFn.BeforeInvoke = func(task *simlat.Task) {
-		//fedlint:ignore spanend the span is closed by AfterInvoke below via obs.CurrentSpan; the hook pair spans two closures
-		obs.StartSpan(task, "udtf.sql", obs.Attr{Key: "fn", Value: name})
+	sqlFn.Around = func(task *simlat.Task, call catalog.SQLCall) (*types.Table, error) {
+		sp := obs.StartSpan(task, "udtf.sql", obs.Attr{Key: "fn", Value: name})
+		defer sp.End(task)
 		ins.chargeEntry(task, key)
 		task.Step(simlat.StepStartIUDTF, profile.IUDTFStart)
-	}
-	sqlFn.AfterInvoke = func(task *simlat.Task) {
-		task.Step(simlat.StepFinishIUDTF, profile.IUDTFFinish)
-		// Close the span opened by BeforeInvoke; AfterInvoke is not called
-		// on error, in which case the statement's tracer still detaches the
-		// leaked span on Finish.
-		if sp := obs.CurrentSpan(task); sp.Name() == "udtf.sql" {
-			sp.End(task)
+		out, err := call.Run()
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+			return nil, err
 		}
+		task.Step(simlat.StepFinishIUDTF, profile.IUDTFFinish)
+		return out, nil
 	}
 	return nil
 }
