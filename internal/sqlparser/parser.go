@@ -29,7 +29,8 @@ func Parse(input string) (Statement, error) {
 	return stmt, nil
 }
 
-// ParseSelect parses a query expression; the input must be a SELECT.
+// ParseSelect parses a query expression; the input must be a SELECT. Any
+// other statement is refused at its first token, in the parser's format.
 func ParseSelect(input string) (*Select, error) {
 	stmt, err := Parse(input)
 	if err != nil {
@@ -37,7 +38,10 @@ func ParseSelect(input string) (*Select, error) {
 	}
 	sel, ok := stmt.(*Select)
 	if !ok {
-		return nil, fmt.Errorf("sql: expected a SELECT statement, got %T", stmt)
+		toks, _ := Lex(input) // Parse lexed it already
+		p := &parser{toks: toks}
+		p.errf("expected a SELECT statement, got %s", p.peek())
+		return nil, p.err
 	}
 	return sel, nil
 }

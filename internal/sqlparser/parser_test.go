@@ -482,7 +482,8 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 	for _, c := range []struct{ sql, want string }{
-		{"DROP TABLE t", "sql: expected a SELECT statement, got *sqlparser.DropTable"},
+		{"DROP TABLE t", "sql: line 1 col 1: expected a SELECT statement, got DROP"},
+		{"\n  EXPLAIN SELECT 1", "sql: line 2 col 3: expected a SELECT statement, got EXPLAIN"},
 		{"SELEC 1", "sql: line 1 col 1: expected a statement, got SELEC"},
 	} {
 		if _, err := ParseSelect(c.sql); err == nil || err.Error() != c.want {
