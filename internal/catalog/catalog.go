@@ -20,6 +20,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"fedwf/internal/simlat"
 	"fedwf/internal/sqlparser"
@@ -27,12 +28,31 @@ import (
 	"fedwf/internal/types"
 )
 
-// QueryRunner executes a nested SELECT with bound parameters under the
-// statement context. It is implemented by the engine and handed to table
-// functions so SQL UDTF bodies can run without the catalog depending on the
-// executor.
+// QueryRunner runs a function body on one bound row under the statement
+// context. It is implemented by the engine and handed to table functions so
+// SQL UDTF bodies can run without the catalog depending on the executor.
 type QueryRunner interface {
-	RunSelectContext(ctx context.Context, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error)
+	RunBodyContext(ctx context.Context, body *Body, bind []types.Value, task *simlat.Task) (*types.Table, error)
+}
+
+// Body is a SELECT whose parameters are the columns of a bound row: a SQL
+// function's body, or one step of a Go integration UDTF. Column i of the
+// row a call binds is Params[i]. A runner plans a body once per planner
+// options and catalog generation and runs each call on a copy of that plan
+// opened on the call's row (DESIGN Sect. 5), so a Body is created once, at
+// registration, and never changed.
+type Body struct {
+	Select *sqlparser.Select
+	Params []Param
+}
+
+// Param declares one column of a body's bound row: the body reads it bare
+// (SupplierNo) or qualified by Corr (BuySuppComp.SupplierNo), and the
+// planner infers its type from Type.
+type Param struct {
+	Corr string
+	Name string
+	Type types.Type
 }
 
 // TableFunc is a registered table function (UDTF). InvokeContext receives
@@ -112,6 +132,12 @@ type Nickname struct {
 
 // Catalog is the FDBS system catalog. All lookups are case-insensitive.
 type Catalog struct {
+	// gen counts the changes that can alter what a compiled plan resolved:
+	// a table, view, nickname or virtual table created or dropped, a
+	// function dropped, an index created. Creating a function does not
+	// count: no plan that compiled can have resolved a name that did not
+	// exist yet.
+	gen       atomic.Uint64
 	mu        sync.RWMutex
 	store     *storage.Store
 	funcs     map[string]TableFunc
@@ -154,6 +180,10 @@ func New() *Catalog {
 // Store exposes the table store (used by the engine's DML executor).
 func (c *Catalog) Store() *storage.Store { return c.store }
 
+// Generation returns the catalog's generation: a plan compiled at one
+// generation resolves the same objects as long as it does not move.
+func (c *Catalog) Generation() uint64 { return c.gen.Load() }
+
 // CreateTable creates a base table.
 func (c *Catalog) CreateTable(name string, schema types.Schema) (*storage.Table, error) {
 	c.mu.Lock()
@@ -168,7 +198,18 @@ func (c *Catalog) CreateTable(name string, schema types.Schema) (*storage.Table,
 	if _, ok := c.virtuals[key]; ok {
 		return nil, fmt.Errorf("catalog: %s already exists as a virtual table", name)
 	}
+	defer c.gen.Add(1)
 	return c.store.Create(name, schema)
+}
+
+// CreateIndex builds a hash index on one column of a base table.
+func (c *Catalog) CreateIndex(table, column string) error {
+	tab, err := c.store.Get(table)
+	if err != nil {
+		return err
+	}
+	defer c.gen.Add(1)
+	return tab.CreateIndex(column)
 }
 
 // RegisterVirtual installs a virtual table; the name must be free of
@@ -190,6 +231,7 @@ func (c *Catalog) RegisterVirtual(v *VirtualTable) error {
 		return fmt.Errorf("catalog: %s already exists as a base table", v.Name)
 	}
 	c.virtuals[key] = v
+	c.gen.Add(1)
 	return nil
 }
 
@@ -219,7 +261,10 @@ func (c *Catalog) Table(name string) (*storage.Table, error) {
 }
 
 // DropTable removes a base table.
-func (c *Catalog) DropTable(name string) error { return c.store.Drop(name) }
+func (c *Catalog) DropTable(name string) error {
+	defer c.gen.Add(1)
+	return c.store.Drop(name)
+}
 
 // Tables lists base table names.
 func (c *Catalog) Tables() []string { return c.store.List() }
@@ -256,6 +301,7 @@ func (c *Catalog) DropFunc(name string) error {
 		return fmt.Errorf("catalog: no function named %s", name)
 	}
 	delete(c.funcs, key)
+	c.gen.Add(1)
 	return nil
 }
 
@@ -365,6 +411,7 @@ func (c *Catalog) CreateNicknameContext(ctx context.Context, name, server, remot
 		return fmt.Errorf("catalog: %s already exists as a base table", name)
 	}
 	c.nicknames[key] = &Nickname{Name: name, Server: server, Remote: remote, Schema: schema.Clone()}
+	c.gen.Add(1)
 	return nil
 }
 
@@ -392,6 +439,7 @@ func (c *Catalog) CreateView(name string, query *sqlparser.Select) error {
 		return fmt.Errorf("catalog: %s already exists as a base table", name)
 	}
 	c.views[key] = query
+	c.gen.Add(1)
 	return nil
 }
 
@@ -412,6 +460,7 @@ func (c *Catalog) DropView(name string) error {
 		return fmt.Errorf("catalog: no view named %s", name)
 	}
 	delete(c.views, key)
+	c.gen.Add(1)
 	return nil
 }
 
@@ -428,13 +477,13 @@ func (c *Catalog) Views() []string {
 }
 
 // SQLFunc is a LANGUAGE SQL table function: the paper's SQL integration
-// UDTF. Its body runs through the engine's QueryRunner with the call
-// arguments bound as FnName.ParamName references.
+// UDTF. Its body runs through the engine's QueryRunner on the cast call
+// arguments as its bound row.
 type SQLFunc struct {
 	FName    string
 	FParams  []types.Column
 	FReturns types.Schema
-	Body     *sqlparser.Select
+	Body     *Body
 	// Around, when set, runs each call of the body in its place: the UDTF
 	// layer opens its span and charges its simulated costs there, and runs
 	// the body once through call.Run, so whatever it opened closes on every
@@ -447,20 +496,32 @@ type SQLFunc struct {
 	BatchBody func(ctx context.Context, rt QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error)
 }
 
+// NewSQLFunc returns the SQL function name(params) RETURNS TABLE returns
+// whose body is sel. The parameters are the columns of the body's bound
+// row, visible bare (SupplierNo) and qualified by the function's name
+// (BuySuppComp.SupplierNo), matching the paper's DB2 examples.
+func NewSQLFunc(name string, params []types.Column, returns types.Schema, sel *sqlparser.Select) *SQLFunc {
+	body := &Body{Select: sel, Params: make([]Param, len(params))}
+	for i, p := range params {
+		body.Params[i] = Param{Corr: name, Name: p.Name, Type: p.Type}
+	}
+	return &SQLFunc{FName: name, FParams: params, FReturns: returns, Body: body}
+}
+
 // SQLCall is one pending call of a SQL function's body, handed to Around.
 // It is passed by value, so handing it over allocates nothing.
 type SQLCall struct {
-	f      *SQLFunc
-	ctx    context.Context
-	rt     QueryRunner
-	task   *simlat.Task
-	params map[string]types.Value
+	f    *SQLFunc
+	ctx  context.Context
+	rt   QueryRunner
+	task *simlat.Task
+	args []types.Value
 }
 
-// Run runs the body and coerces its result to the declared RETURNS TABLE
-// schema.
+// Run runs the body on the call's arguments and coerces its result to the
+// declared RETURNS TABLE schema.
 func (c SQLCall) Run() (*types.Table, error) {
-	res, err := c.rt.RunSelectContext(c.ctx, c.f.Body, c.params, c.task)
+	res, err := c.rt.RunBodyContext(c.ctx, c.f.Body, c.args, c.task)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: executing %s: %w", c.f.FName, err)
 	}
@@ -480,28 +541,18 @@ func (f *SQLFunc) Params() []types.Column { return f.FParams }
 // Schema implements TableFunc.
 func (f *SQLFunc) Schema() types.Schema { return f.FReturns }
 
-// InvokeContext implements TableFunc: it binds the arguments and runs the
-// body under the statement context, through Around when it is set.
+// InvokeContext implements TableFunc: it casts the arguments to the
+// declared parameter types and runs the body on them under the statement
+// context, through Around when it is set.
 func (f *SQLFunc) InvokeContext(ctx context.Context, rt QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {
-	if len(args) != len(f.FParams) {
-		return nil, fmt.Errorf("catalog: %s expects %d arguments, got %d", f.FName, len(f.FParams), len(args))
+	cast, err := castArgs(f.FName, f.FParams, args)
+	if err != nil {
+		return nil, err
 	}
 	if rt == nil {
 		return nil, fmt.Errorf("catalog: %s needs a query runner", f.FName)
 	}
-	// Parameters are visible both bare (SupplierNo) and qualified by the
-	// function name (BuySuppComp.SupplierNo), matching the paper's DB2
-	// examples.
-	params := make(map[string]types.Value, 2*len(args))
-	for i, p := range f.FParams {
-		v, err := types.Cast(args[i], p.Type)
-		if err != nil {
-			return nil, fmt.Errorf("catalog: %s parameter %s: %w", f.FName, p.Name, err)
-		}
-		params[strings.ToLower(p.Name)] = v
-		params[strings.ToLower(f.FName)+"."+strings.ToLower(p.Name)] = v
-	}
-	call := SQLCall{f: f, ctx: ctx, rt: rt, task: task, params: params}
+	call := SQLCall{f: f, ctx: ctx, rt: rt, task: task, args: cast}
 	if f.Around != nil {
 		return f.Around(task, call)
 	}

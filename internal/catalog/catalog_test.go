@@ -174,13 +174,14 @@ func TestWrapperRegistry(t *testing.T) {
 
 // stubRunner executes SQLFunc bodies against fixed data.
 type stubRunner struct {
-	got    map[string]types.Value
+	body   *Body
+	got    []types.Value
 	result *types.Table
 	err    error
 }
 
-func (r *stubRunner) RunSelectContext(_ context.Context, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error) {
-	r.got = params
+func (r *stubRunner) RunBodyContext(_ context.Context, body *Body, bind []types.Value, task *simlat.Task) (*types.Table, error) {
+	r.body, r.got = body, bind
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -200,17 +201,12 @@ func TestSQLFuncInvoke(t *testing.T) {
 	// the body's outcome, failures included.
 	var arounds int
 	var lastErr error
-	fn := &SQLFunc{
-		FName:    "GetX",
-		FParams:  []types.Column{{Name: "P", Type: types.Integer}},
-		FReturns: types.Schema{{Name: "X", Type: types.BigInt}},
-		Body:     body,
-		Around: func(task *simlat.Task, call SQLCall) (*types.Table, error) {
-			arounds++
-			out, err := call.Run()
-			lastErr = err
-			return out, err
-		},
+	fn := NewSQLFunc("GetX", []types.Column{{Name: "P", Type: types.Integer}}, types.Schema{{Name: "X", Type: types.BigInt}}, body)
+	fn.Around = func(task *simlat.Task, call SQLCall) (*types.Table, error) {
+		arounds++
+		out, err := call.Run()
+		lastErr = err
+		return out, err
 	}
 	out, err := fn.InvokeContext(context.Background(), runner, simlat.Free(), []types.Value{types.NewString("5")})
 	if err != nil {
@@ -219,12 +215,16 @@ func TestSQLFuncInvoke(t *testing.T) {
 	if arounds != 1 || lastErr != nil {
 		t.Errorf("Around ran %d times, saw %v", arounds, lastErr)
 	}
-	// Parameters bound bare and qualified, cast to declared type.
-	if v := runner.got["p"]; v.Int() != 5 {
-		t.Errorf("bare param = %v", v)
+	// The body declares the parameter under the function's name, and the
+	// call binds its argument cast to the declared type.
+	if runner.body != fn.Body || runner.body.Select != body {
+		t.Error("the runner did not get the function's body")
 	}
-	if v := runner.got["getx.p"]; v.Int() != 5 {
-		t.Errorf("qualified param = %v", v)
+	if want := (Param{Corr: "GetX", Name: "P", Type: types.Integer}); len(fn.Body.Params) != 1 || fn.Body.Params[0] != want {
+		t.Errorf("body params = %v, want [%v]", fn.Body.Params, want)
+	}
+	if len(runner.got) != 1 || runner.got[0].Kind() != types.KindInt || runner.got[0].Int() != 5 {
+		t.Errorf("bound row = %v", runner.got)
 	}
 	// Result coerced to the declared schema.
 	if out.Schema[0].Name != "X" || out.Rows[0][0].Int() != 7 {

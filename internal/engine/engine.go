@@ -43,6 +43,8 @@ type Engine struct {
 	retry           resil.RetryPolicy
 	allowPartial    bool
 	planStats       *stats.PlanStore
+
+	bodies bodyCache
 }
 
 // Option configures an engine at construction time; the Set* methods
@@ -234,42 +236,75 @@ func stmtStateFrom(ctx context.Context) *stmtState {
 	return st
 }
 
-// RunSelectContext implements catalog.QueryRunner: nested execution of
-// UDTF bodies and remote pushdown targets under the statement's deadline.
-func (e *Engine) RunSelectContext(ctx context.Context, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, error) {
-	tab, _, err := e.runSelect(ctx, sel, params, task)
+// RunSelectContext runs a SELECT that declares no parameters under the
+// statement's deadline: a pushed-down remote query, or the query of an
+// INSERT ... SELECT. Its plan is not kept.
+func (e *Engine) RunSelectContext(ctx context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
+	tab, _, err := e.runSelect(ctx, sel, task)
+	return tab, err
+}
+
+// RunBodyContext implements catalog.QueryRunner: a function body runs on a
+// copy of the plan the engine keeps for it (bodyCache), opened on bind.
+func (e *Engine) RunBodyContext(ctx context.Context, body *catalog.Body, bind []types.Value, task *simlat.Task) (*types.Table, error) {
+	env := e.stmtEnv(ctx)
+	op, err := e.bodies.plan(e.cat, body, env.opts)
+	if err != nil {
+		return nil, err
+	}
+	tab, _, err := e.run(ctx, env, op, bind, task)
 	return tab, err
 }
 
 // runSelect is RunSelectContext plus the statement's function-cache
 // statistics (zero when the cache is disabled).
-func (e *Engine) runSelect(ctx context.Context, sel *sqlparser.Select, params map[string]types.Value, task *simlat.Task) (*types.Table, exec.CacheStats, error) {
-	e.mu.RLock()
-	cc := e.compositionCost
-	opts := e.planOpts
-	cache := e.funcCache
-	partial := e.allowPartial
-	e.mu.RUnlock()
-	st := stmtStateFrom(ctx)
-	if st == nil {
-		st = &stmtState{warnings: &exec.Warnings{}, allowPartial: partial}
-	} else if st.sess.eng == e {
-		opts = st.sess.opts
-	}
-	op, err := plan.CompileSelectOpts(e.cat, sel, params, opts)
+func (e *Engine) runSelect(ctx context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, exec.CacheStats, error) {
+	env := e.stmtEnv(ctx)
+	op, err := plan.CompileSelectOpts(e.cat, sel, nil, env.opts)
 	if err != nil {
 		return nil, exec.CacheStats{}, err
 	}
+	return e.run(ctx, env, op, nil, task)
+}
+
+// runEnv is what a statement's plans are compiled and run with.
+type runEnv struct {
+	st    *stmtState
+	opts  plan.Options
+	cc    time.Duration
+	cache bool
+}
+
+// stmtEnv returns the environment of the statement on ctx: the engine's
+// settings, and the planner options of the session that began it, or the
+// engine's defaults for a statement begun on another engine or none.
+func (e *Engine) stmtEnv(ctx context.Context) runEnv {
+	e.mu.RLock()
+	env := runEnv{opts: e.planOpts, cc: e.compositionCost, cache: e.funcCache}
+	partial := e.allowPartial
+	e.mu.RUnlock()
+	env.st = stmtStateFrom(ctx)
+	if env.st == nil {
+		env.st = &stmtState{warnings: &exec.Warnings{}, allowPartial: partial}
+	} else if env.st.sess.eng == e {
+		env.opts = env.st.sess.opts
+	}
+	return env
+}
+
+// run runs op with params as its bound row.
+func (e *Engine) run(ctx context.Context, env runEnv, op exec.Operator, params types.Row, task *simlat.Task) (*types.Table, exec.CacheStats, error) {
 	ectx := &exec.Ctx{
 		Task:            task,
 		Runner:          e,
-		CompositionCost: cc,
+		CompositionCost: env.cc,
+		Params:          params,
 		Context:         ctx,
-		Warnings:        st.warnings,
-		AllowDegraded:   st.allowPartial,
+		Warnings:        env.st.warnings,
+		AllowDegraded:   env.st.allowPartial,
 	}
 	var fc *exec.FuncCache
-	if cache {
+	if env.cache {
 		fc = exec.NewFuncCache()
 		ectx.FuncCache = fc
 	}
@@ -379,7 +414,7 @@ func (s *Session) QueryContext(ctx context.Context, sql string) (*types.Table, e
 func (s *Session) execSelect(ctx context.Context, sel *sqlparser.Select) (*types.Table, *stmtState, error) {
 	ctx, state := s.beginStmt(ctx)
 	sp := obs.StartSpan(s.task, "engine.statement", obs.Attr{Key: "sql", Value: sel.String()})
-	tab, cache, err := s.eng.runSelect(ctx, sel, nil, s.task)
+	tab, cache, err := s.eng.runSelect(ctx, sel, s.task)
 	sp.End(s.task)
 	s.lastCacheStats = cache
 	return tab, state, err
@@ -482,7 +517,7 @@ func (s *Session) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement)
 			return nil, err
 		}
 		if pk != "" {
-			if err := tab.CreateIndex(pk); err != nil {
+			if err := s.eng.cat.CreateIndex(tab.Name(), pk); err != nil {
 				return nil, err
 			}
 		}
@@ -511,11 +546,7 @@ func (s *Session) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement)
 		return &Result{Message: "view " + st.Name + " dropped"}, nil
 
 	case *sqlparser.CreateIndex:
-		tab, err := s.eng.cat.Table(st.Table)
-		if err != nil {
-			return nil, err
-		}
-		if err := tab.CreateIndex(st.Column); err != nil {
+		if err := s.eng.cat.CreateIndex(st.Table, st.Column); err != nil {
 			return nil, err
 		}
 		return &Result{Message: "index " + st.Name + " created"}, nil
@@ -597,7 +628,7 @@ func (s *Session) execInsert(ctx context.Context, st *sqlparser.Insert) (*Result
 	var rows []types.Row
 	if st.Query != nil {
 		ctx, _ := s.beginStmt(ctx)
-		res, err := s.eng.RunSelectContext(ctx, st.Query, nil, s.task)
+		res, err := s.eng.RunSelectContext(ctx, st.Query, s.task)
 		if err != nil {
 			return nil, err
 		}
@@ -610,7 +641,7 @@ func (s *Session) execInsert(ctx context.Context, st *sqlparser.Insert) (*Result
 				if err != nil {
 					return nil, err
 				}
-				v, err := ce.Eval(nil)
+				v, err := ce.Eval(nil, nil)
 				if err != nil {
 					return nil, err
 				}
@@ -670,7 +701,7 @@ func (s *Session) execUpdate(st *sqlparser.Update) (*Result, error) {
 	col, key, _ := plan.PointKey(st.Table, schema, st.Where, tab.HasIndex)
 	n, err := tab.UpdateKey(col, key, pred, func(r types.Row) (types.Row, error) {
 		for _, set := range setters {
-			v, err := set.expr.Eval(r)
+			v, err := set.expr.Eval(r, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -714,7 +745,7 @@ func (s *Session) compilePredicate(table string, schema types.Schema, where sqlp
 		return nil, err
 	}
 	return func(r types.Row) (bool, error) {
-		v, err := ce.Eval(r)
+		v, err := ce.Eval(r, nil)
 		if err != nil {
 			return false, err
 		}
@@ -736,21 +767,11 @@ func (s *Session) execCreateFunction(st *sqlparser.CreateFunction) (*Result, err
 	}
 	switch st.Language {
 	case "SQL":
-		fn := &catalog.SQLFunc{
-			FName:    st.Name,
-			FParams:  params,
-			FReturns: st.Returns.Clone(),
-			Body:     st.Body,
-		}
-		// Validate the body now (DB2 validates at creation time): compile
-		// it with NULL-bound parameters to surface unknown columns,
-		// functions, or unsupported constructs.
-		probe := make(map[string]types.Value, 2*len(params))
-		for _, p := range params {
-			probe[strings.ToLower(p.Name)] = types.Null
-			probe[strings.ToLower(st.Name)+"."+strings.ToLower(p.Name)] = types.Null
-		}
-		if _, err := plan.CompileSelect(s.eng.cat, st.Body, probe); err != nil {
+		fn := catalog.NewSQLFunc(st.Name, params, st.Returns.Clone(), st.Body)
+		// Validate the body now (DB2 validates at creation time): its first
+		// plan surfaces unknown columns, functions, or unsupported
+		// constructs, and is the plan the function's calls start from.
+		if _, err := s.eng.bodies.plan(s.eng.cat, fn.Body, s.opts); err != nil {
 			return nil, fmt.Errorf("engine: body of %s does not compile: %w", st.Name, err)
 		}
 		if err := s.eng.cat.RegisterFunc(fn); err != nil {

@@ -356,7 +356,7 @@ func (f *fakeServer) TableSchemaContext(_ context.Context, remote string) (types
 }
 
 func (f *fakeServer) QueryContext(ctx context.Context, sel *sqlparser.Select, task *simlat.Task) (*types.Table, error) {
-	return f.eng.RunSelectContext(ctx, sel, nil, task)
+	return f.eng.RunSelectContext(ctx, sel, task)
 }
 
 func TestFederatedNicknameAndPushdown(t *testing.T) {

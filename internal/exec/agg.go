@@ -96,12 +96,12 @@ func newAggState(spec AggSpec) aggState {
 	return st
 }
 
-func (st *aggState) add(spec AggSpec, row types.Row) error {
+func (st *aggState) add(spec AggSpec, row, params types.Row) error {
 	if spec.Kind == AggCountStar {
 		st.count++
 		return nil
 	}
-	v, err := spec.Arg.Eval(row)
+	v, err := spec.Arg.Eval(row, params)
 	if err != nil {
 		return err
 	}
@@ -223,7 +223,7 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 		}
 		var h uint64 = 14695981039346656037
 		for i, ge := range g.Groups {
-			v, err := ge.Eval(r)
+			v, err := ge.Eval(r, ctx.Params)
 			if err != nil {
 				return err
 			}
@@ -245,7 +245,7 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 			head[h] = grp
 		}
 		for i, spec := range g.Aggs {
-			if err := states[int(grp)*len(g.Aggs)+i].add(spec, r); err != nil {
+			if err := states[int(grp)*len(g.Aggs)+i].add(spec, r, ctx.Params); err != nil {
 				return err
 			}
 		}

@@ -94,7 +94,7 @@ func childBind(bind, lr types.Row) types.Row {
 func (j *joiner) match(lr, rr types.Row) (types.Row, error) {
 	out := j.slab.concat(lr, rr)
 	if j.op.On != nil {
-		if ok, err := holds(j.op.On, out); err != nil || !ok {
+		if ok, err := holds(j.op.On, out, j.ctx.Params); err != nil || !ok {
 			j.slab.unalloc(out)
 			return nil, err
 		}

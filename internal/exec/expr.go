@@ -11,10 +11,12 @@ import (
 	"fedwf/internal/types"
 )
 
-// Expr is a compiled scalar expression evaluated against one row. Column
-// positions were resolved at plan time, so evaluation needs no catalog.
+// Expr is a compiled scalar expression evaluated against one row and the
+// bound parameter row of the plan it belongs to (nil for a plan that
+// declares no parameters, Ctx.Params). Column and parameter positions were
+// resolved at plan time, so evaluation needs no catalog.
 type Expr interface {
-	Eval(row types.Row) (types.Value, error)
+	Eval(row, params types.Row) (types.Value, error)
 	String() string
 }
 
@@ -22,7 +24,7 @@ type Expr interface {
 type Const struct{ V types.Value }
 
 // Eval implements Expr.
-func (c Const) Eval(types.Row) (types.Value, error) { return c.V, nil }
+func (c Const) Eval(_, _ types.Row) (types.Value, error) { return c.V, nil }
 
 func (c Const) String() string { return c.V.String() }
 
@@ -33,7 +35,7 @@ type Col struct {
 }
 
 // Eval implements Expr.
-func (c Col) Eval(row types.Row) (types.Value, error) {
+func (c Col) Eval(row, _ types.Row) (types.Value, error) {
 	if c.Idx < 0 || c.Idx >= len(row) {
 		return types.Null, fmt.Errorf("exec: column %s (#%d) out of range for row of width %d", c.Name, c.Idx, len(row))
 	}
@@ -42,6 +44,24 @@ func (c Col) Eval(row types.Row) (types.Value, error) {
 
 func (c Col) String() string { return fmt.Sprintf("%s#%d", c.Name, c.Idx) }
 
+// Param reads a column of the bound parameter row by resolved position: a
+// SQL function's argument, or a column an earlier step of a Go integration
+// UDTF answered. Name is retained for display.
+type Param struct {
+	Idx  int
+	Name string
+}
+
+// Eval implements Expr.
+func (p Param) Eval(_, params types.Row) (types.Value, error) {
+	if p.Idx < 0 || p.Idx >= len(params) {
+		return types.Null, fmt.Errorf("exec: parameter %s (#%d) out of range for a bound row of width %d", p.Name, p.Idx, len(params))
+	}
+	return params[p.Idx], nil
+}
+
+func (p Param) String() string { return fmt.Sprintf(":%s#%d", p.Name, p.Idx) }
+
 // Unary applies NOT or unary minus.
 type Unary struct {
 	Op string // "NOT" | "-"
@@ -49,8 +69,8 @@ type Unary struct {
 }
 
 // Eval implements Expr.
-func (u Unary) Eval(row types.Row) (types.Value, error) {
-	v, err := u.X.Eval(row)
+func (u Unary) Eval(row, params types.Row) (types.Value, error) {
+	v, err := u.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
@@ -81,16 +101,16 @@ type Bin struct {
 }
 
 // Eval implements Expr.
-func (b Bin) Eval(row types.Row) (types.Value, error) {
+func (b Bin) Eval(row, params types.Row) (types.Value, error) {
 	switch b.Op {
 	case "AND", "OR":
-		return b.evalLogical(row)
+		return b.evalLogical(row, params)
 	}
-	l, err := b.L.Eval(row)
+	l, err := b.L.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
-	r, err := b.R.Eval(row)
+	r, err := b.R.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
@@ -137,8 +157,8 @@ func (b Bin) Eval(row types.Row) (types.Value, error) {
 }
 
 // evalLogical implements Kleene three-valued AND/OR with short circuits.
-func (b Bin) evalLogical(row types.Row) (types.Value, error) {
-	l, err := b.L.Eval(row)
+func (b Bin) evalLogical(row, params types.Row) (types.Value, error) {
+	l, err := b.L.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
@@ -154,7 +174,7 @@ func (b Bin) evalLogical(row types.Row) (types.Value, error) {
 	if b.Op == "OR" && !lnull && lb {
 		return types.NewBool(true), nil
 	}
-	r, err := b.R.Eval(row)
+	r, err := b.R.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
@@ -195,8 +215,8 @@ type Cast struct {
 }
 
 // Eval implements Expr.
-func (c Cast) Eval(row types.Row) (types.Value, error) {
-	v, err := c.X.Eval(row)
+func (c Cast) Eval(row, params types.Row) (types.Value, error) {
+	v, err := c.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
@@ -212,8 +232,8 @@ type IsNull struct {
 }
 
 // Eval implements Expr.
-func (i IsNull) Eval(row types.Row) (types.Value, error) {
-	v, err := i.X.Eval(row)
+func (i IsNull) Eval(row, params types.Row) (types.Value, error) {
+	v, err := i.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
@@ -234,16 +254,16 @@ type Between struct {
 }
 
 // Eval implements Expr.
-func (b Between) Eval(row types.Row) (types.Value, error) {
-	x, err := b.X.Eval(row)
+func (b Between) Eval(row, params types.Row) (types.Value, error) {
+	x, err := b.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
-	lo, err := b.Lo.Eval(row)
+	lo, err := b.Lo.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
-	hi, err := b.Hi.Eval(row)
+	hi, err := b.Hi.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
@@ -279,14 +299,14 @@ type In struct {
 }
 
 // Eval implements Expr.
-func (i In) Eval(row types.Row) (types.Value, error) {
-	x, err := i.X.Eval(row)
+func (i In) Eval(row, params types.Row) (types.Value, error) {
+	x, err := i.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
 	sawNull := x.IsNull()
 	for _, e := range i.List {
-		v, err := e.Eval(row)
+		v, err := e.Eval(row, params)
 		if err != nil {
 			return types.Null, err
 		}
@@ -327,12 +347,12 @@ type Like struct {
 }
 
 // Eval implements Expr.
-func (l Like) Eval(row types.Row) (types.Value, error) {
-	x, err := l.X.Eval(row)
+func (l Like) Eval(row, params types.Row) (types.Value, error) {
+	x, err := l.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
-	p, err := l.Pattern.Eval(row)
+	p, err := l.Pattern.Eval(row, params)
 	if err != nil {
 		return types.Null, err
 	}
@@ -394,9 +414,9 @@ type Case struct {
 }
 
 // Eval implements Expr.
-func (c Case) Eval(row types.Row) (types.Value, error) {
+func (c Case) Eval(row, params types.Row) (types.Value, error) {
 	for _, w := range c.Whens {
-		v, err := w.Cond.Eval(row)
+		v, err := w.Cond.Eval(row, params)
 		if err != nil {
 			return types.Null, err
 		}
@@ -408,11 +428,11 @@ func (c Case) Eval(row types.Row) (types.Value, error) {
 			return types.Null, err
 		}
 		if b {
-			return w.Result.Eval(row)
+			return w.Result.Eval(row, params)
 		}
 	}
 	if c.Else != nil {
-		return c.Else.Eval(row)
+		return c.Else.Eval(row, params)
 	}
 	return types.Null, nil
 }
@@ -438,10 +458,10 @@ type ScalarCall struct {
 }
 
 // Eval implements Expr.
-func (s ScalarCall) Eval(row types.Row) (types.Value, error) {
+func (s ScalarCall) Eval(row, params types.Row) (types.Value, error) {
 	args := make([]types.Value, len(s.Args))
 	for i, a := range s.Args {
-		v, err := a.Eval(row)
+		v, err := a.Eval(row, params)
 		if err != nil {
 			return types.Null, err
 		}
@@ -466,9 +486,10 @@ func Truthy(v types.Value) (bool, error) {
 	return v.AsBool()
 }
 
-// holds evaluates pred over row and reports whether the row matches.
-func holds(pred Expr, row types.Row) (bool, error) {
-	v, err := pred.Eval(row)
+// holds evaluates pred over row and the bound parameter row and reports
+// whether the row matches.
+func holds(pred Expr, row, params types.Row) (bool, error) {
+	v, err := pred.Eval(row, params)
 	if err != nil {
 		return false, err
 	}

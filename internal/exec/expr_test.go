@@ -8,7 +8,7 @@ import (
 
 func evalOK(t *testing.T, e Expr, row types.Row) types.Value {
 	t.Helper()
-	v, err := e.Eval(row)
+	v, err := e.Eval(row, nil)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", e, err)
 	}
@@ -23,11 +23,35 @@ func TestConstAndCol(t *testing.T) {
 	if v := evalOK(t, Col{Idx: 1, Name: "s"}, row); v.Str() != "x" {
 		t.Errorf("col = %v", v)
 	}
-	if _, err := (Col{Idx: 5, Name: "out"}).Eval(row); err == nil {
+	if _, err := (Col{Idx: 5, Name: "out"}).Eval(row, nil); err == nil {
 		t.Error("out-of-range column read succeeded")
 	}
 	if (Col{Idx: 2, Name: "c"}).String() != "c#2" {
 		t.Error("Col.String format")
+	}
+}
+
+// TestParamReadsTheBoundRow: a Param reads the bound parameter row, never
+// the row it is evaluated against, and reports a position past its end.
+func TestParamReadsTheBoundRow(t *testing.T) {
+	row := types.Row{types.NewInt(1)}
+	params := types.Row{types.NewString("a"), types.NewInt(9)}
+	v, err := (Param{Idx: 1, Name: "p"}).Eval(row, params)
+	if err != nil || v.Int() != 9 {
+		t.Errorf("param = %v, %v", v, err)
+	}
+	sum := Bin{Op: "+", L: Col{Idx: 0, Name: "c"}, R: Param{Idx: 1, Name: "p"}}
+	if v, err := sum.Eval(row, params); err != nil || v.Int() != 10 {
+		t.Errorf("c + p = %v, %v", v, err)
+	}
+	if _, err := (Param{Idx: 2, Name: "q"}).Eval(row, params); err == nil {
+		t.Error("out-of-range parameter read succeeded")
+	}
+	if _, err := (Param{Idx: 0, Name: "q"}).Eval(row, nil); err == nil {
+		t.Error("parameter read without a bound row succeeded")
+	}
+	if (Param{Idx: 1, Name: "p"}).String() != ":p#1" {
+		t.Error("Param.String format")
 	}
 }
 
@@ -41,10 +65,10 @@ func TestUnaryExpr(t *testing.T) {
 	if v := evalOK(t, Unary{Op: "NOT", X: Const{V: types.Null}}, nil); !v.IsNull() {
 		t.Errorf("NOT NULL = %v", v)
 	}
-	if _, err := (Unary{Op: "??", X: Const{V: types.NewInt(1)}}).Eval(nil); err == nil {
+	if _, err := (Unary{Op: "??", X: Const{V: types.NewInt(1)}}).Eval(nil, nil); err == nil {
 		t.Error("unknown unary op accepted")
 	}
-	if _, err := (Unary{Op: "NOT", X: Const{V: types.NewString("zz")}}).Eval(nil); err == nil {
+	if _, err := (Unary{Op: "NOT", X: Const{V: types.NewString("zz")}}).Eval(nil, nil); err == nil {
 		t.Error("NOT on non-boolean accepted")
 	}
 }
@@ -80,10 +104,10 @@ func TestBinArithmeticAndComparison(t *testing.T) {
 	if v.Str() != "ab" {
 		t.Errorf("concat = %v", v)
 	}
-	if _, err := (Bin{Op: "??", L: two, R: three}).Eval(nil); err == nil {
+	if _, err := (Bin{Op: "??", L: two, R: three}).Eval(nil, nil); err == nil {
 		t.Error("unknown operator accepted")
 	}
-	if _, err := (Bin{Op: "=", L: two, R: Const{V: types.NewString("x")}}).Eval(nil); err == nil {
+	if _, err := (Bin{Op: "=", L: two, R: Const{V: types.NewString("x")}}).Eval(nil, nil); err == nil {
 		t.Error("incomparable operands accepted")
 	}
 }
@@ -126,10 +150,10 @@ func TestThreeValuedLogic(t *testing.T) {
 		t.Error("short-circuit OR broken")
 	}
 	// Non-boolean operands error out.
-	if _, err := (Bin{Op: "AND", L: Const{V: types.NewString("x")}, R: T}).Eval(nil); err == nil {
+	if _, err := (Bin{Op: "AND", L: Const{V: types.NewString("x")}, R: T}).Eval(nil, nil); err == nil {
 		t.Error("AND on string accepted")
 	}
-	if _, err := (Bin{Op: "AND", L: T, R: Const{V: types.NewString("x")}}).Eval(nil); err == nil {
+	if _, err := (Bin{Op: "AND", L: T, R: Const{V: types.NewString("x")}}).Eval(nil, nil); err == nil {
 		t.Error("AND on string accepted (right)")
 	}
 }

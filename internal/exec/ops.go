@@ -33,6 +33,11 @@ type Ctx struct {
 	Runner          catalog.QueryRunner
 	CompositionCost time.Duration
 
+	// Params is the bound row of a plan compiled with parameters — a
+	// function body's cast arguments — which every Param expression of the
+	// plan reads; nil for a plan that declares none.
+	Params types.Row
+
 	// FuncCache, when non-nil, memoises table-function results within one
 	// statement execution: a lateral scan re-invoked with identical
 	// arguments reuses the previous result instead of calling the foreign
@@ -534,10 +539,11 @@ type FuncScan struct {
 // Schema implements Operator.
 func (f *FuncScan) Schema() types.Schema { return f.Sch }
 
-// evalArgs evaluates the argument expressions against bind into args.
-func (f *FuncScan) evalArgs(bind types.Row, args []types.Value) error {
+// evalArgs evaluates the argument expressions against bind and the bound
+// parameter row into args.
+func (f *FuncScan) evalArgs(bind, params types.Row, args []types.Value) error {
 	for i, a := range f.Args {
-		v, err := a.Eval(bind)
+		v, err := a.Eval(bind, params)
 		if err != nil {
 			return fmt.Errorf("exec: argument %d of %s: %w", i+1, f.Fn.Name(), err)
 		}
@@ -549,7 +555,7 @@ func (f *FuncScan) evalArgs(bind types.Row, args []types.Value) error {
 // Open implements Operator.
 func (f *FuncScan) Open(ctx *Ctx, bind types.Row) error {
 	args := make([]types.Value, len(f.Args))
-	if err := f.evalArgs(bind, args); err != nil {
+	if err := f.evalArgs(bind, ctx.Params, args); err != nil {
 		return err
 	}
 	if err := ctx.check(); err != nil {
@@ -585,7 +591,7 @@ func (f *FuncScan) invokeBatch(ctx *Ctx, bind types.Row, chunk []types.Row) (out
 	vals, argRows := make([]types.Value, n*width), make([][]types.Value, n)
 	for i, lr := range chunk {
 		argRows[i] = vals[i*width : (i+1)*width : (i+1)*width]
-		if err := f.evalArgs(childBind(bind, lr), argRows[i]); err != nil {
+		if err := f.evalArgs(childBind(bind, lr), ctx.Params, argRows[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -725,7 +731,7 @@ func (h *HashJoin) Open(ctx *Ctx, bind types.Row) error {
 			h.Right.Close()
 			return err
 		}
-		key, null, err := h.keyHash(h.RightKeys, rr)
+		key, null, err := h.keyHash(h.RightKeys, rr, ctx.Params)
 		if err != nil {
 			h.Right.Close()
 			return err
@@ -747,10 +753,10 @@ func (h *HashJoin) Open(ctx *Ctx, bind types.Row) error {
 	return h.Left.Open(ctx, bind)
 }
 
-func (h *HashJoin) keyHash(keys []Expr, row types.Row) (uint64, bool, error) {
+func (h *HashJoin) keyHash(keys []Expr, row, params types.Row) (uint64, bool, error) {
 	var hash uint64 = 14695981039346656037
 	for _, k := range keys {
-		v, err := k.Eval(row)
+		v, err := k.Eval(row, params)
 		if err != nil {
 			return 0, false, err
 		}
@@ -770,7 +776,7 @@ func (h *HashJoin) Next() (types.Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			key, null, err := h.keyHash(h.LeftKeys, lr)
+			key, null, err := h.keyHash(h.LeftKeys, lr, h.ctx.Params)
 			if err != nil {
 				return nil, err
 			}
@@ -798,11 +804,11 @@ func (h *HashJoin) Next() (types.Row, error) {
 		// build the combined row, so a collision costs none.
 		match := true
 		for i := range h.LeftKeys {
-			lv, err := h.LeftKeys[i].Eval(h.leftRow)
+			lv, err := h.LeftKeys[i].Eval(h.leftRow, h.ctx.Params)
 			if err != nil {
 				return nil, err
 			}
-			rv, err := h.RightKeys[i].Eval(rr)
+			rv, err := h.RightKeys[i].Eval(rr, h.ctx.Params)
 			if err != nil {
 				return nil, err
 			}
@@ -865,13 +871,17 @@ func (h *HashJoin) Clone() Operator {
 type Filter struct {
 	Child Operator
 	Pred  Expr
+	ctx   *Ctx
 }
 
 // Schema implements Operator.
 func (f *Filter) Schema() types.Schema { return f.Child.Schema() }
 
 // Open implements Operator.
-func (f *Filter) Open(ctx *Ctx, bind types.Row) error { return f.Child.Open(ctx, bind) }
+func (f *Filter) Open(ctx *Ctx, bind types.Row) error {
+	f.ctx = ctx
+	return f.Child.Open(ctx, bind)
+}
 
 // Next implements Operator.
 func (f *Filter) Next() (types.Row, error) {
@@ -880,7 +890,7 @@ func (f *Filter) Next() (types.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		ok, err := holds(f.Pred, r)
+		ok, err := holds(f.Pred, r, f.ctx.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -917,6 +927,7 @@ type Project struct {
 	slab  rowSlab
 	// prefix is set in Open: Exprs are Col{Idx: 0} ... Col{Idx: k-1}.
 	prefix bool
+	ctx    *Ctx
 }
 
 // Schema implements Operator.
@@ -925,6 +936,7 @@ func (p *Project) Schema() types.Schema { return p.Sch }
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx, bind types.Row) error {
 	p.slab = rowSlab{}
+	p.ctx = ctx
 	p.prefix = len(p.Exprs) > 0
 	for i, e := range p.Exprs {
 		if c, ok := e.(Col); !ok || c.Idx != i {
@@ -948,7 +960,7 @@ func (p *Project) Next() (types.Row, error) {
 	// A short row takes this path so that Col.Eval reports it.
 	out := p.slab.alloc(k)
 	for i, e := range p.Exprs {
-		v, err := e.Eval(r)
+		v, err := e.Eval(r, p.ctx.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -1021,7 +1033,7 @@ func (s *Sort) Open(ctx *Ctx, bind types.Row) error {
 		}
 		ks := slab.alloc(len(s.Keys))
 		for i, k := range s.Keys {
-			v, err := k.Expr.Eval(r)
+			v, err := k.Expr.Eval(r, ctx.Params)
 			if err != nil {
 				return err
 			}

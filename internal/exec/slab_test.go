@@ -208,7 +208,7 @@ func (p *perRowProject) Next() (types.Row, error) {
 	}
 	out := make(types.Row, len(p.Exprs))
 	for i, e := range p.Exprs {
-		if out[i], err = e.Eval(r); err != nil {
+		if out[i], err = e.Eval(r, nil); err != nil {
 			return nil, err
 		}
 	}

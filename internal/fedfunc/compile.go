@@ -448,39 +448,41 @@ func (r *relation) combine(keys []string) func(wfms.Containers) (*types.Table, e
 
 // goBody compiles the Go I-UDTF body: each step's SELECT, parsed once,
 // runs in dependency order, once per combination of earlier steps' rows
-// (the lateral join, in host code), with the parameters and those rows'
-// columns bound through the params map under the names the SELECT
-// spells; the loop becomes a host loop bounded by
-// wfms.DefaultMaxIterations.
+// (the lateral join, in host code). Its bound row is the call's arguments,
+// the loop cursor, then the columns of the rows of the steps before it,
+// under the names the SELECT spells; the loop becomes a host loop bounded
+// by wfms.DefaultMaxIterations.
 func (g *graph) goBody() (udtf.GoBody, error) {
 	m, n := g.m, len(g.m.Steps)
-	sels := make([]*sqlparser.Select, n)
+	// The bound row's leading columns: the call's arguments, then the
+	// loop cursor, each qualified by the function's name.
+	head := make([]catalog.Param, 0, len(m.Params)+1)
+	for _, p := range m.Params {
+		head = append(head, catalog.Param{Corr: m.Name, Name: p.Name, Type: p.Type})
+	}
+	if m.Loop != nil {
+		head = append(head, catalog.Param{Corr: m.Name, Name: m.Loop.Cursor, Type: types.Integer})
+	}
+	bodies := make([]*catalog.Body, n)
+	params := head
 	for i, s := range m.Steps {
 		sel, err := sqlparser.ParseSelect(fmt.Sprintf("SELECT * FROM TABLE (%s) AS %s", g.call(s), s.Alias))
 		if err != nil {
 			return nil, err
 		}
-		sels[i] = sel
+		bodies[i] = &catalog.Body{Select: sel, Params: slices.Clip(params)}
+		for _, col := range g.returns[i] {
+			params = append(params, catalog.Param{Corr: s.Alias, Name: col.Name, Type: col.Type})
+		}
 	}
-	var keys []string // of the call arguments, then the loop cursor
-	for _, p := range m.Params {
-		keys = append(keys, strings.ToLower(g.arg(Param(p.Name))))
-	}
-	if m.Loop != nil {
-		keys = append(keys, strings.ToLower(g.arg(Param(m.Loop.Cursor))))
-	}
-	// run runs step i; rows[n] holds the values of keys.
+	// run runs step i; rows[n] holds the leading columns.
 	run := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, i int, rows []types.Row) (*types.Table, error) {
-		params := make(map[string]types.Value)
-		for k, key := range keys {
-			params[key] = rows[n][k]
+		bind := make([]types.Value, 0, len(bodies[i].Params))
+		bind = append(bind, rows[n]...)
+		for _, row := range rows[:i] {
+			bind = append(bind, row...)
 		}
-		for d, row := range rows[:i] {
-			for c, col := range g.returns[d] {
-				params[strings.ToLower(m.Steps[d].Alias+"."+col.Name)] = row[c]
-			}
-		}
-		return rt.RunSelectContext(ctx, sels[i], params, task)
+		return rt.RunBodyContext(ctx, bodies[i], bind, task)
 	}
 	rel := g.relation(func(step int) int { return step })
 	return func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, args []types.Value) (*types.Table, error) {

@@ -71,8 +71,8 @@ func TestAggregateEnvironmentRewrites(t *testing.T) {
 		}
 	}
 	// Parameter references survive the aggregate rewriter.
-	params := map[string]types.Value{"minc": types.NewInt(1)}
-	tab := run(t, cat, "SELECT COUNT(*) FROM parts HAVING COUNT(*) > minc", params)
+	minc := []arg{{catalog.Param{Corr: "f", Name: "minc", Type: types.Integer}, types.NewInt(1)}}
+	tab := run(t, cat, "SELECT COUNT(*) FROM parts HAVING COUNT(*) > minc", minc)
 	if tab.Len() != 1 {
 		t.Errorf("param in HAVING: %d rows", tab.Len())
 	}

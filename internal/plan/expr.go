@@ -6,7 +6,6 @@ import (
 
 	"fedwf/internal/exec"
 	"fedwf/internal/sqlparser"
-	"fedwf/internal/types"
 )
 
 // compileExpr compiles an AST expression against the current scope; column
@@ -47,8 +46,11 @@ func (c *compiler) compile(e sqlparser.Expr, offset int, env *aggEnv) (exec.Expr
 		case n == 1:
 			return exec.Col{Idx: idx - offset, Name: ex.Name}, nil
 		}
-		if v, ok := c.lookupParam(ex); ok {
-			return exec.Const{V: v}, nil
+		switch i, n := lookupColumn(ex, c.params); {
+		case n > 1:
+			return nil, fmt.Errorf("plan: ambiguous column %s", ex.Name)
+		case n == 1:
+			return exec.Param{Idx: i, Name: ex.Name}, nil
 		}
 		if env != nil {
 			return nil, fmt.Errorf("plan: column %s must appear in the GROUP BY clause or inside an aggregate", ex.String())
@@ -199,15 +201,6 @@ func lookupColumn(ref *sqlparser.ColumnRef, cols []scopeCol) (idx, n int) {
 	return idx, n
 }
 
-func (c *compiler) lookupParam(ref *sqlparser.ColumnRef) (types.Value, bool) {
-	if c.params == nil {
-		return types.Null, false
-	}
-	if ref.Qualifier == "" {
-		return types.LookupFold(c.params, ref.Name)
-	}
-	return types.LookupFold(c.params, ref.Qualifier+"."+ref.Name)
-}
 
 // ------------------------------------------------------------- analysis
 
@@ -300,7 +293,7 @@ func (c *compiler) refsResolvable(e sqlparser.Expr, width int) bool {
 	ok := true
 	walkRefs(e, func(ref *sqlparser.ColumnRef) {
 		if idx, _ := lookupColumn(ref, c.cols[:width]); idx < 0 {
-			if _, isParam := c.lookupParam(ref); !isParam {
+			if i, _ := lookupColumn(ref, c.params); i < 0 {
 				ok = false
 			}
 		}

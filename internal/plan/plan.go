@@ -49,16 +49,23 @@ func (c *compiler) lateralJoin(left, right exec.Operator, lateral bool) *exec.Ap
 	return a
 }
 
-// CompileSelect compiles a SELECT against the catalog. params binds the
-// enclosing SQL function's parameters; keys are lower-cased and present
-// both bare ("supplierno") and qualified ("buysuppcomp.supplierno").
-func CompileSelect(cat *catalog.Catalog, sel *sqlparser.Select, params map[string]types.Value) (exec.Operator, error) {
+// CompileSelect compiles a SELECT against the catalog. params declares the
+// bound row the plan runs on (exec.Ctx.Params): a reference to params[i],
+// bare or by its correlation, compiles to exec.Param{Idx: i}. A scope
+// column of the same name shadows a parameter. nil declares none.
+func CompileSelect(cat *catalog.Catalog, sel *sqlparser.Select, params []catalog.Param) (exec.Operator, error) {
 	return CompileSelectOpts(cat, sel, params, Options{})
 }
 
 // CompileSelectOpts is CompileSelect with planner options.
-func CompileSelectOpts(cat *catalog.Catalog, sel *sqlparser.Select, params map[string]types.Value, opts Options) (exec.Operator, error) {
-	c := &compiler{cat: cat, params: params, opts: opts}
+func CompileSelectOpts(cat *catalog.Catalog, sel *sqlparser.Select, params []catalog.Param, opts Options) (exec.Operator, error) {
+	c := &compiler{cat: cat, opts: opts}
+	if len(params) > 0 {
+		c.params = make([]scopeCol, len(params))
+		for i, p := range params {
+			c.params[i] = scopeCol{corr: p.Corr, name: p.Name, typ: p.Type}
+		}
+	}
 	return c.compileSelect(sel)
 }
 
@@ -84,7 +91,7 @@ const maxViewDepth = 16
 
 type compiler struct {
 	cat       *catalog.Catalog
-	params    map[string]types.Value
+	params    []scopeCol // the bound row's columns
 	opts      Options
 	viewDepth int
 	cols      []scopeCol // the accumulated FROM-chain row layout

@@ -71,11 +71,24 @@ func testCatalog(t testing.TB) *catalog.Catalog {
 	return cat
 }
 
-func compile(t *testing.T, cat *catalog.Catalog, sql string, params map[string]types.Value) exec.Operator {
+// arg is one column of a test's bound row: its declaration and its value.
+type arg struct {
+	catalog.Param
+	v types.Value
+}
+
+// getxLim is the parameter lim of a function GetX, bound to 1.
+var getxLim = []arg{{catalog.Param{Corr: "GetX", Name: "lim", Type: types.Integer}, types.NewInt(1)}}
+
+func compile(t *testing.T, cat *catalog.Catalog, sql string, args []arg) exec.Operator {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var params []catalog.Param
+	for _, a := range args {
+		params = append(params, a.Param)
 	}
 	op, err := CompileSelect(cat, sel, params)
 	if err != nil {
@@ -84,10 +97,14 @@ func compile(t *testing.T, cat *catalog.Catalog, sql string, params map[string]t
 	return op
 }
 
-func run(t *testing.T, cat *catalog.Catalog, sql string, params map[string]types.Value) *types.Table {
+func run(t *testing.T, cat *catalog.Catalog, sql string, args []arg) *types.Table {
 	t.Helper()
-	op := compile(t, cat, sql, params)
-	tab, err := exec.Run(op, &exec.Ctx{Task: simlat.Free()})
+	op := compile(t, cat, sql, args)
+	var bind types.Row
+	for _, a := range args {
+		bind = append(bind, a.v)
+	}
+	tab, err := exec.Run(op, &exec.Ctx{Task: simlat.Free(), Params: bind})
 	if err != nil {
 		t.Fatalf("Run(%q): %v", sql, err)
 	}
@@ -184,23 +201,56 @@ func TestPredicatePushdownPlacement(t *testing.T) {
 
 func TestParameterResolution(t *testing.T) {
 	cat := testCatalog(t)
-	params := map[string]types.Value{
-		"lim":      types.NewInt(1),
-		"getx.lim": types.NewInt(1),
-	}
-	tab := run(t, cat, "SELECT No FROM suppliers WHERE No > lim", params)
+	tab := run(t, cat, "SELECT No FROM suppliers WHERE No > lim", getxLim)
 	if tab.Len() != 1 || tab.Rows[0][0].Int() != 2 {
 		t.Errorf("bare param:\n%s", tab)
 	}
-	tab = run(t, cat, "SELECT No FROM suppliers WHERE No > GetX.lim", params)
+	tab = run(t, cat, "SELECT No FROM suppliers WHERE No > GetX.lim", getxLim)
 	if tab.Len() != 1 {
 		t.Errorf("qualified param:\n%s", tab)
 	}
 	// Scope columns shadow parameters of the same name.
-	params2 := map[string]types.Value{"no": types.NewInt(99)}
-	tab = run(t, cat, "SELECT No FROM suppliers WHERE No = 1", params2)
+	no := []arg{{catalog.Param{Corr: "f", Name: "No", Type: types.Integer}, types.NewInt(99)}}
+	tab = run(t, cat, "SELECT No FROM suppliers WHERE No = 1", no)
 	if tab.Len() != 1 {
 		t.Errorf("shadowing:\n%s", tab)
+	}
+}
+
+// TestParametersAreBoundRowColumns: a parameter compiles to a read of the
+// bound row wherever it appears — a table function's argument, a filter, the
+// select list, a group key, a derived table — so one plan serves every row
+// bound to it. It is never a literal: an indexed `col = param` keeps its
+// Filter (pointKey matches literals only), and a remote scan is not handed
+// a reference it cannot resolve. Its type is the declared one.
+func TestParametersAreBoundRowColumns(t *testing.T) {
+	cat := testCatalog(t)
+	if err := cat.CreateIndex("suppliers", "No"); err != nil {
+		t.Fatal(err)
+	}
+	args := []arg{
+		{catalog.Param{Corr: "F", Name: "n", Type: types.Integer}, types.NewInt(2)},
+		{catalog.Param{Corr: "F", Name: "d", Type: types.Double}, types.Null},
+	}
+	const sql = `SELECT s.Name, t.y + F.n AS v, F.d AS d
+		FROM suppliers s, TABLE (Twice(F.n)) AS t, (SELECT COUNT(*) AS c FROM parts WHERE SuppNo <= n) AS k
+		WHERE s.No = F.n AND k.c >= n`
+	op := compile(t, cat, sql, args)
+	p := exec.ExplainString(op)
+	for _, want := range []string{"FuncScan Twice(:n#0)", "Filter (No#0 = :n#0)", "TableScan suppliers\n"} {
+		if !strings.Contains(p, want) {
+			t.Errorf("plan lacks %q:\n%s", want, p)
+		}
+	}
+	if got := op.Schema(); got[1].Type != types.BigInt || got[2].Type != types.Double {
+		t.Errorf("inferred types %v, want BIGINT and DOUBLE from the declared INT and DOUBLE", got)
+	}
+	for _, n := range []int64{1, 2} {
+		args[0].v = types.NewInt(n)
+		tab := run(t, cat, sql, args)
+		if tab.Len() != 1 || tab.Rows[0][1].Int() != 3*n || !tab.Rows[0][2].IsNull() {
+			t.Errorf("n=%d:\n%s", n, tab)
+		}
 	}
 }
 
@@ -282,7 +332,7 @@ func TestCompileRowExpr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := e.Eval(types.Row{types.NewInt(2), types.NewInt(3)})
+	v, err := e.Eval(types.Row{types.NewInt(2), types.NewInt(3)}, nil)
 	if err != nil || v.Int() != 5 {
 		t.Errorf("row expr = %v, %v", v, err)
 	}
@@ -291,7 +341,7 @@ func TestCompileRowExpr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err = e.Eval(nil)
+	v, err = e.Eval(nil, nil)
 	if err != nil || v.Str() != "X" {
 		t.Errorf("const expr = %v, %v", v, err)
 	}
@@ -346,7 +396,7 @@ func TestExplicitJoinConditionsStayAtJoin(t *testing.T) {
 // allocation the same statement in lower case does not.
 func TestMixedCaseNamesAllocateNothingMore(t *testing.T) {
 	cat := testCatalog(t)
-	params := map[string]types.Value{"f.x": types.NewInt(1)}
+	params := []catalog.Param{{Corr: "f", Name: "x", Type: types.Integer}}
 	allocs := func(sql string) float64 {
 		sel, err := sqlparser.ParseSelect(sql)
 		if err != nil {
@@ -421,7 +471,7 @@ func TestCompileErrorMessages(t *testing.T) {
 // spelled getx.lim, as an SQL function's parameters are).
 func FuzzCompile(f *testing.F) {
 	cat := testCatalog(f)
-	params := map[string]types.Value{"lim": types.NewInt(1), "getx.lim": types.NewInt(1)}
+	params := []catalog.Param{getxLim[0].Param}
 	for _, sql := range lateralCorpus {
 		f.Add(sql)
 	}

@@ -300,8 +300,8 @@ func (c *compiler) inferType(e sqlparser.Expr) types.Type {
 		if idx, _ := lookupColumn(ex, c.cols); idx >= 0 {
 			return c.cols[idx].typ
 		}
-		if v, ok := c.lookupParam(ex); ok {
-			return types.TypeOf(v)
+		if i, _ := lookupColumn(ex, c.params); i >= 0 {
+			return c.params[i].typ
 		}
 		return types.Type{}
 	case *sqlparser.CastExpr:

@@ -3,6 +3,7 @@ package plan
 import (
 	"testing"
 
+	"fedwf/internal/catalog"
 	"fedwf/internal/sqlparser"
 	"fedwf/internal/types"
 )
@@ -61,8 +62,8 @@ func TestReorderIgnoresParameterQualifiers(t *testing.T) {
 	cat := testCatalog(t)
 	// A qualifier that names the enclosing function, not a correlation,
 	// must not create a dependency edge.
-	params := map[string]types.Value{"myfn.p": types.NewInt(27)}
-	tab := run(t, cat, "SELECT tw.y FROM TABLE (Twice(MyFn.p)) AS tw", params)
+	p := []arg{{catalog.Param{Corr: "MyFn", Name: "p", Type: types.Integer}, types.NewInt(27)}}
+	tab := run(t, cat, "SELECT tw.y FROM TABLE (Twice(MyFn.p)) AS tw", p)
 	if tab.Len() != 1 || tab.Rows[0][0].Int() != 54 {
 		t.Errorf("param qualifier:\n%s", tab)
 	}

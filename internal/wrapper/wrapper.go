@@ -57,7 +57,7 @@ func NewRemoteHandler(eng *engine.Engine) rpc.Handler {
 			if err != nil {
 				return nil, err
 			}
-			return eng.RunSelectContext(ctx, sel, nil, task)
+			return eng.RunSelectContext(ctx, sel, task)
 		case fnSchema:
 			if len(req.Args) != 1 {
 				return nil, fmt.Errorf("wrapper: schema expects one argument")
