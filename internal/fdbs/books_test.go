@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -180,22 +181,50 @@ func TestTimeoutInsideACallIsCounted(t *testing.T) {
 	}
 }
 
-// BenchmarkExecTraced measures the serving path's per-statement cost: one
-// GetSuppQual statement through ExecTracedContext, with every store fed
-// and the collector's probabilistic sampling off.
+// BenchmarkExecTraced measures the serving path's per-statement cost, with
+// every store fed and the collector's probabilistic sampling off: one
+// GetSuppQual statement through ExecTracedContext on the default (WfMS)
+// architecture, and, in /wfms and /udtf, each operation one of the sample
+// statements of every UDTF-expressible federated function in turn, through
+// the WfMS and the SQL I-UDTF architecture.
 func BenchmarkExecTraced(b *testing.B) {
-	srv, err := NewServer(Config{Trace: collector.Policy{SampleRate: -1}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const stmt = "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{}); err != nil {
+	run := func(b *testing.B, arch fedfunc.Arch, stmts []string) {
+		srv, err := NewServer(Config{Arch: arch, Trace: collector.Policy{SampleRate: -1}})
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := srv.ExecTracedContext(context.Background(), stmts[i%len(stmts)], obs.TraceContext{}); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	b.Run("GetSuppQual", func(b *testing.B) {
+		run(b, fedfunc.ArchWfMS, []string{"SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"})
+	})
+	b.Run("wfms", func(b *testing.B) { run(b, fedfunc.ArchWfMS, sampleStatements()) })
+	b.Run("udtf", func(b *testing.B) { run(b, fedfunc.ArchUDTF, sampleStatements()) })
+}
+
+// sampleStatements applies every UDTF-expressible federated function to
+// each of its sample argument rows, in catalog order: the Fig. 5 mix.
+func sampleStatements() []string {
+	var out []string
+	for _, spec := range fedfunc.Specs() {
+		if !spec.SupportsUDTF() {
+			continue
+		}
+		for _, args := range spec.SampleArgs {
+			lits := make([]string, len(args))
+			for i, v := range args {
+				lits[i] = v.String()
+			}
+			out = append(out, fmt.Sprintf("SELECT * FROM TABLE (%s(%s)) AS R", spec.Name, strings.Join(lits, ", ")))
+		}
+	}
+	return out
 }
 
 // BenchmarkTracedTCPStatement measures one sampled GetNoSuppComp statement

@@ -4,11 +4,12 @@ import (
 	"context"
 	"testing"
 
+	"fedwf/internal/fedfunc"
 	"fedwf/internal/obs"
 	"fedwf/internal/obs/collector"
 )
 
-// BenchmarkExecTraced's statement — one GetSuppQual call through
+// BenchmarkExecTraced/GetSuppQual's statement — one GetSuppQual call through
 // ExecTracedContext, every store fed, probabilistic sampling off —
 // allocated 190 times while each span kept its steps in a map beside an
 // order slice and grew its attribute and child slices apart. With a span's
@@ -22,24 +23,36 @@ const execTracedAllocBudget = 130
 // raceBuild is set by race_test.go on builds with the race detector.
 var raceBuild bool
 
+// The same statement through the SQL I-UDTF architecture allocated 156
+// times while each call planned the I-UDTF's body afresh, with every
+// argument in a map under two lower-cased names, and 128 once the body was
+// planned once and each call ran a copy of that plan on its argument row.
+// The budget is that count and 2 %.
+const execTracedSQLAllocBudget = 130
+
 func TestExecTracedAllocationBudget(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector adds allocations of its own")
 	}
-	srv, err := NewServer(Config{Trace: collector.Policy{SampleRate: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const stmt = "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"
-	allocs := testing.AllocsPerRun(50, func() {
-		res, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{})
-		if err != nil || res.Len() != 1 {
-			t.Fatalf("GetSuppQual statement: %v, %v", res, err)
+	for _, c := range []struct {
+		arch   fedfunc.Arch
+		budget int
+	}{{fedfunc.ArchWfMS, execTracedAllocBudget}, {fedfunc.ArchUDTF, execTracedSQLAllocBudget}} {
+		srv, err := NewServer(Config{Arch: c.arch, Trace: collector.Policy{SampleRate: -1}})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Logf("GetSuppQual statement through ExecTracedContext: %.0f allocations", allocs)
-	if allocs > execTracedAllocBudget {
-		t.Errorf("a traced GetSuppQual statement allocates %.0f times, budget %d", allocs, execTracedAllocBudget)
+		const stmt = "SELECT Q.Qual FROM TABLE (GetSuppQual('Supplier3')) AS Q"
+		allocs := testing.AllocsPerRun(50, func() {
+			res, _, err := srv.ExecTracedContext(context.Background(), stmt, obs.TraceContext{})
+			if err != nil || res.Len() != 1 {
+				t.Fatalf("%s GetSuppQual statement: %v, %v", c.arch, res, err)
+			}
+		})
+		t.Logf("%s GetSuppQual statement through ExecTracedContext: %.0f allocations", c.arch, allocs)
+		if allocs > float64(c.budget) {
+			t.Errorf("a traced %s GetSuppQual statement allocates %.0f times, budget %d", c.arch, allocs, c.budget)
+		}
 	}
 }
 
