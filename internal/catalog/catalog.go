@@ -177,9 +177,6 @@ func New() *Catalog {
 	}
 }
 
-// Store exposes the table store (used by the engine's DML executor).
-func (c *Catalog) Store() *storage.Store { return c.store }
-
 // Generation returns the catalog's generation: a plan compiled at one
 // generation resolves the same objects as long as it does not move.
 func (c *Catalog) Generation() uint64 { return c.gen.Load() }

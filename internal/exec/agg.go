@@ -96,7 +96,7 @@ func newAggState(spec AggSpec) aggState {
 	return st
 }
 
-func (st *aggState) add(spec AggSpec, row, params types.Row) error {
+func (st *aggState) add(spec *AggSpec, row, params types.Row) error {
 	if spec.Kind == AggCountStar {
 		st.count++
 		return nil
@@ -244,8 +244,8 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 			next = append(next, first)
 			head[h] = grp
 		}
-		for i, spec := range g.Aggs {
-			if err := states[int(grp)*len(g.Aggs)+i].add(spec, r, ctx.Params); err != nil {
+		for i := range g.Aggs {
+			if err := states[int(grp)*len(g.Aggs)+i].add(&g.Aggs[i], r, ctx.Params); err != nil {
 				return err
 			}
 		}

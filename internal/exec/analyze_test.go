@@ -110,7 +110,7 @@ func TestAnalyzeCacheOutcomesPerOperator(t *testing.T) {
 	// 16 outer rows over 8 distinct keys -> 8 misses, 8 hits on the scan.
 	scan := &FuncScan{
 		Fn:   &fnTableFunc{name: "F", fn: fanOut},
-		Args: []Expr{Bin{Op: "%", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(8)}}},
+		Args: []Expr{&Bin{Op: "%", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(8)}}},
 		Sch:  intSchema("y"),
 	}
 	leftOp := &Values{Sch: intSchema("l"), Rows: intRows(seqInts(16)...)}

@@ -83,7 +83,7 @@ func TestApplyBatchedMatchesPerRow(t *testing.T) {
 func TestLeftApplyBatchedMatchesPerRow(t *testing.T) {
 	left := intRows(seqInts(12)...)
 	// fanOut leaves every l%3==0 row unmatched; the filter drops more.
-	on := Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(3)}}
+	on := &Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(3)}}
 	mk := func(fn catalog.TableFunc, pol batcher.Policy) Operator {
 		return &Apply{
 			Left:  &Values{Sch: intSchema("l"), Rows: left},

@@ -147,7 +147,7 @@ func BenchmarkRunWide(b *testing.B) {
 	k := Col{Idx: 0, Name: "k"}
 	benchRun(b, &Project{
 		Child: &Filter{Child: &TableScan{Table: tab, Sch: src.Sch},
-			Pred: Bin{Op: ">=", L: k, R: Const{V: types.NewInt(0)}}},
+			Pred: &Bin{Op: ">=", L: k, R: Const{V: types.NewInt(0)}}},
 		Exprs: []Expr{k, Col{Idx: 1, Name: "v"}, Col{Idx: 2, Name: "s"}},
 		Sch:   src.Sch,
 	}, 2000)

@@ -69,7 +69,7 @@ type Unary struct {
 }
 
 // Eval implements Expr.
-func (u Unary) Eval(row, params types.Row) (types.Value, error) {
+func (u *Unary) Eval(row, params types.Row) (types.Value, error) {
 	v, err := u.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
@@ -101,7 +101,7 @@ type Bin struct {
 }
 
 // Eval implements Expr.
-func (b Bin) Eval(row, params types.Row) (types.Value, error) {
+func (b *Bin) Eval(row, params types.Row) (types.Value, error) {
 	switch b.Op {
 	case "AND", "OR":
 		return b.evalLogical(row, params)
@@ -157,7 +157,7 @@ func (b Bin) Eval(row, params types.Row) (types.Value, error) {
 }
 
 // evalLogical implements Kleene three-valued AND/OR with short circuits.
-func (b Bin) evalLogical(row, params types.Row) (types.Value, error) {
+func (b *Bin) evalLogical(row, params types.Row) (types.Value, error) {
 	l, err := b.L.Eval(row, params)
 	if err != nil {
 		return types.Null, err
@@ -215,7 +215,7 @@ type Cast struct {
 }
 
 // Eval implements Expr.
-func (c Cast) Eval(row, params types.Row) (types.Value, error) {
+func (c *Cast) Eval(row, params types.Row) (types.Value, error) {
 	v, err := c.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
@@ -254,7 +254,7 @@ type Between struct {
 }
 
 // Eval implements Expr.
-func (b Between) Eval(row, params types.Row) (types.Value, error) {
+func (b *Between) Eval(row, params types.Row) (types.Value, error) {
 	x, err := b.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
@@ -299,7 +299,7 @@ type In struct {
 }
 
 // Eval implements Expr.
-func (i In) Eval(row, params types.Row) (types.Value, error) {
+func (i *In) Eval(row, params types.Row) (types.Value, error) {
 	x, err := i.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
@@ -347,7 +347,7 @@ type Like struct {
 }
 
 // Eval implements Expr.
-func (l Like) Eval(row, params types.Row) (types.Value, error) {
+func (l *Like) Eval(row, params types.Row) (types.Value, error) {
 	x, err := l.X.Eval(row, params)
 	if err != nil {
 		return types.Null, err
@@ -414,7 +414,7 @@ type Case struct {
 }
 
 // Eval implements Expr.
-func (c Case) Eval(row, params types.Row) (types.Value, error) {
+func (c *Case) Eval(row, params types.Row) (types.Value, error) {
 	for _, w := range c.Whens {
 		v, err := w.Cond.Eval(row, params)
 		if err != nil {
@@ -458,7 +458,7 @@ type ScalarCall struct {
 }
 
 // Eval implements Expr.
-func (s ScalarCall) Eval(row, params types.Row) (types.Value, error) {
+func (s *ScalarCall) Eval(row, params types.Row) (types.Value, error) {
 	args := make([]types.Value, len(s.Args))
 	for i, a := range s.Args {
 		v, err := a.Eval(row, params)

@@ -40,7 +40,7 @@ func TestParamReadsTheBoundRow(t *testing.T) {
 	if err != nil || v.Int() != 9 {
 		t.Errorf("param = %v, %v", v, err)
 	}
-	sum := Bin{Op: "+", L: Col{Idx: 0, Name: "c"}, R: Param{Idx: 1, Name: "p"}}
+	sum := &Bin{Op: "+", L: Col{Idx: 0, Name: "c"}, R: Param{Idx: 1, Name: "p"}}
 	if v, err := sum.Eval(row, params); err != nil || v.Int() != 10 {
 		t.Errorf("c + p = %v, %v", v, err)
 	}
@@ -56,19 +56,19 @@ func TestParamReadsTheBoundRow(t *testing.T) {
 }
 
 func TestUnaryExpr(t *testing.T) {
-	if v := evalOK(t, Unary{Op: "-", X: Const{V: types.NewInt(3)}}, nil); v.Int() != -3 {
+	if v := evalOK(t, &Unary{Op: "-", X: Const{V: types.NewInt(3)}}, nil); v.Int() != -3 {
 		t.Errorf("neg = %v", v)
 	}
-	if v := evalOK(t, Unary{Op: "NOT", X: Const{V: types.NewBool(true)}}, nil); v.Bool() {
+	if v := evalOK(t, &Unary{Op: "NOT", X: Const{V: types.NewBool(true)}}, nil); v.Bool() {
 		t.Errorf("not = %v", v)
 	}
-	if v := evalOK(t, Unary{Op: "NOT", X: Const{V: types.Null}}, nil); !v.IsNull() {
+	if v := evalOK(t, &Unary{Op: "NOT", X: Const{V: types.Null}}, nil); !v.IsNull() {
 		t.Errorf("NOT NULL = %v", v)
 	}
-	if _, err := (Unary{Op: "??", X: Const{V: types.NewInt(1)}}).Eval(nil, nil); err == nil {
+	if _, err := (&Unary{Op: "??", X: Const{V: types.NewInt(1)}}).Eval(nil, nil); err == nil {
 		t.Error("unknown unary op accepted")
 	}
-	if _, err := (Unary{Op: "NOT", X: Const{V: types.NewString("zz")}}).Eval(nil, nil); err == nil {
+	if _, err := (&Unary{Op: "NOT", X: Const{V: types.NewString("zz")}}).Eval(nil, nil); err == nil {
 		t.Error("NOT on non-boolean accepted")
 	}
 }
@@ -80,7 +80,7 @@ func TestBinArithmeticAndComparison(t *testing.T) {
 		want int64
 	}{{"+", 5}, {"-", -1}, {"*", 6}, {"/", 0}, {"%", 2}}
 	for _, c := range cases {
-		v := evalOK(t, Bin{Op: c.op, L: two, R: three}, nil)
+		v := evalOK(t, &Bin{Op: c.op, L: two, R: three}, nil)
 		if v.Int() != c.want {
 			t.Errorf("2 %s 3 = %v, want %d", c.op, v, c.want)
 		}
@@ -90,24 +90,24 @@ func TestBinArithmeticAndComparison(t *testing.T) {
 		want bool
 	}{{"=", false}, {"<>", true}, {"<", true}, {"<=", true}, {">", false}, {">=", false}}
 	for _, c := range cmp {
-		v := evalOK(t, Bin{Op: c.op, L: two, R: three}, nil)
+		v := evalOK(t, &Bin{Op: c.op, L: two, R: three}, nil)
 		if v.Bool() != c.want {
 			t.Errorf("2 %s 3 = %v, want %v", c.op, v, c.want)
 		}
 	}
 	// NULL comparisons are UNKNOWN (NULL).
-	v := evalOK(t, Bin{Op: "=", L: two, R: Const{V: types.Null}}, nil)
+	v := evalOK(t, &Bin{Op: "=", L: two, R: Const{V: types.Null}}, nil)
 	if !v.IsNull() {
 		t.Errorf("2 = NULL -> %v", v)
 	}
-	v = evalOK(t, Bin{Op: "||", L: Const{V: types.NewString("a")}, R: Const{V: types.NewString("b")}}, nil)
+	v = evalOK(t, &Bin{Op: "||", L: Const{V: types.NewString("a")}, R: Const{V: types.NewString("b")}}, nil)
 	if v.Str() != "ab" {
 		t.Errorf("concat = %v", v)
 	}
-	if _, err := (Bin{Op: "??", L: two, R: three}).Eval(nil, nil); err == nil {
+	if _, err := (&Bin{Op: "??", L: two, R: three}).Eval(nil, nil); err == nil {
 		t.Error("unknown operator accepted")
 	}
-	if _, err := (Bin{Op: "=", L: two, R: Const{V: types.NewString("x")}}).Eval(nil, nil); err == nil {
+	if _, err := (&Bin{Op: "=", L: two, R: Const{V: types.NewString("x")}}).Eval(nil, nil); err == nil {
 		t.Error("incomparable operands accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestThreeValuedLogic(t *testing.T) {
 		{"OR", F, N, "N"}, {"OR", N, N, "N"},
 	}
 	for _, c := range cases {
-		v := evalOK(t, Bin{Op: c.op, L: c.l, R: c.r}, nil)
+		v := evalOK(t, &Bin{Op: c.op, L: c.l, R: c.r}, nil)
 		got := "N"
 		if !v.IsNull() {
 			if v.Bool() {
@@ -143,23 +143,23 @@ func TestThreeValuedLogic(t *testing.T) {
 	}
 	// Short-circuit: F AND err-expr must not evaluate the right side.
 	bad := Col{Idx: 99, Name: "boom"}
-	if v := evalOK(t, Bin{Op: "AND", L: F, R: bad}, types.Row{}); v.Bool() {
+	if v := evalOK(t, &Bin{Op: "AND", L: F, R: bad}, types.Row{}); v.Bool() {
 		t.Error("short-circuit AND broken")
 	}
-	if v := evalOK(t, Bin{Op: "OR", L: T, R: bad}, types.Row{}); !v.Bool() {
+	if v := evalOK(t, &Bin{Op: "OR", L: T, R: bad}, types.Row{}); !v.Bool() {
 		t.Error("short-circuit OR broken")
 	}
 	// Non-boolean operands error out.
-	if _, err := (Bin{Op: "AND", L: Const{V: types.NewString("x")}, R: T}).Eval(nil, nil); err == nil {
+	if _, err := (&Bin{Op: "AND", L: Const{V: types.NewString("x")}, R: T}).Eval(nil, nil); err == nil {
 		t.Error("AND on string accepted")
 	}
-	if _, err := (Bin{Op: "AND", L: T, R: Const{V: types.NewString("x")}}).Eval(nil, nil); err == nil {
+	if _, err := (&Bin{Op: "AND", L: T, R: Const{V: types.NewString("x")}}).Eval(nil, nil); err == nil {
 		t.Error("AND on string accepted (right)")
 	}
 }
 
 func TestCastIsNullBetween(t *testing.T) {
-	v := evalOK(t, Cast{X: Const{V: types.NewString("12")}, Type: types.Integer}, nil)
+	v := evalOK(t, &Cast{X: Const{V: types.NewString("12")}, Type: types.Integer}, nil)
 	if v.Int() != 12 {
 		t.Errorf("cast = %v", v)
 	}
@@ -170,13 +170,13 @@ func TestCastIsNullBetween(t *testing.T) {
 		t.Error("IS NOT NULL failed")
 	}
 	one, five, three := Const{V: types.NewInt(1)}, Const{V: types.NewInt(5)}, Const{V: types.NewInt(3)}
-	if v := evalOK(t, Between{X: three, Lo: one, Hi: five}, nil); !v.Bool() {
+	if v := evalOK(t, &Between{X: three, Lo: one, Hi: five}, nil); !v.Bool() {
 		t.Error("BETWEEN failed")
 	}
-	if v := evalOK(t, Between{X: three, Lo: one, Hi: five, Not: true}, nil); v.Bool() {
+	if v := evalOK(t, &Between{X: three, Lo: one, Hi: five, Not: true}, nil); v.Bool() {
 		t.Error("NOT BETWEEN failed")
 	}
-	if v := evalOK(t, Between{X: three, Lo: Const{V: types.Null}, Hi: five}, nil); !v.IsNull() {
+	if v := evalOK(t, &Between{X: three, Lo: Const{V: types.Null}, Hi: five}, nil); !v.IsNull() {
 		t.Error("BETWEEN with NULL bound must be UNKNOWN")
 	}
 }
@@ -184,20 +184,20 @@ func TestCastIsNullBetween(t *testing.T) {
 func TestInExpr(t *testing.T) {
 	x := Const{V: types.NewInt(2)}
 	list := []Expr{Const{V: types.NewInt(1)}, Const{V: types.NewInt(2)}}
-	if v := evalOK(t, In{X: x, List: list}, nil); !v.Bool() {
+	if v := evalOK(t, &In{X: x, List: list}, nil); !v.Bool() {
 		t.Error("IN failed")
 	}
-	if v := evalOK(t, In{X: x, List: list, Not: true}, nil); v.Bool() {
+	if v := evalOK(t, &In{X: x, List: list, Not: true}, nil); v.Bool() {
 		t.Error("NOT IN failed")
 	}
 	// No match but a NULL element: UNKNOWN.
 	listN := []Expr{Const{V: types.NewInt(9)}, Const{V: types.Null}}
-	if v := evalOK(t, In{X: x, List: listN}, nil); !v.IsNull() {
+	if v := evalOK(t, &In{X: x, List: listN}, nil); !v.IsNull() {
 		t.Error("IN with NULL element must be UNKNOWN when unmatched")
 	}
 	// Match despite NULL element: TRUE.
 	listM := []Expr{Const{V: types.Null}, Const{V: types.NewInt(2)}}
-	if v := evalOK(t, In{X: x, List: listM}, nil); !v.Bool() {
+	if v := evalOK(t, &In{X: x, List: listM}, nil); !v.Bool() {
 		t.Error("IN should match past NULL elements")
 	}
 }
@@ -222,18 +222,18 @@ func TestLikeExpr(t *testing.T) {
 		{"mississippi", "%ss%xx%", false},
 	}
 	for _, c := range cases {
-		v := evalOK(t, Like{X: Const{V: types.NewString(c.s)}, Pattern: Const{V: types.NewString(c.p)}}, nil)
+		v := evalOK(t, &Like{X: Const{V: types.NewString(c.s)}, Pattern: Const{V: types.NewString(c.p)}}, nil)
 		if v.Bool() != c.match {
 			t.Errorf("%q LIKE %q = %v, want %v", c.s, c.p, v.Bool(), c.match)
 		}
 	}
-	if v := evalOK(t, Like{X: Const{V: types.Null}, Pattern: Const{V: types.NewString("%")}}, nil); !v.IsNull() {
+	if v := evalOK(t, &Like{X: Const{V: types.Null}, Pattern: Const{V: types.NewString("%")}}, nil); !v.IsNull() {
 		t.Error("NULL LIKE must be UNKNOWN")
 	}
 }
 
 func TestCaseExpr(t *testing.T) {
-	c := Case{
+	c := &Case{
 		Whens: []struct{ Cond, Result Expr }{
 			{Const{V: types.NewBool(false)}, Const{V: types.NewString("a")}},
 			{Const{V: types.Null}, Const{V: types.NewString("b")}}, // UNKNOWN arm skipped
@@ -244,7 +244,7 @@ func TestCaseExpr(t *testing.T) {
 	if v := evalOK(t, c, nil); v.Str() != "c" {
 		t.Errorf("case = %v", v)
 	}
-	noMatch := Case{Whens: []struct{ Cond, Result Expr }{
+	noMatch := &Case{Whens: []struct{ Cond, Result Expr }{
 		{Const{V: types.NewBool(false)}, Const{V: types.NewString("a")}},
 	}}
 	if v := evalOK(t, noMatch, nil); !v.IsNull() {
@@ -257,7 +257,7 @@ func TestScalarCallAndLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	call := ScalarCall{Name: "UPPER", Fn: fn, Args: []Expr{Const{V: types.NewString("abc")}}}
+	call := &ScalarCall{Name: "UPPER", Fn: fn, Args: []Expr{Const{V: types.NewString("abc")}}}
 	if v := evalOK(t, call, nil); v.Str() != "ABC" {
 		t.Errorf("UPPER = %v", v)
 	}
@@ -410,16 +410,16 @@ func TestTruthy(t *testing.T) {
 
 func TestExprStrings(t *testing.T) {
 	exprs := []Expr{
-		Bin{Op: "+", L: Const{V: types.NewInt(1)}, R: Const{V: types.NewInt(2)}},
-		Unary{Op: "NOT", X: Const{V: types.NewBool(true)}},
-		Cast{X: Const{V: types.NewInt(1)}, Type: types.BigInt},
+		&Bin{Op: "+", L: Const{V: types.NewInt(1)}, R: Const{V: types.NewInt(2)}},
+		&Unary{Op: "NOT", X: Const{V: types.NewBool(true)}},
+		&Cast{X: Const{V: types.NewInt(1)}, Type: types.BigInt},
 		IsNull{X: Const{V: types.Null}},
 		IsNull{X: Const{V: types.Null}, Not: true},
-		Between{X: Const{V: types.NewInt(1)}, Lo: Const{V: types.NewInt(0)}, Hi: Const{V: types.NewInt(2)}, Not: true},
-		In{X: Const{V: types.NewInt(1)}, List: []Expr{Const{V: types.NewInt(2)}}, Not: true},
-		Like{X: Const{V: types.NewString("a")}, Pattern: Const{V: types.NewString("%")}, Not: true},
-		Case{Whens: []struct{ Cond, Result Expr }{{Const{V: types.NewBool(true)}, Const{V: types.NewInt(1)}}}, Else: Const{V: types.NewInt(0)}},
-		ScalarCall{Name: "UPPER", Args: []Expr{Const{V: types.NewString("x")}}},
+		&Between{X: Const{V: types.NewInt(1)}, Lo: Const{V: types.NewInt(0)}, Hi: Const{V: types.NewInt(2)}, Not: true},
+		&In{X: Const{V: types.NewInt(1)}, List: []Expr{Const{V: types.NewInt(2)}}, Not: true},
+		&Like{X: Const{V: types.NewString("a")}, Pattern: Const{V: types.NewString("%")}, Not: true},
+		&Case{Whens: []struct{ Cond, Result Expr }{{Const{V: types.NewBool(true)}, Const{V: types.NewInt(1)}}}, Else: Const{V: types.NewInt(0)}},
+		&ScalarCall{Name: "UPPER", Args: []Expr{Const{V: types.NewString("x")}}},
 	}
 	for _, e := range exprs {
 		if e.String() == "" {

@@ -115,7 +115,7 @@ func (m lateralMode) String() string {
 }
 
 // lateralOn keeps a joined row [k, y, ...] when y%3 <> 1.
-var lateralOn = Bin{Op: "<>", L: Bin{Op: "%", L: Col{Idx: 1, Name: "y"}, R: Const{V: types.NewInt(3)}}, R: Const{V: types.NewInt(1)}}
+var lateralOn = &Bin{Op: "<>", L: &Bin{Op: "%", L: Col{Idx: 1, Name: "y"}, R: Const{V: types.NewInt(3)}}, R: Const{V: types.NewInt(1)}}
 
 func (m lateralMode) rightWidth() int {
 	if m.shape == shapeNested {
@@ -131,8 +131,8 @@ func (m lateralMode) build(left []types.Row) Operator {
 	rightSch := intSchema("y")
 	switch m.shape {
 	case shapeFiltered:
-		right = &Filter{Child: right, Pred: Bin{Op: "=",
-			L: Bin{Op: "%", L: Col{Idx: 0, Name: "y"}, R: Const{V: types.NewInt(2)}}, R: Const{V: types.NewInt(0)}}}
+		right = &Filter{Child: right, Pred: &Bin{Op: "=",
+			L: &Bin{Op: "%", L: Col{Idx: 0, Name: "y"}, R: Const{V: types.NewInt(2)}}, R: Const{V: types.NewInt(0)}}}
 	case shapeNested:
 		rightSch = types.Schema{{Name: "y", Type: types.Integer}, {Name: "z", Type: types.Integer}}
 		g := &FuncScan{Fn: &fnTableFunc{name: "G", fn: lateralG}, Args: []Expr{Col{Idx: 1, Name: "y"}}, Sch: intSchema("z")}

@@ -731,7 +731,7 @@ func (h *HashJoin) Open(ctx *Ctx, bind types.Row) error {
 			h.Right.Close()
 			return err
 		}
-		key, null, err := h.keyHash(h.RightKeys, rr, ctx.Params)
+		key, null, err := h.keyHash(h.RightKeys, rr)
 		if err != nil {
 			h.Right.Close()
 			return err
@@ -753,10 +753,10 @@ func (h *HashJoin) Open(ctx *Ctx, bind types.Row) error {
 	return h.Left.Open(ctx, bind)
 }
 
-func (h *HashJoin) keyHash(keys []Expr, row, params types.Row) (uint64, bool, error) {
+func (h *HashJoin) keyHash(keys []Expr, row types.Row) (uint64, bool, error) {
 	var hash uint64 = 14695981039346656037
 	for _, k := range keys {
-		v, err := k.Eval(row, params)
+		v, err := k.Eval(row, h.ctx.Params)
 		if err != nil {
 			return 0, false, err
 		}
@@ -776,7 +776,7 @@ func (h *HashJoin) Next() (types.Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			key, null, err := h.keyHash(h.LeftKeys, lr, h.ctx.Params)
+			key, null, err := h.keyHash(h.LeftKeys, lr)
 			if err != nil {
 				return nil, err
 			}

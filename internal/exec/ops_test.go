@@ -87,10 +87,10 @@ func TestTableScanOperator(t *testing.T) {
 
 func TestFilterProjectLimit(t *testing.T) {
 	src := &Values{Sch: intSchema("n"), Rows: intRows(1, 2, 3, 4, 5, 6)}
-	filtered := &Filter{Child: src, Pred: Bin{Op: ">", L: Col{Idx: 0, Name: "n"}, R: Const{V: types.NewInt(2)}}}
+	filtered := &Filter{Child: src, Pred: &Bin{Op: ">", L: Col{Idx: 0, Name: "n"}, R: Const{V: types.NewInt(2)}}}
 	projected := &Project{
 		Child: filtered,
-		Exprs: []Expr{Bin{Op: "*", L: Col{Idx: 0, Name: "n"}, R: Const{V: types.NewInt(10)}}},
+		Exprs: []Expr{&Bin{Op: "*", L: Col{Idx: 0, Name: "n"}, R: Const{V: types.NewInt(10)}}},
 		Sch:   intSchema("n10"),
 	}
 	limited := &Limit{Child: projected, Count: 2, Skip: 1}
@@ -222,7 +222,7 @@ func TestFuncScanError(t *testing.T) {
 func TestLeftApplyPadsNulls(t *testing.T) {
 	left := &Values{Sch: intSchema("l"), Rows: intRows(1, 2, 3)}
 	right := &Values{Sch: intSchema("r"), Rows: intRows(10, 20)}
-	on := Bin{Op: "=", L: Bin{Op: "*", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(10)}}, R: Col{Idx: 1, Name: "r"}}
+	on := &Bin{Op: "=", L: &Bin{Op: "*", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(10)}}, R: Col{Idx: 1, Name: "r"}}
 	la := &Apply{Left: left, Right: right, On: on, Outer: true, Sch: types.Schema{
 		{Name: "l", Type: types.Integer}, {Name: "r", Type: types.Integer},
 	}}
@@ -275,7 +275,7 @@ func TestHashJoinMatchesAndSkipsNullKeys(t *testing.T) {
 		Sch: types.Schema{
 			{Name: "l", Type: types.Integer}, {Name: "r", Type: types.Integer},
 		},
-	}, Pred: Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(1)}}}
+	}, Pred: &Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(1)}}}
 	if got := runAll(t, hj2).Len(); got != 1 {
 		t.Errorf("filtered join rows = %d", got)
 	}

@@ -83,7 +83,7 @@ func TestParallelApplyMatchesSequential(t *testing.T) {
 func TestParallelApplyOuterMatchesLeftApply(t *testing.T) {
 	left := intRows(seqInts(12)...)
 	// l > 3 keeps some matched rows and NULL-pads the rest.
-	on := Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(3)}}
+	on := &Bin{Op: ">", L: Col{Idx: 0, Name: "l"}, R: Const{V: types.NewInt(3)}}
 	sch := types.Schema{{Name: "l", Type: types.Integer}, {Name: "y", Type: types.Integer}}
 	scan := func() Operator {
 		return &FuncScan{Fn: &fnTableFunc{name: "F", fn: fanOut}, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")}

@@ -29,15 +29,15 @@ func slabOperators() map[string]Operator {
 	k, v := Col{Idx: 0, Name: "k"}, Col{Idx: 1, Name: "v"}
 	four := append(pairSchema.Clone(), pairSchema...)
 	project := func() Operator {
-		return &Project{Child: src(300, 7), Exprs: []Expr{v, k, Bin{Op: "+", L: k, R: v}}, Sch: append(pairSchema.Clone(), types.Column{Name: "s", Type: types.BigInt})}
+		return &Project{Child: src(300, 7), Exprs: []Expr{v, k, &Bin{Op: "+", L: k, R: v}}, Sch: append(pairSchema.Clone(), types.Column{Name: "s", Type: types.BigInt})}
 	}
 	return map[string]Operator{
 		"Project": project(),
 		"HashJoin": &Filter{Child: &HashJoin{Left: src(60, 5), Right: src(25, 5), LeftKeys: []Expr{k}, RightKeys: []Expr{k}, Sch: four},
-			Pred: Bin{Op: "<>", L: v, R: Col{Idx: 3, Name: "rv"}}},
+			Pred: &Bin{Op: "<>", L: v, R: Col{Idx: 3, Name: "rv"}}},
 		"Apply": &Apply{Left: src(20, 5), Right: src(15, 5), Sch: four},
 		"LeftApply": &Apply{Left: src(120, 9), Right: src(12, 6), Sch: four, Outer: true,
-			On: Bin{Op: "=", L: k, R: Col{Idx: 2, Name: "rk"}}},
+			On: &Bin{Op: "=", L: k, R: Col{Idx: 2, Name: "rk"}}},
 		"Agg": &Agg{Child: src(900, 300), Groups: []Expr{k}, Aggs: []AggSpec{{Kind: AggCountStar}, {Kind: AggSum, Arg: v}},
 			Sch: append(pairSchema.Clone(), types.Column{Name: "s", Type: types.BigInt})},
 		"Sort": &Sort{Child: project(), Keys: []SortKey{{Expr: Col{Idx: 1, Name: "k"}, Desc: true}, {Expr: Col{Idx: 0, Name: "v"}}}},
@@ -99,7 +99,7 @@ func TestSlabRowsSurviveReopen(t *testing.T) {
 	var inner []types.Row
 	right := recorder{rows: &inner, Operator: &Project{
 		Child: &Values{Sch: intSchema("r"), Rows: intRows(seqInts(40)...)},
-		Exprs: []Expr{Bin{Op: "*", L: Col{Idx: 0, Name: "r"}, R: Const{V: types.NewInt(1000)}}},
+		Exprs: []Expr{&Bin{Op: "*", L: Col{Idx: 0, Name: "r"}, R: Const{V: types.NewInt(1000)}}},
 		Sch:   intSchema("p"),
 	}}
 	apply := &Apply{Left: &Values{Sch: intSchema("l"), Rows: intRows(seqInts(30)...)}, Right: right,
@@ -125,7 +125,7 @@ func TestSlabRejectedCandidatesCostNoSpace(t *testing.T) {
 	// 200 x 200 candidates, 200 matches.
 	left := &Values{Sch: intSchema("l"), Rows: intRows(seqInts(200)...)}
 	right := &Values{Sch: intSchema("r"), Rows: intRows(seqInts(200)...)}
-	join := &Apply{Left: left, Right: right, Outer: true, On: Bin{Op: "=", L: Col{Idx: 0, Name: "l"}, R: Col{Idx: 1, Name: "r"}},
+	join := &Apply{Left: left, Right: right, Outer: true, On: &Bin{Op: "=", L: Col{Idx: 0, Name: "l"}, R: Col{Idx: 1, Name: "r"}},
 		Sch: types.Schema{{Name: "l", Type: types.Integer}, {Name: "r", Type: types.Integer}}}
 	rows := runAll(t, join).Rows
 	if len(rows) != 200 {

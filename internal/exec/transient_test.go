@@ -18,13 +18,13 @@ func aggOverJoin(transient bool) *Agg {
 	join := &HashJoin{
 		Left:     &FuncScan{Fn: &fnTableFunc{name: "F", fn: lateralF(false)}, Args: []Expr{Col{Idx: 0, Name: "l"}}, Sch: intSchema("y")},
 		Right:    &Values{Sch: types.Schema{{Name: "k", Type: types.Integer}, {Name: "w", Type: types.Integer}}, Rows: right},
-		LeftKeys: []Expr{Bin{Op: "%", L: y, R: Const{V: types.NewInt(5)}}}, RightKeys: []Expr{Col{Idx: 0, Name: "k"}},
+		LeftKeys: []Expr{&Bin{Op: "%", L: y, R: Const{V: types.NewInt(5)}}}, RightKeys: []Expr{Col{Idx: 0, Name: "k"}},
 		Sch:       types.Schema{{Name: "y", Type: types.Integer}, {Name: "k", Type: types.Integer}, {Name: "w", Type: types.Integer}},
 		Transient: transient,
 	}
 	return &Agg{
 		Child:  join,
-		Groups: []Expr{Bin{Op: "%", L: y, R: Const{V: types.NewInt(3)}}},
+		Groups: []Expr{&Bin{Op: "%", L: y, R: Const{V: types.NewInt(3)}}},
 		Aggs:   []AggSpec{{Kind: AggCountStar}, {Kind: AggSum, Arg: w}, {Kind: AggMax, Arg: y}},
 		Sch: types.Schema{{Name: "g", Type: types.Integer}, {Name: "c", Type: types.BigInt},
 			{Name: "s", Type: types.BigInt}, {Name: "m", Type: types.Integer}},

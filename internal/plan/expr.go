@@ -62,7 +62,7 @@ func (c *compiler) compile(e sqlparser.Expr, offset int, env *aggEnv) (exec.Expr
 		if err != nil {
 			return nil, err
 		}
-		return exec.Unary{Op: ex.Op, X: x}, nil
+		return &exec.Unary{Op: ex.Op, X: x}, nil
 
 	case *sqlparser.BinaryExpr:
 		l, err := c.compile(ex.L, offset, env)
@@ -73,7 +73,7 @@ func (c *compiler) compile(e sqlparser.Expr, offset int, env *aggEnv) (exec.Expr
 		if err != nil {
 			return nil, err
 		}
-		return exec.Bin{Op: ex.Op, L: l, R: r}, nil
+		return &exec.Bin{Op: ex.Op, L: l, R: r}, nil
 
 	case *sqlparser.IsNull:
 		x, err := c.compile(ex.X, offset, env)
@@ -95,7 +95,7 @@ func (c *compiler) compile(e sqlparser.Expr, offset int, env *aggEnv) (exec.Expr
 		if err != nil {
 			return nil, err
 		}
-		return exec.Between{X: x, Lo: lo, Hi: hi, Not: ex.Not}, nil
+		return &exec.Between{X: x, Lo: lo, Hi: hi, Not: ex.Not}, nil
 
 	case *sqlparser.InList:
 		x, err := c.compile(ex.X, offset, env)
@@ -108,7 +108,7 @@ func (c *compiler) compile(e sqlparser.Expr, offset int, env *aggEnv) (exec.Expr
 				return nil, err
 			}
 		}
-		return exec.In{X: x, List: list, Not: ex.Not}, nil
+		return &exec.In{X: x, List: list, Not: ex.Not}, nil
 
 	case *sqlparser.Like:
 		x, err := c.compile(ex.X, offset, env)
@@ -119,17 +119,17 @@ func (c *compiler) compile(e sqlparser.Expr, offset int, env *aggEnv) (exec.Expr
 		if err != nil {
 			return nil, err
 		}
-		return exec.Like{X: x, Pattern: p, Not: ex.Not}, nil
+		return &exec.Like{X: x, Pattern: p, Not: ex.Not}, nil
 
 	case *sqlparser.CastExpr:
 		x, err := c.compile(ex.X, offset, env)
 		if err != nil {
 			return nil, err
 		}
-		return exec.Cast{X: x, Type: ex.Type}, nil
+		return &exec.Cast{X: x, Type: ex.Type}, nil
 
 	case *sqlparser.CaseExpr:
-		out := exec.Case{}
+		out := &exec.Case{}
 		for _, w := range ex.Whens {
 			cond, err := c.compile(w.Cond, offset, env)
 			if err != nil {
@@ -171,7 +171,7 @@ func (c *compiler) compile(e sqlparser.Expr, offset int, env *aggEnv) (exec.Expr
 				return nil, err
 			}
 		}
-		return exec.ScalarCall{Name: strings.ToUpper(ex.Name), Fn: fn, Args: args}, nil
+		return &exec.ScalarCall{Name: strings.ToUpper(ex.Name), Fn: fn, Args: args}, nil
 
 	default:
 		return nil, fmt.Errorf("plan: unsupported expression %T", e)
