@@ -91,7 +91,7 @@ func (u *Unary) Eval(row, params types.Row) (types.Value, error) {
 	}
 }
 
-func (u Unary) String() string { return "(" + u.Op + " " + u.X.String() + ")" }
+func (u *Unary) String() string { return "(" + u.Op + " " + u.X.String() + ")" }
 
 // Bin applies an infix operator with SQL three-valued logic for booleans
 // and NULL propagation for arithmetic and comparisons.
@@ -206,7 +206,7 @@ func (b *Bin) evalLogical(row, params types.Row) (types.Value, error) {
 	}
 }
 
-func (b Bin) String() string { return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")" }
+func (b *Bin) String() string { return "(" + b.L.String() + " " + b.Op + " " + b.R.String() + ")" }
 
 // Cast converts to a target type.
 type Cast struct {
@@ -223,7 +223,7 @@ func (c *Cast) Eval(row, params types.Row) (types.Value, error) {
 	return types.Cast(v, c.Type)
 }
 
-func (c Cast) String() string { return "CAST(" + c.X.String() + " AS " + c.Type.String() + ")" }
+func (c *Cast) String() string { return "CAST(" + c.X.String() + " AS " + c.Type.String() + ")" }
 
 // IsNull tests for SQL NULL.
 type IsNull struct {
@@ -282,7 +282,7 @@ func (b *Between) Eval(row, params types.Row) (types.Value, error) {
 	return types.NewBool(in != b.Not), nil
 }
 
-func (b Between) String() string {
+func (b *Between) String() string {
 	not := ""
 	if b.Not {
 		not = "NOT "
@@ -328,7 +328,7 @@ func (i *In) Eval(row, params types.Row) (types.Value, error) {
 	return types.NewBool(i.Not), nil
 }
 
-func (i In) String() string {
+func (i *In) String() string {
 	parts := make([]string, len(i.List))
 	for j, e := range i.List {
 		parts[j] = e.String()
@@ -370,7 +370,7 @@ func (l *Like) Eval(row, params types.Row) (types.Value, error) {
 	return types.NewBool(likeMatch(xs, ps) != l.Not), nil
 }
 
-func (l Like) String() string {
+func (l *Like) String() string {
 	not := ""
 	if l.Not {
 		not = "NOT "
@@ -437,7 +437,7 @@ func (c *Case) Eval(row, params types.Row) (types.Value, error) {
 	return types.Null, nil
 }
 
-func (c Case) String() string {
+func (c *Case) String() string {
 	var b strings.Builder
 	b.WriteString("CASE")
 	for _, w := range c.Whens {
@@ -470,7 +470,7 @@ func (s *ScalarCall) Eval(row, params types.Row) (types.Value, error) {
 	return s.Fn(args)
 }
 
-func (s ScalarCall) String() string {
+func (s *ScalarCall) String() string {
 	parts := make([]string, len(s.Args))
 	for i, a := range s.Args {
 		parts[i] = a.String()

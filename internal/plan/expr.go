@@ -201,7 +201,6 @@ func lookupColumn(ref *sqlparser.ColumnRef, cols []scopeCol) (idx, n int) {
 	return idx, n
 }
 
-
 // ------------------------------------------------------------- analysis
 
 // splitConjuncts flattens a predicate into AND-connected conjuncts.
