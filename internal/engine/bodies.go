@@ -39,16 +39,9 @@ func (c *bodyCache) plan(cat *catalog.Catalog, b *catalog.Body, opts plan.Option
 	// Read the generation before planning: a change made during planning
 	// moves it, so the plan is kept under a generation already past.
 	gen := cat.Generation()
-	c.mu.RLock()
-	if ps := c.plans[b]; ps != nil && c.gen == gen {
-		for i, op := range ps.ops {
-			if op != nil && ps.opts[i] == opts {
-				c.mu.RUnlock()
-				return op.Clone(), nil
-			}
-		}
+	if op := c.kept(b, opts, gen); op != nil {
+		return op.Clone(), nil
 	}
-	c.mu.RUnlock()
 	op, err := plan.CompileSelectOpts(cat, b.Select, b.Params, opts)
 	if err != nil {
 		return nil, err
@@ -76,4 +69,18 @@ func (c *bodyCache) plan(cat *catalog.Catalog, b *catalog.Body, opts plan.Option
 		ps.opts[i], ps.ops[i] = opts, op
 	}
 	return op.Clone(), nil
+}
+
+// kept returns the plan kept for b under opts at generation gen, or nil.
+func (c *bodyCache) kept(b *catalog.Body, opts plan.Options, gen uint64) exec.Operator {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	if ps := c.plans[b]; ps != nil && c.gen == gen {
+		for i, op := range ps.ops {
+			if op != nil && ps.opts[i] == opts {
+				return op
+			}
+		}
+	}
+	return nil
 }

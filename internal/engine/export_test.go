@@ -33,17 +33,7 @@ func sqlBody(s *Session, name string) *catalog.Body {
 // KeptBodyPlan returns the plan the engine keeps for the SQL function
 // name's body under s's planner options, or nil when it keeps none.
 func KeptBodyPlan(s *Session, name string) exec.Operator {
-	b, c := sqlBody(s, name), &s.eng.bodies
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if ps := c.plans[b]; ps != nil && c.gen == s.eng.cat.Generation() {
-		for i, op := range ps.ops {
-			if op != nil && ps.opts[i] == s.opts {
-				return op
-			}
-		}
-	}
-	return nil
+	return s.eng.bodies.kept(sqlBody(s, name), s.opts, s.eng.cat.Generation())
 }
 
 // ExplainBody renders the plan a call of the SQL function name runs in
