@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"slices"
 	"sync"
 
 	"fedwf/internal/catalog"
@@ -9,28 +8,25 @@ import (
 	"fedwf/internal/plan"
 )
 
-// bodyPlanSlots is how many planner option sets a body keeps a plan for.
-// A new set takes the slot of the oldest, so a session that cycles SET
-// BATCH_SIZE through many values keeps the cache at this size per body.
-const bodyPlanSlots = 4
-
-// bodyCache keeps the plan of each function body the engine has planned,
-// per planner options, for one catalog generation: the plan-once rule of
-// DESIGN Sect. 5. The kept plans are never opened; a call runs a Clone,
-// which shares their plan-time fields and has iteration state of its own.
-// Plans are kept only for bodies — no statement text is keyed — and a
-// generation change drops every one of them.
+// bodyCache keeps one plan of each function body the engine has planned,
+// under the planner options it was last planned with, for one catalog
+// generation: the plan-once rule of DESIGN Sect. 5. A call under other
+// options plans the body again and its plan replaces the kept one, so a
+// session that cycles SET BATCH_SIZE keeps one plan per body. The kept
+// plans are never opened; a call runs a Clone, which shares their
+// plan-time fields and has iteration state of its own. Plans are kept only
+// for bodies of functions in the catalog — no statement text is keyed —
+// and a generation change drops every one of them.
 type bodyCache struct {
 	mu    sync.RWMutex
 	gen   uint64
-	plans map[*catalog.Body]*bodyPlans
+	plans map[*catalog.Body]bodyPlan
 }
 
-// bodyPlans holds one body's plans, in the order their option sets came.
-type bodyPlans struct {
-	opts [bodyPlanSlots]plan.Options
-	ops  [bodyPlanSlots]exec.Operator
-	next int // the oldest slot, once all are taken
+// bodyPlan is a body's kept plan and the options it was planned with.
+type bodyPlan struct {
+	opts plan.Options
+	op   exec.Operator
 }
 
 // plan returns a fresh copy of b's plan under opts, planning b first
@@ -46,41 +42,29 @@ func (c *bodyCache) plan(cat *catalog.Catalog, b *catalog.Body, opts plan.Option
 	if err != nil {
 		return nil, err
 	}
+	c.keep(b, opts, gen, op)
+	return op.Clone(), nil
+}
+
+// keep makes op, planned under opts at generation gen, b's kept plan. A
+// plan of a generation already past is not kept.
+func (c *bodyCache) keep(b *catalog.Body, opts plan.Options, gen uint64, op exec.Operator) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if gen > c.gen || c.plans == nil {
-		c.gen, c.plans = gen, make(map[*catalog.Body]*bodyPlans)
+		c.gen, c.plans = gen, make(map[*catalog.Body]bodyPlan)
 	}
 	if gen == c.gen {
-		ps := c.plans[b]
-		if ps == nil {
-			ps = &bodyPlans{}
-			c.plans[b] = ps
-		}
-		i := slices.IndexFunc(ps.ops[:], func(o exec.Operator) bool { return o == nil })
-		for j, o := range ps.opts {
-			if ps.ops[j] != nil && o == opts { // planned concurrently
-				i = j
-			}
-		}
-		if i < 0 { // every slot taken: the oldest goes
-			i, ps.next = ps.next, (ps.next+1)%bodyPlanSlots
-		}
-		ps.opts[i], ps.ops[i] = opts, op
+		c.plans[b] = bodyPlan{opts, op}
 	}
-	return op.Clone(), nil
 }
 
 // kept returns the plan kept for b under opts at generation gen, or nil.
 func (c *bodyCache) kept(b *catalog.Body, opts plan.Options, gen uint64) exec.Operator {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if ps := c.plans[b]; ps != nil && c.gen == gen {
-		for i, op := range ps.ops {
-			if op != nil && ps.opts[i] == opts {
-				return op
-			}
-		}
+	if p, ok := c.plans[b]; ok && c.gen == gen && p.opts == opts {
+		return p.op
 	}
 	return nil
 }

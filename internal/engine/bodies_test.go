@@ -179,13 +179,14 @@ func TestBodyPlanOncePerLateralStatement(t *testing.T) {
 	if got := KeptBodyPlan(s, "F"); got != kept {
 		t.Error("the lateral statement planned the body again")
 	}
-	if bodies, plans := BodyCacheSize(s.Engine()); bodies != 1 || plans != 1 {
-		t.Errorf("cache keeps %d plans of %d bodies, want 1 of 1", plans, bodies)
+	if n := BodyCacheSize(s.Engine()); n != 1 {
+		t.Errorf("cache keeps %d plans, want 1", n)
 	}
 }
 
 // TestBodyPlanCacheBoundedUnderBatchSizeCycling: a session that cycles SET
-// BATCH_SIZE through 2..200 leaves at most four plans of the body.
+// BATCH_SIZE through 2..200 leaves one plan of the body, the one its
+// latest options compile to.
 func TestBodyPlanCacheBoundedUnderBatchSizeCycling(t *testing.T) {
 	eng := sharedFixture(t)
 	s := eng.NewSession()
@@ -194,7 +195,31 @@ func TestBodyPlanCacheBoundedUnderBatchSizeCycling(t *testing.T) {
 		s.MustExecContext(ctx, fmt.Sprintf("SET BATCH_SIZE %d", n))
 		queryRows(t, s, sharedQuery)
 	}
-	if bodies, plans := BodyCacheSize(eng); bodies != 1 || plans > 4 {
-		t.Errorf("cache keeps %d plans of %d bodies, want at most 4 of 1", plans, bodies)
+	if n := BodyCacheSize(eng); n != 1 {
+		t.Errorf("cache keeps %d plans, want 1", n)
+	}
+	if KeptBodyPlan(s, "F") == nil {
+		t.Error("no plan kept under the session's last options")
+	}
+}
+
+// TestBodyPlanCacheBoundedUnderFailingCreate: a CREATE FUNCTION that
+// fails — its name is taken, or its body does not compile — keeps no plan,
+// so a client repeating one does not grow the cache.
+func TestBodyPlanCacheBoundedUnderFailingCreate(t *testing.T) {
+	eng := sharedFixture(t)
+	s := eng.NewSession()
+	for _, sql := range []string{
+		"CREATE FUNCTION F (P INT) RETURNS TABLE (Y INT) LANGUAGE SQL RETURN SELECT d.X FROM driver d WHERE d.X = F.P",
+		"CREATE FUNCTION G (P INT) RETURNS TABLE (Y INT) LANGUAGE SQL RETURN SELECT d.Nope FROM driver d",
+	} {
+		for i := 0; i < 50; i++ {
+			if _, err := s.ExecContext(context.Background(), sql); err == nil {
+				t.Fatalf("%s: no error", sql)
+			}
+		}
+	}
+	if n := BodyCacheSize(eng); n != 1 {
+		t.Errorf("cache keeps %d plans, want 1 (F's)", n)
 	}
 }

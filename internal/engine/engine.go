@@ -770,13 +770,17 @@ func (s *Session) execCreateFunction(st *sqlparser.CreateFunction) (*Result, err
 		fn := catalog.NewSQLFunc(st.Name, params, st.Returns.Clone(), st.Body)
 		// Validate the body now (DB2 validates at creation time): its first
 		// plan surfaces unknown columns, functions, or unsupported
-		// constructs, and is the plan the function's calls start from.
-		if _, err := s.eng.bodies.plan(s.eng.cat, fn.Body, s.opts); err != nil {
+		// constructs, and once the function is registered it is the plan
+		// the function's calls start from.
+		gen := s.eng.cat.Generation()
+		op, err := plan.CompileSelectOpts(s.eng.cat, fn.Body.Select, fn.Body.Params, s.opts)
+		if err != nil {
 			return nil, fmt.Errorf("engine: body of %s does not compile: %w", st.Name, err)
 		}
 		if err := s.eng.cat.RegisterFunc(fn); err != nil {
 			return nil, err
 		}
+		s.eng.bodies.keep(fn.Body, s.opts, gen, op)
 	case "EXTERNAL":
 		s.eng.mu.RLock()
 		impl, ok := s.eng.externals[strings.ToLower(st.ExternalName)]

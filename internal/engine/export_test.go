@@ -6,19 +6,12 @@ import (
 	"fedwf/internal/plan"
 )
 
-// BodyCacheSize returns how many bodies and plans e's body cache keeps.
-func BodyCacheSize(e *Engine) (bodies, plans int) {
+// BodyCacheSize returns how many body plans e's body cache keeps.
+func BodyCacheSize(e *Engine) int {
 	c := &e.bodies
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, ps := range c.plans {
-		for _, op := range ps.ops {
-			if op != nil {
-				plans++
-			}
-		}
-	}
-	return len(c.plans), plans
+	return len(c.plans)
 }
 
 // sqlBody returns the body of the SQL function name in s's catalog.

@@ -462,8 +462,8 @@ func (c *compiler) pushToRemote(e sqlparser.Expr) bool {
 	walkRefs(e, func(ref *sqlparser.ColumnRef) {
 		idx, _ := lookupColumn(ref, c.cols)
 		if idx < 0 {
-			// Parameter references are constants; they stay pushable only
-			// when we can inline them, which the rewrite below does not do.
+			// A parameter is a column of the bound row, which the remote
+			// query cannot see, so a conjunct that reads one stays local.
 			local = false
 			return
 		}
