@@ -35,11 +35,14 @@ type Function struct {
 	Params      []types.Column
 	Returns     types.Schema
 	ServiceTime time.Duration // simulated execution time per call
-	// Impl answers a fresh table, which CallContext then owns: it takes
-	// the declared Returns schema, and a row some cast changes is replaced
-	// by a cast copy. args may be the caller's slice (it is copied only
-	// when a cast changes a value), so Impl must not write into it.
-	Impl func(sys *System, args []types.Value) (*types.Table, error)
+	// Impl appends the rows of one call's answer to rows and returns the
+	// extended slice. It carves each row it appends from slab, which is nil
+	// on a per-row call (see types.Slab), and writes into no row it did not
+	// append. The call gives the answer the declared Returns schema, and a
+	// row some cast changes is replaced by a cast copy. args may be the
+	// caller's slice (it is copied only when a cast changes a value), so
+	// Impl must not write into it.
+	Impl func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error)
 	// Single declares that the function answers at most one row per call;
 	// a call that answers more fails.
 	Single bool
@@ -98,9 +101,57 @@ func (s *System) Functions() []string {
 // first, arguments are cast to the declared parameter types, the service
 // time is charged to the task, and the result is coerced to the declared
 // return schema, which it shares: no consumer writes to a result's schema.
-func (s *System) CallContext(ctx context.Context, task *simlat.Task, name string, args []types.Value) (out *types.Table, err error) {
-	if err := resil.Check(ctx, task); err != nil {
+func (s *System) CallContext(ctx context.Context, task *simlat.Task, name string, args []types.Value) (*types.Table, error) {
+	rows, f, err := s.call(ctx, task, name, args, nil, nil)
+	if err != nil {
 		return nil, err
+	}
+	return &types.Table{Schema: f.Returns, Rows: rows[:len(rows):len(rows)]}, nil
+}
+
+// CallBatchContext invokes a local function once per argument row under a
+// single batch span. Batching amortizes the wire and workflow overheads
+// upstream; the per-row service time is intrinsic to the function and is
+// still charged for every row. The batch's answers share one slab, one row
+// slice and one slice of headers; each answer's rows are capped, so an
+// append by its caller copies instead of writing into the next answer.
+func (s *System) CallBatchContext(ctx context.Context, task *simlat.Task, name string, argRows [][]types.Value) (out []*types.Table, err error) {
+	sp := obs.StartSpan(task, "appsys.call.batch",
+		obs.Attr{Key: "system", Value: s.name}, obs.Attr{Key: "fn", Value: name},
+		obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(argRows))})
+	defer func() {
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+		}
+		sp.End(task)
+	}()
+	var slab types.Slab
+	if f, ferr := s.Function(name); ferr == nil && f.Single {
+		// Every call answers at most one row: the batch's cells are one chunk.
+		slab.Reserve(len(argRows) * len(f.Returns))
+	}
+	rows := make([]types.Row, 0, len(argRows))
+	tabs := make([]types.Table, len(argRows))
+	out = make([]*types.Table, len(argRows))
+	for i, args := range argRows {
+		start := len(rows)
+		var f *Function
+		if rows, f, err = s.call(ctx, task, name, args, &slab, rows); err != nil {
+			return nil, err
+		}
+		tabs[i] = types.Table{Schema: f.Returns, Rows: rows[start:len(rows):len(rows)]}
+		out[i] = &tabs[i]
+	}
+	return out, nil
+}
+
+// call is the one body of CallContext and CallBatchContext: it runs one
+// call of the named function under its own span, appends the answer's
+// rows, conformed to the declared schema, to rows, and returns them with
+// the function.
+func (s *System) call(ctx context.Context, task *simlat.Task, name string, args []types.Value, slab *types.Slab, rows []types.Row) (_ []types.Row, f *Function, err error) {
+	if err := resil.Check(ctx, task); err != nil {
+		return nil, nil, err
 	}
 	sp := obs.StartSpan(task, "appsys.call",
 		obs.Attr{Key: "system", Value: s.name}, obs.Attr{Key: "fn", Value: name})
@@ -110,57 +161,30 @@ func (s *System) CallContext(ctx context.Context, task *simlat.Task, name string
 		}
 		sp.End(task)
 	}()
-	f, err := s.Function(name)
-	if err != nil {
-		return nil, err
+	if f, err = s.Function(name); err != nil {
+		return nil, nil, err
 	}
 	if len(args) != len(f.Params) {
-		return nil, fmt.Errorf("appsys: %s.%s expects %d arguments, got %d", s.name, f.Name, len(f.Params), len(args))
+		return nil, nil, fmt.Errorf("appsys: %s.%s expects %d arguments, got %d", s.name, f.Name, len(f.Params), len(args))
 	}
 	cast, at, err := types.ConformArgs(args, f.Params)
 	if err != nil {
-		return nil, fmt.Errorf("appsys: %s.%s parameter %s: %w", s.name, f.Name, f.Params[at].Name, err)
+		return nil, nil, fmt.Errorf("appsys: %s.%s parameter %s: %w", s.name, f.Name, f.Params[at].Name, err)
 	}
 	task.Spend(f.ServiceTime)
-	res, err := f.Impl(s, cast)
-	if err != nil {
-		return nil, fmt.Errorf("appsys: %s.%s: %w", s.name, f.Name, err)
+	start := len(rows)
+	if rows, err = f.Impl(s, slab, rows, cast); err != nil {
+		return nil, nil, fmt.Errorf("appsys: %s.%s: %w", s.name, f.Name, err)
 	}
-	if f.Single && res.Len() > 1 {
-		return nil, fmt.Errorf("appsys: %s.%s answered %d rows but is declared single-row", s.name, f.Name, res.Len())
+	if n := len(rows) - start; f.Single && n > 1 {
+		return nil, nil, fmt.Errorf("appsys: %s.%s answered %d rows but is declared single-row", s.name, f.Name, n)
 	}
-	res.Schema = f.Returns
-	for i, r := range res.Rows {
-		if res.Rows[i], err = types.ConformRow(r, f.Returns); err != nil {
-			return nil, fmt.Errorf("appsys: %s.%s result: %w", s.name, f.Name, err)
+	for i := start; i < len(rows); i++ {
+		if rows[i], err = types.ConformRow(rows[i], f.Returns); err != nil {
+			return nil, nil, fmt.Errorf("appsys: %s.%s result: %w", s.name, f.Name, err)
 		}
 	}
-	return res, nil
-}
-
-// CallBatchContext invokes a local function once per argument row under a
-// single batch span. Batching amortizes the wire and workflow overheads
-// upstream; the per-row service time is intrinsic to the function and is
-// still charged for every row.
-func (s *System) CallBatchContext(ctx context.Context, task *simlat.Task, name string, rows [][]types.Value) (out []*types.Table, err error) {
-	sp := obs.StartSpan(task, "appsys.call.batch",
-		obs.Attr{Key: "system", Value: s.name}, obs.Attr{Key: "fn", Value: name},
-		obs.Attr{Key: "batch_size", Value: strconv.Itoa(len(rows))})
-	defer func() {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End(task)
-	}()
-	out = make([]*types.Table, len(rows))
-	for i, args := range rows {
-		res, err := s.CallContext(ctx, task, name, args)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = res
-	}
-	return out, nil
+	return rows, f, nil
 }
 
 // Registry is the set of reachable application systems.

@@ -2,6 +2,7 @@ package appsys
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"fedwf/internal/rpc"
@@ -179,10 +180,8 @@ func TestCallValidation(t *testing.T) {
 // fails its call instead of feeding a process fork it would corrupt.
 func TestSingleIsChecked(t *testing.T) {
 	sys := NewSystem("s")
-	two := func(*System, []types.Value) (*types.Table, error) {
-		out := types.NewTable(types.Schema{{Name: "N", Type: types.Integer}})
-		out.Rows = append(out.Rows, types.Row{types.NewInt(1)}, types.Row{types.NewInt(2)})
-		return out, nil
+	two := func(_ *System, slab *types.Slab, rows []types.Row, _ []types.Value) ([]types.Row, error) {
+		return appendRow(slab, appendRow(slab, rows, types.NewInt(1)), types.NewInt(2)), nil
 	}
 	for _, f := range []*Function{
 		{Name: "Many", Returns: types.Schema{{Name: "N", Type: types.Integer}}, Impl: two},
@@ -214,8 +213,8 @@ func TestResolve(t *testing.T) {
 	if err := dup.Register(&Function{
 		Name:    "GetGrade",
 		Returns: types.Schema{{Name: "X", Type: types.Integer}},
-		Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-			return types.NewTable(types.Schema{{Name: "X", Type: types.Integer}}), nil
+		Impl: func(_ *System, _ *types.Slab, rows []types.Row, _ []types.Value) ([]types.Row, error) {
+			return rows, nil
 		},
 	}); err != nil {
 		t.Fatal(err)
@@ -266,8 +265,8 @@ func TestRegistryDuplicates(t *testing.T) {
 	}
 	sys := NewSystem("b")
 	f := &Function{Name: "f", Returns: types.Schema{{Name: "X", Type: types.Integer}},
-		Impl: func(*System, []types.Value) (*types.Table, error) {
-			return types.NewTable(types.Schema{{Name: "X", Type: types.Integer}}), nil
+		Impl: func(_ *System, _ *types.Slab, rows []types.Row, _ []types.Value) ([]types.Row, error) {
+			return rows, nil
 		}}
 	if err := sys.Register(f); err != nil {
 		t.Fatal(err)
@@ -287,8 +286,8 @@ func TestAnswerCastOnlyWhereNeeded(t *testing.T) {
 	needsCast := types.Row{types.NewInt(2), types.NewString("abcdef")}
 	sys := NewSystem("s")
 	if err := sys.Register(&Function{Name: "Mixed", Returns: returns,
-		Impl: func(*System, []types.Value) (*types.Table, error) {
-			return &types.Table{Rows: []types.Row{exact, needsCast}}, nil
+		Impl: func(_ *System, _ *types.Slab, rows []types.Row, _ []types.Value) ([]types.Row, error) {
+			return append(rows, exact, needsCast), nil
 		}}); err != nil {
 		t.Fatal(err)
 	}
@@ -317,8 +316,8 @@ func TestCallLeavesArgumentsUntouched(t *testing.T) {
 	if err := sys.Register(&Function{Name: "Echo",
 		Params:  []types.Column{{Name: "X", Type: types.Double}},
 		Returns: types.Schema{{Name: "X", Type: types.Double}},
-		Impl: func(_ *System, args []types.Value) (*types.Table, error) {
-			return &types.Table{Rows: []types.Row{{args[0]}}}, nil
+		Impl: func(_ *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+			return appendRow(slab, rows, args[0]), nil
 		}}); err != nil {
 		t.Fatal(err)
 	}
@@ -335,18 +334,164 @@ func TestCallLeavesArgumentsUntouched(t *testing.T) {
 	}
 }
 
-// BenchmarkCallBatch measures one batch of eight GetQuality rows: the
-// argument casts, the lookups and the answer casts of a chunk.
-func BenchmarkCallBatch(b *testing.B) {
-	reg := MustBuildScenario()
-	rows := make([][]types.Value, 8)
-	for i := range rows {
-		rows[i] = []types.Value{types.NewInt(int64(i + 1))}
+// independent checks that the answers of one chunk share nothing a caller
+// could write through: appending a row to one answer, or a cell to one of
+// its rows, leaves every other answer as it was.
+func independent(t *testing.T, tabs []*types.Table) {
+	t.Helper()
+	want := make([]string, len(tabs))
+	for i, tab := range tabs {
+		want[i] = tab.String()
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := reg.CallBatchContext(context.Background(), simlat.Free(), StockKeeping, "GetQuality", rows); err != nil {
-			b.Fatal(err)
+	for i, tab := range tabs {
+		_ = append(tab.Rows, types.Row{types.NewString("appended")})
+		for _, r := range tab.Rows {
+			_ = append(r, types.NewString("appended"))
+		}
+		for j, other := range tabs {
+			if got := other.String(); got != want[j] {
+				t.Fatalf("appending to answer %d changed answer %d:\n%s\nwas:\n%s", i, j, got, want[j])
+			}
+		}
+	}
+}
+
+func ints(vs ...int64) [][]types.Value {
+	out := make([][]types.Value, len(vs))
+	for i, v := range vs {
+		out[i] = []types.Value{types.NewInt(v)}
+	}
+	return out
+}
+
+func strs(vs ...string) [][]types.Value {
+	out := make([][]types.Value, len(vs))
+	for i, v := range vs {
+		out[i] = []types.Value{types.NewString(v)}
+	}
+	return out
+}
+
+// TestCallBatchMatchesPerRowCalls: for every function of the scenario, a
+// batch answers what a CallContext per row answers, with keys that hit no
+// row, one row and several rows, and a key asked twice in one chunk; and
+// the batch's answers, which share one slab and one row slice, are
+// independent of each other.
+func TestCallBatchMatchesPerRowCalls(t *testing.T) {
+	reg := MustBuildScenario()
+	pair := func(a, b int64) []types.Value { return []types.Value{types.NewInt(a), types.NewInt(b)} }
+	for fn, rows := range map[string][][]types.Value{
+		"GetQuality":           ints(3, 99, 3, 1234, 7),
+		"GetReliability":       ints(1, 0, 1, 10, 2),
+		"GetSupplierNo":        strs("Supplier3", "nobody", "MegaParts", "Supplier3"),
+		"GetCompNo":            strs("washer", "none", "washer", "Comp17"),
+		"GetSubCompNo":         ints(5, 24, 5, 1, 12, 0), // bom: 2, 0, 2, 2, 1 and 0 rows
+		"GetNumber":            {pair(1, 2), pair(1, 3), pair(1234, 2), pair(1, 2)},
+		"GetCompSupp4Discount": ints(25, 100, 0, 25),
+		"GetGrade":             {pair(50, 70), pair(90, 90), pair(50, 70)},
+		"DecidePurchase":       {pair(60, 3), pair(59, 3), pair(80, 99)},
+		"GetNextCompName":      ints(0, 23, 24, 0, -1),
+	} {
+		sys, _, err := reg.Resolve(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := sys.CallBatchContext(context.Background(), simlat.Free(), fn, rows)
+		if err != nil || len(batch) != len(rows) {
+			t.Fatalf("%s batch: %d answers, %v", fn, len(batch), err)
+		}
+		several := false
+		for i, args := range rows {
+			one, err := sys.CallContext(context.Background(), simlat.Free(), fn, args)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := batch[i].String(), one.String(); got != want {
+				t.Errorf("%s%v: batch answered\n%s\nper row\n%s", fn, args, got, want)
+			}
+			several = several || one.Len() > 1
+		}
+		if fn == "GetSubCompNo" && !several {
+			t.Fatalf("no GetSubCompNo key answers several rows")
+		}
+		independent(t, batch)
+	}
+}
+
+// TestSingleFailsTheBatch: a Single function that answers two rows for one
+// argument row in the middle of a chunk fails the whole batch.
+func TestSingleFailsTheBatch(t *testing.T) {
+	sys := NewSystem("s")
+	if err := sys.Register(&Function{Name: "Echo", Single: true,
+		Params:  []types.Column{{Name: "X", Type: types.Integer}},
+		Returns: types.Schema{{Name: "X", Type: types.Integer}},
+		Impl: func(_ *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+			rows = appendRow(slab, rows, args[0])
+			if args[0].Int() == 2 {
+				rows = appendRow(slab, rows, args[0])
+			}
+			return rows, nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := sys.CallBatchContext(context.Background(), simlat.Free(), "Echo", ints(1, 2, 3))
+	if err == nil || out != nil || !strings.Contains(err.Error(), "declared single-row") {
+		t.Fatalf("batch with a two-row answer mid-chunk: %v, %v", out, err)
+	}
+	if out, err := sys.CallBatchContext(context.Background(), simlat.Free(), "Echo", ints(1, 3)); err != nil || len(out) != 2 {
+		t.Fatalf("batch of one-row answers: %v, %v", out, err)
+	}
+}
+
+// A batch of eight GetQuality rows allocated 25 times while every call
+// made its own lookup snapshot, cells and header (3 a row, and the answer
+// slice). One slab, one row slice, one header slice and the answer slice
+// for the chunk bring it to 5. The budget is that count.
+const callBatchAllocBudget = 5
+
+func TestCallBatchAllocationBudget(t *testing.T) {
+	reg := MustBuildScenario()
+	rows := ints(1, 2, 3, 4, 5, 6, 7, 8)
+	task := simlat.Free()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := reg.CallBatchContext(context.Background(), task, StockKeeping, "GetQuality", rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("GetQuality batch of %d: %.0f allocations", len(rows), allocs)
+	if allocs > callBatchAllocBudget {
+		t.Errorf("a GetQuality batch of %d allocates %.0f times, budget %d", len(rows), allocs, callBatchAllocBudget)
+	}
+}
+
+// The per-row path — fed_wfms and fed_udtf call every function this way —
+// allocates three times a call: a lookup's snapshot, its answer's cells
+// (one allocation for several rows) and the header; a computed answer's
+// row, its row slice and the header. GetNumber also makes the snapshot of
+// its scan. Lookups allocated as much before batches shared a slab, and
+// computed answers one more (a table header of their own beside the one
+// the call gave the answer). The budgets are these counts.
+func TestCallContextAllocationBudget(t *testing.T) {
+	reg := MustBuildScenario()
+	task := simlat.Free()
+	for _, c := range []struct {
+		system, fn string
+		args       []types.Value
+		budget     int
+	}{
+		{StockKeeping, "GetQuality", ints(3)[0], 3},
+		{ProductData, "GetSubCompNo", ints(5)[0], 3}, // two rows
+		{Purchasing, "GetGrade", []types.Value{types.NewInt(50), types.NewInt(70)}, 3},
+		{StockKeeping, "GetNumber", []types.Value{types.NewInt(1), types.NewInt(2)}, 4},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := reg.CallContext(context.Background(), task, c.system, c.fn, c.args); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", c.fn, allocs)
+		if allocs > float64(c.budget) {
+			t.Errorf("a %s call allocates %.0f times, budget %d", c.fn, allocs, c.budget)
 		}
 	}
 }

@@ -141,8 +141,8 @@ func buildStockKeeping() (*System, error) {
 			Returns:     types.Schema{{Name: "Qual", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "quality", "SupplierNo", args[0], "Qual")
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+				return lookupProject(sys, slab, rows, "quality", "SupplierNo", args[0], "Qual")
 			},
 		},
 		{
@@ -154,18 +154,17 @@ func buildStockKeeping() (*System, error) {
 			Returns:     types.Schema{{Name: "Number", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
 				tab, err := sys.store.Get("stockitems")
 				if err != nil {
 					return nil, err
 				}
-				out := types.NewTable(types.Schema{{Name: "Number", Type: types.Integer}})
 				for _, r := range tab.Select(func(r types.Row) bool {
 					return r[0].Equal(args[0]) && r[1].Equal(args[1])
 				}) {
-					out.Rows = append(out.Rows, types.Row{r[2]})
+					rows = appendRow(slab, rows, r[2])
 				}
-				return out, nil
+				return rows, nil
 			},
 		},
 	}
@@ -221,8 +220,8 @@ func buildProductData() (*System, error) {
 			Returns:     types.Schema{{Name: "No", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "components", "CompName", args[0], "CompNo")
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+				return lookupProject(sys, slab, rows, "components", "CompName", args[0], "CompNo")
 			},
 		},
 		{
@@ -230,8 +229,8 @@ func buildProductData() (*System, error) {
 			Params:      []types.Column{{Name: "CompNo", Type: types.Integer}},
 			Returns:     types.Schema{{Name: "SubCompNo", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "bom", "CompNo", args[0], "SubCompNo")
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+				return lookupProject(sys, slab, rows, "bom", "CompNo", args[0], "SubCompNo")
 			},
 		},
 		{
@@ -247,27 +246,16 @@ func buildProductData() (*System, error) {
 			},
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				cursor := args[0].Int()
-				out := types.NewTable(types.Schema{
-					{Name: "CompName", Type: types.VarCharN(30)},
-					{Name: "NextCursor", Type: types.Integer},
-					{Name: "HasMore", Type: types.Integer},
-				})
-				compNo := int(cursor) + 1
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+				compNo := int(args[0].Int()) + 1
 				if compNo < 1 || compNo > NumComponents {
-					return out, nil
+					return rows, nil
 				}
 				hasMore := int64(0)
 				if compNo < NumComponents {
 					hasMore = 1
 				}
-				out.Rows = append(out.Rows, types.Row{
-					types.NewString(ComponentName(compNo)),
-					types.NewInt(int64(compNo)),
-					types.NewInt(hasMore),
-				})
-				return out, nil
+				return appendRow(slab, rows, types.NewString(ComponentName(compNo)), types.NewInt(int64(compNo)), types.NewInt(hasMore)), nil
 			},
 		},
 	}
@@ -333,8 +321,8 @@ func buildPurchasing() (*System, error) {
 			Returns:     types.Schema{{Name: "Relia", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "suppliers", "SupplierNo", args[0], "Relia")
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+				return lookupProject(sys, slab, rows, "suppliers", "SupplierNo", args[0], "Relia")
 			},
 		},
 		{
@@ -343,8 +331,8 @@ func buildPurchasing() (*System, error) {
 			Returns:     types.Schema{{Name: "SupplierNo", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				return lookupProject(sys, "suppliers", "Name", args[0], "SupplierNo")
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+				return lookupProject(sys, slab, rows, "suppliers", "Name", args[0], "SupplierNo")
 			},
 		},
 		{
@@ -356,12 +344,8 @@ func buildPurchasing() (*System, error) {
 			Returns:     types.Schema{{Name: "Grade", Type: types.Integer}},
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
-				out := types.NewTable(types.Schema{{Name: "Grade", Type: types.Integer}})
-				out.Rows = append(out.Rows, types.Row{
-					types.NewInt(int64(Grade(int(args[0].Int()), int(args[1].Int())))),
-				})
-				return out, nil
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
+				return appendRow(slab, rows, types.NewInt(int64(Grade(int(args[0].Int()), int(args[1].Int()))))), nil
 			},
 		},
 		{
@@ -373,16 +357,14 @@ func buildPurchasing() (*System, error) {
 			Returns:     types.Schema{{Name: "Answer", Type: types.VarCharN(10)}},
 			ServiceTime: DefaultServiceTime,
 			Single:      true,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
 				answer := "NO"
 				// Buy when the supplier grade clears the threshold and the
 				// component number is valid.
 				if args[0].Int() >= 60 && args[1].Int() >= 1 && args[1].Int() <= NumComponents {
 					answer = "YES"
 				}
-				out := types.NewTable(types.Schema{{Name: "Answer", Type: types.VarCharN(10)}})
-				out.Rows = append(out.Rows, types.Row{types.NewString(answer)})
-				return out, nil
+				return appendRow(slab, rows, types.NewString(answer)), nil
 			},
 		},
 		{
@@ -393,19 +375,17 @@ func buildPurchasing() (*System, error) {
 				{Name: "SupplierNo", Type: types.Integer},
 			},
 			ServiceTime: DefaultServiceTime,
-			Impl: func(sys *System, args []types.Value) (*types.Table, error) {
+			Impl: func(sys *System, slab *types.Slab, rows []types.Row, args []types.Value) ([]types.Row, error) {
 				tab, err := sys.store.Get("discounts")
 				if err != nil {
 					return nil, err
 				}
-				out := types.NewTable(types.Schema{
-					{Name: "CompNo", Type: types.Integer},
-					{Name: "SupplierNo", Type: types.Integer},
-				})
-				for _, r := range tab.Select(func(r types.Row) bool { return r[2].Int() >= args[0].Int() }) {
-					out.Rows = append(out.Rows, types.Row{r[1], r[0]})
+				sel := tab.Select(func(r types.Row) bool { return r[2].Int() >= args[0].Int() })
+				slab.Reserve(2 * len(sel))
+				for _, r := range sel {
+					rows = appendRow(slab, rows, r[1], r[0])
 				}
-				return out, nil
+				return rows, nil
 			},
 		},
 	}
@@ -417,10 +397,10 @@ func buildPurchasing() (*System, error) {
 	return sys, nil
 }
 
-// lookupProject implements the common single-key lookup projected to one
-// column. The answer carries no schema of its own: CallContext gives it
-// the function's declared one. Its rows are carved from one slab.
-func lookupProject(sys *System, table, keyCol string, key types.Value, outCol string) (*types.Table, error) {
+// lookupProject answers the common single-key lookup projected to one
+// column: it appends the matching rows, in heap order, to rows and puts in
+// place of each a one-cell row carved from slab.
+func lookupProject(sys *System, slab *types.Slab, rows []types.Row, table, keyCol string, key types.Value, outCol string) ([]types.Row, error) {
 	tab, err := sys.store.Get(table)
 	if err != nil {
 		return nil, err
@@ -429,14 +409,25 @@ func lookupProject(sys *System, table, keyCol string, key types.Value, outCol st
 	if ci < 0 {
 		return nil, fmt.Errorf("appsys: table %s has no column %s", table, outCol)
 	}
-	rows, err := tab.Lookup(keyCol, key)
-	if err != nil {
+	start := len(rows)
+	if rows, err = tab.AppendLookup(rows, keyCol, key); err != nil {
 		return nil, err
 	}
-	cells := make([]types.Value, len(rows))
-	for k, r := range rows {
-		cells[k] = r[ci]
-		rows[k] = cells[k : k+1 : k+1]
+	if slab == nil { // a per-row call: its answer's cells are still one allocation
+		slab = new(types.Slab)
 	}
-	return &types.Table{Rows: rows}, nil
+	slab.Reserve(len(rows) - start)
+	for k := start; k < len(rows); k++ {
+		cell := slab.Alloc(1)
+		cell[0] = rows[k][ci]
+		rows[k] = cell
+	}
+	return rows, nil
+}
+
+// appendRow appends a row of vals, carved from slab, to rows.
+func appendRow(slab *types.Slab, rows []types.Row, vals ...types.Value) []types.Row {
+	row := slab.Alloc(len(vals))
+	copy(row, vals)
+	return append(rows, row)
 }

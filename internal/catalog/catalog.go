@@ -526,7 +526,7 @@ func (c SQLCall) Run() (*types.Table, error) {
 	if err != nil {
 		return nil, fmt.Errorf("catalog: %s result: %w", c.f.FName, err)
 	}
-	return out, nil
+	return &out, nil
 }
 
 // Name implements TableFunc.
@@ -629,7 +629,7 @@ func (f *GoFunc) InvokeContext(ctx context.Context, rt QueryRunner, task *simlat
 	if err != nil {
 		return nil, fmt.Errorf("catalog: %s result: %w", f.FName, err)
 	}
-	return out, nil
+	return &out, nil
 }
 
 // InvokeBatch implements BatchTableFunc. When FnBatchCtx is unset the
@@ -693,32 +693,33 @@ func castRows(name string, params []types.Column, rows [][]types.Value) ([][]typ
 }
 
 // coerceTables coerces a batch body's answers, one per argument row, to the
-// declared schema.
+// declared schema, their headers from one slice.
 func coerceTables(name string, res []*types.Table, n int, target types.Schema) ([]*types.Table, error) {
 	if len(res) != n {
 		return nil, fmt.Errorf("catalog: %s batch body returned %d tables for %d rows", name, len(res), n)
 	}
+	heads := make([]types.Table, len(res))
 	out := make([]*types.Table, len(res))
 	for i, t := range res {
-		ct, err := coerceTable(t, target)
-		if err != nil {
+		var err error
+		if heads[i], err = coerceTable(t, target); err != nil {
 			return nil, fmt.Errorf("catalog: %s result: %w", name, err)
 		}
-		out[i] = ct
+		out[i] = &heads[i]
 	}
 	return out, nil
 }
 
-// coerceTable conforms t to the target schema (arity must match): a fresh
-// header with the target's columns over t's rows, of which only those a
-// cast changes are copied. t itself is not written.
-func coerceTable(t *types.Table, target types.Schema) (*types.Table, error) {
+// coerceTable conforms t to the target schema (arity must match): a header,
+// which the caller places, with the target's columns over t's rows, of
+// which only those a cast changes are copied. t itself is not written.
+func coerceTable(t *types.Table, target types.Schema) (types.Table, error) {
 	if len(t.Schema) != len(target) {
-		return nil, fmt.Errorf("catalog: result has %d columns, declared %d", len(t.Schema), len(target))
+		return types.Table{}, fmt.Errorf("catalog: result has %d columns, declared %d", len(t.Schema), len(target))
 	}
 	rows, err := types.ConformRows(t.Rows, target)
 	if err != nil {
-		return nil, err
+		return types.Table{}, err
 	}
-	return &types.Table{Schema: target, Rows: rows}, nil
+	return types.Table{Schema: target, Rows: rows}, nil
 }

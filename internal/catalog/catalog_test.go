@@ -403,3 +403,56 @@ func TestGoFuncAnswerIsNotWritten(t *testing.T) {
 		}
 	}
 }
+
+// TestCoerceTablesIndependent: a batch body answers every row from one row
+// slice, each answer's row slice left with the spare capacity of the rest,
+// and a cast copies only the last row. The coerced answers, whose headers
+// share one slice, must be independent: appending a row to one, or a cell
+// to one of its rows, leaves every other as it was.
+func TestCoerceTablesIndependent(t *testing.T) {
+	raw := types.Schema{{Name: "raw", Type: types.Double}}
+	fn := &GoFunc{
+		FName:    "Chunk",
+		FParams:  []types.Column{{Name: "N", Type: types.Integer}},
+		FReturns: types.Schema{{Name: "V", Type: types.Double}},
+		FnBatchCtx: func(_ context.Context, _ QueryRunner, _ *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
+			all := make([]types.Row, len(rows))
+			out := make([]*types.Table, len(rows))
+			for i, args := range rows {
+				v := types.NewFloat(float64(args[0].Int()))
+				if i == len(rows)-1 {
+					v = args[0] // an INTEGER: conforming casts and copies this row
+				}
+				all[i] = types.Row{v}
+				out[i] = &types.Table{Schema: raw, Rows: all[i : i+1]}
+			}
+			return out, nil
+		},
+	}
+	rows := make([][]types.Value, 8)
+	for i := range rows {
+		rows[i] = []types.Value{types.NewInt(int64(i))}
+	}
+	tabs, err := fn.InvokeBatch(context.Background(), nil, simlat.Free(), rows)
+	if err != nil || len(tabs) != len(rows) {
+		t.Fatalf("%d answers, %v", len(tabs), err)
+	}
+	want := make([]string, len(tabs))
+	for i, tab := range tabs {
+		if tab.Len() != 1 || tab.Rows[0][0].Kind() != types.KindFloat || tab.Rows[0][0].Float() != float64(i) {
+			t.Fatalf("answer %d = %v", i, tab)
+		}
+		want[i] = tab.String()
+	}
+	for i, tab := range tabs {
+		_ = append(tab.Rows, types.Row{types.NewString("appended")})
+		for _, r := range tab.Rows {
+			_ = append(r, types.NewString("appended"))
+		}
+		for j, other := range tabs {
+			if got := other.String(); got != want[j] {
+				t.Fatalf("appending to answer %d changed answer %d:\n%s\nwas:\n%s", i, j, got, want[j])
+			}
+		}
+	}
+}

@@ -68,3 +68,21 @@ func (c *bodyCache) kept(b *catalog.Body, opts plan.Options, gen uint64) exec.Op
 	}
 	return nil
 }
+
+// DropBodyPlans forgets every function body plan the engine keeps, so the
+// next call of each function plans its body again: the prepared state a
+// cold or warm start of the FDBS loses (experiment E4).
+func (e *Engine) DropBodyPlans() {
+	c := &e.bodies
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.plans = nil
+}
+
+// BodyPlans returns how many function body plans the engine keeps.
+func (e *Engine) BodyPlans() int {
+	c := &e.bodies
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.plans)
+}

@@ -179,7 +179,7 @@ func TestBodyPlanOncePerLateralStatement(t *testing.T) {
 	if got := KeptBodyPlan(s, "F"); got != kept {
 		t.Error("the lateral statement planned the body again")
 	}
-	if n := BodyCacheSize(s.Engine()); n != 1 {
+	if n := s.Engine().BodyPlans(); n != 1 {
 		t.Errorf("cache keeps %d plans, want 1", n)
 	}
 }
@@ -195,7 +195,7 @@ func TestBodyPlanCacheBoundedUnderBatchSizeCycling(t *testing.T) {
 		s.MustExecContext(ctx, fmt.Sprintf("SET BATCH_SIZE %d", n))
 		queryRows(t, s, sharedQuery)
 	}
-	if n := BodyCacheSize(eng); n != 1 {
+	if n := eng.BodyPlans(); n != 1 {
 		t.Errorf("cache keeps %d plans, want 1", n)
 	}
 	if KeptBodyPlan(s, "F") == nil {
@@ -219,7 +219,7 @@ func TestBodyPlanCacheBoundedUnderFailingCreate(t *testing.T) {
 			}
 		}
 	}
-	if n := BodyCacheSize(eng); n != 1 {
+	if n := eng.BodyPlans(); n != 1 {
 		t.Errorf("cache keeps %d plans, want 1 (F's)", n)
 	}
 }

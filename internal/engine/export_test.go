@@ -6,14 +6,6 @@ import (
 	"fedwf/internal/plan"
 )
 
-// BodyCacheSize returns how many body plans e's body cache keeps.
-func BodyCacheSize(e *Engine) int {
-	c := &e.bodies
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.plans)
-}
-
 // sqlBody returns the body of the SQL function name in s's catalog.
 func sqlBody(s *Session, name string) *catalog.Body {
 	fn, err := s.eng.cat.Func(name)

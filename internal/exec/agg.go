@@ -196,14 +196,14 @@ func (g *Agg) Open(ctx *Ctx, bind types.Row) error {
 	// keys sit in its first cells, the aggregate results fill the rest at
 	// the end. Its states are states[i*len(g.Aggs):][:len(g.Aggs)]; groups
 	// whose keys share a hash are chained through head and next.
-	var slab rowSlab
+	var slab types.Slab
 	width := len(g.Groups) + len(g.Aggs)
 	g.rows = nil
 	var states []aggState
 	head := make(map[uint64]int32)
 	var next []int32
 	newGroup := func(keys []types.Value) {
-		row := slab.alloc(width)
+		row := slab.Alloc(width)
 		copy(row, keys)
 		g.rows = append(g.rows, row)
 		for _, spec := range g.Aggs {

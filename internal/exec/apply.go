@@ -59,7 +59,7 @@ type joiner struct {
 	bind  types.Row // the enclosing binding
 	right Operator
 	fs    *FuncScan // right, when it takes chunks
-	slab  rowSlab
+	slab  types.Slab
 	chunk []types.Row   // the outer rows
 	rs    [][]types.Row // the right rows of each, then the joined rows
 }
@@ -92,10 +92,10 @@ func childBind(bind, lr types.Row) types.Row {
 
 // match returns lr ++ rr, or nil (its cells back in the slab) if On fails.
 func (j *joiner) match(lr, rr types.Row) (types.Row, error) {
-	out := j.slab.concat(lr, rr)
+	out := j.slab.Concat(lr, rr)
 	if j.op.On != nil {
 		if ok, err := holds(j.op.On, out, j.ctx.Params); err != nil || !ok {
-			j.slab.unalloc(out)
+			j.slab.Unalloc(out)
 			return nil, err
 		}
 	}
@@ -104,7 +104,7 @@ func (j *joiner) match(lr, rr types.Row) (types.Row, error) {
 
 // pad returns lr followed by a NULL per right-side column.
 func (j *joiner) pad(lr types.Row) types.Row {
-	out := j.slab.alloc(len(lr) + len(j.right.Schema()))
+	out := j.slab.Alloc(len(lr) + len(j.right.Schema()))
 	for i := copy(out, lr); i < len(out); i++ {
 		out[i] = types.Null
 	}
@@ -173,7 +173,7 @@ func (j *joiner) joinChunk(out []types.Row) ([]types.Row, int, error) {
 	for i, lr := range j.chunk {
 		cells += max(len(j.rs[i]), 1) * (len(lr) + width) // 1: the NULL pad
 	}
-	j.slab.reserve(cells)
+	j.slab.Reserve(cells)
 	for i, lr := range j.chunk {
 		start := len(out)
 		var err error

@@ -698,7 +698,7 @@ type HashJoin struct {
 	leftRow types.Row
 	cand    int32 // the next build row to try against leftRow, -1 for none
 	end     int32 // the last build row with leftRow's hash
-	slab    rowSlab
+	slab    types.Slab
 	out     types.Row // the reused row of a transient join
 }
 
@@ -716,7 +716,7 @@ func (h *HashJoin) Open(ctx *Ctx, bind types.Row) error {
 	h.ctx = ctx
 	h.leftRow = nil
 	h.last, h.build = make(map[uint64]int32), nil
-	h.slab = rowSlab{}
+	h.slab = types.Slab{}
 	// A hash join always composes independent result sets.
 	ctx.Task.Step(simlat.StepJoinComposition, ctx.CompositionCost)
 	if err := h.Right.Open(ctx, bind); err != nil {
@@ -829,7 +829,7 @@ func (h *HashJoin) Next() (types.Row, error) {
 			continue
 		}
 		if !h.Transient {
-			return h.slab.concat(h.leftRow, rr), nil
+			return h.slab.Concat(h.leftRow, rr), nil
 		}
 		if n := len(h.leftRow) + len(rr); len(h.out) != n {
 			h.out = make(types.Row, n)
@@ -924,7 +924,7 @@ type Project struct {
 	Child Operator
 	Exprs []Expr
 	Sch   types.Schema
-	slab  rowSlab
+	slab  types.Slab
 	// prefix is set in Open: Exprs are Col{Idx: 0} ... Col{Idx: k-1}.
 	prefix bool
 	ctx    *Ctx
@@ -935,7 +935,7 @@ func (p *Project) Schema() types.Schema { return p.Sch }
 
 // Open implements Operator.
 func (p *Project) Open(ctx *Ctx, bind types.Row) error {
-	p.slab = rowSlab{}
+	p.slab = types.Slab{}
 	p.ctx = ctx
 	p.prefix = len(p.Exprs) > 0
 	for i, e := range p.Exprs {
@@ -958,7 +958,7 @@ func (p *Project) Next() (types.Row, error) {
 		return r[:k:k], nil
 	}
 	// A short row takes this path so that Col.Eval reports it.
-	out := p.slab.alloc(k)
+	out := p.slab.Alloc(k)
 	for i, e := range p.Exprs {
 		v, err := e.Eval(r, p.ctx.Params)
 		if err != nil {
@@ -1022,7 +1022,7 @@ func (s *Sort) Open(ctx *Ctx, bind types.Row) error {
 		keys []types.Value
 	}
 	var data []keyed
-	var slab rowSlab // the key vectors live until the sort is done
+	var slab types.Slab // the key vectors live until the sort is done
 	for {
 		r, err := s.Child.Next()
 		if err == io.EOF {
@@ -1031,7 +1031,7 @@ func (s *Sort) Open(ctx *Ctx, bind types.Row) error {
 		if err != nil {
 			return err
 		}
-		ks := slab.alloc(len(s.Keys))
+		ks := slab.Alloc(len(s.Keys))
 		for i, k := range s.Keys {
 			v, err := k.Expr.Eval(r, ctx.Params)
 			if err != nil {

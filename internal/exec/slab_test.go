@@ -23,7 +23,7 @@ func pairRows(n, groups int) []types.Row {
 var pairSchema = types.Schema{{Name: "k", Type: types.Integer}, {Name: "v", Type: types.Integer}}
 
 // slabOperators builds one plan per operator that carves its rows (or, for
-// Sort, its key vectors) from a rowSlab, each returning a few hundred rows.
+// Sort, its key vectors) from a types.Slab, each returning a few hundred rows.
 func slabOperators() map[string]Operator {
 	src := func(n, groups int) Operator { return &Values{Sch: pairSchema, Rows: pairRows(n, groups)} }
 	k, v := Col{Idx: 0, Name: "k"}, Col{Idx: 1, Name: "v"}
@@ -148,43 +148,6 @@ func TestSlabRejectedCandidatesCostNoSpace(t *testing.T) {
 	}
 }
 
-func TestRowSlabChunks(t *testing.T) {
-	var s rowSlab
-	if r := s.alloc(0); r == nil || len(r) != 0 {
-		t.Errorf("alloc(0) = %#v, want an empty non-nil row", r)
-	}
-	// Chunks hold 1, 2, 4, ... rows and never more than the byte cap.
-	var sizes []int
-	for i := 0; i < 1000; i++ {
-		r := s.alloc(3)
-		if len(r) != 3 || cap(r) != 3 {
-			t.Fatalf("alloc(3): len %d cap %d", len(r), cap(r))
-		}
-		if s.off == 3 { // the first row of a new chunk
-			sizes = append(sizes, 0)
-		}
-		sizes[len(sizes)-1]++
-	}
-	for c, got := range sizes[:len(sizes)-1] { // the last chunk is part-filled
-		if want := min(1<<c, slabChunkValues/3); got != want {
-			t.Errorf("chunk %d holds %d rows, want %d", c, got, want)
-		}
-	}
-	if size := int(unsafe.Sizeof(types.Value{})); slabChunkValues*size > 8192-8 || (slabChunkValues+1)*size <= 8192-8 {
-		t.Errorf("slabChunkValues = %d does not fill 8192-8 bytes", slabChunkValues)
-	}
-	// A row wider than a chunk still gets its cells, in a chunk of its own.
-	if r := s.alloc(slabChunkValues + 5); len(r) != slabChunkValues+5 {
-		t.Errorf("wide row: len %d", len(r))
-	}
-	// unalloc hands the same cells out again.
-	a := s.alloc(4)
-	s.unalloc(a)
-	if b := s.alloc(4); &a[0] != &b[0] {
-		t.Error("alloc after unalloc did not reuse the cells")
-	}
-}
-
 // bytesPerRun is testing.AllocsPerRun for bytes.
 func bytesPerRun(runs int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -215,18 +178,10 @@ func (p *perRowProject) Next() (types.Row, error) {
 	return out, nil
 }
 
-// The first chunk is one row: a one-row result (an I-UDTF body, a point
-// SELECT) allocates what it did when every row was its own make.
+// The slab's first chunk is one row (types.TestSlabFirstRowAllocatesNoMore):
+// a one-row result (an I-UDTF body, a point SELECT) allocates what it did
+// when every row was its own make.
 func TestSlabOneRowResultAllocatesNoMore(t *testing.T) {
-	var sink types.Row
-	for n := 1; n <= 6; n++ {
-		slab := bytesPerRun(200, func() { var s rowSlab; sink = s.alloc(n) })
-		plain := bytesPerRun(200, func() { sink = make(types.Row, n) })
-		if slab > plain {
-			t.Errorf("first alloc(%d): %d bytes, make allocates %d", n, slab, plain)
-		}
-	}
-	_ = sink
 	ctx := &Ctx{Task: simlat.Free()}
 	k, v := Col{Idx: 0, Name: "k"}, Col{Idx: 1, Name: "v"}
 	mk := func() Project {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -384,6 +385,46 @@ func lateralServer(t *testing.T) *Server {
 		}
 	}
 	return srv
+}
+
+// TestLateralBatchConcurrentStatements: four sessions run the lateral_batch
+// statement at once. Each statement's two DOP workers drive chunks of 8
+// through the same process template at the same time, and every layer
+// carves a chunk's answers from a slab of that call, so every row must
+// still carry its own supplier's quality and reliability. Run it under
+// -race.
+func TestLateralBatchConcurrentStatements(t *testing.T) {
+	srv := lateralServer(t)
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				res, _, err := srv.ExecTracedContext(context.Background(), lateralSQL, obs.TraceContext{})
+				if err == nil && res.Len() != 64 {
+					err = fmt.Errorf("%d rows, want 64", res.Len())
+				}
+				for i := 0; err == nil && i < res.Len(); i++ {
+					r := res.Rows[i]
+					no := int(r[0].Int())
+					if int(r[1].Int()) != appsys.SupplierQuality(no) || int(r[2].Int()) != appsys.SupplierReliability(no) {
+						err = fmt.Errorf("row %d = %v, want supplier %d's quality and reliability", i, r, no)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }
 
 // TestParallelTraceIsDeterministic: under DOP 2 the workers' spans open at

@@ -392,57 +392,62 @@ func (g *graph) relation(pos func(step int) int) *relation {
 	return rel
 }
 
-// emit appends the result row of one combination, if the joins hold.
-func (r *relation) emit(out *types.Table, rows []types.Row) error {
+// emit appends to dst the result row of one combination, if the joins
+// hold, carved from slab.
+func (r *relation) emit(dst []types.Row, slab *types.Slab, rows []types.Row) ([]types.Row, error) {
 	for _, j := range r.joins {
 		if a := rows[j[0].row][j[0].col]; a.IsNull() || !a.Equal(rows[j[1].row][j[1].col]) {
-			return nil
+			return dst, nil
 		}
 	}
-	row := make(types.Row, len(r.cols))
+	row := slab.Alloc(len(r.cols))
 	for i, c := range r.cols {
 		row[i] = rows[c.row][c.col]
 		if r.cast[i] {
 			var err error
 			if row[i], err = types.Cast(row[i], r.schema[i].Type); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
-	out.Rows = append(out.Rows, row)
-	return nil
+	return append(dst, row), nil
 }
 
-// walk emits the result of every combination of rows, the k-th row drawn
-// from table(k) once the rows before it are set.
-func (r *relation) walk(out *types.Table, rows []types.Row, k int, table func(k int) (*types.Table, error)) error {
+// walk appends to dst the result of every combination of rows, the k-th
+// row drawn from table(k) once the rows before it are set.
+func (r *relation) walk(dst []types.Row, slab *types.Slab, rows []types.Row, k int, table func(k int) (*types.Table, error)) ([]types.Row, error) {
 	if k == len(rows) {
-		return r.emit(out, rows)
+		return r.emit(dst, slab, rows)
 	}
 	tab, err := table(k)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	for _, rows[k] = range tab.Rows {
-		if err := r.walk(out, rows, k+1, table); err != nil {
-			return err
+		if dst, err = r.walk(dst, slab, rows, k+1, table); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return dst, nil
 }
 
-// combine is the helper activity: the result over the named containers.
+// combine is the helper activity: the result over the named containers,
+// its rows carved from the slab the containers carry.
 func (r *relation) combine(keys []string) func(wfms.Containers) (*types.Table, error) {
 	return func(in wfms.Containers) (*types.Table, error) {
-		out := types.NewTable(r.schema)
-		err := r.walk(out, make([]types.Row, len(keys)), 0, func(k int) (*types.Table, error) {
+		var buf [4]types.Row // the combination walked: on the stack up to 4 steps
+		combo := buf[:]
+		if len(keys) > len(buf) {
+			combo = make([]types.Row, len(keys))
+		}
+		rows, err := r.walk(nil, in.Slab(), combo[:len(keys)], 0, func(k int) (*types.Table, error) {
 			tab, _ := in.Get(keys[k])
 			return tab, nil
 		})
 		if err != nil {
 			return nil, err
 		}
-		return out, nil
+		return &types.Table{Schema: r.schema, Rows: rows}, nil
 	}
 }
 
@@ -507,11 +512,11 @@ func (g *graph) goBody() (udtf.GoBody, error) {
 				return nil, fmt.Errorf("fedfunc: %s loop did not terminate", m.Name)
 			}
 		}
-		out := types.NewTable(rel.schema)
-		if err := rel.walk(out, rows[:n], 0, table); err != nil {
+		res, err := rel.walk(nil, nil, rows[:n], 0, table)
+		if err != nil {
 			return nil, err
 		}
-		return out, nil
+		return &types.Table{Schema: rel.schema, Rows: res}, nil
 	}, nil
 }
 
@@ -528,17 +533,31 @@ func (g *graph) registerBatch(eng *engine.Engine, ins *udtf.Instrument) error {
 		return err
 	}
 	rel := g.relation(func(int) int { return 0 })
-	body := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, rows [][]types.Value) ([]*types.Table, error) {
-		tabs, err := catalog.InvokeFuncBatch(ctx, fn, rt, task, rows)
+	body := func(ctx context.Context, rt catalog.QueryRunner, task *simlat.Task, argRows [][]types.Value) ([]*types.Table, error) {
+		tabs, err := catalog.InvokeFuncBatch(ctx, fn, rt, task, argRows)
 		if err != nil {
 			return nil, err
 		}
+		// The chunk's projected rows share one slab, one row slice and one
+		// slice of headers; each answer's rows are capped.
+		n := 0
+		for _, tab := range tabs {
+			n += tab.Len()
+		}
+		var slab types.Slab
+		slab.Reserve(n * len(rel.cols))
+		rows := make([]types.Row, 0, n)
+		heads := make([]types.Table, len(tabs))
 		out := make([]*types.Table, len(tabs))
 		for i, tab := range tabs {
-			out[i] = &types.Table{Schema: rel.schema, Rows: make([]types.Row, 0, len(tab.Rows))}
-			if err := rel.walk(out[i], make([]types.Row, 1), 0, func(int) (*types.Table, error) { return tab, nil }); err != nil {
-				return nil, err
+			start := len(rows)
+			for _, r := range tab.Rows {
+				if rows, err = rel.emit(rows, &slab, []types.Row{r}); err != nil {
+					return nil, err
+				}
 			}
+			heads[i] = types.Table{Schema: rel.schema, Rows: rows[start:len(rows):len(rows)]}
+			out[i] = &heads[i]
 		}
 		return out, nil
 	}

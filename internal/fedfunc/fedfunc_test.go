@@ -286,6 +286,36 @@ func TestBootStates(t *testing.T) {
 	}
 }
 
+// TestFlushDropsBodyPlans: a warm or cold flush, which charges every
+// function PrepareMiss again, also drops the engine's kept body plans, so
+// the next call plans its body once more; a hot flush keeps them.
+func TestFlushDropsBodyPlans(t *testing.T) {
+	_, ud := newStacks(t)
+	spec, _ := SpecByName("GetSuppQual")
+	call := func() {
+		if _, err := ud.CallSpecContext(context.Background(), simlat.NewVirtualTask(), spec, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := ud.Engine().BodyPlans(); n == 0 {
+		t.Fatal("the SQL architecture keeps no body plan after creating its functions")
+	}
+	for _, level := range []udtf.BootLevel{udtf.FlushCold, udtf.FlushWarm} {
+		ud.Flush(level)
+		if n := ud.Engine().BodyPlans(); n != 0 {
+			t.Fatalf("flush %d keeps %d body plans, want 0", level, n)
+		}
+		call()
+		if n := ud.Engine().BodyPlans(); n != 1 {
+			t.Fatalf("after flush %d one call keeps %d body plans, want 1", level, n)
+		}
+	}
+	ud.Flush(udtf.FlushHot)
+	if n := ud.Engine().BodyPlans(); n != 1 {
+		t.Fatalf("a hot flush left %d body plans, want 1", n)
+	}
+}
+
 // TestControllerAblation reproduces E7: removing the controller saves
 // about 8% under the WfMS architecture and about 25% under the UDTF
 // architecture, pushing their ratio from ~3 to ~3.7.

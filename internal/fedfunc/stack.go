@@ -300,10 +300,15 @@ func (s *Stack) Profile() simlat.Profile { return s.profile }
 // function.
 func (s *Stack) Supports(name string) bool { return s.supported[strings.ToLower(name)] }
 
-// Flush discards cached state down to the given boot level; a cold flush
-// also drops the controller's warm WfMS connection.
+// Flush discards cached state down to the given boot level: a warm or
+// cold flush drops the engine's function body plans, so the next calls
+// plan their bodies again as they are charged PrepareMiss again, and a
+// cold flush also drops the controller's warm WfMS connection.
 func (s *Stack) Flush(level udtf.BootLevel) {
 	s.instrument.Flush(level)
+	if level != udtf.FlushHot {
+		s.engine.DropBodyPlans()
+	}
 	if level == udtf.FlushCold {
 		s.bridge.Reset()
 	}

@@ -2,21 +2,12 @@ package rpc
 
 import (
 	"bytes"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"fedwf/internal/types"
 )
-
-// TestArenaCellSize pins the figure arenaChunkCells is derived from (the
-// package may not import unsafe to ask).
-func TestArenaCellSize(t *testing.T) {
-	if got := reflect.TypeOf(types.Value{}).Size(); got != 32 {
-		t.Fatalf("types.Value is %d bytes; arenaChunkCells assumes 32", got)
-	}
-}
 
 // wideTable is the shape of fedbench's wide_result reply: n rows of two
 // integers and a 16-byte string.
@@ -79,27 +70,11 @@ func TestDecodedRowsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestArenaGrowth: chunks start at the first item's own size and double to
-// the cap, long strings stand alone, and a retained cell pins one chunk.
+// TestArenaGrowth: text chunks start at the first string's own size and
+// double to the cap, and long strings stand alone. (Rows come from a
+// types.Slab, whose chunks grow the same way: types.TestSlabChunks.)
 func TestArenaGrowth(t *testing.T) {
 	var a arena
-	if row := a.row(3); len(a.cells) != 0 || cap(row) != 3 {
-		t.Errorf("first row of 3 cells left %d spare cells (cap %d): the chunk must be the row itself", len(a.cells), cap(row))
-	}
-	sizes := []int{}
-	for i := 0; i < 1000; i++ {
-		before := len(a.cells)
-		a.row(3)
-		if before < 3 {
-			sizes = append(sizes, len(a.cells)+3)
-		}
-	}
-	for i, n := range sizes {
-		want := min(3*(2<<i), arenaChunkCells/3*3)
-		if n != want {
-			t.Fatalf("cell chunk %d holds %d cells, want %d (chunks %v)", i+1, n, want, sizes)
-		}
-	}
 	if s := a.str([]byte("0123456789abcdef")); a.text.Cap() != 16 || s != "0123456789abcdef" {
 		t.Errorf("first 16-byte string opened a %d-byte text chunk", a.text.Cap())
 	}

@@ -306,43 +306,27 @@ func (w *wbuf) meta(m map[string]string) {
 	}
 }
 
-// arenaChunkBytes caps one arena chunk at exec.rowSlab's figure: what the
-// allocator's 8 KB class holds behind the header of a pointerful object.
-const (
-	arenaChunkBytes = 8192 - 8
-	arenaChunkCells = arenaChunkBytes / 32 // sizeof(types.Value), pinned by TestArenaCellSize
-)
+// arenaChunkBytes caps one text chunk at types.Slab's figure for cells:
+// what the allocator's 8 KB class holds behind the header of a pointerful
+// object.
+const arenaChunkBytes = 8192 - 8
 
 // arena carves the rows and strings of decoded tables out of shared
-// chunks, so decoding allocates per chunk, not per row or per string.
-// Three rules keep that invisible to whoever receives the table:
+// chunks, so decoding allocates per chunk, not per row or per string: the
+// rows from a types.Slab, the strings from text chunks of their own. Three
+// rules keep that invisible to whoever receives the table:
 //
 //   - every row has cap == len, so an append to one reallocates instead of
 //     writing into its neighbour; strings are immutable anyway;
 //   - chunks start at exactly the first row's or first string's size and
-//     double up to arenaChunkBytes, so a one-row reply allocates what it
-//     did without the arena and a retained cell pins at most 8 KB;
+//     double up to 8 KB, so a one-row reply allocates what it did without
+//     the arena and a retained cell pins at most 8 KB;
 //   - a chunk is only ever sized by a row or string whose bytes the payload
 //     holds, or by doubling one such, so a lying count cannot allocate
 //     ahead of the bytes behind it (see rbuf.count).
 type arena struct {
-	cells []types.Value   // the current cell chunk's cells not handed out yet
-	rows  int             // rows the current cell chunk was sized for
+	cells types.Slab
 	text  strings.Builder // the current text chunk; String() aliases it
-}
-
-// row returns n zero cells with cap n.
-func (a *arena) row(n int) types.Row {
-	if n == 0 {
-		return types.Row{}
-	}
-	if len(a.cells) < n {
-		a.rows = max(1, min(2*a.rows, arenaChunkCells/n))
-		a.cells = make([]types.Value, a.rows*n)
-	}
-	row := a.cells[:n:n]
-	a.cells = a.cells[n:]
-	return row
 }
 
 // str copies p into the text chunk and returns the copy. Strings of a
@@ -471,7 +455,7 @@ func (r *rbuf) cell(what string) types.Value {
 }
 
 func (r *rbuf) cells(what string) types.Row {
-	row := r.arena.row(r.count(what))
+	row := r.arena.cells.Alloc(r.count(what))
 	for i := 0; i < len(row) && r.err == nil; i++ {
 		row[i] = r.cell(what)
 	}

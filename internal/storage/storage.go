@@ -17,6 +17,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -325,28 +326,35 @@ func (t *Table) HasIndex(column string) bool {
 // Lookup returns a snapshot, in heap order, of the rows whose column equals
 // v, using the hash index when present and a scan otherwise.
 func (t *Table) Lookup(column string, v types.Value) ([]types.Row, error) {
+	return t.AppendLookup(nil, column, v)
+}
+
+// AppendLookup appends Lookup's snapshot to dst and returns the extended
+// slice, so that a caller answering many lookups — an application system
+// serving a batch — collects them in one slice. With a nil dst the
+// snapshot is sized exactly from the index bucket.
+func (t *Table) AppendLookup(dst []types.Row, column string, v types.Value) ([]types.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ci := t.schema.ColumnIndex(column)
 	if ci < 0 {
-		return nil, fmt.Errorf("storage: no column %s in table %s", column, t.name)
+		return dst, fmt.Errorf("storage: no column %s in table %s", column, t.name)
 	}
-	var out []types.Row
 	if bucket, ok := t.bucket(ci, v); ok {
-		out = make([]types.Row, 0, len(bucket))
+		dst = slices.Grow(dst, len(bucket))
 		for _, pos := range bucket {
 			if t.rows[pos][ci].Equal(v) {
-				out = append(out, t.rows[pos])
+				dst = append(dst, t.rows[pos])
 			}
 		}
-		return out, nil
+		return dst, nil
 	}
 	for _, r := range t.rows {
 		if r[ci].Equal(v) {
-			out = append(out, r)
+			dst = append(dst, r)
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // hashIndex maps value hashes to the heap positions of the rows holding

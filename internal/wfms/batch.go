@@ -132,14 +132,16 @@ func (e *Engine) runVectorized(ctx context.Context, task *simlat.Task, t *templa
 		}
 		sp.End(task)
 	}
-	// Assemble each row's output container from the result node.
+	// Assemble each row's output container from the result node, the
+	// headers from one slice.
+	heads := make([]types.Table, len(inputs))
 	out := make([]*types.Table, len(inputs))
 	for r := range inputs {
-		final, err := t.output(slots[r*n+t.result].out)
-		if err != nil {
+		var err error
+		if heads[r], err = t.output(slots[r*n+t.result].out); err != nil {
 			return nil, err
 		}
-		out[r] = final
+		out[r] = &heads[r]
 	}
 	return out, nil
 }
@@ -207,7 +209,8 @@ func (e *Engine) runFunctionActivityBatch(ctx context.Context, task *simlat.Task
 }
 
 // runHelperActivityBatch boots helper i once and runs its body per row
-// (helper bodies are local Go transforms; only the boot is amortized).
+// (helper bodies are local Go transforms; only the boot is amortized). The
+// rows the body answers come from one slab for the chunk.
 func (e *Engine) runHelperActivityBatch(task *simlat.Task, t *template, i int, a *HelperActivity, inputs []map[string]types.Value, slots []slot, st *runState) error {
 	prev := task.SetLabel(simlat.StepActivities)
 	defer task.SetLabel(prev)
@@ -215,9 +218,14 @@ func (e *Engine) runHelperActivityBatch(task *simlat.Task, t *template, i int, a
 	st.countExec()
 
 	n := len(t.nodes)
+	var slab types.Slab
+	width := 0 // the cells of one row the helper answers, when known
+	if i == t.result {
+		width = len(t.p.Output)
+	}
 	for r, input := range inputs {
 		row := slots[r*n : (r+1)*n]
-		out, err := a.Fn(Containers{t: t, outputs: row, input: input})
+		out, err := a.Fn(Containers{t: t, outputs: row, input: input, slab: &slab, reserve: (len(inputs) - r) * width})
 		if err != nil {
 			return err
 		}

@@ -373,26 +373,31 @@ func (e *Engine) runProcess(ctx context.Context, task *simlat.Task, t *template,
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	return t.output(outputs[t.result].out)
+	out, err := t.output(outputs[t.result].out)
+	if err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // output assembles the process output container from the result node's
-// container: a fresh header with the declared output schema over the
-// result's rows, of which only those a cast changes are copied.
-func (t *template) output(res *types.Table) (*types.Table, error) {
+// container: a header, which the caller places, with the declared output
+// schema over the result's rows, of which only those a cast changes are
+// copied.
+func (t *template) output(res *types.Table) (types.Table, error) {
 	p := t.p
 	if res == nil {
-		return types.NewTable(p.Output), nil
+		return types.Table{Schema: p.Output}, nil
 	}
 	if len(res.Schema) != len(p.Output) {
-		return nil, fmt.Errorf("wfms: process %s: result node %s produced %d columns, output container has %d",
+		return types.Table{}, fmt.Errorf("wfms: process %s: result node %s produced %d columns, output container has %d",
 			p.Name, p.Result, len(res.Schema), len(p.Output))
 	}
 	rows, err := types.ConformRows(res.Rows, p.Output)
 	if err != nil {
-		return nil, fmt.Errorf("wfms: process %s output: %w", p.Name, err)
+		return types.Table{}, fmt.Errorf("wfms: process %s output: %w", p.Name, err)
 	}
-	return &types.Table{Schema: p.Output, Rows: rows}, nil
+	return types.Table{Schema: p.Output, Rows: rows}, nil
 }
 
 // runNode executes node i on its own branch task.
@@ -497,6 +502,19 @@ type Containers struct {
 	t       *template
 	outputs []slot
 	input   map[string]types.Value
+	slab    *types.Slab // the chunk's in a vectorised batch run, else nil
+	reserve int         // cells Slab makes room for
+}
+
+// Slab returns the slab a helper carves the rows it answers from. In a
+// vectorised batch run it is the chunk's, shared by the helper's calls for
+// every row of the chunk; when the helper is the process's result node,
+// the slab has room for one output row for this row and each later one,
+// reserved when a row first asks. In a per-row run it is nil, which
+// types.Slab treats as no slab.
+func (c Containers) Slab() *types.Slab {
+	c.slab.Reserve(c.reserve)
+	return c.slab
 }
 
 // Get returns the container named key: a done node's under its lower-case

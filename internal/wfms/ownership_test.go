@@ -144,3 +144,107 @@ func TestSharedAnswerUnchangedUnderConcurrentRuns(t *testing.T) {
 		}
 	}
 }
+
+// chunkInvoker answers a batch the way an application system does: the
+// rows of every answer side by side in one slice, each answer's row slice
+// left with the spare capacity of the rest, so that only the engine's caps
+// keep the outputs of one chunk apart. A call answers the argument as X.
+type chunkInvoker struct{}
+
+var xSchema = types.Schema{{Name: "X", Type: types.Integer}}
+
+func (chunkInvoker) Invoke(_ context.Context, _ *simlat.Task, _, _ string, args []types.Value) (*types.Table, error) {
+	return &types.Table{Schema: xSchema, Rows: []types.Row{{args[0]}}}, nil
+}
+
+func (chunkInvoker) InvokeBatch(_ context.Context, _ *simlat.Task, _, _ string, rows [][]types.Value) ([]*types.Table, error) {
+	all := make([]types.Row, len(rows))
+	out := make([]*types.Table, len(rows))
+	for i, args := range rows {
+		all[i] = types.Row{args[0]}
+		out[i] = &types.Table{Schema: xSchema, Rows: all[i : i+1]}
+	}
+	return out, nil
+}
+
+// independent checks that the tables of one chunk share nothing a caller
+// could write through: appending a row to one, or a cell to one of its
+// rows, leaves every other as it was.
+func independent(t *testing.T, tabs []*types.Table) {
+	t.Helper()
+	want := make([]string, len(tabs))
+	for i, tab := range tabs {
+		want[i] = tab.String()
+	}
+	for i, tab := range tabs {
+		_ = append(tab.Rows, types.Row{types.NewString("appended")})
+		for _, r := range tab.Rows {
+			_ = append(r, types.NewString("appended"))
+		}
+		for j, other := range tabs {
+			if got := other.String(); got != want[j] {
+				t.Fatalf("appending to output %d changed output %d:\n%s\nwas:\n%s", i, j, got, want[j])
+			}
+		}
+	}
+}
+
+// TestBatchOutputsIndependent: the outputs of a vectorised batch — one
+// whose result is a function activity answered from one row slice, one
+// whose result is a helper carving its rows from the chunk's slab — equal
+// the per-row outputs and are independent of each other.
+func TestBatchOutputsIndependent(t *testing.T) {
+	pair := types.Schema{{Name: "A", Type: types.Integer}, {Name: "B", Type: types.Integer}}
+	call := &Process{
+		Name:   "Call",
+		Input:  []types.Column{{Name: "N", Type: types.Integer}},
+		Output: xSchema,
+		Nodes:  []Node{&FunctionActivity{Name: "F", Function: "F", Args: []Source{Input("N")}}},
+		Result: "F",
+	}
+	helper := &Process{
+		Name:   "Helper",
+		Input:  []types.Column{{Name: "N", Type: types.Integer}},
+		Output: pair,
+		Nodes: []Node{
+			&FunctionActivity{Name: "F", Function: "F", Args: []Source{Input("N")}},
+			&FunctionActivity{Name: "G", Function: "G", Args: []Source{Input("N")}},
+			&HelperActivity{Name: "Pair", Fn: func(in Containers) (*types.Table, error) {
+				f, _ := in.Get("f")
+				g, _ := in.Get("g")
+				out := types.NewTable(pair)
+				for _, a := range f.Rows {
+					for _, b := range g.Rows {
+						row := in.Slab().Alloc(2)
+						row[0], row[1] = a[0], b[0]
+						out.Rows = append(out.Rows, row)
+					}
+				}
+				return out, nil
+			}},
+		},
+		Flow:   []ControlConnector{{From: "F", To: "Pair"}, {From: "G", To: "Pair"}},
+		Result: "Pair",
+	}
+	eng := New(chunkInvoker{}, Costs{})
+	inputs := make([]map[string]types.Value, 8)
+	for i := range inputs {
+		inputs[i] = map[string]types.Value{"n": types.NewInt(int64(i + 1))}
+	}
+	for _, p := range []*Process{call, helper} {
+		outs, err := eng.RunBatchContext(context.Background(), simlat.Free(), p, inputs)
+		if err != nil || len(outs) != len(inputs) {
+			t.Fatalf("%s: %d outputs, %v", p.Name, len(outs), err)
+		}
+		for r, input := range inputs {
+			one, err := eng.RunContext(context.Background(), simlat.Free(), p, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := outs[r].String(), one.String(); got != want || outs[r].Len() != 1 {
+				t.Fatalf("%s row %d: batch output\n%s\nper row\n%s", p.Name, r, got, want)
+			}
+		}
+		independent(t, outs)
+	}
+}
