@@ -449,7 +449,13 @@ func TestSingleFailsTheBatch(t *testing.T) {
 // for the chunk bring it to 5. The budget is that count.
 const callBatchAllocBudget = 5
 
+// raceBuild is set by race_test.go on builds with the race detector.
+var raceBuild bool
+
 func TestCallBatchAllocationBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector adds allocations of its own")
+	}
 	reg := MustBuildScenario()
 	rows := ints(1, 2, 3, 4, 5, 6, 7, 8)
 	task := simlat.Free()
@@ -472,6 +478,9 @@ func TestCallBatchAllocationBudget(t *testing.T) {
 // computed answers one more (a table header of their own beside the one
 // the call gave the answer). The budgets are these counts.
 func TestCallContextAllocationBudget(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector adds allocations of its own")
+	}
 	reg := MustBuildScenario()
 	task := simlat.Free()
 	for _, c := range []struct {

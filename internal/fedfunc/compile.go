@@ -432,7 +432,7 @@ func (r *relation) walk(dst []types.Row, slab *types.Slab, rows []types.Row, k i
 }
 
 // combine is the helper activity: the result over the named containers,
-// its rows carved from the slab the containers carry.
+// built where the containers say (wfms.Containers.Answer).
 func (r *relation) combine(keys []string) func(wfms.Containers) (*types.Table, error) {
 	return func(in wfms.Containers) (*types.Table, error) {
 		var buf [4]types.Row // the combination walked: on the stack up to 4 steps
@@ -440,14 +440,12 @@ func (r *relation) combine(keys []string) func(wfms.Containers) (*types.Table, e
 		if len(keys) > len(buf) {
 			combo = make([]types.Row, len(keys))
 		}
-		rows, err := r.walk(nil, in.Slab(), combo[:len(keys)], 0, func(k int) (*types.Table, error) {
-			tab, _ := in.Get(keys[k])
-			return tab, nil
+		return in.Answer(r.schema, func(rows []types.Row, slab *types.Slab) ([]types.Row, error) {
+			return r.walk(rows, slab, combo[:len(keys)], 0, func(k int) (*types.Table, error) {
+				tab, _ := in.Get(keys[k])
+				return tab, nil
+			})
 		})
-		if err != nil {
-			return nil, err
-		}
-		return &types.Table{Schema: r.schema, Rows: rows}, nil
 	}
 }
 

@@ -210,7 +210,7 @@ func (e *Engine) runFunctionActivityBatch(ctx context.Context, task *simlat.Task
 
 // runHelperActivityBatch boots helper i once and runs its body per row
 // (helper bodies are local Go transforms; only the boot is amortized). The
-// rows the body answers come from one slab for the chunk.
+// answers the body builds share the chunk's slab, row slice and headers.
 func (e *Engine) runHelperActivityBatch(task *simlat.Task, t *template, i int, a *HelperActivity, inputs []map[string]types.Value, slots []slot, st *runState) error {
 	prev := task.SetLabel(simlat.StepActivities)
 	defer task.SetLabel(prev)
@@ -218,14 +218,13 @@ func (e *Engine) runHelperActivityBatch(task *simlat.Task, t *template, i int, a
 	st.countExec()
 
 	n := len(t.nodes)
-	var slab types.Slab
-	width := 0 // the cells of one row the helper answers, when known
+	ch := &answers{n: len(inputs)}
 	if i == t.result {
-		width = len(t.p.Output)
+		ch.width = len(t.p.Output)
 	}
 	for r, input := range inputs {
 		row := slots[r*n : (r+1)*n]
-		out, err := a.Fn(Containers{t: t, outputs: row, input: input, slab: &slab, reserve: (len(inputs) - r) * width})
+		out, err := a.Fn(Containers{t: t, outputs: row, input: input, chunk: ch, row: r})
 		if err != nil {
 			return err
 		}

@@ -44,10 +44,10 @@ func tableInvoker() Invoker {
 // instead of a map (with the input container built only when asked for)
 // and giving the output a fresh header over the result's rows instead of
 // a copy of every row brought it to 24 and 53. Taking the batch's output
-// headers from one slice brought the batch to 47 (the chunk's slab for the
-// helper costs one allocation of its own; this helper does not carve from
-// it). The budgets, those counts and 2 %, keep per-run template work and
-// per-row copies from coming back unnoticed.
+// headers from one slice brought the batch to 47 (the helper's chunk of
+// answers costs one allocation of its own; this helper builds its answer
+// without Containers.Answer). The budgets, those counts and 2 %, keep
+// per-run template work and per-row copies from coming back unnoticed.
 const (
 	buySuppCompAllocBudget = 25
 	reliaBatchAllocBudget  = 48

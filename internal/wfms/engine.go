@@ -502,19 +502,56 @@ type Containers struct {
 	t       *template
 	outputs []slot
 	input   map[string]types.Value
-	slab    *types.Slab // the chunk's in a vectorised batch run, else nil
-	reserve int         // cells Slab makes room for
+	chunk   *answers // the helper's answers in a vectorised batch run, else nil
+	row     int      // this row's place in chunk
 }
 
-// Slab returns the slab a helper carves the rows it answers from. In a
-// vectorised batch run it is the chunk's, shared by the helper's calls for
-// every row of the chunk; when the helper is the process's result node,
-// the slab has room for one output row for this row and each later one,
-// reserved when a row first asks. In a per-row run it is nil, which
-// types.Slab treats as no slab.
-func (c Containers) Slab() *types.Slab {
-	c.slab.Reserve(c.reserve)
-	return c.slab
+// answers is where a helper's calls for the rows of one vectorised batch
+// chunk build what they answer: cells from one slab, rows in one slice and
+// headers from one slice, one header a row, each made when a call first
+// asks. It lives for one activity of one batch run.
+type answers struct {
+	n     int // rows in the chunk
+	width int // cells of one output row when the helper is the result node, else 0
+	slab  types.Slab
+	rows  []types.Row
+	heads []types.Table
+}
+
+// Answer is how a helper builds the table it answers: fill appends the
+// rows to rows, carving their cells from slab, and Answer puts a header
+// with schema over them. In a vectorised batch run the rows, their cells
+// and the header come from the chunk's shared ones (with room for one
+// output row for this row and each later one when the helper is the
+// process's result node), and the answer's rows are capped, so an append
+// by a reader copies. In a per-row run rows and slab are nil, which
+// types.Slab treats as no slab. A helper calls Answer at most once a call.
+func (c Containers) Answer(schema types.Schema, fill func(rows []types.Row, slab *types.Slab) ([]types.Row, error)) (*types.Table, error) {
+	ch := c.chunk
+	if ch == nil {
+		rows, err := fill(nil, nil)
+		if err != nil {
+			return nil, err
+		}
+		return &types.Table{Schema: schema, Rows: rows}, nil
+	}
+	if ch.heads == nil {
+		ch.heads = make([]types.Table, ch.n)
+		if ch.width > 0 { // the result node: room for one output row a row
+			ch.rows = make([]types.Row, 0, ch.n)
+		}
+	}
+	ch.slab.Reserve((ch.n - c.row) * ch.width)
+	n := len(ch.rows)
+	rows, err := fill(ch.rows[n:], &ch.slab)
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) > 0 && n < cap(ch.rows) && &rows[0] == &ch.rows[:n+1][n] {
+		ch.rows = ch.rows[:n+len(rows)] // appended in place: the next row starts after them
+	}
+	ch.heads[c.row] = types.Table{Schema: schema, Rows: rows[:len(rows):len(rows)]}
+	return &ch.heads[c.row], nil
 }
 
 // Get returns the container named key: a done node's under its lower-case

@@ -212,15 +212,16 @@ func TestBatchOutputsIndependent(t *testing.T) {
 			&HelperActivity{Name: "Pair", Fn: func(in Containers) (*types.Table, error) {
 				f, _ := in.Get("f")
 				g, _ := in.Get("g")
-				out := types.NewTable(pair)
-				for _, a := range f.Rows {
-					for _, b := range g.Rows {
-						row := in.Slab().Alloc(2)
-						row[0], row[1] = a[0], b[0]
-						out.Rows = append(out.Rows, row)
+				return in.Answer(pair, func(rows []types.Row, slab *types.Slab) ([]types.Row, error) {
+					for _, a := range f.Rows {
+						for _, b := range g.Rows {
+							row := slab.Alloc(2)
+							row[0], row[1] = a[0], b[0]
+							rows = append(rows, row)
+						}
 					}
-				}
-				return out, nil
+					return rows, nil
+				})
 			}},
 		},
 		Flow:   []ControlConnector{{From: "F", To: "Pair"}, {From: "G", To: "Pair"}},
@@ -247,4 +248,39 @@ func TestBatchOutputsIndependent(t *testing.T) {
 		}
 		independent(t, outs)
 	}
+}
+
+// TestHelperAnswersIndependent: the answers a helper builds through
+// Containers.Answer for the rows of one chunk share a row slice, a slab and
+// a slice of headers. Row 2's answer outgrows the room left in the row
+// slice and row 3's takes that room; every answer must keep its own rows
+// and be independent of the others.
+func TestHelperAnswersIndependent(t *testing.T) {
+	ch := &answers{n: 4, width: 1}
+	tabs := make([]*types.Table, ch.n)
+	for r := range tabs {
+		var err error
+		tabs[r], err = Containers{chunk: ch, row: r}.Answer(xSchema, func(rows []types.Row, slab *types.Slab) ([]types.Row, error) {
+			for k := 0; k <= r%3; k++ { // 1, 2, 3 and 1 rows
+				row := slab.Alloc(1)
+				row[0] = types.NewInt(int64(10*r + k))
+				rows = append(rows, row)
+			}
+			return rows, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, tab := range tabs {
+		if tab.Len() != r%3+1 {
+			t.Fatalf("answer %d has %d rows, want %d", r, tab.Len(), r%3+1)
+		}
+		for k, row := range tab.Rows {
+			if row[0].Int() != int64(10*r+k) {
+				t.Fatalf("answer %d row %d = %v, want %d", r, k, row, 10*r+k)
+			}
+		}
+	}
+	independent(t, tabs)
 }
