@@ -80,6 +80,56 @@ func TestSessionQuota(t *testing.T) {
 	close2()
 }
 
+// TestAdmitReleaseIsIdempotent: releasing a slot twice frees it once, so
+// the cap still holds afterwards, and a second release of a slot handed
+// to a waiter does not hand the waiter's slot on again.
+func TestAdmitReleaseIsIdempotent(t *testing.T) {
+	a := NewAdmission(AdmissionPolicy{MaxConcurrent: 1}, nil, AdmissionObserver{})
+	r1, err := a.Admit(context.Background(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1()
+	r1()
+	r2, err := a.Admit(context.Background(), "acme")
+	if err != nil {
+		t.Fatalf("admit after a double release: %v", err)
+	}
+	if _, err := a.Admit(context.Background(), "acme"); !errors.Is(err, resil.ErrAppSysUnavailable) {
+		t.Fatalf("admit beyond the cap after a double release = %v, want ErrAppSysUnavailable", err)
+	}
+
+	queued := make(chan string, 1)
+	q := NewAdmission(AdmissionPolicy{MaxConcurrent: 1, QueueDepth: 1}, nil,
+		AdmissionObserver{OnQueued: func(tenant string) { queued <- tenant }})
+	holder, err := q.Admit(context.Background(), "acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waiter := make(chan func(), 1)
+	go func() {
+		r, err := q.Admit(context.Background(), "acme")
+		if err != nil {
+			t.Errorf("queued admit: %v", err)
+			r = func() {}
+		}
+		waiter <- r
+	}()
+	<-queued
+	holder()
+	w := <-waiter
+	holder()
+	// The waiter holds the one slot, so a request whose context is already
+	// cancelled queues and gives up instead of running.
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := q.Admit(cancelled, "acme"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("admit while the waiter holds the slot = %v, want context.Canceled", err)
+	}
+	w()
+	r2()
+}
+
 // TestAdmitShedsBeyondCapacity is the synchronous core of load shedding:
 // with the cap held and no queue, Admit fails immediately and typed.
 func TestAdmitShedsBeyondCapacity(t *testing.T) {

@@ -2,10 +2,12 @@ package rpc
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
 
+	"fedwf/internal/obs"
 	"fedwf/internal/types"
 )
 
@@ -142,6 +144,64 @@ func TestSmallRepliesCostNoMore(t *testing.T) {
 		t.Logf("%s: %.0f allocations, %.0f bytes (before: %d, %d)", name, allocs, size, parentAllocs, parentBytes)
 		if allocs > parentAllocs || size > parentBytes {
 			t.Errorf("%s: %.0f allocations, %.0f bytes; the boxing codec took %d, %d", name, allocs, size, parentAllocs, parentBytes)
+		}
+	}
+}
+
+// metaReply is a one-row reply carrying n metadata entries: the keys and
+// values of a served statement first (fdbs's nine, a trace fragment among
+// them from four entries on), then numbered ones, with empty, one-byte
+// and 300-byte values mixed in.
+func metaReply(n int) *reply {
+	served := [][2]string{
+		{"arch", "wfms"}, {"paper_ms", "239.400"}, {"paper_ns", "239400000"},
+		{obs.MetaTraceFragment, "\x01\x00fragment\xff" + strings.Repeat("s", 300)},
+		{"wall_ms", "0.153"}, {"cache_hits", "0"}, {"cache_misses", "1"},
+		{obs.MetaTraceID, "0123456789abcdef0123456789abcdef"}, {"rows", "1"},
+	}
+	meta := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		if i < len(served) {
+			meta[served[i][0]] = served[i][1]
+			continue
+		}
+		meta[fmt.Sprintf("key_%02d", i)] = []string{"", "v", strings.Repeat(string(rune('a'+i%26)), 300)}[i%3]
+	}
+	if n == 0 {
+		meta = nil
+	}
+	return &reply{
+		table: &types.Table{Schema: types.Schema{{Name: "Result", Type: types.VarChar}},
+			Rows: []types.Row{{types.NewString("1 rows affected")}}},
+		meta: meta,
+	}
+}
+
+// TestMetadataRoundTrip: replies with 0, 1, 9 and 40 metadata entries come
+// back entry for entry, and what the decoder returns shares no bytes with
+// the payload it read: overwriting the payload afterwards changes no key
+// and no value.
+func TestMetadataRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 40} {
+		want := metaReply(n)
+		p := payload(encodeFrameResponse(5, want))
+		_, got, err := decodeFrameResponse(p)
+		if err != nil {
+			t.Fatalf("%d entries: %v", n, err)
+		}
+		if !sameReply(got, want) {
+			t.Fatalf("%d entries: round trip mismatch:\n got %v\nwant %v", n, got.meta, want.meta)
+		}
+		for i := range p {
+			p[i] = 0xa5
+		}
+		if len(got.meta) != len(want.meta) {
+			t.Fatalf("%d entries: %d after the payload was overwritten", n, len(got.meta))
+		}
+		for k, v := range want.meta {
+			if got.meta[k] != v {
+				t.Fatalf("%d entries: %q = %q after the payload was overwritten, want %q", n, k, got.meta[k], v)
+			}
 		}
 	}
 }

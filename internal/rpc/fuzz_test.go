@@ -118,7 +118,8 @@ func checkDecodeAlloc(t *testing.T, data []byte) {
 }
 
 // frameSeeds is the FuzzFrameDecode corpus: one valid payload of every
-// message type from the current encoders, plus two stubs.
+// message type from the current encoders, plus two stubs, and responses
+// with 1, 9 and 40 metadata entries.
 func frameSeeds() [][]byte {
 	request, _ := encodeFrameRequest(77, sampleCall())
 	return [][]byte{
@@ -130,6 +131,9 @@ func frameSeeds() [][]byte {
 		{frameRequest},
 		{frameResponse, 0x80},
 		payload(encodeFrameResponse(4, &reply{err: fmt.Errorf("shed: %w", resil.ErrAppSysUnavailable)})),
+		payload(encodeFrameResponse(2, metaReply(1))),
+		payload(encodeFrameResponse(3, metaReply(9))),
+		payload(encodeFrameResponse(6, metaReply(40))),
 	}
 }
 
