@@ -329,11 +329,14 @@ type Session struct {
 	opts         plan.Options
 }
 
-// NewSession opens a session.
-func (e *Engine) NewSession() *Session {
+// NewSession opens a session on a free meter.
+func (e *Engine) NewSession() *Session { return e.NewSessionOn(simlat.Free()) }
+
+// NewSessionOn opens a session whose statements charge task.
+func (e *Engine) NewSessionOn(task *simlat.Task) *Session {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return &Session{eng: e, task: simlat.Free(), stmtTimeout: e.stmtTimeout, allowPartial: e.allowPartial, opts: e.planOpts}
+	return &Session{eng: e, task: task, stmtTimeout: e.stmtTimeout, allowPartial: e.allowPartial, opts: e.planOpts}
 }
 
 // SetTask attaches the cost meter used by subsequent statements.
@@ -404,29 +407,36 @@ func (s *Session) QueryContext(ctx context.Context, sql string) (*types.Table, e
 	if err != nil {
 		return nil, err
 	}
-	tab, _, err := s.execSelect(ctx, sel)
+	tab, _, err := s.execSelect(ctx, sel, "")
 	return tab, err
 }
 
 // execSelect runs a SELECT as one statement: it begins the statement, runs
 // it inside the engine.statement span and keeps its function-cache
-// counters for LastCacheStats.
-func (s *Session) execSelect(ctx context.Context, sel *sqlparser.Select) (*types.Table, *stmtState, error) {
+// counters for LastCacheStats. The span's sql attribute is text, the
+// statement as it arrived, or the rendered parse when it arrived parsed
+// (text is empty).
+func (s *Session) execSelect(ctx context.Context, sel *sqlparser.Select, text string) (*types.Table, *stmtState, error) {
 	ctx, state := s.beginStmt(ctx)
-	sp := obs.StartSpan(s.task, "engine.statement", obs.Attr{Key: "sql", Value: sel.String()})
+	if text == "" {
+		text = sel.String()
+	}
+	sp := obs.StartSpan(s.task, "engine.statement", obs.Attr{Key: "sql", Value: text})
 	tab, cache, err := s.eng.runSelect(ctx, sel, s.task)
 	sp.End(s.task)
 	s.lastCacheStats = cache
 	return tab, state, err
 }
 
-// ExecContext parses and executes any single statement under ctx.
+// ExecContext parses and executes any single statement under ctx. A
+// SELECT's engine.statement span carries sql as it arrived: the text the
+// statistics warehouse, the journal and the slow log record.
 func (s *Session) ExecContext(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecStmtContext(ctx, stmt)
+	return s.execStmt(ctx, stmt, sql)
 }
 
 // ExecScriptContext executes a semicolon-separated statement sequence
@@ -459,9 +469,15 @@ func (s *Session) MustExecContext(ctx context.Context, sql string) *Result {
 
 // ExecStmtContext executes one parsed statement under ctx.
 func (s *Session) ExecStmtContext(ctx context.Context, stmt sqlparser.Statement) (*Result, error) {
+	return s.execStmt(ctx, stmt, "")
+}
+
+// execStmt executes one parsed statement; text is the statement as it
+// arrived, or empty when it arrived parsed.
+func (s *Session) execStmt(ctx context.Context, stmt sqlparser.Statement, text string) (*Result, error) {
 	switch st := stmt.(type) {
 	case *sqlparser.Select:
-		tab, state, err := s.execSelect(ctx, st)
+		tab, state, err := s.execSelect(ctx, st, text)
 		if err != nil {
 			return nil, err
 		}

@@ -232,14 +232,18 @@ func (s *Server) ExecTracedContext(ctx context.Context, text string, tc obs.Trac
 	return s.execTraced(ctx, text, tc, nil)
 }
 
+// metaKeys is how many keys a statement's metadata can hold: the eight
+// every statement reports, trace_retained, partial, warnings and rows, and
+// the trace fragment the transport adds to a sampled request's.
+const metaKeys = 13
+
 // execTraced is ExecTracedContext serving a request: when the caller
 // sampled it, the finished span tree is grafted under serve, the span the
 // transport traces the request under, which ships it back to the caller.
 func (s *Server) execTraced(ctx context.Context, text string, tc obs.TraceContext, serve *obs.Span) (*types.Table, map[string]string, error) {
 	archLabel := s.stack.Arch().Label()
 	task := simlat.NewVirtualTask()
-	session := s.Session()
-	session.SetTask(task)
+	session := s.stack.Engine().NewSessionOn(task)
 	tr := obs.Trace(task, "fdbs.exec", obs.Attr{Key: "arch", Value: archLabel})
 	traceID := tc.TraceID
 	if traceID == "" {
@@ -285,16 +289,25 @@ func (s *Server) execTraced(ctx context.Context, text string, tc obs.TraceContex
 	// one list, and only a retained or sampled tree is read again.
 	st.Calls = obs.FedCalls(root, nil)
 
-	meta := map[string]string{
-		"arch":            archLabel,
-		"paper_ms":        fmt.Sprintf("%.3f", float64(st.Paper)/float64(simlat.PaperMS)),
-		"paper_ns":        strconv.FormatInt(int64(st.Paper), 10),
-		"wall_ms":         obs.WallMS(wall),
-		"cache_hits":      strconv.Itoa(cs.Hits),
-		"cache_misses":    strconv.Itoa(cs.Misses),
-		"cache_coalesced": strconv.Itoa(cs.Coalesced),
-		obs.MetaTraceID:   traceID,
-	}
+	// The map is sized for every key it can end with, and the three
+	// timings share one string: "%.3f" paper ms, the paper ns, and wall ms
+	// as obs.WallMS renders it.
+	var num [96]byte
+	b := strconv.AppendFloat(num[:0], float64(st.Paper)/float64(simlat.PaperMS), 'f', 3, 64)
+	paperMS := len(b)
+	b = strconv.AppendInt(b, int64(st.Paper), 10)
+	paperNS := len(b)
+	b = strconv.AppendFloat(b, float64(wall)/float64(time.Millisecond), 'f', 3, 64)
+	timings := string(b)
+	meta := make(map[string]string, metaKeys)
+	meta["arch"] = archLabel
+	meta["paper_ms"] = timings[:paperMS]
+	meta["paper_ns"] = timings[paperMS:paperNS]
+	meta["wall_ms"] = timings[paperNS:]
+	meta["cache_hits"] = strconv.Itoa(cs.Hits)
+	meta["cache_misses"] = strconv.Itoa(cs.Misses)
+	meta["cache_coalesced"] = strconv.Itoa(cs.Coalesced)
+	meta[obs.MetaTraceID] = traceID
 	s.metrics.ObserveStatement(&st)
 	if s.col.Offer(&st) {
 		meta["trace_retained"] = "1"

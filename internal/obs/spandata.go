@@ -10,15 +10,18 @@ import (
 	"fedwf/internal/simlat"
 )
 
-// newHexID returns n random bytes as lowercase hex.
+// newHexID returns n (at most 16) random bytes as lowercase hex. Both
+// buffers live on the stack, so the string is the one allocation.
 func newHexID(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
+	var raw [16]byte
+	var text [32]byte
+	if _, err := rand.Read(raw[:n]); err != nil {
 		// crypto/rand failing is unrecoverable; fall back to a fixed
 		// marker rather than panicking inside instrumentation.
 		return strings.Repeat("0", 2*n)
 	}
-	return hex.EncodeToString(b)
+	hex.Encode(text[:], raw[:n])
+	return string(text[:2*n])
 }
 
 // NewTraceID mints a 16-byte trace identifier (W3C traceparent sized).

@@ -30,3 +30,29 @@ func BenchmarkRecordStatement(b *testing.B) {
 		w.RecordStatement(st)
 	}
 }
+
+// TestRecordKnownStatementDoesNotAllocate: folding a statement whose
+// fingerprint the warehouse already holds — with new literals, as served
+// statements arrive — allocates nothing: it normalizes into a stack
+// buffer and looks its entry up without a string.
+func TestRecordKnownStatementDoesNotAllocate(t *testing.T) {
+	w := NewWarehouse(Options{})
+	w.AttachMetrics(obs.NewRegistry())
+	st := &obs.Statement{
+		SQL:      "SELECT R.Decision FROM TABLE (BuySuppComp(4, 'washer')) AS R",
+		Arch:     "wfms",
+		Paper:    239 * time.Millisecond,
+		Rows:     1,
+		Counters: obs.CounterSnapshot{RPCs: 1, Instances: 1},
+		Calls:    []obs.FedCall{{Fn: "BuySuppComp", Elapsed: 239 * time.Millisecond}},
+	}
+	want := w.RecordStatement(st)
+	st.SQL = "SELECT R.Decision FROM TABLE (BuySuppComp(7, 'bolt')) AS R"
+	var got string
+	if allocs := testing.AllocsPerRun(100, func() { got = w.RecordStatement(st) }); allocs != 0 {
+		t.Errorf("recording a known statement allocates %.1f times, want 0", allocs)
+	}
+	if got != want {
+		t.Errorf("the statement recorded under %s, want %s", got, want)
+	}
+}

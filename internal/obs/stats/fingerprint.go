@@ -15,28 +15,16 @@
 // out, which is what the roadmap's adaptive cost-based planner feeds on.
 package stats
 
-import (
-	"hash/fnv"
-	"strings"
-)
-
 // Fingerprint literal-normalizes a SQL text and returns the stable
 // fingerprint ID (16 hex digits of FNV-64a over the normalized form)
 // together with the normalized text itself. Two statements differing only
 // in literals — numbers or quoted strings — normalize identically and
 // therefore coalesce to one fingerprint.
 func Fingerprint(sql string) (id, normalized string) {
-	normalized = Normalize(sql)
-	h := fnv.New64a()
-	h.Write([]byte(normalized))
-	const hexdigits = "0123456789abcdef"
-	sum := h.Sum64()
-	var b [16]byte
-	for i := 15; i >= 0; i-- {
-		b[i] = hexdigits[sum&0xf]
-		sum >>= 4
-	}
-	return string(b[:]), normalized
+	var buf [normBufBytes]byte
+	norm := appendNormalized(buf[:0], sql)
+	hexID := fingerprintOf(norm)
+	return string(hexID[:]), string(norm)
 }
 
 // Normalize rewrites a SQL text into its fingerprint form: string and
@@ -45,16 +33,44 @@ func Fingerprint(sql string) (id, normalized string) {
 // does not parse — so it is total: any input normalizes, including
 // statements the parser would reject.
 func Normalize(sql string) string {
-	var b strings.Builder
-	b.Grow(len(sql))
+	var buf [normBufBytes]byte
+	return string(appendNormalized(buf[:0], sql))
+}
+
+// normBufBytes is the stack buffer a statement normalizes into; only a
+// longer statement's normal form reaches the heap.
+const normBufBytes = 512
+
+// fingerprintOf is the fingerprint ID of a normalized text: FNV-64a
+// (hash/fnv's New64a), as 16 lower-case hex digits.
+func fingerprintOf(norm []byte) [16]byte {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	sum := uint64(offset64)
+	for _, c := range norm {
+		sum ^= uint64(c)
+		sum *= prime64
+	}
+	const hexdigits = "0123456789abcdef"
+	var b [16]byte
+	for i := 15; i >= 0; i-- {
+		b[i] = hexdigits[sum&0xf]
+		sum >>= 4
+	}
+	return b
+}
+
+// appendNormalized appends sql's fingerprint form (see Normalize) to dst.
+func appendNormalized(dst []byte, sql string) []byte {
+	start := len(dst)
 	i := 0
 	pendingSpace := false
-	emit := func(s string) {
-		if pendingSpace && b.Len() > 0 {
-			b.WriteByte(' ')
+	// space writes the one space a run of whitespace collapses to, before
+	// the next token and never at the start.
+	space := func() {
+		if pendingSpace && len(dst) > start {
+			dst = append(dst, ' ')
 		}
 		pendingSpace = false
-		b.WriteString(s)
 	}
 	for i < len(sql) {
 		c := sql[i]
@@ -76,7 +92,8 @@ func Normalize(sql string) string {
 				}
 				i++
 			}
-			emit("?")
+			space()
+			dst = append(dst, '?')
 		case c >= '0' && c <= '9':
 			// Numeric literal (integer or decimal, with exponent).
 			j := i
@@ -96,26 +113,28 @@ func Normalize(sql string) string {
 				}
 			}
 			i = j
-			emit("?")
+			space()
+			dst = append(dst, '?')
 		case isIdentStart(c):
-			j := i
-			for j < len(sql) && isIdentPart(sql[j]) {
-				j++
+			// Identifiers are ASCII, so folding byte by byte is
+			// strings.ToLower.
+			space()
+			for ; i < len(sql) && isIdentPart(sql[i]); i++ {
+				c := sql[i]
+				if c >= 'A' && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				dst = append(dst, c)
 			}
-			emit(strings.ToLower(sql[i:j]))
-			i = j
 		default:
 			// Byte-preserving: string(c) would UTF-8-encode bytes >= 0x80
 			// and re-encode (grow) non-ASCII text on every pass.
-			if pendingSpace && b.Len() > 0 {
-				b.WriteByte(' ')
-			}
-			pendingSpace = false
-			b.WriteByte(c)
+			space()
+			dst = append(dst, c)
 			i++
 		}
 	}
-	return b.String()
+	return dst
 }
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 )
@@ -8,9 +10,9 @@ import (
 // FuzzFingerprint holds the lexical normalizer to its contract on
 // arbitrary byte soup: it is total (never panics, any input normalizes),
 // deterministic, idempotent (the normalized form is its own fingerprint
-// form), and the ID is 16 lower-case hex digits of the normalized text —
-// so equal normal forms coalesce to equal IDs no matter how the literals
-// differed.
+// form), and the ID is 16 lower-case hex digits of the normalized text's
+// FNV-64a — so equal normal forms coalesce to equal IDs no matter how the
+// literals differed.
 func FuzzFingerprint(f *testing.F) {
 	f.Add("SELECT Qual FROM SuppQual WHERE SuppNo = 42")
 	f.Add("select qual from suppqual where suppno = ?")
@@ -29,6 +31,11 @@ func FuzzFingerprint(f *testing.F) {
 			if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
 				t.Fatalf("fingerprint id %q has non-hex digit %q", id, c)
 			}
+		}
+		h := fnv.New64a()
+		h.Write([]byte(norm))
+		if want := fmt.Sprintf("%016x", h.Sum64()); id != want {
+			t.Fatalf("fingerprint id %q is not FNV-64a of %q (%s)", id, norm, want)
 		}
 		id2, norm2 := Fingerprint(sql)
 		if id2 != id || norm2 != norm {

@@ -140,17 +140,21 @@ func ClassifyError(err error) string {
 
 // RecordStatement folds one finished statement into the warehouse and
 // returns its fingerprint: the warehouse entry's own id string, so callers
-// stamping it on further records pin no second copy per statement.
+// stamping it on further records pin no second copy per statement. The
+// statement normalizes into a stack buffer and a known fingerprint is
+// found without a string: only a new entry allocates its id and query.
 func (w *Warehouse) RecordStatement(st *obs.Statement) string {
-	id, normalized := Fingerprint(st.SQL)
+	var buf [normBufBytes]byte
+	norm := appendNormalized(buf[:0], st.SQL)
+	id := fingerprintOf(norm)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.seq++
-	e := w.stmts[id]
+	e := w.stmts[string(id[:])]
 	if e == nil {
-		e = &stmtEntry{id: id, query: normalized, sketch: NewSketch(), lastSeq: w.seq}
-		w.stmts[id] = e
+		e = &stmtEntry{id: string(id[:]), query: string(norm), sketch: NewSketch(), lastSeq: w.seq}
+		w.stmts[e.id] = e
 		w.evictColdLocked()
 	}
 	e.lastSeq = w.seq

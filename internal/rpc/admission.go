@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fedwf/internal/obs"
@@ -184,10 +185,28 @@ func (a *Admission) OpenSession(tenant, proto string) (func(), error) {
 // bounded FIFO when concurrency is exhausted; and fails immediately with
 // resil.ErrAppSysUnavailable when the queue is full too (load shedding —
 // the server prefers a fast typed refusal over unbounded queueing).
-// Cancelling ctx abandons the wait.
+// Cancelling ctx abandons the wait. Releasing more than once releases once.
 func (a *Admission) Admit(ctx context.Context, tenant string) (func(), error) {
 	if a == nil {
 		return func() {}, nil
+	}
+	if err := a.acquire(ctx, tenant); err != nil {
+		return nil, err
+	}
+	var released atomic.Bool
+	return func() {
+		if released.CompareAndSwap(false, true) {
+			a.release(tenant)
+		}
+	}, nil
+}
+
+// acquire is Admit without the release function: on a nil error the
+// caller holds a slot and owes exactly one release. The server's request
+// path pairs the two itself, so serving a request allocates nothing here.
+func (a *Admission) acquire(ctx context.Context, tenant string) error {
+	if a == nil {
+		return nil
 	}
 	if tenant == "" {
 		tenant = DefaultTenant
@@ -201,7 +220,7 @@ func (a *Admission) Admit(ctx context.Context, tenant string) (func(), error) {
 		if a.metrics != nil {
 			a.metrics.AdmissionAdmitted.With(tenant).Inc()
 		}
-		return a.releaser(tenant), nil
+		return nil
 	case AdmitShed:
 		a.gc(tenant, ts)
 		a.mu.Unlock()
@@ -211,7 +230,7 @@ func (a *Admission) Admit(ctx context.Context, tenant string) (func(), error) {
 		if a.hooks.OnShed != nil {
 			a.hooks.OnShed(tenant)
 		}
-		return nil, fmt.Errorf("rpc: admission queue full (%d running, %d queued) for tenant %q: %w",
+		return fmt.Errorf("rpc: admission queue full (%d running, %d queued) for tenant %q: %w",
 			a.policy.MaxConcurrent, a.policy.QueueDepth, tenant, resil.ErrAppSysUnavailable)
 	}
 	// Queue: wait for a slot hand-off in FIFO order.
@@ -240,7 +259,7 @@ func (a *Admission) Admit(ctx context.Context, tenant string) (func(), error) {
 			a.metrics.AdmissionQueueWaitMS.Observe(float64(waitMeter.Elapsed()) / float64(time.Millisecond))
 			a.metrics.AdmissionAdmitted.With(tenant).Inc()
 		}
-		return a.releaser(tenant), nil
+		return nil
 	case <-done:
 		a.mu.Lock()
 		removed := false
@@ -259,30 +278,31 @@ func (a *Admission) Admit(ctx context.Context, tenant string) (func(), error) {
 		if !removed {
 			// The hand-off raced the cancellation: a slot is already ours,
 			// give it back.
-			a.releaser(tenant)()
+			a.release(tenant)
 		}
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 }
 
-// releaser returns the release for one held slot: hand it to the oldest
-// waiter if any (the waiter's running count carries over), else retire it.
-func (a *Admission) releaser(tenant string) func() {
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			a.mu.Lock()
-			ts := a.tenant(tenant)
-			if len(ts.waiters) > 0 {
-				slot := ts.waiters[0]
-				ts.waiters = ts.waiters[1:]
-				a.mu.Unlock()
-				close(slot)
-				return
-			}
-			ts.running--
-			a.gc(tenant, ts)
-			a.mu.Unlock()
-		})
+// release gives back one held slot: it hands the slot to the oldest
+// waiter if any (the waiter's running count carries over), else retires it.
+func (a *Admission) release(tenant string) {
+	if a == nil {
+		return
 	}
+	if tenant == "" {
+		tenant = DefaultTenant
+	}
+	a.mu.Lock()
+	ts := a.tenant(tenant)
+	if len(ts.waiters) > 0 {
+		slot := ts.waiters[0]
+		ts.waiters = ts.waiters[1:]
+		a.mu.Unlock()
+		close(slot)
+		return
+	}
+	ts.running--
+	a.gc(tenant, ts)
+	a.mu.Unlock()
 }

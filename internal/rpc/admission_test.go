@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"fedwf/internal/obs"
 	"fedwf/internal/resil"
 )
 
@@ -128,6 +129,29 @@ func TestAdmitReleaseIsIdempotent(t *testing.T) {
 	}
 	w()
 	r2()
+}
+
+// TestServedAdmissionDoesNotAllocate: a served request takes and gives
+// back its slot without a release function, so admission adds no
+// allocation to a request that runs at once on an open session.
+func TestServedAdmissionDoesNotAllocate(t *testing.T) {
+	a := NewAdmission(AdmissionPolicy{MaxConcurrent: 64, QueueDepth: 64},
+		obs.NewServingMetrics(obs.NewRegistry()), AdmissionObserver{})
+	closeSession, err := a.OpenSession("acme", "framed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeSession()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := a.acquire(ctx, "acme"); err != nil {
+			t.Fatal(err)
+		}
+		a.release("acme")
+	})
+	if allocs != 0 {
+		t.Errorf("admitting a served request allocates %.1f times, want 0", allocs)
+	}
 }
 
 // TestAdmitShedsBeyondCapacity is the synchronous core of load shedding:

@@ -205,3 +205,37 @@ func TestMetadataRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// metaSink keeps the reference maps of TestMetadataDecodeAllocationBudget
+// on the heap, as a decoded reply's map is.
+var metaSink map[string]string
+
+// TestMetadataDecodeAllocationBudget: decoding a reply's metadata costs the
+// map it returns, one string that every key and value slices, and a trace
+// fragment's own string. A string per key and per value — 4, 19 and 60
+// allocations for 1, 9 and 40 entries, where this reads 3, 6 and 6 —
+// would fail it.
+func TestMetadataDecodeAllocationBudget(t *testing.T) {
+	bare := payload(encodeFrameResponse(5, metaReply(0)))
+	base := testing.AllocsPerRun(100, func() { decodeFrameResponse(bare) })
+	for _, n := range []int{1, 9, 40} {
+		want := metaReply(n)
+		p := payload(encodeFrameResponse(5, want))
+		got := testing.AllocsPerRun(100, func() { decodeFrameResponse(p) }) - base
+		maps := testing.AllocsPerRun(100, func() {
+			m := make(map[string]string, len(want.meta))
+			for k, v := range want.meta {
+				m[k] = v
+			}
+			metaSink = m
+		})
+		budget := maps + 1
+		if _, ok := want.meta[obs.MetaTraceFragment]; ok {
+			budget++
+		}
+		t.Logf("%d entries: %.0f allocations beyond an empty reply's, budget %.0f", n, got, budget)
+		if got > budget {
+			t.Errorf("decoding %d metadata entries allocates %.0f times, budget %.0f (the map, one string, a fragment's own)", n, got, budget)
+		}
+	}
+}

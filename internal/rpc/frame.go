@@ -27,6 +27,7 @@ import (
 	"math/bits"
 	"strings"
 
+	"fedwf/internal/obs"
 	"fedwf/internal/resil"
 	"fedwf/internal/types"
 )
@@ -350,8 +351,9 @@ func (a *arena) str(p []byte) string {
 
 // rbuf consumes a frame payload; the first decode error sticks and turns
 // every further read into a no-op returning zero values. Table data lands
-// in the arena; every other string is its own allocation, because callers
-// keep errors and metadata apart from (and longer than) the rows.
+// in the arena; metadata gets one string of its own and every other
+// string is its own allocation, because callers keep errors and metadata
+// apart from (and longer than) the rows.
 type rbuf struct {
 	b   []byte
 	off int
@@ -483,15 +485,42 @@ func (r *rbuf) table(what string) *types.Table {
 	return t
 }
 
+// meta decodes the metadata section into one string that every key and
+// value slices: a first pass sizes it, a second copies and maps. A trace
+// fragment gets a string of its own, so the map never pins it once the
+// fragment is grafted and deleted; table data never shares this string.
 func (r *rbuf) meta(what string) map[string]string {
 	n := r.count(what)
 	if n == 0 {
 		return nil
 	}
-	m := make(map[string]string, n)
+	start, size := r.off, 0
 	for i := 0; i < n && r.err == nil; i++ {
-		k := r.str(what)
-		m[k] = r.str(what)
+		k, v := r.raw(what), r.raw(what)
+		size += len(k)
+		if string(k) != obs.MetaTraceFragment {
+			size += len(v)
+		}
+	}
+	if r.err != nil {
+		return nil
+	}
+	r.off = start
+	var text strings.Builder
+	text.Grow(size)
+	slice := func(p []byte) string {
+		at := text.Len()
+		text.Write(p)
+		return text.String()[at:]
+	}
+	m := make(map[string]string, n)
+	for i := 0; i < n; i++ {
+		k, v := slice(r.raw(what)), r.raw(what)
+		if k == obs.MetaTraceFragment {
+			m[k] = string(v)
+		} else {
+			m[k] = slice(v)
+		}
 	}
 	return m
 }

@@ -529,12 +529,11 @@ func (s *Server) handleWire(ctx context.Context, tenant string, c *call) *reply 
 		// admission wait below burns the same budget.
 		ctx = resil.WithTimeout(ctx, time.Duration(c.deadlineMS)*simlat.PaperMS)
 	}
-	release, aerr := s.adm.Admit(ctx, tenant)
-	if aerr != nil {
+	if aerr := s.adm.acquire(ctx, tenant); aerr != nil {
 		rep.err = aerr
 		return rep
 	}
-	defer release()
+	defer s.adm.release(tenant)
 	task := simlat.Free()
 	var tr *obs.Tracer
 	var sw simlat.Stopwatch
