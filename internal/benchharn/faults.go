@@ -196,8 +196,7 @@ func (h *Harness) faultBreakerDemo(ctx context.Context, seed uint64, report *Fau
 
 	// Optional branch: a LEFT lateral over the open circuit degrades to a
 	// NULL-padded partial result instead of failing the statement.
-	session := stack.Engine().NewSession()
-	session.SetTask(simlat.NewVirtualTask())
+	session := stack.Engine().NewSessionOn(simlat.NewVirtualTask())
 	if _, err := session.ExecContext(ctx, "CREATE TABLE comps (Name VARCHAR(30))"); err != nil {
 		return err
 	}

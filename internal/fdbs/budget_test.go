@@ -17,14 +17,15 @@ import (
 // steps, attributes and first child stored inline it allocated 142 times,
 // and 127 once call results were shared under a fresh header and arguments
 // and answers were cast copy-on-write instead of copied at every layer.
-// The statement's envelope then took 95: its timings formatted into one
+// The statement's envelope then took 94: its timings formatted into one
 // string and its metadata map sized once, the trace ID hex-encoded from
-// the stack, a known fingerprint found without a string, the span's sql
-// attribute the text as received, and the session opened on its meter.
+// the stack, a known fingerprint and a known metric series found without
+// building a string, the span's sql attribute the text as received, and
+// the session opened on its meter.
 // The budget, that count and 2 %, keeps per-span allocations, per-call
 // copies and per-field envelope strings from coming back into the serving
 // path unnoticed.
-const execTracedAllocBudget = 97
+const execTracedAllocBudget = 96
 
 // raceBuild is set by race_test.go on builds with the race detector.
 var raceBuild bool
@@ -33,9 +34,9 @@ var raceBuild bool
 // times while each call planned the I-UDTF's body afresh, with every
 // argument in a map under two lower-cased names, and 128 once the body was
 // planned once and each call ran a copy of that plan on its argument row.
-// The envelope's cuts above took it to 96. The budget is that count and
+// The envelope's cuts above took it to 95. The budget is that count and
 // 2 %.
-const execTracedSQLAllocBudget = 98
+const execTracedSQLAllocBudget = 97
 
 func TestExecTracedAllocationBudget(t *testing.T) {
 	if raceBuild {
@@ -79,10 +80,10 @@ func TestExecTracedAllocationBudget(t *testing.T) {
 // lookups, the compiled helper's rows through wfms.Containers.Answer, the
 // workflow outputs and the catalog's casts — brought it to 975. The
 // statement's envelope (see execTracedAllocBudget), above all the sql
-// attribute no longer rendered from the parse, took it to 922. The budget
+// attribute no longer rendered from the parse, took it to 921. The budget
 // is that count and 2 %, so per-row allocations do not come back into the
 // batch path unnoticed.
-const lateralBatchAllocBudget = 941
+const lateralBatchAllocBudget = 940
 
 func TestLateralBatchAllocationBudget(t *testing.T) {
 	if raceBuild {
@@ -106,12 +107,13 @@ func TestLateralBatchAllocationBudget(t *testing.T) {
 // together — while the statement's envelope made a string of every
 // metadata key and value on the client, formatted each timing on its own,
 // hex-encoded the trace ID through the heap, built strings to find a
-// known fingerprint, opened its session on a meter it replaced at once
-// and took a release closure for every admitted request. Without those
-// they allocate 80 and 85. The budgets are those counts and 2 %.
+// known fingerprint and a known metric series, opened its session on a
+// meter it replaced at once and took a release closure for every admitted
+// request. Without those they allocate 79 and 84. The budgets are those
+// counts and 2 %.
 const (
-	loopbackSelectAllocBudget = 82
-	loopbackUpdateAllocBudget = 87
+	loopbackSelectAllocBudget = 81
+	loopbackUpdateAllocBudget = 86
 )
 
 // TestLoopbackAllocationBudget counts a whole served statement: a

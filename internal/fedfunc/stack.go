@@ -342,9 +342,7 @@ func (s *Stack) CallContext(ctx context.Context, task *simlat.Task, name string,
 		lits[i] = v.String()
 	}
 	sql := fmt.Sprintf("SELECT * FROM TABLE (%s(%s)) AS R", name, strings.Join(lits, ", "))
-	session := s.engine.NewSession()
-	session.SetTask(task)
-	return session.QueryContext(ctx, sql)
+	return s.engine.NewSessionOn(task).QueryContext(ctx, sql)
 }
 
 // CallSpecContext invokes a spec's federated function with one of its

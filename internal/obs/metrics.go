@@ -66,18 +66,28 @@ func (f *family) with(values []string) *series {
 	if len(values) != len(f.labelNames) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labelNames), len(values)))
 	}
-	key := strings.Join(values, "\x00")
+	// The key joins the values with NULs in a stack buffer, so finding a
+	// known series allocates nothing; only a new series makes its key.
+	var buf [128]byte
+	key := buf[:0]
+	for i, v := range values {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, v...)
+	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s, ok := f.series[key]
+	s, ok := f.series[string(key)]
 	if !ok {
 		s = &series{labelValues: append([]string(nil), values...)}
 		if f.typ == "histogram" {
 			s.upper = f.buckets
 			s.bkts = make([]uint64, len(f.buckets))
 		}
-		f.series[key] = s
-		f.keys = append(f.keys, key)
+		k := string(key)
+		f.series[k] = s
+		f.keys = append(f.keys, k)
 	}
 	return s
 }

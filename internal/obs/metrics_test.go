@@ -177,3 +177,22 @@ func TestGaugeReadFrom(t *testing.T) {
 	var nilGauge *Gauge
 	nilGauge.ReadFrom(func() float64 { return 1 }) // no-op, like Set
 }
+
+// TestKnownSeriesDoesNotAllocate: counting into a series that exists,
+// under one label or several, allocates nothing; the label values join
+// into a stack buffer to find it. Distinct values keep distinct series.
+func TestKnownSeriesDoesNotAllocate(t *testing.T) {
+	reg := NewRegistry()
+	byArch := reg.CounterVec("fedwf_test_queries_total", "Queries.", "arch", "status")
+	byArch.With("wfms", "ok").Inc()
+	if allocs := testing.AllocsPerRun(100, func() { byArch.With("wfms", "ok").Inc() }); allocs != 0 {
+		t.Errorf("a known two-label series allocates %.1f times, want 0", allocs)
+	}
+	byArch.With("udtf", "ok").Inc()
+	if got := byArch.With("wfms", "ok").Value(); got != 102 {
+		t.Errorf("wfms/ok = %v, want 102", got)
+	}
+	if got := byArch.With("udtf", "ok").Value(); got != 1 {
+		t.Errorf("udtf/ok = %v, want 1", got)
+	}
+}
