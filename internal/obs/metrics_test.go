@@ -189,6 +189,7 @@ func TestKnownSeriesDoesNotAllocate(t *testing.T) {
 		t.Errorf("a known two-label series allocates %.1f times, want 0", allocs)
 	}
 	byArch.With("udtf", "ok").Inc()
+	byArch.With("wfm", "sok").Inc()
 	if got := byArch.With("wfms", "ok").Value(); got != 102 {
 		t.Errorf("wfms/ok = %v, want 102", got)
 	}

@@ -12,7 +12,7 @@ import (
 // triple of fingerprintCorpus, taken from the strings.Builder normalizer.
 // Any change to what Fingerprint returns for any input of the corpus moves
 // it, so a rewrite of the normalizer must leave it where it is.
-const fingerprintOutcomesSHA256 = "545b5829e4fbb1c40991be527be5c5b2b64d41b03a7bb8546b14b055958b2781"
+const fingerprintOutcomesSHA256 = "68156afdf6ad08fe24a84c2a81e65673338205e00ac0fe95886d380bd96198d4"
 
 // fingerprintCorpus generates the statements the digest pins: fedbench's
 // statement shapes with fresh literals and random spacing, and token soups
@@ -35,7 +35,7 @@ func fingerprintCorpus() []string {
 	}
 	literals := []string{"0", "42", "-7", "3.25", "1e5", "2.5E-3", "6e+2", "7e", "8E+", "1.2.3",
 		"'washer'", "'Supplier3'", "'it''s'", "''", "'a''''b'", "'café'", "'λ\t\n'", "'unterminated"}
-	soup := []string{"SELECT", "select", "SeLeCt", "FROM", "where", "_x", "Col_9", "a1b2", "ÀB", "λx",
+	soup := []string{"SELECT", "select", "SeLeCt", "FROM", "where", "_x", "Col_9", "a1b2", "ZzAa_09", "_Z", "ÀB", "λx",
 		"é", "\xff", "\x00", "\x80abc", "(", ")", ",", ".", "*", "=", ">=", "<>", "+", "-", ";",
 		"'", "''", "'q''q'", "'open", "12", "0.5", "9.", ".5", "3e10", "4E-2", "5e+", "6e-x", "77e9z",
 		" ", "  ", "\t", "\n", "\r\n", " \t\n "}

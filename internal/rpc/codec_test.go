@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fedwf/internal/obs"
 	"fedwf/internal/types"
@@ -201,6 +202,23 @@ func TestMetadataRoundTrip(t *testing.T) {
 		for k, v := range want.meta {
 			if got.meta[k] != v {
 				t.Fatalf("%d entries: %q = %q after the payload was overwritten, want %q", n, k, got.meta[k], v)
+			}
+		}
+		// The fragment is deleted once grafted, so it has bytes of its own:
+		// no other key or value overlaps or abuts them, as the fragment's
+		// own key would if they shared one string.
+		frag, ok := got.meta[obs.MetaTraceFragment]
+		if !ok {
+			continue
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(frag)))
+		hi := lo + uintptr(len(frag))
+		for k, v := range got.meta {
+			for _, s := range []string{k, v} {
+				at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+				if s != "" && s != frag && at+uintptr(len(s)) >= lo && at <= hi {
+					t.Fatalf("%d entries: %q shares the trace fragment's string", n, s)
+				}
 			}
 		}
 	}
